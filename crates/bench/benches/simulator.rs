@@ -3,16 +3,29 @@
 //! sizing), and the baseline-vs-SP replay of a persist-barrier stream.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use spp_bench::{run_variant, Experiment};
+use spp_bench::Experiment;
 use spp_cpu::{CpuConfig, SimResult, Simulator};
 use spp_pmem::{Event, PAddr, Variant};
-use spp_workloads::BenchId;
+use spp_workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
 
 fn simulate(events: &[Event], cfg: &CpuConfig) -> SimResult {
     Simulator::new(events)
         .config(*cfg)
         .run()
         .expect("bench traces must simulate cleanly")
+}
+
+/// Records one benchmark's trace in `variant` and simulates it on `cpu`
+/// (a fresh recording every call, no cache: this measures end-to-end
+/// cost).
+fn run_variant(id: BenchId, variant: Variant, exp: &Experiment, cpu: &CpuConfig) -> SimResult {
+    let out = run_benchmark(&RunConfig {
+        variant,
+        spec: BenchSpec::scaled(id, exp.scale),
+        seed: exp.seed,
+        capture_base: false,
+    });
+    simulate(&out.trace.events, cpu)
 }
 
 fn barrier_trace(n: u64) -> Vec<Event> {
@@ -55,7 +68,7 @@ fn bench_full_runs(c: &mut Criterion) {
     for id in BenchId::ALL {
         g.bench_with_input(BenchmarkId::new("logpsf_sp", id.abbrev()), &id, |b, &id| {
             b.iter(|| {
-                let (_, sim) = run_variant(id, Variant::LogPSf, &exp, &CpuConfig::with_sp());
+                let sim = run_variant(id, Variant::LogPSf, &exp, &CpuConfig::with_sp());
                 black_box(sim.cpu.cycles)
             })
         });

@@ -112,11 +112,11 @@
 //!   --trace-out PATH  (profile) write the merged Chrome trace_event
 //!              document to PATH (loadable in Perfetto or
 //!              chrome://tracing)
-//!   --bench-out PATH  (all/profile/kv/optimize) where to write the
-//!              `specpersist/perfbench-v1` perf-trajectory record
-//!              (default `BENCH_6.json`): simulated-cycles-per-second
-//!              per bench x variant, wall time, peak RSS; file + stderr
-//!              only, never stdout
+//!   --bench-out PATH  (all/profile/kv/optimize) write the
+//!              `specpersist/perfbench-v1` perf-trajectory record to
+//!              PATH (nothing is written without it):
+//!              simulated-cycles-per-second per bench x variant, wall
+//!              time, peak RSS; file + stderr only, never stdout
 //!   --trace-mem-cap BYTES  cap the bytes of recorded traces the
 //!              harness may hold resident; a run that trips the cap
 //!              fails with a typed one-line error (never an OOM kill)
@@ -142,6 +142,7 @@ use spp_bench::litmus::ModelKnob;
 use spp_bench::report;
 use spp_bench::study::{staged, StudyCli, StudyError, StudyRunner};
 use spp_bench::{Experiment, Harness};
+use spp_workloads::BenchId;
 
 const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--bench-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
 
@@ -177,14 +178,10 @@ enum CliError {
     FlagUnsupported { flag: &'static str, cmd: String },
     /// `--resume` without `--journal`.
     ResumeNeedsJournal,
-    /// `--resume` named a journal file that does not exist.
-    ResumeMissingJournal(String),
-    /// `--journal` named an existing non-empty journal without
-    /// `--resume` (mixing two campaigns in one manifest is always a
-    /// mistake; replaying one must be explicit).
-    JournalNeedsResume(String),
-    /// The journal could not be opened (the wrapped
-    /// [`spp_bench::JournalError`] rendering).
+    /// The study façade refused to open the journal (resume
+    /// discipline or I/O).
+    Study(StudyError),
+    /// `repro journal check` could not read the journal.
     Journal(String),
     /// `repro journal` needs the `check` subcommand and a path.
     MissingJournalCheckArgs,
@@ -223,15 +220,7 @@ impl fmt::Display for CliError {
                 write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --bench-out: all, profile, kv, optimize; --trace-mem-cap: any trace-recording command)")
             }
             CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
-            CliError::ResumeMissingJournal(p) => {
-                write!(f, "--resume: journal {p:?} does not exist")
-            }
-            CliError::JournalNeedsResume(p) => {
-                write!(
-                    f,
-                    "journal {p:?} already has entries; pass --resume to replay it or pick a fresh path"
-                )
-            }
+            CliError::Study(e) => write!(f, "{e}"),
             CliError::Journal(e) => f.write_str(e),
             CliError::MissingJournalCheckArgs => f.write_str("journal needs check <PATH>"),
             CliError::TraceMemCap(e) => f.write_str(e),
@@ -483,23 +472,10 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The CLI rendering of a [`StudyError`]: the study façade's journal
-/// discipline maps 1:1 onto the typed CLI diagnostics.
 impl From<StudyError> for CliError {
     fn from(e: StudyError) -> Self {
-        match e {
-            StudyError::ResumeMissingJournal(p) => CliError::ResumeMissingJournal(p),
-            StudyError::JournalNeedsResume(p) => CliError::JournalNeedsResume(p),
-            other => CliError::Journal(other.to_string()),
-        }
+        CliError::Study(e)
     }
-}
-
-/// Opens the journal at `path` under the study façade's resume
-/// discipline (see [`spp_bench::study::open_journal`]), mapping the
-/// typed failure onto the CLI's own diagnostics.
-fn open_journal(path: &std::path::Path, resume: bool) -> Result<spp_bench::Journal, CliError> {
-    spp_bench::study::open_journal(path, resume).map_err(CliError::from)
 }
 
 /// The report verdict as an exit status.
@@ -510,11 +486,6 @@ fn verdict(ok: bool) -> ExitCode {
         ExitCode::FAILURE
     }
 }
-
-/// Where the perf-trajectory record lands unless `--bench-out` says
-/// otherwise. The `6` is the trajectory point's sequence number, not a
-/// schema version (the document's envelope carries that).
-const DEFAULT_BENCH_OUT: &str = "BENCH_6.json";
 
 /// Writes the `specpersist/perfbench-v1` trajectory record for this
 /// invocation: per bench x variant simulation throughput, end-to-end
@@ -595,12 +566,14 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
             "# running suite at scale 1/{} (seed {:#x}, {} jobs)...",
             exp.scale, exp.seed, jobs
         );
-        staged("suite", 35, || harness.run_suite())
+        staged("suite", Some(Harness::suite_sims(&BenchId::ALL)), || {
+            harness.run_benches(&BenchId::ALL)
+        })
     } else {
         Vec::new()
     };
 
-    match cmd.as_str() {
+    let code = match cmd.as_str() {
         "all" => {
             print!("{}", report::table1(&exp));
             print!("{}", report::table2());
@@ -610,23 +583,18 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
             print!("{}", report::fig10(&runs));
             print!("{}", report::fig11(&runs));
             print!("{}", report::fig12(&runs));
-            print!(
-                "{}",
-                staged("fig13 SSB sweep", 49, || report::fig13(&harness))
-            );
+            print!("{}", fig13_stage(&harness));
             print!("{}", report::fig14(&runs));
-            print!("{}", staged("ablation", 42, || report::ablation(&harness)));
+            print!("{}", ablation_stage(&harness));
+            print!("{}", incremental_stage(&harness));
+            print!("{}", flushmode_stage(&harness));
             print!(
                 "{}",
-                staged("logging comparison", 4, || report::incremental(&harness))
-            );
-            print!(
-                "{}",
-                staged("flush-mode ablation", 18, || report::flushmode(&harness))
-            );
-            print!(
-                "{}",
-                staged("multicore study", 24, || report::multicore(&harness))
+                staged(
+                    "multicore study",
+                    Some(spp_bench::multicore::CellSpec::all().len()),
+                    || report::multicore(&harness)
+                )
             );
             let s = harness.cache_stats();
             eprintln!(
@@ -651,91 +619,74 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
                 t0.elapsed().as_secs_f64(),
                 jobs
             );
-            write_perfbench(
-                &harness,
-                jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
-            );
+            ExitCode::SUCCESS
         }
-        "table1" => print!("{}", report::table1(&exp)),
-        "table2" => print!("{}", report::table2()),
-        "table3" => print!("{}", report::table3()),
-        "fig8" => print!("{}", report::fig8(&runs)),
-        "fig9" => print!("{}", report::fig9(&runs)),
-        "fig10" => print!("{}", report::fig10(&runs)),
-        "fig11" => print!("{}", report::fig11(&runs)),
-        "fig12" => print!("{}", report::fig12(&runs)),
-        "fig13" => print!(
-            "{}",
-            staged("fig13 SSB sweep", 49, || report::fig13(&harness))
-        ),
-        "fig14" => print!("{}", report::fig14(&runs)),
-        "ablation" => print!("{}", staged("ablation", 42, || report::ablation(&harness))),
-        "incremental" => {
-            print!(
-                "{}",
-                staged("logging comparison", 4, || report::incremental(&harness))
-            );
-        }
-        "flushmode" => {
-            print!(
-                "{}",
-                staged("flush-mode ablation", 18, || report::flushmode(&harness))
-            );
-        }
-        "json" => println!("{}", spp_bench::json::suite_json(&runs)),
-        "multicore" => {
-            let code = multicore_cmd(&harness, &study, storm_bound)?;
-            return check_trace_mem(&harness, code);
-        }
-        "litmus" => {
-            let code = litmus_cmd(&harness, &study, model_knob)?;
-            return check_trace_mem(&harness, code);
-        }
-        "kv" => {
-            let code = kv_cmd(&harness, &study)?;
-            write_perfbench(
-                &harness,
-                jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
-            );
-            return check_trace_mem(&harness, code);
-        }
-        "optimize" => {
-            let code = optimize_cmd(&harness, &positional, &study)?;
-            write_perfbench(
-                &harness,
-                jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
-            );
-            return check_trace_mem(&harness, code);
-        }
+        "table1" => print_ok(&report::table1(&exp)),
+        "table2" => print_ok(&report::table2()),
+        "table3" => print_ok(&report::table3()),
+        "fig8" => print_ok(&report::fig8(&runs)),
+        "fig9" => print_ok(&report::fig9(&runs)),
+        "fig10" => print_ok(&report::fig10(&runs)),
+        "fig11" => print_ok(&report::fig11(&runs)),
+        "fig12" => print_ok(&report::fig12(&runs)),
+        "fig13" => print_ok(&fig13_stage(&harness)),
+        "fig14" => print_ok(&report::fig14(&runs)),
+        "ablation" => print_ok(&ablation_stage(&harness)),
+        "incremental" => print_ok(&incremental_stage(&harness)),
+        "flushmode" => print_ok(&flushmode_stage(&harness)),
+        "json" => print_ok(&format!("{}\n", spp_bench::json::suite_json(&runs))),
+        "multicore" => multicore_cmd(&harness, &study, storm_bound)?,
+        "litmus" => litmus_cmd(&harness, &study, model_knob)?,
+        "kv" => kv_cmd(&harness, &study)?,
+        "optimize" => optimize_cmd(&harness, &positional, &study)?,
         "trace" => return trace_cmd(&positional, &exp).map(|()| ExitCode::SUCCESS),
-        "crashfuzz" => {
-            let code = crashfuzz_cmd(&harness, &positional)?;
-            return check_trace_mem(&harness, code);
-        }
-        "faultsim" => {
-            let code = faultsim_cmd(&harness, &study)?;
-            return check_trace_mem(&harness, code);
-        }
+        "crashfuzz" => crashfuzz_cmd(&harness, &positional, &study)?,
+        "faultsim" => faultsim_cmd(&harness, &study)?,
         "soak" => return soak_cmd(&exp, jobs, iters, &study),
-        "profile" => {
-            let code = profile_cmd(&harness, &positional, &study, trace_out.as_deref())?;
-            write_perfbench(
-                &harness,
-                jobs,
-                t0.elapsed().as_secs_f64(),
-                bench_out.as_deref().unwrap_or(DEFAULT_BENCH_OUT),
-            );
-            return check_trace_mem(&harness, code);
-        }
+        "profile" => profile_cmd(&harness, &positional, &study, trace_out.as_deref())?,
         _ => return Err(CliError::UnknownCommand(cmd)),
+    };
+    if let Some(path) = &bench_out {
+        write_perfbench(&harness, jobs, t0.elapsed().as_secs_f64(), path);
     }
-    check_trace_mem(&harness, ExitCode::SUCCESS)
+    check_trace_mem(&harness, code)
+}
+
+/// Prints one report to stdout; the command succeeded.
+fn print_ok(report: &str) -> ExitCode {
+    print!("{report}");
+    ExitCode::SUCCESS
+}
+
+/// The Fig. 13 SSB sweep as a timed stage.
+fn fig13_stage(h: &Harness) -> String {
+    staged(
+        "fig13 SSB sweep",
+        Some(Harness::ssb_sims(&BenchId::ALL)),
+        || report::fig13(h),
+    )
+}
+
+/// The SP design-choice ablation as a timed stage.
+fn ablation_stage(h: &Harness) -> String {
+    staged(
+        "ablation",
+        Some(Harness::ablation_sims(&BenchId::ALL)),
+        || report::ablation(h),
+    )
+}
+
+/// The full-vs-incremental logging comparison as a timed stage.
+fn incremental_stage(h: &Harness) -> String {
+    staged("logging comparison", Some(Harness::logging_sims()), || {
+        report::incremental(h)
+    })
+}
+
+/// The flush-instruction ablation as a timed stage.
+fn flushmode_stage(h: &Harness) -> String {
+    let sims = Harness::flushmode_sims(&report::FLUSHMODE_BENCHES);
+    staged("flush-mode ablation", Some(sims), || report::flushmode(h))
 }
 
 /// The `--trace-mem-cap` gate, applied after a command's work: a
@@ -768,7 +719,7 @@ fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliErr
 /// non-zero if any cell failed its oracle or the SP legs regressed.
 fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
     use spp_bench::kv::{run_kv_opts, KvCellSpec};
-    let runner = StudyRunner::new("kv", KvCellSpec::all().len(), study)?;
+    let runner = StudyRunner::new("kv", Some(KvCellSpec::all().len()), study)?;
     Ok(verdict(runner.run(|j| run_kv_opts(harness, j))))
 }
 
@@ -789,7 +740,6 @@ fn optimize_cmd(
     study: &StudyCli,
 ) -> Result<ExitCode, CliError> {
     use spp_bench::optimize::{run_optimize_opts, OptimizeCellSpec};
-    use spp_workloads::BenchId;
     let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
         return Err(CliError::MissingOptimizeArgs);
     };
@@ -800,7 +750,7 @@ fn optimize_cmd(
         .ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
     let variant = spp_bench::parse_variant(variant)
         .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
-    let runner = StudyRunner::new("optimize", OptimizeCellSpec::all().len(), study)?;
+    let runner = StudyRunner::new("optimize", Some(OptimizeCellSpec::all().len()), study)?;
     Ok(verdict(
         runner.run(|j| run_optimize_opts(harness, id, variant, j)),
     ))
@@ -854,20 +804,19 @@ fn journal_check(path: &str) -> Result<usize, CliError> {
 /// fuzz matrix and print the text report plus one JSON line. Exits
 /// non-zero when a must-pass cell violated its oracle, a must-fail
 /// cell found no inconsistency, or the SP differential diverged.
-fn crashfuzz_cmd(harness: &Harness, positional: &[String]) -> Result<ExitCode, CliError> {
+fn crashfuzz_cmd(
+    harness: &Harness,
+    positional: &[String],
+    study: &StudyCli,
+) -> Result<ExitCode, CliError> {
     use spp_bench::crashfuzz::{run_crashfuzz, Leg};
     let leg = match positional.first() {
         None => Leg::All,
         Some(s) => Leg::parse(s).ok_or_else(|| CliError::UnknownLeg(s.clone()))?,
     };
-    let rep = staged("crashfuzz", 0, || run_crashfuzz(harness, leg));
-    print!("{}", rep.render_text());
-    println!("{}", rep.render_json());
-    Ok(if rep.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    // Crash checks, not replays, dominate the stage: no sims rate.
+    let runner = StudyRunner::new("crashfuzz", None, study)?;
+    Ok(verdict(runner.run(|_| run_crashfuzz(harness, leg))))
 }
 
 /// `repro faultsim [--journal PATH [--resume]]`: run the
@@ -880,8 +829,8 @@ fn crashfuzz_cmd(harness: &Harness, positional: &[String]) -> Result<ExitCode, C
 /// exhausted its retry budget, a plan never fired, or the watchdog
 /// failed to convert a wedged run into a typed error.
 fn faultsim_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
-    use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
-    let runner = StudyRunner::new("faultsim", 7 * 4 * 2 * 3 + 1, study)?;
+    use spp_bench::faultsim::{run_faultsim_opts, stage_sims, FaultsimOpts};
+    let runner = StudyRunner::new("faultsim", Some(stage_sims(&harness.exp)), study)?;
     Ok(verdict(runner.run(|j| {
         run_faultsim_opts(
             harness,
@@ -907,8 +856,8 @@ fn multicore_cmd(
     study: &StudyCli,
     storm_bound: Option<u64>,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::multicore::{run_multicore_opts, MulticoreOpts};
-    let runner = StudyRunner::new("multicore", 24, study)?;
+    use spp_bench::multicore::{run_multicore_opts, CellSpec, MulticoreOpts};
+    let runner = StudyRunner::new("multicore", Some(CellSpec::all().len()), study)?;
     Ok(verdict(runner.run(|j| {
         run_multicore_opts(
             harness,
@@ -935,9 +884,8 @@ fn litmus_cmd(
     study: &StudyCli,
     model_knob: Option<ModelKnob>,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::litmus::{litmus_programs, run_litmus_opts, LitmusOpts};
-    let sims = litmus_programs(&harness.exp).len() * 3;
-    let runner = StudyRunner::new("litmus", sims, study)?;
+    use spp_bench::litmus::{run_litmus_opts, stage_sims, LitmusOpts};
+    let runner = StudyRunner::new("litmus", Some(stage_sims(&harness.exp)), study)?;
     Ok(verdict(runner.run(|j| {
         run_litmus_opts(
             harness,
@@ -963,31 +911,25 @@ fn soak_cmd(
 ) -> Result<ExitCode, CliError> {
     use spp_bench::soak::{run_soak, DEFAULT_SOAK_ITERS};
     let iters = iters.unwrap_or(DEFAULT_SOAK_ITERS);
-    let (path, is_temp) = match study.journal.as_deref() {
-        Some(p) => (std::path::PathBuf::from(p), false),
-        None => {
-            let p =
-                std::env::temp_dir().join(format!("spp-soak-journal-{}.jsonl", std::process::id()));
-            let _ = std::fs::remove_file(&p);
-            (p, true)
-        }
+    let temp = study.journal.is_none().then(|| {
+        let p = std::env::temp_dir().join(format!("spp-soak-journal-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&p);
+        p
+    });
+    let journaled = StudyCli {
+        journal: study
+            .journal
+            .clone()
+            .or_else(|| temp.as_ref().map(|p| p.display().to_string())),
+        resume: study.resume,
     };
-    let j = open_journal(&path, study.resume)?;
-    let rep = staged("soak", 0, || run_soak(exp, jobs, iters, &j));
-    for e in j.corrupt() {
-        eprintln!("repro: journal: {e}");
+    // Whole faultsim matrices plus crashfuzz legs: no sims rate.
+    let runner = StudyRunner::new("soak", None, &journaled)?;
+    let ok = runner.run(|j| run_soak(exp, jobs, iters, j.expect("soak always runs journaled")));
+    if let (true, Some(p)) = (ok, temp) {
+        let _ = std::fs::remove_file(p);
     }
-    eprintln!("# journal {}", j.path().display());
-    print!("{}", rep.render_text());
-    println!("{}", rep.render_json());
-    if rep.ok() {
-        if is_temp {
-            let _ = std::fs::remove_file(&path);
-        }
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
-    }
+    Ok(verdict(ok))
 }
 
 /// `repro profile <BENCH> <VARIANT> [--trace-out PATH] [--journal PATH
@@ -1006,8 +948,7 @@ fn profile_cmd(
 ) -> Result<ExitCode, CliError> {
     use spp_bench::journal::{CellStatus, Entry};
     use spp_bench::json::{parse, Value};
-    use spp_bench::profile::run_profile;
-    use spp_workloads::BenchId;
+    use spp_bench::profile::{run_profile, PROFILE_CONFIGS};
 
     let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
         return Err(CliError::MissingProfileArgs);
@@ -1020,7 +961,7 @@ fn profile_cmd(
     let variant = spp_bench::parse_variant(variant)
         .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
 
-    let runner = StudyRunner::new("profile", 2, study)?;
+    let runner = StudyRunner::new("profile", Some(PROFILE_CONFIGS.len()), study)?;
     let j = runner.journal();
     let key = format!(
         "profile/{}/{}/scale{}/seed{:#x}",
@@ -1057,11 +998,7 @@ fn profile_cmd(
                     print!("{text}");
                     println!("{json}");
                     write_trace(&trace);
-                    return Ok(if ok == 1 {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    });
+                    return Ok(verdict(ok == 1));
                 }
                 None => j.report_bad_payload(&key, "profile payload does not decode"),
             }
@@ -1093,17 +1030,13 @@ fn profile_cmd(
     print!("{text}");
     println!("{json}");
     write_trace(&trace);
-    Ok(if rep.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(verdict(rep.ok()))
 }
 
 /// `repro trace <BENCH> <VARIANT>`: record one trace and print its
 /// micro-op mix and per-operation averages.
 fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
-    use spp_workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+    use spp_workloads::{run_benchmark, BenchSpec, RunConfig};
     let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
         return Err(CliError::MissingTraceArgs);
     };
@@ -1252,8 +1185,7 @@ mod tests {
                 cmd: "all".into(),
             },
             CliError::ResumeNeedsJournal,
-            CliError::ResumeMissingJournal("/tmp/x.jsonl".into()),
-            CliError::JournalNeedsResume("/tmp/x.jsonl".into()),
+            CliError::Study(StudyError::ResumeMissingJournal("/tmp/x.jsonl".into())),
             CliError::Journal("journal \"x\": denied".into()),
             CliError::MissingJournalCheckArgs,
             CliError::TraceMemCap("trace cache holds 9 bytes, exceeding --trace-mem-cap 1".into()),
@@ -1422,34 +1354,6 @@ mod tests {
     }
 
     #[test]
-    fn open_journal_enforces_the_resume_discipline() {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "spp-repro-cli-journal-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&p);
-        // Resuming a journal that does not exist is a typed error.
-        assert!(matches!(
-            open_journal(&p, true).unwrap_err(),
-            CliError::ResumeMissingJournal(_)
-        ));
-        // A fresh run against a fresh path opens (and creates) it.
-        open_journal(&p, false).unwrap();
-        // A fresh run against an existing non-empty journal must not
-        // silently mix campaigns.
-        std::fs::write(&p, "x\n").unwrap();
-        assert!(matches!(
-            open_journal(&p, false).unwrap_err(),
-            CliError::JournalNeedsResume(_)
-        ));
-        // Resuming it is fine (the bogus line surfaces via corrupt()).
-        let j = open_journal(&p, true).unwrap();
-        assert_eq!(j.corrupt().len(), 1);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn trace_cmd_rejects_unknown_names() {
         let exp = Experiment::default();
         assert_eq!(
@@ -1593,7 +1497,7 @@ mod tests {
     fn unknown_crashfuzz_leg_is_a_typed_error() {
         let h = Harness::new(Experiment::default(), 1);
         assert_eq!(
-            crashfuzz_cmd(&h, &args(&["base"])).unwrap_err(),
+            crashfuzz_cmd(&h, &args(&["base"]), &StudyCli::default()).unwrap_err(),
             CliError::UnknownLeg("base".into())
         );
     }

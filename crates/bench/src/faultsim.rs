@@ -376,6 +376,33 @@ enum CellTask {
     Watchdog,
 }
 
+impl CellTask {
+    /// Every unit of one run: each `(benchmark, variant)` pair, then
+    /// the watchdog leg.
+    fn all() -> Vec<CellTask> {
+        let mut tasks: Vec<CellTask> = BenchId::ALL
+            .iter()
+            .flat_map(|&id| VARIANTS.iter().map(move |&v| CellTask::Pair(id, v)))
+            .collect();
+        tasks.push(CellTask::Watchdog);
+        tasks
+    }
+}
+
+/// Simulator replays one [`run_faultsim_opts`] run issues at `exp`:
+/// [`run_pair`] replays both cores fault-free and then under each
+/// plan; the watchdog leg is one wedged run.
+pub fn stage_sims(exp: &crate::Experiment) -> usize {
+    let per_pair = 2 * (1 + plans(exp.seed).len());
+    CellTask::all()
+        .into_iter()
+        .map(|t| match t {
+            CellTask::Pair(..) => per_pair,
+            CellTask::Watchdog => 1,
+        })
+        .sum()
+}
+
 /// A supervised unit's journalled value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum CellValue {
@@ -501,11 +528,7 @@ fn decode_cell_value(payload: &str) -> Option<CellValue> {
 /// input order, so the report is byte-identical at any `--jobs` value
 /// and across interrupted-then-resumed vs. uninterrupted runs.
 pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
-    let mut tasks: Vec<CellTask> = BenchId::ALL
-        .iter()
-        .flat_map(|&id| VARIANTS.iter().map(move |&v| CellTask::Pair(id, v)))
-        .collect();
-    tasks.push(CellTask::Watchdog);
+    let tasks = CellTask::all();
     let sup = Supervisor {
         jobs: h.jobs,
         max_attempts: if opts.max_attempts == 0 {

@@ -60,7 +60,7 @@ pub use supervisor::{CellFailure, CellOutcome, Supervisor};
 
 use spp_cpu::{CpuConfig, SimResult, Simulator, SpConfig};
 use spp_pmem::{Event, FlushMode, SharedTrace, TraceCounts, Variant};
-use spp_workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+use spp_workloads::{BenchId, BenchSpec};
 
 /// Replays `events` on `cpu` through the [`Simulator`] façade, panicking
 /// on failure (the harness's recorded traces are known-good; a failure
@@ -161,6 +161,70 @@ const SUITE_SIMS: [(Variant, bool); 5] = [
     (Variant::LogPSf, false),
     (Variant::LogPSf, true),
 ];
+
+/// The job list of [`Harness::run_benches`]: every [`SUITE_SIMS`]
+/// replay of every benchmark, benchmark-major.
+fn suite_jobs(ids: &[BenchId]) -> Vec<(BenchId, Variant, bool)> {
+    ids.iter()
+        .flat_map(|&id| SUITE_SIMS.iter().map(move |&(v, sp)| (id, v, sp)))
+        .collect()
+}
+
+/// The SP-core job list of [`Harness::overhead_rows`]: `(bench index,
+/// core index)`, benchmark-major.
+fn overhead_jobs(benches: usize, cores: usize) -> Vec<(usize, usize)> {
+    (0..benches)
+        .flat_map(|bi| (0..cores).map(move |ci| (bi, ci)))
+        .collect()
+}
+
+/// Replays [`Harness::overhead_rows`] issues: one `Base` replay per
+/// benchmark, then its SP-core jobs.
+fn overhead_sims(ids: &[BenchId], cores: usize) -> usize {
+    ids.len() + overhead_jobs(ids.len(), cores).len()
+}
+
+/// The Fig. 13 SP cores: one per Table 3 SSB design point.
+fn ssb_cores() -> Vec<CpuConfig> {
+    spp_core::SSB_DESIGN_POINTS
+        .iter()
+        .map(|&(entries, _)| CpuConfig {
+            sp: Some(SpConfig::with_ssb_entries(entries)),
+            ..CpuConfig::baseline()
+        })
+        .collect()
+}
+
+/// The ablation SP cores, one per [`ABLATION_SETTINGS`] entry.
+fn ablation_cores() -> Vec<CpuConfig> {
+    ABLATION_SETTINGS
+        .iter()
+        .map(|&(combine_barrier, checkpoints)| CpuConfig {
+            sp: Some(SpConfig {
+                combine_barrier,
+                checkpoints,
+                ..SpConfig::paper_default()
+            }),
+            ..CpuConfig::baseline()
+        })
+        .collect()
+}
+
+/// The job list of [`Harness::flushmode_table`]: every benchmark under
+/// every [`FlushMode`], baseline core then SP core.
+fn flushmode_jobs(ids: &[BenchId]) -> Vec<(BenchId, FlushMode, bool)> {
+    ids.iter()
+        .flat_map(|&id| {
+            FlushMode::ALL
+                .iter()
+                .flat_map(move |&mode| [(id, mode, false), (id, mode, true)])
+        })
+        .collect()
+}
+
+/// The replays of [`Harness::run_logging_comparison`]: `(trace index,
+/// sp)` over the full-logging (0) and incremental (1) B-tree traces.
+const LOGGING_JOBS: [(usize, bool); 4] = [(0, false), (0, true), (1, false), (1, true)];
 
 /// The SP design-choice ablation settings `(combine_barrier,
 /// checkpoints)`, in report column order: full SP256, no combined
@@ -276,11 +340,7 @@ impl Harness {
     /// trace — 5 simulations per benchmark, all run as one flat job
     /// list.
     pub fn run_benches(&self, ids: &[BenchId]) -> Vec<BenchRun> {
-        let sims: Vec<(BenchId, Variant, bool)> = ids
-            .iter()
-            .flat_map(|&id| SUITE_SIMS.iter().map(move |&(v, sp)| (id, v, sp)))
-            .collect();
-        let results = run_indexed(self.jobs, &sims, |_, &(id, variant, sp)| {
+        let results = run_indexed(self.jobs, &suite_jobs(ids), |_, &(id, variant, sp)| {
             let cpu = if sp {
                 CpuConfig::with_sp()
             } else {
@@ -314,120 +374,70 @@ impl Harness {
             .collect()
     }
 
-    /// The main sweep for one benchmark.
-    pub fn run_bench(&self, id: BenchId) -> BenchRun {
-        self.run_benches(&[id])
-            .pop()
-            .expect("one bench in, one run out")
+    /// Simulator replays [`Harness::run_benches`] issues for `ids`.
+    pub fn suite_sims(ids: &[BenchId]) -> usize {
+        suite_jobs(ids).len()
     }
 
-    /// The main sweep for the whole Table 1 suite.
-    pub fn run_suite(&self) -> Vec<BenchRun> {
-        self.run_benches(&BenchId::ALL)
+    /// `Log+P+Sf` overheads vs `Base` for the given benchmarks on each
+    /// of `cores`, one row per benchmark.
+    fn overhead_rows(&self, ids: &[BenchId], cores: &[CpuConfig]) -> Vec<Vec<f64>> {
+        let bases = run_indexed(self.jobs, ids, |_, &id| self.base_cycles(id));
+        let jobs = overhead_jobs(ids.len(), cores.len());
+        let overheads = run_indexed(self.jobs, &jobs, |_, &(bi, ci)| {
+            let key = TraceKey::new(ids[bi], Variant::LogPSf, &self.exp);
+            let sim = self.sim(key, &cores[ci]).1;
+            sim.cpu.cycles as f64 / bases[bi] as f64 - 1.0
+        });
+        overheads
+            .chunks_exact(cores.len())
+            .map(<[f64]>::to_vec)
+            .collect()
     }
 
     /// Fig. 13 rows for the given benchmarks: the `Log+P+Sf` trace on
     /// SP cores with each Table 3 SSB size, as `(entries,
     /// overhead_vs_base)` pairs.
     pub fn ssb_table(&self, ids: &[BenchId]) -> Vec<(BenchId, Vec<(usize, f64)>)> {
-        let bases = run_indexed(self.jobs, ids, |_, &id| self.base_cycles(id));
-        let points: Vec<(usize, usize)> = (0..ids.len())
-            .flat_map(|bi| {
-                spp_core::SSB_DESIGN_POINTS
-                    .iter()
-                    .map(move |&(e, _)| (bi, e))
-            })
-            .collect();
-        let overheads = run_indexed(self.jobs, &points, |_, &(bi, entries)| {
-            let cpu = CpuConfig {
-                sp: Some(SpConfig::with_ssb_entries(entries)),
-                ..CpuConfig::baseline()
-            };
-            let sim = self
-                .sim(TraceKey::new(ids[bi], Variant::LogPSf, &self.exp), &cpu)
-                .1;
-            sim.cpu.cycles as f64 / bases[bi] as f64 - 1.0
-        });
+        let rows = self.overhead_rows(ids, &ssb_cores());
         ids.iter()
-            .zip(overheads.chunks_exact(spp_core::SSB_DESIGN_POINTS.len()))
+            .zip(rows)
             .map(|(&id, os)| {
                 let pts = spp_core::SSB_DESIGN_POINTS
                     .iter()
                     .zip(os)
-                    .map(|(&(e, _), &o)| (e, o))
+                    .map(|(&(e, _), o)| (e, o))
                     .collect();
                 (id, pts)
             })
             .collect()
     }
 
-    /// Fig. 13 for a single benchmark.
-    pub fn run_ssb_sweep(&self, id: BenchId) -> Vec<(usize, f64)> {
-        self.ssb_table(&[id])
-            .pop()
-            .expect("one bench in, one row out")
-            .1
+    /// Simulator replays [`Harness::ssb_table`] issues for `ids`.
+    pub fn ssb_sims(ids: &[BenchId]) -> usize {
+        overhead_sims(ids, ssb_cores().len())
     }
 
     /// [`ABLATION_SETTINGS`] overheads vs `Base` for the given
     /// benchmarks, one row per benchmark.
     pub fn ablation_table(&self, ids: &[BenchId]) -> Vec<(BenchId, [f64; 5])> {
-        let bases = run_indexed(self.jobs, ids, |_, &id| self.base_cycles(id));
-        let cells: Vec<(usize, usize)> = (0..ids.len())
-            .flat_map(|bi| (0..ABLATION_SETTINGS.len()).map(move |si| (bi, si)))
-            .collect();
-        let overheads = run_indexed(self.jobs, &cells, |_, &(bi, si)| {
-            let (combine_barrier, checkpoints) = ABLATION_SETTINGS[si];
-            let cpu = CpuConfig {
-                sp: Some(SpConfig {
-                    combine_barrier,
-                    checkpoints,
-                    ..SpConfig::paper_default()
-                }),
-                ..CpuConfig::baseline()
-            };
-            let sim = self
-                .sim(TraceKey::new(ids[bi], Variant::LogPSf, &self.exp), &cpu)
-                .1;
-            sim.cpu.cycles as f64 / bases[bi] as f64 - 1.0
-        });
+        let rows = self.overhead_rows(ids, &ablation_cores());
         ids.iter()
-            .zip(overheads.chunks_exact(ABLATION_SETTINGS.len()))
+            .zip(rows)
             .map(|(&id, os)| (id, [os[0], os[1], os[2], os[3], os[4]]))
             .collect()
     }
 
-    /// Ablation: SP without the combined `sfence-pcommit-sfence` opcode
-    /// and with a varying checkpoint count. Returns overhead vs `Base`.
-    pub fn run_sp_ablation(&self, id: BenchId, combine_barrier: bool, checkpoints: usize) -> f64 {
-        let base = self.base_cycles(id);
-        let cpu = CpuConfig {
-            sp: Some(SpConfig {
-                combine_barrier,
-                checkpoints,
-                ..SpConfig::paper_default()
-            }),
-            ..CpuConfig::baseline()
-        };
-        let sim = self
-            .sim(TraceKey::new(id, Variant::LogPSf, &self.exp), &cpu)
-            .1;
-        sim.cpu.cycles as f64 / base as f64 - 1.0
+    /// Simulator replays [`Harness::ablation_table`] issues for `ids`.
+    pub fn ablation_sims(ids: &[BenchId]) -> usize {
+        overhead_sims(ids, ablation_cores().len())
     }
 
     /// Flush-instruction ablation rows (§2.2 footnote) for the given
     /// benchmarks: per [`FlushMode`], cycles per operation on the
     /// baseline and SP cores.
     pub fn flushmode_table(&self, ids: &[BenchId]) -> Vec<(BenchId, Vec<(u64, u64)>)> {
-        let cells: Vec<(BenchId, FlushMode, bool)> = ids
-            .iter()
-            .flat_map(|&id| {
-                FlushMode::ALL
-                    .iter()
-                    .flat_map(move |&mode| [(id, mode, false), (id, mode, true)])
-            })
-            .collect();
-        let cycles = run_indexed(self.jobs, &cells, |_, &(id, mode, sp)| {
+        let cycles = run_indexed(self.jobs, &flushmode_jobs(ids), |_, &(id, mode, sp)| {
             let cpu = if sp {
                 CpuConfig::with_sp()
             } else {
@@ -443,20 +453,9 @@ impl Harness {
             .collect()
     }
 
-    /// Flush-instruction ablation for one `(benchmark, mode)` pair:
-    /// cycles per operation on the baseline and SP cores.
-    pub fn run_flushmode(&self, id: BenchId, mode: FlushMode) -> (u64, u64) {
-        let key = TraceKey::with_flush_mode(id, Variant::LogPSf, &self.exp, mode);
-        let sims = run_indexed(self.jobs, &[false, true], |_, &sp| {
-            let cpu = if sp {
-                CpuConfig::with_sp()
-            } else {
-                CpuConfig::baseline()
-            };
-            self.sim(key, &cpu).1
-        });
-        let ops = BenchSpec::scaled(id, self.exp.scale).sim_ops;
-        (sims[0].cpu.cycles / ops, sims[1].cpu.cycles / ops)
+    /// Simulator replays [`Harness::flushmode_table`] issues for `ids`.
+    pub fn flushmode_sims(ids: &[BenchId]) -> usize {
+        flushmode_jobs(ids).len()
     }
 
     /// Runs the full-vs-incremental logging ablation on the B-tree.
@@ -488,8 +487,7 @@ impl Harness {
             env.take_trace()
         });
         let ops = spec.sim_ops;
-        let cells = [(0usize, false), (0, true), (1, false), (1, true)];
-        let sims = run_indexed(self.jobs, &cells, |_, &(ti, sp)| {
+        let sims = run_indexed(self.jobs, &LOGGING_JOBS, |_, &(ti, sp)| {
             let cpu = if sp {
                 CpuConfig::with_sp()
             } else {
@@ -508,50 +506,11 @@ impl Harness {
             inc_stores: traces[1].counts.stores as f64 / ops as f64,
         }
     }
-}
 
-/// Records one benchmark's trace in `variant` and simulates it on `cpu`
-/// (fresh recording, no cache — the criterion benches use this to
-/// measure end-to-end cost).
-pub fn run_variant(
-    id: BenchId,
-    variant: Variant,
-    exp: &Experiment,
-    cpu: &CpuConfig,
-) -> (TraceCounts, SimResult) {
-    let out = run_benchmark(&RunConfig {
-        variant,
-        spec: BenchSpec::scaled(id, exp.scale),
-        seed: exp.seed,
-        capture_base: false,
-    });
-    let sim = must_simulate(&out.trace.events, cpu);
-    (out.trace.counts, sim)
-}
-
-/// Serial convenience wrapper over [`Harness::run_bench`].
-pub fn run_bench(id: BenchId, exp: &Experiment) -> BenchRun {
-    Harness::new(*exp, 1).run_bench(id)
-}
-
-/// Serial convenience wrapper over [`Harness::run_suite`].
-pub fn run_suite(exp: &Experiment) -> Vec<BenchRun> {
-    Harness::new(*exp, 1).run_suite()
-}
-
-/// Serial convenience wrapper over [`Harness::run_ssb_sweep`].
-pub fn run_ssb_sweep(id: BenchId, exp: &Experiment) -> Vec<(usize, f64)> {
-    Harness::new(*exp, 1).run_ssb_sweep(id)
-}
-
-/// Serial convenience wrapper over [`Harness::run_sp_ablation`].
-pub fn run_sp_ablation(
-    id: BenchId,
-    exp: &Experiment,
-    combine_barrier: bool,
-    checkpoints: usize,
-) -> f64 {
-    Harness::new(*exp, 1).run_sp_ablation(id, combine_barrier, checkpoints)
+    /// Simulator replays [`Harness::run_logging_comparison`] issues.
+    pub fn logging_sims() -> usize {
+        LOGGING_JOBS.len()
+    }
 }
 
 /// Comparison of full vs incremental logging on the B-tree (§3.2,
@@ -575,16 +534,6 @@ pub struct LoggingComparison {
     pub full_stores: f64,
     /// Store micro-ops per op, incremental.
     pub inc_stores: f64,
-}
-
-/// Serial convenience wrapper over [`Harness::run_logging_comparison`].
-pub fn run_logging_comparison(exp: &Experiment) -> LoggingComparison {
-    Harness::new(*exp, 1).run_logging_comparison()
-}
-
-/// Serial convenience wrapper over [`Harness::run_flushmode`].
-pub fn run_flushmode(id: BenchId, mode: FlushMode, exp: &Experiment) -> (u64, u64) {
-    Harness::new(*exp, 1).run_flushmode(id, mode)
 }
 
 /// Geometric mean of `(1 + overhead)` ratios, returned as an overhead
@@ -640,7 +589,9 @@ mod tests {
 
     #[test]
     fn variant_ordering_holds_for_linked_list() {
-        let r = run_bench(BenchId::LinkedList, &tiny());
+        let r = Harness::new(tiny(), 1)
+            .run_benches(&[BenchId::LinkedList])
+            .remove(0);
         // The instrumentation ladder is structural, so it holds exactly
         // at any scale: each variant adds micro-ops (logging stores,
         // then flushes, then pcommit/fence pairs) on the same operation
@@ -662,13 +613,15 @@ mod tests {
 
     #[test]
     fn ssb_sweep_produces_all_design_points() {
-        let pts = run_ssb_sweep(
-            BenchId::LinkedList,
-            &Experiment {
+        let h = Harness::new(
+            Experiment {
                 scale: 5000,
                 seed: 1,
             },
+            1,
         );
+        let (id, pts) = h.ssb_table(&[BenchId::LinkedList]).remove(0);
+        assert_eq!(id, BenchId::LinkedList);
         assert_eq!(pts.len(), 6);
         assert_eq!(pts[0].0, 32);
         assert_eq!(pts[5].0, 1024);
@@ -683,7 +636,7 @@ mod tests {
             },
             4,
         );
-        let runs = h.run_suite();
+        let runs = h.run_benches(&BenchId::ALL);
         assert_eq!(runs.len(), 7);
         let s = h.cache_stats();
         // 7 benchmarks × 4 variants, despite 5 simulations each.
@@ -697,8 +650,52 @@ mod tests {
             "the SP256 replay of each Log+P+Sf trace is a hit"
         );
         // A second full sweep records nothing new.
-        h.run_suite();
+        h.run_benches(&BenchId::ALL);
         let s2 = h.cache_stats();
         assert_eq!(s2.recordings, 28, "re-running must not re-record: {s2:?}");
+    }
+
+    #[test]
+    fn derived_sim_counts_match_the_cache_traffic() {
+        // Every `Harness::sim` is exactly one `TraceCache::get`, i.e. one
+        // recording or one hit, so on a fresh harness the cache traffic
+        // of a sweep counts the replays it issued.
+        let exp = Experiment {
+            scale: 5000,
+            seed: 1,
+        };
+        let traffic = |sweep: &dyn Fn(&Harness)| {
+            let h = Harness::new(exp, 2);
+            sweep(&h);
+            let s = h.cache_stats();
+            (s.recordings + s.hits) as usize
+        };
+        let all = &BenchId::ALL;
+        let flush_ids = &crate::report::FLUSHMODE_BENCHES;
+        assert_eq!(
+            traffic(&|h| drop(h.run_benches(all))),
+            Harness::suite_sims(all),
+            "suite"
+        );
+        assert_eq!(
+            traffic(&|h| drop(h.ssb_table(all))),
+            Harness::ssb_sims(all),
+            "fig13"
+        );
+        assert_eq!(
+            traffic(&|h| drop(h.ablation_table(all))),
+            Harness::ablation_sims(all),
+            "ablation"
+        );
+        assert_eq!(
+            traffic(&|h| drop(h.flushmode_table(flush_ids))),
+            Harness::flushmode_sims(flush_ids),
+            "flush-mode"
+        );
+        assert_eq!(
+            Harness::suite_sims(&BenchId::ALL),
+            35,
+            "28 recordings + 7 hits"
+        );
     }
 }

@@ -49,6 +49,19 @@ pub fn litmus_programs(exp: &Experiment) -> Vec<LitmusProgram> {
     ps
 }
 
+/// The supervised cells of one run over `programs` programs: every
+/// program under every flush mode.
+fn cells(programs: usize) -> Vec<(usize, FlushMode)> {
+    (0..programs)
+        .flat_map(|pi| FlushMode::ALL.iter().map(move |&m| (pi, m)))
+        .collect()
+}
+
+/// Cells one [`run_litmus_opts`] run checks at `exp`.
+pub fn stage_sims(exp: &Experiment) -> usize {
+    cells(litmus_programs(exp).len()).len()
+}
+
 /// Options for [`run_litmus_opts`].
 #[derive(Debug, Default)]
 pub struct LitmusOpts<'j> {
@@ -227,9 +240,7 @@ fn fail_reason(c: &LitmusCell) -> String {
 pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
     let programs = litmus_programs(&h.exp);
     let knob = opts.knob;
-    let items: Vec<(usize, FlushMode)> = (0..programs.len())
-        .flat_map(|pi| FlushMode::ALL.iter().map(move |&m| (pi, m)))
-        .collect();
+    let items = cells(programs.len());
     let sup = match opts.journal {
         Some(j) => Supervisor::with_journal(h.jobs, j),
         None => Supervisor::new(h.jobs),

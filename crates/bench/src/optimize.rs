@@ -45,7 +45,6 @@ use crate::journal::{CellStatus, Entry, Journal};
 use crate::json::{self, parse, JsonObject, Value};
 use crate::parallel::run_indexed;
 use crate::schema;
-use crate::source::{MemorySource, TraceSource};
 use crate::{variant_key, Harness, TraceKey};
 
 // --- the detector -----------------------------------------------------
@@ -604,21 +603,13 @@ fn cell_key(
 
 // --- cell execution ---------------------------------------------------
 
-/// The bench trace's events, pulled through the [`TraceSource`] trait
-/// (the optimizer is agnostic to where the trace lives; here it lives
-/// in the harness's in-memory cache).
-fn bench_events(h: &Harness, id: BenchId, variant: Variant) -> Vec<Event> {
-    MemorySource::new(h.trace(TraceKey::new(id, variant, &h.exp)))
-        .collect_events()
-        .unwrap_or_else(|e| unreachable!("in-memory trace source cannot fail: {e}"))
-}
-
 fn run_plan_cell(h: &Harness, id: BenchId, variant: Variant) -> OptCell {
     let mut cell = OptCell::empty(OptimizeCellSpec::Plan);
-    let events = bench_events(h, id, variant);
-    let plan = analyze(&events);
+    let trace = h.trace(TraceKey::new(id, variant, &h.exp));
+    let events = &trace.events;
+    let plan = analyze(events);
     cell.fill_plan(events.len() as u64, &plan);
-    if plan_preserves_guarantees(&events, &plan) {
+    if plan_preserves_guarantees(events, &plan) {
         cell.ok = true;
     } else {
         cell.error = Some("elision plan moved a guarantee frontier".to_string());
@@ -634,19 +625,20 @@ fn run_replay_cell(
     pass: ReplayPass,
 ) -> OptCell {
     let mut cell = OptCell::empty(OptimizeCellSpec::Replay { core, pass });
-    let recorded = bench_events(h, id, variant);
-    let events = match pass {
-        ReplayPass::Before => recorded,
+    let recorded = h.trace(TraceKey::new(id, variant, &h.exp));
+    let optimized;
+    let events: &[Event] = match pass {
+        ReplayPass::Before => &recorded.events,
         ReplayPass::After => {
-            let plan = analyze(&recorded);
-            apply(&recorded, &plan)
+            optimized = apply(&recorded.events, &analyze(&recorded.events));
+            &optimized
         }
     };
     cell.events = events.len() as u64;
     let cfg = core.cpu();
     let collector = Collector::shared();
     let started = Instant::now();
-    let sim = match Simulator::new(&events)
+    let sim = match Simulator::new(events)
         .config(cfg)
         .probe(ProbeHandle::new(collector.clone()))
         .run()
@@ -663,7 +655,7 @@ fn run_replay_cell(
         sim.cpu.cycles,
         started.elapsed(),
     );
-    let reference = match ReferencePipeline::new(&events, cfg).try_run() {
+    let reference = match ReferencePipeline::new(events, cfg).try_run() {
         Ok(r) => r,
         Err(e) => {
             cell.error = Some(format!("reference replay: {e}"));
@@ -1274,10 +1266,11 @@ mod tests {
     fn bench_traces_analyze_safely_and_logp_is_all_uncovered() {
         let h = harness();
         for variant in [Variant::LogP, Variant::LogPSf] {
-            let events = bench_events(&h, BenchId::LinkedList, variant);
-            let plan = analyze(&events);
+            let trace = h.trace(TraceKey::new(BenchId::LinkedList, variant, &h.exp));
+            let events = &trace.events;
+            let plan = analyze(events);
             assert!(
-                plan_preserves_guarantees(&events, &plan),
+                plan_preserves_guarantees(events, &plan),
                 "{variant}: unsafe plan"
             );
             if variant == Variant::LogP {

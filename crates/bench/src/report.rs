@@ -308,6 +308,9 @@ pub fn ablation(h: &Harness) -> String {
     s
 }
 
+/// The benchmarks of the flush-instruction ablation.
+pub const FLUSHMODE_BENCHES: [BenchId; 3] = [BenchId::LinkedList, BenchId::HashMap, BenchId::BTree];
+
 /// Flush-instruction ablation: `clwb` vs `clflushopt` vs legacy
 /// `clflush` (the paper's §2.2 footnote).
 pub fn flushmode(h: &Harness) -> String {
@@ -317,12 +320,7 @@ pub fn flushmode(h: &Harness) -> String {
         "{:<6} {:>10} {:>12} {:>10} | {:>10} {:>12} {:>10}",
         "Bench", "clwb", "clflushopt", "clflush", "clwb+SP", "opt+SP", "flush+SP"
     );
-    let ids = [
-        spp_workloads::BenchId::LinkedList,
-        spp_workloads::BenchId::HashMap,
-        spp_workloads::BenchId::BTree,
-    ];
-    for (id, cols) in h.flushmode_table(&ids) {
+    for (id, cols) in h.flushmode_table(&FLUSHMODE_BENCHES) {
         let _ = writeln!(
             s,
             "{:<6} {:>10} {:>12} {:>10} | {:>10} {:>12} {:>10}",
@@ -392,7 +390,6 @@ pub fn incremental(h: &Harness) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_suite;
 
     #[test]
     fn static_tables_render() {
@@ -416,7 +413,7 @@ mod tests {
             scale: 5000,
             seed: 1,
         };
-        let runs = run_suite(&exp);
+        let runs = Harness::new(exp, 1).run_benches(&BenchId::ALL);
         assert_eq!(runs.len(), 7);
         for (name, text) in [
             ("fig8", fig8(&runs)),

@@ -1,18 +1,15 @@
-//! One trait over every place a recorded trace can live.
+//! Chunked access to a trace that is still being recorded.
 //!
-//! The harness grew two trace homes: the in-memory [`TraceCache`]
-//! (record once, share an `Arc` of the whole event vector) and the
-//! PR 9 streamed/spilled chunk pipeline (bounded memory, events arrive
-//! in recording-order chunks and may detour through a checksummed spill
-//! file). Consumers used to be written against one or the other; the
-//! optimizer and any future pass would have needed both code paths.
-//!
-//! [`TraceSource`] unifies them behind one iterator-style contract:
-//! pull chunks until `Ok(None)`. The conformance test at the bottom
-//! pins the load-bearing property — both implementations yield
-//! **byte-identical** event streams for the same workload, verified on
-//! the spill wire encoding — so a consumer written against the trait
-//! cannot observe where the trace lived.
+//! A whole recorded trace lives in the in-memory [`TraceCache`] and is
+//! read as a slice. A long KV run instead streams through the
+//! chunked recorder pipeline: bounded memory, events arrive in
+//! recording-order chunks and may detour through a checksummed spill
+//! file. [`TraceSource`] is that pipeline's iterator-style contract —
+//! pull chunks until `Ok(None)` — and [`StreamingKvSource`] implements
+//! it. The conformance test at the bottom pins the load-bearing
+//! property: the streamed events are **byte-identical** to the same
+//! workload recorded whole in memory, verified on the spill wire
+//! encoding.
 //!
 //! [`TraceCache`]: crate::cache::TraceCache
 
@@ -23,12 +20,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use spp_obs::MemGauge;
-use spp_pmem::{Event, SharedTrace};
+use spp_pmem::Event;
 
 use crate::stream::{chunk_bytes, ChunkMsg, KvStreamSpec, PeakBound, SpillReader, StreamError};
 
-/// Iterator-style access to a recorded event stream, chunk by chunk,
-/// agnostic to where the trace lives.
+/// Iterator-style access to a recorded event stream, chunk by chunk.
 ///
 /// Contract: chunks arrive in recording order; concatenating every
 /// chunk reproduces the full event stream exactly; after the first
@@ -37,9 +33,6 @@ use crate::stream::{chunk_bytes, ChunkMsg, KvStreamSpec, PeakBound, SpillReader,
 /// next call, so callers should drop each chunk before pulling the
 /// next one.
 pub trait TraceSource {
-    /// Where the trace lives, for reports and diagnostics.
-    fn origin(&self) -> &'static str;
-
     /// Pulls the next chunk of events. `Ok(None)` means the stream is
     /// complete (not an error — torn tails and dead recorders are
     /// typed [`StreamError`]s).
@@ -64,47 +57,6 @@ pub trait TraceSource {
     }
 }
 
-// --- in-memory impl ---------------------------------------------------
-
-/// A [`TraceSource`] over an in-memory [`SharedTrace`] — the
-/// [`TraceCache`](crate::cache::TraceCache) representation. Yields the
-/// whole event vector as one borrowed chunk; no copy is made.
-#[derive(Debug, Clone)]
-pub struct MemorySource {
-    trace: SharedTrace,
-    drained: bool,
-}
-
-impl MemorySource {
-    /// Wraps a cached trace.
-    pub fn new(trace: SharedTrace) -> Self {
-        MemorySource {
-            trace,
-            drained: false,
-        }
-    }
-}
-
-impl From<SharedTrace> for MemorySource {
-    fn from(trace: SharedTrace) -> Self {
-        MemorySource::new(trace)
-    }
-}
-
-impl TraceSource for MemorySource {
-    fn origin(&self) -> &'static str {
-        "memory"
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<Cow<'_, [Event]>>, StreamError> {
-        if self.drained {
-            return Ok(None);
-        }
-        self.drained = true;
-        Ok(Some(Cow::Borrowed(self.trace.events.as_slice())))
-    }
-}
-
 // --- streamed impl ----------------------------------------------------
 
 /// The recorder's final driver facts, available once the stream has
@@ -122,8 +74,7 @@ pub struct StreamStats {
 /// A [`TraceSource`] over the chunked recorder pipeline: the KV
 /// workload records on its own thread and chunks arrive through a
 /// bounded queue, detouring through the checksummed spill file when the
-/// memory cap demands it. This is the PR 9 streamed/spilled path,
-/// repackaged so consumers pull chunks instead of owning the
+/// memory cap demands it. Consumers pull chunks instead of owning the
 /// receive loop.
 #[derive(Debug)]
 pub struct StreamingKvSource {
@@ -198,10 +149,6 @@ impl StreamingKvSource {
 }
 
 impl TraceSource for StreamingKvSource {
-    fn origin(&self) -> &'static str {
-        "streamed"
-    }
-
     fn next_chunk(&mut self) -> Result<Option<Cow<'_, [Event]>>, StreamError> {
         self.settle();
         if self.stats.is_some() {
@@ -290,7 +237,7 @@ mod tests {
 
     /// Records the same workload the streamed recorder runs, but
     /// monolithically in memory — the `TraceCache` representation.
-    fn record_monolithic(sspec: &KvStreamSpec) -> SharedTrace {
+    fn record_monolithic(sspec: &KvStreamSpec) -> Vec<Event> {
         let mut env = PmemEnv::new(sspec.variant);
         env.set_flush_mode(sspec.flush_mode);
         let mut w = KvWorkload::new(sspec.spec);
@@ -300,30 +247,15 @@ mod tests {
         for op in 0..sspec.spec.ops {
             w.run_op(&mut env, op);
         }
-        env.take_trace().into_shared()
-    }
-
-    #[test]
-    fn memory_source_borrows_the_whole_trace_once() {
-        let shared = record_monolithic(&tiny_stream(60));
-        let mut src = MemorySource::new(shared.clone());
-        assert_eq!(src.origin(), "memory");
-        let chunk = src.next_chunk().unwrap().expect("one chunk");
-        assert!(matches!(chunk, Cow::Borrowed(_)), "no copy");
-        assert_eq!(chunk.len(), shared.events.len());
-        drop(chunk);
-        assert!(src.next_chunk().unwrap().is_none(), "then exhausted");
-        assert!(src.next_chunk().unwrap().is_none(), "and stays exhausted");
+        env.take_trace().events
     }
 
     #[test]
     fn cached_and_streamed_sources_yield_byte_identical_streams() {
         let sspec = tiny_stream(220);
-        let shared = record_monolithic(&sspec);
-        let mem_events = MemorySource::new(shared).collect_events().unwrap();
+        let mem_events = record_monolithic(&sspec);
 
         let mut streamed = StreamingKvSource::record(sspec);
-        assert_eq!(streamed.origin(), "streamed");
         let streamed_events = streamed.collect_events().unwrap();
 
         assert_eq!(mem_events, streamed_events, "same events in same order");
@@ -349,9 +281,7 @@ mod tests {
             spill: Some(spill.clone()),
             ..base.clone()
         };
-        let want = MemorySource::new(record_monolithic(&base))
-            .collect_events()
-            .unwrap();
+        let want = record_monolithic(&base);
         let mut src = StreamingKvSource::record(capped);
         let got = src.collect_events().unwrap();
         assert!(src.spilled_chunks() > 0, "cap must force spilling");
@@ -368,10 +298,7 @@ mod tests {
         let rep = crate::stream::run_kv_streamed(&sspec, &CpuConfig::baseline()).unwrap();
         assert_eq!(rep.ops, 220);
         assert_eq!(rep.chunks, 5, "220 ops at 50/chunk is 5 chunks");
-        let total: usize = MemorySource::new(record_monolithic(&sspec))
-            .collect_events()
-            .unwrap()
-            .len();
+        let total = record_monolithic(&sspec).len();
         assert_eq!(rep.events, total as u64, "no events lost at the seam");
     }
 

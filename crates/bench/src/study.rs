@@ -1,26 +1,23 @@
-//! The unified study façade behind every journaled `repro` command.
+//! The unified study façade behind every `repro` study command.
 //!
-//! `repro kv/litmus/multicore/faultsim/profile` (and now `optimize`)
-//! all share the same invocation shape: open a result journal under
-//! the resume discipline, run the study under a timed stage, surface
-//! corrupt journal entries, report how many cells replayed, print the
-//! text report and the one-line JSON document, and turn the report's
-//! verdict into an exit status. That plumbing used to be copy-pasted
-//! per command in the `repro` binary; it now lives here, once:
+//! Every `repro` study (`kv`, `litmus`, `multicore`, `faultsim`,
+//! `profile`, `optimize`, `crashfuzz`, `soak`) shares the same
+//! invocation shape: open a result journal under the resume
+//! discipline, run the study under a timed stage, surface corrupt
+//! journal entries, report how many cells replayed, print the text
+//! report and the one-line JSON document, and turn the report's
+//! verdict into an exit status. That plumbing lives here, once:
 //!
 //! * [`StudyCli`] carries the shared `--journal`/`--resume` flag state
 //!   and opens the journal under the discipline the CLI documents;
 //! * [`StudyRunner`] owns the opened journal and the stage label and
 //!   drives one study end to end via [`StudyRunner::run`];
 //! * [`StudyReport`] is the small contract a study's report must meet
-//!   (`ok` / `replayed` / `render_text` / `render_json`) — the four
-//!   existing journaled studies already satisfied it verbatim.
+//!   (`ok` / `replayed` / `render_text` / `render_json`).
 //!
-//! The façade is output-preserving by construction: every byte written
-//! to stdout and stderr is the same the per-command plumbing wrote
-//! before the migration, so the goldens and the CI `cmp` gates did not
-//! move. CI denies the old pattern outright — the replay-report and
-//! journal-open plumbing may not reappear in `repro.rs`.
+//! CI denies local copies outright: the replay-report and journal-open
+//! plumbing, and hand-counted stage totals, may not appear in
+//! `repro.rs`.
 
 use std::fmt;
 use std::path::Path;
@@ -116,13 +113,14 @@ pub trait StudyReport {
 }
 
 macro_rules! impl_study_report {
-    ($($ty:ty),+ $(,)?) => {$(
+    ($($ty:ty => |$r:ident| $replayed:expr),+ $(,)?) => {$(
         impl StudyReport for $ty {
             fn ok(&self) -> bool {
                 <$ty>::ok(self)
             }
             fn replayed(&self) -> usize {
-                self.replayed
+                let $r = self;
+                $replayed
             }
             fn render_text(&self) -> String {
                 <$ty>::render_text(self)
@@ -134,22 +132,27 @@ macro_rules! impl_study_report {
     )+};
 }
 
+// Crashfuzz is never journaled; a soak replays faultsim cells.
 impl_study_report!(
-    crate::faultsim::FaultReport,
-    crate::kv::KvReport,
-    crate::litmus::LitmusReport,
-    crate::multicore::MulticoreReport,
-    crate::optimize::OptimizeReport,
+    crate::faultsim::FaultReport => |r| r.replayed,
+    crate::kv::KvReport => |r| r.replayed,
+    crate::litmus::LitmusReport => |r| r.replayed,
+    crate::multicore::MulticoreReport => |r| r.replayed,
+    crate::optimize::OptimizeReport => |r| r.replayed,
+    crate::crashfuzz::FuzzReport => |_r| 0,
+    crate::soak::SoakReport => |r| r.rows.iter().map(|row| row.replayed).sum(),
 );
 
 /// Runs one evaluation stage, reporting wall time and throughput on
-/// stderr (`sims` counts the simulator replays the stage issues; 0
-/// suppresses the rate). Stdout stays byte-identical across `--jobs`.
-pub fn staged<T>(label: &str, sims: usize, f: impl FnOnce() -> T) -> T {
+/// stderr. `sims` counts the simulator replays the stage issues, taken
+/// from the job list that builds the stage; `None` marks a stage whose
+/// work is not counted in replays and suppresses the rate. Stdout
+/// stays byte-identical across `--jobs`.
+pub fn staged<T>(label: &str, sims: Option<usize>, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let out = f();
     let dt = t0.elapsed().as_secs_f64();
-    if sims > 0 {
+    if let Some(sims) = sims {
         eprintln!(
             "# {label}: {sims} sims in {dt:.2}s ({:.1} sims/s)",
             sims as f64 / dt.max(1e-9)
@@ -160,19 +163,24 @@ pub fn staged<T>(label: &str, sims: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// One journaled study invocation: the stage label, the expected
-/// simulation count (for the stderr rate line), and the opened journal.
+/// One study invocation: the stage label, the expected simulation
+/// count (for the stderr rate line, see [`staged`]), and the opened
+/// journal.
 #[derive(Debug)]
 pub struct StudyRunner {
     label: &'static str,
-    sims: usize,
+    sims: Option<usize>,
     journal: Option<Journal>,
 }
 
 impl StudyRunner {
     /// Prepares a runner: opens the journal named by `cli` (if any)
     /// under the resume discipline.
-    pub fn new(label: &'static str, sims: usize, cli: &StudyCli) -> Result<Self, StudyError> {
+    pub fn new(
+        label: &'static str,
+        sims: Option<usize>,
+        cli: &StudyCli,
+    ) -> Result<Self, StudyError> {
         Ok(StudyRunner {
             label,
             sims,
@@ -280,14 +288,14 @@ mod tests {
     fn study_cli_opens_nothing_without_a_journal_flag() {
         let cli = StudyCli::default();
         assert!(cli.open().unwrap().is_none());
-        let runner = StudyRunner::new("study-test", 0, &cli).unwrap();
+        let runner = StudyRunner::new("study-test", None, &cli).unwrap();
         assert!(runner.journal().is_none());
     }
 
     #[test]
     fn runner_returns_the_report_verdict() {
         let cli = StudyCli::default();
-        let runner = StudyRunner::new("study-test", 0, &cli).unwrap();
+        let runner = StudyRunner::new("study-test", None, &cli).unwrap();
         assert!(runner.run(|_| FakeReport { ok: true }));
         assert!(!runner.run(|_| FakeReport { ok: false }));
     }
@@ -299,7 +307,7 @@ mod tests {
             journal: Some(p.display().to_string()),
             resume: false,
         };
-        let runner = StudyRunner::new("study-test", 0, &cli).unwrap();
+        let runner = StudyRunner::new("study-test", None, &cli).unwrap();
         let saw_journal = runner.run(|j| FakeReport { ok: j.is_some() });
         assert!(saw_journal, "the study closure must receive the journal");
         std::fs::remove_file(&p).unwrap();

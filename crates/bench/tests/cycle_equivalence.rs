@@ -20,7 +20,7 @@
 //! not a flake: everything is deterministic.
 
 use spp_bench::{Experiment, TraceKey};
-use spp_cpu::{CpuConfig, Pipeline, ReferencePipeline};
+use spp_cpu::{CpuConfig, ReferencePipeline, Simulator};
 use spp_mem::FaultSpec;
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
@@ -37,7 +37,7 @@ const EXP: Experiment = Experiment {
 /// Runs both steppers on one trace/config and asserts exact
 /// `SimResult` equality (or, on failure, the same error kind).
 fn assert_equivalent(ctx: &str, events: &[spp_pmem::Event], cfg: CpuConfig) {
-    let fast = Pipeline::new(events, cfg).try_run();
+    let fast = Simulator::new(events).config(cfg).run();
     let slow = ReferencePipeline::new(events, cfg).try_run();
     match (fast, slow) {
         (Ok(f), Ok(s)) => assert_eq!(f, s, "SimResult diverged: {ctx}"),

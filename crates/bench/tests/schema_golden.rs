@@ -71,7 +71,7 @@ fn check(name: &str, doc: &str, s: schema::Schema) {
 
 #[test]
 fn suite_document_is_stable() {
-    let runs = harness().run_suite();
+    let runs = harness().run_benches(&BenchId::ALL);
     check("suite.json", &json::suite_json(&runs), schema::SUITE);
 }
 

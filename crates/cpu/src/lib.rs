@@ -45,8 +45,6 @@ mod stats;
 mod uop;
 pub mod vislog;
 
-use spp_pmem::Event;
-
 pub use config::{CpuConfig, SpConfig};
 pub use error::{DiagnosticSnapshot, SimError, SimErrorKind};
 pub use multi::{MultiCore, MultiCoreError, DEFAULT_STORM_BOUND};
@@ -58,46 +56,13 @@ pub use stats::{CpuStats, SimResult};
 pub use uop::{TraceCursor, Uop, UopKind};
 pub use vislog::{reconstruct, VisEvent, VisOp};
 
-/// Replays `events` through the pipeline and returns the statistics.
-///
-/// # Panics
-///
-/// Panics if the simulation fails (watchdog, deadlock, or broken
-/// invariant); use [`Simulator::run`] to handle the error.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `Simulator` builder: `Simulator::new(events).config(cfg).run()`"
-)]
-pub fn simulate(events: &[Event], cfg: &CpuConfig) -> SimResult {
-    match Simulator::new(events).config(*cfg).run() {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Replays `events` through the pipeline, surfacing simulation failures
-/// (watchdog expiry, deadlock, broken invariants) as typed errors with
-/// a diagnostic snapshot instead of panicking.
-///
-/// # Errors
-///
-/// Returns the pipeline's [`SimError`] on failure.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `Simulator` builder: `Simulator::new(events).config(cfg).run()`"
-)]
-pub fn try_simulate(events: &[Event], cfg: &CpuConfig) -> Result<SimResult, SimError> {
-    Simulator::new(events).config(*cfg).run()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use spp_pmem::{PAddr, PmemEnv, Variant};
+    use spp_pmem::{Event, PAddr, PmemEnv, Variant};
 
-    /// Test-local shorthand on the non-deprecated façade (shadows the
-    /// deprecated free function from the glob import).
+    /// Test-local shorthand on the [`Simulator`] façade.
     fn simulate(events: &[Event], cfg: &CpuConfig) -> SimResult {
         Simulator::new(events).config(*cfg).run().unwrap()
     }
@@ -328,7 +293,10 @@ mod tests {
     #[test]
     fn coherence_conflict_rolls_back_and_reexecutes() {
         let events = barrier_trace(4, 50);
-        let mut p = Pipeline::new(&events, CpuConfig::with_sp());
+        let mut p = Simulator::new(&events)
+            .config(CpuConfig::with_sp())
+            .build()
+            .unwrap();
         // Run until speculation is active, then snoop a block the
         // speculative store touched.
         let target = PAddr::new(4096 + 64).block(); // 2nd barrier's store
@@ -385,7 +353,10 @@ mod tests {
     #[test]
     fn snoop_without_speculation_is_ignored() {
         let events = vec![compute(10)];
-        let mut p = Pipeline::new(&events, CpuConfig::with_sp());
+        let mut p = Simulator::new(&events)
+            .config(CpuConfig::with_sp())
+            .build()
+            .unwrap();
         assert!(!p.inject_coherence(spp_pmem::BlockId::new(64)));
     }
 

@@ -201,8 +201,9 @@ impl SpState {
     }
 }
 
-/// The pipeline simulator. Construct with [`Pipeline::new`], drive with
-/// [`run`](Pipeline::run) (or [`step`](Pipeline::step) /
+/// The pipeline simulator. Build with
+/// [`Simulator::build`](crate::Simulator::build), drive with
+/// [`try_run`](Pipeline::try_run) (or [`step`](Pipeline::step) /
 /// [`inject_coherence`](Pipeline::inject_coherence) for fine-grained
 /// tests), then read [`result`](Pipeline::result).
 #[derive(Debug)]
@@ -260,15 +261,17 @@ pub struct Pipeline<'t> {
 
 impl<'t> Pipeline<'t> {
     /// Builds a pipeline over a recorded event trace with its own
-    /// private memory system.
-    pub fn new(events: &'t [Event], cfg: CpuConfig) -> Self {
+    /// private memory system (test shorthand; callers outside this
+    /// crate go through [`crate::Simulator`]).
+    #[cfg(test)]
+    pub(crate) fn new(events: &'t [Event], cfg: CpuConfig) -> Self {
         Self::with_memory(events, cfg, MemorySystem::new(cfg.mem))
     }
 
     /// Builds a pipeline over an explicitly constructed memory system
     /// (e.g. one sharing its memory controller with other cores — see
     /// [`crate::MultiCore`]).
-    pub fn with_memory(events: &'t [Event], cfg: CpuConfig, mem: MemorySystem) -> Self {
+    pub(crate) fn with_memory(events: &'t [Event], cfg: CpuConfig, mem: MemorySystem) -> Self {
         Pipeline {
             cursor: TraceCursor::new(events),
             mem,
@@ -336,19 +339,6 @@ impl<'t> Pipeline<'t> {
                 .sp
                 .as_ref()
                 .is_none_or(|sp| sp.ssb.is_empty() && sp.epochs.is_empty() && !sp.speculating)
-    }
-
-    /// Runs to completion and returns the results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation fails (watchdog, deadlock, or broken
-    /// invariant); use [`Pipeline::try_run`] to handle the error.
-    pub fn run(self) -> SimResult {
-        match self.try_run() {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Runs to completion, surfacing simulation failures as typed

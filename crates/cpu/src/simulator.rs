@@ -3,9 +3,9 @@
 //! [`Simulator`] is the one front door to a simulation run: it owns the
 //! trace, the configuration, an optional pre-built memory system, and an
 //! optional observability probe, validates everything up front, and
-//! returns a typed result. The free functions `simulate`/`try_simulate`
-//! and direct `Pipeline` construction remain for compatibility but are
-//! deprecated in favour of:
+//! returns a typed result. It is the only public way to build and run
+//! a pipeline; step-level callers take the built [`Pipeline`] from
+//! [`Simulator::build`]:
 //!
 //! ```
 //! use spp_cpu::{CpuConfig, Simulator};

@@ -4,7 +4,7 @@
 //! without speculative persistence.
 
 use proptest::prelude::*;
-use spp_cpu::{CpuConfig, Pipeline, SimResult, Simulator, SpConfig};
+use spp_cpu::{CpuConfig, SimResult, Simulator, SpConfig};
 use spp_pmem::{Event, PAddr};
 
 fn simulate(events: &[Event], cfg: &CpuConfig) -> SimResult {
@@ -129,7 +129,10 @@ proptest! {
         period in 16usize..200,
     ) {
         let expected = total_uops(&events);
-        let mut p = Pipeline::new(&events, CpuConfig::with_sp());
+        let mut p = Simulator::new(&events)
+            .config(CpuConfig::with_sp())
+            .build()
+            .unwrap();
         let mut i = 0usize;
         let mut steps = 0usize;
         while !p.is_done() {

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use spp_cpu::{reconstruct, CpuConfig, Pipeline, ReferencePipeline, VisEvent};
+use spp_cpu::{reconstruct, CpuConfig, ReferencePipeline, Simulator, VisEvent};
 use spp_pmem::{CrashSim, Event, FlushMode, Space};
 use spp_workloads::litmus::LitmusProgram;
 
@@ -132,7 +132,10 @@ fn visibility_trace(events: &[Event], sp: bool, reference: bool) -> Result<Vec<E
         }
         p.take_persist_log()
     } else {
-        let mut p = Pipeline::new(events, cfg);
+        let mut p = Simulator::new(events)
+            .config(cfg)
+            .build()
+            .map_err(|e| e.to_string())?;
         p.enable_persist_log();
         while !p.is_done() {
             p.step().map_err(|e| e.to_string())?;

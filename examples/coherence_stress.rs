@@ -13,7 +13,7 @@
 //! cargo run --release --example coherence_stress
 //! ```
 
-use specpersist::cpu::{CpuConfig, Pipeline};
+use specpersist::cpu::{CpuConfig, Simulator};
 use specpersist::pmem::{Event, Variant};
 use specpersist::workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
 
@@ -47,7 +47,10 @@ fn main() {
         "snoop period", "snoops", "conflicts", "rollbacks", "squashed", "cycles"
     );
     for period in [0usize, 5000, 1000, 200, 50] {
-        let mut p = Pipeline::new(&out.trace.events, CpuConfig::with_sp());
+        let mut p = Simulator::new(&out.trace.events)
+            .config(CpuConfig::with_sp())
+            .build()
+            .unwrap();
         let mut steps = 0usize;
         let mut snoops = 0u64;
         let mut i = 0usize;

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full benchmark traces through the
 //! full pipeline, with and without speculative persistence.
 
-use specpersist::cpu::{CpuConfig, Pipeline, SimResult, Simulator, SpConfig};
+use specpersist::cpu::{CpuConfig, SimResult, Simulator, SpConfig};
 use specpersist::pmem::{Event, Variant};
 use specpersist::workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
 
@@ -171,7 +171,10 @@ fn rollback_reexecution_is_exact() {
             _ => None,
         })
         .collect();
-    let mut p = Pipeline::new(&out.trace.events, CpuConfig::with_sp());
+    let mut p = Simulator::new(&out.trace.events)
+        .config(CpuConfig::with_sp())
+        .build()
+        .unwrap();
     let mut rolled = 0;
     let mut i = 0usize;
     while !p.is_done() {
