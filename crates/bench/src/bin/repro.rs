@@ -112,18 +112,13 @@
 //!   --trace-out PATH  (profile) write the merged Chrome trace_event
 //!              document to PATH (loadable in Perfetto or
 //!              chrome://tracing)
-//!   --bench-out PATH  (all/profile/kv/optimize) write the
-//!              `specpersist/perfbench-v1` perf-trajectory record to
-//!              PATH (nothing is written without it):
-//!              simulated-cycles-per-second per bench x variant, wall
-//!              time, peak RSS; file + stderr only, never stdout
 //!   --trace-mem-cap BYTES  cap the bytes of recorded traces the
 //!              harness may hold resident; a run that trips the cap
 //!              fails with a typed one-line error (never an OOM kill)
 //!              and dumps the per-trace byte footprint to stderr
 //!
 //! Invalid input (a malformed or zero --scale/--jobs, an unknown
-//! command, benchmark, variant, or leg, or contradictory journal
+//! command, flag, benchmark, variant, or leg, or contradictory journal
 //! flags) exits non-zero with a one-line `repro: ...` diagnostic on
 //! stderr.
 //!
@@ -144,7 +139,7 @@ use spp_bench::study::{staged, StudyCli, StudyError, StudyRunner};
 use spp_bench::{Experiment, Harness};
 use spp_workloads::BenchId;
 
-const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--bench-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
+const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
 
 /// A rejected invocation: every variant renders as one line, and every
 /// variant exits non-zero. Parsing never panics on user input.
@@ -154,6 +149,8 @@ enum CliError {
     NoCommand,
     /// The command word is not one `repro` knows.
     UnknownCommand(String),
+    /// A `--`-prefixed word that is not one of `repro`'s flags.
+    UnknownFlag(String),
     /// A flag's value is missing or unusable (non-numeric, negative,
     /// or below the flag's minimum).
     BadValue {
@@ -195,6 +192,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::NoCommand => f.write_str("no command given"),
             CliError::UnknownCommand(c) => write!(f, "unknown command {c:?}"),
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}"),
             CliError::BadValue { flag, given, want } => {
                 write!(f, "{flag} {given:?} is invalid (want {want})")
             }
@@ -217,7 +215,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --bench-out: all, profile, kv, optimize; --trace-mem-cap: any trace-recording command)")
+                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: any trace-recording command)")
             }
             CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
             CliError::Study(e) => write!(f, "{e}"),
@@ -240,13 +238,13 @@ struct Cli {
     storm_bound: Option<u64>,
     model_knob: Option<ModelKnob>,
     trace_out: Option<String>,
-    bench_out: Option<String>,
     trace_mem_cap: Option<u64>,
     positional: Vec<String>,
 }
 
 /// Parses everything after the binary name. Flags may appear anywhere;
-/// all remaining words are positional arguments for the command.
+/// any other `--`-prefixed word is rejected, and all remaining words
+/// are positional arguments for the command.
 fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let Some(cmd) = args.first().cloned() else {
         return Err(CliError::NoCommand);
@@ -259,7 +257,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut storm_bound: Option<u64> = None;
     let mut model_knob: Option<ModelKnob> = None;
     let mut trace_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut trace_mem_cap: Option<u64> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut i = 1;
@@ -329,19 +326,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                     })
                 }
             },
-            "--bench-out" => match args.get(i + 1) {
-                Some(next) if !next.is_empty() && !next.starts_with("--") => {
-                    bench_out = Some(next.clone());
-                    i += 2;
-                }
-                _ => {
-                    return Err(CliError::BadValue {
-                        flag: "--bench-out",
-                        given: args.get(i + 1).cloned().unwrap_or_default(),
-                        want: "a file path",
-                    })
-                }
-            },
             "--iters" => {
                 iters = Some(flag_value(
                     "--iters",
@@ -385,6 +369,9 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 })?);
                 i += 2;
             }
+            flag if flag.starts_with("--") => {
+                return Err(CliError::UnknownFlag(flag.to_string()));
+            }
             other => {
                 positional.push(other.to_string());
                 i += 1;
@@ -401,7 +388,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         storm_bound,
         model_knob,
         trace_out,
-        bench_out,
         trace_mem_cap,
         positional,
     })
@@ -450,13 +436,6 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
             cmd: cli.cmd.clone(),
         });
     }
-    if cli.bench_out.is_some() && !matches!(cli.cmd.as_str(), "all" | "profile" | "kv" | "optimize")
-    {
-        return Err(CliError::FlagUnsupported {
-            flag: "--bench-out",
-            cmd: cli.cmd.clone(),
-        });
-    }
     // `trace` replays one recording to stdout, `soak` spawns child
     // processes, and `journal` never simulates: none of them route
     // traces through the harness cache the cap governs.
@@ -487,39 +466,6 @@ fn verdict(ok: bool) -> ExitCode {
     }
 }
 
-/// Writes the `specpersist/perfbench-v1` trajectory record for this
-/// invocation: per bench x variant simulation throughput, end-to-end
-/// wall time, and peak RSS. Wall numbers are machine-dependent, so the
-/// record goes to a file and the announcement to stderr — stdout stays
-/// byte-identical across `--jobs`. A run whose simulations were all
-/// replayed from a journal has nothing to report and writes nothing.
-fn write_perfbench(harness: &Harness, jobs: usize, wall_secs: f64, path: &str) {
-    let rep = spp_bench::PerfReport {
-        scale: harness.exp.scale,
-        seed: harness.exp.seed,
-        jobs,
-        wall_secs,
-        peak_rss_kb: spp_bench::perfbench::peak_rss_kb(),
-        cells: harness.perf_cells(),
-        extras: harness.perf_labeled_cells(),
-    };
-    if rep.cells.is_empty() && rep.extras.is_empty() {
-        eprintln!("# perfbench: no simulations ran; {path} not written");
-        return;
-    }
-    let mut doc = rep.render_json();
-    doc.push('\n');
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!(
-            "# perfbench: {} cells, {:.2}s wall, peak rss {} KiB -> {path}",
-            rep.cells.len() + rep.extras.len(),
-            wall_secs,
-            rep.peak_rss_kb
-        ),
-        Err(e) => eprintln!("repro: --bench-out {path:?}: {e}"),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args).and_then(run) {
@@ -544,7 +490,6 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
         storm_bound,
         model_knob,
         trace_out,
-        bench_out,
         trace_mem_cap,
         positional,
     } = cli;
@@ -646,9 +591,6 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
         "profile" => profile_cmd(&harness, &positional, &study, trace_out.as_deref())?,
         _ => return Err(CliError::UnknownCommand(cmd)),
     };
-    if let Some(path) = &bench_out {
-        write_perfbench(&harness, jobs, t0.elapsed().as_secs_f64(), path);
-    }
     check_trace_mem(&harness, code)
 }
 
@@ -706,16 +648,15 @@ fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliErr
     }
 }
 
-/// `repro kv [--journal PATH [--resume]] [--bench-out PATH]`: the
+/// `repro kv [--journal PATH [--resume]]`: the
 /// crash-recoverable KV storage-engine study — WAL + checkpointed
 /// B+tree under a mixed YCSB-style load: baseline-vs-SP cycles across
 /// a checkpoint-interval sweep, crashfuzz at every persist boundary
 /// (clean under Log+P+Sf, witness-minimized under Log, and a
 /// must-fail leg proving an elided WAL checksum is caught), plus the
 /// bounded-memory streamed leg. Prints the per-cell tables and one
-/// `specpersist/kv-v1` JSON line; the labeled perf cells join the
-/// `--bench-out` trajectory record. With a journal, completed cells
-/// are recorded and `--resume` replays them byte-identically. Exits
+/// `specpersist/kv-v1` JSON line. With a journal, completed cells are
+/// recorded and `--resume` replays them byte-identically. Exits
 /// non-zero if any cell failed its oracle or the SP legs regressed.
 fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
     use spp_bench::kv::{run_kv_opts, KvCellSpec};
@@ -723,16 +664,15 @@ fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
     Ok(verdict(runner.run(|j| run_kv_opts(harness, j))))
 }
 
-/// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]
-/// [--bench-out PATH]`: the persist-path trace optimizer — analyze one
+/// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]`: the
+/// persist-path trace optimizer — analyze one
 /// recorded trace for redundant persist operations, elide them, replay
 /// the optimized trace on both pipeline cores x {baseline, SP} with
 /// the spp-obs probe attached, and prove the plan safe by crashfuzzing
 /// every persist boundary of the optimized trace (plus the inverted
 /// leg eliding a required flush, which the oracle must catch). Prints
 /// the before/after tables and one `specpersist/optimize-v1` JSON
-/// line; the labeled perf cells join the `--bench-out` trajectory
-/// record. With a journal, completed cells are recorded and `--resume`
+/// line. With a journal, completed cells are recorded and `--resume`
 /// replays them byte-identically. Exits non-zero if any leg fails.
 fn optimize_cmd(
     harness: &Harness,
@@ -1165,10 +1105,34 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_typed_errors() {
+        // A misspelt flag must not fall through to the positionals,
+        // where a command that takes none would silently ignore it.
+        for words in [
+            &["table2", "--sacle", "5"][..],
+            &["all", "--sacle", "50"],
+            &["all", "--bench-out", "b.json"],
+            &["optimize", "LL", "logpsf", "--bench-out", "b.json"],
+        ] {
+            let flag = words.iter().find(|w| w.starts_with("--")).unwrap();
+            assert_eq!(
+                parse_args(&args(words)).unwrap_err(),
+                CliError::UnknownFlag(flag.to_string()),
+                "{words:?}"
+            );
+        }
+        assert_eq!(
+            CliError::UnknownFlag("--sacle".into()).to_string(),
+            "unknown flag \"--sacle\""
+        );
+    }
+
+    #[test]
     fn every_error_renders_as_one_line() {
         let errors = [
             CliError::NoCommand,
             CliError::UnknownCommand("fig99".into()),
+            CliError::UnknownFlag("--sacle".into()),
             CliError::BadValue {
                 flag: "--jobs",
                 given: "-2".into(),
@@ -1455,7 +1419,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_is_a_journaled_command_with_a_bench_out() {
+    fn optimize_is_a_journaled_command() {
         let cli = parse_args(&args(&[
             "optimize",
             "LL",
@@ -1463,8 +1427,6 @@ mod tests {
             "--journal",
             "j.jsonl",
             "--resume",
-            "--bench-out",
-            "b.json",
             "--trace-mem-cap",
             "4096",
         ]))
@@ -1472,7 +1434,6 @@ mod tests {
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
         assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
         assert!(cli.resume);
-        assert_eq!(cli.bench_out.as_deref(), Some("b.json"));
         assert_eq!(cli.trace_mem_cap, Some(4096));
         assert!(check_flag_scope(&cli).is_ok());
         // Profile-only flags stay profile-only.
@@ -1503,31 +1464,11 @@ mod tests {
     }
 
     #[test]
-    fn kv_is_a_journaled_command_with_a_bench_out() {
-        let cli = parse_args(&args(&[
-            "kv",
-            "--journal",
-            "j.jsonl",
-            "--resume",
-            "--bench-out",
-            "b.json",
-        ]))
-        .unwrap();
+    fn kv_is_a_journaled_command() {
+        let cli = parse_args(&args(&["kv", "--journal", "j.jsonl", "--resume"])).unwrap();
         assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
         assert!(cli.resume);
-        assert_eq!(cli.bench_out.as_deref(), Some("b.json"));
         assert!(check_flag_scope(&cli).is_ok());
-        // The perf-trajectory record stays scoped: multicore has no
-        // labeled cells to contribute, so `--bench-out` stays rejected
-        // there.
-        let cli = parse_args(&args(&["multicore", "--bench-out", "b.json"])).unwrap();
-        assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
-            CliError::FlagUnsupported {
-                flag: "--bench-out",
-                cmd: "multicore".into(),
-            }
-        );
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //! manifest so an interrupted study resumes without recomputing
 //! finished cells — replayed output is byte-identical.
 
-use std::time::Instant;
-
 use spp_cpu::{CpuConfig, Simulator};
 use spp_pmem::{FlushMode, PmemEnv, Variant};
 use spp_workloads::kv::{record_kv_bundle, KvBundleSpec, KvMix, KvSpec, KvWorkload};
@@ -277,9 +275,7 @@ fn cell_key(spec: &KvCellSpec, scale: u64, seed: u64) -> String {
 
 // --- cell execution ---------------------------------------------------
 
-/// Records the mixed-profile trace for one perf cell and replays it,
-/// timing the replay into the harness's perf recorder under a labeled
-/// (non-Table-1) cell.
+/// Records the mixed-profile trace for one perf cell and replays it.
 fn run_perf_cell(h: &Harness, ckpt_every: u64, cfg: PerfCfg) -> KvCell {
     let spec = perf_spec(h.exp.scale, h.exp.seed, ckpt_every);
     let mut cell = KvCell::empty(KvCellSpec::Perf { ckpt_every, cfg });
@@ -297,17 +293,10 @@ fn run_perf_cell(h: &Harness, ckpt_every: u64, cfg: PerfCfg) -> KvCell {
     cell.events = trace.events.len() as u64;
     cell.mutations = w.stats().mutations;
     cell.checkpoints = w.engine().checkpoints();
-    let started = Instant::now();
     match Simulator::new(&trace.events).config(cfg.cpu()).run() {
         Ok(r) => {
             cell.ok = true;
             cell.cycles = r.cpu.cycles;
-            h.perf().record_labeled(
-                &format!("kv/ck{ckpt_every}"),
-                cfg.variant(),
-                r.cpu.cycles,
-                started.elapsed(),
-            );
         }
         Err(e) => cell.error = Some(e.to_string()),
     }
@@ -816,9 +805,6 @@ mod tests {
                 assert_eq!(w.kind, "state-mismatch", "{w:?}");
             }
         }
-        // The perf leg feeds the labeled perf cells (one per sweep
-        // point x variant actually simulated).
-        assert!(!h.perf_labeled_cells().is_empty());
         assert!(rep.render_text().contains("kv: PASS"));
         assert!(rep
             .render_json()

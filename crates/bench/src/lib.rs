@@ -41,7 +41,6 @@ pub mod litmus;
 pub mod multicore;
 pub mod optimize;
 pub mod parallel;
-pub mod perfbench;
 pub mod profile;
 pub mod report;
 pub mod schema;
@@ -55,7 +54,6 @@ pub use cache::{trace_bytes, CacheStats, TraceCache, TraceKey, TraceMemCap};
 pub use journal::{Journal, JournalError};
 pub use multicore::{run_multicore_study, MulticoreCell, MulticoreReport};
 pub use parallel::run_indexed;
-pub use perfbench::{LabeledPerfCell, PerfCell, PerfRecorder, PerfReport};
 pub use supervisor::{CellFailure, CellOutcome, Supervisor};
 
 use spp_cpu::{CpuConfig, SimResult, Simulator, SpConfig};
@@ -249,7 +247,6 @@ pub struct Harness {
     /// serial, on the caller's thread).
     pub jobs: usize,
     cache: TraceCache,
-    perf: PerfRecorder,
 }
 
 impl Harness {
@@ -259,7 +256,6 @@ impl Harness {
             exp,
             jobs,
             cache: TraceCache::new(),
-            perf: PerfRecorder::default(),
         }
     }
 
@@ -287,40 +283,15 @@ impl Harness {
         self.cache.bytes_by_key()
     }
 
-    /// Per-cell simulation throughput accumulated so far, in canonical
-    /// order (feeds the `specpersist/perfbench-v1` record).
-    pub fn perf_cells(&self) -> Vec<PerfCell> {
-        self.perf.cells()
-    }
-
-    /// Labeled (non-Table-1) throughput cells accumulated so far — the
-    /// KV storage-engine workload lands here.
-    pub fn perf_labeled_cells(&self) -> Vec<perfbench::LabeledPerfCell> {
-        self.perf.labeled_cells()
-    }
-
-    /// The perf recorder, for experiment code that drives
-    /// [`Simulator`] directly (the probe-attached profile replays)
-    /// and still wants its timings in the trajectory record.
-    pub(crate) fn perf(&self) -> &PerfRecorder {
-        &self.perf
-    }
-
     /// The trace for `key`, recorded on first request and shared after.
     pub fn trace(&self, key: TraceKey) -> SharedTrace {
         self.cache.get(key)
     }
 
-    /// Replays the keyed trace on `cpu`, timing the replay into the
-    /// perf recorder (trace recording/cache time is deliberately
-    /// excluded: the trajectory tracks the simulator core).
+    /// Replays the keyed trace on `cpu`.
     fn sim(&self, key: TraceKey, cpu: &CpuConfig) -> (TraceCounts, SimResult) {
         let t = self.cache.get(key);
-        let started = std::time::Instant::now();
-        let sim = must_simulate(&t.events, cpu);
-        self.perf
-            .record(key.id, key.variant, sim.cpu.cycles, started.elapsed());
-        (t.counts, sim)
+        (t.counts, must_simulate(&t.events, cpu))
     }
 
     /// `Base`-build cycles on the baseline core (the denominator of

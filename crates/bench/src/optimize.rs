@@ -32,7 +32,6 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
 
 use spp_cpu::{CpuConfig, ReferencePipeline, Simulator};
 use spp_obs::{Collector, ProbeHandle};
@@ -637,7 +636,6 @@ fn run_replay_cell(
     cell.events = events.len() as u64;
     let cfg = core.cpu();
     let collector = Collector::shared();
-    let started = Instant::now();
     let sim = match Simulator::new(events)
         .config(cfg)
         .probe(ProbeHandle::new(collector.clone()))
@@ -649,12 +647,6 @@ fn run_replay_cell(
             return cell;
         }
     };
-    h.perf().record_labeled(
-        &format!("optimize/{}/{}-{}", id.abbrev(), core.key(), pass.key()),
-        variant,
-        sim.cpu.cycles,
-        started.elapsed(),
-    );
     let reference = match ReferencePipeline::new(events, cfg).try_run() {
         Ok(r) => r,
         Err(e) => {
@@ -1315,8 +1307,6 @@ mod tests {
         let i = rep.cell(OptimizeCellSpec::Inverted);
         assert!(i.ok, "{:?}", i.error);
         assert!(i.witness.is_some());
-        // Perf trajectory rows were fed.
-        assert!(!h.perf_labeled_cells().is_empty());
         assert!(rep.render_text().contains("optimize: PASS"));
         assert!(rep
             .render_json()

@@ -108,7 +108,6 @@ pub fn run_profile(h: &Harness, id: BenchId, variant: Variant) -> ProfileReport 
             CpuConfig::baseline()
         };
         let collector = Collector::shared();
-        let started = std::time::Instant::now();
         let sim = match Simulator::new(&trace.events)
             .config(cfg)
             .probe(ProbeHandle::new(collector.clone()))
@@ -117,8 +116,6 @@ pub fn run_profile(h: &Harness, id: BenchId, variant: Variant) -> ProfileReport 
             Ok(r) => r,
             Err(e) => panic!("profile simulation failed: {e}"),
         };
-        h.perf()
-            .record(id, variant, sim.cpu.cycles, started.elapsed());
         let c = collector.borrow();
         ProfiledCell {
             config,

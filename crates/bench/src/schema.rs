@@ -76,15 +76,6 @@ pub const PROFILE: Schema = Schema {
     id: "specpersist/profile-v2",
 };
 
-/// The harness performance-trajectory record (`BENCH_*.json`):
-/// simulated-cycles-per-second throughput per bench x variant cell,
-/// wall time, and peak RSS of the producing run.
-pub const PERFBENCH: Schema = Schema {
-    name: "perfbench",
-    version: 1,
-    id: "specpersist/perfbench-v1",
-};
-
 /// The shared-data multi-core scaling study (`repro multicore`).
 pub const MULTICORE: Schema = Schema {
     name: "multicore",
@@ -114,8 +105,8 @@ pub const OPTIMIZE: Schema = Schema {
 };
 
 /// Every schema the harness knows, for exhaustive self-checks.
-pub const ALL: [Schema; 11] = [
-    SUITE, CRASHFUZZ, FAULTSIM, SOAK, JOURNAL, PROFILE, PERFBENCH, MULTICORE, LITMUS, KV, OPTIMIZE,
+pub const ALL: [Schema; 10] = [
+    SUITE, CRASHFUZZ, FAULTSIM, SOAK, JOURNAL, PROFILE, MULTICORE, LITMUS, KV, OPTIMIZE,
 ];
 
 impl Schema {

@@ -53,7 +53,7 @@ pub use pipeline::Pipeline;
 pub use reference::ReferencePipeline;
 pub use simulator::Simulator;
 pub use stats::{CpuStats, SimResult};
-pub use uop::{TraceCursor, Uop, UopKind};
+pub use uop::{Uop, UopKind};
 pub use vislog::{reconstruct, VisEvent, VisOp};
 
 #[cfg(test)]

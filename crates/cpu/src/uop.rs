@@ -69,7 +69,7 @@ pub struct Uop {
 /// Decodes a recorded event trace into micro-ops, expanding
 /// `Compute(n)` lazily and supporting rollback repositioning.
 #[derive(Debug, Clone)]
-pub struct TraceCursor<'t> {
+pub(crate) struct TraceCursor<'t> {
     events: &'t [Event],
     idx: usize,
     compute_left: u32,
