@@ -680,16 +680,7 @@ fn optimize_cmd(
     study: &StudyCli,
 ) -> Result<ExitCode, CliError> {
     use spp_bench::optimize::{run_optimize_opts, OptimizeCellSpec};
-    let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingOptimizeArgs);
-    };
-    let id = BenchId::ALL
-        .iter()
-        .copied()
-        .find(|b| b.abbrev().eq_ignore_ascii_case(bench))
-        .ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
-    let variant = spp_bench::parse_variant(variant)
-        .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
+    let (id, variant) = bench_variant(positional, CliError::MissingOptimizeArgs)?;
     let runner = StudyRunner::new("optimize", Some(OptimizeCellSpec::all().len()), study)?;
     Ok(verdict(
         runner.run(|j| run_optimize_opts(harness, id, variant, j)),
@@ -886,12 +877,32 @@ fn profile_cmd(
     study: &StudyCli,
     trace_out: Option<&str>,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::journal::{CellStatus, Entry};
-    use spp_bench::json::{parse, Value};
-    use spp_bench::profile::{run_profile, PROFILE_CONFIGS};
+    use spp_bench::profile::{run_profile_opts, PROFILE_CONFIGS};
+    let (id, variant) = bench_variant(positional, CliError::MissingProfileArgs)?;
+    let runner = StudyRunner::new("profile", Some(PROFILE_CONFIGS.len()), study)?;
+    let mut trace = String::new();
+    let ok = runner.run(|j| {
+        let run = run_profile_opts(harness, id, variant, j);
+        trace.clone_from(&run.trace);
+        run
+    });
+    if let Some(path) = trace_out {
+        match std::fs::write(path, &trace) {
+            Ok(()) => eprintln!("# chrome trace: {path} ({} bytes)", trace.len()),
+            Err(e) => eprintln!("repro: --trace-out {path:?}: {e}"),
+        }
+    }
+    Ok(verdict(ok))
+}
 
+/// The `<BENCH> <VARIANT>` positionals of `optimize`, `profile` and
+/// `trace`; `missing` is the command's error when either is absent.
+fn bench_variant(
+    positional: &[String],
+    missing: CliError,
+) -> Result<(BenchId, spp_pmem::Variant), CliError> {
     let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingProfileArgs);
+        return Err(missing);
     };
     let id = BenchId::ALL
         .iter()
@@ -900,93 +911,14 @@ fn profile_cmd(
         .ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
     let variant = spp_bench::parse_variant(variant)
         .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
-
-    let runner = StudyRunner::new("profile", Some(PROFILE_CONFIGS.len()), study)?;
-    let j = runner.journal();
-    let key = format!(
-        "profile/{}/{}/scale{}/seed{:#x}",
-        id.abbrev(),
-        spp_bench::variant_key(variant),
-        harness.exp.scale,
-        harness.exp.seed
-    );
-    let write_trace = |trace: &str| {
-        if let Some(path) = trace_out {
-            match std::fs::write(path, trace) {
-                Ok(()) => eprintln!("# chrome trace: {path} ({} bytes)", trace.len()),
-                Err(e) => eprintln!("repro: --trace-out {path:?}: {e}"),
-            }
-        }
-    };
-
-    // A verified journal entry replays the whole cell: stdout and the
-    // exported trace are byte-identical to the original run's.
-    if let Some(j) = j {
-        if let Some(entry) = j.lookup(&key) {
-            let decoded = parse(&entry.payload).ok().and_then(|v| {
-                let field = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-                Some((
-                    v.get("ok").and_then(Value::as_u64)?,
-                    field("text")?,
-                    field("json")?,
-                    field("trace")?,
-                ))
-            });
-            match decoded {
-                Some((ok, text, json, trace)) => {
-                    eprintln!("# journal {}: profile cell replayed", j.path().display());
-                    print!("{text}");
-                    println!("{json}");
-                    write_trace(&trace);
-                    return Ok(verdict(ok == 1));
-                }
-                None => j.report_bad_payload(&key, "profile payload does not decode"),
-            }
-        }
-    }
-
-    let rep = runner.stage(|| run_profile(harness, id, variant));
-    let text = rep.render_text();
-    let json = rep.render_json();
-    let trace = rep.chrome_trace();
-    runner.report_corrupt();
-    if let Some(j) = j {
-        let mut payload = spp_bench::json::JsonObject::new();
-        payload
-            .num("ok", u8::from(rep.ok()))
-            .str("text", &text)
-            .str("json", &json)
-            .str("trace", &trace);
-        let entry = Entry {
-            key,
-            attempt: 1,
-            status: CellStatus::Ok,
-            payload: payload.render(),
-        };
-        if let Err(e) = j.append(&entry) {
-            eprintln!("repro: journal: {e}");
-        }
-    }
-    print!("{text}");
-    println!("{json}");
-    write_trace(&trace);
-    Ok(verdict(rep.ok()))
+    Ok((id, variant))
 }
 
 /// `repro trace <BENCH> <VARIANT>`: record one trace and print its
 /// micro-op mix and per-operation averages.
 fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
     use spp_workloads::{run_benchmark, BenchSpec, RunConfig};
-    let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingTraceArgs);
-    };
-    let id = BenchId::ALL
-        .iter()
-        .copied()
-        .find(|b| b.abbrev().eq_ignore_ascii_case(bench))
-        .ok_or_else(|| CliError::UnknownBench(bench.clone()))?;
-    let variant = spp_bench::parse_variant(variant)
-        .ok_or_else(|| CliError::UnknownVariant(variant.clone()))?;
+    let (id, variant) = bench_variant(positional, CliError::MissingTraceArgs)?;
     let spec = BenchSpec::scaled(id, exp.scale);
     let out = run_benchmark(&RunConfig {
         variant,
@@ -1554,7 +1486,7 @@ mod tests {
 
     #[test]
     fn journal_check_verifies_flags_truncation_and_bit_flips() {
-        use spp_bench::journal::{CellStatus, Entry, Journal};
+        use spp_bench::{Journal, Supervisor};
         let mut p = std::env::temp_dir();
         p.push(format!(
             "spp-repro-journal-check-{}.jsonl",
@@ -1562,15 +1494,13 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&p);
         let j = Journal::open(&p).unwrap();
-        for k in ["kv/a", "kv/b", "kv/c"] {
-            j.append(&Entry {
-                key: k.to_string(),
-                attempt: 1,
-                status: CellStatus::Ok,
-                payload: "{\"ok\":1}".to_string(),
-            })
-            .unwrap();
-        }
+        Supervisor::new(1, Some(&j)).run_cells(
+            &["kv/a", "kv/b", "kv/c"],
+            |_, k| k.to_string(),
+            |_, _| Ok(1),
+            |ok| format!("{{\"ok\":{ok}}}"),
+            |_, _| None,
+        );
         drop(j);
         let path = p.display().to_string();
         // Pristine: every line verifies.

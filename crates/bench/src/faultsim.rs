@@ -549,7 +549,7 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
             CellTask::Watchdog => Ok(CellValue::Watchdog(watchdog_leg(h))),
         },
         encode_cell_value,
-        decode_cell_value,
+        |_, payload| decode_cell_value(payload),
     );
     let mut cells = Vec::new();
     let mut failures = Vec::new();

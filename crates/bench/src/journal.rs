@@ -288,8 +288,8 @@ pub struct Journal {
     path: PathBuf,
     file: Mutex<File>,
     loaded: Loaded,
-    /// Errors observed after open (payload decode failures reported by
-    /// the supervisor).
+    /// Errors observed after open: payload decode failures reported by
+    /// the supervisor, and appends that failed to reach the file.
     late_errors: Mutex<Vec<JournalError>>,
 }
 
@@ -398,7 +398,7 @@ impl Journal {
     }
 
     /// Every error observed so far: corrupt lines found at open plus
-    /// decode failures reported during the run.
+    /// decode failures and failed appends recorded during the run.
     pub fn corrupt(&self) -> Vec<JournalError> {
         let mut all = self.loaded.corrupt.clone();
         if let Ok(late) = self.late_errors.lock() {
@@ -411,11 +411,24 @@ impl Journal {
     /// entry verified byte-wise but no longer means anything); its cell
     /// recomputes.
     pub fn report_bad_payload(&self, key: &str, detail: impl Into<String>) {
+        self.report_late(JournalError::BadPayload {
+            key: key.to_string(),
+            detail: detail.into(),
+        });
+    }
+
+    fn report_late(&self, e: JournalError) {
         if let Ok(mut late) = self.late_errors.lock() {
-            late.push(JournalError::BadPayload {
-                key: key.to_string(),
-                detail: detail.into(),
-            });
+            late.push(e);
+        }
+    }
+
+    /// Appends one entry, keeping a failed write with the errors
+    /// [`Journal::corrupt`] returns instead of handing it back: the run
+    /// reports it once, and the unrecorded cell recomputes on resume.
+    pub fn record(&self, entry: &Entry) {
+        if let Err(e) = self.append(entry) {
+            self.report_late(e);
         }
     }
 
@@ -627,6 +640,22 @@ mod tests {
             .windows(needle.len())
             .position(|w| w == needle)
             .unwrap()
+    }
+
+    #[test]
+    fn a_failed_append_is_recorded_for_the_report() {
+        let p = tmp("readonly");
+        let mut j = Journal::open(&p).unwrap();
+        // Swap the append handle for a read-only one: every write fails.
+        j.file = Mutex::new(File::open(&p).unwrap());
+        assert!(j.append(&entry("a", "{}")).is_err());
+        assert!(j.corrupt().is_empty(), "append hands its error back");
+        j.record(&entry("b", "{}"));
+        let errs = j.corrupt();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(matches!(errs[0], JournalError::Io { .. }), "{errs:?}");
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), 0);
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

@@ -19,23 +19,23 @@
 //!   ([`crate::stream`]) replays a longer run and reports its
 //!   deterministic peak-memory bound alongside throughput.
 //!
-//! Cells are pure functions of `(spec, scale, seed)`: fanned out with
-//! [`run_indexed`] (so `--jobs N` output is byte-identical to
-//! `--jobs 1`) and, when a [`Journal`] is attached, keyed into the
-//! manifest so an interrupted study resumes without recomputing
-//! finished cells — replayed output is byte-identical.
+//! Cells are pure functions of `(spec, scale, seed)` and run on the
+//! [`Supervisor`]: results come back in input order (so `--jobs N`
+//! output is byte-identical to `--jobs 1`), a panicking cell degrades
+//! to one failed cell, and, when a [`Journal`] is attached, each cell
+//! is recorded as it finishes so an interrupted study resumes without
+//! recomputing finished cells — replayed output is byte-identical.
 
 use spp_cpu::{CpuConfig, Simulator};
 use spp_pmem::{FlushMode, PmemEnv, Variant};
 use spp_workloads::kv::{record_kv_bundle, KvBundleSpec, KvMix, KvSpec, KvWorkload};
 
 use crate::crashfuzz::crash_points;
-use crate::journal::{CellStatus, Entry, Journal};
 use crate::json::{self, parse, JsonObject, Value};
-use crate::parallel::run_indexed;
 use crate::schema;
 use crate::stream::{run_kv_streamed, KvStreamSpec};
-use crate::Harness;
+use crate::supervisor::{settle, Supervisor};
+use crate::{Harness, Journal};
 
 /// Checkpoint intervals the perf leg sweeps (WAL records between COW
 /// checkpoints — the engine's checkpoint-buffer depth).
@@ -240,14 +240,19 @@ fn perf_spec(scale: u64, seed: u64, ckpt_every: u64) -> KvSpec {
     }
 }
 
-fn crash_spec(scale: u64, seed: u64, seed_off: u64) -> KvSpec {
-    KvSpec {
-        init_keys: 32,
-        ops: crash_ops(scale),
-        ckpt_every: 8,
-        wal_cap: 16,
-        seed: seed.wrapping_add(seed_off),
-        mix: KvMix::MIXED,
+fn crash_bundle(variant: Variant, h: &Harness, seed_off: u64, elide: bool) -> KvBundleSpec {
+    KvBundleSpec {
+        variant,
+        flush_mode: FlushMode::default(),
+        spec: KvSpec {
+            init_keys: 32,
+            ops: crash_ops(h.exp.scale),
+            ckpt_every: 8,
+            wal_cap: 16,
+            seed: h.exp.seed.wrapping_add(seed_off),
+            mix: KvMix::MIXED,
+        },
+        elide_checksum: elide,
     }
 }
 
@@ -306,15 +311,11 @@ fn run_perf_cell(h: &Harness, ckpt_every: u64, cfg: PerfCfg) -> KvCell {
 /// Crashes a `Log+P+Sf` bundle at every persist boundary (plus sampled
 /// in-between points) under [`CRASH_SEEDS`] reorderings each; every
 /// schedule must recover through full WAL replay.
-fn run_must_pass_cell(scale: u64, seed: u64, seed_off: u64) -> KvCell {
-    let spec = crash_spec(scale, seed, seed_off);
+fn run_must_pass_cell(h: &Harness, seed_off: u64) -> KvCell {
+    let bundle = crash_bundle(Variant::LogPSf, h, seed_off, false);
+    let spec = bundle.spec;
     let mut cell = KvCell::empty(KvCellSpec::MustPass { seed_off });
-    let b = record_kv_bundle(&KvBundleSpec {
-        variant: Variant::LogPSf,
-        flush_mode: FlushMode::default(),
-        spec,
-        elide_checksum: false,
-    });
+    let b = record_kv_bundle(&bundle);
     let points = crash_points(b.events());
     cell.ops = spec.ops;
     cell.events = b.events().len() as u64;
@@ -334,19 +335,17 @@ fn run_must_pass_cell(scale: u64, seed: u64, seed_off: u64) -> KvCell {
     cell
 }
 
-/// Scans a `Log` bundle's `(crash_idx, seed)` space in lexicographic
-/// order; the build lacks ordering and durability machinery, so a
-/// failure must exist, and the first hit is the minimal witness.
-fn run_must_fail_cell(scale: u64, seed: u64, seed_off: u64) -> KvCell {
-    let spec = crash_spec(scale, seed, seed_off);
-    let mut cell = KvCell::empty(KvCellSpec::MustFail { seed_off });
-    let b = record_kv_bundle(&KvBundleSpec {
-        variant: Variant::Log,
-        flush_mode: FlushMode::default(),
-        spec,
-        elide_checksum: false,
-    });
-    cell.ops = spec.ops;
+/// Records `bundle` and scans its `(crash_idx, seed)` space in
+/// lexicographic order for a recovery failure, which must exist: the
+/// first hit is the minimal witness, and a clean scan fails the cell
+/// with `miss`. The must-fail legs record `Log` (no ordering or
+/// durability machinery); the elide leg records the must-pass build
+/// with WAL record checksums elided, so recovery must lose
+/// guaranteed-durable records somewhere.
+fn run_witness_cell(spec: KvCellSpec, bundle: &KvBundleSpec, miss: &str) -> KvCell {
+    let mut cell = KvCell::empty(spec);
+    let b = record_kv_bundle(bundle);
+    cell.ops = bundle.spec.ops;
     cell.events = b.events().len() as u64;
     cell.mutations = b.mutation_count() as u64;
     cell.points = b.events().len() as u64 + 1;
@@ -365,45 +364,7 @@ fn run_must_fail_cell(scale: u64, seed: u64, seed_off: u64) -> KvCell {
     }
     cell.ok = cell.witness.is_some();
     if !cell.ok {
-        cell.error = Some("every schedule recovered, but Log must fail".to_string());
-    }
-    cell
-}
-
-/// Records the must-pass configuration again with WAL record checksums
-/// elided: same build, same schedules, but recovery must now lose
-/// guaranteed-durable records somewhere. Lexicographic scan; the first
-/// failure is the minimal witness.
-fn run_elide_cell(scale: u64, seed: u64) -> KvCell {
-    let spec = crash_spec(scale, seed, 0);
-    let mut cell = KvCell::empty(KvCellSpec::ElideChecksum);
-    let b = record_kv_bundle(&KvBundleSpec {
-        variant: Variant::LogPSf,
-        flush_mode: FlushMode::default(),
-        spec,
-        elide_checksum: true,
-    });
-    cell.ops = spec.ops;
-    cell.events = b.events().len() as u64;
-    cell.mutations = b.mutation_count() as u64;
-    cell.points = b.events().len() as u64 + 1;
-    'scan: for crash_idx in 0..=b.events().len() {
-        for s in 0..CRASH_SEEDS {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash(crash_idx, s) {
-                cell.witness = Some(KvWitness {
-                    crash_idx: crash_idx as u64,
-                    seed: s,
-                    kind: v.kind.to_string(),
-                });
-                break 'scan;
-            }
-        }
-    }
-    cell.ok = cell.witness.is_some();
-    if !cell.ok {
-        cell.error =
-            Some("recovery survived elided WAL checksums; the oracle is not checking them".into());
+        cell.error = Some(miss.to_string());
     }
     cell
 }
@@ -433,9 +394,17 @@ fn run_stream_cell(scale: u64, seed: u64) -> KvCell {
 fn run_cell(h: &Harness, spec: &KvCellSpec) -> KvCell {
     match *spec {
         KvCellSpec::Perf { ckpt_every, cfg } => run_perf_cell(h, ckpt_every, cfg),
-        KvCellSpec::MustPass { seed_off } => run_must_pass_cell(h.exp.scale, h.exp.seed, seed_off),
-        KvCellSpec::MustFail { seed_off } => run_must_fail_cell(h.exp.scale, h.exp.seed, seed_off),
-        KvCellSpec::ElideChecksum => run_elide_cell(h.exp.scale, h.exp.seed),
+        KvCellSpec::MustPass { seed_off } => run_must_pass_cell(h, seed_off),
+        KvCellSpec::MustFail { seed_off } => run_witness_cell(
+            *spec,
+            &crash_bundle(Variant::Log, h, seed_off, false),
+            "every schedule recovered, but Log must fail",
+        ),
+        KvCellSpec::ElideChecksum => run_witness_cell(
+            *spec,
+            &crash_bundle(Variant::LogPSf, h, 0, true),
+            "recovery survived elided WAL checksums; the oracle is not checking them",
+        ),
         KvCellSpec::Stream => run_stream_cell(h.exp.scale, h.exp.seed),
     }
 }
@@ -541,60 +510,22 @@ fn decode_cell(spec: &KvCellSpec, payload: &str) -> Option<KvCell> {
 
 // --- the study --------------------------------------------------------
 
-/// Runs the storage-engine study: every [`KvCellSpec::all`] cell,
-/// fanned out deterministically, journaled when `journal` is attached.
+/// Runs the storage-engine study: every [`KvCellSpec::all`] cell on
+/// the supervised pool, journaled when `journal` is attached.
 pub fn run_kv_opts(h: &Harness, journal: Option<&Journal>) -> KvReport {
-    let scale = h.exp.scale;
-    let seed = h.exp.seed;
+    let (scale, seed) = (h.exp.scale, h.exp.seed);
     let specs = KvCellSpec::all();
-    let cached: Vec<Option<KvCell>> = specs
-        .iter()
-        .map(|spec| {
-            let j = journal?;
-            let entry = j.lookup(&cell_key(spec, scale, seed))?;
-            let decoded = decode_cell(spec, &entry.payload);
-            if decoded.is_none() {
-                j.report_bad_payload(&cell_key(spec, scale, seed), "kv payload does not decode");
-            }
-            decoded
-        })
-        .collect();
-    let computed = run_indexed(h.jobs, &specs, |i, spec| {
-        if cached[i].is_some() {
-            None
-        } else {
-            Some(run_cell(h, spec))
-        }
+    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
+        &specs,
+        |_, spec| cell_key(spec, scale, seed),
+        |_, spec| Ok(run_cell(h, spec)),
+        cell_json,
+        decode_cell,
+    );
+    let (cells, replayed) = settle(outcomes, |i, f| KvCell {
+        error: Some(f.reason),
+        ..KvCell::empty(specs[i])
     });
-    let mut cells = Vec::with_capacity(specs.len());
-    let mut replayed = 0;
-    for (i, spec) in specs.iter().enumerate() {
-        let (cell, fresh) = match (&cached[i], &computed[i]) {
-            (Some(c), _) => (c.clone(), false),
-            (None, Some(c)) => (c.clone(), true),
-            (None, None) => unreachable!("cell {i} neither cached nor computed"),
-        };
-        if fresh {
-            if let Some(j) = journal {
-                let entry = Entry {
-                    key: cell_key(spec, scale, seed),
-                    attempt: 1,
-                    status: if cell.ok {
-                        CellStatus::Ok
-                    } else {
-                        CellStatus::Failed
-                    },
-                    payload: cell_json(&cell),
-                };
-                if let Err(e) = j.append(&entry) {
-                    eprintln!("repro: journal: {e}");
-                }
-            }
-        } else {
-            replayed += 1;
-        }
-        cells.push(cell);
-    }
     KvReport {
         scale,
         seed,

@@ -241,11 +241,7 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
     let programs = litmus_programs(&h.exp);
     let knob = opts.knob;
     let items = cells(programs.len());
-    let sup = match opts.journal {
-        Some(j) => Supervisor::with_journal(h.jobs, j),
-        None => Supervisor::new(h.jobs),
-    };
-    let outs = sup.run_cells(
+    let outs = Supervisor::new(h.jobs, opts.journal).run_cells(
         &items,
         |_, &(pi, mode)| cell_key(&programs[pi].name, mode, knob),
         |_, &(pi, mode)| {
@@ -263,7 +259,7 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
             }
         },
         cell_json,
-        decode_cell,
+        |_, payload| decode_cell(payload),
     );
     let mut replayed = 0;
     let cells = outs

@@ -9,24 +9,25 @@
 //! the paper leaves to future work.
 //!
 //! Cells are pure functions of `(kind, leg, cores, variant, scale,
-//! seed)`: fanned out with [`run_indexed`] (so `--jobs N` output is
-//! byte-identical to `--jobs 1`) and, when a [`Journal`] is attached,
-//! keyed into the manifest so an interrupted study resumes without
-//! recomputing finished cells — replayed output is byte-identical.
+//! seed)` and run on the [`Supervisor`]: results come back in input
+//! order (so `--jobs N` output is byte-identical to `--jobs 1`) and,
+//! when a [`Journal`] is attached, each cell is recorded as it
+//! finishes so an interrupted study resumes without recomputing
+//! finished cells — replayed output is byte-identical.
 //!
 //! A cell whose simulation degrades (e.g. a conflict storm tripping
-//! [`spp_cpu::SimErrorKind::ConflictStorm`]) is recorded as a failed
-//! cell carrying the typed error's JSON, and the study's exit verdict
-//! reflects it; the harness never panics on the multi-core path.
+//! [`spp_cpu::SimErrorKind::ConflictStorm`]) is a failed cell carrying
+//! the typed error's JSON, and the study's exit verdict reflects it; a
+//! cell that panics through its retries degrades the same way instead
+//! of aborting the study.
 
 use spp_cpu::{CpuConfig, MultiCore, DEFAULT_STORM_BOUND};
 use spp_workloads::{shared_trace, SharedKind, SharedSpec};
 
-use crate::journal::{CellStatus, Entry, Journal};
 use crate::json::{self, parse, JsonObject, Value};
-use crate::parallel::run_indexed;
 use crate::schema;
-use crate::Harness;
+use crate::supervisor::{settle, Supervisor};
+use crate::{Harness, Journal};
 
 /// Core counts the study sweeps.
 pub const CORE_COUNTS: [usize; 3] = [1, 2, 4];
@@ -112,6 +113,24 @@ pub struct MulticoreCell {
     pub error: Option<String>,
 }
 
+impl MulticoreCell {
+    /// A failed cell with nothing measured yet.
+    fn empty(spec: CellSpec, ops_per_core: u64) -> Self {
+        MulticoreCell {
+            spec,
+            ok: false,
+            ops_per_core,
+            worst_cycles_per_op: 0,
+            conflicts: 0,
+            rollbacks: 0,
+            snoops: 0,
+            blt_high_water: 0,
+            blt_clears: 0,
+            error: None,
+        }
+    }
+}
+
 /// The study's full result set.
 #[derive(Debug, Clone)]
 pub struct MulticoreReport {
@@ -189,18 +208,7 @@ fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64, storm_bound: u64) -> 
     } else {
         CpuConfig::baseline()
     };
-    let mut cell = MulticoreCell {
-        spec: *spec,
-        ok: false,
-        ops_per_core,
-        worst_cycles_per_op: 0,
-        conflicts: 0,
-        rollbacks: 0,
-        snoops: 0,
-        blt_high_water: 0,
-        blt_clears: 0,
-        error: None,
-    };
+    let mut cell = MulticoreCell::empty(*spec, ops_per_core);
     let built = match MultiCore::try_new(&refs, cfg) {
         Ok(m) => m.with_storm_bound(storm_bound),
         Err(e) => {
@@ -277,65 +285,24 @@ fn decode_cell(spec: &CellSpec, payload: &str) -> Option<MulticoreCell> {
     })
 }
 
-/// Runs the scaling study: every [`CellSpec::all`] cell, fanned out
-/// deterministically, journaled when `opts.journal` is attached.
+/// Runs the scaling study: every [`CellSpec::all`] cell on the
+/// supervised pool, journaled when `opts.journal` is attached.
 pub fn run_multicore_opts(h: &Harness, opts: MulticoreOpts<'_>) -> MulticoreReport {
-    let scale = h.exp.scale;
-    let seed = h.exp.seed;
+    let (scale, seed) = (h.exp.scale, h.exp.seed);
     let storm_bound = opts.storm_bound.unwrap_or(DEFAULT_STORM_BOUND);
     let ops_per_core = ops_at(scale);
     let specs = CellSpec::all();
-    let cached: Vec<Option<MulticoreCell>> = specs
-        .iter()
-        .map(|spec| {
-            let j = opts.journal?;
-            let entry = j.lookup(&cell_key(spec, scale, seed, storm_bound))?;
-            let decoded = decode_cell(spec, &entry.payload);
-            if decoded.is_none() {
-                j.report_bad_payload(
-                    &cell_key(spec, scale, seed, storm_bound),
-                    "multicore payload does not decode",
-                );
-            }
-            decoded
-        })
-        .collect();
-    let computed = run_indexed(h.jobs, &specs, |i, spec| {
-        if cached[i].is_some() {
-            None
-        } else {
-            Some(run_cell(spec, ops_per_core, seed, storm_bound))
-        }
+    let outcomes = Supervisor::new(h.jobs, opts.journal).run_cells(
+        &specs,
+        |_, spec| cell_key(spec, scale, seed, storm_bound),
+        |_, spec| Ok(run_cell(spec, ops_per_core, seed, storm_bound)),
+        cell_json,
+        decode_cell,
+    );
+    let (cells, replayed) = settle(outcomes, |i, f| MulticoreCell {
+        error: Some(f.reason),
+        ..MulticoreCell::empty(specs[i], ops_per_core)
     });
-    let mut cells = Vec::with_capacity(specs.len());
-    let mut replayed = 0;
-    for (i, spec) in specs.iter().enumerate() {
-        let (cell, fresh) = match (&cached[i], &computed[i]) {
-            (Some(c), _) => (c.clone(), false),
-            (None, Some(c)) => (c.clone(), true),
-            (None, None) => unreachable!("cell {i} neither cached nor computed"),
-        };
-        if fresh {
-            if let Some(j) = opts.journal {
-                let entry = Entry {
-                    key: cell_key(spec, scale, seed, storm_bound),
-                    attempt: 1,
-                    status: if cell.ok {
-                        CellStatus::Ok
-                    } else {
-                        CellStatus::Failed
-                    },
-                    payload: cell_json(&cell),
-                };
-                if let Err(e) = j.append(&entry) {
-                    eprintln!("repro: journal: {e}");
-                }
-            }
-        } else {
-            replayed += 1;
-        }
-        cells.push(cell);
-    }
     MulticoreReport {
         scale,
         seed,

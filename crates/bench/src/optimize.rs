@@ -29,6 +29,11 @@
 //! of an optimized `Log+P+Sf` bundle, and runs the inverted leg —
 //! eliding the *required* flushes instead — which must be caught by the
 //! same oracle.
+//!
+//! The study's cells run on the [`Supervisor`]: a panicking cell
+//! degrades to one failed cell, and with a [`Journal`] attached each
+//! cell is recorded as it finishes, so an interrupted study resumes
+//! where it stopped.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -40,11 +45,10 @@ use spp_workloads::oracle::record_bundle;
 use spp_workloads::BenchId;
 
 use crate::crashfuzz::{crash_points, fuzz_bundle_spec, SEEDS_PER_POINT};
-use crate::journal::{CellStatus, Entry, Journal};
 use crate::json::{self, parse, JsonObject, Value};
-use crate::parallel::run_indexed;
 use crate::schema;
-use crate::{variant_key, Harness, TraceKey};
+use crate::supervisor::{settle, Supervisor};
+use crate::{variant_key, Harness, Journal, TraceKey};
 
 // --- the detector -----------------------------------------------------
 
@@ -881,66 +885,27 @@ fn decode_cell(spec: &OptimizeCellSpec, payload: &str) -> Option<OptCell> {
 // --- the study driver -------------------------------------------------
 
 /// Runs the optimizer study for one `(bench, variant)`: every
-/// [`OptimizeCellSpec::all`] cell, fanned out deterministically,
-/// journaled when `journal` is attached.
+/// [`OptimizeCellSpec::all`] cell on the supervised pool, journaled
+/// when `journal` is attached.
 pub fn run_optimize_opts(
     h: &Harness,
     id: BenchId,
     variant: Variant,
     journal: Option<&Journal>,
 ) -> OptimizeReport {
-    let scale = h.exp.scale;
-    let seed = h.exp.seed;
+    let (scale, seed) = (h.exp.scale, h.exp.seed);
     let specs = OptimizeCellSpec::all();
-    let cached: Vec<Option<OptCell>> = specs
-        .iter()
-        .map(|spec| {
-            let j = journal?;
-            let key = cell_key(id, variant, spec, scale, seed);
-            let entry = j.lookup(&key)?;
-            let decoded = decode_cell(spec, &entry.payload);
-            if decoded.is_none() {
-                j.report_bad_payload(&key, "optimize payload does not decode");
-            }
-            decoded
-        })
-        .collect();
-    let computed = run_indexed(h.jobs, &specs, |i, spec| {
-        if cached[i].is_some() {
-            None
-        } else {
-            Some(run_cell(h, id, variant, spec))
-        }
+    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
+        &specs,
+        |_, spec| cell_key(id, variant, spec, scale, seed),
+        |_, spec| Ok(run_cell(h, id, variant, spec)),
+        cell_json,
+        decode_cell,
+    );
+    let (cells, replayed) = settle(outcomes, |i, f| OptCell {
+        error: Some(f.reason),
+        ..OptCell::empty(specs[i])
     });
-    let mut cells = Vec::with_capacity(specs.len());
-    let mut replayed = 0;
-    for (i, spec) in specs.iter().enumerate() {
-        let (cell, fresh) = match (&cached[i], &computed[i]) {
-            (Some(c), _) => (c.clone(), false),
-            (None, Some(c)) => (c.clone(), true),
-            (None, None) => unreachable!("cell {i} neither cached nor computed"),
-        };
-        if fresh {
-            if let Some(j) = journal {
-                let entry = Entry {
-                    key: cell_key(id, variant, spec, scale, seed),
-                    attempt: 1,
-                    status: if cell.ok {
-                        CellStatus::Ok
-                    } else {
-                        CellStatus::Failed
-                    },
-                    payload: cell_json(&cell),
-                };
-                if let Err(e) = j.append(&entry) {
-                    eprintln!("repro: journal: {e}");
-                }
-            }
-        } else {
-            replayed += 1;
-        }
-        cells.push(cell);
-    }
     OptimizeReport {
         id,
         variant,

@@ -22,6 +22,10 @@
 //! a probe bug), and [`ProfileReport::ok`] gates the exit code.
 //! Everything is deterministic — the collectors use stride reservoirs,
 //! not RNG — so the bytes are identical at any `--jobs` count.
+//!
+//! `repro profile` runs the whole report as one supervised cell
+//! ([`run_profile_opts`]): its journal payload carries the three
+//! renderings, so a resumed run replays them byte for byte.
 
 use std::fmt::Write as _;
 
@@ -33,9 +37,11 @@ use spp_obs::{
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
 
-use crate::json::{array, JsonObject};
+use crate::json::{array, parse, JsonObject, Value};
 use crate::parallel::run_indexed;
-use crate::{variant_key, Experiment, Harness, TraceKey};
+use crate::study::StudyReport;
+use crate::supervisor::{settle, Supervisor};
+use crate::{variant_key, Experiment, Harness, Journal, TraceKey};
 
 /// One profiled core configuration.
 #[derive(Debug, Clone)]
@@ -248,6 +254,112 @@ impl ProfileReport {
             .map(|c| (c.config, c.spans.as_slice()))
             .collect();
         merge_chrome_traces(&groups)
+    }
+}
+
+/// One `repro profile` run: the report's verdict and renderings,
+/// computed or replayed from the journal as a single cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProfileRun {
+    /// [`ProfileReport::ok`].
+    pub ok: bool,
+    /// [`ProfileReport::render_text`].
+    pub text: String,
+    /// [`ProfileReport::render_json`].
+    pub json: String,
+    /// [`ProfileReport::chrome_trace`] (no events when the cell
+    /// degraded).
+    pub trace: String,
+    /// 1 when the run was served from the journal.
+    pub replayed: usize,
+}
+
+impl ProfileRun {
+    /// The journal payload: `{ok,text,json,trace}`.
+    fn payload(&self) -> String {
+        let mut o = JsonObject::new();
+        o.num("ok", u8::from(self.ok))
+            .str("text", &self.text)
+            .str("json", &self.json)
+            .str("trace", &self.trace);
+        o.render()
+    }
+
+    fn decode(payload: &str) -> Option<Self> {
+        let v = parse(payload).ok()?;
+        let field = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
+        Some(ProfileRun {
+            ok: v.get("ok").and_then(Value::as_u64)? == 1,
+            text: field("text")?,
+            json: field("json")?,
+            trace: field("trace")?,
+            replayed: 0,
+        })
+    }
+}
+
+impl StudyReport for ProfileRun {
+    fn ok(&self) -> bool {
+        self.ok
+    }
+    fn replayed(&self) -> usize {
+        self.replayed
+    }
+    fn render_text(&self) -> String {
+        self.text.clone()
+    }
+    fn render_json(&self) -> String {
+        self.json.clone()
+    }
+}
+
+/// Profiles one `(bench, variant)` as a single supervised cell,
+/// journaled when `journal` is attached. A cell that panics through
+/// its retries degrades to a failed run carrying the reason.
+pub fn run_profile_opts(
+    h: &Harness,
+    id: BenchId,
+    variant: Variant,
+    journal: Option<&Journal>,
+) -> ProfileRun {
+    let key = format!(
+        "profile/{}/{}/scale{}/seed{:#x}",
+        id.abbrev(),
+        variant_key(variant),
+        h.exp.scale,
+        h.exp.seed
+    );
+    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
+        &[key],
+        |_, key| key.clone(),
+        |_, _| {
+            let rep = run_profile(h, id, variant);
+            Ok(ProfileRun {
+                ok: rep.ok(),
+                text: rep.render_text(),
+                json: rep.render_json(),
+                trace: rep.chrome_trace(),
+                replayed: 0,
+            })
+        },
+        ProfileRun::payload,
+        |_, payload| ProfileRun::decode(payload),
+    );
+    let (mut runs, replayed) = settle(outcomes, |_, f| ProfileRun {
+        ok: false,
+        text: format!("profile: FAIL ({})\n", f.reason),
+        json: crate::schema::emit(crate::schema::PROFILE, |root| {
+            root.str("bench", id.abbrev())
+                .str("variant", variant_key(variant))
+                .num("ok", 0)
+                .str("error", &f.reason);
+        }),
+        trace: merge_chrome_traces(&[]),
+        replayed: 0,
+    });
+    ProfileRun {
+        replayed,
+        ..runs.remove(0)
     }
 }
 

@@ -119,7 +119,7 @@ pub fn run_soak(exp: &Experiment, jobs: usize, iters: u64, journal: &Journal) ->
             journal_corrupt: corrupt,
         };
         // The manifest records its own endurance history.
-        let _ = journal.append(&Entry {
+        journal.record(&Entry {
             key: format!("soak/i{}/s{}/x{:016x}", i, exp.scale, seed),
             attempt: 1,
             status: if row.ok() {

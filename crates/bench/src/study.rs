@@ -15,6 +15,11 @@
 //! * [`StudyReport`] is the small contract a study's report must meet
 //!   (`ok` / `replayed` / `render_text` / `render_json`).
 //!
+//! The runner hands the journal to the study, and every journaled
+//! study runs its cells on [`crate::Supervisor::run_cells`], which
+//! replays and records them; the runner then reports what the journal
+//! saw (corrupt lines, undecodable payloads, failed appends).
+//!
 //! CI denies local copies outright: the replay-report and journal-open
 //! plumbing, and hand-counted stage totals, may not appear in
 //! `repro.rs`.
@@ -188,21 +193,10 @@ impl StudyRunner {
         })
     }
 
-    /// The opened journal, for studies (profile) whose replay unit is
-    /// the whole report rather than per-cell.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
-    /// Runs `f` under this runner's timed stage without the report
-    /// protocol — the whole-payload studies drive their own replay.
-    pub fn stage<T>(&self, f: impl FnOnce() -> T) -> T {
-        staged(self.label, self.sims, f)
-    }
-
-    /// Surfaces every corrupt or undecodable journal entry on stderr
-    /// (each was recomputed rather than replayed).
-    pub fn report_corrupt(&self) {
+    /// Surfaces every corrupt or undecodable journal entry (each was
+    /// recomputed rather than replayed) and every failed append on
+    /// stderr.
+    fn report_corrupt(&self) {
         if let Some(j) = &self.journal {
             for e in j.corrupt() {
                 eprintln!("repro: journal: {e}");
@@ -215,7 +209,7 @@ impl StudyRunner {
     /// the text report and the JSON line on stdout, and return the
     /// report's verdict for the exit status.
     pub fn run<R: StudyReport>(&self, f: impl FnOnce(Option<&Journal>) -> R) -> bool {
-        let rep = self.stage(|| f(self.journal.as_ref()));
+        let rep = staged(self.label, self.sims, || f(self.journal.as_ref()));
         self.report_corrupt();
         if let Some(j) = &self.journal {
             eprintln!(
@@ -289,7 +283,7 @@ mod tests {
         let cli = StudyCli::default();
         assert!(cli.open().unwrap().is_none());
         let runner = StudyRunner::new("study-test", None, &cli).unwrap();
-        assert!(runner.journal().is_none());
+        assert!(runner.run(|j| FakeReport { ok: j.is_none() }));
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //!    failures are both journalled, so a resumed run replays them
 //!    byte-identically.
 //!
+//! Every journaled study runs its cells here — faultsim, litmus, kv,
+//! multicore, optimize, and profile (whose whole report is one cell) —
+//! so replay, isolation and journal writes have one implementation.
+//! A journal append that fails is kept with the journal's errors
+//! ([`Journal::record`]) and reported once at the end of the run.
+//!
 //! Cells must remain pure functions of their inputs: the supervisor
 //! preserves [`run_indexed`]'s input-order result contract, so final
 //! stdout is byte-identical across `--jobs` and across
@@ -163,20 +169,13 @@ pub struct Supervisor<'j> {
 }
 
 impl<'j> Supervisor<'j> {
-    /// A supervisor with the default retry budget and no journal.
-    pub fn new(jobs: usize) -> Self {
+    /// A supervisor with the default retry budget, replaying from (and
+    /// recording into) `journal` when one is attached.
+    pub fn new(jobs: usize, journal: Option<&'j Journal>) -> Self {
         Supervisor {
             jobs,
             max_attempts: MAX_ATTEMPTS,
-            journal: None,
-        }
-    }
-
-    /// Same, recording into (and replaying from) `journal`.
-    pub fn with_journal(jobs: usize, journal: &'j Journal) -> Self {
-        Supervisor {
-            journal: Some(journal),
-            ..Supervisor::new(jobs)
+            journal,
         }
     }
 
@@ -187,9 +186,10 @@ impl<'j> Supervisor<'j> {
     ///   everything that determines the result.
     /// * `run` computes the cell (pure; may panic or return a typed
     ///   [`CellError`]).
-    /// * `encode`/`decode` serialize the result for the journal; a
-    ///   `decode` rejection is reported to the journal as a typed
-    ///   error and the cell recomputes.
+    /// * `encode`/`decode` serialize the result for the journal;
+    ///   `decode` sees the item, so it can check the payload against
+    ///   it. A `decode` rejection is reported to the journal as a
+    ///   typed error and the cell recomputes.
     pub fn run_cells<T, R, K, F, E, D>(
         &self,
         items: &[T],
@@ -204,7 +204,7 @@ impl<'j> Supervisor<'j> {
         K: Fn(usize, &T) -> String + Sync,
         F: Fn(usize, &T) -> Result<R, CellError> + Sync,
         E: Fn(&R) -> String + Sync,
-        D: Fn(&str) -> Option<R> + Sync,
+        D: Fn(&T, &str) -> Option<R> + Sync,
     {
         let max_attempts = self.max_attempts.max(1);
         run_indexed(self.jobs, items, |i, item| {
@@ -214,7 +214,7 @@ impl<'j> Supervisor<'j> {
             if let Some(j) = self.journal {
                 if let Some(entry) = j.lookup(&key) {
                     match entry.status {
-                        CellStatus::Ok => match decode(&entry.payload) {
+                        CellStatus::Ok => match decode(item, &entry.payload) {
                             Some(r) => {
                                 return CellOutcome {
                                     key,
@@ -246,7 +246,7 @@ impl<'j> Supervisor<'j> {
                 match catch_unwind(AssertUnwindSafe(|| run(i, item))) {
                     Ok(Ok(r)) => {
                         if let Some(j) = self.journal {
-                            let _ = j.append(&Entry {
+                            j.record(&Entry {
                                 key: key.clone(),
                                 attempt,
                                 status: CellStatus::Ok,
@@ -271,7 +271,7 @@ impl<'j> Supervisor<'j> {
                 snapshot: last.snapshot,
             };
             if let Some(j) = self.journal {
-                let _ = j.append(&Entry {
+                j.record(&Entry {
                     key: key.clone(),
                     attempt: max_attempts,
                     status: CellStatus::Failed,
@@ -286,6 +286,23 @@ impl<'j> Supervisor<'j> {
             }
         })
     }
+}
+
+/// Unwraps supervised outcomes into results in input order: a cell
+/// that exhausted its retries becomes `degrade(index, failure)`, the
+/// study's own failed-cell record. Also returns how many cells were
+/// served from the journal.
+pub fn settle<R>(
+    outcomes: Vec<CellOutcome<R>>,
+    degrade: impl Fn(usize, CellFailure) -> R,
+) -> (Vec<R>, usize) {
+    let replayed = outcomes.iter().filter(|o| o.replayed).count();
+    let results = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(i, o)| o.result.unwrap_or_else(|f| degrade(i, f)))
+        .collect();
+    (results, replayed)
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -318,16 +335,16 @@ mod tests {
 
     fn ident_codec() -> (
         impl Fn(&u64) -> String + Sync,
-        impl Fn(&str) -> Option<u64> + Sync,
+        impl Fn(&u64, &str) -> Option<u64> + Sync,
     ) {
-        (|r: &u64| r.to_string(), |s: &str| s.parse().ok())
+        (|r: &u64| r.to_string(), |_: &u64, s: &str| s.parse().ok())
     }
 
     #[test]
     fn panicking_cell_degrades_while_others_report() {
         let items: Vec<u64> = (0..16).collect();
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::new(4).run_cells(
+        let outs = Supervisor::new(4, None).run_cells(
             &items,
             |_, &x| format!("cell/{x}"),
             |_, &x| {
@@ -358,7 +375,7 @@ mod tests {
         let items = [0u64];
         let tries = AtomicU32::new(0);
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::new(1).run_cells(
+        let outs = Supervisor::new(1, None).run_cells(
             &items,
             |_, _| "cell/flaky".to_string(),
             |_, _| {
@@ -386,7 +403,7 @@ mod tests {
         {
             let j = Journal::open(&p).unwrap();
             let (enc, dec) = ident_codec();
-            let outs = Supervisor::with_journal(2, &j).run_cells(
+            let outs = Supervisor::new(2, Some(&j)).run_cells(
                 &items,
                 |_, &x| format!("cell/{x}"),
                 |_, &x| {
@@ -415,7 +432,7 @@ mod tests {
         assert!(j.corrupt().is_empty());
         let before = computed.load(Ordering::SeqCst);
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::with_journal(2, &j).run_cells(
+        let outs = Supervisor::new(2, Some(&j)).run_cells(
             &items,
             |_, &x| format!("cell/{x}"),
             |_, &x| {
@@ -459,7 +476,7 @@ mod tests {
         }
         let j = Journal::open(&p).unwrap();
         let (enc, dec) = ident_codec();
-        let outs = Supervisor::with_journal(1, &j).run_cells(
+        let outs = Supervisor::new(1, Some(&j)).run_cells(
             &[0u64],
             |_, &x| format!("cell/{x}"),
             |_, &x| Ok(x + 1),
@@ -475,6 +492,30 @@ mod tests {
     }
 
     #[test]
+    fn settle_degrades_failures_in_place() {
+        let items: Vec<u64> = (0..4).collect();
+        let (enc, dec) = ident_codec();
+        let outs = Supervisor::new(2, None).run_cells(
+            &items,
+            |_, &x| format!("cell/{x}"),
+            |_, &x| {
+                if x == 2 {
+                    panic!("injected fault on cell 2");
+                }
+                Ok(x * 10)
+            },
+            enc,
+            dec,
+        );
+        let (results, replayed) = settle(outs, |i, f| {
+            assert!(f.reason.contains("injected fault"), "{f:?}");
+            1000 + i as u64
+        });
+        assert_eq!(results, vec![0, 10, 1002, 30]);
+        assert_eq!(replayed, 0);
+    }
+
+    #[test]
     fn outcomes_are_input_ordered_at_any_job_count() {
         let items: Vec<u64> = (0..64).collect();
         let run = |_: usize, &x: &u64| {
@@ -486,7 +527,7 @@ mod tests {
         };
         let collect = |jobs| {
             let (enc, dec) = ident_codec();
-            Supervisor::new(jobs)
+            Supervisor::new(jobs, None)
                 .run_cells(&items, |_, &x| format!("c/{x}"), run, enc, dec)
                 .into_iter()
                 .map(|o| (o.key, o.result.map_err(|f| f.reason)))

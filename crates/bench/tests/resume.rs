@@ -1,4 +1,5 @@
-//! End-to-end kill-and-resume determinism for `repro faultsim`.
+//! End-to-end kill-and-resume determinism for the journaled studies
+//! (`repro faultsim` and `repro optimize`).
 //!
 //! The resumability contract: a journaled run that is SIGKILLed
 //! mid-campaign and then resumed with `--resume` must print stdout
@@ -27,13 +28,13 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-#[test]
-fn killed_then_resumed_run_matches_uninterrupted_stdout() {
+/// Runs `args` uninterrupted, then journaled and SIGKILLed as soon as
+/// the journal shows progress, then resumed; asserts the resumed
+/// stdout is byte-identical to the uninterrupted run's and returns the
+/// resumed run's stderr.
+fn kill_and_resume(args: &[&str], tag: &str) -> String {
     // Uninterrupted reference: no journal at all.
-    let reference = repro()
-        .args(["faultsim", "--scale", SCALE, "--seed", SEED, "--jobs", "2"])
-        .output()
-        .expect("reference run");
+    let reference = repro().args(args).output().expect("reference run");
     assert!(
         reference.status.success(),
         "reference must pass: {}",
@@ -41,18 +42,10 @@ fn killed_then_resumed_run_matches_uninterrupted_stdout() {
     );
 
     // Journaled run, killed as soon as the manifest shows progress.
-    let journal = tmp("kill");
+    let journal = tmp(tag);
     let mut child = repro()
-        .args([
-            "faultsim",
-            "--scale",
-            SCALE,
-            "--seed",
-            SEED,
-            "--jobs",
-            "2",
-            "--journal",
-        ])
+        .args(args)
+        .arg("--journal")
         .arg(&journal)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -83,16 +76,8 @@ fn killed_then_resumed_run_matches_uninterrupted_stdout() {
 
     // Resume against the interrupted (possibly torn) manifest.
     let resumed = repro()
-        .args([
-            "faultsim",
-            "--scale",
-            SCALE,
-            "--seed",
-            SEED,
-            "--jobs",
-            "2",
-            "--journal",
-        ])
+        .args(args)
+        .arg("--journal")
         .arg(&journal)
         .arg("--resume")
         .output()
@@ -108,12 +93,38 @@ fn killed_then_resumed_run_matches_uninterrupted_stdout() {
         "resumed stdout must be byte-identical to the uninterrupted run"
     );
     // Replay diagnostics live on stderr only, keeping stdout pure.
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let stderr = String::from_utf8_lossy(&resumed.stderr).into_owned();
     assert!(
         stderr.contains("cells replayed"),
         "resume must report replayed cells on stderr: {stderr}"
     );
     std::fs::remove_file(&journal).expect("cleanup");
+    stderr
+}
+
+#[test]
+fn killed_then_resumed_run_matches_uninterrupted_stdout() {
+    kill_and_resume(
+        &["faultsim", "--scale", SCALE, "--seed", SEED, "--jobs", "2"],
+        "kill-faultsim",
+    );
+}
+
+#[test]
+fn killed_optimize_run_keeps_the_cells_it_finished() {
+    // Seven cells on one worker, each recorded as it finishes: a kill
+    // after the first lands leaves the rest to recompute. A study that
+    // recorded its cells only at the end would replay all seven.
+    let stderr = kill_and_resume(
+        &[
+            "optimize", "LL", "logpsf", "--scale", "200", "--seed", SEED, "--jobs", "1",
+        ],
+        "kill-optimize",
+    );
+    assert!(
+        !stderr.contains(" 7 cells replayed"),
+        "the kill must land before the last cell is recorded: {stderr}"
+    );
 }
 
 #[test]
