@@ -25,13 +25,19 @@
 //! Cells fan out over [`run_indexed`], so `--jobs` changes wall time
 //! only: every witness search is a deterministic scan and the report is
 //! byte-identical at any job count.
+//!
+//! [`first_violation`] is the one witness scan of the repo's crash legs
+//! (here, `faultsim`'s verdicts, `kv`'s crash legs and `optimize`'s
+//! oracle legs), and [`Witness`] the one witness type they report and
+//! journal. Only the must-pass sweep here keeps its own loop: it scans
+//! past a failure to report up to three unexpected witnesses.
 
 use spp_cpu::{CpuConfig, SimResult};
 use spp_pmem::{persist_boundaries, FlushMode, TraceCounts, Variant};
-use spp_workloads::oracle::{record_bundle, BundleSpec, CrashBundle, ViolationKind};
+use spp_workloads::oracle::{record_bundle, BundleSpec, OracleViolation, ViolationKind};
 use spp_workloads::BenchId;
 
-use crate::json::{array, JsonObject};
+use crate::json::{array, JsonObject, Value};
 use crate::{run_indexed, variant_key, Experiment, Harness, TraceKey};
 
 /// Non-boundary crash points sampled per trace (evenly spaced).
@@ -79,18 +85,56 @@ impl Leg {
     }
 }
 
-/// A minimal failing schedule: the lexicographically smallest
-/// `(crash_idx, seed)` whose post-recovery image fails its oracle.
+/// A failing crash schedule: the `(crash_idx, seed)` pair whose
+/// post-recovery image failed its oracle. The one witness type of every
+/// crash leg (crashfuzz, kv, optimize); [`first_violation`] finds the
+/// lexicographically smallest one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
-    /// Crash point (index into the recorded event stream).
+    /// Crash point (index into the crashed event stream).
     pub crash_idx: usize,
     /// Reordering seed (see [`spp_pmem::CrashSim::image_seeded`]).
     pub seed: u64,
     /// What the oracle rejected.
     pub kind: ViolationKind,
-    /// Deterministic human-readable description.
+    /// Deterministic human-readable description. Not journaled: a
+    /// witness decoded by [`Witness::decode`] carries an empty detail.
     pub detail: String,
+}
+
+impl Witness {
+    /// The journaled fields, `{"crash_idx","seed","kind"}`.
+    pub(crate) fn json(&self) -> JsonObject {
+        let mut o = JsonObject::new();
+        o.num("crash_idx", self.crash_idx as f64)
+            .num("seed", self.seed as f64)
+            .str("kind", &self.kind.to_string());
+        o
+    }
+
+    /// Decodes [`Witness::json`]; `None` (recompute) if a field is
+    /// missing or `kind` names no [`ViolationKind`].
+    pub(crate) fn decode(v: &Value) -> Option<Witness> {
+        let kind = v.get("kind").and_then(Value::as_str)?;
+        Some(Witness {
+            crash_idx: usize::try_from(v.get("crash_idx").and_then(Value::as_u64)?).ok()?,
+            seed: v.get("seed").and_then(Value::as_u64)?,
+            kind: ViolationKind::ALL
+                .into_iter()
+                .find(|k| k.to_string() == kind)?,
+            detail: String::new(),
+        })
+    }
+}
+
+impl std::fmt::Display for Witness {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "crash_idx {}, seed {}: {}: {}",
+            self.crash_idx, self.seed, self.kind, self.detail
+        )
+    }
 }
 
 /// The sizing used for fuzz bundles at a given experiment scale.
@@ -129,28 +173,31 @@ pub fn crash_points(events: &[spp_pmem::Event]) -> Vec<usize> {
     pts
 }
 
-/// Scans `(crash_idx, seed)` pairs in lexicographic order and returns
-/// the first — hence minimal — failing witness, or `None` if every
-/// schedule up to `max_idx` recovers.
-pub fn minimal_witness(b: &CrashBundle, max_idx: usize, seeds: u64) -> Option<(Witness, usize)> {
+/// Scans `points × 0..SEEDS_PER_POINT` in lexicographic order, running
+/// `check(crash_idx, seed)` on each schedule, and stops at the first
+/// failure — the minimal witness when `points` ascend. Returns the
+/// number of checks run and the witness, or `None` if every schedule
+/// passed.
+pub fn first_violation(
+    points: impl IntoIterator<Item = usize>,
+    mut check: impl FnMut(usize, u64) -> Result<(), OracleViolation>,
+) -> (usize, Option<Witness>) {
     let mut checks = 0;
-    for crash_idx in 0..=max_idx {
-        for seed in 0..seeds {
+    for crash_idx in points {
+        for seed in 0..SEEDS_PER_POINT {
             checks += 1;
-            if let Err(v) = b.check_crash(crash_idx, seed) {
-                return Some((
-                    Witness {
-                        crash_idx,
-                        seed,
-                        kind: v.kind,
-                        detail: v.detail,
-                    },
-                    checks,
-                ));
+            if let Err(v) = check(crash_idx, seed) {
+                let witness = Witness {
+                    crash_idx,
+                    seed,
+                    kind: v.kind,
+                    detail: v.detail,
+                };
+                return (checks, Some(witness));
             }
         }
     }
-    None
+    (checks, None)
 }
 
 /// One fuzz cell: a `(benchmark, variant, flush mode)` bundle and its
@@ -208,7 +255,9 @@ pub struct FuzzReport {
     pub sp: Vec<SpReport>,
 }
 
-fn committed_classes(r: &SimResult) -> [u64; 6] {
+/// A run's committed micro-op classes: total, loads, stores, flushes,
+/// pcommits and fences.
+pub(crate) fn committed_classes(r: &SimResult) -> [u64; 6] {
     [
         r.cpu.committed_uops,
         r.cpu.loads,
@@ -219,7 +268,8 @@ fn committed_classes(r: &SimResult) -> [u64; 6] {
     ]
 }
 
-fn trace_classes(c: &TraceCounts) -> [u64; 6] {
+/// A trace's micro-op classes, in [`committed_classes`] order.
+pub(crate) fn trace_classes(c: &TraceCounts) -> [u64; 6] {
     [
         c.total(),
         c.loads,
@@ -234,40 +284,37 @@ fn run_cell(id: BenchId, variant: Variant, mode: FlushMode, exp: &Experiment) ->
     let spec = fuzz_bundle_spec(id, variant, mode, exp);
     let b = record_bundle(&spec);
     let expect_violation = variant != Variant::LogPSf;
+    let mut cell = CellReport {
+        id,
+        variant,
+        mode,
+        events: b.events().len(),
+        points: 0,
+        checks: 0,
+        expect_violation,
+        witness: None,
+        unexpected: Vec::new(),
+        ok: false,
+    };
     if expect_violation {
         // Must-fail: find the lexicographically minimal witness. The
         // scan doubles as the existence proof — if it comes back empty
         // the unsafe build survived every schedule, which is exactly
         // the regression this cell exists to catch.
-        let scan = minimal_witness(&b, b.events().len(), SEEDS_PER_POINT);
-        let (witness, checks) = match scan {
-            Some((w, n)) => (Some(w), n),
-            None => (None, (b.events().len() + 1) * SEEDS_PER_POINT as usize),
-        };
-        CellReport {
-            id,
-            variant,
-            mode,
-            events: b.events().len(),
-            points: 0,
-            checks,
-            expect_violation,
-            ok: witness.is_some(),
-            witness,
-            unexpected: Vec::new(),
-        }
+        (cell.checks, cell.witness) =
+            first_violation(0..=b.events().len(), |p, seed| b.check_crash(p, seed));
+        cell.ok = cell.witness.is_some();
     } else {
         // Must-pass: sweep every boundary and sampled point under
         // every seed; any violation is a failure-safety bug.
         let pts = crash_points(b.events());
-        let mut unexpected = Vec::new();
-        let mut checks = 0;
+        cell.points = pts.len();
         for &p in &pts {
             for seed in 0..SEEDS_PER_POINT {
-                checks += 1;
+                cell.checks += 1;
                 if let Err(v) = b.check_crash(p, seed) {
-                    if unexpected.len() < 3 {
-                        unexpected.push(Witness {
+                    if cell.unexpected.len() < 3 {
+                        cell.unexpected.push(Witness {
                             crash_idx: p,
                             seed,
                             kind: v.kind,
@@ -277,19 +324,9 @@ fn run_cell(id: BenchId, variant: Variant, mode: FlushMode, exp: &Experiment) ->
                 }
             }
         }
-        CellReport {
-            id,
-            variant,
-            mode,
-            events: b.events().len(),
-            points: pts.len(),
-            checks,
-            expect_violation,
-            ok: unexpected.is_empty(),
-            witness: None,
-            unexpected,
-        }
+        cell.ok = cell.unexpected.is_empty();
     }
+    cell
 }
 
 /// Runs the crashfuzz matrix for `leg` on the harness's worker budget.
@@ -438,14 +475,7 @@ impl FuzzReport {
                     },
                 )
                 .num("ok", u8::from(c.ok));
-            let wit = |w: &Witness| {
-                let mut wo = JsonObject::new();
-                wo.num("crash_idx", w.crash_idx as f64)
-                    .num("seed", w.seed as f64)
-                    .str("kind", &w.kind.to_string())
-                    .str("detail", &w.detail);
-                wo.render()
-            };
+            let wit = |w: &Witness| w.json().str("detail", &w.detail).render();
             if let Some(w) = &c.witness {
                 o.raw("witness", wit(w));
             }
@@ -568,6 +598,31 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key}");
         }
+    }
+
+    /// The journaled witness round-trips without its detail, and a
+    /// payload whose `kind` is no `ViolationKind` decodes to `None`.
+    #[test]
+    fn witness_json_round_trips_and_rejects_unknown_kinds() {
+        let w = Witness {
+            crash_idx: 17,
+            seed: 1,
+            kind: ViolationKind::ScanInconsistent,
+            detail: "not journaled".into(),
+        };
+        let json = w.json().render();
+        assert_eq!(
+            json,
+            r#"{"crash_idx":17,"seed":1,"kind":"scan-inconsistent"}"#
+        );
+        let decoded = Witness::decode(&crate::json::parse(&json).unwrap());
+        let bare = Witness {
+            detail: String::new(),
+            ..w
+        };
+        assert_eq!(decoded, Some(bare));
+        let bogus = json.replace("scan-inconsistent", "torn-write");
+        assert_eq!(Witness::decode(&crate::json::parse(&bogus).unwrap()), None);
     }
 
     #[test]

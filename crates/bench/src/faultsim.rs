@@ -47,13 +47,16 @@
 //! exhaustion, degrades to a per-cell `failed` record carrying the
 //! diagnostic snapshot; every other pair still reports.
 
-use spp_cpu::{CpuConfig, SimErrorKind, SimResult, Simulator};
+use spp_cpu::{CpuConfig, SimErrorKind, Simulator};
 use spp_mem::{FaultSpec, FaultStats};
-use spp_pmem::{TraceCounts, Variant};
+use spp_pmem::Variant;
 use spp_workloads::oracle::record_bundle;
 use spp_workloads::BenchId;
 
-use crate::crashfuzz::{crash_points, fuzz_bundle_spec, minimal_witness, SEEDS_PER_POINT};
+use crate::crashfuzz::{
+    committed_classes, crash_points, first_violation, fuzz_bundle_spec, trace_classes,
+    SEEDS_PER_POINT,
+};
 use crate::json::{array, parse, JsonObject, Value};
 use crate::supervisor::{CellError, CellFailure, Supervisor};
 use crate::{variant_key, Harness, Journal, TraceKey};
@@ -72,7 +75,9 @@ pub fn plans(seed: u64) -> [(&'static str, FaultSpec); 2] {
     ]
 }
 
-/// Crash points sampled for a cell's bounded must-pass verdict sweep.
+/// Stride divisor of a cell's bounded must-pass verdict sweep: it checks
+/// every ⌊n/16⌋-th of the bundle's `n` crash points (see
+/// `crash_verdict`).
 const VERDICT_POINTS: usize = 16;
 
 /// No-retire bound of the watchdog-detection leg: far below the
@@ -173,47 +178,23 @@ pub struct FaultsimOpts<'j> {
     pub inject_panic: Option<(BenchId, Variant)>,
 }
 
-fn committed_classes(r: &SimResult) -> [u64; 6] {
-    [
-        r.cpu.committed_uops,
-        r.cpu.loads,
-        r.cpu.stores,
-        r.cpu.flushes,
-        r.cpu.pcommits,
-        r.cpu.fences,
-    ]
-}
-
-fn trace_classes(c: &TraceCounts) -> [u64; 6] {
-    [
-        c.total(),
-        c.loads,
-        c.stores,
-        c.flushes,
-        c.pcommits,
-        c.fences,
-    ]
-}
-
 /// The bounded crash-recovery verdict of a `(benchmark, variant)`
-/// bundle: must-fail variants scan for the minimal witness (early
-/// exit on the first inconsistency), the must-pass variant sweeps an
-/// evenly spaced sample of [`VERDICT_POINTS`] crash points.
+/// bundle: must-fail variants scan every crash point for the minimal
+/// witness (early exit on the first inconsistency); the must-pass
+/// variant sweeps every ⌊n/[`VERDICT_POINTS`]⌋-th of its `n` crash
+/// points (every point while `n < 32`), at most 31 points.
 fn crash_verdict(id: BenchId, variant: Variant, exp: &crate::Experiment) -> &'static str {
     let spec = fuzz_bundle_spec(id, variant, spp_pmem::FlushMode::Clwb, exp);
     let b = record_bundle(&spec);
-    if variant == Variant::LogPSf {
+    let check = |p, seed| b.check_crash(p, seed);
+    let (_, witness) = if variant == Variant::LogPSf {
         let pts = crash_points(b.events());
         let step = (pts.len() / VERDICT_POINTS).max(1);
-        for &p in pts.iter().step_by(step) {
-            for seed in 0..SEEDS_PER_POINT {
-                if b.check_crash(p, seed).is_err() {
-                    return "violation";
-                }
-            }
-        }
-        "recovers"
-    } else if minimal_witness(&b, b.events().len(), SEEDS_PER_POINT).is_some() {
+        first_violation(pts.into_iter().step_by(step), check)
+    } else {
+        first_violation(0..=b.events().len(), check)
+    };
+    if witness.is_some() {
         "violation"
     } else {
         "recovers"

@@ -30,7 +30,7 @@ use spp_cpu::{CpuConfig, Simulator};
 use spp_pmem::{FlushMode, PmemEnv, Variant};
 use spp_workloads::kv::{record_kv_bundle, KvBundleSpec, KvMix, KvSpec, KvWorkload};
 
-use crate::crashfuzz::crash_points;
+use crate::crashfuzz::{crash_points, first_violation, Witness, SEEDS_PER_POINT};
 use crate::json::{self, parse, JsonObject, Value};
 use crate::schema;
 use crate::stream::{run_kv_streamed, KvStreamSpec};
@@ -41,8 +41,9 @@ use crate::{Harness, Journal};
 /// checkpoints — the engine's checkpoint-buffer depth).
 pub const CKPT_SWEEP: [u64; 3] = [4, 16, 64];
 
-/// Reordering seeds per crash point on the crash legs.
-pub const CRASH_SEEDS: u64 = 2;
+/// Seeded bundles per crash leg: the must-pass and must-fail legs each
+/// record this many bundles, at op-stream seed offsets `0..CRASH_BUNDLES`.
+pub const CRASH_BUNDLES: u64 = 2;
 
 /// Driver ops per chunk on the stream leg (a pinned study parameter:
 /// chunk boundaries drain the pipeline, so comparing runs requires the
@@ -123,27 +124,16 @@ impl KvCellSpec {
                 v.push(KvCellSpec::Perf { ckpt_every, cfg });
             }
         }
-        for seed_off in 0..CRASH_SEEDS {
+        for seed_off in 0..CRASH_BUNDLES {
             v.push(KvCellSpec::MustPass { seed_off });
         }
-        for seed_off in 0..CRASH_SEEDS {
+        for seed_off in 0..CRASH_BUNDLES {
             v.push(KvCellSpec::MustFail { seed_off });
         }
         v.push(KvCellSpec::ElideChecksum);
         v.push(KvCellSpec::Stream);
         v
     }
-}
-
-/// A minimized must-fail witness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvWitness {
-    /// Crash point (index into the recorded event stream).
-    pub crash_idx: u64,
-    /// Reordering seed.
-    pub seed: u64,
-    /// What the oracle rejected (kebab label).
-    pub kind: String,
 }
 
 /// One measured cell. Fields a leg does not produce stay 0.
@@ -173,7 +163,7 @@ pub struct KvCell {
     /// Deterministic peak-memory bound in bytes (stream leg).
     pub peak_bound: u64,
     /// The minimized witness (must-fail cells that did fail).
-    pub witness: Option<KvWitness>,
+    pub witness: Option<Witness>,
     /// What went wrong, for a failed cell.
     pub error: Option<String>,
 }
@@ -309,29 +299,21 @@ fn run_perf_cell(h: &Harness, ckpt_every: u64, cfg: PerfCfg) -> KvCell {
 }
 
 /// Crashes a `Log+P+Sf` bundle at every persist boundary (plus sampled
-/// in-between points) under [`CRASH_SEEDS`] reorderings each; every
+/// in-between points) under [`SEEDS_PER_POINT`] reorderings each; every
 /// schedule must recover through full WAL replay.
 fn run_must_pass_cell(h: &Harness, seed_off: u64) -> KvCell {
     let bundle = crash_bundle(Variant::LogPSf, h, seed_off, false);
-    let spec = bundle.spec;
     let mut cell = KvCell::empty(KvCellSpec::MustPass { seed_off });
     let b = record_kv_bundle(&bundle);
     let points = crash_points(b.events());
-    cell.ops = spec.ops;
+    cell.ops = bundle.spec.ops;
     cell.events = b.events().len() as u64;
     cell.mutations = b.mutation_count() as u64;
     cell.points = points.len() as u64;
-    cell.ok = true;
-    'sweep: for &p in &points {
-        for s in 0..CRASH_SEEDS {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash(p, s) {
-                cell.ok = false;
-                cell.error = Some(format!("crash_idx {p}, seed {s}: {v}"));
-                break 'sweep;
-            }
-        }
-    }
+    let (checks, witness) = first_violation(points, |p, s| b.check_crash(p, s));
+    cell.checks = checks as u64;
+    cell.ok = witness.is_none();
+    cell.error = witness.map(|w| w.to_string());
     cell
 }
 
@@ -349,23 +331,11 @@ fn run_witness_cell(spec: KvCellSpec, bundle: &KvBundleSpec, miss: &str) -> KvCe
     cell.events = b.events().len() as u64;
     cell.mutations = b.mutation_count() as u64;
     cell.points = b.events().len() as u64 + 1;
-    'scan: for crash_idx in 0..=b.events().len() {
-        for s in 0..CRASH_SEEDS {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash(crash_idx, s) {
-                cell.witness = Some(KvWitness {
-                    crash_idx: crash_idx as u64,
-                    seed: s,
-                    kind: v.kind.to_string(),
-                });
-                break 'scan;
-            }
-        }
-    }
-    cell.ok = cell.witness.is_some();
-    if !cell.ok {
-        cell.error = Some(miss.to_string());
-    }
+    let (checks, witness) = first_violation(0..=b.events().len(), |p, s| b.check_crash(p, s));
+    cell.checks = checks as u64;
+    cell.ok = witness.is_some();
+    cell.error = (!cell.ok).then(|| miss.to_string());
+    cell.witness = witness;
     cell
 }
 
@@ -449,11 +419,7 @@ fn cell_json(c: &KvCell) -> String {
         .num("chunks", c.chunks as f64)
         .raw("peak_bound", c.peak_bound.to_string());
     if let Some(w) = &c.witness {
-        let mut wo = JsonObject::new();
-        wo.num("crash_idx", w.crash_idx as f64)
-            .num("seed", w.seed as f64)
-            .str("kind", &w.kind);
-        o.raw("witness", wo.render());
+        o.raw("witness", w.json().render());
     }
     if let Some(err) = &c.error {
         o.str("error", err);
@@ -485,11 +451,7 @@ fn decode_cell(spec: &KvCellSpec, payload: &str) -> Option<KvCell> {
     }
     let witness = match v.get("witness") {
         None => None,
-        Some(w) => Some(KvWitness {
-            crash_idx: w.get("crash_idx").and_then(Value::as_u64)?,
-            seed: w.get("seed").and_then(Value::as_u64)?,
-            kind: w.get("kind").and_then(Value::as_str)?.to_string(),
-        }),
+        Some(w) => Some(Witness::decode(w)?),
     };
     Some(KvCell {
         spec: *spec,
@@ -613,7 +575,7 @@ impl KvReport {
                         "Log+P+Sf s{seed_off}: {} ({} points x {} seeds, {} checks, {} mutations)",
                         if c.ok { "recovered everywhere" } else { "FAILED" },
                         c.points,
-                        CRASH_SEEDS,
+                        SEEDS_PER_POINT,
                         c.checks,
                         c.mutations
                     );
@@ -680,7 +642,7 @@ impl KvReport {
         schema::emit(schema::KV, |root| {
             root.num("scale", self.scale as f64)
                 .raw("seed", self.seed.to_string())
-                .num("crash_seeds", CRASH_SEEDS as f64)
+                .num("crash_seeds", SEEDS_PER_POINT as f64)
                 .num("stream_chunk_ops", STREAM_CHUNK_OPS as f64)
                 .num("ok", u8::from(self.ok()))
                 .raw("cells", json::array(self.cells.iter().map(cell_json)));
@@ -693,6 +655,7 @@ impl KvReport {
 mod tests {
     use super::*;
     use crate::Experiment;
+    use spp_workloads::oracle::ViolationKind;
 
     fn harness() -> Harness {
         Harness::new(
@@ -726,14 +689,14 @@ mod tests {
         for c in &rep.cells {
             if let KvCellSpec::MustFail { .. } = c.spec {
                 let w = c.witness.as_ref().unwrap();
-                assert!(w.crash_idx as usize <= c.events as usize);
+                assert!(w.crash_idx <= c.events as usize);
             }
             if c.spec == KvCellSpec::ElideChecksum {
                 // Every persist op is honest here — the only defect is
                 // the elided record checksum, so the oracle must reject
                 // the recovered *state*, not the tree structure.
                 let w = c.witness.as_ref().unwrap();
-                assert_eq!(w.kind, "state-mismatch", "{w:?}");
+                assert_eq!(w.kind, ViolationKind::StateMismatch, "{w:?}");
             }
         }
         assert!(rep.render_text().contains("kv: PASS"));

@@ -2,10 +2,11 @@
 //!
 //! The paper hides persist-barrier latency speculatively; this module
 //! works the complementary lever and *removes* redundant persist
-//! operations outright. [`analyze`] runs the same writeback-pipeline
-//! frontier machine as [`spp_pmem::CrashSim`] (`issued -> (sfence) ->
-//! ordered -> (pcommit) -> in-flight -> (sfence) -> guaranteed`) over a
-//! recorded trace and classifies every flush and fence:
+//! operations outright. [`analyze`] runs [`spp_pmem::Frontier`] — the
+//! writeback-pipeline machine (`issued -> (sfence) -> ordered ->
+//! (pcommit) -> in-flight -> (sfence) -> guaranteed`) that
+//! [`spp_pmem::CrashSim`] is built on — over a recorded trace and
+//! classifies every flush and fence from the stage merges it reports:
 //!
 //! * **duplicate flush** — a flush whose pipeline entry is overwritten
 //!   or max-merged away by a later flush of the same line before its
@@ -28,23 +29,23 @@
 //! by running the crashfuzz recovery oracle at every persist boundary
 //! of an optimized `Log+P+Sf` bundle, and runs the inverted leg —
 //! eliding the *required* flushes instead — which must be caught by the
-//! same oracle.
+//! same oracle. Both legs scan their schedules with
+//! [`crate::crashfuzz::first_violation`].
 //!
 //! The study's cells run on the [`Supervisor`]: a panicking cell
 //! degrades to one failed cell, and with a [`Journal`] attached each
 //! cell is recorded as it finishes, so an interrupted study resumes
 //! where it stopped.
 
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use spp_cpu::{CpuConfig, ReferencePipeline, Simulator};
 use spp_obs::{Collector, ProbeHandle};
-use spp_pmem::{persist_boundaries, BlockId, Event, FlushMode, Variant};
+use spp_pmem::{persist_boundaries, BlockId, Event, FlushMode, FlushStage, Frontier, Variant};
 use spp_workloads::oracle::record_bundle;
 use spp_workloads::BenchId;
 
-use crate::crashfuzz::{crash_points, fuzz_bundle_spec, SEEDS_PER_POINT};
+use crate::crashfuzz::{crash_points, first_violation, fuzz_bundle_spec, Witness, SEEDS_PER_POINT};
 use crate::json::{self, parse, JsonObject, Value};
 use crate::schema;
 use crate::supervisor::{settle, Supervisor};
@@ -124,34 +125,27 @@ enum Mark {
     Subsumed,
 }
 
-/// Max-merges flush `i` of block `b` into a pipeline stage; the loser
-/// of the merge is subsumed (stage maps never touch crash images, so
-/// only the surviving maximum can ever matter).
-fn stage_merge(
-    dst: &mut HashMap<BlockId, usize>,
-    b: BlockId,
-    i: usize,
-    marks: &mut HashMap<usize, Mark>,
-) {
-    match dst.entry(b) {
-        MapEntry::Occupied(mut e) => {
-            let old = *e.get();
-            if i > old {
-                marks.insert(old, Mark::Subsumed);
-                e.insert(i);
-            } else {
-                marks.insert(i, Mark::Subsumed);
-            }
+/// Counts, for a block `b` and an exclusive frontier `g`, the stores of
+/// `events` to `b` strictly before `g`.
+fn store_counter(events: &[Event]) -> impl Fn(BlockId, usize) -> usize {
+    let mut store_idxs: HashMap<BlockId, Vec<usize>> = HashMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        if let Event::Store { addr, .. } = ev {
+            store_idxs.entry(addr.block()).or_default().push(i);
         }
-        MapEntry::Vacant(v) => {
-            v.insert(i);
-        }
+    }
+    move |b, g| {
+        store_idxs
+            .get(&b)
+            .map_or(0, |v| v.partition_point(|&s| s < g))
     }
 }
 
-/// Runs the guarantee-frontier machine over `events` and proposes the
-/// minimal elision plan. The machine is the same one
-/// [`spp_pmem::CrashSim`] uses to reconstruct crash images, so the
+/// Runs [`spp_pmem::Frontier`] — the writeback-pipeline machine
+/// [`spp_pmem::CrashSim`] reconstructs crash images with — over
+/// `events` and proposes the minimal elision plan. Each stage merge the
+/// machine reports marks its loser subsumed (stage maps never touch
+/// crash images, so only the surviving maximum can ever matter), so the
 /// classification is exact with respect to the crash model: an elided
 /// event provably never moves any block's guaranteed *store* frontier
 /// at any crash point ([`plan_preserves_guarantees`] re-proves this per
@@ -162,128 +156,67 @@ fn stage_merge(
 /// line was clean, or an earlier guaranteed flush already covered the
 /// same stores) persists nothing and is elidable too.
 pub fn analyze(events: &[Event]) -> ElisionPlan {
-    let mut store_idxs: HashMap<BlockId, Vec<usize>> = HashMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        if let Event::Store { addr, .. } = ev {
-            store_idxs.entry(addr.block()).or_default().push(i);
-        }
-    }
-    // Stores to `b` strictly before the exclusive frontier `g`.
-    let covered = |b: BlockId, g: usize| -> usize {
-        store_idxs
-            .get(&b)
-            .map_or(0, |v| v.partition_point(|&s| s < g))
-    };
+    let covered = store_counter(events);
     let mut marks: HashMap<usize, Mark> = HashMap::new();
     let mut empty_fences: Vec<usize> = Vec::new();
-    let mut issued: HashMap<BlockId, usize> = HashMap::new();
-    let mut ordered: HashMap<BlockId, usize> = HashMap::new();
-    let mut inflight: HashMap<BlockId, usize> = HashMap::new();
-    let mut guaranteed: HashMap<BlockId, usize> = HashMap::new();
+    let mut frontier = Frontier::default();
     let mut flushes = 0u64;
     let mut fences = 0u64;
 
-    for (idx, ev) in events.iter().enumerate() {
-        match *ev {
-            Event::Clwb { addr } | Event::ClflushOpt { addr } => {
-                flushes += 1;
-                marks.insert(idx, Mark::Pending);
-                if let Some(prev) = issued.insert(addr.block(), idx) {
-                    marks.insert(prev, Mark::Subsumed);
-                }
-            }
-            Event::Clflush { addr } => {
-                // Legacy clflush skips the issued stage (ordered with
-                // respect to a later pcommit on its own).
-                flushes += 1;
-                marks.insert(idx, Mark::Pending);
-                if let Some(prev) = ordered.insert(addr.block(), idx) {
-                    marks.insert(prev, Mark::Subsumed);
-                }
-            }
-            Event::Pcommit => {
-                let moving: Vec<(BlockId, usize)> = ordered.drain().collect();
-                for (b, i) in moving {
-                    stage_merge(&mut inflight, b, i, &mut marks);
-                }
-            }
-            Event::Sfence | Event::Mfence => {
-                fences += 1;
-                if inflight.is_empty() && issued.is_empty() {
-                    empty_fences.push(idx);
-                }
-                for (b, i) in inflight.drain() {
-                    match guaranteed.entry(b) {
-                        MapEntry::Occupied(mut e) => {
-                            let old = *e.get();
-                            if i > old {
-                                // Required only when the new frontier
-                                // covers a store the old one did not;
-                                // otherwise it persists nothing. The old
-                                // winner keeps the mark it earned.
-                                marks.insert(
-                                    i,
-                                    if covered(b, i) > covered(b, old) {
-                                        Mark::Required
-                                    } else {
-                                        Mark::Subsumed
-                                    },
-                                );
-                                e.insert(i);
-                            } else {
-                                marks.insert(i, Mark::Subsumed);
-                            }
-                        }
-                        MapEntry::Vacant(v) => {
-                            // First guaranteed flush of this line: a
-                            // clean line (no store yet) persists
-                            // nothing and is elidable.
-                            marks.insert(
-                                i,
-                                if covered(b, i) > 0 {
-                                    Mark::Required
-                                } else {
-                                    Mark::Subsumed
-                                },
-                            );
-                            v.insert(i);
-                        }
-                    }
-                }
-                let pending: Vec<(BlockId, usize)> = issued.drain().collect();
-                for (b, i) in pending {
-                    stage_merge(&mut ordered, b, i, &mut marks);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    let mut elisions = Vec::new();
-    let mut required = Vec::new();
     for (idx, ev) in events.iter().enumerate() {
         if matches!(
             ev,
             Event::Clwb { .. } | Event::ClflushOpt { .. } | Event::Clflush { .. }
         ) {
-            match marks.get(&idx) {
-                Some(Mark::Required) => required.push(idx),
-                Some(Mark::Subsumed) => elisions.push(Elision {
-                    idx,
-                    kind: ElisionKind::DuplicateFlush,
-                }),
-                Some(Mark::Pending) | None => elisions.push(Elision {
-                    idx,
-                    kind: ElisionKind::UncoveredFlush,
-                }),
+            flushes += 1;
+            marks.insert(idx, Mark::Pending);
+        } else if ev.is_fence() {
+            fences += 1;
+            if frontier.fence_is_empty() {
+                empty_fences.push(idx);
             }
         }
+        frontier.step(idx, ev, |stage, b, i, held| {
+            let (flush, mark) = match held {
+                Some(old) if i <= old => (i, Mark::Subsumed),
+                // Required only when the new frontier covers a store the
+                // old one did not (a first guaranteed flush of a clean
+                // line persists nothing); the old winner keeps the mark
+                // it earned.
+                _ if stage == FlushStage::Guaranteed => {
+                    let before = held.map_or(0, |old| covered(b, old));
+                    if covered(b, i) > before {
+                        (i, Mark::Required)
+                    } else {
+                        (i, Mark::Subsumed)
+                    }
+                }
+                Some(old) => (old, Mark::Subsumed),
+                None => return,
+            };
+            marks.insert(flush, mark);
+        });
+    }
+
+    let mut elisions = Vec::new();
+    let mut required = Vec::new();
+    for (&idx, &mark) in &marks {
+        let kind = match mark {
+            Mark::Required => {
+                required.push(idx);
+                continue;
+            }
+            Mark::Subsumed => ElisionKind::DuplicateFlush,
+            Mark::Pending => ElisionKind::UncoveredFlush,
+        };
+        elisions.push(Elision { idx, kind });
     }
     elisions.extend(empty_fences.iter().map(|&idx| Elision {
         idx,
         kind: ElisionKind::EmptyFence,
     }));
     elisions.sort_unstable_by_key(|e| e.idx);
+    required.sort_unstable();
     ElisionPlan {
         elisions,
         required,
@@ -307,25 +240,12 @@ pub fn apply(events: &[Event], plan: &ElisionPlan) -> Vec<Event> {
 
 /// The guaranteed-store profile of a trace at each of `boundaries`:
 /// for every block, how many of its stores (in per-block order) are
-/// certainly durable at that crash point. Computed with the same
-/// frontier machine as [`analyze`], incrementally, so the whole sweep
-/// is `O(n log n)` rather than one crash simulation per boundary.
+/// certainly durable at that crash point. One [`Frontier`] pass, the
+/// per-block snapshot updated on every guaranteed merge, so the whole
+/// sweep is `O(n log n)` rather than one crash simulation per boundary.
 fn guarantee_profile(events: &[Event], boundaries: &[usize]) -> Vec<BTreeMap<u64, usize>> {
-    let mut store_idxs: HashMap<BlockId, Vec<usize>> = HashMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        if let Event::Store { addr, .. } = ev {
-            store_idxs.entry(addr.block()).or_default().push(i);
-        }
-    }
-    let covered = |b: BlockId, g: usize| -> usize {
-        store_idxs
-            .get(&b)
-            .map_or(0, |v| v.partition_point(|&s| s < g))
-    };
-    let mut issued: HashMap<BlockId, usize> = HashMap::new();
-    let mut ordered: HashMap<BlockId, usize> = HashMap::new();
-    let mut inflight: HashMap<BlockId, usize> = HashMap::new();
-    let mut guaranteed: HashMap<BlockId, usize> = HashMap::new();
+    let covered = store_counter(events);
+    let mut frontier = Frontier::default();
     // Live snapshot of covered-store counts per guaranteed block,
     // cloned out at each boundary.
     let mut snapshot: BTreeMap<u64, usize> = BTreeMap::new();
@@ -336,38 +256,15 @@ fn guarantee_profile(events: &[Event], boundaries: &[usize]) -> Vec<BTreeMap<u64
             out.push(snapshot.clone());
             bi += 1;
         }
-        if idx == events.len() {
-            break;
-        }
-        match events[idx] {
-            Event::Clwb { addr } | Event::ClflushOpt { addr } => {
-                issued.insert(addr.block(), idx);
-            }
-            Event::Clflush { addr } => {
-                ordered.insert(addr.block(), idx);
-            }
-            Event::Pcommit => {
-                for (b, i) in ordered.drain() {
-                    let e = inflight.entry(b).or_insert(i);
-                    *e = (*e).max(i);
+        let Some(ev) = events.get(idx) else { break };
+        frontier.step(idx, ev, |stage, b, i, held| {
+            if stage == FlushStage::Guaranteed {
+                let n = covered(b, held.map_or(i, |old| old.max(i)));
+                if n > 0 {
+                    snapshot.insert(b.raw(), n);
                 }
             }
-            Event::Sfence | Event::Mfence => {
-                for (b, i) in inflight.drain() {
-                    let e = guaranteed.entry(b).or_insert(i);
-                    *e = (*e).max(i);
-                    let n = covered(b, *e);
-                    if n > 0 {
-                        snapshot.insert(b.raw(), n);
-                    }
-                }
-                for (b, i) in issued.drain() {
-                    let e = ordered.entry(b).or_insert(i);
-                    *e = (*e).max(i);
-                }
-            }
-            _ => {}
-        }
+        });
     }
     out
 }
@@ -478,17 +375,6 @@ impl OptimizeCellSpec {
     }
 }
 
-/// A minimal violation witness from the inverted leg.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptWitness {
-    /// Crash point (index into the unsafe event stream).
-    pub crash_idx: u64,
-    /// Reordering seed.
-    pub seed: u64,
-    /// What the oracle rejected (kebab label).
-    pub kind: String,
-}
-
 /// One measured cell. Fields a leg does not produce stay 0/`None`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptCell {
@@ -526,7 +412,7 @@ pub struct OptCell {
     /// `(crash_idx, seed)` schedules checked.
     pub checks: u64,
     /// The violation witness (inverted leg).
-    pub witness: Option<OptWitness>,
+    pub witness: Option<Witness>,
     /// What went wrong, for a failed cell.
     pub error: Option<String>,
 }
@@ -707,17 +593,10 @@ fn run_oracle_cell(h: &Harness, id: BenchId) -> OptCell {
     let optimized = apply(b.events(), &plan);
     let pts = persist_boundaries(&optimized);
     cell.points = pts.len() as u64;
-    cell.ok = true;
-    'sweep: for &p in &pts {
-        for seed in 0..SEEDS_PER_POINT {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash_of(&optimized, p, seed) {
-                cell.ok = false;
-                cell.error = Some(format!("crash_idx {p}, seed {seed}: {v}"));
-                break 'sweep;
-            }
-        }
-    }
+    let (checks, witness) = first_violation(pts, |p, seed| b.check_crash_of(&optimized, p, seed));
+    cell.checks = checks as u64;
+    cell.ok = witness.is_none();
+    cell.error = witness.map(|w| w.to_string());
     cell
 }
 
@@ -752,19 +631,10 @@ fn run_inverted_cell(h: &Harness, id: BenchId) -> OptCell {
     cell.kept = unsafe_events.len() as u64;
     let pts = crash_points(&unsafe_events);
     cell.points = pts.len() as u64;
-    'scan: for &p in &pts {
-        for seed in 0..SEEDS_PER_POINT {
-            cell.checks += 1;
-            if let Err(v) = b.check_crash_of(&unsafe_events, p, seed) {
-                cell.witness = Some(OptWitness {
-                    crash_idx: p as u64,
-                    seed,
-                    kind: v.kind.to_string(),
-                });
-                break 'scan;
-            }
-        }
-    }
+    let (checks, witness) =
+        first_violation(pts, |p, seed| b.check_crash_of(&unsafe_events, p, seed));
+    cell.checks = checks as u64;
+    cell.witness = witness;
     cell.ok = cell.witness.is_some();
     if !cell.ok {
         cell.error = Some("eliding every required flush went unnoticed by the oracle".into());
@@ -823,11 +693,7 @@ fn cell_json(c: &OptCell) -> String {
         .num("points", c.points as f64)
         .num("checks", c.checks as f64);
     if let Some(w) = &c.witness {
-        let mut wo = JsonObject::new();
-        wo.num("crash_idx", w.crash_idx as f64)
-            .num("seed", w.seed as f64)
-            .str("kind", &w.kind);
-        o.raw("witness", wo.render());
+        o.raw("witness", w.json().render());
     }
     if let Some(err) = &c.error {
         o.str("error", err);
@@ -854,11 +720,7 @@ fn decode_cell(spec: &OptimizeCellSpec, payload: &str) -> Option<OptCell> {
     }
     let witness = match v.get("witness") {
         None => None,
-        Some(w) => Some(OptWitness {
-            crash_idx: w.get("crash_idx").and_then(Value::as_u64)?,
-            seed: w.get("seed").and_then(Value::as_u64)?,
-            kind: w.get("kind").and_then(Value::as_str)?.to_string(),
-        }),
+        Some(w) => Some(Witness::decode(w)?),
     };
     Some(OptCell {
         spec: *spec,

@@ -5,7 +5,7 @@
 //! either stale or not minimal.
 
 use proptest::prelude::*;
-use spp_bench::crashfuzz::{fuzz_bundle_spec, minimal_witness};
+use spp_bench::crashfuzz::{first_violation, fuzz_bundle_spec, SEEDS_PER_POINT};
 use spp_bench::Experiment;
 use spp_pmem::{FlushMode, Variant};
 use spp_workloads::oracle::record_bundle;
@@ -38,8 +38,8 @@ proptest! {
         let exp = Experiment { scale: 2400, seed };
         let spec = fuzz_bundle_spec(id, variant, mode, &exp);
         let bundle = record_bundle(&spec);
-        let seeds = 2;
-        let Some((w, _)) = minimal_witness(&bundle, bundle.events().len(), seeds) else {
+        let seeds = SEEDS_PER_POINT;
+        let (_, Some(w)) = first_violation(0..=bundle.events().len(), |i, s| bundle.check_crash(i, s)) else {
             // An unsafe build surviving every schedule would be the
             // very regression the fuzzer exists to catch.
             return Err(TestCaseError::fail(format!(

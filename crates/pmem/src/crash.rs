@@ -8,11 +8,17 @@
 //! (§2.2): the first fence orders the writeback before the `pcommit`, and
 //! the second fence awaits the `pcommit` acknowledgement.
 //!
-//! [`CrashSim`] replays a recorded trace up to a crash point, computes
-//! each block's guaranteed-persist frontier, and materializes candidate
-//! NVMM images by choosing a per-block cut anywhere between the frontier
-//! and the crash. Recovery correctness tests assert that *every* such
-//! image recovers to a consistent structure.
+//! [`Frontier`] is that rule as a state machine: it moves each flush
+//! through `issued -> (sfence) -> ordered -> (pcommit) -> in-flight ->
+//! (sfence) -> guaranteed` and is the only place the transitions are
+//! written down. [`CrashSim`] runs it over a recorded trace up to a
+//! crash point to get each block's guaranteed-persist frontier, and
+//! materializes candidate NVMM images by choosing a per-block cut
+//! anywhere between the frontier and the crash. Recovery correctness
+//! tests assert that *every* such image recovers to a consistent
+//! structure. Callers that need more than the frontier (the persist-path
+//! optimizer classifies every flush by how it fared) observe each stage
+//! merge through [`Frontier::step`]'s callback.
 //!
 //! Writebacks are modelled as 64-byte-atomic (a whole cache line reaches
 //! the write-pending queue at once), the standard assumption in the
@@ -26,6 +32,7 @@
 //! only the trailing `sfence` (awaiting the `pcommit` acknowledgement)
 //! is still required for a durability guarantee.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::addr::BlockId;
@@ -40,6 +47,120 @@ struct BlockStore {
     addr: crate::PAddr,
     size: u8,
     value: u64,
+}
+
+/// A stage of the writeback pipeline a flush passes through on its way
+/// to durability.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushStage {
+    /// Issued by `clwb`/`clflushopt`; a later `pcommit` may overtake it.
+    Issued,
+    /// Ordered before the next `pcommit`: by an `sfence`, or at once for
+    /// a legacy `clflush`.
+    Ordered,
+    /// Swept into the write-pending queue by a `pcommit` whose
+    /// acknowledgement has not yet been awaited.
+    InFlight,
+    /// Acknowledged by a fence after the `pcommit`: certainly durable.
+    Guaranteed,
+}
+
+/// The per-block guaranteed-persist frontier of a trace prefix, advanced
+/// one event at a time.
+///
+/// Each stage holds, per block, the newest flush index that reached it;
+/// a flush entering a stage that already holds one for its block is
+/// max-merged with it. Only the [`FlushStage::Guaranteed`] stage affects
+/// crash images.
+#[derive(Debug, Default)]
+pub struct Frontier {
+    /// Flush index held per block, indexed by `FlushStage as usize`.
+    stages: [HashMap<BlockId, usize>; 4],
+}
+
+impl Frontier {
+    /// Advances the machine over event `idx` of the trace. Every flush
+    /// that enters a stage is reported as `merge(stage, block, flush,
+    /// held)`, where `held` is the flush index the stage held for
+    /// `block` before the merge (the stage keeps the larger of the two).
+    /// Events other than flushes, `pcommit` and fences change nothing.
+    pub fn step(
+        &mut self,
+        idx: usize,
+        ev: &Event,
+        mut merge: impl FnMut(FlushStage, BlockId, usize, Option<usize>),
+    ) {
+        use FlushStage::*;
+        match *ev {
+            Event::Clwb { addr } | Event::ClflushOpt { addr } => {
+                self.enter(Issued, addr.block(), idx, &mut merge);
+            }
+            // Legacy clflush is ordered with respect to a later pcommit
+            // without an intervening sfence (Intel SDM): it skips the
+            // issued stage.
+            Event::Clflush { addr } => self.enter(Ordered, addr.block(), idx, &mut merge),
+            Event::Pcommit => self.advance(Ordered, InFlight, &mut merge),
+            Event::Sfence | Event::Mfence => {
+                self.advance(InFlight, Guaranteed, &mut merge);
+                self.advance(Issued, Ordered, &mut merge);
+            }
+            _ => {}
+        }
+    }
+
+    /// The guaranteed-persist frontier of `block`, as an *exclusive*
+    /// event index: every store to the block strictly before it is
+    /// certainly in NVMM. Blocks never persisted return 0 — no store
+    /// precedes index 0, so only the base image is certain. (The
+    /// exclusive convention matters: a guaranteed flush at event `i`
+    /// covers the stores before it, and an inclusive default of 0
+    /// would silently claim a store at trace index 0 always persists —
+    /// an off-by-one the Px86 litmus harness caught.)
+    pub fn guarantee(&self, block: BlockId) -> usize {
+        let guaranteed = &self.stages[FlushStage::Guaranteed as usize];
+        guaranteed.get(&block).copied().unwrap_or(0)
+    }
+
+    /// Would a fence here drain nothing? True when no flush is waiting
+    /// in the issued or in-flight stage.
+    pub fn fence_is_empty(&self) -> bool {
+        self.stages[FlushStage::Issued as usize].is_empty()
+            && self.stages[FlushStage::InFlight as usize].is_empty()
+    }
+
+    /// Moves every flush held in `from` into `to`.
+    fn advance(
+        &mut self,
+        from: FlushStage,
+        to: FlushStage,
+        merge: &mut impl FnMut(FlushStage, BlockId, usize, Option<usize>),
+    ) {
+        let mut moving = std::mem::take(&mut self.stages[from as usize]);
+        for (b, i) in moving.drain() {
+            self.enter(to, b, i, merge);
+        }
+        self.stages[from as usize] = moving; // keep the allocation
+    }
+
+    /// Max-merges flush `i` of block `b` into `stage`, reporting the merge.
+    fn enter(
+        &mut self,
+        stage: FlushStage,
+        b: BlockId,
+        i: usize,
+        merge: &mut impl FnMut(FlushStage, BlockId, usize, Option<usize>),
+    ) {
+        match self.stages[stage as usize].entry(b) {
+            Entry::Occupied(mut e) => {
+                merge(stage, b, i, Some(*e.get()));
+                *e.get_mut() = i.max(*e.get());
+            }
+            Entry::Vacant(v) => {
+                merge(stage, b, i, None);
+                v.insert(i);
+            }
+        }
+    }
 }
 
 /// A crash-point analysis of a recorded trace.
@@ -73,7 +194,7 @@ pub struct CrashSim<'a> {
     base: &'a Space,
     crash_idx: usize,
     stores: HashMap<BlockId, Vec<BlockStore>>,
-    guaranteed: HashMap<BlockId, usize>,
+    frontier: Frontier,
 }
 
 impl<'a> CrashSim<'a> {
@@ -87,62 +208,28 @@ impl<'a> CrashSim<'a> {
     pub fn new(base: &'a Space, events: &[Event], crash_idx: usize) -> Self {
         assert!(crash_idx <= events.len(), "crash index past end of trace");
         let mut stores: HashMap<BlockId, Vec<BlockStore>> = HashMap::new();
-        let mut guaranteed: HashMap<BlockId, usize> = HashMap::new();
-        // Writeback pipeline state: issued -> (sfence) -> ordered ->
-        // (pcommit) -> in-flight -> (sfence) -> guaranteed.
-        let mut issued: HashMap<BlockId, usize> = HashMap::new();
-        let mut ordered: HashMap<BlockId, usize> = HashMap::new();
-        let mut inflight: HashMap<BlockId, usize> = HashMap::new();
-
+        let mut frontier = Frontier::default();
         for (idx, ev) in events[..crash_idx].iter().enumerate() {
-            match *ev {
-                Event::Store { addr, size, value } => {
-                    debug_assert_eq!(
-                        addr.raw() % 8,
-                        0,
-                        "crash analysis assumes 8-byte-aligned stores"
-                    );
-                    stores.entry(addr.block()).or_default().push(BlockStore {
-                        idx,
-                        addr,
-                        size,
-                        value,
-                    });
-                }
-                Event::Clwb { addr } | Event::ClflushOpt { addr } => {
-                    issued.insert(addr.block(), idx);
-                }
-                Event::Clflush { addr } => {
-                    // Legacy clflush is ordered with respect to a later
-                    // pcommit without an intervening sfence (Intel SDM):
-                    // it skips the issued stage. Trace indices are
-                    // monotone, so plain insert keeps the max.
-                    ordered.insert(addr.block(), idx);
-                }
-                Event::Pcommit => {
-                    for (b, i) in ordered.drain() {
-                        let e = inflight.entry(b).or_insert(i);
-                        *e = (*e).max(i);
-                    }
-                }
-                Event::Sfence | Event::Mfence => {
-                    for (b, i) in inflight.drain() {
-                        let e = guaranteed.entry(b).or_insert(i);
-                        *e = (*e).max(i);
-                    }
-                    for (b, i) in issued.drain() {
-                        let e = ordered.entry(b).or_insert(i);
-                        *e = (*e).max(i);
-                    }
-                }
-                _ => {}
+            if let Event::Store { addr, size, value } = *ev {
+                debug_assert_eq!(
+                    addr.raw() % 8,
+                    0,
+                    "crash analysis assumes 8-byte-aligned stores"
+                );
+                stores.entry(addr.block()).or_default().push(BlockStore {
+                    idx,
+                    addr,
+                    size,
+                    value,
+                });
             }
+            frontier.step(idx, ev, |_, _, _, _| {});
         }
         CrashSim {
             base,
             crash_idx,
             stores,
-            guaranteed,
+            frontier,
         }
     }
 
@@ -151,16 +238,10 @@ impl<'a> CrashSim<'a> {
         self.crash_idx
     }
 
-    /// The guaranteed-persist frontier of `block`, as an *exclusive*
-    /// event index: every store to the block strictly before it is
-    /// certainly in NVMM. Blocks never persisted return 0 — no store
-    /// precedes index 0, so only the base image is certain. (The
-    /// exclusive convention matters: a guaranteed flush at event `i`
-    /// covers the stores before it, and an inclusive default of 0
-    /// would silently claim a store at trace index 0 always persists —
-    /// an off-by-one the Px86 litmus harness caught.)
+    /// The guaranteed-persist frontier of `block` at the crash (see
+    /// [`Frontier::guarantee`]).
     pub fn guarantee(&self, block: BlockId) -> usize {
-        self.guaranteed.get(&block).copied().unwrap_or(0)
+        self.frontier.guarantee(block)
     }
 
     /// Builds an NVMM image choosing, for each dirty block, a cut point
@@ -691,6 +772,51 @@ mod tests {
                 "crash {crash}: seeded sweep must cover exactly the exhaustive states"
             );
         }
+    }
+
+    /// Runs `events` through a fresh [`Frontier`], collecting every
+    /// `(stage, flush, held)` merge report.
+    fn merges(events: &[Event]) -> (Frontier, Vec<(FlushStage, usize, Option<usize>)>) {
+        let mut f = Frontier::default();
+        let mut seen = Vec::new();
+        for (idx, ev) in events.iter().enumerate() {
+            f.step(idx, ev, |stage, _, i, held| seen.push((stage, i, held)));
+        }
+        (f, seen)
+    }
+
+    /// The callback contract: one report per stage a flush enters, with
+    /// the index the stage held for the line before; `fence_is_empty`
+    /// holds exactly when the issued and in-flight stages are empty.
+    #[test]
+    fn frontier_reports_each_stage_entry() {
+        use FlushStage::*;
+        let a = PAddr::new(4096);
+        let dance = [
+            Event::Clwb { addr: a },
+            Event::Sfence,
+            Event::Pcommit,
+            Event::Sfence,
+        ];
+        let (_, seen) = merges(&dance);
+        let stages = [Issued, Ordered, InFlight, Guaranteed].map(|s| (s, 0, None));
+        assert_eq!(seen, stages);
+        let empty: Vec<bool> = (0..=dance.len())
+            .map(|n| merges(&dance[..n]).0.fence_is_empty())
+            .collect();
+        assert_eq!(
+            empty,
+            [true, false, true, false, true],
+            "after nothing, issue, order, pcommit, acknowledgement"
+        );
+
+        // A second clwb of the same line merges into the held one.
+        let (_, seen) = merges(&[Event::Clwb { addr: a }, Event::Clwb { addr: a }]);
+        assert_eq!(seen, [(Issued, 0, None), (Issued, 1, Some(0))]);
+
+        // Legacy clflush is ordered at once, with no fence.
+        let (_, seen) = merges(&[Event::Clflush { addr: a }]);
+        assert_eq!(seen, [(Ordered, 0, None)]);
     }
 
     #[test]

@@ -78,6 +78,15 @@ pub enum ViolationKind {
     ScanInconsistent,
 }
 
+impl ViolationKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [ViolationKind; 3] = [
+        ViolationKind::StructureInvalid,
+        ViolationKind::StateMismatch,
+        ViolationKind::ScanInconsistent,
+    ];
+}
+
 impl fmt::Display for ViolationKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -231,10 +240,7 @@ impl CrashBundle {
     /// Number of `TxEnd` markers before `crash_idx`: the count of
     /// operations certainly completed at the crash.
     pub fn completed_ops(&self, crash_idx: usize) -> usize {
-        self.events[..crash_idx]
-            .iter()
-            .filter(|e| matches!(e, Event::TxEnd(_)))
-            .count()
+        completed_in(&self.events, crash_idx)
     }
 
     /// Runs recovery and the full oracle against `image`, which must be
@@ -307,9 +313,7 @@ impl CrashBundle {
     ///
     /// Panics if `crash_idx > events().len()`.
     pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
-        let sim = CrashSim::new(&self.base, &self.events, crash_idx);
-        let mut img = sim.image_seeded(seed);
-        self.check_image(&mut img, crash_idx)
+        self.check_crash_of(&self.events, crash_idx, seed)
     }
 
     /// Like [`CrashBundle::check_crash`], but crashes a *foreign* event
@@ -335,12 +339,17 @@ impl CrashBundle {
     ) -> Result<(), OracleViolation> {
         let sim = CrashSim::new(&self.base, events, crash_idx);
         let mut img = sim.image_seeded(seed);
-        let completed = events[..crash_idx]
-            .iter()
-            .filter(|e| matches!(e, Event::TxEnd(_)))
-            .count();
-        self.check_image_at(&mut img, completed)
+        self.check_image_at(&mut img, completed_in(events, crash_idx))
     }
+}
+
+/// Number of `TxEnd` markers in `events[..crash_idx]`: the operations
+/// certainly completed at a crash there.
+fn completed_in(events: &[Event], crash_idx: usize) -> usize {
+    events[..crash_idx]
+        .iter()
+        .filter(|e| matches!(e, Event::TxEnd(_)))
+        .count()
 }
 
 #[cfg(test)]
