@@ -215,7 +215,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: any trace-recording command)")
+                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: commands that fill the trace cache)")
             }
             CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
             CliError::Study(e) => write!(f, "{e}"),
@@ -436,10 +436,26 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
             cmd: cli.cmd.clone(),
         });
     }
-    // `trace` replays one recording to stdout, `soak` spawns child
-    // processes, and `journal` never simulates: none of them route
-    // traces through the harness cache the cap governs.
-    if cli.trace_mem_cap.is_some() && matches!(cli.cmd.as_str(), "trace" | "soak" | "journal") {
+    // The cap governs the harness trace cache. `trace` replays one
+    // recording to stdout, `soak` spawns child processes, `journal`
+    // never simulates, the `table*` commands print static
+    // configuration, and `incremental`, `multicore`, `litmus` and `kv`
+    // record their traces outside the cache: none of them can trip
+    // the cap, so they refuse it instead of silently ignoring it.
+    let uncached = matches!(
+        cli.cmd.as_str(),
+        "trace"
+            | "soak"
+            | "journal"
+            | "table1"
+            | "table2"
+            | "table3"
+            | "incremental"
+            | "multicore"
+            | "litmus"
+            | "kv"
+    );
+    if cli.trace_mem_cap.is_some() && uncached {
         return Err(CliError::FlagUnsupported {
             flag: "--trace-mem-cap",
             cmd: cli.cmd.clone(),
@@ -1405,7 +1421,7 @@ mod tests {
 
     #[test]
     fn trace_mem_cap_parses_validates_and_scopes() {
-        for cmd in ["all", "kv", "profile", "crashfuzz"] {
+        for cmd in ["all", "fig8", "fig13", "profile", "crashfuzz", "faultsim"] {
             let cli = parse_args(&args(&[cmd, "--trace-mem-cap", "4096"])).unwrap();
             assert_eq!(cli.trace_mem_cap, Some(4096));
             assert!(check_flag_scope(&cli).is_ok(), "{cmd}");
@@ -1425,7 +1441,18 @@ mod tests {
         }
         // Commands that never route traces through the harness cache
         // reject the cap instead of silently ignoring it.
-        for cmd in ["trace", "soak", "journal"] {
+        for cmd in [
+            "trace",
+            "soak",
+            "journal",
+            "table1",
+            "table2",
+            "table3",
+            "incremental",
+            "multicore",
+            "litmus",
+            "kv",
+        ] {
             let cli = parse_args(&args(&[cmd, "--trace-mem-cap", "4096"])).unwrap();
             assert_eq!(
                 check_flag_scope(&cli).unwrap_err(),

@@ -33,7 +33,7 @@ use spp_workloads::kv::{record_kv_bundle, KvBundleSpec, KvMix, KvSpec, KvWorkloa
 use crate::crashfuzz::{crash_points, first_violation, Witness, SEEDS_PER_POINT};
 use crate::json::{self, parse, JsonObject, Value};
 use crate::schema;
-use crate::stream::{run_kv_streamed, KvStreamSpec};
+use crate::stream::{run_kv_streamed, KvStreamSpec, STREAM_CHUNK_OPS};
 use crate::supervisor::{settle, Supervisor};
 use crate::{Harness, Journal};
 
@@ -44,11 +44,6 @@ pub const CKPT_SWEEP: [u64; 3] = [4, 16, 64];
 /// Seeded bundles per crash leg: the must-pass and must-fail legs each
 /// record this many bundles, at op-stream seed offsets `0..CRASH_BUNDLES`.
 pub const CRASH_BUNDLES: u64 = 2;
-
-/// Driver ops per chunk on the stream leg (a pinned study parameter:
-/// chunk boundaries drain the pipeline, so comparing runs requires the
-/// same chunking).
-pub const STREAM_CHUNK_OPS: u64 = 256;
 
 /// Which (build, core) pair a perf cell measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,10 +337,7 @@ fn run_witness_cell(spec: KvCellSpec, bundle: &KvBundleSpec, miss: &str) -> KvCe
 /// Runs the chunked pipeline leg and reports its deterministic numbers.
 fn run_stream_cell(scale: u64, seed: u64) -> KvCell {
     let mut cell = KvCell::empty(KvCellSpec::Stream);
-    let sspec = KvStreamSpec {
-        chunk_ops: STREAM_CHUNK_OPS,
-        ..KvStreamSpec::new(stream_spec(scale, seed), Variant::LogPSf)
-    };
+    let sspec = KvStreamSpec::new(stream_spec(scale, seed), Variant::LogPSf);
     cell.ops = sspec.spec.ops;
     match run_kv_streamed(&sspec, &CpuConfig::baseline()) {
         Ok(r) => {

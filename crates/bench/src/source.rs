@@ -3,18 +3,16 @@
 //! A whole recorded trace lives in the in-memory [`TraceCache`] and is
 //! read as a slice. A long KV run instead streams through the
 //! chunked recorder pipeline: bounded memory, events arrive in
-//! recording-order chunks and may detour through a checksummed spill
-//! file. [`TraceSource`] is that pipeline's iterator-style contract —
-//! pull chunks until `Ok(None)` — and [`StreamingKvSource`] implements
-//! it. The conformance test at the bottom pins the load-bearing
-//! property: the streamed events are **byte-identical** to the same
-//! workload recorded whole in memory, verified on the spill wire
-//! encoding.
+//! recording-order chunks. [`TraceSource`] is that pipeline's
+//! iterator-style contract — pull chunks until `Ok(None)` — and
+//! [`StreamingKvSource`] implements it. The conformance test at the
+//! bottom pins the load-bearing property: at every chunk size, the
+//! concatenated chunks are **identical** to the same workload recorded
+//! whole in memory.
 //!
 //! [`TraceCache`]: crate::cache::TraceCache
 
 use std::borrow::Cow;
-use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -22,7 +20,7 @@ use std::thread::JoinHandle;
 use spp_obs::MemGauge;
 use spp_pmem::Event;
 
-use crate::stream::{chunk_bytes, ChunkMsg, KvStreamSpec, PeakBound, SpillReader, StreamError};
+use crate::stream::{chunk_bytes, ChunkMsg, KvStreamSpec, PeakBound, StreamError, QUEUE_DEPTH};
 
 /// Iterator-style access to a recorded event stream, chunk by chunk.
 ///
@@ -34,13 +32,13 @@ use crate::stream::{chunk_bytes, ChunkMsg, KvStreamSpec, PeakBound, SpillReader,
 /// next one.
 pub trait TraceSource {
     /// Pulls the next chunk of events. `Ok(None)` means the stream is
-    /// complete (not an error — torn tails and dead recorders are
-    /// typed [`StreamError`]s).
+    /// complete (not an error — a dead recorder is a typed
+    /// [`StreamError`]).
     ///
     /// # Errors
     ///
-    /// Returns the typed [`StreamError`] of the underlying transport:
-    /// spill-file damage, a tripped memory cap, or a dead recorder.
+    /// Returns the typed [`StreamError`] of the underlying transport,
+    /// such as a dead recorder.
     fn next_chunk(&mut self) -> Result<Option<Cow<'_, [Event]>>, StreamError>;
 
     /// Drains the rest of the stream into one contiguous vector.
@@ -73,19 +71,15 @@ pub struct StreamStats {
 
 /// A [`TraceSource`] over the chunked recorder pipeline: the KV
 /// workload records on its own thread and chunks arrive through a
-/// bounded queue, detouring through the checksummed spill file when the
-/// memory cap demands it. Consumers pull chunks instead of owning the
-/// receive loop.
+/// bounded queue. Consumers pull chunks instead of owning the receive
+/// loop.
 #[derive(Debug)]
 pub struct StreamingKvSource {
-    spill: Option<PathBuf>,
     rx: Option<mpsc::Receiver<ChunkMsg>>,
     recorder: Option<JoinHandle<()>>,
     gauge: Arc<MemGauge>,
-    reader: Option<SpillReader>,
     bound: PeakBound,
     outstanding: u64,
-    spilled_chunks: u64,
     stats: Option<StreamStats>,
 }
 
@@ -95,22 +89,17 @@ impl StreamingKvSource {
     /// produced.
     pub fn record(sspec: KvStreamSpec) -> Self {
         let gauge = Arc::new(MemGauge::new());
-        let (tx, rx) = mpsc::sync_channel::<ChunkMsg>(sspec.depth.max(1));
-        let spill = sspec.spill.clone();
-        let bound = PeakBound::new(sspec.depth);
+        let (tx, rx) = mpsc::sync_channel::<ChunkMsg>(QUEUE_DEPTH);
         let recorder_gauge = Arc::clone(&gauge);
         let recorder = std::thread::spawn(move || {
             crate::stream::record_chunks(&sspec, &recorder_gauge, &tx);
         });
         StreamingKvSource {
-            spill,
             rx: Some(rx),
             recorder: Some(recorder),
             gauge,
-            reader: None,
-            bound,
+            bound: PeakBound::default(),
             outstanding: 0,
-            spilled_chunks: 0,
             stats: None,
         }
     }
@@ -128,13 +117,8 @@ impl StreamingKvSource {
         self.stats
     }
 
-    /// Chunks that detoured through the spill file so far.
-    pub fn spilled_chunks(&self) -> u64 {
-        self.spilled_chunks
-    }
-
     /// Deterministic upper bound on peak held chunk bytes (the largest
-    /// sum of any `depth + 2` consecutive chunks seen so far).
+    /// sum of any `QUEUE_DEPTH + 2` consecutive chunks seen so far).
     pub fn peak_bound(&self) -> u64 {
         self.bound.max()
     }
@@ -159,27 +143,10 @@ impl TraceSource for StreamingKvSource {
             None => return Err(StreamError::RecorderDied),
         };
         match msg {
-            ChunkMsg::Inline(events) => {
+            ChunkMsg::Events(events) => {
                 let bytes = chunk_bytes(&events);
                 self.bound.push(bytes);
                 self.outstanding = bytes;
-                Ok(Some(Cow::Owned(events)))
-            }
-            ChunkMsg::Spilled => {
-                if self.reader.is_none() {
-                    let path = self.spill.as_deref().unwrap_or_else(|| Path::new(""));
-                    self.reader = Some(SpillReader::open(path)?);
-                }
-                let events = self
-                    .reader
-                    .as_mut()
-                    .map(SpillReader::next)
-                    .unwrap_or(Err(StreamError::RecorderDied))?;
-                let bytes = chunk_bytes(&events);
-                self.bound.push(bytes);
-                self.gauge.acquire(bytes);
-                self.outstanding = bytes;
-                self.spilled_chunks += 1;
                 Ok(Some(Cow::Owned(events)))
             }
             ChunkMsg::Done {
@@ -194,7 +161,6 @@ impl TraceSource for StreamingKvSource {
                 });
                 Ok(None)
             }
-            ChunkMsg::Fail(e) => Err(e),
         }
     }
 }
@@ -215,7 +181,6 @@ impl Drop for StreamingKvSource {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::stream::encode_events;
     use spp_cpu::CpuConfig;
     use spp_pmem::{PmemEnv, Variant};
     use spp_workloads::kv::{KvMix, KvSpec, KvWorkload};
@@ -239,7 +204,6 @@ mod tests {
     /// monolithically in memory — the `TraceCache` representation.
     fn record_monolithic(sspec: &KvStreamSpec) -> Vec<Event> {
         let mut env = PmemEnv::new(sspec.variant);
-        env.set_flush_mode(sspec.flush_mode);
         let mut w = KvWorkload::new(sspec.spec);
         env.set_recording(false);
         w.setup(&mut env);
@@ -251,43 +215,32 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_streamed_sources_yield_byte_identical_streams() {
-        let sspec = tiny_stream(220);
-        let mem_events = record_monolithic(&sspec);
+    fn streamed_chunks_concatenate_to_the_monolithic_recording() {
+        let ops = 220;
+        let mem_events = record_monolithic(&tiny_stream(ops));
+        for chunk_ops in [1, 7, 50, ops, ops + 1] {
+            let sspec = KvStreamSpec {
+                chunk_ops,
+                ..tiny_stream(ops)
+            };
+            let mut streamed = StreamingKvSource::record(sspec.clone());
+            let streamed_events = streamed.collect_events().unwrap();
+            assert_eq!(
+                mem_events, streamed_events,
+                "chunk_ops {chunk_ops}: same events in same order"
+            );
+            let stats = streamed.stats().expect("clean drain carries stats");
+            assert_eq!(stats.ops, ops);
+            assert!(stats.mutations > 0);
+            assert!(streamed.next_chunk().unwrap().is_none(), "fused after Done");
 
-        let mut streamed = StreamingKvSource::record(sspec);
-        let streamed_events = streamed.collect_events().unwrap();
-
-        assert_eq!(mem_events, streamed_events, "same events in same order");
-        assert_eq!(
-            encode_events(&mem_events),
-            encode_events(&streamed_events),
-            "byte-identical on the wire encoding"
-        );
-        let stats = streamed.stats().expect("clean drain carries stats");
-        assert_eq!(stats.ops, 220);
-        assert!(stats.mutations > 0);
-        assert!(streamed.next_chunk().unwrap().is_none(), "fused after Done");
-    }
-
-    #[test]
-    fn spilled_chunks_reenter_the_stream_byte_identically() {
-        let mut spill = std::env::temp_dir();
-        spill.push(format!("spp-source-spill-{}.bin", std::process::id()));
-        let _ = std::fs::remove_file(&spill);
-        let base = tiny_stream(300);
-        let capped = KvStreamSpec {
-            mem_cap: Some(64),
-            spill: Some(spill.clone()),
-            ..base.clone()
-        };
-        let want = record_monolithic(&base);
-        let mut src = StreamingKvSource::record(capped);
-        let got = src.collect_events().unwrap();
-        assert!(src.spilled_chunks() > 0, "cap must force spilling");
-        assert_eq!(encode_events(&want), encode_events(&got));
-        drop(src);
-        let _ = std::fs::remove_file(&spill);
+            let rep = crate::stream::run_kv_streamed(&sspec, &CpuConfig::baseline()).unwrap();
+            assert_eq!(
+                rep.events,
+                mem_events.len() as u64,
+                "chunk_ops {chunk_ops}: no events lost at the seams"
+            );
+        }
     }
 
     #[test]

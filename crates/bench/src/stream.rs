@@ -10,18 +10,9 @@
 //! by the [`spp_obs::MemGauge`] the pipeline threads through and by the
 //! flat-memory test below.
 //!
-//! Backpressure and degradation:
-//!
-//! * The queue is a `sync_channel(depth)`: a recorder that outruns the
-//!   simulator blocks instead of buffering unboundedly.
-//! * A memory cap (`--trace-mem-cap`) turns "the next chunk would not
-//!   fit" into either the typed [`StreamError::TraceMemCap`] — never an
-//!   OOM abort — or, when a spill path is configured, graceful
-//!   degradation: the chunk goes to a checksummed on-disk chunk file
-//!   and only re-enters memory one chunk at a time on the consumer
-//!   side. Spill records are length-prefixed and checksummed, so a torn
-//!   tail (the recorder killed mid-write) is detected and reported, not
-//!   replayed.
+//! Backpressure: the queue is a `sync_channel` of `QUEUE_DEPTH` (2)
+//! chunks, so a recorder that outruns the simulator blocks instead of
+//! buffering unboundedly.
 //!
 //! Fidelity note: each chunk replays on a fresh pipeline, so a chunk
 //! boundary acts as a full pipeline drain. That is a deliberate,
@@ -30,22 +21,20 @@
 //! the boundary cost is amortized over thousands of events per chunk.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
 use spp_cpu::{CpuConfig, Simulator};
 use spp_obs::MemGauge;
-use spp_pmem::{Event, FlushMode, PAddr, PmemEnv, Variant};
+use spp_pmem::{Event, PmemEnv, Variant};
 use spp_workloads::kv::{KvSpec, KvWorkload};
 
-/// Magic opening every spill-file record (`b"SPPCHNK1"` as a little-
-/// endian integer).
-const SPILL_MAGIC: u64 = u64::from_le_bytes(*b"SPPCHNK1");
+/// Driver ops per chunk unless a spec overrides it (a pinned study
+/// parameter: chunk boundaries drain the pipeline, so comparing runs
+/// requires the same chunking).
+pub const STREAM_CHUNK_OPS: u64 = 256;
 
-/// Bytes one encoded event occupies (tag + addr + aux + size + dep).
-pub const EVENT_WIRE_BYTES: usize = 19;
+/// Chunks in flight between the recorder and the simulator.
+pub(crate) const QUEUE_DEPTH: usize = 2;
 
 /// In-memory footprint the pipeline accounts for one chunk of events.
 pub fn chunk_bytes(events: &[Event]) -> u64 {
@@ -57,26 +46,6 @@ pub fn chunk_bytes(events: &[Event]) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StreamError {
-    /// The next chunk would push held trace memory past the cap and no
-    /// spill file is configured.
-    TraceMemCap {
-        /// The configured cap in bytes.
-        cap: u64,
-        /// Bytes held when the chunk was produced.
-        held: u64,
-        /// The chunk that did not fit.
-        chunk: u64,
-    },
-    /// The spill file could not be written or read.
-    SpillIo(String),
-    /// A spill record failed its checksum or framing check (torn tail
-    /// or bit damage); the record index is 0-based.
-    SpillCorrupt {
-        /// Which record failed.
-        record: u64,
-        /// What failed about it.
-        detail: String,
-    },
     /// A chunk's simulation degraded to a typed simulator error.
     Sim(String),
     /// The recorder thread died without sending its final summary.
@@ -86,15 +55,6 @@ pub enum StreamError {
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StreamError::TraceMemCap { cap, held, chunk } => write!(
-                f,
-                "trace-mem-cap exceeded: {held} bytes held + {chunk} byte chunk > cap {cap} \
-                 (no spill file configured)"
-            ),
-            StreamError::SpillIo(e) => write!(f, "spill file: {e}"),
-            StreamError::SpillCorrupt { record, detail } => {
-                write!(f, "spill record {record}: {detail}")
-            }
             StreamError::Sim(e) => write!(f, "chunk simulation: {e}"),
             StreamError::RecorderDied => f.write_str("recorder thread died mid-stream"),
         }
@@ -110,44 +70,29 @@ pub struct KvStreamSpec {
     pub spec: KvSpec,
     /// Build variant to trace.
     pub variant: Variant,
-    /// Flush instruction the build emits.
-    pub flush_mode: FlushMode,
     /// Driver operations per chunk.
     pub chunk_ops: u64,
-    /// Bounded-queue depth (chunks in flight between the threads).
-    pub depth: usize,
-    /// Cap on bytes of trace chunks held in memory; `None` = uncapped.
-    pub mem_cap: Option<u64>,
-    /// Where over-cap chunks spill; `None` makes an over-cap chunk the
-    /// typed [`StreamError::TraceMemCap`] instead.
-    pub spill: Option<PathBuf>,
 }
 
 impl KvStreamSpec {
-    /// A streamed run of `spec` with the default chunking (4096 ops per
-    /// chunk, 2 chunks in flight, no cap).
+    /// A streamed run of `spec` with the default chunking
+    /// ([`STREAM_CHUNK_OPS`] ops per chunk).
     pub fn new(spec: KvSpec, variant: Variant) -> Self {
         KvStreamSpec {
             spec,
             variant,
-            flush_mode: FlushMode::default(),
-            chunk_ops: 4096,
-            depth: 2,
-            mem_cap: None,
-            spill: None,
+            chunk_ops: STREAM_CHUNK_OPS,
         }
     }
 }
 
 /// What a completed streamed run measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamReport {
     /// Driver ops executed.
     pub ops: u64,
     /// Chunks simulated.
     pub chunks: u64,
-    /// Chunks that went through the spill file.
-    pub spilled_chunks: u64,
     /// Events across all chunks.
     pub events: u64,
     /// Summed simulated cycles (per-chunk fresh pipeline; see the
@@ -161,10 +106,10 @@ pub struct StreamReport {
     /// [`StreamReport::peak_bound`] for deterministic output.
     pub peak_bytes: u64,
     /// Deterministic upper bound on `peak_bytes`: the largest sum of
-    /// any `depth + 2` consecutive chunks (the queue, the chunk being
-    /// simulated, and the chunk the recorder holds pre-send). A pure
-    /// function of the spec, so it is the value journals and goldens
-    /// carry.
+    /// any `QUEUE_DEPTH + 2` consecutive chunks (the queue, the chunk
+    /// being simulated, and the chunk the recorder holds pre-send). A
+    /// pure function of the spec, so it is the value journals and
+    /// goldens carry.
     pub peak_bound: u64,
     /// Live keys in the engine when the run finished.
     pub final_count: u64,
@@ -174,30 +119,20 @@ pub struct StreamReport {
 
 /// Sliding-window tracker for [`StreamReport::peak_bound`]: chunks are
 /// produced and consumed in recording order, so every set of
-/// simultaneously-held chunks is a window of at most `cap` consecutive
-/// ones.
-#[derive(Debug)]
+/// simultaneously-held chunks is a window of at most `QUEUE_DEPTH + 2`
+/// consecutive ones.
+#[derive(Debug, Default)]
 pub(crate) struct PeakBound {
     win: std::collections::VecDeque<u64>,
     sum: u64,
-    cap: usize,
     max: u64,
 }
 
 impl PeakBound {
-    pub(crate) fn new(depth: usize) -> Self {
-        PeakBound {
-            win: std::collections::VecDeque::new(),
-            sum: 0,
-            cap: depth.max(1) + 2,
-            max: 0,
-        }
-    }
-
     pub(crate) fn push(&mut self, bytes: u64) {
         self.win.push_back(bytes);
         self.sum += bytes;
-        if self.win.len() > self.cap {
+        if self.win.len() > QUEUE_DEPTH + 2 {
             self.sum -= self.win.pop_front().unwrap_or(0);
         }
         self.max = self.max.max(self.sum);
@@ -211,162 +146,19 @@ impl PeakBound {
 
 /// What the recorder sends per chunk.
 pub(crate) enum ChunkMsg {
-    /// The chunk, in memory (already gauged in).
-    Inline(Vec<Event>),
-    /// The chunk went to the spill file; read the next record.
-    Spilled,
+    /// One chunk of events, already gauged in.
+    Events(Vec<Event>),
     /// Recording finished; final driver facts.
     Done {
         ops: u64,
         final_count: u64,
         mutations: u64,
     },
-    /// Recording stopped on a typed error.
-    Fail(StreamError),
 }
-
-// --- event wire codec -------------------------------------------------
-
-/// Encodes events into the fixed-width spill wire format.
-pub fn encode_events(events: &[Event]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(events.len() * EVENT_WIRE_BYTES);
-    for ev in events {
-        let (tag, addr, aux, size, dep): (u8, u64, u64, u8, u8) = match *ev {
-            Event::Compute(n) => (0, 0, u64::from(n), 0, 0),
-            Event::Load { addr, size, dep } => (1, addr.raw(), 0, size, u8::from(dep)),
-            Event::Store { addr, size, value } => (2, addr.raw(), value, size, 0),
-            Event::Clwb { addr } => (3, addr.raw(), 0, 0, 0),
-            Event::ClflushOpt { addr } => (4, addr.raw(), 0, 0, 0),
-            Event::Clflush { addr } => (5, addr.raw(), 0, 0, 0),
-            Event::Pcommit => (6, 0, 0, 0, 0),
-            Event::Sfence => (7, 0, 0, 0, 0),
-            Event::Mfence => (8, 0, 0, 0, 0),
-            Event::TxBegin(id) => (9, 0, id, 0, 0),
-            Event::TxEnd(id) => (10, 0, id, 0, 0),
-        };
-        out.push(tag);
-        out.extend_from_slice(&addr.to_le_bytes());
-        out.extend_from_slice(&aux.to_le_bytes());
-        out.push(size);
-        out.push(dep);
-    }
-    out
-}
-
-/// Decodes the spill wire format back into events.
-///
-/// # Errors
-///
-/// Returns a one-line description of the first malformed record.
-pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, String> {
-    if !bytes.len().is_multiple_of(EVENT_WIRE_BYTES) {
-        return Err(format!(
-            "payload length {} is not a multiple of {EVENT_WIRE_BYTES}",
-            bytes.len()
-        ));
-    }
-    let mut out = Vec::with_capacity(bytes.len() / EVENT_WIRE_BYTES);
-    for (i, rec) in bytes.chunks_exact(EVENT_WIRE_BYTES).enumerate() {
-        let tag = rec[0];
-        let addr = u64::from_le_bytes(rec[1..9].try_into().map_err(|_| "short record")?);
-        let aux = u64::from_le_bytes(rec[9..17].try_into().map_err(|_| "short record")?);
-        let size = rec[17];
-        let dep = rec[18] != 0;
-        let addr = PAddr::new(addr);
-        out.push(match tag {
-            0 => Event::Compute(
-                u32::try_from(aux)
-                    .map_err(|_| format!("event {i}: compute count {aux} overflows"))?,
-            ),
-            1 => Event::Load { addr, size, dep },
-            2 => Event::Store {
-                addr,
-                size,
-                value: aux,
-            },
-            3 => Event::Clwb { addr },
-            4 => Event::ClflushOpt { addr },
-            5 => Event::Clflush { addr },
-            6 => Event::Pcommit,
-            7 => Event::Sfence,
-            8 => Event::Mfence,
-            9 => Event::TxBegin(aux),
-            10 => Event::TxEnd(aux),
-            t => return Err(format!("event {i}: unknown tag {t}")),
-        });
-    }
-    Ok(out)
-}
-
-// --- spill file -------------------------------------------------------
-
-/// Appends one checksummed spill record:
-/// `[magic][payload_len][hash64(payload)][payload]`.
-fn spill_write(file: &mut File, events: &[Event]) -> Result<(), StreamError> {
-    let payload = encode_events(events);
-    let mut rec = Vec::with_capacity(24 + payload.len());
-    rec.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
-    rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    rec.extend_from_slice(&spp_pmem::hash64(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    file.write_all(&rec)
-        .and_then(|()| file.flush())
-        .map_err(|e| StreamError::SpillIo(e.to_string()))
-}
-
-/// Sequential reader over a spill file's records.
-#[derive(Debug)]
-pub(crate) struct SpillReader {
-    file: File,
-    record: u64,
-}
-
-impl SpillReader {
-    pub(crate) fn open(path: &Path) -> Result<Self, StreamError> {
-        let mut file = File::open(path).map_err(|e| StreamError::SpillIo(e.to_string()))?;
-        file.seek(SeekFrom::Start(0))
-            .map_err(|e| StreamError::SpillIo(e.to_string()))?;
-        Ok(SpillReader { file, record: 0 })
-    }
-
-    /// Reads and verifies the next record. A short read or checksum
-    /// mismatch is the torn-tail case: typed, never silently replayed.
-    pub(crate) fn next(&mut self) -> Result<Vec<Event>, StreamError> {
-        let corrupt = |detail: String| StreamError::SpillCorrupt {
-            record: self.record,
-            detail,
-        };
-        let mut header = [0u8; 24];
-        self.file
-            .read_exact(&mut header)
-            .map_err(|e| corrupt(format!("truncated header ({e})")))?;
-        let magic = u64::from_le_bytes(header[0..8].try_into().unwrap_or_default());
-        if magic != SPILL_MAGIC {
-            return Err(corrupt(format!("bad magic {magic:#018x}")));
-        }
-        let len = u64::from_le_bytes(header[8..16].try_into().unwrap_or_default());
-        let want_hash = u64::from_le_bytes(header[16..24].try_into().unwrap_or_default());
-        let mut payload = vec![0u8; len as usize];
-        self.file
-            .read_exact(&mut payload)
-            .map_err(|e| corrupt(format!("truncated payload ({e})")))?;
-        if spp_pmem::hash64(&payload) != want_hash {
-            return Err(corrupt("checksum mismatch".to_string()));
-        }
-        self.record += 1;
-        decode_events(&payload).map_err(|d| StreamError::SpillCorrupt {
-            record: self.record - 1,
-            detail: d,
-        })
-    }
-}
-
-// --- the pipeline -----------------------------------------------------
 
 /// The recorder half of the chunked pipeline: runs the KV workload,
-/// hands each chunk over through `tx` (inline when it fits under the
-/// gauge cap, via the spill file when it does not), and finishes with
-/// [`ChunkMsg::Done`] or a typed [`ChunkMsg::Fail`]. Owned by
+/// gauges each chunk in and hands it over through `tx`, and finishes
+/// with [`ChunkMsg::Done`]. Owned by
 /// [`crate::source::StreamingKvSource`], which spawns it on its own
 /// thread; `run_kv_streamed` consumes it through the
 /// [`crate::source::TraceSource`] trait.
@@ -376,12 +168,10 @@ pub(crate) fn record_chunks(
     tx: &mpsc::SyncSender<ChunkMsg>,
 ) {
     let mut env = PmemEnv::new(sspec.variant);
-    env.set_flush_mode(sspec.flush_mode);
     let mut w = KvWorkload::new(sspec.spec);
     env.set_recording(false);
     w.setup(&mut env);
     env.set_recording(true);
-    let mut spill_file: Option<File> = None;
     let mut op = 0u64;
     while op < sspec.spec.ops {
         let end = (op + sspec.chunk_ops).min(sspec.spec.ops);
@@ -393,47 +183,9 @@ pub(crate) fn record_chunks(
         if events.is_empty() {
             continue;
         }
-        let bytes = chunk_bytes(&events);
-        let over_cap = sspec
-            .mem_cap
-            .is_some_and(|cap| gauge.current() + bytes > cap);
-        if over_cap {
-            match &sspec.spill {
-                Some(path) => {
-                    if spill_file.is_none() {
-                        match File::create(path) {
-                            Ok(f) => spill_file = Some(f),
-                            Err(e) => {
-                                let _ =
-                                    tx.send(ChunkMsg::Fail(StreamError::SpillIo(e.to_string())));
-                                return;
-                            }
-                        }
-                    }
-                    let f = spill_file.as_mut().unwrap_or_else(|| unreachable!());
-                    if let Err(e) = spill_write(f, &events) {
-                        let _ = tx.send(ChunkMsg::Fail(e));
-                        return;
-                    }
-                    drop(events);
-                    if tx.send(ChunkMsg::Spilled).is_err() {
-                        return;
-                    }
-                }
-                None => {
-                    let _ = tx.send(ChunkMsg::Fail(StreamError::TraceMemCap {
-                        cap: sspec.mem_cap.unwrap_or(0),
-                        held: gauge.current(),
-                        chunk: bytes,
-                    }));
-                    return;
-                }
-            }
-        } else {
-            gauge.acquire(bytes);
-            if tx.send(ChunkMsg::Inline(events)).is_err() {
-                return;
-            }
+        gauge.acquire(chunk_bytes(&events));
+        if tx.send(ChunkMsg::Events(events)).is_err() {
+            return;
         }
     }
     let _ = tx.send(ChunkMsg::Done {
@@ -453,42 +205,21 @@ pub(crate) fn record_chunks(
 ///
 /// # Errors
 ///
-/// Returns the typed [`StreamError`] when the cap trips with no spill
-/// file, the spill file tears, or a chunk's simulation degrades.
+/// Returns the typed [`StreamError`] when a chunk's simulation degrades
+/// or the recorder dies.
 pub fn run_kv_streamed(sspec: &KvStreamSpec, cpu: &CpuConfig) -> Result<StreamReport, StreamError> {
     use crate::source::{StreamingKvSource, TraceSource as _};
 
     let mut src = StreamingKvSource::record(sspec.clone());
     let gauge = src.gauge();
-    let mut report = StreamReport {
-        ops: 0,
-        chunks: 0,
-        spilled_chunks: 0,
-        events: 0,
-        cycles: 0,
-        committed_uops: 0,
-        peak_bytes: 0,
-        peak_bound: 0,
-        final_count: 0,
-        mutations: 0,
-    };
-    let outcome = loop {
-        match src.next_chunk() {
-            Ok(Some(events)) => {
-                if let Err(e) = simulate_chunk(&events, cpu, &mut report) {
-                    break Err(e);
-                }
-            }
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
-        }
-    };
-    outcome?;
+    let mut report = StreamReport::default();
+    while let Some(events) = src.next_chunk()? {
+        simulate_chunk(&events, cpu, &mut report)?;
+    }
     let stats = src.stats().ok_or(StreamError::RecorderDied)?;
     report.ops = stats.ops;
     report.final_count = stats.final_count;
     report.mutations = stats.mutations;
-    report.spilled_chunks = src.spilled_chunks();
     report.peak_bound = src.peak_bound();
     // Join the recorder before reading the gauge peak so late
     // acquisitions are counted, exactly as the scoped join did.
@@ -532,58 +263,6 @@ mod tests {
         }
     }
 
-    fn all_event_kinds() -> Vec<Event> {
-        vec![
-            Event::Compute(7),
-            Event::Load {
-                addr: PAddr::new(0x1234),
-                size: 8,
-                dep: true,
-            },
-            Event::Load {
-                addr: PAddr::new(0x40),
-                size: 1,
-                dep: false,
-            },
-            Event::Store {
-                addr: PAddr::new(0xFFFF_FFFF_0000),
-                size: 8,
-                value: u64::MAX,
-            },
-            Event::Clwb {
-                addr: PAddr::new(64),
-            },
-            Event::ClflushOpt {
-                addr: PAddr::new(128),
-            },
-            Event::Clflush {
-                addr: PAddr::new(192),
-            },
-            Event::Pcommit,
-            Event::Sfence,
-            Event::Mfence,
-            Event::TxBegin(3),
-            Event::TxEnd(3),
-        ]
-    }
-
-    #[test]
-    fn codec_round_trips_every_event_kind() {
-        let events = all_event_kinds();
-        let wire = encode_events(&events);
-        assert_eq!(wire.len(), events.len() * EVENT_WIRE_BYTES);
-        assert_eq!(decode_events(&wire).unwrap(), events);
-    }
-
-    #[test]
-    fn codec_rejects_damage() {
-        let wire = encode_events(&all_event_kinds());
-        assert!(decode_events(&wire[..wire.len() - 1]).is_err(), "short");
-        let mut bad_tag = wire.clone();
-        bad_tag[0] = 99;
-        assert!(decode_events(&bad_tag).unwrap_err().contains("tag"));
-    }
-
     #[test]
     fn streamed_run_is_deterministic_and_chunked() {
         let s = KvStreamSpec {
@@ -600,7 +279,6 @@ mod tests {
         );
         assert_eq!(a.ops, 220);
         assert_eq!(a.chunks, 5, "220 ops at 50/chunk is 5 chunks");
-        assert_eq!(a.spilled_chunks, 0);
         assert!(a.cycles > 0 && a.events > 0 && a.committed_uops > 0);
         assert!(a.peak_bytes > 0 && a.peak_bytes <= a.peak_bound);
     }
@@ -610,12 +288,10 @@ mod tests {
         // 4x the ops, same chunking: the whole point of streaming.
         let short = KvStreamSpec {
             chunk_ops: 64,
-            depth: 2,
             ..KvStreamSpec::new(tiny_spec(256), Variant::LogPSf)
         };
         let long = KvStreamSpec {
             chunk_ops: 64,
-            depth: 2,
             ..KvStreamSpec::new(tiny_spec(1024), Variant::LogPSf)
         };
         let a = run_kv_streamed(&short, &CpuConfig::baseline()).unwrap();
@@ -623,8 +299,8 @@ mod tests {
         assert_eq!(b.ops, 4 * a.ops);
         assert!(b.events > 3 * a.events, "more ops, more events");
         // Peak held chunk bytes must not grow with trace length: the
-        // deterministic bound covers at most depth + 2 chunks no matter
-        // how many the run produces.
+        // deterministic bound covers at most QUEUE_DEPTH + 2 chunks no
+        // matter how many the run produces.
         let chunk_ceiling = 2 * a.peak_bound;
         assert!(
             b.peak_bound <= chunk_ceiling,
@@ -636,104 +312,8 @@ mod tests {
     }
 
     #[test]
-    fn mem_cap_without_spill_is_a_typed_error() {
-        let s = KvStreamSpec {
-            chunk_ops: 64,
-            mem_cap: Some(64),
-            ..KvStreamSpec::new(tiny_spec(128), Variant::LogPSf)
-        };
-        let e = run_kv_streamed(&s, &CpuConfig::baseline()).unwrap_err();
-        assert!(
-            matches!(e, StreamError::TraceMemCap { cap: 64, .. }),
-            "{e:?}"
-        );
-        assert!(e.to_string().contains("trace-mem-cap"));
-    }
-
-    #[test]
-    fn mem_cap_with_spill_degrades_gracefully_to_the_same_numbers() {
-        let mut spill = std::env::temp_dir();
-        spill.push(format!("spp-stream-spill-{}.bin", std::process::id()));
-        let _ = std::fs::remove_file(&spill);
-        let base = KvStreamSpec {
-            chunk_ops: 50,
-            ..KvStreamSpec::new(tiny_spec(300), Variant::LogPSf)
-        };
-        let capped = KvStreamSpec {
-            mem_cap: Some(64),
-            spill: Some(spill.clone()),
-            ..base.clone()
-        };
-        let want = run_kv_streamed(&base, &CpuConfig::baseline()).unwrap();
-        let got = run_kv_streamed(&capped, &CpuConfig::baseline()).unwrap();
-        assert!(got.spilled_chunks > 0, "cap must force spilling");
-        assert_eq!(got.chunks, want.chunks);
-        assert_eq!(
-            (got.cycles, got.events, got.committed_uops, got.final_count),
-            (
-                want.cycles,
-                want.events,
-                want.committed_uops,
-                want.final_count
-            ),
-            "spilling must not change the simulation"
-        );
-        let _ = std::fs::remove_file(&spill);
-    }
-
-    #[test]
-    fn torn_spill_tail_is_detected() {
-        let mut p = std::env::temp_dir();
-        p.push(format!("spp-stream-torn-{}.bin", std::process::id()));
-        let events = all_event_kinds();
-        {
-            let mut f = File::create(&p).unwrap();
-            spill_write(&mut f, &events).unwrap();
-            spill_write(&mut f, &events).unwrap();
-        }
-        // Sanity: both records read back.
-        let mut r = SpillReader::open(&p).unwrap();
-        assert_eq!(r.next().unwrap(), events);
-        assert_eq!(r.next().unwrap(), events);
-        // Tear the tail mid-payload of record 1.
-        let full = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &full[..full.len() - 5]).unwrap();
-        let mut r = SpillReader::open(&p).unwrap();
-        assert_eq!(r.next().unwrap(), events, "intact record still reads");
-        let e = r.next().unwrap_err();
-        assert!(
-            matches!(e, StreamError::SpillCorrupt { record: 1, .. }),
-            "{e:?}"
-        );
-        // Bit damage inside a payload is a checksum mismatch.
-        let mut damaged = full.clone();
-        let n = damaged.len();
-        damaged[n - 10] ^= 0x40;
-        std::fs::write(&p, &damaged).unwrap();
-        let mut r = SpillReader::open(&p).unwrap();
-        assert_eq!(r.next().unwrap(), events);
-        let e = r.next().unwrap_err();
-        assert!(e.to_string().contains("checksum"), "{e}");
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn every_error_renders_as_one_line() {
-        let errors = [
-            StreamError::TraceMemCap {
-                cap: 1,
-                held: 2,
-                chunk: 3,
-            },
-            StreamError::SpillIo("denied".into()),
-            StreamError::SpillCorrupt {
-                record: 4,
-                detail: "bad magic".into(),
-            },
-            StreamError::Sim("wedged".into()),
-            StreamError::RecorderDied,
-        ];
-        for e in errors {
+        for e in [StreamError::Sim("wedged".into()), StreamError::RecorderDied] {
             let s = e.to_string();
             assert!(!s.is_empty() && !s.contains('\n'), "{e:?} renders {s:?}");
         }
