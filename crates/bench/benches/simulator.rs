@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use spp_bench::Experiment;
 use spp_cpu::{CpuConfig, SimResult, Simulator};
 use spp_pmem::{Event, PAddr, Variant};
-use spp_workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+use spp_workloads::{make_workload, record_workload, BenchId, BenchSpec, TraceSpec};
 
 fn simulate(events: &[Event], cfg: &CpuConfig) -> SimResult {
     Simulator::new(events)
@@ -16,16 +16,11 @@ fn simulate(events: &[Event], cfg: &CpuConfig) -> SimResult {
 }
 
 /// Records one benchmark's trace in `variant` and simulates it on `cpu`
-/// (a fresh recording every call, no cache: this measures end-to-end
-/// cost).
+/// (a fresh population and recording every call, bypassing the setup
+/// cache: this measures end-to-end cost).
 fn run_variant(id: BenchId, variant: Variant, exp: &Experiment, cpu: &CpuConfig) -> SimResult {
-    let out = run_benchmark(&RunConfig {
-        variant,
-        spec: BenchSpec::scaled(id, exp.scale),
-        seed: exp.seed,
-        capture_base: false,
-    });
-    simulate(&out.trace.events, cpu)
+    let ts = TraceSpec::new(variant, BenchSpec::scaled(id, exp.scale), exp.seed);
+    simulate(&record_workload(make_workload(id), &ts).events, cpu)
 }
 
 fn barrier_trace(n: u64) -> Vec<Event> {

@@ -118,9 +118,9 @@
 //!              and dumps the per-trace byte footprint to stderr
 //!
 //! Invalid input (a malformed or zero --scale/--jobs, an unknown
-//! command, flag, benchmark, variant, or leg, or contradictory journal
-//! flags) exits non-zero with a one-line `repro: ...` diagnostic on
-//! stderr.
+//! command, flag, benchmark, variant, or leg, a positional argument the
+//! command does not take, or contradictory journal flags) exits
+//! non-zero with a one-line `repro: ...` diagnostic on stderr.
 //!
 //! Every trace is recorded exactly once per invocation and shared
 //! across all simulator configurations (the `repro all` sweep replays
@@ -182,6 +182,8 @@ enum CliError {
     Journal(String),
     /// `repro journal` needs the `check` subcommand and a path.
     MissingJournalCheckArgs,
+    /// A positional argument past the ones the command takes.
+    UnexpectedArg { arg: String, cmd: String },
     /// The trace cache grew past `--trace-mem-cap` (the wrapped
     /// [`spp_bench::TraceMemCap`] rendering).
     TraceMemCap(String),
@@ -221,6 +223,9 @@ impl fmt::Display for CliError {
             CliError::Study(e) => write!(f, "{e}"),
             CliError::Journal(e) => f.write_str(e),
             CliError::MissingJournalCheckArgs => f.write_str("journal needs check <PATH>"),
+            CliError::UnexpectedArg { arg, cmd } => {
+                write!(f, "unexpected argument {arg:?} for {cmd:?}")
+            }
             CliError::TraceMemCap(e) => f.write_str(e),
         }
     }
@@ -393,9 +398,22 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     })
 }
 
-/// Rejects journal flags on commands that cannot honor them, and
+/// Rejects positionals and flags a command cannot honor, and
 /// contradictory combinations, before any work starts.
 fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
+    // A stray word would otherwise be silently ignored: `repro fig8 LL`
+    // would run the whole suite, reading as if it had filtered to LL.
+    let takes = match cli.cmd.as_str() {
+        "trace" | "profile" | "optimize" | "journal" => 2,
+        "crashfuzz" => 1,
+        _ => 0,
+    };
+    if let Some(arg) = cli.positional.get(takes) {
+        return Err(CliError::UnexpectedArg {
+            arg: arg.clone(),
+            cmd: cli.cmd.clone(),
+        });
+    }
     let journaled = matches!(
         cli.cmd.as_str(),
         "faultsim" | "soak" | "profile" | "multicore" | "litmus" | "kv" | "optimize"
@@ -439,9 +457,11 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
     // The cap governs the harness trace cache. `trace` replays one
     // recording to stdout, `soak` spawns child processes, `journal`
     // never simulates, the `table*` commands print static
-    // configuration, and `incremental`, `multicore`, `litmus` and `kv`
-    // record their traces outside the cache: none of them can trip
-    // the cap, so they refuse it instead of silently ignoring it.
+    // configuration, `multicore`, `litmus` and `kv` record their traces
+    // outside the cache, and `incremental` records its incremental-
+    // logging B-tree outside it: the cap would miss some or all of
+    // their trace bytes, so they refuse it instead of silently
+    // under-counting.
     let uncached = matches!(
         cli.cmd.as_str(),
         "trace"
@@ -933,16 +953,10 @@ fn bench_variant(
 /// `repro trace <BENCH> <VARIANT>`: record one trace and print its
 /// micro-op mix and per-operation averages.
 fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
-    use spp_workloads::{run_benchmark, BenchSpec, RunConfig};
+    use spp_workloads::{record_trace, BenchSpec, TraceSpec};
     let (id, variant) = bench_variant(positional, CliError::MissingTraceArgs)?;
     let spec = BenchSpec::scaled(id, exp.scale);
-    let out = run_benchmark(&RunConfig {
-        variant,
-        spec,
-        seed: exp.seed,
-        capture_base: false,
-    });
-    let c = out.trace.counts;
+    let c = record_trace(&TraceSpec::new(variant, spec, exp.seed)).counts;
     let ops = spec.sim_ops;
     println!(
         "{} / {} at scale 1/{} ({} ops recorded)",
@@ -1100,12 +1114,73 @@ mod tests {
             CliError::Study(StudyError::ResumeMissingJournal("/tmp/x.jsonl".into())),
             CliError::Journal("journal \"x\": denied".into()),
             CliError::MissingJournalCheckArgs,
+            CliError::UnexpectedArg {
+                arg: "LL".into(),
+                cmd: "fig8".into(),
+            },
             CliError::TraceMemCap("trace cache holds 9 bytes, exceeding --trace-mem-cap 1".into()),
         ];
         for e in errors {
             let s = e.to_string();
             assert!(!s.is_empty() && !s.contains('\n'), "{e:?} renders {s:?}");
         }
+    }
+
+    #[test]
+    fn stray_positionals_are_typed_errors() {
+        // Every command with as many positionals as it takes passes the
+        // scope check; one more is refused before any work starts.
+        for (cmd, takes) in [
+            ("all", 0),
+            ("table1", 0),
+            ("table2", 0),
+            ("table3", 0),
+            ("fig8", 0),
+            ("fig9", 0),
+            ("fig10", 0),
+            ("fig11", 0),
+            ("fig12", 0),
+            ("fig13", 0),
+            ("fig14", 0),
+            ("ablation", 0),
+            ("incremental", 0),
+            ("flushmode", 0),
+            ("json", 0),
+            ("multicore", 0),
+            ("litmus", 0),
+            ("kv", 0),
+            ("faultsim", 0),
+            ("soak", 0),
+            ("crashfuzz", 1),
+            ("trace", 2),
+            ("profile", 2),
+            ("optimize", 2),
+            ("journal", 2),
+        ] {
+            let mut words = vec![cmd];
+            words.extend(std::iter::repeat_n("x", takes));
+            assert!(
+                check_flag_scope(&parse_args(&args(&words)).unwrap()).is_ok(),
+                "{words:?}"
+            );
+            words.push("extra");
+            assert_eq!(
+                check_flag_scope(&parse_args(&args(&words)).unwrap()).unwrap_err(),
+                CliError::UnexpectedArg {
+                    arg: "extra".into(),
+                    cmd: cmd.into(),
+                },
+                "{words:?}"
+            );
+        }
+        assert_eq!(
+            CliError::UnexpectedArg {
+                arg: "LL".into(),
+                cmd: "fig8".into(),
+            }
+            .to_string(),
+            "unexpected argument \"LL\" for \"fig8\""
+        );
     }
 
     #[test]

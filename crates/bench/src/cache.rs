@@ -78,15 +78,6 @@ impl TraceKey {
         }
     }
 
-    /// Same, with an explicit seed (the multicore study gives each core
-    /// its own stream).
-    pub fn with_seed(id: BenchId, variant: Variant, exp: &Experiment, seed: u64) -> Self {
-        TraceKey {
-            seed,
-            ..Self::new(id, variant, exp)
-        }
-    }
-
     /// Same, with an explicit flush instruction (the §2.2 ablation).
     pub fn with_flush_mode(
         id: BenchId,
@@ -270,12 +261,10 @@ mod tests {
         let exp = tiny_exp();
         cache.get(TraceKey::new(BenchId::LinkedList, Variant::Base, &exp));
         cache.get(TraceKey::new(BenchId::LinkedList, Variant::LogPSf, &exp));
-        cache.get(TraceKey::with_seed(
-            BenchId::LinkedList,
-            Variant::LogPSf,
-            &exp,
-            99,
-        ));
+        cache.get(TraceKey {
+            seed: 99,
+            ..TraceKey::new(BenchId::LinkedList, Variant::LogPSf, &exp)
+        });
         cache.get(TraceKey::with_flush_mode(
             BenchId::LinkedList,
             Variant::LogPSf,

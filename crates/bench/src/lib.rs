@@ -431,33 +431,25 @@ impl Harness {
 
     /// Runs the full-vs-incremental logging ablation on the B-tree.
     ///
-    /// The incremental B-tree is a §3.2 what-if outside the Table 1
-    /// suite, so its trace is recorded here rather than through the
-    /// cache; the two recordings and four simulations still share the
+    /// The full-logging trace is the cached Table 1 B-tree `Log+P+Sf`
+    /// recording. The incremental B-tree is a §3.2 what-if outside the
+    /// Table 1 suite, so its trace is recorded here rather than through
+    /// the cache; the two traces and four simulations still share the
     /// harness's worker budget.
     pub fn run_logging_comparison(&self) -> LoggingComparison {
-        use rand::SeedableRng;
-        let spec = BenchSpec::scaled(BenchId::BTree, self.exp.scale);
-        let incs = [false, true];
-        let traces = run_indexed(self.jobs, &incs, |_, &incremental| {
-            let mut env = spp_pmem::PmemEnv::new(Variant::LogPSf);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(self.exp.seed);
-            env.set_recording(false);
-            let mut w: Box<dyn spp_workloads::Workload> = if incremental {
-                Box::new(spp_workloads::btree_inc::IncBTree::new())
+        let key = TraceKey::new(BenchId::BTree, Variant::LogPSf, &self.exp);
+        let ts = key.trace_spec();
+        let traces = run_indexed(self.jobs, &[false, true], |_, &incremental| {
+            if incremental {
+                spp_workloads::record_workload(
+                    Box::new(spp_workloads::btree_inc::IncBTree::new()),
+                    &ts,
+                )
             } else {
-                Box::new(spp_workloads::btree::BTree::new())
-            };
-            w.setup(&mut env, &mut rng, spec.init_ops);
-            let mut drv = spp_workloads::driver::Driver::new(&mut env, &mut rng);
-            env.set_recording(true);
-            for op in 0..spec.sim_ops {
-                drv.before_op(&mut env);
-                w.run_op(&mut env, &mut rng, op);
+                self.trace(key)
             }
-            env.take_trace()
         });
-        let ops = spec.sim_ops;
+        let ops = ts.spec.sim_ops;
         let sims = run_indexed(self.jobs, &LOGGING_JOBS, |_, &(ti, sp)| {
             let cpu = if sp {
                 CpuConfig::with_sp()

@@ -47,6 +47,7 @@ use spp_workloads::BenchId;
 
 use crate::crashfuzz::{crash_points, first_violation, fuzz_bundle_spec, Witness, SEEDS_PER_POINT};
 use crate::json::{self, parse, JsonObject, Value};
+use crate::profile::stalls_reconcile;
 use crate::schema;
 use crate::supervisor::{settle, Supervisor};
 use crate::{variant_key, Harness, Journal, TraceKey};
@@ -554,10 +555,7 @@ fn run_replay_cell(
     // Reconciliation: the collector's attribution must equal the
     // machine's own stall counters, and both steppers must agree on
     // every architectural number — elision may move cycles, not work.
-    let coherent = stalls.fence == sim.cpu.fence_stall_cycles
-        && stalls.ssb_full == sim.cpu.ssb_full_stall_cycles
-        && stalls.checkpoint_full == sim.cpu.checkpoint_stall_cycles
-        && stalls.backend == sim.cpu.fetch_stall_cycles;
+    let coherent = stalls_reconcile(&stalls, &sim.cpu);
     let parity = reference.cpu.cycles == sim.cpu.cycles
         && reference.cpu.committed_uops == sim.cpu.committed_uops;
     cell.ok = coherent && parity;

@@ -29,10 +29,10 @@
 
 use std::fmt::Write as _;
 
-use spp_cpu::{CpuConfig, SimResult, Simulator};
+use spp_cpu::{CpuConfig, CpuStats, SimResult, Simulator};
 use spp_obs::{
     merge_chrome_traces, Collector, LatencySummary, OccupancySummary, ProbeHandle, ProfileSummary,
-    TraceSpan,
+    StallProfile, TraceSpan,
 };
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
@@ -58,18 +58,23 @@ pub struct ProfiledCell {
     pub spans: Vec<TraceSpan>,
 }
 
+/// The four-counter equality behind
+/// [`ProfiledCell::attribution_coherent`], shared with the optimizer's
+/// replay cells.
+pub(crate) fn stalls_reconcile(s: &StallProfile, c: &CpuStats) -> bool {
+    s.fence == c.fence_stall_cycles
+        && s.ssb_full == c.ssb_full_stall_cycles
+        && s.checkpoint_full == c.checkpoint_stall_cycles
+        && s.backend == c.fetch_stall_cycles
+}
+
 impl ProfiledCell {
     /// Probe-vs-machine coherence: each attribution bucket must equal
     /// the machine's own stall counter (fence, SSB-full,
     /// checkpoint-full, backend), so the attributed total sums exactly
     /// to the machine's total stall cycles.
     pub fn attribution_coherent(&self) -> bool {
-        let s = &self.summary.stalls;
-        let c = &self.sim.cpu;
-        s.fence == c.fence_stall_cycles
-            && s.ssb_full == c.ssb_full_stall_cycles
-            && s.checkpoint_full == c.checkpoint_stall_cycles
-            && s.backend == c.fetch_stall_cycles
+        stalls_reconcile(&self.summary.stalls, &self.sim.cpu)
     }
 
     /// The machine's total stall cycles (the attribution target).

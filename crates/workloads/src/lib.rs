@@ -22,16 +22,11 @@
 //!
 //! ```
 //! use spp_pmem::Variant;
-//! use spp_workloads::{BenchId, BenchSpec, RunConfig};
+//! use spp_workloads::{record_trace, BenchId, BenchSpec, TraceSpec};
 //!
-//! let cfg = RunConfig {
-//!     variant: Variant::LogPSf,
-//!     spec: BenchSpec { id: BenchId::LinkedList, init_ops: 100, sim_ops: 50 },
-//!     seed: 42,
-//!     capture_base: false,
-//! };
-//! let out = spp_workloads::run_benchmark(&cfg);
-//! assert!(out.trace.counts.pcommits >= 4 * 50);
+//! let spec = BenchSpec { id: BenchId::LinkedList, init_ops: 100, sim_ops: 50 };
+//! let trace = record_trace(&TraceSpec::new(Variant::LogPSf, spec, 42));
+//! assert!(trace.counts.pcommits >= 4 * 50);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +53,7 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spp_pmem::{FlushMode, PmemEnv, SharedTrace, Space, Trace, Variant};
+use spp_pmem::{FlushMode, PmemEnv, SharedTrace, Space, Variant};
 
 pub use shared::{shared_trace, SharedKind, SharedSpec};
 pub use spec::{BenchId, BenchSpec};
@@ -153,83 +148,6 @@ pub fn make_workload(id: BenchId) -> Box<dyn Workload> {
     }
 }
 
-/// Configuration of one benchmark run.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// The build variant (Fig. 8 bar).
-    pub variant: Variant,
-    /// Benchmark and sizing.
-    pub spec: BenchSpec,
-    /// RNG seed; identical seeds produce identical operation streams
-    /// across variants, so variant comparisons are apples-to-apples.
-    pub seed: u64,
-    /// Capture a post-init memory snapshot (needed by crash tests;
-    /// costs a full copy of the heap).
-    pub capture_base: bool,
-}
-
-/// Everything a benchmark run produces.
-#[derive(Debug)]
-pub struct RunOutput {
-    /// The recorded micro-op trace of the measured phase.
-    pub trace: Trace,
-    /// Post-init memory image (only if `capture_base` was set).
-    pub base_image: Option<Space>,
-    /// Per-operation outcomes, in order.
-    pub outcomes: Vec<OpOutcome>,
-    /// The environment after the run (final memory image, undo-log
-    /// layout, heap bounds).
-    pub env: PmemEnv,
-    /// The workload object (for post-hoc verification of images).
-    pub workload: Box<dyn Workload>,
-}
-
-/// Runs one benchmark end to end: populate in fast-forward, record the
-/// measured operations, and verify the final structure.
-///
-/// # Panics
-///
-/// Panics if the final structure fails verification — that would be a
-/// bug in this crate, never an expected outcome.
-pub fn run_benchmark(cfg: &RunConfig) -> RunOutput {
-    let mut env = PmemEnv::new(cfg.variant);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut w = make_workload(cfg.spec.id);
-
-    env.set_recording(false);
-    w.setup(&mut env, &mut rng, cfg.spec.init_ops);
-    env.set_recording(true);
-
-    // The application-context driver is created after population but
-    // before measurement (it is pre-existing application state).
-    let mut drv = driver::Driver::new(&mut env, &mut rng);
-
-    let base_image = if cfg.capture_base {
-        Some(env.snapshot())
-    } else {
-        None
-    };
-
-    let mut outcomes = Vec::with_capacity(cfg.spec.sim_ops as usize);
-    for op in 0..cfg.spec.sim_ops {
-        drv.before_op(&mut env);
-        outcomes.push(w.run_op(&mut env, &mut rng, op));
-    }
-    let trace = env.take_trace();
-
-    if let Err(e) = w.verify(env.space()) {
-        panic!("{} final image invalid: {e}", cfg.spec.id);
-    }
-
-    RunOutput {
-        trace,
-        base_image,
-        outcomes,
-        env,
-        workload: w,
-    }
-}
-
 /// Identifies one recordable trace: everything that determines the
 /// event stream bit-for-bit. Two equal `TraceSpec`s always produce
 /// identical traces, which is what makes trace caching sound.
@@ -259,21 +177,53 @@ impl TraceSpec {
 
 /// Records one benchmark trace and freezes it for concurrent replay.
 ///
-/// This is the recording entry point for the evaluation harness: it
-/// runs the same populate/measure protocol as [`run_benchmark`] but
-/// returns only the immutable [`SharedTrace`], which many simulator
-/// configurations can then replay in parallel without re-recording.
+/// This is the one recorder of Table 1 traces: it populates the
+/// structure in fast-forward (through the process-wide setup cache),
+/// records the measured operations in their application context, and
+/// verifies the final structure. The immutable [`SharedTrace`] can
+/// then be replayed by many simulator configurations in parallel.
 ///
 /// # Panics
 ///
 /// Panics if the final structure fails verification — that would be a
 /// bug in this crate, never an expected outcome.
 pub fn record_trace(ts: &TraceSpec) -> SharedTrace {
-    let (mut env, mut rng, mut w) = populated_setup(ts);
+    let (mut env, rng, w) = populated_setup(ts);
     env.set_variant(ts.variant);
     env.set_flush_mode(ts.flush_mode);
-    env.set_recording(true);
+    measure(env, rng, w, ts)
+}
 
+/// Records `w`'s trace under `ts` like [`record_trace`], but populates
+/// it afresh under `ts.variant` and `ts.flush_mode` instead of through
+/// the setup cache: for workloads outside Table 1 (the §3.2
+/// incremental-logging B-tree), which the cache cannot key, and for
+/// measuring the full recording cost. `ts.spec` sizes the run; `w` need
+/// not be `make_workload(ts.spec.id)`.
+///
+/// # Panics
+///
+/// Panics if the final structure fails verification.
+pub fn record_workload(mut w: Box<dyn Workload>, ts: &TraceSpec) -> SharedTrace {
+    let mut env = PmemEnv::new(ts.variant);
+    env.set_flush_mode(ts.flush_mode);
+    let mut rng = StdRng::seed_from_u64(ts.seed);
+    env.set_recording(false);
+    w.setup(&mut env, &mut rng, ts.spec.init_ops);
+    measure(env, rng, w, ts)
+}
+
+/// The measured phase shared by both recorders: the application-context
+/// driver (created after population, as pre-existing application
+/// state), `ts.spec.sim_ops` recorded operations, and a final
+/// structural verification.
+fn measure(
+    mut env: PmemEnv,
+    mut rng: StdRng,
+    mut w: Box<dyn Workload>,
+    ts: &TraceSpec,
+) -> SharedTrace {
+    env.set_recording(true);
     let mut drv = driver::Driver::new(&mut env, &mut rng);
     for op in 0..ts.spec.sim_ops {
         drv.before_op(&mut env);
@@ -397,6 +347,39 @@ pub(crate) mod testutil {
                 let got: BTreeSet<u64> = s.keys.iter().copied().collect();
                 assert_eq!(s.keys.len(), got.len(), "{id}: duplicate keys reported");
                 assert_eq!(got, oracle, "{id}: keys diverged at op {op}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The setup cache populates under `Variant::Base` and rebrands the
+    /// clone (see [`SetupKey`]); that shortcut must record exactly the
+    /// events an uncached population under the real variant and flush
+    /// mode would.
+    #[test]
+    fn cached_population_records_the_uncached_events() {
+        for id in BenchId::ALL {
+            let spec = BenchSpec::scaled(id, 2500);
+            for variant in Variant::ALL {
+                for flush_mode in FlushMode::ALL {
+                    for seed in [1, 0x5EED] {
+                        let ts = TraceSpec {
+                            variant,
+                            spec,
+                            seed,
+                            flush_mode,
+                        };
+                        assert!(
+                            record_workload(make_workload(id), &ts).events
+                                == record_trace(&ts).events,
+                            "{id}/{variant}/{flush_mode}/seed {seed}: setup cache diverged"
+                        );
+                    }
+                }
             }
         }
     }

@@ -168,7 +168,7 @@ impl fmt::Display for OracleViolation {
 /// image, then record `sim_ops` operations while tracking the expected
 /// logical state at every boundary.
 ///
-/// Unlike [`crate::run_benchmark`] this deliberately skips the
+/// Unlike [`crate::record_trace`] this deliberately skips the
 /// application-context driver: its megabyte-scale pointer ring would
 /// dominate every per-image [`Space`] clone during fuzzing without
 /// adding crash-relevant behaviour (driver traffic is never logged, so

@@ -15,24 +15,22 @@
 
 use specpersist::cpu::{CpuConfig, Simulator};
 use specpersist::pmem::{Event, Variant};
-use specpersist::workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+use specpersist::workloads::{record_trace, BenchId, BenchSpec, TraceSpec};
 
 fn main() {
     println!("Coherence-conflict stress on the linked-list benchmark\n");
 
-    let out = run_benchmark(&RunConfig {
-        variant: Variant::LogPSf,
-        spec: BenchSpec {
+    let out = record_trace(&TraceSpec::new(
+        Variant::LogPSf,
+        BenchSpec {
             id: BenchId::LinkedList,
             init_ops: 500,
             sim_ops: 300,
         },
-        seed: 99,
-        capture_base: false,
-    });
+        99,
+    ));
     // Candidate snoop targets: blocks the workload actually stores to.
     let targets: Vec<_> = out
-        .trace
         .events
         .iter()
         .filter_map(|e| match e {
@@ -40,14 +38,14 @@ fn main() {
             _ => None,
         })
         .collect();
-    let expected_uops = out.trace.counts.total();
+    let expected_uops = out.counts.total();
 
     println!(
         "{:>14} {:>10} {:>10} {:>12} {:>10} {:>12}",
         "snoop period", "snoops", "conflicts", "rollbacks", "squashed", "cycles"
     );
     for period in [0usize, 5000, 1000, 200, 50] {
-        let mut p = Simulator::new(&out.trace.events)
+        let mut p = Simulator::new(&out.events)
             .config(CpuConfig::with_sp())
             .build()
             .unwrap();

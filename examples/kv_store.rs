@@ -15,14 +15,14 @@ use rand::SeedableRng;
 use specpersist::cpu::{CpuConfig, Simulator};
 use specpersist::pmem::{recover, CrashSim, PmemEnv, Variant};
 use specpersist::workloads::{
-    make_workload, run_benchmark, BenchId, BenchSpec, OpOutcome, RunConfig,
+    make_workload, record_trace, BenchId, BenchSpec, OpOutcome, TraceSpec,
 };
 
 fn main() {
     println!("A persistent KV store with WAL transactions\n");
 
     // --- Part 1: the persistence cost ladder ---------------------------
-    // run_benchmark embeds each operation in its application context
+    // record_trace embeds each operation in its application context
     // (driver work), exactly as the harness does for the paper figures.
     let spec = BenchSpec {
         id: BenchId::HashMap,
@@ -31,17 +31,12 @@ fn main() {
     };
     let mut base_cycles = 0u64;
     for variant in Variant::ALL {
-        let out = run_benchmark(&RunConfig {
-            variant,
-            spec,
-            seed: 7,
-            capture_base: false,
-        });
-        let plain = Simulator::new(&out.trace.events)
+        let out = record_trace(&TraceSpec::new(variant, spec, 7));
+        let plain = Simulator::new(&out.events)
             .config(CpuConfig::baseline())
             .run()
             .expect("sound config");
-        let sp = Simulator::new(&out.trace.events)
+        let sp = Simulator::new(&out.events)
             .config(CpuConfig::with_sp())
             .run()
             .expect("sound config");

@@ -7,7 +7,7 @@
 
 use specpersist::cpu::{CpuConfig, Simulator};
 use specpersist::pmem::Variant;
-use specpersist::workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+use specpersist::workloads::{record_trace, BenchId, BenchSpec, TraceSpec};
 
 fn main() {
     println!("specpersist quickstart: the linked-list benchmark (LL)\n");
@@ -21,23 +21,18 @@ fn main() {
     };
     let mut cycles = Vec::new();
     for variant in Variant::ALL {
-        let out = run_benchmark(&RunConfig {
-            variant,
-            spec,
-            seed: 42,
-            capture_base: false,
-        });
-        let sim = Simulator::new(&out.trace.events)
+        let out = record_trace(&TraceSpec::new(variant, spec, 42));
+        let sim = Simulator::new(&out.events)
             .config(CpuConfig::baseline())
             .run()
             .expect("sound config");
         println!(
             "{:<10} {:>9} uops  {:>9} cycles  ({} pcommits, {} sfences)",
             variant.label(),
-            out.trace.counts.total(),
+            out.counts.total(),
             sim.cpu.cycles,
-            out.trace.counts.pcommits,
-            out.trace.counts.fences,
+            out.counts.pcommits,
+            out.counts.fences,
         );
         cycles.push((variant, out, sim));
     }
@@ -45,14 +40,14 @@ fn main() {
     // 2. Replay the failure-safe build on the speculative-persistence
     //    core: the sfence stalls vanish.
     let (_, logpsf_out, logpsf_sim) = &cycles[3];
-    let sp = Simulator::new(&logpsf_out.trace.events)
+    let sp = Simulator::new(&logpsf_out.events)
         .config(CpuConfig::with_sp())
         .run()
         .expect("sound config");
     println!(
         "{:<10} {:>9} uops  {:>9} cycles  ({} speculative epochs, {} SSB stores)",
         "SP256",
-        logpsf_out.trace.counts.total(),
+        logpsf_out.counts.total(),
         sp.cpu.cycles,
         sp.cpu.epochs,
         sp.ssb.inserts,

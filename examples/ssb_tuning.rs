@@ -9,7 +9,7 @@
 use specpersist::core::SSB_DESIGN_POINTS;
 use specpersist::cpu::{CpuConfig, Simulator, SpConfig};
 use specpersist::pmem::Variant;
-use specpersist::workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+use specpersist::workloads::{record_trace, BenchId, BenchSpec, TraceSpec};
 
 fn main() {
     let id = BenchId::BTree;
@@ -17,25 +17,15 @@ fn main() {
 
     let spec = BenchSpec::scaled(id, 200);
     let seed = 0x55B;
-    let logpsf = run_benchmark(&RunConfig {
-        variant: Variant::LogPSf,
-        spec,
-        seed,
-        capture_base: false,
-    });
-    let base = run_benchmark(&RunConfig {
-        variant: Variant::Base,
-        spec,
-        seed,
-        capture_base: false,
-    });
-    let base_cycles = Simulator::new(&base.trace.events)
+    let logpsf = record_trace(&TraceSpec::new(Variant::LogPSf, spec, seed));
+    let base = record_trace(&TraceSpec::new(Variant::Base, spec, seed));
+    let base_cycles = Simulator::new(&base.events)
         .config(CpuConfig::baseline())
         .run()
         .expect("sound config")
         .cpu
         .cycles;
-    let nosp = Simulator::new(&logpsf.trace.events)
+    let nosp = Simulator::new(&logpsf.events)
         .config(CpuConfig::baseline())
         .run()
         .expect("sound config")
@@ -51,7 +41,7 @@ fn main() {
             sp: Some(SpConfig::with_ssb_entries(entries)),
             ..CpuConfig::baseline()
         };
-        let r = Simulator::new(&logpsf.trace.events)
+        let r = Simulator::new(&logpsf.events)
             .config(cfg)
             .run()
             .expect("sound config");

@@ -23,18 +23,14 @@
 //! ```
 //! use specpersist::cpu::{CpuConfig, Simulator};
 //! use specpersist::pmem::Variant;
-//! use specpersist::workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+//! use specpersist::workloads::{record_trace, BenchId, BenchSpec, TraceSpec};
 //!
 //! // Record the failure-safe (Log+P+Sf) build of the linked-list
 //! // benchmark, then time it with and without speculative persistence.
-//! let out = run_benchmark(&RunConfig {
-//!     variant: Variant::LogPSf,
-//!     spec: BenchSpec { id: BenchId::LinkedList, init_ops: 64, sim_ops: 16 },
-//!     seed: 1,
-//!     capture_base: false,
-//! });
-//! let baseline = Simulator::new(&out.trace.events).run().expect("sound config");
-//! let sp = Simulator::new(&out.trace.events)
+//! let spec = BenchSpec { id: BenchId::LinkedList, init_ops: 64, sim_ops: 16 };
+//! let trace = record_trace(&TraceSpec::new(Variant::LogPSf, spec, 1));
+//! let baseline = Simulator::new(&trace.events).run().expect("sound config");
+//! let sp = Simulator::new(&trace.events)
 //!     .config(CpuConfig::with_sp())
 //!     .run()
 //!     .expect("sound config");

@@ -3,7 +3,7 @@
 
 use specpersist::cpu::{CpuConfig, SimResult, Simulator, SpConfig};
 use specpersist::pmem::{Event, Variant};
-use specpersist::workloads::{run_benchmark, BenchId, BenchSpec, RunConfig};
+use specpersist::workloads::{record_trace, BenchId, BenchSpec, TraceSpec};
 
 fn simulate(events: &[Event], cfg: &CpuConfig) -> SimResult {
     Simulator::new(events)
@@ -22,20 +22,15 @@ fn tiny(id: BenchId) -> BenchSpec {
 fn every_benchmark_simulates_in_every_variant() {
     for id in BenchId::ALL {
         for variant in Variant::ALL {
-            let out = run_benchmark(&RunConfig {
-                variant,
-                spec: tiny(id),
-                seed: 11,
-                capture_base: false,
-            });
-            let r = simulate(&out.trace.events, &CpuConfig::baseline());
+            let out = record_trace(&TraceSpec::new(variant, tiny(id), 11));
+            let r = simulate(&out.events, &CpuConfig::baseline());
             assert_eq!(
                 r.cpu.committed_uops,
-                out.trace.counts.total(),
+                out.counts.total(),
                 "{id}/{variant}: committed micro-ops diverge from the trace"
             );
-            assert_eq!(r.cpu.pcommits, out.trace.counts.pcommits, "{id}/{variant}");
-            assert_eq!(r.cpu.fences, out.trace.counts.fences, "{id}/{variant}");
+            assert_eq!(r.cpu.pcommits, out.counts.pcommits, "{id}/{variant}");
+            assert_eq!(r.cpu.fences, out.counts.fences, "{id}/{variant}");
         }
     }
 }
@@ -45,14 +40,9 @@ fn every_benchmark_simulates_in_every_variant() {
 #[test]
 fn sp_commits_identically_and_never_loses() {
     for id in BenchId::ALL {
-        let out = run_benchmark(&RunConfig {
-            variant: Variant::LogPSf,
-            spec: tiny(id),
-            seed: 13,
-            capture_base: false,
-        });
-        let base = simulate(&out.trace.events, &CpuConfig::baseline());
-        let sp = simulate(&out.trace.events, &CpuConfig::with_sp());
+        let out = record_trace(&TraceSpec::new(Variant::LogPSf, tiny(id), 13));
+        let base = simulate(&out.events, &CpuConfig::baseline());
+        let sp = simulate(&out.events, &CpuConfig::with_sp());
         assert_eq!(base.cpu.committed_uops, sp.cpu.committed_uops, "{id}");
         assert!(
             sp.cpu.cycles <= base.cpu.cycles,
@@ -90,18 +80,9 @@ fn variant_cost_ladder_is_monotone() {
         let mut cycles = Vec::new();
         let mut uops = Vec::new();
         for variant in Variant::ALL {
-            let out = run_benchmark(&RunConfig {
-                variant,
-                spec: tiny(id),
-                seed: 17,
-                capture_base: false,
-            });
-            cycles.push(
-                simulate(&out.trace.events, &CpuConfig::baseline())
-                    .cpu
-                    .cycles,
-            );
-            uops.push(out.trace.counts.total());
+            let out = record_trace(&TraceSpec::new(variant, tiny(id), 17));
+            cycles.push(simulate(&out.events, &CpuConfig::baseline()).cpu.cycles);
+            uops.push(out.counts.total());
         }
         assert!(uops[1] > uops[0], "{id}: logging must add micro-ops");
         assert!(uops[2] > uops[1], "{id}: flushes must add micro-ops");
@@ -124,15 +105,9 @@ fn instruction_count_structure_matches_fig9() {
         let counts: Vec<u64> = Variant::ALL
             .iter()
             .map(|&variant| {
-                run_benchmark(&RunConfig {
-                    variant,
-                    spec: tiny(id),
-                    seed: 19,
-                    capture_base: false,
-                })
-                .trace
-                .counts
-                .total()
+                record_trace(&TraceSpec::new(variant, tiny(id), 19))
+                    .counts
+                    .total()
             })
             .collect();
         let (base, log, logp, logpsf) = (counts[0], counts[1], counts[2], counts[3]);
@@ -152,18 +127,16 @@ fn instruction_count_structure_matches_fig9() {
 /// commits every micro-op exactly once with an identical final count.
 #[test]
 fn rollback_reexecution_is_exact() {
-    let out = run_benchmark(&RunConfig {
-        variant: Variant::LogPSf,
-        spec: tiny(BenchId::LinkedList),
-        seed: 23,
-        capture_base: false,
-    });
-    let expected = out.trace.counts.total();
+    let out = record_trace(&TraceSpec::new(
+        Variant::LogPSf,
+        tiny(BenchId::LinkedList),
+        23,
+    ));
+    let expected = out.counts.total();
 
     // Snoop every block the workload ever stored, round-robin, until a
     // conflict lands.
     let stored: Vec<_> = out
-        .trace
         .events
         .iter()
         .filter_map(|e| match e {
@@ -171,7 +144,7 @@ fn rollback_reexecution_is_exact() {
             _ => None,
         })
         .collect();
-    let mut p = Simulator::new(&out.trace.events)
+    let mut p = Simulator::new(&out.events)
         .config(CpuConfig::with_sp())
         .build()
         .unwrap();
@@ -198,21 +171,16 @@ fn rollback_reexecution_is_exact() {
 /// 256 entries on a fence-heavy benchmark.
 #[test]
 fn small_ssb_pays_structural_hazards() {
-    let out = run_benchmark(&RunConfig {
-        variant: Variant::LogPSf,
-        spec: tiny(BenchId::BTree),
-        seed: 29,
-        capture_base: false,
-    });
+    let out = record_trace(&TraceSpec::new(Variant::LogPSf, tiny(BenchId::BTree), 29));
     let sp32 = simulate(
-        &out.trace.events,
+        &out.events,
         &CpuConfig {
             sp: Some(SpConfig::with_ssb_entries(32)),
             ..CpuConfig::baseline()
         },
     );
     let sp256 = simulate(
-        &out.trace.events,
+        &out.events,
         &CpuConfig {
             sp: Some(SpConfig::with_ssb_entries(256)),
             ..CpuConfig::baseline()
@@ -268,15 +236,7 @@ fn multicore_runs_real_workloads() {
     use specpersist::cpu::MultiCore;
     let traces: Vec<_> = [BenchId::LinkedList, BenchId::HashMap, BenchId::Graph]
         .iter()
-        .map(|&id| {
-            run_benchmark(&RunConfig {
-                variant: Variant::LogPSf,
-                spec: tiny(id),
-                seed: 37,
-                capture_base: false,
-            })
-            .trace
-        })
+        .map(|&id| record_trace(&TraceSpec::new(Variant::LogPSf, tiny(id), 37)))
         .collect();
     let refs: Vec<&[specpersist::pmem::Event]> =
         traces.iter().map(|t| t.events.as_slice()).collect();
@@ -304,15 +264,10 @@ fn multicore_runs_real_workloads() {
 #[test]
 fn simulation_is_deterministic() {
     let cfgs = [CpuConfig::baseline(), CpuConfig::with_sp()];
-    let out = run_benchmark(&RunConfig {
-        variant: Variant::LogPSf,
-        spec: tiny(BenchId::RbTree),
-        seed: 31,
-        capture_base: false,
-    });
+    let out = record_trace(&TraceSpec::new(Variant::LogPSf, tiny(BenchId::RbTree), 31));
     for cfg in cfgs {
-        let a = simulate(&out.trace.events, &cfg);
-        let b = simulate(&out.trace.events, &cfg);
+        let a = simulate(&out.events, &cfg);
+        let b = simulate(&out.events, &cfg);
         assert_eq!(a.cpu.cycles, b.cpu.cycles);
         assert_eq!(a.cpu.fetch_stall_cycles, b.cpu.fetch_stall_cycles);
         assert_eq!(a.mc.nvmm_writes, b.mc.nvmm_writes);
