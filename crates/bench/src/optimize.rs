@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use spp_cpu::{CpuConfig, ReferencePipeline, Simulator};
 use spp_obs::{Collector, ProbeHandle};
-use spp_pmem::{persist_boundaries, BlockId, Event, FlushMode, FlushStage, Frontier, Variant};
+use spp_pmem::{persist_boundaries, CrashIndex, Event, FlushMode, FlushStage, Frontier, Variant};
 use spp_workloads::oracle::record_bundle;
 use spp_workloads::BenchId;
 
@@ -126,25 +126,10 @@ enum Mark {
     Subsumed,
 }
 
-/// Counts, for a block `b` and an exclusive frontier `g`, the stores of
-/// `events` to `b` strictly before `g`.
-fn store_counter(events: &[Event]) -> impl Fn(BlockId, usize) -> usize {
-    let mut store_idxs: HashMap<BlockId, Vec<usize>> = HashMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        if let Event::Store { addr, .. } = ev {
-            store_idxs.entry(addr.block()).or_default().push(i);
-        }
-    }
-    move |b, g| {
-        store_idxs
-            .get(&b)
-            .map_or(0, |v| v.partition_point(|&s| s < g))
-    }
-}
-
 /// Runs [`spp_pmem::Frontier`] — the writeback-pipeline machine
 /// [`spp_pmem::CrashSim`] reconstructs crash images with — over
-/// `events` and proposes the minimal elision plan. Each stage merge the
+/// `events` and proposes the minimal elision plan, reading per-block
+/// store counts from the trace's [`CrashIndex`]. Each stage merge the
 /// machine reports marks its loser subsumed (stage maps never touch
 /// crash images, so only the surviving maximum can ever matter), so the
 /// classification is exact with respect to the crash model: an elided
@@ -157,7 +142,7 @@ fn store_counter(events: &[Event]) -> impl Fn(BlockId, usize) -> usize {
 /// line was clean, or an earlier guaranteed flush already covered the
 /// same stores) persists nothing and is elidable too.
 pub fn analyze(events: &[Event]) -> ElisionPlan {
-    let covered = store_counter(events);
+    let index = CrashIndex::new(events);
     let mut marks: HashMap<usize, Mark> = HashMap::new();
     let mut empty_fences: Vec<usize> = Vec::new();
     let mut frontier = Frontier::default();
@@ -185,8 +170,8 @@ pub fn analyze(events: &[Event]) -> ElisionPlan {
                 // line persists nothing); the old winner keeps the mark
                 // it earned.
                 _ if stage == FlushStage::Guaranteed => {
-                    let before = held.map_or(0, |old| covered(b, old));
-                    if covered(b, i) > before {
+                    let before = held.map_or(0, |old| index.stores_before(b, old));
+                    if index.stores_before(b, i) > before {
                         (i, Mark::Required)
                     } else {
                         (i, Mark::Subsumed)
@@ -239,35 +224,31 @@ pub fn apply(events: &[Event], plan: &ElisionPlan) -> Vec<Event> {
         .collect()
 }
 
-/// The guaranteed-store profile of a trace at each of `boundaries`:
-/// for every block, how many of its stores (in per-block order) are
-/// certainly durable at that crash point. One [`Frontier`] pass, the
-/// per-block snapshot updated on every guaranteed merge, so the whole
-/// sweep is `O(n log n)` rather than one crash simulation per boundary.
+/// The guaranteed-store profile of a trace at each of `boundaries`
+/// (ascending): for every block, how many of its stores (in per-block
+/// order) are certainly durable at that crash point. One sweep over the
+/// [`CrashIndex`]'s guarantee changes, the per-block snapshot updated on
+/// each, so the whole sweep is `O(n log n)` rather than one crash
+/// simulation per boundary.
 fn guarantee_profile(events: &[Event], boundaries: &[usize]) -> Vec<BTreeMap<u64, usize>> {
-    let covered = store_counter(events);
-    let mut frontier = Frontier::default();
+    let index = CrashIndex::new(events);
+    let changes = index.guarantee_changes();
+    let mut pending = changes.iter().peekable();
     // Live snapshot of covered-store counts per guaranteed block,
     // cloned out at each boundary.
     let mut snapshot: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut out = Vec::with_capacity(boundaries.len());
-    let mut bi = 0;
-    for idx in 0..=events.len() {
-        while bi < boundaries.len() && boundaries[bi] == idx {
-            out.push(snapshot.clone());
-            bi += 1;
-        }
-        let Some(ev) = events.get(idx) else { break };
-        frontier.step(idx, ev, |stage, b, i, held| {
-            if stage == FlushStage::Guaranteed {
-                let n = covered(b, held.map_or(i, |old| old.max(i)));
+    boundaries
+        .iter()
+        .map(|&c| {
+            while let Some(&(_, b, g)) = pending.next_if(|&&(idx, _, _)| idx < c) {
+                let n = index.stores_before(b, g);
                 if n > 0 {
                     snapshot.insert(b.raw(), n);
                 }
             }
-        });
-    }
-    out
+            snapshot.clone()
+        })
+        .collect()
 }
 
 /// The event-level safety lemma: at every persist boundary of `events`,
@@ -591,7 +572,8 @@ fn run_oracle_cell(h: &Harness, id: BenchId) -> OptCell {
     let optimized = apply(b.events(), &plan);
     let pts = persist_boundaries(&optimized);
     cell.points = pts.len() as u64;
-    let (checks, witness) = first_violation(pts, |p, seed| b.check_crash_of(&optimized, p, seed));
+    let stream = b.foreign(&optimized);
+    let (checks, witness) = first_violation(pts, |p, seed| stream.check_crash(p, seed));
     cell.checks = checks as u64;
     cell.ok = witness.is_none();
     cell.error = witness.map(|w| w.to_string());
@@ -629,8 +611,8 @@ fn run_inverted_cell(h: &Harness, id: BenchId) -> OptCell {
     cell.kept = unsafe_events.len() as u64;
     let pts = crash_points(&unsafe_events);
     cell.points = pts.len() as u64;
-    let (checks, witness) =
-        first_violation(pts, |p, seed| b.check_crash_of(&unsafe_events, p, seed));
+    let stream = b.foreign(&unsafe_events);
+    let (checks, witness) = first_violation(pts, |p, seed| stream.check_crash(p, seed));
     cell.checks = checks as u64;
     cell.witness = witness;
     cell.ok = cell.witness.is_some();

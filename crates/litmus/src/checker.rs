@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 
 use spp_cpu::{reconstruct, CpuConfig, ReferencePipeline, Simulator, VisEvent};
-use spp_pmem::{CrashSim, Event, FlushMode, Space};
+use spp_pmem::{CrashIndex, CrashSim, Event, FlushMode, Space};
 use spp_workloads::litmus::LitmusProgram;
 
 use crate::model::{self, ModelKnob, State};
@@ -145,14 +145,19 @@ fn visibility_trace(events: &[Event], sp: bool, reference: bool) -> Result<Vec<E
     Ok(reconstruct(events, &log))
 }
 
-/// All states `CrashSim` can produce from `events` crashed at `c`.
-fn reachable_at(base: &Space, events: &[Event], c: usize, locs: usize) -> BTreeSet<State> {
-    let sim = CrashSim::new(base, events, c);
-    let mut out = BTreeSet::new();
-    sim.for_each_image(|img| {
-        out.insert(read_state(img, locs));
-    });
-    out
+/// All states `CrashSim` can produce from `events` crashed at each
+/// `c` in `0..=events.len()`, from one index of the trace.
+fn reachable_per_crash(base: &Space, events: &[Event], locs: usize) -> Vec<BTreeSet<State>> {
+    let index = CrashIndex::new(events);
+    (0..=events.len())
+        .map(|c| {
+            let mut out = BTreeSet::new();
+            CrashSim::view(base, events, &index, c).for_each_image(|img| {
+                out.insert(read_state(img, locs));
+            });
+            out
+        })
+        .collect()
 }
 
 /// Lexicographically smallest `(trace, crash_idx, seed)` over the given
@@ -165,9 +170,10 @@ fn minimize(
     allowed: impl Fn(usize, usize) -> BTreeSet<State>,
 ) -> Option<(usize, usize, Option<u64>, State)> {
     for (ti, events) in traces.iter().enumerate() {
+        let index = CrashIndex::new(events);
         for c in 0..=events.len() {
             let ok = allowed(ti, c);
-            let sim = CrashSim::new(base, events, c);
+            let sim = CrashSim::view(base, events, &index, c);
             for seed in 0..MINIMIZE_SEEDS {
                 let st = read_state(&sim.image_seeded(seed), locs);
                 if !ok.contains(&st) {
@@ -215,8 +221,8 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
     let mut reached: BTreeSet<State> = BTreeSet::new();
     for (ti, events) in raw_traces.iter().enumerate() {
         // `allowed_per[ti]` has one entry per crash point: `events.len() + 1`.
-        for (c, allowed) in allowed_per[ti].iter().enumerate() {
-            let states = reachable_at(&base, events, c, locs);
+        let per_crash = reachable_per_crash(&base, events, locs);
+        for (allowed, states) in allowed_per[ti].iter().zip(per_crash) {
             if !states.is_subset(allowed) {
                 crashsim_ok = false;
             }
@@ -236,8 +242,8 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
         for events in &raw_traces {
             match visibility_trace(events, sp, reference) {
                 Ok(recon) => {
-                    for c in 0..=recon.len() {
-                        leg_reached[li].extend(reachable_at(&base, &recon, c, locs));
+                    for states in reachable_per_crash(&base, &recon, locs) {
+                        leg_reached[li].extend(states);
                     }
                     leg_traces[li].push(recon);
                 }

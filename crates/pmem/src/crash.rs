@@ -11,14 +11,27 @@
 //! [`Frontier`] is that rule as a state machine: it moves each flush
 //! through `issued -> (sfence) -> ordered -> (pcommit) -> in-flight ->
 //! (sfence) -> guaranteed` and is the only place the transitions are
-//! written down. [`CrashSim`] runs it over a recorded trace up to a
-//! crash point to get each block's guaranteed-persist frontier, and
-//! materializes candidate NVMM images by choosing a per-block cut
-//! anywhere between the frontier and the crash. Recovery correctness
-//! tests assert that *every* such image recovers to a consistent
-//! structure. Callers that need more than the frontier (the persist-path
-//! optimizer classifies every flush by how it fared) observe each stage
-//! merge through [`Frontier::step`]'s callback.
+//! written down. A trace is checked in two steps: index it once, then
+//! view every crash point.
+//!
+//! - [`CrashIndex`] runs the frontier over the whole trace once and
+//!   keeps, per block, its store positions and its guarantee history.
+//!   The guaranteed stage max-merges, so a block's guarantee only grows
+//!   as the crash point moves later, and its value at any crash point is
+//!   one binary search away.
+//! - [`CrashSim`] views an indexed trace at one crash point: it reads
+//!   each block's guaranteed-persist frontier from the index and
+//!   materializes candidate NVMM images by choosing a per-block cut
+//!   anywhere between the frontier and the crash, reading store values
+//!   from the trace itself. [`CrashSim::new`] is "index the prefix, then
+//!   view" for one-off checks; callers that crash one trace at many
+//!   points build the index once and call [`CrashSim::view`], so the
+//!   whole sweep is linear in the trace rather than quadratic.
+//!
+//! Recovery correctness tests assert that *every* such image recovers to
+//! a consistent structure. Callers that need more than the frontier (the
+//! persist-path optimizer classifies every flush by how it fared)
+//! observe each stage merge through [`Frontier::step`]'s callback.
 //!
 //! Writebacks are modelled as 64-byte-atomic (a whole cache line reaches
 //! the write-pending queue at once), the standard assumption in the
@@ -32,6 +45,7 @@
 //! only the trailing `sfence` (awaiting the `pcommit` acknowledgement)
 //! is still required for a durability guarantee.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -39,15 +53,6 @@ use crate::addr::BlockId;
 use crate::event::Event;
 use crate::rng::splitmix64;
 use crate::space::Space;
-
-/// One store affecting a block, in trace order.
-#[derive(Debug, Clone, Copy)]
-struct BlockStore {
-    idx: usize,
-    addr: crate::PAddr,
-    size: u8,
-    value: u64,
-}
 
 /// A stage of the writeback pipeline a flush passes through on its way
 /// to durability.
@@ -163,6 +168,185 @@ impl Frontier {
     }
 }
 
+/// One block's crash-relevant history in a [`CrashIndex`].
+#[derive(Debug, Clone)]
+struct BlockHistory {
+    block: BlockId,
+    /// Event positions of the block's stores, ascending.
+    stores: Vec<u32>,
+    /// `(event idx, new guarantee)` pairs, ascending in both fields: a
+    /// crash after event `idx` sees the block's guarantee at `new`.
+    guarantees: Vec<(u32, u32)>,
+}
+
+impl BlockHistory {
+    fn new(block: BlockId) -> Self {
+        BlockHistory {
+            block,
+            stores: Vec::new(),
+            guarantees: Vec::new(),
+        }
+    }
+
+    /// Position of the block's first store; `usize::MAX` for a block
+    /// that was only ever flushed.
+    fn first_store(&self) -> usize {
+        self.stores.first().map_or(usize::MAX, |&s| s as usize)
+    }
+
+    /// The guarantee at crash point `crash_idx`: the last change made by
+    /// an event strictly before it (events `..crash_idx` have run).
+    fn guarantee_at(&self, crash_idx: usize) -> usize {
+        let n = self
+            .guarantees
+            .partition_point(|&(idx, _)| (idx as usize) < crash_idx);
+        n.checked_sub(1)
+            .map_or(0, |last| self.guarantees[last].1 as usize)
+    }
+
+    /// The block's stores strictly before event `cut`.
+    fn stores_before(&self, cut: usize) -> &[u32] {
+        &self.stores[..self.stores.partition_point(|&s| (s as usize) < cut)]
+    }
+}
+
+/// A recorded trace indexed for crash checks at any point, built by one
+/// [`Frontier`] pass.
+///
+/// For every block it holds the ascending event positions of the
+/// block's stores and the block's guarantee history as `(event idx, new
+/// guarantee)` pairs. The [`FlushStage::Guaranteed`] stage max-merges,
+/// so a guarantee never decreases as the crash point moves later: the
+/// guarantee at any crash point is the last history entry before it (a
+/// binary search), and the stores a crash image applies are a prefix of
+/// the block's store list. A [`CrashSim`] view at any crash point then
+/// costs nothing to set up, where re-running the frontier over each
+/// prefix is quadratic in the number of crash points.
+///
+/// Store values are not copied: views read them from the indexed
+/// `events`, which is why [`CrashSim::view`] takes the trace again.
+/// Blocks are kept in first-store order, so the blocks dirty at a crash
+/// point are a prefix of them.
+///
+/// ```
+/// use spp_pmem::{persist_boundaries, CrashIndex, CrashSim, PmemEnv, Variant};
+///
+/// let mut env = PmemEnv::new(Variant::LogPSf);
+/// let a = env.alloc_block();
+/// let base = env.snapshot();
+/// env.store_u64(a, 7);
+/// env.clwb(a);
+/// env.sfence();
+/// env.pcommit();
+/// env.sfence();
+/// let trace = env.take_trace();
+///
+/// // Index once, then view every crash point.
+/// let index = CrashIndex::new(&trace.events);
+/// for crash in persist_boundaries(&trace.events) {
+///     let sim = CrashSim::view(&base, &trace.events, &index, crash);
+///     let v = sim.image_guaranteed_only().read_u64(a);
+///     assert_eq!(v == 7, sim.guarantee(a.block()) > 0);
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct CrashIndex {
+    /// Events indexed.
+    len: usize,
+    /// Stored-to blocks in first-store order, then the blocks that were
+    /// only ever flushed (by block address).
+    blocks: Vec<BlockHistory>,
+    /// Position of each block in `blocks`.
+    slot: HashMap<BlockId, usize>,
+}
+
+impl CrashIndex {
+    /// Indexes `events` in one [`Frontier`] pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` holds more than `u32::MAX` events: positions
+    /// are stored as `u32` to keep the index small.
+    pub fn new(events: &[Event]) -> Self {
+        assert!(
+            u32::try_from(events.len()).is_ok(),
+            "CrashIndex stores u32 event positions: a trace of {} events is too long",
+            events.len()
+        );
+        let mut by_block: HashMap<BlockId, BlockHistory> = HashMap::new();
+        let mut frontier = Frontier::default();
+        for (idx, ev) in events.iter().enumerate() {
+            // Positions fit in u32: the trace length was checked above.
+            let pos = idx as u32;
+            if let Event::Store { addr, .. } = *ev {
+                debug_assert_eq!(
+                    addr.raw() % 8,
+                    0,
+                    "crash analysis assumes 8-byte-aligned stores"
+                );
+                let b = addr.block();
+                let h = by_block.entry(b).or_insert_with(|| BlockHistory::new(b));
+                h.stores.push(pos);
+            }
+            frontier.step(idx, ev, |stage, b, flush, held| {
+                if stage != FlushStage::Guaranteed {
+                    return;
+                }
+                let g = held.map_or(flush, |old| old.max(flush)) as u32;
+                let h = by_block.entry(b).or_insert_with(|| BlockHistory::new(b));
+                if h.guarantees.last().map_or(0, |&(_, last)| last) < g {
+                    h.guarantees.push((pos, g));
+                }
+            });
+        }
+        let mut blocks: Vec<BlockHistory> = by_block.into_values().collect();
+        blocks.sort_unstable_by_key(|h| (h.first_store(), h.block.raw()));
+        let slot = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, h)| (h.block, i))
+            .collect();
+        CrashIndex {
+            len: events.len(),
+            blocks,
+            slot,
+        }
+    }
+
+    /// The blocks stored to before `crash_idx`: a prefix of `blocks`.
+    fn dirty(&self, crash_idx: usize) -> &[BlockHistory] {
+        let n = self.blocks.partition_point(|h| h.first_store() < crash_idx);
+        &self.blocks[..n]
+    }
+
+    fn block(&self, block: BlockId) -> Option<&BlockHistory> {
+        self.slot.get(&block).map(|&i| &self.blocks[i])
+    }
+
+    /// The number of stores to `block` strictly before event `cut`: with
+    /// a guarantee as `cut`, the stores certainly durable.
+    pub fn stores_before(&self, block: BlockId, cut: usize) -> usize {
+        self.block(block).map_or(0, |h| h.stores_before(cut).len())
+    }
+
+    /// Every guarantee change of the trace as `(event idx, block, new
+    /// guarantee)`, in event order: from a crash after event `idx` on,
+    /// `block`'s guarantee is the new one.
+    pub fn guarantee_changes(&self) -> Vec<(usize, BlockId, usize)> {
+        let mut changes: Vec<(usize, BlockId, usize)> = self
+            .blocks
+            .iter()
+            .flat_map(|h| {
+                h.guarantees
+                    .iter()
+                    .map(|&(idx, g)| (idx as usize, h.block, g as usize))
+            })
+            .collect();
+        changes.sort_unstable_by_key(|&(idx, b, _)| (idx, b.raw()));
+        changes
+    }
+}
+
 /// A crash-point analysis of a recorded trace.
 ///
 /// ```
@@ -192,44 +376,56 @@ impl Frontier {
 #[derive(Debug)]
 pub struct CrashSim<'a> {
     base: &'a Space,
+    events: &'a [Event],
+    index: Cow<'a, CrashIndex>,
     crash_idx: usize,
-    stores: HashMap<BlockId, Vec<BlockStore>>,
-    frontier: Frontier,
 }
 
 impl<'a> CrashSim<'a> {
     /// Analyses `events[..crash_idx]` against the pre-trace image
-    /// `base`. `base` is assumed fully durable (e.g. a freshly populated
-    /// and quiesced structure).
+    /// `base`: indexes that prefix, then views it at its end. `base` is
+    /// assumed fully durable (e.g. a freshly populated and quiesced
+    /// structure). A caller crashing one trace at many points should
+    /// build one [`CrashIndex`] and [`CrashSim::view`] it instead.
     ///
     /// # Panics
     ///
     /// Panics if `crash_idx > events.len()`.
-    pub fn new(base: &'a Space, events: &[Event], crash_idx: usize) -> Self {
+    pub fn new(base: &'a Space, events: &'a [Event], crash_idx: usize) -> Self {
         assert!(crash_idx <= events.len(), "crash index past end of trace");
-        let mut stores: HashMap<BlockId, Vec<BlockStore>> = HashMap::new();
-        let mut frontier = Frontier::default();
-        for (idx, ev) in events[..crash_idx].iter().enumerate() {
-            if let Event::Store { addr, size, value } = *ev {
-                debug_assert_eq!(
-                    addr.raw() % 8,
-                    0,
-                    "crash analysis assumes 8-byte-aligned stores"
-                );
-                stores.entry(addr.block()).or_default().push(BlockStore {
-                    idx,
-                    addr,
-                    size,
-                    value,
-                });
-            }
-            frontier.step(idx, ev, |_, _, _, _| {});
-        }
+        let events = &events[..crash_idx];
         CrashSim {
             base,
+            events,
+            index: Cow::Owned(CrashIndex::new(events)),
             crash_idx,
-            stores,
-            frontier,
+        }
+    }
+
+    /// Views the trace `events`, indexed as `index`, crashed at
+    /// `crash_idx`, against the pre-trace image `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `crash_idx > events.len()`, or if `index` was built
+    /// over a trace of another length.
+    pub fn view(
+        base: &'a Space,
+        events: &'a [Event],
+        index: &'a CrashIndex,
+        crash_idx: usize,
+    ) -> Self {
+        assert_eq!(
+            index.len,
+            events.len(),
+            "CrashIndex built over a different trace"
+        );
+        assert!(crash_idx <= events.len(), "crash index past end of trace");
+        CrashSim {
+            base,
+            events,
+            index: Cow::Borrowed(index),
+            crash_idx,
         }
     }
 
@@ -241,7 +437,9 @@ impl<'a> CrashSim<'a> {
     /// The guaranteed-persist frontier of `block` at the crash (see
     /// [`Frontier::guarantee`]).
     pub fn guarantee(&self, block: BlockId) -> usize {
-        self.frontier.guarantee(block)
+        self.index
+            .block(block)
+            .map_or(0, |h| h.guarantee_at(self.crash_idx))
     }
 
     /// Builds an NVMM image choosing, for each dirty block, a cut point
@@ -250,15 +448,25 @@ impl<'a> CrashSim<'a> {
     /// strictly before the cut are applied (cuts are exclusive, like
     /// the frontier, so `frontier` itself applies exactly the
     /// guaranteed stores and `crash_idx` applies everything).
+    ///
+    /// `choose` is called once per dirty block, in first-store order;
+    /// blocks not yet stored to at the crash are never visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index of a [`CrashSim::view`] was built over
+    /// another trace of the same length (an indexed store is not a
+    /// store of `events`).
     pub fn image_with(&self, mut choose: impl FnMut(BlockId, usize, usize) -> usize) -> Space {
         let mut img = self.base.clone();
-        for (&block, stores) in &self.stores {
-            let g = self.guarantee(block);
-            let cut = choose(block, g, self.crash_idx).clamp(g, self.crash_idx);
-            for s in stores {
-                if s.idx < cut {
-                    img.write_uint(s.addr, s.size, s.value);
-                }
+        for h in self.index.dirty(self.crash_idx) {
+            let g = h.guarantee_at(self.crash_idx);
+            let cut = choose(h.block, g, self.crash_idx).clamp(g, self.crash_idx);
+            for &pos in h.stores_before(cut) {
+                let Event::Store { addr, size, value } = self.events[pos as usize] else {
+                    panic!("CrashIndex built over a different trace: event {pos} is no store");
+                };
+                img.write_uint(addr, size, value);
             }
         }
         img
@@ -292,10 +500,15 @@ impl<'a> CrashSim<'a> {
         self.image_with(|_, _, crash| crash)
     }
 
-    /// Blocks that were stored to before the crash, with their
-    /// guaranteed frontiers (diagnostics and test enumeration).
+    /// Blocks that were stored to before the crash, in first-store
+    /// order, with their guaranteed frontiers (diagnostics and test
+    /// enumeration).
     pub fn dirty_blocks(&self) -> impl Iterator<Item = (BlockId, usize)> + '_ {
-        self.stores.keys().map(move |&b| (b, self.guarantee(b)))
+        let c = self.crash_idx;
+        self.index
+            .dirty(c)
+            .iter()
+            .map(move |h| (h.block, h.guarantee_at(c)))
     }
 
     /// The distinct cut points of `block`: its guaranteed frontier plus
@@ -307,10 +520,11 @@ impl<'a> CrashSim<'a> {
     pub fn cut_points(&self, block: BlockId) -> Vec<usize> {
         let g = self.guarantee(block);
         let mut pts = vec![g];
-        if let Some(stores) = self.stores.get(&block) {
-            pts.extend(stores.iter().filter(|s| s.idx >= g).map(|s| s.idx + 1));
+        if let Some(h) = self.index.block(block) {
+            let stores = h.stores_before(self.crash_idx);
+            let unguaranteed = &stores[stores.partition_point(|&s| (s as usize) < g)..];
+            pts.extend(unguaranteed.iter().map(|&s| s as usize + 1));
         }
-        pts.dedup();
         pts
     }
 
@@ -324,7 +538,7 @@ impl<'a> CrashSim<'a> {
     /// callers are expected to use it on small traces only (litmus
     /// programs, property tests).
     pub fn for_each_image(&self, mut visit: impl FnMut(&Space)) {
-        let mut blocks: Vec<BlockId> = self.stores.keys().copied().collect();
+        let mut blocks: Vec<BlockId> = self.dirty_blocks().map(|(b, _)| b).collect();
         blocks.sort_unstable_by_key(|b| b.raw());
         let cuts: Vec<Vec<usize>> = blocks.iter().map(|&b| self.cut_points(b)).collect();
         let mut chosen: HashMap<BlockId, usize> = HashMap::new();
@@ -524,6 +738,14 @@ mod tests {
     fn crash_idx_validated() {
         let base = Space::new();
         let _ = CrashSim::new(&base, &[], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "different trace")]
+    fn view_rejects_an_index_of_another_trace() {
+        let base = Space::new();
+        let index = CrashIndex::new(&[Event::Sfence]);
+        let _ = CrashSim::view(&base, &[], &index, 0);
     }
 
     /// Legacy `clflush` is ordered before a later `pcommit` on its own:

@@ -58,7 +58,7 @@ mod undo;
 mod variant;
 
 pub use addr::{blocks_covering, BlockId, PAddr, BLOCK_SIZE};
-pub use crash::{persist_boundaries, CrashSim, FlushStage, Frontier};
+pub use crash::{persist_boundaries, CrashIndex, CrashSim, FlushStage, Frontier};
 pub use env::{PmemEnv, ROOT_SLOTS};
 pub use event::{Event, SharedTrace, Trace, TraceCounts};
 pub use hash::{FastHashBuilder, FastHasher};

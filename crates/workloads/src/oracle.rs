@@ -24,10 +24,13 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spp_pmem::{recover, CrashSim, Event, FlushMode, LogLayout, PmemEnv, Space, Variant};
+use spp_pmem::{
+    recover, CrashIndex, CrashSim, Event, FlushMode, LogLayout, PmemEnv, Space, Variant,
+};
 
 use crate::{make_workload, BenchId, OpOutcome, Workload};
 
@@ -56,6 +59,8 @@ pub struct CrashBundle {
     spec: BundleSpec,
     base: Space,
     events: Vec<Event>,
+    /// `events` indexed for crash checks, built at the first one.
+    index: OnceLock<StreamIndex>,
     layout: LogLayout,
     /// Logical contents after 0, 1, ..., `sim_ops` completed operations.
     states: Vec<BTreeSet<u64>>,
@@ -213,6 +218,7 @@ pub fn record_bundle(spec: &BundleSpec) -> CrashBundle {
         spec: *spec,
         base,
         events: env.take_trace().events,
+        index: OnceLock::new(),
         layout,
         states,
         workload: w,
@@ -240,7 +246,11 @@ impl CrashBundle {
     /// Number of `TxEnd` markers before `crash_idx`: the count of
     /// operations certainly completed at the crash.
     pub fn completed_ops(&self, crash_idx: usize) -> usize {
-        completed_in(&self.events, crash_idx)
+        self.own_index().completed(crash_idx)
+    }
+
+    fn own_index(&self) -> &StreamIndex {
+        self.index.get_or_init(|| StreamIndex::new(&self.events))
     }
 
     /// Runs recovery and the full oracle against `image`, which must be
@@ -255,8 +265,8 @@ impl CrashBundle {
     }
 
     /// The oracle body, parameterized on the completed-operation count
-    /// so foreign event streams (see [`CrashBundle::check_crash_of`])
-    /// can supply their own.
+    /// so foreign event streams (see [`CrashBundle::foreign`]) can
+    /// supply their own.
     fn check_image_at(&self, image: &mut Space, completed: usize) -> Result<(), OracleViolation> {
         recover(image, &self.layout);
         let raw_keys = match self.workload.verify(image) {
@@ -303,7 +313,9 @@ impl CrashBundle {
 
     /// Replays one adversarial schedule: crash at `crash_idx`, per-block
     /// writeback cuts drawn from `seed` (see
-    /// [`CrashSim::image_seeded`]), then recovery and the oracle.
+    /// [`CrashSim::image_seeded`]), then recovery and the oracle. The
+    /// recording is indexed once, at the first check; every check views
+    /// that index.
     ///
     /// # Errors
     ///
@@ -313,16 +325,49 @@ impl CrashBundle {
     ///
     /// Panics if `crash_idx > events().len()`.
     pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
-        self.check_crash_of(&self.events, crash_idx, seed)
+        self.check_indexed(&self.events, self.own_index(), crash_idx, seed)
     }
 
-    /// Like [`CrashBundle::check_crash`], but crashes a *foreign* event
-    /// stream — a transformed replay of this bundle's recording (e.g. a
-    /// persist-elision plan applied by `spp_bench::optimize`) that must
-    /// still satisfy the same recovery oracle. The stream must perform
-    /// the same stores and transactions as the recording; only persist
-    /// operations may differ. The completed-operation count is taken
-    /// from `events`, not from the recording.
+    /// Indexes a *foreign* event stream once for crash checks against
+    /// this bundle's oracle: a transformed replay of the recording (e.g.
+    /// a persist-elision plan applied by `spp_bench::optimize`) that
+    /// must still satisfy the same recovery oracle. The stream must
+    /// perform the same stores and transactions as the recording; only
+    /// persist operations may differ. The completed-operation count is
+    /// taken from `events`, not from the recording.
+    pub fn foreign<'a>(&'a self, events: &'a [Event]) -> ForeignStream<'a> {
+        ForeignStream {
+            bundle: self,
+            events,
+            index: StreamIndex::new(events),
+        }
+    }
+
+    fn check_indexed(
+        &self,
+        events: &[Event],
+        index: &StreamIndex,
+        crash_idx: usize,
+        seed: u64,
+    ) -> Result<(), OracleViolation> {
+        let sim = CrashSim::view(&self.base, events, &index.crash, crash_idx);
+        let mut img = sim.image_seeded(seed);
+        self.check_image_at(&mut img, index.completed(crash_idx))
+    }
+}
+
+/// A foreign event stream indexed for crash checks against a bundle's
+/// oracle (see [`CrashBundle::foreign`]).
+#[derive(Debug)]
+pub struct ForeignStream<'a> {
+    bundle: &'a CrashBundle,
+    events: &'a [Event],
+    index: StreamIndex,
+}
+
+impl ForeignStream<'_> {
+    /// Like [`CrashBundle::check_crash`], but crashes the foreign
+    /// stream.
     ///
     /// # Errors
     ///
@@ -330,26 +375,39 @@ impl CrashBundle {
     ///
     /// # Panics
     ///
-    /// Panics if `crash_idx > events.len()`.
-    pub fn check_crash_of(
-        &self,
-        events: &[Event],
-        crash_idx: usize,
-        seed: u64,
-    ) -> Result<(), OracleViolation> {
-        let sim = CrashSim::new(&self.base, events, crash_idx);
-        let mut img = sim.image_seeded(seed);
-        self.check_image_at(&mut img, completed_in(events, crash_idx))
+    /// Panics if `crash_idx` is past the end of the stream.
+    pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
+        self.bundle
+            .check_indexed(self.events, &self.index, crash_idx, seed)
     }
 }
 
-/// Number of `TxEnd` markers in `events[..crash_idx]`: the operations
-/// certainly completed at a crash there.
-fn completed_in(events: &[Event], crash_idx: usize) -> usize {
-    events[..crash_idx]
-        .iter()
-        .filter(|e| matches!(e, Event::TxEnd(_)))
-        .count()
+/// An event stream indexed for crash checks: its [`CrashIndex`] and the
+/// positions of its `TxEnd` markers.
+#[derive(Debug)]
+struct StreamIndex {
+    crash: CrashIndex,
+    tx_ends: Vec<usize>,
+}
+
+impl StreamIndex {
+    fn new(events: &[Event]) -> Self {
+        StreamIndex {
+            crash: CrashIndex::new(events),
+            tx_ends: events
+                .iter()
+                .enumerate()
+                .filter(|(_, ev)| matches!(ev, Event::TxEnd(_)))
+                .map(|(i, _)| i)
+                .collect(),
+        }
+    }
+
+    /// Number of `TxEnd` markers in `events[..crash_idx]`: the
+    /// operations certainly completed at a crash there.
+    fn completed(&self, crash_idx: usize) -> usize {
+        self.tx_ends.partition_point(|&i| i < crash_idx)
+    }
 }
 
 #[cfg(test)]
@@ -389,6 +447,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A foreign stream that is the recording itself gets the
+    /// recording's verdict at every crash point, failures included.
+    #[test]
+    fn foreign_stream_of_the_recording_agrees_with_check_crash() {
+        let b = record_bundle(&spec(BenchId::LinkedList, Variant::Log));
+        let stream = b.foreign(b.events());
+        let mut failures = 0;
+        for p in 0..=b.events().len() {
+            let own = b.check_crash(p, 1).map_err(|v| v.to_string());
+            failures += usize::from(own.is_err());
+            assert_eq!(
+                stream.check_crash(p, 1).map_err(|v| v.to_string()),
+                own,
+                "@{p}"
+            );
+        }
+        assert!(failures > 0, "the Log build must fail somewhere");
     }
 
     #[test]
