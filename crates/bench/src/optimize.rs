@@ -572,7 +572,7 @@ fn run_oracle_cell(h: &Harness, id: BenchId) -> OptCell {
     let optimized = apply(b.events(), &plan);
     let pts = persist_boundaries(&optimized);
     cell.points = pts.len() as u64;
-    let stream = b.foreign(&optimized);
+    let stream = b.foreign(optimized);
     let (checks, witness) = first_violation(pts, |p, seed| stream.check_crash(p, seed));
     cell.checks = checks as u64;
     cell.ok = witness.is_none();
@@ -611,7 +611,7 @@ fn run_inverted_cell(h: &Harness, id: BenchId) -> OptCell {
     cell.kept = unsafe_events.len() as u64;
     let pts = crash_points(&unsafe_events);
     cell.points = pts.len() as u64;
-    let stream = b.foreign(&unsafe_events);
+    let stream = b.foreign(unsafe_events);
     let (checks, witness) = first_violation(pts, |p, seed| stream.check_crash(p, seed));
     cell.checks = checks as u64;
     cell.witness = witness;

@@ -21,7 +21,7 @@ use std::collections::{BTreeSet, HashSet};
 use proptest::prelude::*;
 use spp_bench::optimize::{analyze, apply, plan_preserves_guarantees, ElisionPlan};
 use spp_litmus::{allowed_states, allowed_union, catalog, generate, LitmusProgram, ModelKnob};
-use spp_pmem::{persist_boundaries, CrashSim, Event, FlushMode, PAddr, Space};
+use spp_pmem::{persist_boundaries, CrashTrace, Event, FlushMode, PAddr, Space};
 
 /// One op of a tiny random persist program over a few cachelines.
 #[derive(Debug, Clone, Copy)]
@@ -79,12 +79,17 @@ fn events_of(ops: &[Op]) -> Vec<Event> {
         .collect()
 }
 
-/// Every state vector any crash image at crash point `c` can show.
-fn reachable_at(events: &[Event], c: usize, locs: u8) -> BTreeSet<Vec<u64>> {
-    let base = Space::new();
-    let sim = CrashSim::new(&base, events, c);
+/// A trace of a random program, ready to be crashed: the programs
+/// start from an empty image.
+fn crash_trace(events: Vec<Event>) -> CrashTrace {
+    CrashTrace::new(Space::new(), events)
+}
+
+/// Every state vector any crash image of `trace` at crash point `c`
+/// can show.
+fn reachable_at(trace: &CrashTrace, c: usize, locs: u8) -> BTreeSet<Vec<u64>> {
     let mut out = BTreeSet::new();
-    sim.for_each_image(|img| {
+    trace.at(c).for_each_image(|img| {
         out.insert((0..locs).map(|l| img.read_u64(addr(l))).collect());
     });
     out
@@ -117,11 +122,12 @@ fn assert_plan_is_safe(events: &[Event], boundaries: &[usize], locs: u8) {
         plan_preserves_guarantees(events, &plan),
         "plan moved a guarantee frontier: {plan:?}"
     );
-    let optimized = apply(events, &plan);
+    let original = crash_trace(events.to_vec());
+    let optimized = crash_trace(apply(events, &plan));
     let prefix = index_map(events, &plan);
     for &c in boundaries {
         assert_eq!(
-            reachable_at(events, c, locs),
+            reachable_at(&original, c, locs),
             reachable_at(&optimized, prefix[c], locs),
             "reachable crash states diverged at boundary {c} -> {}",
             prefix[c]
@@ -192,7 +198,7 @@ fn optimized_litmus_traces_stay_inside_the_px86_envelope() {
                 // boundaries.
                 let allowed = allowed_states(prog, &il, mode, ModelKnob::Honest);
                 let plan = analyze(&events);
-                let optimized = apply(&events, &plan);
+                let optimized = crash_trace(apply(&events, &plan));
                 let prefix = index_map(&events, &plan);
                 for (c, allowed_here) in allowed.iter().enumerate() {
                     let states = reachable_at(&optimized, prefix[c], locs);

@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 
 use spp_cpu::{reconstruct, CpuConfig, ReferencePipeline, Simulator, VisEvent};
-use spp_pmem::{CrashIndex, CrashSim, Event, FlushMode, Space};
+use spp_pmem::{CrashTrace, Event, FlushMode, Space};
 use spp_workloads::litmus::LitmusProgram;
 
 use crate::model::{self, ModelKnob, State};
@@ -145,14 +145,13 @@ fn visibility_trace(events: &[Event], sp: bool, reference: bool) -> Result<Vec<E
     Ok(reconstruct(events, &log))
 }
 
-/// All states `CrashSim` can produce from `events` crashed at each
-/// `c` in `0..=events.len()`, from one index of the trace.
-fn reachable_per_crash(base: &Space, events: &[Event], locs: usize) -> Vec<BTreeSet<State>> {
-    let index = CrashIndex::new(events);
-    (0..=events.len())
+/// All states `CrashSim` can produce from `trace` crashed at each `c`
+/// in `0..=trace.events().len()`.
+fn reachable_per_crash(trace: &CrashTrace, locs: usize) -> Vec<BTreeSet<State>> {
+    (0..=trace.events().len())
         .map(|c| {
             let mut out = BTreeSet::new();
-            CrashSim::view(base, events, &index, c).for_each_image(|img| {
+            trace.at(c).for_each_image(|img| {
                 out.insert(read_state(img, locs));
             });
             out
@@ -164,16 +163,14 @@ fn reachable_per_crash(base: &Space, events: &[Event], locs: usize) -> Vec<BTree
 /// traces whose seeded crash image falls outside `allowed(trace_idx,
 /// crash_idx)`; falls back to a seedless exhaustive witness.
 fn minimize(
-    base: &Space,
-    traces: &[Vec<Event>],
+    traces: &[CrashTrace],
     locs: usize,
     allowed: impl Fn(usize, usize) -> BTreeSet<State>,
 ) -> Option<(usize, usize, Option<u64>, State)> {
-    for (ti, events) in traces.iter().enumerate() {
-        let index = CrashIndex::new(events);
-        for c in 0..=events.len() {
+    for (ti, trace) in traces.iter().enumerate() {
+        for c in 0..=trace.events().len() {
             let ok = allowed(ti, c);
-            let sim = CrashSim::view(base, events, &index, c);
+            let sim = trace.at(c);
             for seed in 0..MINIMIZE_SEEDS {
                 let st = read_state(&sim.image_seeded(seed), locs);
                 if !ok.contains(&st) {
@@ -198,7 +195,6 @@ fn minimize(
 
 /// Checks one `(program, flush-mode)` cell under the given model knob.
 pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> CellOutcome {
-    let base = Space::new();
     let locs = program.num_locs();
     let ils = program.interleavings();
     let rendered = program.to_string();
@@ -215,13 +211,17 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
         }
     }
 
-    // Leg 1: raw CrashSim, per crash point of each interleaving.
-    let raw_traces: Vec<Vec<Event>> = ils.iter().map(|il| program.materialize(il, mode)).collect();
+    // Leg 1: raw CrashSim, per crash point of each interleaving. Every
+    // litmus trace is crashed over an empty base image.
+    let raw_traces: Vec<CrashTrace> = ils
+        .iter()
+        .map(|il| CrashTrace::new(Space::new(), program.materialize(il, mode)))
+        .collect();
     let mut crashsim_ok = true;
     let mut reached: BTreeSet<State> = BTreeSet::new();
-    for (ti, events) in raw_traces.iter().enumerate() {
-        // `allowed_per[ti]` has one entry per crash point: `events.len() + 1`.
-        let per_crash = reachable_per_crash(&base, events, locs);
+    for (ti, trace) in raw_traces.iter().enumerate() {
+        // `allowed_per[ti]` has one entry per crash point: `events().len() + 1`.
+        let per_crash = reachable_per_crash(trace, locs);
         for (allowed, states) in allowed_per[ti].iter().zip(per_crash) {
             if !states.is_subset(allowed) {
                 crashsim_ok = false;
@@ -232,17 +232,18 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
 
     // Legs 2–5: the real cores, checked against the envelope.
     let mut sim_error = None;
-    let mut leg_traces: [Vec<Vec<Event>>; 4] = Default::default();
+    let mut leg_traces: [Vec<CrashTrace>; 4] = Default::default();
     let mut leg_reached: [BTreeSet<State>; 4] = Default::default();
     // Order: [pipe-base, pipe-sp, ref-base, ref-sp].
     for (li, &(sp, reference)) in [(false, false), (true, false), (false, true), (true, true)]
         .iter()
         .enumerate()
     {
-        for events in &raw_traces {
-            match visibility_trace(events, sp, reference) {
+        for raw in &raw_traces {
+            match visibility_trace(raw.events(), sp, reference) {
                 Ok(recon) => {
-                    for states in reachable_per_crash(&base, &recon, locs) {
+                    let recon = CrashTrace::new(Space::new(), recon);
+                    for states in reachable_per_crash(&recon, locs) {
                         leg_reached[li].extend(states);
                     }
                     leg_traces[li].push(recon);
@@ -251,7 +252,7 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
                     if sim_error.is_none() {
                         sim_error = Some(e);
                     }
-                    leg_traces[li].push(Vec::new());
+                    leg_traces[li].push(CrashTrace::new(Space::new(), Vec::new()));
                 }
             }
         }
@@ -268,7 +269,7 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
     // order; within a leg, lexicographic (interleaving, crash, seed)).
     let mut witness = None;
     if !crashsim_ok {
-        witness = minimize(&base, &raw_traces, locs, |ti, c| allowed_per[ti][c].clone()).map(
+        witness = minimize(&raw_traces, locs, |ti, c| allowed_per[ti][c].clone()).map(
             |(ti, c, seed, state)| Witness {
                 leg: "crashsim",
                 interleaving: ti,
@@ -287,7 +288,7 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
     ];
     for (leg, ok, li) in pipeline_legs {
         if witness.is_none() && !ok {
-            witness = minimize(&base, &leg_traces[li], locs, |_, _| envelope.clone()).map(
+            witness = minimize(&leg_traces[li], locs, |_, _| envelope.clone()).map(
                 |(ti, c, seed, state)| Witness {
                     leg,
                     interleaving: ti,
@@ -305,7 +306,7 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
     ] {
         if witness.is_none() && !ok {
             let baseline = leg_reached[base_li].clone();
-            witness = minimize(&base, &leg_traces[li], locs, |_, _| baseline.clone()).map(
+            witness = minimize(&leg_traces[li], locs, |_, _| baseline.clone()).map(
                 |(ti, c, seed, state)| Witness {
                     leg,
                     interleaving: ti,

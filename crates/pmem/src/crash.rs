@@ -11,22 +11,22 @@
 //! [`Frontier`] is that rule as a state machine: it moves each flush
 //! through `issued -> (sfence) -> ordered -> (pcommit) -> in-flight ->
 //! (sfence) -> guaranteed` and is the only place the transitions are
-//! written down. A trace is checked in two steps: index it once, then
-//! view every crash point.
+//! written down. A trace is checked in two steps: record it as a
+//! [`CrashTrace`], then call [`CrashTrace::at`] at every crash point.
 //!
 //! - [`CrashIndex`] runs the frontier over the whole trace once and
 //!   keeps, per block, its store positions and its guarantee history.
 //!   The guaranteed stage max-merges, so a block's guarantee only grows
 //!   as the crash point moves later, and its value at any crash point is
 //!   one binary search away.
-//! - [`CrashSim`] views an indexed trace at one crash point: it reads
-//!   each block's guaranteed-persist frontier from the index and
-//!   materializes candidate NVMM images by choosing a per-block cut
-//!   anywhere between the frontier and the crash, reading store values
-//!   from the trace itself. [`CrashSim::new`] is "index the prefix, then
-//!   view" for one-off checks; callers that crash one trace at many
-//!   points build the index once and call [`CrashSim::view`], so the
-//!   whole sweep is linear in the trace rather than quadratic.
+//! - [`CrashTrace`] owns a base image, the trace recorded over it and
+//!   the trace's index, which the first [`CrashTrace::at`] builds and
+//!   every later call reuses: a sweep over any number of crash points is
+//!   linear in the trace rather than quadratic.
+//! - [`CrashSim`] is a crash trace at one crash point: it reads each
+//!   block's guaranteed-persist frontier from the index and materializes
+//!   candidate NVMM images by choosing a per-block cut anywhere between
+//!   the frontier and the crash, reading store values from the trace.
 //!
 //! Recovery correctness tests assert that *every* such image recovers to
 //! a consistent structure. Callers that need more than the frontier (the
@@ -45,9 +45,9 @@
 //! only the trailing `sfence` (awaiting the `pcommit` acknowledgement)
 //! is still required for a durability guarantee.
 
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::addr::BlockId;
 use crate::event::Event;
@@ -219,21 +219,21 @@ impl BlockHistory {
 /// so a guarantee never decreases as the crash point moves later: the
 /// guarantee at any crash point is the last history entry before it (a
 /// binary search), and the stores a crash image applies are a prefix of
-/// the block's store list. A [`CrashSim`] view at any crash point then
-/// costs nothing to set up, where re-running the frontier over each
-/// prefix is quadratic in the number of crash points.
+/// the block's store list. A [`CrashSim`] at any crash point then costs
+/// nothing to set up, where re-running the frontier over each prefix is
+/// quadratic in the number of crash points.
 ///
-/// Store values are not copied: views read them from the indexed
-/// `events`, which is why [`CrashSim::view`] takes the trace again.
-/// Blocks are kept in first-store order, so the blocks dirty at a crash
-/// point are a prefix of them.
+/// Store values are not copied: a [`CrashSim`] reads them from the
+/// trace its [`CrashTrace`] owns, which also builds this index. Blocks
+/// are kept in first-store order, so the blocks dirty at a crash point
+/// are a prefix of them. Build an index directly only to read store
+/// counts and guarantee changes without materializing any image:
 ///
 /// ```
-/// use spp_pmem::{persist_boundaries, CrashIndex, CrashSim, PmemEnv, Variant};
+/// use spp_pmem::{CrashIndex, PmemEnv, Variant};
 ///
 /// let mut env = PmemEnv::new(Variant::LogPSf);
 /// let a = env.alloc_block();
-/// let base = env.snapshot();
 /// env.store_u64(a, 7);
 /// env.clwb(a);
 /// env.sfence();
@@ -241,18 +241,14 @@ impl BlockHistory {
 /// env.sfence();
 /// let trace = env.take_trace();
 ///
-/// // Index once, then view every crash point.
 /// let index = CrashIndex::new(&trace.events);
-/// for crash in persist_boundaries(&trace.events) {
-///     let sim = CrashSim::view(&base, &trace.events, &index, crash);
-///     let v = sim.image_guaranteed_only().read_u64(a);
-///     assert_eq!(v == 7, sim.guarantee(a.block()) > 0);
-/// }
+/// let changes = index.guarantee_changes();
+/// assert_eq!(changes.len(), 1, "the trailing sfence guarantees the store");
+/// let (_, block, g) = changes[0];
+/// assert_eq!((block, index.stores_before(block, g)), (a.block(), 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CrashIndex {
-    /// Events indexed.
-    len: usize,
     /// Stored-to blocks in first-store order, then the blocks that were
     /// only ever flushed (by block address).
     blocks: Vec<BlockHistory>,
@@ -306,11 +302,7 @@ impl CrashIndex {
             .enumerate()
             .map(|(i, h)| (h.block, i))
             .collect();
-        CrashIndex {
-            len: events.len(),
-            blocks,
-            slot,
-        }
+        CrashIndex { blocks, slot }
     }
 
     /// The blocks stored to before `crash_idx`: a prefix of `blocks`.
@@ -347,10 +339,88 @@ impl CrashIndex {
     }
 }
 
-/// A crash-point analysis of a recorded trace.
+/// A base image and the trace recorded over it, ready to be crashed at
+/// any point.
+///
+/// The first [`CrashTrace::at`] builds the trace's [`CrashIndex`] and
+/// every later one reuses it; a trace that is never crashed is never
+/// indexed. The base image is assumed fully durable (e.g. a freshly
+/// populated and quiesced structure).
 ///
 /// ```
-/// use spp_pmem::{CrashSim, PmemEnv, Variant, recover};
+/// use spp_pmem::{persist_boundaries, CrashTrace, PmemEnv, Variant};
+///
+/// let mut env = PmemEnv::new(Variant::LogPSf);
+/// let a = env.alloc_block();
+/// let base = env.snapshot();
+/// env.store_u64(a, 7);
+/// env.clwb(a);
+/// env.sfence();
+/// env.pcommit();
+/// env.sfence();
+/// let trace = CrashTrace::new(base, env.take_trace().events);
+///
+/// // Build the crash trace once, then crash it at every boundary.
+/// for crash in persist_boundaries(trace.events()) {
+///     let sim = trace.at(crash);
+///     let v = sim.image_guaranteed_only().read_u64(a);
+///     assert_eq!(v == 7, sim.guarantee(a.block()) > 0);
+/// }
+/// ```
+#[derive(Debug)]
+pub struct CrashTrace {
+    base: Space,
+    events: Vec<Event>,
+    /// `events` indexed, built at the first [`CrashTrace::at`].
+    index: OnceLock<CrashIndex>,
+}
+
+impl CrashTrace {
+    /// Pairs the pre-trace image `base` with the trace `events`
+    /// recorded over it. The index is not built here.
+    pub fn new(base: Space, events: Vec<Event>) -> Self {
+        CrashTrace {
+            base,
+            events,
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The pre-trace image.
+    pub fn base(&self) -> &Space {
+        &self.base
+    }
+
+    /// The recorded trace (crash points range over
+    /// `0..=events().len()`).
+    pub fn events(&self) -> &[Event] {
+        &self.events
+    }
+
+    /// The trace crashed after its first `crash_idx` events. The first
+    /// call indexes the trace; later calls reuse that index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `crash_idx > events().len()`.
+    pub fn at(&self, crash_idx: usize) -> CrashSim<'_> {
+        assert!(
+            crash_idx <= self.events.len(),
+            "crash index past end of trace"
+        );
+        CrashSim {
+            trace: self,
+            index: self.index.get_or_init(|| CrashIndex::new(&self.events)),
+            crash_idx,
+        }
+    }
+}
+
+/// A [`CrashTrace`] crashed at one point: the guarantees that hold
+/// there and the NVMM images the crash may leave.
+///
+/// ```
+/// use spp_pmem::{CrashTrace, PmemEnv, Variant, recover};
 ///
 /// let mut env = PmemEnv::new(Variant::LogPSf);
 /// let node = env.alloc_block();
@@ -362,12 +432,11 @@ impl CrashIndex {
 /// env.clwb(node);
 /// env.tx_commit();
 ///
-/// let trace = env.take_trace();
 /// let layout = env.log_layout();
+/// let trace = CrashTrace::new(base, env.take_trace().events);
 /// // Crash anywhere: the adversarial image must recover consistently.
-/// for crash in 0..=trace.events.len() {
-///     let sim = CrashSim::new(&base, &trace.events, crash);
-///     let mut img = sim.image_guaranteed_only();
+/// for crash in 0..=trace.events().len() {
+///     let mut img = trace.at(crash).image_guaranteed_only();
 ///     recover(&mut img, &layout);
 ///     let v = img.read_u64(node);
 ///     assert!(v == 0 || v == 42, "torn value {v}");
@@ -375,65 +444,12 @@ impl CrashIndex {
 /// ```
 #[derive(Debug)]
 pub struct CrashSim<'a> {
-    base: &'a Space,
-    events: &'a [Event],
-    index: Cow<'a, CrashIndex>,
+    trace: &'a CrashTrace,
+    index: &'a CrashIndex,
     crash_idx: usize,
 }
 
-impl<'a> CrashSim<'a> {
-    /// Analyses `events[..crash_idx]` against the pre-trace image
-    /// `base`: indexes that prefix, then views it at its end. `base` is
-    /// assumed fully durable (e.g. a freshly populated and quiesced
-    /// structure). A caller crashing one trace at many points should
-    /// build one [`CrashIndex`] and [`CrashSim::view`] it instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `crash_idx > events.len()`.
-    pub fn new(base: &'a Space, events: &'a [Event], crash_idx: usize) -> Self {
-        assert!(crash_idx <= events.len(), "crash index past end of trace");
-        let events = &events[..crash_idx];
-        CrashSim {
-            base,
-            events,
-            index: Cow::Owned(CrashIndex::new(events)),
-            crash_idx,
-        }
-    }
-
-    /// Views the trace `events`, indexed as `index`, crashed at
-    /// `crash_idx`, against the pre-trace image `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `crash_idx > events.len()`, or if `index` was built
-    /// over a trace of another length.
-    pub fn view(
-        base: &'a Space,
-        events: &'a [Event],
-        index: &'a CrashIndex,
-        crash_idx: usize,
-    ) -> Self {
-        assert_eq!(
-            index.len,
-            events.len(),
-            "CrashIndex built over a different trace"
-        );
-        assert!(crash_idx <= events.len(), "crash index past end of trace");
-        CrashSim {
-            base,
-            events,
-            index: Cow::Borrowed(index),
-            crash_idx,
-        }
-    }
-
-    /// The crash point (exclusive event index) this analysis covers.
-    pub fn crash_idx(&self) -> usize {
-        self.crash_idx
-    }
-
+impl CrashSim<'_> {
     /// The guaranteed-persist frontier of `block` at the crash (see
     /// [`Frontier::guarantee`]).
     pub fn guarantee(&self, block: BlockId) -> usize {
@@ -451,22 +467,16 @@ impl<'a> CrashSim<'a> {
     ///
     /// `choose` is called once per dirty block, in first-store order;
     /// blocks not yet stored to at the crash are never visited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index of a [`CrashSim::view`] was built over
-    /// another trace of the same length (an indexed store is not a
-    /// store of `events`).
     pub fn image_with(&self, mut choose: impl FnMut(BlockId, usize, usize) -> usize) -> Space {
-        let mut img = self.base.clone();
+        let mut img = self.trace.base.clone();
         for h in self.index.dirty(self.crash_idx) {
             let g = h.guarantee_at(self.crash_idx);
             let cut = choose(h.block, g, self.crash_idx).clamp(g, self.crash_idx);
             for &pos in h.stores_before(cut) {
-                let Event::Store { addr, size, value } = self.events[pos as usize] else {
-                    panic!("CrashIndex built over a different trace: event {pos} is no store");
-                };
-                img.write_uint(addr, size, value);
+                // The index records only the positions of stores.
+                if let Event::Store { addr, size, value } = self.trace.events[pos as usize] {
+                    img.write_uint(addr, size, value);
+                }
             }
         }
         img
@@ -608,8 +618,8 @@ mod tests {
         env.store_u64(a, 5);
         env.clwb(a);
         env.pcommit();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
         // Worst case: the store never made it.
         assert_eq!(sim.image_guaranteed_only().read_u64(a), 0);
@@ -628,8 +638,8 @@ mod tests {
         env.sfence();
         env.pcommit();
         env.sfence();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         assert!(sim.guarantee(a.block()) > 0);
         assert_eq!(sim.image_guaranteed_only().read_u64(a), 5);
     }
@@ -645,8 +655,8 @@ mod tests {
         env.clwb(a);
         env.pcommit(); // clwb not yet ordered!
         env.sfence();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
 
@@ -660,8 +670,8 @@ mod tests {
         env.clwb(a);
         env.sfence();
         env.pcommit();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
 
@@ -677,8 +687,8 @@ mod tests {
         env.pcommit();
         env.sfence();
         env.store_u64(a, 9); // newer, unpersisted
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         let img = sim.image_guaranteed_only();
         assert_eq!(img.read_u64(a), 5);
         assert_eq!(sim.image_everything().read_u64(a), 9);
@@ -693,8 +703,8 @@ mod tests {
         let base = env.snapshot();
         env.store_u64(a, 1);
         env.store_u64(b, 2);
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         let img = sim.image_with(|blk, g, crash| if blk == a.block() { crash } else { g });
         assert_eq!(img.read_u64(a), 1);
         assert_eq!(img.read_u64(b), 0);
@@ -708,15 +718,15 @@ mod tests {
         let base = env.snapshot();
         env.store_u64(a, 1); // event 1 (alloc emitted a Compute first)
         env.store_u64(a, 2);
-        let trace = env.take_trace();
+        let trace = CrashTrace::new(base, env.take_trace().events);
         let store_idxs: Vec<usize> = trace
-            .events
+            .events()
             .iter()
             .enumerate()
             .filter(|(_, e)| matches!(e, Event::Store { .. }))
             .map(|(i, _)| i)
             .collect();
-        let sim = CrashSim::new(&base, &trace.events, store_idxs[1]);
+        let sim = trace.at(store_idxs[1]);
         assert_eq!(sim.image_everything().read_u64(a), 1);
     }
 
@@ -726,8 +736,8 @@ mod tests {
         let a = env.alloc_block();
         let base = env.snapshot();
         env.store_u64(a, 1);
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         // A chooser returning usize::MAX is clamped to the crash point.
         let img = sim.image_with(|_, _, _| usize::MAX);
         assert_eq!(img.read_u64(a), 1);
@@ -736,16 +746,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "past end")]
     fn crash_idx_validated() {
-        let base = Space::new();
-        let _ = CrashSim::new(&base, &[], 1);
+        let _ = CrashTrace::new(Space::new(), Vec::new()).at(1);
     }
 
+    /// `new` leaves the index unbuilt (recording a trace that is never
+    /// crashed costs no index); the first `at` builds it and every later
+    /// one reuses the same allocation.
     #[test]
-    #[should_panic(expected = "different trace")]
-    fn view_rejects_an_index_of_another_trace() {
-        let base = Space::new();
-        let index = CrashIndex::new(&[Event::Sfence]);
-        let _ = CrashSim::view(&base, &[], &index, 0);
+    fn index_is_built_at_the_first_crash_and_reused() {
+        let mut env = PmemEnv::new(Variant::LogPSf);
+        let a = env.alloc_block();
+        let base = env.snapshot();
+        env.store_u64(a, 5);
+        env.clwb(a);
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        assert!(trace.index.get().is_none(), "new must not index");
+        let first: *const CrashIndex = trace.at(0).index;
+        assert!(std::ptr::eq(trace.index.get().unwrap(), first));
+        for c in 1..=trace.events().len() {
+            assert!(std::ptr::eq(trace.at(c).index, first), "re-indexed at {c}");
+        }
     }
 
     /// Legacy `clflush` is ordered before a later `pcommit` on its own:
@@ -767,8 +787,8 @@ mod tests {
             env.clwb(a); // emits the configured flush instruction
             env.pcommit(); // no sfence between flush and pcommit
             env.sfence();
-            let trace = env.take_trace();
-            let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+            let trace = CrashTrace::new(base, env.take_trace().events);
+            let sim = trace.at(trace.events().len());
             assert_eq!(
                 sim.guarantee(a.block()) > 0,
                 expect_guaranteed,
@@ -792,8 +812,8 @@ mod tests {
             env.sfence();
             env.pcommit();
             env.sfence();
-            let trace = env.take_trace();
-            let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+            let trace = CrashTrace::new(base, env.take_trace().events);
+            let sim = trace.at(trace.events().len());
             assert!(sim.guarantee(a.block()) > 0, "{mode}: full barrier");
             assert_eq!(sim.image_guaranteed_only().read_u64(a), 5, "{mode}");
         }
@@ -811,8 +831,8 @@ mod tests {
         env.store_u64(a, 5);
         env.clwb(a);
         env.pcommit();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
 
@@ -828,8 +848,8 @@ mod tests {
         env.clwb(a);
         env.sfence();
         env.sfence();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
 
@@ -842,8 +862,8 @@ mod tests {
         env.store_u64(a, 1);
         env.store_u64(b, 2);
         env.store_u64(a, 3);
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         for seed in 0..64u64 {
             let img1 = sim.image_seeded(seed);
             let img2 = sim.image_seeded(seed);
@@ -870,8 +890,8 @@ mod tests {
         env.sfence();
         env.pcommit();
         env.sfence();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         for seed in 0..32u64 {
             assert_eq!(sim.image_seeded(seed).read_u64(a), 5, "seed {seed}");
         }
@@ -917,8 +937,8 @@ mod tests {
         env.sfence();
         env.store_u64(a, 2);
         env.store_u64(a, 3);
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         let g = sim.guarantee(a.block());
         assert!(g > 0);
         let pts = sim.cut_points(a.block());
@@ -943,8 +963,8 @@ mod tests {
         env.store_u64(a, 1);
         env.store_u64(b, 10);
         env.store_u64(a, 2);
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         let mut states = std::collections::BTreeSet::new();
         sim.for_each_image(|img| {
             states.insert((img.read_u64(a), img.read_u64(b)));
@@ -976,9 +996,9 @@ mod tests {
         env.sfence();
         env.store_u64(blocks[3], 4);
         env.store_u64(blocks[0], 5);
-        let trace = env.take_trace();
-        for &crash in &persist_boundaries(&trace.events) {
-            let sim = CrashSim::new(&base, &trace.events, crash);
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        for &crash in &persist_boundaries(trace.events()) {
+            let sim = trace.at(crash);
             let state =
                 |img: &Space| -> Vec<u64> { blocks.iter().map(|&p| img.read_u64(p)).collect() };
             let mut exhaustive = std::collections::BTreeSet::new();
@@ -1051,8 +1071,8 @@ mod tests {
         env.sfence();
         env.pcommit();
         env.sfence();
-        let trace = env.take_trace();
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        let sim = trace.at(trace.events().len());
         let dirty: Vec<(BlockId, usize)> = sim.dirty_blocks().collect();
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty[0].0, a.block());

@@ -11,7 +11,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use spp_pmem::{CrashSim, PmemEnv, Variant, recover};
+//! use spp_pmem::{CrashTrace, PmemEnv, Variant, recover};
 //!
 //! // Program against the environment; the build variant gates which
 //! // persistence machinery is emitted (Fig. 8's Base/Log/Log+P/Log+P+Sf).
@@ -29,11 +29,10 @@
 //! env.tx_commit();                   // step 4: logged_bit := 0, durable
 //!
 //! // Crash anywhere in that trace: recovery always yields 0 or 1.
-//! let trace = env.take_trace();
 //! let layout = env.log_layout();
-//! for crash in 0..=trace.events.len() {
-//!     let sim = CrashSim::new(&base, &trace.events, crash);
-//!     let mut img = sim.image_guaranteed_only();
+//! let trace = CrashTrace::new(base, env.take_trace().events);
+//! for crash in 0..=trace.events().len() {
+//!     let mut img = trace.at(crash).image_guaranteed_only();
 //!     recover(&mut img, &layout);
 //!     assert!(img.read_u64(counter) <= 1);
 //! }
@@ -58,7 +57,7 @@ mod undo;
 mod variant;
 
 pub use addr::{blocks_covering, BlockId, PAddr, BLOCK_SIZE};
-pub use crash::{persist_boundaries, CrashIndex, CrashSim, FlushStage, Frontier};
+pub use crash::{persist_boundaries, CrashIndex, CrashSim, CrashTrace, FlushStage, Frontier};
 pub use env::{PmemEnv, ROOT_SLOTS};
 pub use event::{Event, SharedTrace, Trace, TraceCounts};
 pub use hash::{FastHashBuilder, FastHasher};

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use spp_pmem::{
-    recover, splitmix64, BlockId, CrashIndex, CrashSim, Event, Frontier, PAddr, PmemEnv, Space,
+    recover, splitmix64, BlockId, CrashSim, CrashTrace, Event, Frontier, PAddr, PmemEnv, Space,
     Variant, BLOCK_SIZE,
 };
 
@@ -85,8 +85,9 @@ proptest! {
     fn wal_recovery_is_transaction_atomic(ops in tx_ops(4), crash_frac in 0.0f64..=1.0) {
         let (env, base, cells, trace) = run_program(Variant::LogPSf, 4, &ops);
         let layout = env.log_layout();
-        let crash = ((trace.events.len() as f64) * crash_frac) as usize;
-        let sim = CrashSim::new(&base, &trace.events, crash.min(trace.events.len()));
+        let trace = CrashTrace::new(base, trace.events);
+        let crash = ((trace.events().len() as f64) * crash_frac) as usize;
+        let sim = trace.at(crash.min(trace.events().len()));
         let mut img = sim.image_guaranteed_only();
         recover(&mut img, &layout);
         let state: Vec<u64> = cells.iter().map(|&c| img.read_u64(c)).collect();
@@ -104,8 +105,9 @@ proptest! {
     ) {
         let (env, base, cells, trace) = run_program(Variant::LogPSf, 3, &ops);
         let layout = env.log_layout();
-        let crash = ((trace.events.len() as f64) * crash_frac) as usize;
-        let sim = CrashSim::new(&base, &trace.events, crash.min(trace.events.len()));
+        let trace = CrashTrace::new(base, trace.events);
+        let crash = ((trace.events().len() as f64) * crash_frac) as usize;
+        let sim = trace.at(crash.min(trace.events().len()));
         // Deterministic pseudo-random cut per block from the seed.
         let mut img = sim.image_with(|b, g, c| {
             let h = seed
@@ -126,15 +128,15 @@ proptest! {
     fn recovery_never_writes_outside_targets(ops in tx_ops(3), crash_frac in 0.0f64..=1.0) {
         let (env, base, cells, trace) = run_program(Variant::LogP, 3, &ops);
         let layout = env.log_layout();
-        let crash = ((trace.events.len() as f64) * crash_frac) as usize;
-        let sim = CrashSim::new(&base, &trace.events, crash.min(trace.events.len()));
+        let trace = CrashTrace::new(base, trace.events);
+        let crash = ((trace.events().len() as f64) * crash_frac) as usize;
+        let sim = trace.at(crash.min(trace.events().len()));
         let mut img = sim.image_guaranteed_only();
         recover(&mut img, &layout);
         // An untouched sentinel block far from the program's cells must
         // remain zero after recovery.
         let sentinel = cells.last().unwrap().offset(16 * BLOCK_SIZE);
         prop_assert_eq!(img.read_u64(sentinel), 0);
-        let _ = base;
     }
 
     /// The eager image (everything written back) always equals the
@@ -142,7 +144,8 @@ proptest! {
     #[test]
     fn eager_image_matches_functional_state(ops in tx_ops(3)) {
         let (env, base, cells, trace) = run_program(Variant::LogPSf, 3, &ops);
-        let sim = CrashSim::new(&base, &trace.events, trace.events.len());
+        let trace = CrashTrace::new(base, trace.events);
+        let sim = trace.at(trace.events().len());
         let img = sim.image_everything();
         for &c in &cells {
             prop_assert_eq!(img.read_u64(c), env.space().read_u64(c));
@@ -153,10 +156,11 @@ proptest! {
     #[test]
     fn guarantee_frontier_is_monotone(ops in tx_ops(2)) {
         let (_env, base, cells, trace) = run_program(Variant::LogPSf, 2, &ops);
-        let n = trace.events.len();
+        let trace = CrashTrace::new(base, trace.events);
+        let n = trace.events().len();
         let mut prev = vec![0usize; cells.len()];
         for crash in (0..=n).step_by((n / 16).max(1)) {
-            let sim = CrashSim::new(&base, &trace.events, crash);
+            let sim = trace.at(crash);
             for (i, &c) in cells.iter().enumerate() {
                 let g = sim.guarantee(c.block());
                 prop_assert!(g >= prev[i], "frontier went backwards");
@@ -367,19 +371,16 @@ fn assert_matches_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// One index of the whole trace, viewed at every crash point, agrees
-    /// with a frontier replayed over that prefix: guarantees, dirty
-    /// blocks, cut points, the guaranteed-only, eager and seeded images
-    /// and the exhaustive image set. `CrashSim::new` (index the prefix,
-    /// then view) agrees too.
+    /// One crash trace, crashed at every point through its one lazily
+    /// built index, agrees with a frontier replayed over that prefix:
+    /// guarantees, dirty blocks, cut points, the guaranteed-only, eager
+    /// and seeded images and the exhaustive image set.
     #[test]
     fn index_views_equal_prefix_replay(events in persist_program()) {
-        let base = program_base();
-        let index = CrashIndex::new(&events);
-        for crash in 0..=events.len() {
-            let r = Reference::new(&events, crash);
-            assert_matches_reference(&CrashSim::view(&base, &events, &index, crash), &r, &base)?;
-            assert_matches_reference(&CrashSim::new(&base, &events, crash), &r, &base)?;
+        let trace = CrashTrace::new(program_base(), events);
+        for crash in 0..=trace.events().len() {
+            let r = Reference::new(trace.events(), crash);
+            assert_matches_reference(&trace.at(crash), &r, trace.base())?;
         }
     }
 }

@@ -430,7 +430,7 @@ impl Workload for IncBTree {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use spp_pmem::{recover, CrashSim, Variant};
+    use spp_pmem::{recover, CrashTrace, Variant};
     use std::collections::BTreeSet;
 
     fn fresh(variant: Variant) -> (PmemEnv, IncBTree) {
@@ -556,12 +556,11 @@ mod tests {
             }
             states.push(cur);
         }
-        let trace = env.take_trace();
         let layout = env.log_layout();
+        let trace = CrashTrace::new(base, env.take_trace().events);
         for i in 0..48 {
-            let crash = trace.events.len() * i / 47;
-            let sim = CrashSim::new(&base, &trace.events, crash.min(trace.events.len()));
-            let mut img = sim.image_guaranteed_only();
+            let crash = trace.events().len() * i / 47;
+            let mut img = trace.at(crash).image_guaranteed_only();
             recover(&mut img, &layout);
             // The tree must be structurally valid at EVERY point
             // (incremental steps preserve invariants)...

@@ -37,10 +37,9 @@
 //! load-bearing.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
 
 use spp_pmem::{
-    hash64, splitmix64, CrashIndex, CrashSim, Event, FlushMode, PAddr, PmemEnv, Space, Variant,
+    hash64, splitmix64, CrashSim, CrashTrace, Event, FlushMode, PAddr, PmemEnv, Space, Variant,
     BLOCK_SIZE,
 };
 
@@ -955,11 +954,10 @@ pub struct KvBundleSpec {
 /// mutation.
 #[derive(Debug)]
 pub struct KvBundle {
-    base: Space,
-    events: Vec<Event>,
-    /// `events` indexed for crash checks, built at the first one (not
-    /// at recording, which the benchmark counts as setup).
-    index: OnceLock<CrashIndex>,
+    /// The base image and the recorded events. Its index is built at
+    /// the first crash check, not at recording (which the benchmark
+    /// counts as setup).
+    trace: CrashTrace,
     /// Shadow contents after 0, 1, ..., n mutations since the base.
     states: Vec<BTreeMap<u64, u64>>,
     muts: Vec<MutationTrace>,
@@ -1001,9 +999,7 @@ pub fn record_kv_bundle(bspec: &KvBundleSpec) -> KvBundle {
     // images.
     let muts = w.engine_mut().take_mutations();
     KvBundle {
-        base,
-        events: env.take_trace().events,
-        index: OnceLock::new(),
+        trace: CrashTrace::new(base, env.take_trace().events),
         states,
         muts,
         base_lsn,
@@ -1014,7 +1010,7 @@ impl KvBundle {
     /// The recorded event stream (crash indices range over
     /// `0..=events().len()`).
     pub fn events(&self) -> &[Event] {
-        &self.events
+        self.trace.events()
     }
 
     /// Mutations recorded since the base image.
@@ -1105,7 +1101,7 @@ impl KvBundle {
     /// Replays one adversarial schedule end to end: crash at
     /// `crash_idx`, per-block writeback cuts drawn from `seed`, then
     /// replay-based recovery and the oracle. The recording is indexed
-    /// once, at the first check; every check views that index.
+    /// once, at the first check; every later check reuses that index.
     ///
     /// # Errors
     ///
@@ -1115,8 +1111,7 @@ impl KvBundle {
     ///
     /// Panics if `crash_idx > events().len()`.
     pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
-        let index = self.index.get_or_init(|| CrashIndex::new(&self.events));
-        let sim = CrashSim::view(&self.base, &self.events, index, crash_idx);
+        let sim = self.trace.at(crash_idx);
         let img = sim.image_seeded(seed);
         self.check_image(&img, self.completed(&sim), self.started(crash_idx))
     }
@@ -1305,7 +1300,7 @@ mod tests {
     #[test]
     fn eager_final_image_is_the_last_state() {
         let b = record_kv_bundle(&bundle_spec(Variant::LogPSf, false));
-        let sim = CrashSim::new(&b.base, b.events(), b.events().len());
+        let sim = b.trace.at(b.events().len());
         let img = sim.image_everything();
         let n = b.mutation_count();
         b.check_image(&img, n, n)

@@ -24,13 +24,10 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spp_pmem::{
-    recover, CrashIndex, CrashSim, Event, FlushMode, LogLayout, PmemEnv, Space, Variant,
-};
+use spp_pmem::{recover, CrashTrace, Event, FlushMode, LogLayout, PmemEnv, Space, Variant};
 
 use crate::{make_workload, BenchId, OpOutcome, Workload};
 
@@ -57,10 +54,11 @@ pub struct BundleSpec {
 #[derive(Debug)]
 pub struct CrashBundle {
     spec: BundleSpec,
-    base: Space,
-    events: Vec<Event>,
-    /// `events` indexed for crash checks, built at the first one.
-    index: OnceLock<StreamIndex>,
+    /// The base image and the recorded events, indexed at the first
+    /// crash check.
+    trace: CrashTrace,
+    /// Positions of the recording's `TxEnd` markers.
+    tx_ends: Vec<usize>,
     layout: LogLayout,
     /// Logical contents after 0, 1, ..., `sim_ops` completed operations.
     states: Vec<BTreeSet<u64>>,
@@ -214,11 +212,11 @@ pub fn record_bundle(spec: &BundleSpec) -> CrashBundle {
         states.push(cur);
     }
     let layout = env.log_layout();
+    let events = env.take_trace().events;
     CrashBundle {
         spec: *spec,
-        base,
-        events: env.take_trace().events,
-        index: OnceLock::new(),
+        tx_ends: tx_ends(&events),
+        trace: CrashTrace::new(base, events),
         layout,
         states,
         workload: w,
@@ -234,7 +232,7 @@ impl CrashBundle {
     /// The recorded event stream (crash indices range over
     /// `0..=events().len()`).
     pub fn events(&self) -> &[Event] {
-        &self.events
+        self.trace.events()
     }
 
     /// Expected logical contents after each completed operation
@@ -246,11 +244,7 @@ impl CrashBundle {
     /// Number of `TxEnd` markers before `crash_idx`: the count of
     /// operations certainly completed at the crash.
     pub fn completed_ops(&self, crash_idx: usize) -> usize {
-        self.own_index().completed(crash_idx)
-    }
-
-    fn own_index(&self) -> &StreamIndex {
-        self.index.get_or_init(|| StreamIndex::new(&self.events))
+        completed_before(&self.tx_ends, crash_idx)
     }
 
     /// Runs recovery and the full oracle against `image`, which must be
@@ -313,9 +307,9 @@ impl CrashBundle {
 
     /// Replays one adversarial schedule: crash at `crash_idx`, per-block
     /// writeback cuts drawn from `seed` (see
-    /// [`CrashSim::image_seeded`]), then recovery and the oracle. The
-    /// recording is indexed once, at the first check; every check views
-    /// that index.
+    /// [`spp_pmem::CrashSim::image_seeded`]), then recovery and the
+    /// oracle. The recording is indexed once, at the first check; every
+    /// later check reuses that index.
     ///
     /// # Errors
     ///
@@ -325,44 +319,45 @@ impl CrashBundle {
     ///
     /// Panics if `crash_idx > events().len()`.
     pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
-        self.check_indexed(&self.events, self.own_index(), crash_idx, seed)
+        self.check_crash_of(&self.trace, &self.tx_ends, crash_idx, seed)
     }
 
-    /// Indexes a *foreign* event stream once for crash checks against
-    /// this bundle's oracle: a transformed replay of the recording (e.g.
-    /// a persist-elision plan applied by `spp_bench::optimize`) that
-    /// must still satisfy the same recovery oracle. The stream must
-    /// perform the same stores and transactions as the recording; only
-    /// persist operations may differ. The completed-operation count is
-    /// taken from `events`, not from the recording.
-    pub fn foreign<'a>(&'a self, events: &'a [Event]) -> ForeignStream<'a> {
+    /// Prepares a *foreign* event stream for crash checks against this
+    /// bundle's oracle: a transformed replay of the recording (e.g. a
+    /// persist-elision plan applied by `spp_bench::optimize`) that must
+    /// still satisfy the same recovery oracle. The stream must perform
+    /// the same stores and transactions as the recording; only persist
+    /// operations may differ. It is crashed over a copy of this
+    /// bundle's base image, and its completed-operation count is taken
+    /// from `events`, not from the recording.
+    pub fn foreign(&self, events: Vec<Event>) -> ForeignStream<'_> {
         ForeignStream {
             bundle: self,
-            events,
-            index: StreamIndex::new(events),
+            tx_ends: tx_ends(&events),
+            trace: CrashTrace::new(self.trace.base().clone(), events),
         }
     }
 
-    fn check_indexed(
+    fn check_crash_of(
         &self,
-        events: &[Event],
-        index: &StreamIndex,
+        trace: &CrashTrace,
+        tx_ends: &[usize],
         crash_idx: usize,
         seed: u64,
     ) -> Result<(), OracleViolation> {
-        let sim = CrashSim::view(&self.base, events, &index.crash, crash_idx);
-        let mut img = sim.image_seeded(seed);
-        self.check_image_at(&mut img, index.completed(crash_idx))
+        let mut img = trace.at(crash_idx).image_seeded(seed);
+        self.check_image_at(&mut img, completed_before(tx_ends, crash_idx))
     }
 }
 
-/// A foreign event stream indexed for crash checks against a bundle's
+/// A foreign event stream prepared for crash checks against a bundle's
 /// oracle (see [`CrashBundle::foreign`]).
 #[derive(Debug)]
 pub struct ForeignStream<'a> {
     bundle: &'a CrashBundle,
-    events: &'a [Event],
-    index: StreamIndex,
+    trace: CrashTrace,
+    /// Positions of the stream's `TxEnd` markers.
+    tx_ends: Vec<usize>,
 }
 
 impl ForeignStream<'_> {
@@ -378,36 +373,24 @@ impl ForeignStream<'_> {
     /// Panics if `crash_idx` is past the end of the stream.
     pub fn check_crash(&self, crash_idx: usize, seed: u64) -> Result<(), OracleViolation> {
         self.bundle
-            .check_indexed(self.events, &self.index, crash_idx, seed)
+            .check_crash_of(&self.trace, &self.tx_ends, crash_idx, seed)
     }
 }
 
-/// An event stream indexed for crash checks: its [`CrashIndex`] and the
-/// positions of its `TxEnd` markers.
-#[derive(Debug)]
-struct StreamIndex {
-    crash: CrashIndex,
-    tx_ends: Vec<usize>,
+/// Positions of the `TxEnd` markers in `events`.
+fn tx_ends(events: &[Event]) -> Vec<usize> {
+    events
+        .iter()
+        .enumerate()
+        .filter(|(_, ev)| matches!(ev, Event::TxEnd(_)))
+        .map(|(i, _)| i)
+        .collect()
 }
 
-impl StreamIndex {
-    fn new(events: &[Event]) -> Self {
-        StreamIndex {
-            crash: CrashIndex::new(events),
-            tx_ends: events
-                .iter()
-                .enumerate()
-                .filter(|(_, ev)| matches!(ev, Event::TxEnd(_)))
-                .map(|(i, _)| i)
-                .collect(),
-        }
-    }
-
-    /// Number of `TxEnd` markers in `events[..crash_idx]`: the
-    /// operations certainly completed at a crash there.
-    fn completed(&self, crash_idx: usize) -> usize {
-        self.tx_ends.partition_point(|&i| i < crash_idx)
-    }
+/// Number of `TxEnd` markers (at positions `tx_ends`) before
+/// `crash_idx`: the operations certainly completed at a crash there.
+fn completed_before(tx_ends: &[usize], crash_idx: usize) -> usize {
+    tx_ends.partition_point(|&i| i < crash_idx)
 }
 
 #[cfg(test)]
@@ -454,7 +437,7 @@ mod tests {
     #[test]
     fn foreign_stream_of_the_recording_agrees_with_check_crash() {
         let b = record_bundle(&spec(BenchId::LinkedList, Variant::Log));
-        let stream = b.foreign(b.events());
+        let stream = b.foreign(b.events().to_vec());
         let mut failures = 0;
         for p in 0..=b.events().len() {
             let own = b.check_crash(p, 1).map_err(|v| v.to_string());
@@ -488,8 +471,7 @@ mod tests {
     #[test]
     fn eager_final_image_is_the_last_state() {
         let b = record_bundle(&spec(BenchId::RbTree, Variant::LogPSf));
-        let sim = CrashSim::new(&b.base, b.events(), b.events().len());
-        let mut img = sim.image_everything();
+        let mut img = b.trace.at(b.events().len()).image_everything();
         b.check_image(&mut img, b.events().len())
             .expect("eager final image must be the final state");
     }

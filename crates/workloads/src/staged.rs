@@ -251,7 +251,7 @@ impl<'e> Staged<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spp_pmem::{recover, CrashSim, Variant};
+    use spp_pmem::{recover, CrashTrace, Variant};
 
     #[test]
     fn read_your_writes() {
@@ -356,11 +356,10 @@ mod tests {
             tx.write(c, v * 100);
         }
         tx.finish();
-        let trace = env.take_trace();
         let layout = env.log_layout();
-        for crash in 0..=trace.events.len() {
-            let sim = CrashSim::new(&base, &trace.events, crash);
-            let mut img = sim.image_guaranteed_only();
+        let trace = CrashTrace::new(base, env.take_trace().events);
+        for crash in 0..=trace.events().len() {
+            let mut img = trace.at(crash).image_guaranteed_only();
             recover(&mut img, &layout);
             let state: Vec<u64> = cells.iter().map(|&c| img.read_u64(c)).collect();
             assert!(

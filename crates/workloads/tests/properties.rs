@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spp_pmem::{recover, CrashSim, PmemEnv, Variant};
+use spp_pmem::{recover, CrashTrace, PmemEnv, Variant};
 use spp_workloads::{make_workload, BenchId, OpOutcome};
 use std::collections::BTreeSet;
 
@@ -84,12 +84,11 @@ proptest! {
             }
             states.push(cur.clone());
         }
-        let trace = env.take_trace();
         let layout = env.log_layout();
+        let trace = CrashTrace::new(base, env.take_trace().events);
 
-        let crash = ((trace.events.len() as f64) * crash_frac) as usize;
-        let sim = CrashSim::new(&base, &trace.events, crash.min(trace.events.len()));
-        let mut img = sim.image_guaranteed_only();
+        let crash = ((trace.events().len() as f64) * crash_frac) as usize;
+        let mut img = trace.at(crash.min(trace.events().len())).image_guaranteed_only();
         recover(&mut img, &layout);
 
         let s = w.verify(&img).map_err(|e| {
@@ -99,7 +98,7 @@ proptest! {
         prop_assert!(
             states.contains(&got),
             "{}: recovered state matches no operation prefix (crash at {}/{})",
-            id, crash, trace.events.len()
+            id, crash, trace.events().len()
         );
     }
 }

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specpersist::pmem::{recover, CrashSim, PmemEnv, Variant};
+use specpersist::pmem::{recover, CrashTrace, PmemEnv, Variant};
 use specpersist::workloads::{make_workload, BenchId, OpOutcome};
 
 const CRASH_POINTS: usize = 40;
@@ -56,14 +56,15 @@ fn main() {
             }
             states.push(cur);
         }
-        let trace = env.take_trace();
         let layout = env.log_layout();
+        let trace = CrashTrace::new(base, env.take_trace().events);
 
         let mut survived = 0usize;
         for i in 0..CRASH_POINTS {
-            let crash = trace.events.len() * i / (CRASH_POINTS - 1).max(1);
-            let sim = CrashSim::new(&base, &trace.events, crash.min(trace.events.len()));
-            let mut img = sim.image_guaranteed_only();
+            let crash = trace.events().len() * i / (CRASH_POINTS - 1).max(1);
+            let mut img = trace
+                .at(crash.min(trace.events().len()))
+                .image_guaranteed_only();
             recover(&mut img, &layout);
             let got: BTreeSet<u64> = w
                 .verify(&img)

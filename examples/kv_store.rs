@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specpersist::cpu::{CpuConfig, Simulator};
-use specpersist::pmem::{recover, CrashSim, PmemEnv, Variant};
+use specpersist::pmem::{recover, CrashTrace, PmemEnv, Variant};
 use specpersist::workloads::{
     make_workload, record_trace, BenchId, BenchSpec, OpOutcome, TraceSpec,
 };
@@ -67,20 +67,19 @@ fn main() {
     for op in 0..20 {
         outcomes.push(store.run_op(&mut env, &mut rng, op));
     }
-    let trace = env.take_trace();
     let layout = env.log_layout();
+    let trace = CrashTrace::new(base_image, env.take_trace().events);
 
     // Probe crash points until we have shown both cases: a crash with
     // no transaction in flight, and one mid-transaction that recovery
     // has to undo.
     let mut shown = (false, false);
-    for i in 1..trace.events.len() {
-        let crash = trace.events.len() * i / 40;
-        if crash >= trace.events.len() {
+    for i in 1..trace.events().len() {
+        let crash = trace.events().len() * i / 40;
+        if crash >= trace.events().len() {
             break;
         }
-        let sim = CrashSim::new(&base_image, &trace.events, crash);
-        let mut image = sim.image_guaranteed_only();
+        let mut image = trace.at(crash).image_guaranteed_only();
         let report = recover(&mut image, &layout);
         let recovered = store.verify(&image).expect("recovered store is valid");
         let fresh = match (report.tx_in_flight, shown) {

@@ -6,13 +6,12 @@ use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use specpersist::pmem::{recover, CrashSim, Event, PmemEnv, Variant};
+use specpersist::pmem::{persist_boundaries, recover, CrashTrace, PmemEnv, Variant};
 use specpersist::workloads::{make_workload, BenchId, OpOutcome, Workload};
 
 struct Harness {
     w: Box<dyn Workload>,
-    base: specpersist::pmem::Space,
-    events: Vec<Event>,
+    trace: CrashTrace,
     layout: specpersist::pmem::LogLayout,
     states: Vec<BTreeSet<u64>>,
 }
@@ -49,8 +48,7 @@ fn prepare(id: BenchId, init: u64, ops: u64, seed: u64) -> Harness {
     let layout = env.log_layout();
     Harness {
         w,
-        base,
-        events: env.take_trace().events,
+        trace: CrashTrace::new(base, env.take_trace().events),
         layout,
         states,
     }
@@ -70,26 +68,17 @@ fn check_image(h: &Harness, image: &mut specpersist::pmem::Space, what: &str) {
     );
 }
 
-/// Crash at every persist-instruction boundary (the points where
-/// durability state changes) with adversarial writebacks.
+/// Crash at every persist boundary (just before and just after every
+/// flush, `pcommit`, fence and transaction marker, plus both trace
+/// ends: the points where durability state changes) with adversarial
+/// writebacks.
 #[test]
 fn crash_at_every_persist_boundary_recovers() {
     for id in BenchId::ALL {
         let h = prepare(id, 120, 6, 0xAB);
-        for (i, ev) in h.events.iter().enumerate() {
-            let interesting = matches!(
-                ev,
-                Event::Clwb { .. } | Event::Pcommit | Event::Sfence | Event::TxBegin(_)
-            );
-            if !interesting {
-                continue;
-            }
-            // Crash just before and just after the boundary event.
-            for crash in [i, i + 1] {
-                let sim = CrashSim::new(&h.base, &h.events, crash.min(h.events.len()));
-                let mut img = sim.image_guaranteed_only();
-                check_image(&h, &mut img, &format!("{id} @event {crash}"));
-            }
+        for crash in persist_boundaries(h.trace.events()) {
+            let mut img = h.trace.at(crash).image_guaranteed_only();
+            check_image(&h, &mut img, &format!("{id} @event {crash}"));
         }
     }
 }
@@ -102,8 +91,8 @@ fn randomized_writeback_schedules_recover() {
     for id in BenchId::ALL {
         let h = prepare(id, 80, 5, 0xCD);
         for _ in 0..12 {
-            let crash = rng.gen_range(0..=h.events.len());
-            let sim = CrashSim::new(&h.base, &h.events, crash);
+            let crash = rng.gen_range(0..=h.trace.events().len());
+            let sim = h.trace.at(crash);
             let seed: u64 = rng.gen();
             let mut img = sim.image_with(|b, g, c| {
                 let x = seed ^ b.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -120,8 +109,7 @@ fn randomized_writeback_schedules_recover() {
 fn eager_image_at_end_is_the_final_state() {
     for id in BenchId::ALL {
         let h = prepare(id, 60, 4, 0xEF);
-        let sim = CrashSim::new(&h.base, &h.events, h.events.len());
-        let mut img = sim.image_everything();
+        let mut img = h.trace.at(h.trace.events().len()).image_everything();
         recover(&mut img, &h.layout);
         let got: BTreeSet<u64> =
             h.w.verify(&img)
@@ -176,16 +164,16 @@ fn missing_fences_are_observably_unsafe() {
             states.push(cur);
         }
         let layout = env.log_layout();
-        let events = env.take_trace().events;
+        let trace = CrashTrace::new(base, env.take_trace().events);
         // Without fences nothing is ever *guaranteed*, so the purely
         // adversarial image is just "nothing persisted" — trivially
         // consistent. The danger is mixed writebacks: some blocks
         // raced ahead, others lagged. Sample such schedules.
         let mut rng = StdRng::seed_from_u64(0xBAD);
         for _ in 0..200 {
-            let crash = rng.gen_range(0..=events.len());
+            let crash = rng.gen_range(0..=trace.events().len());
             let seed: u64 = rng.gen();
-            let sim = CrashSim::new(&base, &events, crash);
+            let sim = trace.at(crash);
             let mut img = sim.image_with(|b, g, c| {
                 let x = seed ^ b.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 g + (x as usize) % (c - g + 1).max(1)
