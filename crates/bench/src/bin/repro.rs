@@ -158,12 +158,9 @@ enum CliError {
         given: String,
         want: &'static str,
     },
-    /// `repro trace` needs a benchmark and a variant.
-    MissingTraceArgs,
-    /// `repro profile` needs a benchmark and a variant.
-    MissingProfileArgs,
-    /// `repro optimize` needs a benchmark and a variant.
-    MissingOptimizeArgs,
+    /// The named command (`trace`, `profile` or `optimize`) needs a
+    /// benchmark and a variant.
+    MissingBenchArgs(&'static str),
     /// The benchmark abbreviation is not in Table 1.
     UnknownBench(String),
     /// The build-variant name is not one of the four builds.
@@ -198,14 +195,11 @@ impl fmt::Display for CliError {
             CliError::BadValue { flag, given, want } => {
                 write!(f, "{flag} {given:?} is invalid (want {want})")
             }
-            CliError::MissingTraceArgs => {
-                f.write_str("trace needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>")
-            }
-            CliError::MissingProfileArgs => {
-                f.write_str("profile needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>")
-            }
-            CliError::MissingOptimizeArgs => {
-                f.write_str("optimize needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>")
+            CliError::MissingBenchArgs(cmd) => {
+                write!(
+                    f,
+                    "{cmd} needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>"
+                )
             }
             CliError::UnknownBench(b) => {
                 write!(f, "unknown benchmark {b:?} (want GH|HM|LL|SS|AT|BT|RT)")
@@ -547,9 +541,7 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
             "# running suite at scale 1/{} (seed {:#x}, {} jobs)...",
             exp.scale, exp.seed, jobs
         );
-        staged("suite", Some(Harness::suite_sims(&BenchId::ALL)), || {
-            harness.run_benches(&BenchId::ALL)
-        })
+        staged(&harness, "suite", || harness.run_benches(&BenchId::ALL))
     } else {
         Vec::new()
     };
@@ -571,11 +563,7 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
             print!("{}", flushmode_stage(&harness));
             print!(
                 "{}",
-                staged(
-                    "multicore study",
-                    Some(spp_bench::multicore::CellSpec::all().len()),
-                    || report::multicore(&harness)
-                )
+                staged(&harness, "multicore study", || report::multicore(&harness))
             );
             let s = harness.cache_stats();
             eprintln!(
@@ -623,7 +611,7 @@ fn run(cli: Cli) -> Result<ExitCode, CliError> {
         "trace" => return trace_cmd(&positional, &exp).map(|()| ExitCode::SUCCESS),
         "crashfuzz" => crashfuzz_cmd(&harness, &positional, &study)?,
         "faultsim" => faultsim_cmd(&harness, &study)?,
-        "soak" => return soak_cmd(&exp, jobs, iters, &study),
+        "soak" => return soak_cmd(&harness, iters, &study),
         "profile" => profile_cmd(&harness, &positional, &study, trace_out.as_deref())?,
         _ => return Err(CliError::UnknownCommand(cmd)),
     };
@@ -638,33 +626,22 @@ fn print_ok(report: &str) -> ExitCode {
 
 /// The Fig. 13 SSB sweep as a timed stage.
 fn fig13_stage(h: &Harness) -> String {
-    staged(
-        "fig13 SSB sweep",
-        Some(Harness::ssb_sims(&BenchId::ALL)),
-        || report::fig13(h),
-    )
+    staged(h, "fig13 SSB sweep", || report::fig13(h))
 }
 
 /// The SP design-choice ablation as a timed stage.
 fn ablation_stage(h: &Harness) -> String {
-    staged(
-        "ablation",
-        Some(Harness::ablation_sims(&BenchId::ALL)),
-        || report::ablation(h),
-    )
+    staged(h, "ablation", || report::ablation(h))
 }
 
 /// The full-vs-incremental logging comparison as a timed stage.
 fn incremental_stage(h: &Harness) -> String {
-    staged("logging comparison", Some(Harness::logging_sims()), || {
-        report::incremental(h)
-    })
+    staged(h, "logging comparison", || report::incremental(h))
 }
 
 /// The flush-instruction ablation as a timed stage.
 fn flushmode_stage(h: &Harness) -> String {
-    let sims = Harness::flushmode_sims(&report::FLUSHMODE_BENCHES);
-    staged("flush-mode ablation", Some(sims), || report::flushmode(h))
+    staged(h, "flush-mode ablation", || report::flushmode(h))
 }
 
 /// The `--trace-mem-cap` gate, applied after a command's work: a
@@ -695,9 +672,10 @@ fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliErr
 /// recorded and `--resume` replays them byte-identically. Exits
 /// non-zero if any cell failed its oracle or the SP legs regressed.
 fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
-    use spp_bench::kv::{run_kv_opts, KvCellSpec};
-    let runner = StudyRunner::new("kv", Some(KvCellSpec::all().len()), study)?;
-    Ok(verdict(runner.run(|j| run_kv_opts(harness, j))))
+    let runner = StudyRunner::new("kv", study)?;
+    Ok(verdict(
+        runner.run(harness, |j| spp_bench::kv::run_kv_opts(harness, j)),
+    ))
 }
 
 /// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]`: the
@@ -715,12 +693,12 @@ fn optimize_cmd(
     positional: &[String],
     study: &StudyCli,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::optimize::{run_optimize_opts, OptimizeCellSpec};
-    let (id, variant) = bench_variant(positional, CliError::MissingOptimizeArgs)?;
-    let runner = StudyRunner::new("optimize", Some(OptimizeCellSpec::all().len()), study)?;
-    Ok(verdict(
-        runner.run(|j| run_optimize_opts(harness, id, variant, j)),
-    ))
+    use spp_bench::optimize::run_optimize_opts;
+    let (id, variant) = bench_variant(positional, "optimize")?;
+    let runner = StudyRunner::new("optimize", study)?;
+    Ok(verdict(runner.run(harness, |j| {
+        run_optimize_opts(harness, id, variant, j)
+    })))
 }
 
 /// `repro journal check <PATH>`: offline integrity walk of a result
@@ -781,9 +759,10 @@ fn crashfuzz_cmd(
         None => Leg::All,
         Some(s) => Leg::parse(s).ok_or_else(|| CliError::UnknownLeg(s.clone()))?,
     };
-    // Crash checks, not replays, dominate the stage: no sims rate.
-    let runner = StudyRunner::new("crashfuzz", None, study)?;
-    Ok(verdict(runner.run(|_| run_crashfuzz(harness, leg))))
+    let runner = StudyRunner::new("crashfuzz", study)?;
+    Ok(verdict(
+        runner.run(harness, |_| run_crashfuzz(harness, leg)),
+    ))
 }
 
 /// `repro faultsim [--journal PATH [--resume]]`: run the
@@ -796,9 +775,9 @@ fn crashfuzz_cmd(
 /// exhausted its retry budget, a plan never fired, or the watchdog
 /// failed to convert a wedged run into a typed error.
 fn faultsim_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
-    use spp_bench::faultsim::{run_faultsim_opts, stage_sims, FaultsimOpts};
-    let runner = StudyRunner::new("faultsim", Some(stage_sims(&harness.exp)), study)?;
-    Ok(verdict(runner.run(|j| {
+    use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
+    let runner = StudyRunner::new("faultsim", study)?;
+    Ok(verdict(runner.run(harness, |j| {
         run_faultsim_opts(
             harness,
             FaultsimOpts {
@@ -823,9 +802,9 @@ fn multicore_cmd(
     study: &StudyCli,
     storm_bound: Option<u64>,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::multicore::{run_multicore_opts, CellSpec, MulticoreOpts};
-    let runner = StudyRunner::new("multicore", Some(CellSpec::all().len()), study)?;
-    Ok(verdict(runner.run(|j| {
+    use spp_bench::multicore::{run_multicore_opts, MulticoreOpts};
+    let runner = StudyRunner::new("multicore", study)?;
+    Ok(verdict(runner.run(harness, |j| {
         run_multicore_opts(
             harness,
             MulticoreOpts {
@@ -851,9 +830,9 @@ fn litmus_cmd(
     study: &StudyCli,
     model_knob: Option<ModelKnob>,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::litmus::{run_litmus_opts, stage_sims, LitmusOpts};
-    let runner = StudyRunner::new("litmus", Some(stage_sims(&harness.exp)), study)?;
-    Ok(verdict(runner.run(|j| {
+    use spp_bench::litmus::{run_litmus_opts, LitmusOpts};
+    let runner = StudyRunner::new("litmus", study)?;
+    Ok(verdict(runner.run(harness, |j| {
         run_litmus_opts(
             harness,
             LitmusOpts {
@@ -870,12 +849,7 @@ fn litmus_cmd(
 /// `--journal` the manifest lives in a pid-suffixed temp file that is
 /// removed on success. Exits non-zero on any divergence, degraded
 /// cell, or corrupt journal line.
-fn soak_cmd(
-    exp: &Experiment,
-    jobs: usize,
-    iters: Option<u64>,
-    study: &StudyCli,
-) -> Result<ExitCode, CliError> {
+fn soak_cmd(harness: &Harness, iters: Option<u64>, study: &StudyCli) -> Result<ExitCode, CliError> {
     use spp_bench::soak::{run_soak, DEFAULT_SOAK_ITERS};
     let iters = iters.unwrap_or(DEFAULT_SOAK_ITERS);
     let temp = study.journal.is_none().then(|| {
@@ -890,9 +864,12 @@ fn soak_cmd(
             .or_else(|| temp.as_ref().map(|p| p.display().to_string())),
         resume: study.resume,
     };
-    // Whole faultsim matrices plus crashfuzz legs: no sims rate.
-    let runner = StudyRunner::new("soak", None, &journaled)?;
-    let ok = runner.run(|j| run_soak(exp, jobs, iters, j.expect("soak always runs journaled")));
+    // Soak builds its own harnesses, so its stage line is wall time.
+    let runner = StudyRunner::new("soak", &journaled)?;
+    let ok = runner.run(harness, |j| {
+        let j = j.expect("soak always runs journaled");
+        run_soak(&harness.exp, harness.jobs, iters, j)
+    });
     if let (true, Some(p)) = (ok, temp) {
         let _ = std::fs::remove_file(p);
     }
@@ -913,11 +890,11 @@ fn profile_cmd(
     study: &StudyCli,
     trace_out: Option<&str>,
 ) -> Result<ExitCode, CliError> {
-    use spp_bench::profile::{run_profile_opts, PROFILE_CONFIGS};
-    let (id, variant) = bench_variant(positional, CliError::MissingProfileArgs)?;
-    let runner = StudyRunner::new("profile", Some(PROFILE_CONFIGS.len()), study)?;
+    use spp_bench::profile::run_profile_opts;
+    let (id, variant) = bench_variant(positional, "profile")?;
+    let runner = StudyRunner::new("profile", study)?;
     let mut trace = String::new();
-    let ok = runner.run(|j| {
+    let ok = runner.run(harness, |j| {
         let run = run_profile_opts(harness, id, variant, j);
         trace.clone_from(&run.trace);
         run
@@ -931,14 +908,14 @@ fn profile_cmd(
     Ok(verdict(ok))
 }
 
-/// The `<BENCH> <VARIANT>` positionals of `optimize`, `profile` and
-/// `trace`; `missing` is the command's error when either is absent.
+/// The `<BENCH> <VARIANT>` positionals of the command `cmd`
+/// (`optimize`, `profile` or `trace`).
 fn bench_variant(
     positional: &[String],
-    missing: CliError,
+    cmd: &'static str,
 ) -> Result<(BenchId, spp_pmem::Variant), CliError> {
     let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(missing);
+        return Err(CliError::MissingBenchArgs(cmd));
     };
     let id = BenchId::ALL
         .iter()
@@ -954,7 +931,7 @@ fn bench_variant(
 /// micro-op mix and per-operation averages.
 fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
     use spp_workloads::{record_trace, BenchSpec, TraceSpec};
-    let (id, variant) = bench_variant(positional, CliError::MissingTraceArgs)?;
+    let (id, variant) = bench_variant(positional, "trace")?;
     let spec = BenchSpec::scaled(id, exp.scale);
     let c = record_trace(&TraceSpec::new(variant, spec, exp.seed)).counts;
     let ops = spec.sim_ops;
@@ -1100,9 +1077,7 @@ mod tests {
                 given: "-2".into(),
                 want: "an integer of at least 1",
             },
-            CliError::MissingTraceArgs,
-            CliError::MissingProfileArgs,
-            CliError::MissingOptimizeArgs,
+            CliError::MissingBenchArgs("trace"),
             CliError::UnknownBench("ZZ".into()),
             CliError::UnknownVariant("fast".into()),
             CliError::UnknownLeg("base".into()),
@@ -1353,7 +1328,7 @@ mod tests {
         );
         assert_eq!(
             trace_cmd(&args(&["LL"]), &exp).unwrap_err(),
-            CliError::MissingTraceArgs
+            CliError::MissingBenchArgs("trace")
         );
     }
 
@@ -1419,7 +1394,7 @@ mod tests {
         );
         assert_eq!(
             profile_cmd(&h, &args(&["LL"]), &study, None).unwrap_err(),
-            CliError::MissingProfileArgs
+            CliError::MissingBenchArgs("profile")
         );
     }
 
@@ -1436,8 +1411,10 @@ mod tests {
             CliError::UnknownVariant("fast".into())
         );
         assert_eq!(
-            optimize_cmd(&h, &args(&["LL"]), &study).unwrap_err(),
-            CliError::MissingOptimizeArgs
+            optimize_cmd(&h, &args(&["LL"]), &study)
+                .unwrap_err()
+                .to_string(),
+            "optimize needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>"
         );
     }
 

@@ -347,8 +347,8 @@ pub fn run_crashfuzz(h: &Harness, leg: Leg) -> FuzzReport {
     let sp = if leg.runs_sp_differential() {
         run_indexed(h.jobs, &BenchId::ALL, |_, &id| {
             let t = h.trace(TraceKey::new(id, Variant::LogPSf, &h.exp));
-            let base = crate::must_simulate(&t.events, &CpuConfig::baseline());
-            let sp = crate::must_simulate(&t.events, &CpuConfig::with_sp());
+            let base = h.replay(&t.events, &CpuConfig::baseline());
+            let sp = h.replay(&t.events, &CpuConfig::with_sp());
             let ok = committed_classes(&base) == committed_classes(&sp)
                 && committed_classes(&base) == trace_classes(&t.counts);
             SpReport {

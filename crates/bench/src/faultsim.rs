@@ -357,33 +357,6 @@ enum CellTask {
     Watchdog,
 }
 
-impl CellTask {
-    /// Every unit of one run: each `(benchmark, variant)` pair, then
-    /// the watchdog leg.
-    fn all() -> Vec<CellTask> {
-        let mut tasks: Vec<CellTask> = BenchId::ALL
-            .iter()
-            .flat_map(|&id| VARIANTS.iter().map(move |&v| CellTask::Pair(id, v)))
-            .collect();
-        tasks.push(CellTask::Watchdog);
-        tasks
-    }
-}
-
-/// Simulator replays one [`run_faultsim_opts`] run issues at `exp`:
-/// [`run_pair`] replays both cores fault-free and then under each
-/// plan; the watchdog leg is one wedged run.
-pub fn stage_sims(exp: &crate::Experiment) -> usize {
-    let per_pair = 2 * (1 + plans(exp.seed).len());
-    CellTask::all()
-        .into_iter()
-        .map(|t| match t {
-            CellTask::Pair(..) => per_pair,
-            CellTask::Watchdog => 1,
-        })
-        .sum()
-}
-
 /// A supervised unit's journalled value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum CellValue {
@@ -509,7 +482,11 @@ fn decode_cell_value(payload: &str) -> Option<CellValue> {
 /// input order, so the report is byte-identical at any `--jobs` value
 /// and across interrupted-then-resumed vs. uninterrupted runs.
 pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
-    let tasks = CellTask::all();
+    let mut tasks: Vec<CellTask> = BenchId::ALL
+        .iter()
+        .flat_map(|&id| VARIANTS.iter().map(move |&v| CellTask::Pair(id, v)))
+        .collect();
+    tasks.push(CellTask::Watchdog);
     let sup = Supervisor {
         jobs: h.jobs,
         max_attempts: if opts.max_attempts == 0 {
@@ -566,12 +543,6 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
         replayed,
         watchdog,
     }
-}
-
-/// Runs the faultsim matrix with default supervision (no journal, the
-/// default retry budget, no injected faults).
-pub fn run_faultsim(h: &Harness) -> FaultReport {
-    run_faultsim_opts(h, FaultsimOpts::default())
 }
 
 impl FaultReport {
@@ -726,7 +697,7 @@ mod tests {
 
     #[test]
     fn invariance_holds_across_the_matrix_at_smoke_scale() {
-        let rep = run_faultsim(&smoke_harness(4));
+        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
         assert_eq!(rep.cells.len(), 7 * 4 * 2, "bench x variant x plan");
         assert!(rep.failures.is_empty(), "{:?}", rep.failures);
         for c in &rep.cells {
@@ -753,7 +724,7 @@ mod tests {
 
     #[test]
     fn watchdog_leg_converts_stall_into_typed_error() {
-        let rep = run_faultsim(&smoke_harness(4));
+        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
         let w = &rep.watchdog;
         assert!(
             w.fired,
@@ -768,8 +739,8 @@ mod tests {
 
     #[test]
     fn report_is_identical_at_any_job_count() {
-        let a = run_faultsim(&smoke_harness(1));
-        let b = run_faultsim(&smoke_harness(8));
+        let a = run_faultsim_opts(&smoke_harness(1), FaultsimOpts::default());
+        let b = run_faultsim_opts(&smoke_harness(8), FaultsimOpts::default());
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
         assert!(a.ok());
@@ -777,7 +748,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_balanced_and_keyed() {
-        let rep = run_faultsim(&smoke_harness(4));
+        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
         let j = rep.render_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

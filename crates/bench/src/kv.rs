@@ -488,11 +488,6 @@ pub fn run_kv_opts(h: &Harness, journal: Option<&Journal>) -> KvReport {
     }
 }
 
-/// Runs the study without a journal.
-pub fn run_kv_study(h: &Harness) -> KvReport {
-    run_kv_opts(h, None)
-}
-
 impl KvReport {
     fn perf(&self, ckpt_every: u64, cfg: PerfCfg) -> &KvCell {
         self.cells
@@ -662,7 +657,7 @@ mod tests {
     #[test]
     fn study_passes_with_sp_savings_and_witnesses() {
         let h = harness();
-        let rep = run_kv_study(&h);
+        let rep = run_kv_opts(&h, None);
         assert_eq!(rep.cells.len(), KvCellSpec::all().len());
         assert!(rep.ok(), "{}", rep.render_text());
         for ckpt in CKPT_SWEEP {
@@ -699,8 +694,8 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_bytes() {
-        let a = run_kv_study(&Harness::new(harness().exp, 1));
-        let b = run_kv_study(&Harness::new(harness().exp, 8));
+        let a = run_kv_opts(&Harness::new(harness().exp, 1), None);
+        let b = run_kv_opts(&Harness::new(harness().exp, 8), None);
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
     }

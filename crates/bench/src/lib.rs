@@ -52,23 +52,15 @@ pub mod supervisor;
 
 pub use cache::{trace_bytes, CacheStats, TraceCache, TraceKey, TraceMemCap};
 pub use journal::{Journal, JournalError};
-pub use multicore::{run_multicore_study, MulticoreCell, MulticoreReport};
+pub use multicore::{MulticoreCell, MulticoreReport};
 pub use parallel::run_indexed;
 pub use supervisor::{CellFailure, CellOutcome, Supervisor};
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spp_cpu::{CpuConfig, SimResult, Simulator, SpConfig};
 use spp_pmem::{Event, FlushMode, SharedTrace, TraceCounts, Variant};
 use spp_workloads::{BenchId, BenchSpec};
-
-/// Replays `events` on `cpu` through the [`Simulator`] façade, panicking
-/// on failure (the harness's recorded traces are known-good; a failure
-/// here is a harness bug, not an input problem).
-pub(crate) fn must_simulate(events: &[Event], cpu: &CpuConfig) -> SimResult {
-    match Simulator::new(events).config(*cpu).run() {
-        Ok(r) => r,
-        Err(e) => panic!("simulation failed: {e}"),
-    }
-}
 
 /// The lowercase variant key used in every machine-readable document
 /// (`base`/`log`/`logp`/`logpsf`) — also what `repro` accepts on the
@@ -160,28 +152,6 @@ const SUITE_SIMS: [(Variant, bool); 5] = [
     (Variant::LogPSf, true),
 ];
 
-/// The job list of [`Harness::run_benches`]: every [`SUITE_SIMS`]
-/// replay of every benchmark, benchmark-major.
-fn suite_jobs(ids: &[BenchId]) -> Vec<(BenchId, Variant, bool)> {
-    ids.iter()
-        .flat_map(|&id| SUITE_SIMS.iter().map(move |&(v, sp)| (id, v, sp)))
-        .collect()
-}
-
-/// The SP-core job list of [`Harness::overhead_rows`]: `(bench index,
-/// core index)`, benchmark-major.
-fn overhead_jobs(benches: usize, cores: usize) -> Vec<(usize, usize)> {
-    (0..benches)
-        .flat_map(|bi| (0..cores).map(move |ci| (bi, ci)))
-        .collect()
-}
-
-/// Replays [`Harness::overhead_rows`] issues: one `Base` replay per
-/// benchmark, then its SP-core jobs.
-fn overhead_sims(ids: &[BenchId], cores: usize) -> usize {
-    ids.len() + overhead_jobs(ids.len(), cores).len()
-}
-
 /// The Fig. 13 SP cores: one per Table 3 SSB design point.
 fn ssb_cores() -> Vec<CpuConfig> {
     spp_core::SSB_DESIGN_POINTS
@@ -208,22 +178,6 @@ fn ablation_cores() -> Vec<CpuConfig> {
         .collect()
 }
 
-/// The job list of [`Harness::flushmode_table`]: every benchmark under
-/// every [`FlushMode`], baseline core then SP core.
-fn flushmode_jobs(ids: &[BenchId]) -> Vec<(BenchId, FlushMode, bool)> {
-    ids.iter()
-        .flat_map(|&id| {
-            FlushMode::ALL
-                .iter()
-                .flat_map(move |&mode| [(id, mode, false), (id, mode, true)])
-        })
-        .collect()
-}
-
-/// The replays of [`Harness::run_logging_comparison`]: `(trace index,
-/// sp)` over the full-logging (0) and incremental (1) B-tree traces.
-const LOGGING_JOBS: [(usize, bool); 4] = [(0, false), (0, true), (1, false), (1, true)];
-
 /// The SP design-choice ablation settings `(combine_barrier,
 /// checkpoints)`, in report column order: full SP256, no combined
 /// barrier opcode, then 1/2/8 checkpoints.
@@ -238,7 +192,9 @@ pub const ABLATION_SETTINGS: [(bool, usize); 5] =
 /// matter how many figures replay it) and fans independent simulations
 /// out over up to `jobs` threads via [`run_indexed`], which returns
 /// results in input order — so the report bytes are identical at any
-/// job count.
+/// job count. Every simulator replay it issues goes through
+/// [`Harness::replay`], which counts it, so a stage's replay total is
+/// read off [`Harness::replays`] rather than predicted.
 #[derive(Debug, Default)]
 pub struct Harness {
     /// Scale and seed shared by every run.
@@ -247,6 +203,7 @@ pub struct Harness {
     /// serial, on the caller's thread).
     pub jobs: usize,
     cache: TraceCache,
+    replays: AtomicUsize,
 }
 
 impl Harness {
@@ -256,7 +213,26 @@ impl Harness {
             exp,
             jobs,
             cache: TraceCache::new(),
+            replays: AtomicUsize::new(0),
         }
+    }
+
+    /// Simulator replays issued through [`Harness::replay`] so far.
+    pub fn replays(&self) -> usize {
+        self.replays.load(Ordering::Relaxed)
+    }
+
+    /// Replays `events` on `cpu` through the [`Simulator`] façade and
+    /// counts the replay, panicking on failure (the harness's recorded
+    /// traces are known-good; a failure here is a harness bug, not an
+    /// input problem).
+    pub(crate) fn replay(&self, events: &[Event], cpu: &CpuConfig) -> SimResult {
+        let r = match Simulator::new(events).config(*cpu).run() {
+            Ok(r) => r,
+            Err(e) => panic!("simulation failed: {e}"),
+        };
+        self.replays.fetch_add(1, Ordering::Relaxed);
+        r
     }
 
     /// Trace-cache counter snapshot (recordings / cache hits / keys /
@@ -291,7 +267,7 @@ impl Harness {
     /// Replays the keyed trace on `cpu`.
     fn sim(&self, key: TraceKey, cpu: &CpuConfig) -> (TraceCounts, SimResult) {
         let t = self.cache.get(key);
-        (t.counts, must_simulate(&t.events, cpu))
+        (t.counts, self.replay(&t.events, cpu))
     }
 
     /// `Base`-build cycles on the baseline core (the denominator of
@@ -311,7 +287,11 @@ impl Harness {
     /// trace — 5 simulations per benchmark, all run as one flat job
     /// list.
     pub fn run_benches(&self, ids: &[BenchId]) -> Vec<BenchRun> {
-        let results = run_indexed(self.jobs, &suite_jobs(ids), |_, &(id, variant, sp)| {
+        let jobs: Vec<(BenchId, Variant, bool)> = ids
+            .iter()
+            .flat_map(|&id| SUITE_SIMS.iter().map(move |&(v, sp)| (id, v, sp)))
+            .collect();
+        let results = run_indexed(self.jobs, &jobs, |_, &(id, variant, sp)| {
             let cpu = if sp {
                 CpuConfig::with_sp()
             } else {
@@ -345,16 +325,13 @@ impl Harness {
             .collect()
     }
 
-    /// Simulator replays [`Harness::run_benches`] issues for `ids`.
-    pub fn suite_sims(ids: &[BenchId]) -> usize {
-        suite_jobs(ids).len()
-    }
-
     /// `Log+P+Sf` overheads vs `Base` for the given benchmarks on each
     /// of `cores`, one row per benchmark.
     fn overhead_rows(&self, ids: &[BenchId], cores: &[CpuConfig]) -> Vec<Vec<f64>> {
         let bases = run_indexed(self.jobs, ids, |_, &id| self.base_cycles(id));
-        let jobs = overhead_jobs(ids.len(), cores.len());
+        let jobs: Vec<(usize, usize)> = (0..ids.len())
+            .flat_map(|bi| (0..cores.len()).map(move |ci| (bi, ci)))
+            .collect();
         let overheads = run_indexed(self.jobs, &jobs, |_, &(bi, ci)| {
             let key = TraceKey::new(ids[bi], Variant::LogPSf, &self.exp);
             let sim = self.sim(key, &cores[ci]).1;
@@ -384,11 +361,6 @@ impl Harness {
             .collect()
     }
 
-    /// Simulator replays [`Harness::ssb_table`] issues for `ids`.
-    pub fn ssb_sims(ids: &[BenchId]) -> usize {
-        overhead_sims(ids, ssb_cores().len())
-    }
-
     /// [`ABLATION_SETTINGS`] overheads vs `Base` for the given
     /// benchmarks, one row per benchmark.
     pub fn ablation_table(&self, ids: &[BenchId]) -> Vec<(BenchId, [f64; 5])> {
@@ -399,16 +371,19 @@ impl Harness {
             .collect()
     }
 
-    /// Simulator replays [`Harness::ablation_table`] issues for `ids`.
-    pub fn ablation_sims(ids: &[BenchId]) -> usize {
-        overhead_sims(ids, ablation_cores().len())
-    }
-
     /// Flush-instruction ablation rows (§2.2 footnote) for the given
     /// benchmarks: per [`FlushMode`], cycles per operation on the
     /// baseline and SP cores.
     pub fn flushmode_table(&self, ids: &[BenchId]) -> Vec<(BenchId, Vec<(u64, u64)>)> {
-        let cycles = run_indexed(self.jobs, &flushmode_jobs(ids), |_, &(id, mode, sp)| {
+        let jobs: Vec<(BenchId, FlushMode, bool)> = ids
+            .iter()
+            .flat_map(|&id| {
+                FlushMode::ALL
+                    .iter()
+                    .flat_map(move |&mode| [(id, mode, false), (id, mode, true)])
+            })
+            .collect();
+        let cycles = run_indexed(self.jobs, &jobs, |_, &(id, mode, sp)| {
             let cpu = if sp {
                 CpuConfig::with_sp()
             } else {
@@ -422,11 +397,6 @@ impl Harness {
             .zip(cycles.chunks_exact(2 * FlushMode::ALL.len()))
             .map(|(&id, per_mode)| (id, per_mode.chunks_exact(2).map(|c| (c[0], c[1])).collect()))
             .collect()
-    }
-
-    /// Simulator replays [`Harness::flushmode_table`] issues for `ids`.
-    pub fn flushmode_sims(ids: &[BenchId]) -> usize {
-        flushmode_jobs(ids).len()
     }
 
     /// Runs the full-vs-incremental logging ablation on the B-tree.
@@ -450,13 +420,14 @@ impl Harness {
             }
         });
         let ops = ts.spec.sim_ops;
-        let sims = run_indexed(self.jobs, &LOGGING_JOBS, |_, &(ti, sp)| {
+        let jobs = [(0, false), (0, true), (1, false), (1, true)];
+        let sims = run_indexed(self.jobs, &jobs, |_, &(ti, sp): &(usize, bool)| {
             let cpu = if sp {
                 CpuConfig::with_sp()
             } else {
                 CpuConfig::baseline()
             };
-            must_simulate(&traces[ti].events, &cpu)
+            self.replay(&traces[ti].events, &cpu)
         });
         LoggingComparison {
             full_cycles: sims[0].cpu.cycles / ops,
@@ -468,11 +439,6 @@ impl Harness {
             full_stores: traces[0].counts.stores as f64 / ops as f64,
             inc_stores: traces[1].counts.stores as f64 / ops as f64,
         }
-    }
-
-    /// Simulator replays [`Harness::run_logging_comparison`] issues.
-    pub fn logging_sims() -> usize {
-        LOGGING_JOBS.len()
     }
 }
 
@@ -619,46 +585,45 @@ mod tests {
     }
 
     #[test]
-    fn derived_sim_counts_match_the_cache_traffic() {
+    fn replay_counter_counts_every_stage_replay() {
         // Every `Harness::sim` is exactly one `TraceCache::get`, i.e. one
-        // recording or one hit, so on a fresh harness the cache traffic
-        // of a sweep counts the replays it issued.
+        // recording or one hit, so on a fresh harness a cached table's
+        // replay count equals its cache traffic.
         let exp = Experiment {
             scale: 5000,
             seed: 1,
         };
-        let traffic = |sweep: &dyn Fn(&Harness)| {
+        type Stage = fn(&Harness);
+        let counted = |stage: Stage| {
             let h = Harness::new(exp, 2);
-            sweep(&h);
+            stage(&h);
             let s = h.cache_stats();
-            (s.recordings + s.hits) as usize
+            (h.replays(), (s.recordings + s.hits) as usize)
         };
-        let all = &BenchId::ALL;
-        let flush_ids = &crate::report::FLUSHMODE_BENCHES;
+        // The counts `repro all` prints: the suite is 28 recordings + 7
+        // hits; each overhead table replays one `Base` trace per
+        // benchmark beside its SP-core jobs.
+        let tables: [(&str, Stage, usize); 4] = [
+            ("suite", |h| drop(h.run_benches(&BenchId::ALL)), 35),
+            ("fig13", |h| drop(h.ssb_table(&BenchId::ALL)), 49),
+            ("ablation", |h| drop(h.ablation_table(&BenchId::ALL)), 42),
+            (
+                "flush-mode",
+                |h| drop(h.flushmode_table(&crate::report::FLUSHMODE_BENCHES)),
+                18,
+            ),
+        ];
+        for (name, stage, want) in tables {
+            assert_eq!(counted(stage), (want, want), "{name}");
+        }
+        // The incremental trace bypasses the cache: one cached trace,
+        // four counted replays.
         assert_eq!(
-            traffic(&|h| drop(h.run_benches(all))),
-            Harness::suite_sims(all),
-            "suite"
-        );
-        assert_eq!(
-            traffic(&|h| drop(h.ssb_table(all))),
-            Harness::ssb_sims(all),
-            "fig13"
-        );
-        assert_eq!(
-            traffic(&|h| drop(h.ablation_table(all))),
-            Harness::ablation_sims(all),
-            "ablation"
-        );
-        assert_eq!(
-            traffic(&|h| drop(h.flushmode_table(flush_ids))),
-            Harness::flushmode_sims(flush_ids),
-            "flush-mode"
-        );
-        assert_eq!(
-            Harness::suite_sims(&BenchId::ALL),
-            35,
-            "28 recordings + 7 hits"
+            counted(|h| {
+                h.run_logging_comparison();
+            }),
+            (4, 1),
+            "logging comparison"
         );
     }
 }

@@ -49,19 +49,6 @@ pub fn litmus_programs(exp: &Experiment) -> Vec<LitmusProgram> {
     ps
 }
 
-/// The supervised cells of one run over `programs` programs: every
-/// program under every flush mode.
-fn cells(programs: usize) -> Vec<(usize, FlushMode)> {
-    (0..programs)
-        .flat_map(|pi| FlushMode::ALL.iter().map(move |&m| (pi, m)))
-        .collect()
-}
-
-/// Cells one [`run_litmus_opts`] run checks at `exp`.
-pub fn stage_sims(exp: &Experiment) -> usize {
-    cells(litmus_programs(exp).len()).len()
-}
-
 /// Options for [`run_litmus_opts`].
 #[derive(Debug, Default)]
 pub struct LitmusOpts<'j> {
@@ -240,7 +227,9 @@ fn fail_reason(c: &LitmusCell) -> String {
 pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
     let programs = litmus_programs(&h.exp);
     let knob = opts.knob;
-    let items = cells(programs.len());
+    let items: Vec<(usize, FlushMode)> = (0..programs.len())
+        .flat_map(|pi| FlushMode::ALL.iter().map(move |&m| (pi, m)))
+        .collect();
     let outs = Supervisor::new(h.jobs, opts.journal).run_cells(
         &items,
         |_, &(pi, mode)| cell_key(&programs[pi].name, mode, knob),
@@ -292,11 +281,6 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
         cells,
         replayed,
     }
-}
-
-/// Runs the litmus matrix without a journal, under the honest model.
-pub fn run_litmus(h: &Harness) -> LitmusReport {
-    run_litmus_opts(h, LitmusOpts::default())
 }
 
 impl LitmusReport {
@@ -410,8 +394,8 @@ mod tests {
 
     #[test]
     fn honest_matrix_passes_and_is_jobs_invariant() {
-        let a = run_litmus(&smoke_harness(1));
-        let b = run_litmus(&smoke_harness(8));
+        let a = run_litmus_opts(&smoke_harness(1), LitmusOpts::default());
+        let b = run_litmus_opts(&smoke_harness(8), LitmusOpts::default());
         assert!(a.ok(), "honest cells must all pass");
         assert_eq!(a.cells.len(), a.programs * FlushMode::ALL.len());
         assert!(a.programs >= 20, "catalog floor");

@@ -313,11 +313,6 @@ pub fn run_multicore_opts(h: &Harness, opts: MulticoreOpts<'_>) -> MulticoreRepo
     }
 }
 
-/// Runs the study without a journal.
-pub fn run_multicore_study(h: &Harness) -> MulticoreReport {
-    run_multicore_opts(h, MulticoreOpts::default())
-}
-
 impl MulticoreReport {
     fn find(&self, kind: SharedKind, contended: bool, cores: usize, sp: bool) -> &MulticoreCell {
         self.cells
@@ -491,7 +486,7 @@ mod tests {
 
     #[test]
     fn study_finds_conflicts_only_where_sharing_exists() {
-        let rep = run_multicore_study(&harness());
+        let rep = run_multicore_opts(&harness(), MulticoreOpts::default());
         assert_eq!(rep.cells.len(), CellSpec::all().len());
         assert!(rep.cells.iter().all(|c| c.ok), "no cell may degrade");
         assert!(
@@ -528,7 +523,7 @@ mod tests {
         assert!(cell_key(&CellSpec::all()[0], h.exp.scale, h.exp.seed, 1).ends_with("/storm1"));
         // The default budget keeps the pre-flag wire format (and so the
         // pre-flag goldens and journals) byte-for-byte.
-        let rep = run_multicore_study(&h);
+        let rep = run_multicore_opts(&h, MulticoreOpts::default());
         assert_eq!(rep.storm_bound, DEFAULT_STORM_BOUND);
         assert!(!rep.render_json().contains("storm_bound"));
         assert!(!rep.render_text().contains("conflict-storm budget"));
@@ -545,8 +540,8 @@ mod tests {
     fn jobs_do_not_change_the_bytes() {
         let h1 = Harness::new(harness().exp, 1);
         let h8 = Harness::new(harness().exp, 8);
-        let a = run_multicore_study(&h1);
-        let b = run_multicore_study(&h8);
+        let a = run_multicore_opts(&h1, MulticoreOpts::default());
+        let b = run_multicore_opts(&h8, MulticoreOpts::default());
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
     }

@@ -758,11 +758,6 @@ pub fn run_optimize_opts(
     }
 }
 
-/// Runs the study without a journal.
-pub fn run_optimize_study(h: &Harness, id: BenchId, variant: Variant) -> OptimizeReport {
-    run_optimize_opts(h, id, variant, None)
-}
-
 impl OptimizeReport {
     fn cell(&self, spec: OptimizeCellSpec) -> &OptCell {
         self.cells
@@ -1087,7 +1082,7 @@ mod tests {
     #[test]
     fn study_passes_and_finds_elisions_on_logp() {
         let h = harness();
-        let rep = run_optimize_study(&h, BenchId::LinkedList, Variant::LogP);
+        let rep = run_optimize_opts(&h, BenchId::LinkedList, Variant::LogP, None);
         assert_eq!(rep.cells.len(), OptimizeCellSpec::all().len());
         assert!(rep.ok(), "{}", rep.render_text());
         assert!(rep.elisions() > 0, "LogP must yield redundant flushes");
@@ -1123,8 +1118,18 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_bytes() {
         let exp = harness().exp;
-        let a = run_optimize_study(&Harness::new(exp, 1), BenchId::LinkedList, Variant::LogP);
-        let b = run_optimize_study(&Harness::new(exp, 8), BenchId::LinkedList, Variant::LogP);
+        let a = run_optimize_opts(
+            &Harness::new(exp, 1),
+            BenchId::LinkedList,
+            Variant::LogP,
+            None,
+        );
+        let b = run_optimize_opts(
+            &Harness::new(exp, 8),
+            BenchId::LinkedList,
+            Variant::LogP,
+            None,
+        );
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
     }

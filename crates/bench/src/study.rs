@@ -20,15 +20,18 @@
 //! replays and records them; the runner then reports what the journal
 //! saw (corrupt lines, undecodable payloads, failed appends).
 //!
-//! CI denies local copies outright: the replay-report and journal-open
-//! plumbing, and hand-counted stage totals, may not appear in
-//! `repro.rs`.
+//! Stage lines count what ran: [`staged`] reads the
+//! [`Harness::replays`] counter around the stage, so a stage that
+//! replays nothing through the harness reports wall time alone. CI
+//! denies local copies of the replay-report and journal-open plumbing
+//! in `repro.rs`, and any predicted sim count in the crate.
 
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
 use crate::journal::Journal;
+use crate::Harness;
 
 /// A rejected or failed journal opening, typed so the CLI can map each
 /// case onto its own diagnostic without string matching.
@@ -148,47 +151,41 @@ impl_study_report!(
     crate::soak::SoakReport => |r| r.rows.iter().map(|row| row.replayed).sum(),
 );
 
-/// Runs one evaluation stage, reporting wall time and throughput on
-/// stderr. `sims` counts the simulator replays the stage issues, taken
-/// from the job list that builds the stage; `None` marks a stage whose
-/// work is not counted in replays and suppresses the rate. Stdout
+/// Runs one evaluation stage, reporting on stderr the simulator
+/// replays it issued through `h` (counted by [`Harness::replays`]), its
+/// wall time and its replay rate. A stage that replays nothing through
+/// the harness (a study that drives its own simulators) reports wall
+/// time alone. Stdout
 /// stays byte-identical across `--jobs`.
-pub fn staged<T>(label: &str, sims: Option<usize>, f: impl FnOnce() -> T) -> T {
+pub fn staged<T>(h: &Harness, label: &str, f: impl FnOnce() -> T) -> T {
+    let before = h.replays();
     let t0 = Instant::now();
     let out = f();
     let dt = t0.elapsed().as_secs_f64();
-    if let Some(sims) = sims {
-        eprintln!(
+    match h.replays() - before {
+        0 => eprintln!("# {label}: {dt:.2}s"),
+        sims => eprintln!(
             "# {label}: {sims} sims in {dt:.2}s ({:.1} sims/s)",
             sims as f64 / dt.max(1e-9)
-        );
-    } else {
-        eprintln!("# {label}: {dt:.2}s");
+        ),
     }
     out
 }
 
-/// One study invocation: the stage label, the expected simulation
-/// count (for the stderr rate line, see [`staged`]), and the opened
-/// journal.
+/// One study invocation: the stage label (for the stderr line, see
+/// [`staged`]) and the opened journal.
 #[derive(Debug)]
 pub struct StudyRunner {
     label: &'static str,
-    sims: Option<usize>,
     journal: Option<Journal>,
 }
 
 impl StudyRunner {
     /// Prepares a runner: opens the journal named by `cli` (if any)
     /// under the resume discipline.
-    pub fn new(
-        label: &'static str,
-        sims: Option<usize>,
-        cli: &StudyCli,
-    ) -> Result<Self, StudyError> {
+    pub fn new(label: &'static str, cli: &StudyCli) -> Result<Self, StudyError> {
         Ok(StudyRunner {
             label,
-            sims,
             journal: cli.open()?,
         })
     }
@@ -204,12 +201,12 @@ impl StudyRunner {
         }
     }
 
-    /// Drives one study end to end: stage `f` (handing it the journal),
-    /// surface corrupt entries and the replay count on stderr, print
-    /// the text report and the JSON line on stdout, and return the
-    /// report's verdict for the exit status.
-    pub fn run<R: StudyReport>(&self, f: impl FnOnce(Option<&Journal>) -> R) -> bool {
-        let rep = staged(self.label, self.sims, || f(self.journal.as_ref()));
+    /// Drives one study end to end: stage `f` on `h` (handing it the
+    /// journal), surface corrupt entries and the replay count on
+    /// stderr, print the text report and the JSON line on stdout, and
+    /// return the report's verdict for the exit status.
+    pub fn run<R: StudyReport>(&self, h: &Harness, f: impl FnOnce(Option<&Journal>) -> R) -> bool {
+        let rep = staged(h, self.label, || f(self.journal.as_ref()));
         self.report_corrupt();
         if let Some(j) = &self.journal {
             eprintln!(
@@ -282,16 +279,18 @@ mod tests {
     fn study_cli_opens_nothing_without_a_journal_flag() {
         let cli = StudyCli::default();
         assert!(cli.open().unwrap().is_none());
-        let runner = StudyRunner::new("study-test", None, &cli).unwrap();
-        assert!(runner.run(|j| FakeReport { ok: j.is_none() }));
+        let runner = StudyRunner::new("study-test", &cli).unwrap();
+        let h = Harness::default();
+        assert!(runner.run(&h, |j| FakeReport { ok: j.is_none() }));
     }
 
     #[test]
     fn runner_returns_the_report_verdict() {
         let cli = StudyCli::default();
-        let runner = StudyRunner::new("study-test", None, &cli).unwrap();
-        assert!(runner.run(|_| FakeReport { ok: true }));
-        assert!(!runner.run(|_| FakeReport { ok: false }));
+        let runner = StudyRunner::new("study-test", &cli).unwrap();
+        let h = Harness::default();
+        assert!(runner.run(&h, |_| FakeReport { ok: true }));
+        assert!(!runner.run(&h, |_| FakeReport { ok: false }));
     }
 
     #[test]
@@ -301,8 +300,9 @@ mod tests {
             journal: Some(p.display().to_string()),
             resume: false,
         };
-        let runner = StudyRunner::new("study-test", None, &cli).unwrap();
-        let saw_journal = runner.run(|j| FakeReport { ok: j.is_some() });
+        let runner = StudyRunner::new("study-test", &cli).unwrap();
+        let h = Harness::default();
+        let saw_journal = runner.run(&h, |j| FakeReport { ok: j.is_some() });
         assert!(saw_journal, "the study closure must receive the journal");
         std::fs::remove_file(&p).unwrap();
     }

@@ -19,7 +19,7 @@
 //! means a reported figure changed meaning — it is a release blocker,
 //! not a flake: everything is deterministic.
 
-use spp_bench::{Experiment, TraceKey};
+use spp_bench::{run_indexed, Experiment, TraceKey};
 use spp_cpu::{CpuConfig, ReferencePipeline, Simulator};
 use spp_mem::FaultSpec;
 use spp_pmem::Variant;
@@ -61,22 +61,29 @@ fn fault_legs(seed: u64) -> [(&'static str, Option<FaultSpec>); 3] {
 
 #[test]
 fn every_bench_variant_trace_matches_the_reference_stepper() {
-    let harness = spp_bench::Harness::new(EXP, 1);
-    for id in BenchId::ALL {
-        for variant in Variant::ALL {
-            let trace = harness.trace(TraceKey::new(id, variant, &EXP));
-            for (core, sp) in [("baseline", false), ("sp256", true)] {
-                for (leg, fault) in fault_legs(EXP.seed) {
-                    let mut cfg = if sp {
-                        CpuConfig::with_sp()
-                    } else {
-                        CpuConfig::baseline()
-                    };
-                    cfg.mem.fault = fault;
-                    let ctx = format!("{}/{}/{}/{}", id.abbrev(), variant, core, leg);
-                    assert_equivalent(&ctx, &trace.events, cfg);
-                }
-            }
-        }
-    }
+    // Every cell is independent, so the grid fans out over every core;
+    // a failing cell panics with its context on the worker thread and
+    // the scope re-raises the panic here.
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let harness = spp_bench::Harness::new(EXP, jobs);
+    let cells: Vec<_> = BenchId::ALL
+        .iter()
+        .flat_map(|&id| Variant::ALL.iter().map(move |&v| (id, v)))
+        .flat_map(|(id, v)| [(id, v, "baseline", false), (id, v, "sp256", true)])
+        .flat_map(|(id, v, core, sp)| {
+            fault_legs(EXP.seed).map(|(leg, f)| (id, v, core, sp, leg, f))
+        })
+        .collect();
+    assert_eq!(cells.len(), 7 * 4 * 2 * 3);
+    run_indexed(jobs, &cells, |_, &(id, variant, core, sp, leg, fault)| {
+        let trace = harness.trace(TraceKey::new(id, variant, &EXP));
+        let mut cfg = if sp {
+            CpuConfig::with_sp()
+        } else {
+            CpuConfig::baseline()
+        };
+        cfg.mem.fault = fault;
+        let ctx = format!("{}/{}/{}/{}", id.abbrev(), variant, core, leg);
+        assert_equivalent(&ctx, &trace.events, cfg);
+    });
 }

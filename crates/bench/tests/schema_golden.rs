@@ -13,12 +13,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use spp_bench::crashfuzz::{run_crashfuzz, Leg};
-use spp_bench::faultsim::run_faultsim;
+use spp_bench::faultsim::run_faultsim_opts;
 use spp_bench::journal::{CellStatus, Entry, Journal};
-use spp_bench::kv::run_kv_study;
-use spp_bench::litmus::run_litmus;
-use spp_bench::multicore::run_multicore_study;
-use spp_bench::optimize::run_optimize_study;
+use spp_bench::kv::run_kv_opts;
+use spp_bench::litmus::run_litmus_opts;
+use spp_bench::multicore::run_multicore_opts;
+use spp_bench::optimize::run_optimize_opts;
 use spp_bench::profile::run_profile;
 use spp_bench::soak::run_soak;
 use spp_bench::{json, schema, Experiment, Harness};
@@ -83,7 +83,7 @@ fn crashfuzz_document_is_stable() {
 
 #[test]
 fn faultsim_document_is_stable() {
-    let rep = run_faultsim(&harness());
+    let rep = run_faultsim_opts(&harness(), Default::default());
     check("faultsim.json", &rep.render_json(), schema::FAULTSIM);
 }
 
@@ -100,25 +100,25 @@ fn soak_document_is_stable() {
 
 #[test]
 fn multicore_document_is_stable() {
-    let rep = run_multicore_study(&harness());
+    let rep = run_multicore_opts(&harness(), Default::default());
     check("multicore.json", &rep.render_json(), schema::MULTICORE);
 }
 
 #[test]
 fn kv_document_is_stable() {
-    let rep = run_kv_study(&harness());
+    let rep = run_kv_opts(&harness(), None);
     check("kv.json", &rep.render_json(), schema::KV);
 }
 
 #[test]
 fn litmus_document_is_stable() {
-    let rep = run_litmus(&harness());
+    let rep = run_litmus_opts(&harness(), Default::default());
     check("litmus.json", &rep.render_json(), schema::LITMUS);
 }
 
 #[test]
 fn optimize_document_is_stable() {
-    let rep = run_optimize_study(&harness(), BenchId::LinkedList, Variant::LogP);
+    let rep = run_optimize_opts(&harness(), BenchId::LinkedList, Variant::LogP, None);
     check("optimize.json", &rep.render_json(), schema::OPTIMIZE);
 }
 
