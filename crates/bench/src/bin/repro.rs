@@ -113,14 +113,19 @@
 //!              document to PATH (loadable in Perfetto or
 //!              chrome://tracing)
 //!   --trace-mem-cap BYTES  cap the bytes of recorded traces the
-//!              harness may hold resident; a run that trips the cap
-//!              fails with a typed one-line error (never an OOM kill)
-//!              and dumps the per-trace byte footprint to stderr
+//!              harness trace cache may hold (only commands that fill
+//!              the cache take it); the cap is checked once, after the
+//!              command, and the cache keeps recording past it until
+//!              then, so it bounds what a run may report, not what it
+//!              allocates; a run over the cap fails with a typed
+//!              one-line error and dumps the per-trace byte footprint
+//!              to stderr
 //!
 //! Invalid input (a malformed or zero --scale/--jobs, an unknown
 //! command, flag, benchmark, variant, or leg, a positional argument the
 //! command does not take, or contradictory journal flags) exits
-//! non-zero with a one-line `repro: ...` diagnostic on stderr.
+//! non-zero with a one-line `repro: ...` diagnostic on stderr. An
+//! unknown command is reported before anything else is checked.
 //!
 //! Every trace is recorded exactly once per invocation and shared
 //! across all simulator configurations (the `repro all` sweep replays
@@ -129,17 +134,81 @@
 //! timings go to stderr.
 //! ```
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use spp_bench::litmus::ModelKnob;
 use spp_bench::report;
-use spp_bench::study::{staged, StudyCli, StudyError, StudyRunner};
-use spp_bench::{Experiment, Harness};
+use spp_bench::study::{staged, StudyCli, StudyError, StudyReport, StudyRunner};
+use spp_bench::{BenchRun, Experiment, Harness, Journal};
 use spp_workloads::BenchId;
 
 const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
+
+/// [`Command::flags`] bit: `--journal` and `--resume` (the command
+/// runs its cells on a result journal).
+const JOURNAL: u8 = 1;
+/// [`Command::flags`] bit: `--iters`.
+const ITERS: u8 = 1 << 1;
+/// [`Command::flags`] bit: `--storm-bound`.
+const STORM_BOUND: u8 = 1 << 2;
+/// [`Command::flags`] bit: `--model-knob`.
+const MODEL_KNOB: u8 = 1 << 3;
+/// [`Command::flags`] bit: `--trace-out`.
+const TRACE_OUT: u8 = 1 << 4;
+/// [`Command::flags`] bit: `--trace-mem-cap`. Set exactly on the
+/// commands whose traces all go through the harness trace cache. A
+/// command that records outside the cache, or never simulates, refuses
+/// the cap: it would miss some or all of its trace bytes and silently
+/// under-count.
+const CACHED: u8 = 1 << 5;
+
+/// One `repro` command: everything parsing, the scope check and
+/// dispatch know about it.
+#[derive(Debug)]
+struct Command {
+    name: &'static str,
+    /// Positional arguments it takes; one more is a typed error.
+    takes: usize,
+    /// The command-scoped flags it accepts, as `JOURNAL | CACHED | ...`
+    /// bits.
+    flags: u8,
+    /// Part of `repro all`, which runs these rows in table order.
+    in_all: bool,
+    run: fn(&Ctx) -> Result<ExitCode, CliError>,
+}
+
+/// Every `repro` command, in `USAGE` order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "all",         takes: 0, flags: CACHED,                       in_all: false, run: all_cmd },
+    Command { name: "table1",      takes: 0, flags: 0,                            in_all: true,  run: |c| print_ok(&report::table1(&c.harness.exp)) },
+    Command { name: "table2",      takes: 0, flags: 0,                            in_all: true,  run: |_| print_ok(&report::table2()) },
+    Command { name: "table3",      takes: 0, flags: 0,                            in_all: true,  run: |_| print_ok(&report::table3()) },
+    Command { name: "fig8",        takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig8(suite(c))) },
+    Command { name: "fig9",        takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig9(suite(c))) },
+    Command { name: "fig10",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig10(suite(c))) },
+    Command { name: "fig11",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig11(suite(c))) },
+    Command { name: "fig12",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig12(suite(c))) },
+    Command { name: "fig13",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| stage(c, "fig13 SSB sweep", report::fig13) },
+    Command { name: "fig14",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig14(suite(c))) },
+    Command { name: "ablation",    takes: 0, flags: CACHED,                       in_all: true,  run: |c| stage(c, "ablation", report::ablation) },
+    Command { name: "incremental", takes: 0, flags: 0,                            in_all: true,  run: |c| stage(c, "logging comparison", report::incremental) },
+    Command { name: "flushmode",   takes: 0, flags: CACHED,                       in_all: true,  run: |c| stage(c, "flush-mode ablation", report::flushmode) },
+    Command { name: "trace",       takes: 2, flags: 0,                            in_all: false, run: trace_cmd },
+    Command { name: "json",        takes: 0, flags: CACHED,                       in_all: false, run: |c| print_ok(&format!("{}\n", spp_bench::json::suite_json(suite(c)))) },
+    Command { name: "multicore",   takes: 0, flags: JOURNAL | STORM_BOUND,        in_all: false, run: multicore_cmd },
+    Command { name: "litmus",      takes: 0, flags: JOURNAL | MODEL_KNOB,         in_all: false, run: litmus_cmd },
+    Command { name: "kv",          takes: 0, flags: JOURNAL,                      in_all: false, run: kv_cmd },
+    Command { name: "optimize",    takes: 2, flags: JOURNAL | CACHED,             in_all: false, run: optimize_cmd },
+    Command { name: "crashfuzz",   takes: 1, flags: CACHED,                       in_all: false, run: crashfuzz_cmd },
+    Command { name: "faultsim",    takes: 0, flags: JOURNAL | CACHED,             in_all: false, run: faultsim_cmd },
+    Command { name: "soak",        takes: 0, flags: JOURNAL | ITERS,              in_all: false, run: soak_cmd },
+    Command { name: "profile",     takes: 2, flags: JOURNAL | TRACE_OUT | CACHED, in_all: false, run: profile_cmd },
+    Command { name: "journal",     takes: 2, flags: 0,                            in_all: false, run: journal_cmd },
+];
 
 /// A rejected invocation: every variant renders as one line, and every
 /// variant exits non-zero. Parsing never panics on user input.
@@ -167,9 +236,12 @@ enum CliError {
     UnknownVariant(String),
     /// The crashfuzz leg name is not a known slice of the matrix.
     UnknownLeg(String),
-    /// `--journal`/`--resume`/`--iters` given to a command that has no
-    /// journal support.
-    FlagUnsupported { flag: &'static str, cmd: String },
+    /// A command-scoped flag given to a command whose row does not
+    /// accept it.
+    FlagUnsupported {
+        flag: &'static str,
+        cmd: &'static str,
+    },
     /// `--resume` without `--journal`.
     ResumeNeedsJournal,
     /// The study façade refused to open the journal (resume
@@ -180,10 +252,13 @@ enum CliError {
     /// `repro journal` needs the `check` subcommand and a path.
     MissingJournalCheckArgs,
     /// A positional argument past the ones the command takes.
-    UnexpectedArg { arg: String, cmd: String },
+    UnexpectedArg { arg: String, cmd: &'static str },
     /// The trace cache grew past `--trace-mem-cap` (the wrapped
     /// [`spp_bench::TraceMemCap`] rendering).
     TraceMemCap(String),
+    /// The `--trace-out` file could not be written (after the report
+    /// was printed).
+    TraceOut { path: String, error: String },
 }
 
 impl fmt::Display for CliError {
@@ -221,18 +296,18 @@ impl fmt::Display for CliError {
                 write!(f, "unexpected argument {arg:?} for {cmd:?}")
             }
             CliError::TraceMemCap(e) => f.write_str(e),
+            CliError::TraceOut { path, error } => write!(f, "--trace-out {path:?}: {error}"),
         }
     }
 }
 
 /// A parsed invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 struct Cli {
-    cmd: String,
+    cmd: &'static Command,
     exp: Experiment,
     jobs: usize,
-    journal: Option<String>,
-    resume: bool,
+    study: StudyCli,
     iters: Option<u64>,
     storm_bound: Option<u64>,
     model_knob: Option<ModelKnob>,
@@ -241,17 +316,21 @@ struct Cli {
     positional: Vec<String>,
 }
 
-/// Parses everything after the binary name. Flags may appear anywhere;
-/// any other `--`-prefixed word is rejected, and all remaining words
-/// are positional arguments for the command.
+/// Parses everything after the binary name. The first word must name a
+/// row of [`COMMANDS`]. Flags may appear anywhere after it; any other
+/// `--`-prefixed word is rejected, and all remaining words are
+/// positional arguments for the command.
 fn parse_args(args: &[String]) -> Result<Cli, CliError> {
-    let Some(cmd) = args.first().cloned() else {
+    let Some(cmd) = args.first().map(String::as_str) else {
         return Err(CliError::NoCommand);
     };
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd)
+        .ok_or_else(|| CliError::UnknownCommand(cmd.to_string()))?;
     let mut exp = Experiment::default();
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut journal: Option<String> = None;
-    let mut resume = false;
+    let mut study = StudyCli::default();
     let mut iters: Option<u64> = None;
     let mut storm_bound: Option<u64> = None;
     let mut model_knob: Option<ModelKnob> = None;
@@ -299,17 +378,17 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                                 want: "a file path",
                             });
                         }
-                        journal = Some(next.clone());
+                        study.journal = Some(next.clone());
                         i += 2;
                     }
                     _ => {
-                        journal = Some(spp_bench::journal::DEFAULT_JOURNAL_PATH.to_string());
+                        study.journal = Some(spp_bench::journal::DEFAULT_JOURNAL_PATH.to_string());
                         i += 1;
                     }
                 }
             }
             "--resume" => {
-                resume = true;
+                study.resume = true;
                 i += 1;
             }
             "--trace-out" => match args.get(i + 1) {
@@ -381,8 +460,7 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         cmd,
         exp,
         jobs,
-        journal,
-        resume,
+        study,
         iters,
         storm_bound,
         model_knob,
@@ -392,90 +470,38 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     })
 }
 
-/// Rejects positionals and flags a command cannot honor, and
+/// Rejects positionals and flags the command's row does not take, and
 /// contradictory combinations, before any work starts.
 fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
+    let cmd = cli.cmd;
     // A stray word would otherwise be silently ignored: `repro fig8 LL`
     // would run the whole suite, reading as if it had filtered to LL.
-    let takes = match cli.cmd.as_str() {
-        "trace" | "profile" | "optimize" | "journal" => 2,
-        "crashfuzz" => 1,
-        _ => 0,
-    };
-    if let Some(arg) = cli.positional.get(takes) {
+    if let Some(arg) = cli.positional.get(cmd.takes) {
         return Err(CliError::UnexpectedArg {
             arg: arg.clone(),
-            cmd: cli.cmd.clone(),
+            cmd: cmd.name,
         });
     }
-    let journaled = matches!(
-        cli.cmd.as_str(),
-        "faultsim" | "soak" | "profile" | "multicore" | "litmus" | "kv" | "optimize"
-    );
-    if cli.journal.is_some() && !journaled {
-        return Err(CliError::FlagUnsupported {
-            flag: "--journal",
-            cmd: cli.cmd.clone(),
-        });
+    // In this order, so an invocation breaking two rules always reports
+    // the same one.
+    let scoped = [
+        ("--journal", JOURNAL, cli.study.journal.is_some()),
+        ("--resume", JOURNAL, cli.study.resume),
+        ("--iters", ITERS, cli.iters.is_some()),
+        ("--storm-bound", STORM_BOUND, cli.storm_bound.is_some()),
+        ("--model-knob", MODEL_KNOB, cli.model_knob.is_some()),
+        ("--trace-out", TRACE_OUT, cli.trace_out.is_some()),
+        ("--trace-mem-cap", CACHED, cli.trace_mem_cap.is_some()),
+    ];
+    for (flag, bit, given) in scoped {
+        if given && cmd.flags & bit == 0 {
+            return Err(CliError::FlagUnsupported {
+                flag,
+                cmd: cmd.name,
+            });
+        }
     }
-    if cli.resume && !journaled {
-        return Err(CliError::FlagUnsupported {
-            flag: "--resume",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.iters.is_some() && cli.cmd != "soak" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--iters",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.storm_bound.is_some() && cli.cmd != "multicore" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--storm-bound",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.model_knob.is_some() && cli.cmd != "litmus" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--model-knob",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.trace_out.is_some() && cli.cmd != "profile" {
-        return Err(CliError::FlagUnsupported {
-            flag: "--trace-out",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    // The cap governs the harness trace cache. `trace` replays one
-    // recording to stdout, `soak` spawns child processes, `journal`
-    // never simulates, the `table*` commands print static
-    // configuration, `multicore`, `litmus` and `kv` record their traces
-    // outside the cache, and `incremental` records its incremental-
-    // logging B-tree outside it: the cap would miss some or all of
-    // their trace bytes, so they refuse it instead of silently
-    // under-counting.
-    let uncached = matches!(
-        cli.cmd.as_str(),
-        "trace"
-            | "soak"
-            | "journal"
-            | "table1"
-            | "table2"
-            | "table3"
-            | "incremental"
-            | "multicore"
-            | "litmus"
-            | "kv"
-    );
-    if cli.trace_mem_cap.is_some() && uncached {
-        return Err(CliError::FlagUnsupported {
-            flag: "--trace-mem-cap",
-            cmd: cli.cmd.clone(),
-        });
-    }
-    if cli.resume && cli.journal.is_none() {
+    if cli.study.resume && cli.study.journal.is_none() {
         return Err(CliError::ResumeNeedsJournal);
     }
     Ok(())
@@ -508,147 +534,97 @@ fn main() -> ExitCode {
     }
 }
 
+/// What a command's `run` receives: the parsed invocation (flags,
+/// positionals and the journal flags as a [`StudyCli`]) and the harness.
+struct Ctx<'a> {
+    cli: &'a Cli,
+    harness: &'a Harness,
+    /// The Table 1 suite, run on first use (see [`suite`]).
+    suite: OnceCell<Vec<BenchRun>>,
+}
+
 fn run(cli: Cli) -> Result<ExitCode, CliError> {
     check_flag_scope(&cli)?;
-    let Cli {
-        cmd,
-        exp,
-        jobs,
-        journal,
-        resume,
-        iters,
-        storm_bound,
-        model_knob,
-        trace_out,
-        trace_mem_cap,
-        positional,
-    } = cli;
-    if cmd == "journal" {
-        // Pure file inspection: no harness, no simulations.
-        return journal_cmd(&positional);
-    }
-    let study = StudyCli { journal, resume };
-    let harness = Harness::new(exp, jobs);
-    harness.set_trace_mem_cap(trace_mem_cap);
-    let t0 = Instant::now();
-
-    let needs_suite = matches!(
-        cmd.as_str(),
-        "all" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig14" | "json"
-    );
-    let runs = if needs_suite {
-        eprintln!(
-            "# running suite at scale 1/{} (seed {:#x}, {} jobs)...",
-            exp.scale, exp.seed, jobs
-        );
-        staged(&harness, "suite", || harness.run_benches(&BenchId::ALL))
-    } else {
-        Vec::new()
+    let harness = Harness::new(cli.exp, cli.jobs);
+    harness.set_trace_mem_cap(cli.trace_mem_cap);
+    let ctx = Ctx {
+        cli: &cli,
+        harness: &harness,
+        suite: OnceCell::new(),
     };
-
-    let code = match cmd.as_str() {
-        "all" => {
-            print!("{}", report::table1(&exp));
-            print!("{}", report::table2());
-            print!("{}", report::table3());
-            print!("{}", report::fig8(&runs));
-            print!("{}", report::fig9(&runs));
-            print!("{}", report::fig10(&runs));
-            print!("{}", report::fig11(&runs));
-            print!("{}", report::fig12(&runs));
-            print!("{}", fig13_stage(&harness));
-            print!("{}", report::fig14(&runs));
-            print!("{}", ablation_stage(&harness));
-            print!("{}", incremental_stage(&harness));
-            print!("{}", flushmode_stage(&harness));
-            print!(
-                "{}",
-                staged(&harness, "multicore study", || report::multicore(&harness))
-            );
-            let s = harness.cache_stats();
-            eprintln!(
-                "# trace cache: {} recordings, {} cached replays, {} keys, {} bytes",
-                s.recordings, s.hits, s.entries, s.bytes
-            );
-            if trace_mem_cap.is_some() {
-                // A cap is in force: show where the bytes went,
-                // heaviest trace first, so the budget can be tuned.
-                for (k, bytes) in harness.trace_bytes_by_key() {
-                    eprintln!("#   {bytes} bytes {}/{}/{}", k.id, k.variant, k.flush_mode);
-                }
-            }
-            // The harness contract: a trace is recorded at most once per
-            // key, no matter how many figures replay it.
-            assert_eq!(
-                s.recordings, s.entries,
-                "each (bench, variant, scale, seed, flushmode) trace must be recorded exactly once"
-            );
-            eprintln!(
-                "# total: {:.2}s ({} jobs)",
-                t0.elapsed().as_secs_f64(),
-                jobs
-            );
-            ExitCode::SUCCESS
-        }
-        "table1" => print_ok(&report::table1(&exp)),
-        "table2" => print_ok(&report::table2()),
-        "table3" => print_ok(&report::table3()),
-        "fig8" => print_ok(&report::fig8(&runs)),
-        "fig9" => print_ok(&report::fig9(&runs)),
-        "fig10" => print_ok(&report::fig10(&runs)),
-        "fig11" => print_ok(&report::fig11(&runs)),
-        "fig12" => print_ok(&report::fig12(&runs)),
-        "fig13" => print_ok(&fig13_stage(&harness)),
-        "fig14" => print_ok(&report::fig14(&runs)),
-        "ablation" => print_ok(&ablation_stage(&harness)),
-        "incremental" => print_ok(&incremental_stage(&harness)),
-        "flushmode" => print_ok(&flushmode_stage(&harness)),
-        "json" => print_ok(&format!("{}\n", spp_bench::json::suite_json(&runs))),
-        "multicore" => multicore_cmd(&harness, &study, storm_bound)?,
-        "litmus" => litmus_cmd(&harness, &study, model_knob)?,
-        "kv" => kv_cmd(&harness, &study)?,
-        "optimize" => optimize_cmd(&harness, &positional, &study)?,
-        "trace" => return trace_cmd(&positional, &exp).map(|()| ExitCode::SUCCESS),
-        "crashfuzz" => crashfuzz_cmd(&harness, &positional, &study)?,
-        "faultsim" => faultsim_cmd(&harness, &study)?,
-        "soak" => return soak_cmd(&harness, iters, &study),
-        "profile" => profile_cmd(&harness, &positional, &study, trace_out.as_deref())?,
-        _ => return Err(CliError::UnknownCommand(cmd)),
-    };
+    let code = (cli.cmd.run)(&ctx)?;
     check_trace_mem(&harness, code)
 }
 
+/// The Table 1 suite the figures read, run once per invocation however
+/// many figures ask for it.
+fn suite<'a>(c: &'a Ctx) -> &'a [BenchRun] {
+    c.suite.get_or_init(|| {
+        let h = c.harness;
+        eprintln!(
+            "# running suite at scale 1/{} (seed {:#x}, {} jobs)...",
+            h.exp.scale, h.exp.seed, h.jobs
+        );
+        staged(h, "suite", || h.run_benches(&BenchId::ALL))
+    })
+}
+
 /// Prints one report to stdout; the command succeeded.
-fn print_ok(report: &str) -> ExitCode {
+fn print_ok(report: &str) -> Result<ExitCode, CliError> {
     print!("{report}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// The Fig. 13 SSB sweep as a timed stage.
-fn fig13_stage(h: &Harness) -> String {
-    staged(h, "fig13 SSB sweep", || report::fig13(h))
+/// Prints the report `report` draws from the harness, run as the timed
+/// stage `label`.
+fn stage(c: &Ctx, label: &str, report: fn(&Harness) -> String) -> Result<ExitCode, CliError> {
+    print_ok(&staged(c.harness, label, || report(c.harness)))
 }
 
-/// The SP design-choice ablation as a timed stage.
-fn ablation_stage(h: &Harness) -> String {
-    staged(h, "ablation", || report::ablation(h))
+/// Runs the command's study on the journal its flags name and turns
+/// the report's verdict into the exit status.
+fn study<R: StudyReport>(
+    c: &Ctx,
+    f: impl FnOnce(Option<&Journal>) -> R,
+) -> Result<ExitCode, CliError> {
+    let runner = StudyRunner::new(c.cli.cmd.name, &c.cli.study)?;
+    Ok(verdict(runner.run(c.harness, f)))
 }
 
-/// The full-vs-incremental logging comparison as a timed stage.
-fn incremental_stage(h: &Harness) -> String {
-    staged(h, "logging comparison", || report::incremental(h))
+/// `repro all`: every row marked `in_all`, in table order, then the
+/// multicore scaling stage and the trace-cache accounting.
+fn all_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
+    let t0 = Instant::now();
+    let h = c.harness;
+    for cmd in COMMANDS.iter().filter(|cmd| cmd.in_all) {
+        (cmd.run)(c)?;
+    }
+    stage(c, "multicore study", report::multicore)?;
+    let s = h.cache_stats();
+    eprintln!(
+        "# trace cache: {} recordings, {} cached replays, {} keys, {} bytes",
+        s.recordings, s.hits, s.entries, s.bytes
+    );
+    // The harness contract: a trace is recorded at most once per
+    // key, no matter how many figures replay it.
+    assert_eq!(
+        s.recordings, s.entries,
+        "each (bench, variant, scale, seed, flushmode) trace must be recorded exactly once"
+    );
+    eprintln!(
+        "# total: {:.2}s ({} jobs)",
+        t0.elapsed().as_secs_f64(),
+        h.jobs
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-/// The flush-instruction ablation as a timed stage.
-fn flushmode_stage(h: &Harness) -> String {
-    staged(h, "flush-mode ablation", || report::flushmode(h))
-}
-
-/// The `--trace-mem-cap` gate, applied after a command's work: a
-/// tripped cap is a typed failure even when every stage succeeded —
-/// the run held more trace bytes than the budget allowed, which is
-/// exactly what the flag exists to catch. The per-key footprint goes
-/// to stderr (heaviest first) so the offending traces are named.
+/// The `--trace-mem-cap` gate, applied once after the command's work
+/// (the cache keeps recording past the cap until then): a tripped cap
+/// is a typed failure even when every stage succeeded — the run held
+/// more trace bytes than the budget allowed, which is exactly what the
+/// flag exists to catch. The per-key footprint goes to stderr
+/// (heaviest first) so the offending traces are named.
 fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliError> {
     match harness.trace_mem_exceeded() {
         None => Ok(code),
@@ -671,11 +647,8 @@ fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliErr
 /// `specpersist/kv-v1` JSON line. With a journal, completed cells are
 /// recorded and `--resume` replays them byte-identically. Exits
 /// non-zero if any cell failed its oracle or the SP legs regressed.
-fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
-    let runner = StudyRunner::new("kv", study)?;
-    Ok(verdict(
-        runner.run(harness, |j| spp_bench::kv::run_kv_opts(harness, j)),
-    ))
+fn kv_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
+    study(c, |j| spp_bench::kv::run_kv_opts(c.harness, j))
 }
 
 /// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]`: the
@@ -688,17 +661,10 @@ fn kv_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
 /// the before/after tables and one `specpersist/optimize-v1` JSON
 /// line. With a journal, completed cells are recorded and `--resume`
 /// replays them byte-identically. Exits non-zero if any leg fails.
-fn optimize_cmd(
-    harness: &Harness,
-    positional: &[String],
-    study: &StudyCli,
-) -> Result<ExitCode, CliError> {
+fn optimize_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::optimize::run_optimize_opts;
-    let (id, variant) = bench_variant(positional, "optimize")?;
-    let runner = StudyRunner::new("optimize", study)?;
-    Ok(verdict(runner.run(harness, |j| {
-        run_optimize_opts(harness, id, variant, j)
-    })))
+    let (id, variant) = bench_variant(c.cli)?;
+    study(c, |j| run_optimize_opts(c.harness, id, variant, j))
 }
 
 /// `repro journal check <PATH>`: offline integrity walk of a result
@@ -708,12 +674,10 @@ fn optimize_cmd(
 /// line is sealed so later appends cannot merge into it. Typed exit
 /// codes: 0 when every line verified, 2 when damage was found, 1 when
 /// the file is missing or unreadable.
-fn journal_cmd(positional: &[String]) -> Result<ExitCode, CliError> {
-    let (Some("check"), Some(path), None) = (
-        positional.first().map(String::as_str),
-        positional.get(1),
-        positional.get(2),
-    ) else {
+fn journal_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
+    let positional = &c.cli.positional;
+    let (Some("check"), Some(path)) = (positional.first().map(String::as_str), positional.get(1))
+    else {
         return Err(CliError::MissingJournalCheckArgs);
     };
     Ok(if journal_check(path)? == 0 {
@@ -733,7 +697,7 @@ fn journal_check(path: &str) -> Result<usize, CliError> {
             "journal {path:?} does not exist"
         )));
     }
-    let (entries, damage) = spp_bench::Journal::verify(std::path::Path::new(path))
+    let (entries, damage) = Journal::verify(std::path::Path::new(path))
         .map_err(|e| CliError::Journal(e.to_string()))?;
     for e in &damage {
         println!("journal check: {e}");
@@ -749,20 +713,13 @@ fn journal_check(path: &str) -> Result<usize, CliError> {
 /// fuzz matrix and print the text report plus one JSON line. Exits
 /// non-zero when a must-pass cell violated its oracle, a must-fail
 /// cell found no inconsistency, or the SP differential diverged.
-fn crashfuzz_cmd(
-    harness: &Harness,
-    positional: &[String],
-    study: &StudyCli,
-) -> Result<ExitCode, CliError> {
+fn crashfuzz_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::crashfuzz::{run_crashfuzz, Leg};
-    let leg = match positional.first() {
+    let leg = match c.cli.positional.first() {
         None => Leg::All,
         Some(s) => Leg::parse(s).ok_or_else(|| CliError::UnknownLeg(s.clone()))?,
     };
-    let runner = StudyRunner::new("crashfuzz", study)?;
-    Ok(verdict(
-        runner.run(harness, |_| run_crashfuzz(harness, leg)),
-    ))
+    study(c, |_| run_crashfuzz(c.harness, leg))
 }
 
 /// `repro faultsim [--journal PATH [--resume]]`: run the
@@ -774,18 +731,17 @@ fn crashfuzz_cmd(
 /// faulted run changed committed state or a crash verdict, a cell
 /// exhausted its retry budget, a plan never fired, or the watchdog
 /// failed to convert a wedged run into a typed error.
-fn faultsim_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliError> {
+fn faultsim_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
-    let runner = StudyRunner::new("faultsim", study)?;
-    Ok(verdict(runner.run(harness, |j| {
+    study(c, |j| {
         run_faultsim_opts(
-            harness,
+            c.harness,
             FaultsimOpts {
                 journal: j,
                 ..FaultsimOpts::default()
             },
         )
-    })))
+    })
 }
 
 /// `repro multicore [--journal PATH [--resume]]`: the shared-data
@@ -797,22 +753,17 @@ fn faultsim_cmd(harness: &Harness, study: &StudyCli) -> Result<ExitCode, CliErro
 /// Exits non-zero if any cell degraded, the contended SP legs produced
 /// no BLT conflicts, or a disjoint leg conflicted. `--storm-bound`
 /// tightens (or loosens) each core's conflict-storm rollback budget.
-fn multicore_cmd(
-    harness: &Harness,
-    study: &StudyCli,
-    storm_bound: Option<u64>,
-) -> Result<ExitCode, CliError> {
+fn multicore_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::multicore::{run_multicore_opts, MulticoreOpts};
-    let runner = StudyRunner::new("multicore", study)?;
-    Ok(verdict(runner.run(harness, |j| {
+    study(c, |j| {
         run_multicore_opts(
-            harness,
+            c.harness,
             MulticoreOpts {
                 journal: j,
-                storm_bound,
+                storm_bound: c.cli.storm_bound,
             },
         )
-    })))
+    })
 }
 
 /// `repro litmus [--journal PATH [--resume]] [--model-knob K]`: Px86
@@ -825,22 +776,17 @@ fn multicore_cmd(
 /// The hidden `--model-knob` weakens one model rule so CI can prove
 /// the checker actually fails when the model is wrong. Exits non-zero
 /// if any leg reached a forbidden state.
-fn litmus_cmd(
-    harness: &Harness,
-    study: &StudyCli,
-    model_knob: Option<ModelKnob>,
-) -> Result<ExitCode, CliError> {
+fn litmus_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::litmus::{run_litmus_opts, LitmusOpts};
-    let runner = StudyRunner::new("litmus", study)?;
-    Ok(verdict(runner.run(harness, |j| {
+    study(c, |j| {
         run_litmus_opts(
-            harness,
+            c.harness,
             LitmusOpts {
                 journal: j,
-                knob: model_knob.unwrap_or_default(),
+                knob: c.cli.model_knob.unwrap_or_default(),
             },
         )
-    })))
+    })
 }
 
 /// `repro soak [--iters N] [--journal PATH [--resume]]`: bounded
@@ -849,9 +795,10 @@ fn litmus_cmd(
 /// `--journal` the manifest lives in a pid-suffixed temp file that is
 /// removed on success. Exits non-zero on any divergence, degraded
 /// cell, or corrupt journal line.
-fn soak_cmd(harness: &Harness, iters: Option<u64>, study: &StudyCli) -> Result<ExitCode, CliError> {
+fn soak_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::soak::{run_soak, DEFAULT_SOAK_ITERS};
-    let iters = iters.unwrap_or(DEFAULT_SOAK_ITERS);
+    let iters = c.cli.iters.unwrap_or(DEFAULT_SOAK_ITERS);
+    let study = &c.cli.study;
     let temp = study.journal.is_none().then(|| {
         let p = std::env::temp_dir().join(format!("spp-soak-journal-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&p);
@@ -865,10 +812,11 @@ fn soak_cmd(harness: &Harness, iters: Option<u64>, study: &StudyCli) -> Result<E
         resume: study.resume,
     };
     // Soak builds its own harnesses, so its stage line is wall time.
-    let runner = StudyRunner::new("soak", &journaled)?;
-    let ok = runner.run(harness, |j| {
+    let runner = StudyRunner::new(c.cli.cmd.name, &journaled)?;
+    let h = c.harness;
+    let ok = runner.run(h, |j| {
         let j = j.expect("soak always runs journaled");
-        run_soak(&harness.exp, harness.jobs, iters, j)
+        run_soak(&h.exp, h.jobs, iters, j)
     });
     if let (true, Some(p)) = (ok, temp) {
         let _ = std::fs::remove_file(p);
@@ -883,39 +831,32 @@ fn soak_cmd(harness: &Harness, iters: Option<u64>, study: &StudyCli) -> Result<E
 /// merged Chrome trace. With a journal the completed cell is recorded
 /// (text, JSON and trace all in the payload) and `--resume` replays it
 /// byte-identically. Exits non-zero if the probe's attribution diverges
-/// from the machine's stall counters.
-fn profile_cmd(
-    harness: &Harness,
-    positional: &[String],
-    study: &StudyCli,
-    trace_out: Option<&str>,
-) -> Result<ExitCode, CliError> {
+/// from the machine's stall counters, or if the trace cannot be
+/// written.
+fn profile_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::profile::run_profile_opts;
-    let (id, variant) = bench_variant(positional, "profile")?;
-    let runner = StudyRunner::new("profile", study)?;
+    let (id, variant) = bench_variant(c.cli)?;
     let mut trace = String::new();
-    let ok = runner.run(harness, |j| {
-        let run = run_profile_opts(harness, id, variant, j);
+    let code = study(c, |j| {
+        let run = run_profile_opts(c.harness, id, variant, j);
         trace.clone_from(&run.trace);
         run
-    });
-    if let Some(path) = trace_out {
-        match std::fs::write(path, &trace) {
-            Ok(()) => eprintln!("# chrome trace: {path} ({} bytes)", trace.len()),
-            Err(e) => eprintln!("repro: --trace-out {path:?}: {e}"),
-        }
+    })?;
+    if let Some(path) = &c.cli.trace_out {
+        std::fs::write(path, &trace).map_err(|e| CliError::TraceOut {
+            path: path.clone(),
+            error: e.to_string(),
+        })?;
+        eprintln!("# chrome trace: {path} ({} bytes)", trace.len());
     }
-    Ok(verdict(ok))
+    Ok(code)
 }
 
-/// The `<BENCH> <VARIANT>` positionals of the command `cmd`
+/// The `<BENCH> <VARIANT>` positionals of a command that takes them
 /// (`optimize`, `profile` or `trace`).
-fn bench_variant(
-    positional: &[String],
-    cmd: &'static str,
-) -> Result<(BenchId, spp_pmem::Variant), CliError> {
-    let (Some(bench), Some(variant)) = (positional.first(), positional.get(1)) else {
-        return Err(CliError::MissingBenchArgs(cmd));
+fn bench_variant(cli: &Cli) -> Result<(BenchId, spp_pmem::Variant), CliError> {
+    let (Some(bench), Some(variant)) = (cli.positional.first(), cli.positional.get(1)) else {
+        return Err(CliError::MissingBenchArgs(cli.cmd.name));
     };
     let id = BenchId::ALL
         .iter()
@@ -929,11 +870,12 @@ fn bench_variant(
 
 /// `repro trace <BENCH> <VARIANT>`: record one trace and print its
 /// micro-op mix and per-operation averages.
-fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
+fn trace_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_workloads::{record_trace, BenchSpec, TraceSpec};
-    let (id, variant) = bench_variant(positional, "trace")?;
+    let (id, variant) = bench_variant(c.cli)?;
+    let exp = c.harness.exp;
     let spec = BenchSpec::scaled(id, exp.scale);
-    let c = record_trace(&TraceSpec::new(variant, spec, exp.seed)).counts;
+    let counts = record_trace(&TraceSpec::new(variant, spec, exp.seed)).counts;
     let ops = spec.sim_ops;
     println!(
         "{} / {} at scale 1/{} ({} ops recorded)",
@@ -944,23 +886,23 @@ fn trace_cmd(positional: &[String], exp: &Experiment) -> Result<(), CliError> {
     );
     println!("{:<22} {:>12} {:>10}", "class", "micro-ops", "per op");
     for (name, v) in [
-        ("compute", c.compute),
-        ("loads", c.loads),
-        ("stores", c.stores),
-        ("flushes (clwb/...)", c.flushes),
-        ("pcommits", c.pcommits),
-        ("fences", c.fences),
+        ("compute", counts.compute),
+        ("loads", counts.loads),
+        ("stores", counts.stores),
+        ("flushes (clwb/...)", counts.flushes),
+        ("pcommits", counts.pcommits),
+        ("fences", counts.fences),
     ] {
         println!("{:<22} {:>12} {:>10.1}", name, v, v as f64 / ops as f64);
     }
     println!(
         "{:<22} {:>12} {:>10.1}",
         "TOTAL",
-        c.total(),
-        c.total() as f64 / ops as f64
+        counts.total(),
+        counts.total() as f64 / ops as f64
     );
-    println!("transactions: {}", c.transactions);
-    Ok(())
+    println!("transactions: {}", counts.transactions);
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -972,10 +914,15 @@ mod tests {
         words.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses and runs `words` as the binary does, minus the usage line.
+    fn run_words(words: &[&str]) -> Result<ExitCode, CliError> {
+        run(parse_args(&args(words))?)
+    }
+
     #[test]
     fn defaults_apply_without_flags() {
         let cli = parse_args(&args(&["all"])).unwrap();
-        assert_eq!(cli.cmd, "all");
+        assert_eq!(cli.cmd.name, "all");
         assert_eq!(cli.exp.scale, Experiment::default().scale);
         assert_eq!(cli.exp.seed, Experiment::default().seed);
         assert!(cli.jobs >= 1);
@@ -988,7 +935,7 @@ mod tests {
             "trace", "--scale", "200", "LL", "--seed", "9", "logpsf", "--jobs", "3",
         ]))
         .unwrap();
-        assert_eq!(cli.cmd, "trace");
+        assert_eq!(cli.cmd.name, "trace");
         assert_eq!(cli.exp.scale, 200);
         assert_eq!(cli.exp.seed, 9);
         assert_eq!(cli.jobs, 3);
@@ -1044,6 +991,89 @@ mod tests {
     }
 
     #[test]
+    fn unknown_command_is_reported_before_any_other_check() {
+        for words in [
+            &["fig99", "--journal", "x"][..],
+            &["fig99", "extra"],
+            &["fig99", "--sacle", "5"],
+            &["--scale", "5", "all"],
+        ] {
+            assert_eq!(
+                parse_args(&args(words)).unwrap_err(),
+                CliError::UnknownCommand(words[0].into()),
+                "{words:?}"
+            );
+        }
+    }
+
+    /// Whether the scope check lets `cmd` take `flag`.
+    fn accepts(cmd: &str, flag: &str) -> bool {
+        let value = match flag {
+            "--resume" => None,
+            "--model-knob" => Some("honest"),
+            _ => Some("8"),
+        };
+        let words: Vec<&str> = [cmd, flag].into_iter().chain(value).collect();
+        let cli = parse_args(&args(&words)).unwrap();
+        !matches!(
+            check_flag_scope(&cli),
+            Err(CliError::FlagUnsupported { flag: f, .. }) if f == flag
+        )
+    }
+
+    #[test]
+    fn usage_and_flag_help_list_what_the_table_holds() {
+        // `USAGE` names every row in table order; `fig8..fig14` stands
+        // for the run of figures.
+        let list = USAGE.strip_prefix("usage: repro <").unwrap();
+        let list = &list[..list.find('>').unwrap()];
+        let mut named = Vec::new();
+        for word in list.split('|') {
+            match word.split_once("..") {
+                Some((lo, hi)) => {
+                    let fig = |w: &str| w.strip_prefix("fig").unwrap().parse::<u32>().unwrap();
+                    named.extend((fig(lo)..=fig(hi)).map(|n| format!("fig{n}")));
+                }
+                None => named.push(word.to_string()),
+            }
+        }
+        let rows: Vec<String> = COMMANDS.iter().map(|c| c.name.to_string()).collect();
+        assert_eq!(named, rows);
+        // The `FlagUnsupported` help lists, per scoped flag, exactly the
+        // rows that accept it.
+        let text = CliError::FlagUnsupported {
+            flag: "--iters",
+            cmd: "all",
+        }
+        .to_string();
+        let help = text.split_once(" (").unwrap().1.strip_suffix(')').unwrap();
+        for clause in help.split("; ") {
+            let (key, list) = clause.split_once(": ").unwrap();
+            if key == "--trace-mem-cap" {
+                // Described, not listed: `trace_mem_cap_parses_validates_and_scopes`
+                // pins which commands take it.
+                assert_eq!(list, "commands that fill the trace cache");
+                continue;
+            }
+            let flags = match key {
+                "journaled commands" => vec!["--journal", "--resume"],
+                flag => vec![flag],
+            };
+            let mut listed: Vec<&str> = list.split(", ").collect();
+            listed.sort_unstable();
+            for flag in flags {
+                let mut taking: Vec<&str> = COMMANDS
+                    .iter()
+                    .map(|c| c.name)
+                    .filter(|c| accepts(c, flag))
+                    .collect();
+                taking.sort_unstable();
+                assert_eq!(listed, taking, "{flag}");
+            }
+        }
+    }
+
+    #[test]
     fn unknown_flags_are_typed_errors() {
         // A misspelt flag must not fall through to the positionals,
         // where a command that takes none would silently ignore it.
@@ -1083,7 +1113,7 @@ mod tests {
             CliError::UnknownLeg("base".into()),
             CliError::FlagUnsupported {
                 flag: "--journal",
-                cmd: "all".into(),
+                cmd: "all",
             },
             CliError::ResumeNeedsJournal,
             CliError::Study(StudyError::ResumeMissingJournal("/tmp/x.jsonl".into())),
@@ -1091,9 +1121,13 @@ mod tests {
             CliError::MissingJournalCheckArgs,
             CliError::UnexpectedArg {
                 arg: "LL".into(),
-                cmd: "fig8".into(),
+                cmd: "fig8",
             },
             CliError::TraceMemCap("trace cache holds 9 bytes, exceeding --trace-mem-cap 1".into()),
+            CliError::TraceOut {
+                path: "/x/t.json".into(),
+                error: "No such file or directory (os error 2)".into(),
+            },
         ];
         for e in errors {
             let s = e.to_string();
@@ -1105,35 +1139,9 @@ mod tests {
     fn stray_positionals_are_typed_errors() {
         // Every command with as many positionals as it takes passes the
         // scope check; one more is refused before any work starts.
-        for (cmd, takes) in [
-            ("all", 0),
-            ("table1", 0),
-            ("table2", 0),
-            ("table3", 0),
-            ("fig8", 0),
-            ("fig9", 0),
-            ("fig10", 0),
-            ("fig11", 0),
-            ("fig12", 0),
-            ("fig13", 0),
-            ("fig14", 0),
-            ("ablation", 0),
-            ("incremental", 0),
-            ("flushmode", 0),
-            ("json", 0),
-            ("multicore", 0),
-            ("litmus", 0),
-            ("kv", 0),
-            ("faultsim", 0),
-            ("soak", 0),
-            ("crashfuzz", 1),
-            ("trace", 2),
-            ("profile", 2),
-            ("optimize", 2),
-            ("journal", 2),
-        ] {
-            let mut words = vec![cmd];
-            words.extend(std::iter::repeat_n("x", takes));
+        for cmd in COMMANDS {
+            let mut words = vec![cmd.name];
+            words.extend(std::iter::repeat_n("x", cmd.takes));
             assert!(
                 check_flag_scope(&parse_args(&args(&words)).unwrap()).is_ok(),
                 "{words:?}"
@@ -1143,7 +1151,7 @@ mod tests {
                 check_flag_scope(&parse_args(&args(&words)).unwrap()).unwrap_err(),
                 CliError::UnexpectedArg {
                     arg: "extra".into(),
-                    cmd: cmd.into(),
+                    cmd: cmd.name,
                 },
                 "{words:?}"
             );
@@ -1151,7 +1159,7 @@ mod tests {
         assert_eq!(
             CliError::UnexpectedArg {
                 arg: "LL".into(),
-                cmd: "fig8".into(),
+                cmd: "fig8",
             }
             .to_string(),
             "unexpected argument \"LL\" for \"fig8\""
@@ -1169,8 +1177,8 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
         assert!(check_flag_scope(&cli).is_ok());
         let cli = parse_args(&args(&["soak", "--iters", "3"])).unwrap();
         assert_eq!(cli.iters, Some(3));
@@ -1202,7 +1210,7 @@ mod tests {
             check_flag_scope(&cli).unwrap_err(),
             CliError::FlagUnsupported {
                 flag: "--storm-bound",
-                cmd: "faultsim".into(),
+                cmd: "faultsim",
             }
         );
     }
@@ -1234,7 +1242,7 @@ mod tests {
             check_flag_scope(&cli).unwrap_err(),
             CliError::FlagUnsupported {
                 flag: "--model-knob",
-                cmd: "crashfuzz".into(),
+                cmd: "crashfuzz",
             }
         );
     }
@@ -1242,8 +1250,8 @@ mod tests {
     #[test]
     fn litmus_is_a_journaled_command() {
         let cli = parse_args(&args(&["litmus", "--journal", "j.jsonl", "--resume"])).unwrap();
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
         assert!(check_flag_scope(&cli).is_ok());
     }
 
@@ -1268,7 +1276,7 @@ mod tests {
                 check_flag_scope(&cli).unwrap_err(),
                 CliError::FlagUnsupported {
                     flag,
-                    cmd: words[0].to_string(),
+                    cmd: words[0],
                 },
                 "{words:?}"
             );
@@ -1281,15 +1289,15 @@ mod tests {
         // back to the conventional manifest location.
         let cli = parse_args(&args(&["faultsim", "--journal"])).unwrap();
         assert_eq!(
-            cli.journal.as_deref(),
+            cli.study.journal.as_deref(),
             Some(spp_bench::journal::DEFAULT_JOURNAL_PATH)
         );
         let cli = parse_args(&args(&["faultsim", "--journal", "--resume"])).unwrap();
         assert_eq!(
-            cli.journal.as_deref(),
+            cli.study.journal.as_deref(),
             Some(spp_bench::journal::DEFAULT_JOURNAL_PATH)
         );
-        assert!(cli.resume);
+        assert!(cli.study.resume);
         // An explicit empty path is still a typed error.
         let e = parse_args(&args(&["faultsim", "--journal", ""])).unwrap_err();
         assert!(
@@ -1317,17 +1325,16 @@ mod tests {
 
     #[test]
     fn trace_cmd_rejects_unknown_names() {
-        let exp = Experiment::default();
         assert_eq!(
-            trace_cmd(&args(&["ZZ", "base"]), &exp).unwrap_err(),
+            run_words(&["trace", "ZZ", "base"]).unwrap_err(),
             CliError::UnknownBench("ZZ".into())
         );
         assert_eq!(
-            trace_cmd(&args(&["LL", "fast"]), &exp).unwrap_err(),
+            run_words(&["trace", "LL", "fast"]).unwrap_err(),
             CliError::UnknownVariant("fast".into())
         );
         assert_eq!(
-            trace_cmd(&args(&["LL"]), &exp).unwrap_err(),
+            run_words(&["trace", "LL"]).unwrap_err(),
             CliError::MissingBenchArgs("trace")
         );
     }
@@ -1346,10 +1353,10 @@ mod tests {
             "j.jsonl",
         ]))
         .unwrap();
-        assert_eq!(cli.cmd, "profile");
+        assert_eq!(cli.cmd.name, "profile");
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
         assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
         assert!(check_flag_scope(&cli).is_ok());
         // A missing or flag-like value is a typed error.
         for words in [
@@ -1375,46 +1382,67 @@ mod tests {
             check_flag_scope(&cli).unwrap_err(),
             CliError::FlagUnsupported {
                 flag: "--trace-out",
-                cmd: "all".into(),
+                cmd: "all",
             }
         );
     }
 
     #[test]
     fn profile_cmd_rejects_unknown_names() {
-        let h = Harness::new(Experiment::default(), 1);
-        let study = StudyCli::default();
         assert_eq!(
-            profile_cmd(&h, &args(&["ZZ", "base"]), &study, None).unwrap_err(),
+            run_words(&["profile", "ZZ", "base"]).unwrap_err(),
             CliError::UnknownBench("ZZ".into())
         );
         assert_eq!(
-            profile_cmd(&h, &args(&["LL", "fast"]), &study, None).unwrap_err(),
+            run_words(&["profile", "LL", "fast"]).unwrap_err(),
             CliError::UnknownVariant("fast".into())
         );
         assert_eq!(
-            profile_cmd(&h, &args(&["LL"]), &study, None).unwrap_err(),
+            run_words(&["profile", "LL"]).unwrap_err(),
             CliError::MissingBenchArgs("profile")
         );
     }
 
     #[test]
     fn optimize_cmd_rejects_unknown_names() {
-        let h = Harness::new(Experiment::default(), 1);
-        let study = StudyCli::default();
         assert_eq!(
-            optimize_cmd(&h, &args(&["ZZ", "base"]), &study).unwrap_err(),
+            run_words(&["optimize", "ZZ", "base"]).unwrap_err(),
             CliError::UnknownBench("ZZ".into())
         );
         assert_eq!(
-            optimize_cmd(&h, &args(&["LL", "fast"]), &study).unwrap_err(),
+            run_words(&["optimize", "LL", "fast"]).unwrap_err(),
             CliError::UnknownVariant("fast".into())
         );
         assert_eq!(
-            optimize_cmd(&h, &args(&["LL"]), &study)
-                .unwrap_err()
-                .to_string(),
+            run_words(&["optimize", "LL"]).unwrap_err().to_string(),
             "optimize needs <GH|HM|LL|SS|AT|BT|RT> <base|log|logp|logpsf>"
+        );
+    }
+
+    #[test]
+    fn a_failed_trace_out_write_is_a_typed_error() {
+        // The report still reaches stdout; the run then exits non-zero.
+        let path = "/nonexistent/spp-repro/t.json";
+        let e = run_words(&[
+            "profile",
+            "LL",
+            "base",
+            "--scale",
+            "5000",
+            "--jobs",
+            "1",
+            "--trace-out",
+            path,
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(e, CliError::TraceOut { path: ref p, .. } if p == path),
+            "{e:?}"
+        );
+        assert!(
+            e.to_string()
+                .starts_with("--trace-out \"/nonexistent/spp-repro/t.json\": "),
+            "{e}"
         );
     }
 
@@ -1432,8 +1460,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
         assert_eq!(cli.trace_mem_cap, Some(4096));
         assert!(check_flag_scope(&cli).is_ok());
         // Profile-only flags stay profile-only.
@@ -1449,16 +1477,15 @@ mod tests {
             check_flag_scope(&cli).unwrap_err(),
             CliError::FlagUnsupported {
                 flag: "--trace-out",
-                cmd: "optimize".into(),
+                cmd: "optimize",
             }
         );
     }
 
     #[test]
     fn unknown_crashfuzz_leg_is_a_typed_error() {
-        let h = Harness::new(Experiment::default(), 1);
         assert_eq!(
-            crashfuzz_cmd(&h, &args(&["base"]), &StudyCli::default()).unwrap_err(),
+            run_words(&["crashfuzz", "base"]).unwrap_err(),
             CliError::UnknownLeg("base".into())
         );
     }
@@ -1466,8 +1493,8 @@ mod tests {
     #[test]
     fn kv_is_a_journaled_command() {
         let cli = parse_args(&args(&["kv", "--journal", "j.jsonl", "--resume"])).unwrap();
-        assert_eq!(cli.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.resume);
+        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
+        assert!(cli.study.resume);
         assert!(check_flag_scope(&cli).is_ok());
     }
 
@@ -1510,7 +1537,7 @@ mod tests {
                 check_flag_scope(&cli).unwrap_err(),
                 CliError::FlagUnsupported {
                     flag: "--trace-mem-cap",
-                    cmd: cmd.into(),
+                    cmd,
                 },
                 "{cmd}"
             );
@@ -1543,14 +1570,15 @@ mod tests {
 
     #[test]
     fn journal_check_wants_the_subcommand_and_a_path() {
+        // A third word is a stray positional (see
+        // `stray_positionals_are_typed_errors`).
         for words in [
-            vec![],
-            vec!["check"],
-            vec!["check", "a", "b"],
-            vec!["verify", "a"],
+            vec!["journal"],
+            vec!["journal", "check"],
+            vec!["journal", "verify", "a"],
         ] {
             assert_eq!(
-                journal_cmd(&args(&words)).unwrap_err(),
+                run_words(&words).unwrap_err(),
                 CliError::MissingJournalCheckArgs,
                 "{words:?}"
             );

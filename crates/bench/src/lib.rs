@@ -247,9 +247,10 @@ impl Harness {
     }
 
     /// The latched [`TraceMemCap`] violation, if the cache ever grew
-    /// past its cap. `repro` checks this after every stage and fails
-    /// the run with the typed error instead of letting resident trace
-    /// memory grow unbounded.
+    /// past its cap. `repro` checks this once, after the command, and
+    /// then fails the run with the typed error. Until then the cache
+    /// keeps recording past the cap: the cap bounds what a run may hold
+    /// and still pass, not what it allocates.
     pub fn trace_mem_exceeded(&self) -> Option<TraceMemCap> {
         self.cache.mem_exceeded()
     }
