@@ -301,6 +301,31 @@ impl fmt::Display for CliError {
     }
 }
 
+impl CliError {
+    /// Whether the invocation itself is wrong (the usage line helps), as
+    /// opposed to a valid invocation that failed while running.
+    fn is_invocation_error(&self) -> bool {
+        match self {
+            CliError::NoCommand
+            | CliError::UnknownCommand(_)
+            | CliError::UnknownFlag(_)
+            | CliError::BadValue { .. }
+            | CliError::MissingBenchArgs(_)
+            | CliError::UnknownBench(_)
+            | CliError::UnknownVariant(_)
+            | CliError::UnknownLeg(_)
+            | CliError::FlagUnsupported { .. }
+            | CliError::ResumeNeedsJournal
+            | CliError::MissingJournalCheckArgs
+            | CliError::UnexpectedArg { .. } => true,
+            CliError::Study(_)
+            | CliError::Journal(_)
+            | CliError::TraceMemCap(_)
+            | CliError::TraceOut { .. } => false,
+        }
+    }
+}
+
 /// A parsed invocation.
 #[derive(Debug)]
 struct Cli {
@@ -527,10 +552,20 @@ fn main() -> ExitCode {
     match parse_args(&args).and_then(run) {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("repro: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", error_text(&e));
             ExitCode::FAILURE
         }
+    }
+}
+
+/// What `repro` prints on stderr for a rejected invocation or a failed
+/// run: the one-line diagnostic, then the usage line only when the
+/// invocation itself was at fault.
+fn error_text(e: &CliError) -> String {
+    if e.is_invocation_error() {
+        format!("repro: {e}\n{USAGE}")
+    } else {
+        format!("repro: {e}")
     }
 }
 
@@ -1096,9 +1131,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_error_renders_as_one_line() {
-        let errors = [
+    /// One error of every variant.
+    fn one_of_each_error() -> [CliError; 16] {
+        [
             CliError::NoCommand,
             CliError::UnknownCommand("fig99".into()),
             CliError::UnknownFlag("--sacle".into()),
@@ -1128,10 +1163,32 @@ mod tests {
                 path: "/x/t.json".into(),
                 error: "No such file or directory (os error 2)".into(),
             },
-        ];
-        for e in errors {
+        ]
+    }
+
+    #[test]
+    fn every_error_renders_as_one_line() {
+        for e in one_of_each_error() {
             let s = e.to_string();
             assert!(!s.is_empty() && !s.contains('\n'), "{e:?} renders {s:?}");
+        }
+    }
+
+    /// A rejected invocation is followed by the usage line; a valid one
+    /// that failed while running prints its diagnostic alone.
+    #[test]
+    fn only_invocation_errors_print_usage() {
+        for e in one_of_each_error() {
+            let runtime = matches!(
+                e,
+                CliError::Study(_)
+                    | CliError::Journal(_)
+                    | CliError::TraceMemCap(_)
+                    | CliError::TraceOut { .. }
+            );
+            let text = error_text(&e);
+            assert_eq!(text.lines().next(), Some(&*format!("repro: {e}")));
+            assert_eq!(text.contains("usage:"), !runtime, "{e:?} prints {text:?}");
         }
     }
 

@@ -22,11 +22,18 @@
 //! - [`CrashTrace`] owns a base image, the trace recorded over it and
 //!   the trace's index, which the first [`CrashTrace::at`] builds and
 //!   every later call reuses: a sweep over any number of crash points is
-//!   linear in the trace rather than quadratic.
+//!   linear in the trace rather than quadratic. Its index also holds
+//!   block snapshots: at each entry of a block's guarantee history, the
+//!   block's 64 bytes with every store before that guarantee applied.
+//!   The guarantee is the snapshot's *key*. They cost 64 B per guarantee
+//!   change and are built with the index, never at recording.
 //! - [`CrashSim`] is a crash trace at one crash point: it reads each
 //!   block's guaranteed-persist frontier from the index and materializes
 //!   candidate NVMM images by choosing a per-block cut anywhere between
-//!   the frontier and the crash, reading store values from the trace.
+//!   the frontier and the crash. A block's content at a cut is the last
+//!   snapshot keyed at or below the cut plus the stores between key and
+//!   cut, read from the trace: one block copy plus the block's
+//!   unguaranteed tail, never a replay of its whole store prefix.
 //!
 //! Recovery correctness tests assert that *every* such image recovers to
 //! a consistent structure. Callers that need more than the frontier (the
@@ -49,7 +56,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::addr::BlockId;
+use crate::addr::{BlockId, BLOCK_SIZE};
 use crate::event::Event;
 use crate::rng::splitmix64;
 use crate::space::Space;
@@ -168,6 +175,19 @@ impl Frontier {
     }
 }
 
+/// One cache line's contents.
+type Line = [u8; BLOCK_SIZE as usize];
+
+/// Applies a store event to the line holding it. [`CrashIndex::new`]
+/// checks that every store lies within one line.
+fn apply_store(line: &mut Line, ev: &Event) {
+    if let Event::Store { addr, size, value } = *ev {
+        let off = addr.block_offset() as usize;
+        let n = size as usize;
+        line[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
+    }
+}
+
 /// One block's crash-relevant history in a [`CrashIndex`].
 #[derive(Debug, Clone)]
 struct BlockHistory {
@@ -177,6 +197,10 @@ struct BlockHistory {
     /// `(event idx, new guarantee)` pairs, ascending in both fields: a
     /// crash after event `idx` sees the block's guarantee at `new`.
     guarantees: Vec<(u32, u32)>,
+    /// One snapshot per `guarantees` entry, keyed by its new guarantee:
+    /// the base block with every store before the key applied. Empty in
+    /// an index built without a base image.
+    snapshots: Vec<Line>,
 }
 
 impl BlockHistory {
@@ -185,6 +209,7 @@ impl BlockHistory {
             block,
             stores: Vec::new(),
             guarantees: Vec::new(),
+            snapshots: Vec::new(),
         }
     }
 
@@ -208,6 +233,49 @@ impl BlockHistory {
     fn stores_before(&self, cut: usize) -> &[u32] {
         &self.stores[..self.stores.partition_point(|&s| (s as usize) < cut)]
     }
+
+    /// The block's bytes in `base`.
+    fn base_line(&self, base: &Space) -> Line {
+        let mut line = [0; BLOCK_SIZE as usize];
+        base.read_bytes(self.block.base(), &mut line);
+        line
+    }
+
+    /// Takes one snapshot per guarantee change, in one pass over the
+    /// block's stores.
+    fn take_snapshots(&mut self, base: &Space, events: &[Event]) {
+        let mut line = self.base_line(base);
+        let mut stores = self.stores.iter().peekable();
+        self.snapshots = self
+            .guarantees
+            .iter()
+            .map(|&(_, key)| {
+                while let Some(&pos) = stores.next_if(|&&pos| pos < key) {
+                    apply_store(&mut line, &events[pos as usize]);
+                }
+                line
+            })
+            .collect();
+    }
+
+    /// The block's contents with every store before `cut` applied: the
+    /// last snapshot keyed at or below `cut` (the base block below the
+    /// first key) plus the stores in `[key, cut)`.
+    fn line_at(&self, cut: usize, base: &Space, events: &[Event]) -> Line {
+        let n = self
+            .guarantees
+            .partition_point(|&(_, key)| (key as usize) <= cut);
+        let (mut line, key) = match n.checked_sub(1) {
+            Some(i) => (self.snapshots[i], self.guarantees[i].1 as usize),
+            None => (self.base_line(base), 0),
+        };
+        let tail = self.stores_before(cut);
+        let from = tail.partition_point(|&s| (s as usize) < key);
+        for &pos in &tail[from..] {
+            apply_store(&mut line, &events[pos as usize]);
+        }
+        line
+    }
 }
 
 /// A recorded trace indexed for crash checks at any point, built by one
@@ -226,8 +294,16 @@ impl BlockHistory {
 /// Store values are not copied: a [`CrashSim`] reads them from the
 /// trace its [`CrashTrace`] owns, which also builds this index. Blocks
 /// are kept in first-store order, so the blocks dirty at a crash point
-/// are a prefix of them. Build an index directly only to read store
-/// counts and guarantee changes without materializing any image:
+/// are a prefix of them.
+///
+/// The index a [`CrashTrace`] builds also snapshots each block over the
+/// trace's base image, once per guarantee-history entry: the snapshot
+/// keyed by guarantee `g` is the base block with every store before
+/// event `g` applied. That costs 64 B per guarantee change (about 460
+/// per KV crash bundle), where a snapshot after every store would cost
+/// 64 B per store. Build an index directly, with no base and no
+/// snapshots, only to read store counts and guarantee changes without
+/// materializing any image:
 ///
 /// ```
 /// use spp_pmem::{CrashIndex, PmemEnv, Variant};
@@ -262,7 +338,9 @@ impl CrashIndex {
     /// # Panics
     ///
     /// Panics if `events` holds more than `u32::MAX` events: positions
-    /// are stored as `u32` to keep the index small.
+    /// are stored as `u32` to keep the index small. Panics on a store
+    /// that is not 8-byte aligned or not 1 to 8 bytes wide: such a store
+    /// could straddle two blocks, and images are built block by block.
     pub fn new(events: &[Event]) -> Self {
         assert!(
             u32::try_from(events.len()).is_ok(),
@@ -274,11 +352,13 @@ impl CrashIndex {
         for (idx, ev) in events.iter().enumerate() {
             // Positions fit in u32: the trace length was checked above.
             let pos = idx as u32;
-            if let Event::Store { addr, .. } = *ev {
-                debug_assert_eq!(
-                    addr.raw() % 8,
-                    0,
-                    "crash analysis assumes 8-byte-aligned stores"
+            if let Event::Store { addr, size, .. } = *ev {
+                // Snapshots are per line: no store may straddle two.
+                assert!(
+                    addr.raw() % 8 == 0 && (1..=8).contains(&size),
+                    "crash analysis needs 8-byte-aligned stores of 1..=8 bytes, \
+                     got {size} bytes at {:#x} (event {idx})",
+                    addr.raw()
                 );
                 let b = addr.block();
                 let h = by_block.entry(b).or_insert_with(|| BlockHistory::new(b));
@@ -303,6 +383,16 @@ impl CrashIndex {
             .map(|(i, h)| (h.block, i))
             .collect();
         CrashIndex { blocks, slot }
+    }
+
+    /// Indexes `events` like [`CrashIndex::new`] and snapshots every
+    /// block over `base` at each of its guarantee changes.
+    fn with_snapshots(events: &[Event], base: &Space) -> Self {
+        let mut index = CrashIndex::new(events);
+        for h in &mut index.blocks {
+            h.take_snapshots(base, events);
+        }
+        index
     }
 
     /// The blocks stored to before `crash_idx`: a prefix of `blocks`.
@@ -410,7 +500,9 @@ impl CrashTrace {
         );
         CrashSim {
             trace: self,
-            index: self.index.get_or_init(|| CrashIndex::new(&self.events)),
+            index: self
+                .index
+                .get_or_init(|| CrashIndex::with_snapshots(&self.events, &self.base)),
             crash_idx,
         }
     }
@@ -465,6 +557,12 @@ impl CrashSim<'_> {
     /// the frontier, so `frontier` itself applies exactly the
     /// guaranteed stores and `crash_idx` applies everything).
     ///
+    /// Each dirty block costs one block copy plus its unguaranteed
+    /// tail: the block's last snapshot keyed at or below the cut (see
+    /// [`CrashIndex`]), or the base block for a cut below the first key,
+    /// then the stores in `[key, cut)`. The frontier is itself a key, so
+    /// the guaranteed-only image applies no store at all.
+    ///
     /// `choose` is called once per dirty block, in first-store order;
     /// blocks not yet stored to at the crash are never visited.
     pub fn image_with(&self, mut choose: impl FnMut(BlockId, usize, usize) -> usize) -> Space {
@@ -472,12 +570,8 @@ impl CrashSim<'_> {
         for h in self.index.dirty(self.crash_idx) {
             let g = h.guarantee_at(self.crash_idx);
             let cut = choose(h.block, g, self.crash_idx).clamp(g, self.crash_idx);
-            for &pos in h.stores_before(cut) {
-                // The index records only the positions of stores.
-                if let Event::Store { addr, size, value } = self.trace.events[pos as usize] {
-                    img.write_uint(addr, size, value);
-                }
-            }
+            let line = h.line_at(cut, &self.trace.base, &self.trace.events);
+            img.write_bytes(h.block.base(), &line);
         }
         img
     }
@@ -766,6 +860,89 @@ mod tests {
         for c in 1..=trace.events().len() {
             assert!(std::ptr::eq(trace.at(c).index, first), "re-indexed at {c}");
         }
+    }
+
+    /// A trace whose one block is guaranteed twice: the first guarantee
+    /// covers the store of 1, the second the stores of 2 and 3. The
+    /// last store (4) is never guaranteed.
+    fn twice_guaranteed() -> (PAddr, CrashTrace) {
+        let mut env = PmemEnv::new(Variant::LogPSf);
+        let a = env.alloc_block();
+        env.set_recording(false);
+        env.store_u64(a.offset(8), 99); // base content beside the word
+        env.set_recording(true);
+        let base = env.snapshot();
+        for v in [1, 2, 3, 4] {
+            env.store_u64(a, v);
+            if v % 2 == 1 {
+                env.clwb(a);
+                env.sfence();
+                env.pcommit();
+                env.sfence();
+            }
+        }
+        (a, CrashTrace::new(base, env.take_trace().events))
+    }
+
+    /// The crash trace snapshots a block once per guarantee change and
+    /// a base-free index snapshots nothing.
+    #[test]
+    fn snapshots_are_one_line_per_guarantee_change() {
+        let (a, trace) = twice_guaranteed();
+        let h = trace.at(0).index.block(a.block()).unwrap();
+        assert_eq!(h.guarantees.len(), 2, "v = 1 and 3 are persisted");
+        assert_eq!(h.snapshots.len(), h.guarantees.len());
+        let bare = CrashIndex::new(trace.events());
+        assert!(bare.block(a.block()).unwrap().snapshots.is_empty());
+    }
+
+    /// At every crash point, every cut of the block — below the first
+    /// snapshot key, on a key and between keys — reads the last store
+    /// before it, beside the untouched base word.
+    #[test]
+    fn images_cut_below_on_and_between_snapshot_keys() {
+        let (a, trace) = twice_guaranteed();
+        let events = trace.events();
+        let stored = |cut: usize| {
+            events[..cut]
+                .iter()
+                .rev()
+                .find_map(|e| match *e {
+                    Event::Store { addr, value, .. } if addr == a => Some(value),
+                    _ => None,
+                })
+                .unwrap_or(0)
+        };
+        for crash in 0..=events.len() {
+            let sim = trace.at(crash);
+            for cut in sim.guarantee(a.block())..=crash {
+                let img = sim.image_with(|_, _, _| cut);
+                assert_eq!(img.read_u64(a), stored(cut), "crash {crash} cut {cut}");
+                assert_eq!(img.read_u64(a.offset(8)), 99, "crash {crash} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "8-byte-aligned stores of 1..=8 bytes")]
+    fn misaligned_store_is_rejected() {
+        let addr = PAddr::new(4096 + 60);
+        let _ = CrashIndex::new(&[Event::Store {
+            addr,
+            size: 4,
+            value: 1,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "8-byte-aligned stores of 1..=8 bytes")]
+    fn oversized_store_is_rejected() {
+        let addr = PAddr::new(4096 + 56);
+        let _ = CrashIndex::new(&[Event::Store {
+            addr,
+            size: 9,
+            value: 1,
+        }]);
     }
 
     /// Legacy `clflush` is ordered before a later `pcommit` on its own:

@@ -174,7 +174,7 @@ proptest! {
 
 /// Blocks the random persist programs touch, and words per block.
 const PROGRAM_BLOCKS: u64 = 3;
-const PROGRAM_WORDS: u64 = 4;
+const PROGRAM_WORDS: u64 = BLOCK_SIZE / 8;
 
 fn word_addr(block: u64, word: u64) -> PAddr {
     PAddr::new(4096 + block * BLOCK_SIZE + word * 8)
@@ -188,20 +188,17 @@ fn all_words() -> Vec<PAddr> {
 }
 
 /// A random persist program over a few blocks: stores, every flush
-/// kind, `pcommit` and both fences.
+/// kind, `pcommit` and both fences. Stores are 1 to 8 bytes wide at
+/// 8-aligned offsets, like the tails `PmemEnv::store_bytes` emits.
 fn persist_program() -> impl Strategy<Value = Vec<Event>> {
     let op = (
         (0u8..14, 0..PROGRAM_BLOCKS),
-        (0..PROGRAM_WORDS, 1..u64::MAX),
+        (0..PROGRAM_WORDS, 1u8..=8, 1..u64::MAX),
     )
-        .prop_map(|((kind, b), (w, value))| {
+        .prop_map(|((kind, b), (w, size, value))| {
             let addr = word_addr(b, w);
             match kind {
-                0..=4 => Event::Store {
-                    addr,
-                    size: 8,
-                    value,
-                },
+                0..=4 => Event::Store { addr, size, value },
                 5 => Event::Clwb { addr },
                 6 => Event::ClflushOpt { addr },
                 7 => Event::Clflush { addr },
@@ -267,8 +264,10 @@ impl Reference {
             .collect()
     }
 
-    /// The image with each dirty block cut at `cut(block, guarantee)`.
-    fn image(&self, base: &Space, cut: impl Fn(BlockId, usize) -> usize) -> Vec<u64> {
+    /// The image with each dirty block cut at `cut(block, guarantee)`,
+    /// built by replaying each block's stores from the first: the store
+    /// replay the crash index's snapshots replace.
+    fn image(&self, base: &Space, cut: impl Fn(BlockId, usize) -> usize) -> Vec<Line> {
         let mut img = base.clone();
         for (b, g) in self.dirty() {
             let cut = cut(b, g).clamp(g, self.crash);
@@ -278,11 +277,11 @@ impl Reference {
                 }
             }
         }
-        read_words(&img)
+        read_lines(&img)
     }
 
     /// Every image of the per-block cut cross product.
-    fn all_images(&self, base: &Space) -> BTreeSet<Vec<u64>> {
+    fn all_images(&self, base: &Space) -> BTreeSet<Vec<Line>> {
         let mut choices: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new()];
         for (b, _) in self.dirty() {
             choices = choices
@@ -303,8 +302,19 @@ impl Reference {
     }
 }
 
-fn read_words(img: &Space) -> Vec<u64> {
-    all_words().iter().map(|&a| img.read_u64(a)).collect()
+/// One block's bytes.
+type Line = [u8; BLOCK_SIZE as usize];
+
+/// Every byte of every block a program can touch, and of one it never
+/// does.
+fn read_lines(img: &Space) -> Vec<Line> {
+    (0..=PROGRAM_BLOCKS)
+        .map(|b| {
+            let mut line = [0; BLOCK_SIZE as usize];
+            img.read_bytes(word_addr(b, 0), &mut line);
+            line
+        })
+        .collect()
 }
 
 /// The seeded cut `CrashSim::image_seeded` documents: uniform in
@@ -315,11 +325,13 @@ fn seeded_cut(seed: u64, b: BlockId, g: usize, crash: usize) -> usize {
 }
 
 /// Asserts that `sim` agrees with the reference on everything a crash
-/// check reads.
+/// check reads. `draws` gives one random cut per block: block `i` cuts
+/// at `g + draws[i] % (crash - g + 1)`.
 fn assert_matches_reference(
     sim: &CrashSim<'_>,
     r: &Reference,
     base: &Space,
+    draws: &[u64],
 ) -> Result<(), TestCaseError> {
     let c = r.crash;
     for block in 0..=PROGRAM_BLOCKS {
@@ -340,29 +352,55 @@ fn assert_matches_reference(
         c
     );
     prop_assert_eq!(
-        read_words(&sim.image_guaranteed_only()),
+        read_lines(&sim.image_guaranteed_only()),
         r.image(base, |_, g| g),
         "guaranteed-only image @{}",
         c
     );
     prop_assert_eq!(
-        read_words(&sim.image_everything()),
+        read_lines(&sim.image_everything()),
         r.image(base, |_, _| c),
         "eager image @{}",
         c
     );
     for seed in 0..6u64 {
         prop_assert_eq!(
-            read_words(&sim.image_seeded(seed)),
+            read_lines(&sim.image_seeded(seed)),
             r.image(base, |b, g| seeded_cut(seed, b, g, c)),
             "seeded image @{} seed {}",
             c,
             seed
         );
     }
+    let drawn = |b: BlockId, g: usize| {
+        let i = (b.raw() - word_addr(0, 0).block().raw()) as usize;
+        g + (draws[i] as usize) % (c - g + 1)
+    };
+    prop_assert_eq!(
+        read_lines(&sim.image_with(|b, g, _| drawn(b, g))),
+        r.image(base, drawn),
+        "drawn cuts {:?} @{}",
+        draws,
+        c
+    );
+    // Every cut of one block, the others at their guarantees: cuts
+    // below a block's first snapshot key, on a key and between keys.
+    for (b, g) in r.dirty() {
+        for cut in g..=c {
+            let pick = |x: BlockId, gx: usize| if x == b { cut } else { gx };
+            prop_assert_eq!(
+                read_lines(&sim.image_with(|x, gx, _| pick(x, gx))),
+                r.image(base, pick),
+                "block {:?} cut {} @{}",
+                b,
+                cut,
+                c
+            );
+        }
+    }
     let mut states = BTreeSet::new();
     sim.for_each_image(|img| {
-        states.insert(read_words(img));
+        states.insert(read_lines(img));
     });
     prop_assert_eq!(states, r.all_images(base), "image set @{}", c);
     Ok(())
@@ -373,14 +411,18 @@ proptest! {
 
     /// One crash trace, crashed at every point through its one lazily
     /// built index, agrees with a frontier replayed over that prefix:
-    /// guarantees, dirty blocks, cut points, the guaranteed-only, eager
-    /// and seeded images and the exhaustive image set.
+    /// guarantees, dirty blocks, cut points, the guaranteed-only, eager,
+    /// seeded and randomly cut images and the exhaustive image set, each
+    /// compared block by block, every byte.
     #[test]
-    fn index_views_equal_prefix_replay(events in persist_program()) {
+    fn index_views_equal_prefix_replay(
+        events in persist_program(),
+        draws in prop::collection::vec(any::<u64>(), PROGRAM_BLOCKS as usize..PROGRAM_BLOCKS as usize + 1),
+    ) {
         let trace = CrashTrace::new(program_base(), events);
         for crash in 0..=trace.events().len() {
             let r = Reference::new(trace.events(), crash);
-            assert_matches_reference(&trace.at(crash), &r, trace.base())?;
+            assert_matches_reference(&trace.at(crash), &r, trace.base(), &draws)?;
         }
     }
 }

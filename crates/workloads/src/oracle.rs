@@ -22,7 +22,7 @@
 //! adversarial writeback schedule end to end: crash simulation →
 //! recovery → structural verification → boundary matching.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -100,6 +100,25 @@ impl fmt::Display for ViolationKind {
     }
 }
 
+/// A sorted key set a scan window is read from: a [`BTreeSet`] of keys
+/// or the keys of a [`BTreeMap`], read in place.
+pub trait SortedKeys {
+    /// The keys in `[lo, hi]`, ascending.
+    fn window(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_;
+}
+
+impl SortedKeys for BTreeSet<u64> {
+    fn window(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
+        self.range(lo..=hi).copied()
+    }
+}
+
+impl<V> SortedKeys for BTreeMap<u64, V> {
+    fn window(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
+        self.range(lo..=hi).map(|(&k, _)| k)
+    }
+}
+
 /// Checks one multi-key scan result against the two adjacent operation
 /// boundaries: every key must lie in `[lo, hi]`, the result must be
 /// strictly ascending (duplicates and disorder are torn-structure
@@ -115,8 +134,8 @@ pub fn check_scan_window(
     scan: &[u64],
     lo: u64,
     hi: u64,
-    prev: &BTreeSet<u64>,
-    next: &BTreeSet<u64>,
+    prev: &impl SortedKeys,
+    next: &impl SortedKeys,
 ) -> Result<(), OracleViolation> {
     let fail = |detail: String| {
         Err(OracleViolation {
@@ -135,19 +154,19 @@ pub fn check_scan_window(
             w[0], w[1]
         ));
     }
-    let got: BTreeSet<u64> = scan.iter().copied().collect();
-    let pw: BTreeSet<u64> = prev.range(lo..=hi).copied().collect();
-    let nw: BTreeSet<u64> = next.range(lo..=hi).copied().collect();
-    if got == pw || got == nw {
+    // The scan is now a strictly ascending window: as a set it equals a
+    // boundary window exactly when the two sequences are equal.
+    let got = scan.iter().copied();
+    if got.clone().eq(prev.window(lo, hi)) || got.eq(next.window(lo, hi)) {
         Ok(())
     } else {
         fail(format!(
             "scan of [{lo}, {hi}] returned {} keys, matching neither the pre-boundary window \
              ({} keys) nor the post-boundary window ({} keys) — a half-applied operation is \
              visible",
-            got.len(),
-            pw.len(),
-            nw.len()
+            scan.len(),
+            prev.window(lo, hi).count(),
+            next.window(lo, hi).count()
         ))
     }
 }
