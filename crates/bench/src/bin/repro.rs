@@ -1650,7 +1650,16 @@ mod tests {
 
     #[test]
     fn journal_check_verifies_flags_truncation_and_bit_flips() {
+        use spp_bench::json::{Fields, Record};
         use spp_bench::{Journal, Supervisor};
+        /// A finished cell, journalled as `{"ok":1}`.
+        #[derive(Clone)]
+        struct Done;
+        impl Record for Done {
+            fn fields(&mut self, f: &mut Fields<'_>) {
+                f.derived_flag("ok", true);
+            }
+        }
         let mut p = std::env::temp_dir();
         p.push(format!(
             "spp-repro-journal-check-{}.jsonl",
@@ -1661,9 +1670,8 @@ mod tests {
         Supervisor::new(1, Some(&j)).run_cells(
             &["kv/a", "kv/b", "kv/c"],
             |_, k| k.to_string(),
-            |_, _| Ok(1),
-            |ok| format!("{{\"ok\":{ok}}}"),
-            |_, _| None,
+            |_, _| Ok(Done),
+            |_| Done,
         );
         drop(j);
         let path = p.display().to_string();

@@ -28,8 +28,10 @@ pub fn trace_bytes(t: &SharedTrace) -> u64 {
 }
 
 /// The typed trace-memory-cap error: the cache's held bytes exceeded
-/// the configured `--trace-mem-cap`. Raised at the next stage boundary
-/// so the run fails cleanly instead of aborting under memory pressure.
+/// the configured `--trace-mem-cap`. `repro` checks for it once, after
+/// the command, and fails the run with it; until then the cache keeps
+/// recording past the cap, so the cap bounds what a passing run may
+/// hold, not what a run allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceMemCap {
     /// The configured cap in bytes.
@@ -159,10 +161,11 @@ impl TraceCache {
     }
 
     /// Caps the bytes the cache may hold (`--trace-mem-cap`). `None`
-    /// removes the cap. Recording never aborts mid-flight: the trace
-    /// that crosses the cap completes, the cache latches the typed
-    /// [`TraceMemCap`] error, and the run fails at the next
-    /// [`TraceCache::mem_exceeded`] check.
+    /// removes the cap. Recording never stops: the trace that crosses
+    /// the cap and every later one are still recorded and cached, and
+    /// the cache only latches the typed [`TraceMemCap`] error, which
+    /// [`TraceCache::mem_exceeded`] reports (`repro` asks once, after
+    /// the command).
     pub fn set_mem_cap(&self, cap: Option<u64>) {
         self.mem_cap
             .store(cap.unwrap_or(u64::MAX), Ordering::Relaxed);

@@ -37,7 +37,7 @@ use spp_pmem::{persist_boundaries, FlushMode, TraceCounts, Variant};
 use spp_workloads::oracle::{record_bundle, BundleSpec, OracleViolation, ViolationKind};
 use spp_workloads::BenchId;
 
-use crate::json::{array, JsonObject, Value};
+use crate::json::{self, array, Fields, JsonObject, Record};
 use crate::{run_indexed, variant_key, Experiment, Harness, TraceKey};
 
 /// Non-boundary crash points sampled per trace (evenly spaced).
@@ -98,32 +98,43 @@ pub struct Witness {
     /// What the oracle rejected.
     pub kind: ViolationKind,
     /// Deterministic human-readable description. Not journaled: a
-    /// witness decoded by [`Witness::decode`] carries an empty detail.
+    /// decoded witness carries an empty detail.
     pub detail: String,
 }
 
 impl Witness {
-    /// The journaled fields, `{"crash_idx","seed","kind"}`.
-    pub(crate) fn json(&self) -> JsonObject {
-        let mut o = JsonObject::new();
-        o.num("crash_idx", self.crash_idx as f64)
-            .num("seed", self.seed as f64)
-            .str("kind", &self.kind.to_string());
-        o
-    }
-
-    /// Decodes [`Witness::json`]; `None` (recompute) if a field is
-    /// missing or `kind` names no [`ViolationKind`].
-    pub(crate) fn decode(v: &Value) -> Option<Witness> {
-        let kind = v.get("kind").and_then(Value::as_str)?;
-        Some(Witness {
-            crash_idx: usize::try_from(v.get("crash_idx").and_then(Value::as_u64)?).ok()?,
-            seed: v.get("seed").and_then(Value::as_u64)?,
-            kind: ViolationKind::ALL
-                .into_iter()
-                .find(|k| k.to_string() == kind)?,
+    /// The blank witness a journaled one decodes into.
+    pub(crate) fn blank() -> Witness {
+        Witness {
+            crash_idx: 0,
+            seed: 0,
+            kind: ViolationKind::ALL[0],
             detail: String::new(),
-        })
+        }
+    }
+}
+
+/// The journaled fields, `{"crash_idx","seed","kind"}`; a `kind` that
+/// names no [`ViolationKind`] rejects the record.
+impl Record for Witness {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.int("crash_idx", &mut self.crash_idx);
+        f.int("seed", &mut self.seed);
+        f.name("kind", &mut self.kind, &ViolationKind::ALL, |k| {
+            k.to_string()
+        });
+    }
+}
+
+/// A witness as the crashfuzz report prints it: the journaled fields
+/// plus its `detail`.
+#[derive(Clone)]
+struct Reported(Witness);
+
+impl Record for Reported {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        self.0.fields(f);
+        f.str("detail", &mut self.0.detail);
     }
 }
 
@@ -475,7 +486,7 @@ impl FuzzReport {
                     },
                 )
                 .num("ok", u8::from(c.ok));
-            let wit = |w: &Witness| w.json().str("detail", &w.detail).render();
+            let wit = |w: &Witness| json::encode(&Reported(w.clone()));
             if let Some(w) = &c.witness {
                 o.raw("witness", wit(w));
             }
@@ -598,31 +609,6 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key}");
         }
-    }
-
-    /// The journaled witness round-trips without its detail, and a
-    /// payload whose `kind` is no `ViolationKind` decodes to `None`.
-    #[test]
-    fn witness_json_round_trips_and_rejects_unknown_kinds() {
-        let w = Witness {
-            crash_idx: 17,
-            seed: 1,
-            kind: ViolationKind::ScanInconsistent,
-            detail: "not journaled".into(),
-        };
-        let json = w.json().render();
-        assert_eq!(
-            json,
-            r#"{"crash_idx":17,"seed":1,"kind":"scan-inconsistent"}"#
-        );
-        let decoded = Witness::decode(&crate::json::parse(&json).unwrap());
-        let bare = Witness {
-            detail: String::new(),
-            ..w
-        };
-        assert_eq!(decoded, Some(bare));
-        let bogus = json.replace("scan-inconsistent", "torn-write");
-        assert_eq!(Witness::decode(&crate::json::parse(&bogus).unwrap()), None);
     }
 
     #[test]

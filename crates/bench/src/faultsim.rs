@@ -57,7 +57,7 @@ use crate::crashfuzz::{
     committed_classes, crash_points, first_violation, fuzz_bundle_spec, trace_classes,
     SEEDS_PER_POINT,
 };
-use crate::json::{array, parse, JsonObject, Value};
+use crate::json::{self, array, Fields, JsonObject, Record};
 use crate::supervisor::{CellError, CellFailure, Supervisor};
 use crate::{variant_key, Harness, Journal, TraceKey};
 
@@ -352,124 +352,102 @@ fn watchdog_key(exp: &crate::Experiment) -> String {
 
 /// One supervised unit of the faultsim matrix.
 #[derive(Debug, Clone, Copy)]
-enum CellTask {
+pub(crate) enum CellTask {
     Pair(BenchId, Variant),
     Watchdog,
 }
 
+impl CellTask {
+    /// The blank value a journaled entry of this unit decodes into:
+    /// one cell per plan for a pair, the unrun watchdog leg.
+    pub(crate) fn blank(self, exp: &crate::Experiment) -> CellValue {
+        match self {
+            CellTask::Pair(id, variant) => CellValue::Pair(
+                plans(exp.seed)
+                    .map(|(plan, _)| Cell {
+                        id,
+                        variant,
+                        plan,
+                        base_cycles: 0,
+                        base_cycles_faulted: 0,
+                        sp_cycles: 0,
+                        sp_cycles_faulted: 0,
+                        faults_injected: 0,
+                        extra_cycles: 0,
+                        state_ok: false,
+                        verdict: VERDICTS[0],
+                        verdict_ok: false,
+                    })
+                    .to_vec(),
+            ),
+            CellTask::Watchdog => CellValue::Watchdog(unrun_watchdog()),
+        }
+    }
+}
+
+/// The watchdog leg's report before it runs.
+fn unrun_watchdog() -> WatchdogReport {
+    WatchdogReport {
+        id: BenchId::LinkedList,
+        bound: WATCHDOG_DEMO_BOUND,
+        fired: false,
+        cycle: 0,
+        rob_len: 0,
+        detail: "watchdog leg did not run".to_string(),
+        ok: false,
+    }
+}
+
 /// A supervised unit's journalled value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum CellValue {
+pub(crate) enum CellValue {
     Pair(Vec<Cell>),
     Watchdog(WatchdogReport),
 }
 
-fn bench_from_abbrev(s: &str) -> Option<BenchId> {
-    BenchId::ALL.iter().copied().find(|b| b.abbrev() == s)
-}
-
-fn variant_from_key(s: &str) -> Option<Variant> {
-    VARIANTS.iter().copied().find(|&v| variant_key(v) == s)
-}
-
-/// Maps a decoded plan name back onto the interned `&'static str` the
-/// in-process runner produces, so replayed reports are byte-identical.
-fn plan_from_name(s: &str) -> Option<&'static str> {
-    match s {
-        "quiet" => Some("quiet"),
-        "storm" => Some("storm"),
-        _ => None,
-    }
-}
-
-fn verdict_from_name(s: &str) -> Option<&'static str> {
-    match s {
-        "recovers" => Some("recovers"),
-        "violation" => Some("violation"),
-        "n/a" => Some("n/a"),
-        _ => None,
-    }
-}
+/// The crash verdicts a cell can carry.
+const VERDICTS: [&str; 3] = ["recovers", "violation", "n/a"];
 
 /// One cell as a JSON object (shared by the report and the journal
-/// payload codec).
-fn cell_json(c: &Cell) -> String {
-    let mut o = JsonObject::new();
-    o.str("bench", c.id.abbrev())
-        .str("variant", variant_key(c.variant))
-        .str("plan", c.plan)
-        .num("base_cycles", c.base_cycles as f64)
-        .num("base_cycles_faulted", c.base_cycles_faulted as f64)
-        .num("sp_cycles", c.sp_cycles as f64)
-        .num("sp_cycles_faulted", c.sp_cycles_faulted as f64)
-        .num("faults", c.faults_injected as f64)
-        .num("extra_cycles", c.extra_cycles as f64)
-        .num("state_ok", u8::from(c.state_ok))
-        .str("verdict", c.verdict)
-        .num("verdict_ok", u8::from(c.verdict_ok));
-    o.render()
-}
-
-fn decode_cell(v: &Value) -> Option<Cell> {
-    Some(Cell {
-        id: bench_from_abbrev(v.get("bench")?.as_str()?)?,
-        variant: variant_from_key(v.get("variant")?.as_str()?)?,
-        plan: plan_from_name(v.get("plan")?.as_str()?)?,
-        base_cycles: v.get("base_cycles")?.as_u64()?,
-        base_cycles_faulted: v.get("base_cycles_faulted")?.as_u64()?,
-        sp_cycles: v.get("sp_cycles")?.as_u64()?,
-        sp_cycles_faulted: v.get("sp_cycles_faulted")?.as_u64()?,
-        faults_injected: v.get("faults")?.as_u64()?,
-        extra_cycles: v.get("extra_cycles")?.as_u64()?,
-        state_ok: v.get("state_ok")?.as_u64()? != 0,
-        verdict: verdict_from_name(v.get("verdict")?.as_str()?)?,
-        verdict_ok: v.get("verdict_ok")?.as_u64()? != 0,
-    })
+/// payload); benchmark, variant and plan must match the pair's key.
+impl Record for Cell {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.spec_str("bench", self.id.abbrev());
+        f.spec_str("variant", variant_key(self.variant));
+        f.spec_str("plan", self.plan);
+        f.int("base_cycles", &mut self.base_cycles);
+        f.int("base_cycles_faulted", &mut self.base_cycles_faulted);
+        f.int("sp_cycles", &mut self.sp_cycles);
+        f.int("sp_cycles_faulted", &mut self.sp_cycles_faulted);
+        f.int("faults", &mut self.faults_injected);
+        f.int("extra_cycles", &mut self.extra_cycles);
+        f.flag("state_ok", &mut self.state_ok);
+        f.name("verdict", &mut self.verdict, &VERDICTS, |v| v);
+        f.flag("verdict_ok", &mut self.verdict_ok);
+    }
 }
 
 /// The watchdog leg as a JSON object (shared by the report and the
-/// journal payload codec).
-fn watchdog_json(w: &WatchdogReport) -> String {
-    let mut o = JsonObject::new();
-    o.str("bench", w.id.abbrev())
-        .num("bound", w.bound as f64)
-        .num("fired", u8::from(w.fired))
-        .num("cycle", w.cycle as f64)
-        .num("rob_len", w.rob_len as f64)
-        .str("detail", &w.detail)
-        .num("ok", u8::from(w.ok));
-    o.render()
-}
-
-fn encode_cell_value(v: &CellValue) -> String {
-    let mut o = JsonObject::new();
-    match v {
-        CellValue::Pair(cells) => o.raw("cells", array(cells.iter().map(cell_json))),
-        CellValue::Watchdog(w) => o.raw("watchdog", watchdog_json(w)),
-    };
-    o.render()
-}
-
-fn decode_cell_value(payload: &str) -> Option<CellValue> {
-    let v = parse(payload).ok()?;
-    if let Some(cells) = v.get("cells") {
-        let arr = cells.as_arr()?;
-        let mut out = Vec::with_capacity(arr.len());
-        for c in arr {
-            out.push(decode_cell(c)?);
-        }
-        return Some(CellValue::Pair(out));
+/// journal payload).
+impl Record for WatchdogReport {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.spec_str("bench", self.id.abbrev());
+        f.spec_int("bound", self.bound);
+        f.flag("fired", &mut self.fired);
+        f.int("cycle", &mut self.cycle);
+        f.int("rob_len", &mut self.rob_len);
+        f.str("detail", &mut self.detail);
+        f.flag("ok", &mut self.ok);
     }
-    let w = v.get("watchdog")?;
-    Some(CellValue::Watchdog(WatchdogReport {
-        id: bench_from_abbrev(w.get("bench")?.as_str()?)?,
-        bound: w.get("bound")?.as_u64()?,
-        fired: w.get("fired")?.as_u64()? != 0,
-        cycle: w.get("cycle")?.as_u64()?,
-        rob_len: w.get("rob_len")?.as_u64()? as usize,
-        detail: w.get("detail")?.as_str()?.to_string(),
-        ok: w.get("ok")?.as_u64()? != 0,
-    }))
+}
+
+impl Record for CellValue {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        match self {
+            CellValue::Pair(cells) => f.list("cells", cells),
+            CellValue::Watchdog(w) => f.record("watchdog", w),
+        }
+    }
 }
 
 /// Runs the faultsim matrix under the [`Supervisor`].
@@ -506,21 +484,12 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
             CellTask::Pair(id, v) => run_pair(h, *id, *v, opts.inject_panic).map(CellValue::Pair),
             CellTask::Watchdog => Ok(CellValue::Watchdog(watchdog_leg(h))),
         },
-        encode_cell_value,
-        |_, payload| decode_cell_value(payload),
+        |t| t.blank(&h.exp),
     );
     let mut cells = Vec::new();
     let mut failures = Vec::new();
     let mut replayed = 0;
-    let mut watchdog = WatchdogReport {
-        id: BenchId::LinkedList,
-        bound: WATCHDOG_DEMO_BOUND,
-        fired: false,
-        cycle: 0,
-        rob_len: 0,
-        detail: "watchdog leg did not run".to_string(),
-        ok: false,
-    };
+    let mut watchdog = unrun_watchdog();
     for (o, t) in outcomes.into_iter().zip(&tasks) {
         if o.replayed {
             replayed += 1;
@@ -672,9 +641,9 @@ impl FaultReport {
                 .num("seed", self.exp.seed as f64)
                 .num("ok", u8::from(self.ok()))
                 .raw("plans", array(plan_list))
-                .raw("cells", array(self.cells.iter().map(cell_json)))
-                .raw("failures", array(self.failures.iter().map(|f| f.to_json())))
-                .raw("watchdog", watchdog_json(&self.watchdog));
+                .raw("cells", array(self.cells.iter().map(json::encode)))
+                .raw("failures", array(self.failures.iter().map(json::encode)))
+                .raw("watchdog", json::encode(&self.watchdog));
         })
     }
 }

@@ -5,7 +5,9 @@
 //! harness; parsing ([`parse`], [`Value`]) arrived with the journalled
 //! result manifest, which must read its own `journal-v1.jsonl` lines
 //! back and reject anything malformed with a typed error instead of
-//! panicking on torn writes.
+//! panicking on torn writes. The journal codec ([`Record`], [`encode`],
+//! [`decode`]) sits on both: each journaled cell lists its fields once,
+//! and that one list writes the payload and reads it back.
 
 use std::fmt::Write as _;
 
@@ -25,15 +27,7 @@ impl JsonObject {
 
     /// Adds a numeric field.
     pub fn num(&mut self, key: &str, v: impl Into<f64>) -> &mut Self {
-        let v: f64 = v.into();
-        // Integers render without a fraction; everything else with
-        // enough digits to round-trip sensibly.
-        let s = if v.fract() == 0.0 && v.abs() < 9.0e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v:.6}")
-        };
-        self.fields.push((key.to_string(), s));
+        self.fields.push((key.to_string(), num_text(v.into())));
         self
     }
 
@@ -63,19 +57,38 @@ impl JsonObject {
     }
 }
 
-/// Renders a string as a quoted JSON string literal (escaping quotes,
-/// backslashes, and newlines).
+/// Renders a number: integers without a fraction, everything else
+/// with enough digits to round-trip sensibly.
+fn num_text(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() < 9.0e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v:.6}")
+    }
+}
+
+/// Renders a string as a quoted JSON string literal: quotes and
+/// backslashes are escaped, and so is every control character below
+/// U+0020 (`\n`, `\t`, `\r`, the rest as `\u00XX`), which strict
+/// readers reject raw.
 pub fn quote(v: &str) -> String {
-    let escaped: String = v
-        .chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
+    let mut s = String::with_capacity(v.len() + 2);
+    s.push('"');
+    for c in v.chars() {
+        match c {
+            '"' => s.push_str("\\\""),
+            '\\' => s.push_str("\\\\"),
+            '\n' => s.push_str("\\n"),
+            '\t' => s.push_str("\\t"),
+            '\r' => s.push_str("\\r"),
+            c if c < ' ' => {
+                let _ = write!(s, "\\u{:04x}", u32::from(c));
+            }
+            c => s.push(c),
+        }
+    }
+    s.push('"');
+    s
 }
 
 /// A parsed JSON value.
@@ -112,14 +125,6 @@ impl Value {
         }
     }
 
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The numeric payload as a non-negative integer, if this is a
     /// number exactly representing one.
     pub fn as_u64(&self) -> Option<u64> {
@@ -137,11 +142,23 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    /// Renders the value compactly, numbers as [`JsonObject::num`]
+    /// prints them: what [`JsonObject`] and [`array()`] wrote parses
+    /// back to the same bytes.
+    pub fn render(&self) -> String {
         match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Num(n) => num_text(*n),
+            Value::Str(s) => quote(s),
+            Value::Arr(items) => array(items.iter().map(Value::render)),
+            Value::Obj(fields) => {
+                let mut o = JsonObject::new();
+                for (k, v) in fields {
+                    o.raw(k, v.render());
+                }
+                o.render()
+            }
         }
     }
 }
@@ -386,6 +403,220 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
     s
 }
 
+/// A journaled record: one [`Record::fields`] lists every field once,
+/// and [`encode`] and [`decode`] run that list as a writer or a reader,
+/// so the payload format cannot drift between the two.
+pub trait Record: Clone {
+    /// Visits every field in payload order.
+    fn fields(&mut self, f: &mut Fields<'_>);
+}
+
+/// The field visitor [`Record::fields`] talks to: it appends each field
+/// to a [`JsonObject`], or reads it back from a parsed object. A reader
+/// rejects the record on a missing or mistyped field, a name outside
+/// its list, a spec field that differs from the blank record's, and any
+/// key no field claims.
+pub struct Fields<'v> {
+    out: JsonObject,
+    /// The object being read; `None` when writing.
+    src: Option<&'v [(String, Value)]>,
+    used: usize,
+    ok: bool,
+}
+
+/// Renders `r` as one JSON object.
+pub fn encode<R: Record>(r: &R) -> String {
+    let mut f = Fields::new(None);
+    r.clone().fields(&mut f);
+    f.out.render()
+}
+
+/// Reads a payload written by [`encode`] into `blank`, a record whose
+/// spec fields are already set from the cell's key. `None` if the
+/// payload is malformed or disagrees with `blank`.
+pub fn decode<R: Record>(mut blank: R, payload: &str) -> Option<R> {
+    read_into(&mut blank, &parse(payload).ok()?).then_some(blank)
+}
+
+fn read_into<R: Record>(r: &mut R, v: &Value) -> bool {
+    let Value::Obj(obj) = v else { return false };
+    let mut f = Fields::new(Some(obj));
+    r.fields(&mut f);
+    f.ok && f.used == obj.len()
+}
+
+impl<'v> Fields<'v> {
+    fn new(src: Option<&'v [(String, Value)]>) -> Self {
+        Fields {
+            out: JsonObject::new(),
+            src,
+            used: 0,
+            ok: true,
+        }
+    }
+
+    /// The one field primitive: `write` renders the value, `read`
+    /// parses it (`None` rejects the record).
+    fn field<T>(
+        &mut self,
+        key: &str,
+        v: &mut T,
+        write: impl FnOnce(&T) -> String,
+        read: impl FnOnce(&Value) -> Option<T>,
+    ) {
+        let Some(src) = self.src else {
+            self.out.raw(key, write(v));
+            return;
+        };
+        match src
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, x)| read(x))
+        {
+            Some(x) => {
+                *v = x;
+                self.used += 1;
+            }
+            None => self.ok = false,
+        }
+    }
+
+    /// An optional field, omitted when `None`; `inner` visits it when
+    /// present.
+    fn opt<T>(
+        &mut self,
+        key: &str,
+        v: &mut Option<T>,
+        blank: impl FnOnce() -> T,
+        inner: impl FnOnce(&mut Self, &str, &mut T),
+    ) {
+        let present = self
+            .src
+            .map_or(v.is_some(), |src| src.iter().any(|(k, _)| k == key));
+        if present {
+            inner(self, key, v.get_or_insert_with(blank));
+        } else {
+            *v = None;
+        }
+    }
+
+    /// A non-negative integer.
+    pub fn int<T: ToString + TryFrom<u64>>(&mut self, key: &str, v: &mut T) {
+        self.field(key, v, T::to_string, |x| T::try_from(x.as_u64()?).ok());
+    }
+
+    /// A boolean written as `0`/`1`.
+    pub fn flag(&mut self, key: &str, v: &mut bool) {
+        let read = |x: &Value| x.as_u64().filter(|&n| n < 2).map(|n| n == 1);
+        self.field(key, v, |b| u8::from(*b).to_string(), read);
+    }
+
+    /// A flag computed from other fields: written, and on reading only
+    /// required to be `0`/`1`.
+    pub fn derived_flag(&mut self, key: &str, v: bool) {
+        self.flag(key, &mut { v });
+    }
+
+    /// A string.
+    pub fn str(&mut self, key: &str, v: &mut String) {
+        self.field(key, v, |s| quote(s), |x| x.as_str().map(String::from));
+    }
+
+    /// A string omitted when `None`.
+    pub fn opt_str(&mut self, key: &str, v: &mut Option<String>) {
+        self.opt(key, v, String::new, Self::str);
+    }
+
+    /// One of `all`, written as its `name`.
+    pub fn name<T: Copy, S: AsRef<str>>(
+        &mut self,
+        key: &str,
+        v: &mut T,
+        all: &[T],
+        name: impl Fn(T) -> S,
+    ) {
+        let read = |x: &Value| {
+            all.iter()
+                .copied()
+                .find(|&t| Some(name(t).as_ref()) == x.as_str())
+        };
+        self.field(key, v, |t| quote(name(*t).as_ref()), read);
+    }
+
+    /// A string fixed by the cell's key: a reader requires exactly `v`.
+    pub fn spec_str(&mut self, key: &str, v: &str) {
+        self.name(key, &mut { v }, &[v], |s| s);
+    }
+
+    /// An integer fixed by the cell's key: a reader requires exactly `v`.
+    pub fn spec_int(&mut self, key: &str, v: u64) {
+        self.field(key, &mut { v }, u64::to_string, |x| {
+            (x.as_u64()? == v).then_some(v)
+        });
+    }
+
+    /// An integer written as `null` when `None`.
+    pub fn nullable_int(&mut self, key: &str, v: &mut Option<u64>) {
+        let write = |n: &Option<u64>| n.map_or_else(|| "null".to_string(), |n| n.to_string());
+        let read = |x: &Value| {
+            if *x == Value::Null {
+                Some(None)
+            } else {
+                x.as_u64().map(Some)
+            }
+        };
+        self.field(key, v, write, read);
+    }
+
+    /// Pre-rendered JSON written as `null` when `None`, read back as
+    /// [`Value::render`] prints it.
+    pub fn nullable_raw(&mut self, key: &str, v: &mut Option<String>) {
+        let write = |r: &Option<String>| r.clone().unwrap_or_else(|| "null".to_string());
+        self.field(key, v, write, |x| {
+            Some((*x != Value::Null).then(|| x.render()))
+        });
+    }
+
+    /// An array of integers.
+    pub fn ints(&mut self, key: &str, v: &mut Vec<u64>) {
+        let write = |xs: &Vec<u64>| array(xs.iter().map(u64::to_string));
+        self.field(key, v, write, |x| {
+            x.as_arr()?.iter().map(Value::as_u64).collect()
+        });
+    }
+
+    /// A nested record.
+    pub fn record<R: Record>(&mut self, key: &str, v: &mut R) {
+        let mut blank = v.clone();
+        self.field(key, v, encode, |x| {
+            read_into(&mut blank, x).then_some(blank)
+        });
+    }
+
+    /// A nested record omitted when `None`; `blank` seeds a reader.
+    pub fn opt_record<R: Record>(
+        &mut self,
+        key: &str,
+        v: &mut Option<R>,
+        blank: impl FnOnce() -> R,
+    ) {
+        self.opt(key, v, blank, Self::record);
+    }
+
+    /// An array of records whose length and spec fields the blank
+    /// already holds: a reader reads element `i` into blank element `i`.
+    pub fn list<R: Record>(&mut self, key: &str, v: &mut Vec<R>) {
+        let mut blank = v.clone();
+        let read = |x: &Value| {
+            let items = x.as_arr()?;
+            let ok = items.len() == blank.len()
+                && blank.iter_mut().zip(items).all(|(r, x)| read_into(r, x));
+            ok.then_some(blank)
+        };
+        self.field(key, v, |rs| array(rs.iter().map(encode)), read);
+    }
+}
+
 /// Serializes the full suite results (everything figs. 8-12/14 need) as
 /// one JSON document.
 pub fn suite_json(runs: &[BenchRun]) -> String {
@@ -459,13 +690,13 @@ mod tests {
             .raw("f", "true".into());
         let v = parse(&o.render()).unwrap();
         assert_eq!(v.get("a").and_then(Value::as_u64), Some(1));
-        assert_eq!(v.get("b").and_then(Value::as_f64), Some(2.5));
+        assert_eq!(v.get("b"), Some(&Value::Num(2.5)));
         assert_eq!(v.get("c").and_then(Value::as_str), Some("x\"y\\z\nw"));
         let d = v.get("d").and_then(Value::as_arr).unwrap();
         assert_eq!(d[0].as_u64(), Some(1));
         assert_eq!(d[1].as_str(), Some("two"));
         assert_eq!(v.get("e"), Some(&Value::Null));
-        assert_eq!(v.get("f").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("f"), Some(&Value::Bool(true)));
         assert_eq!(v.get("missing"), None);
     }
 
@@ -493,9 +724,9 @@ mod tests {
     #[test]
     fn parse_handles_negative_and_fractional_numbers() {
         let v = parse(r#"{"n":-3,"x":0.125,"big":123456789012}"#).unwrap();
-        assert_eq!(v.get("n").and_then(Value::as_f64), Some(-3.0));
+        assert_eq!(v.get("n"), Some(&Value::Num(-3.0)));
         assert_eq!(v.get("n").and_then(Value::as_u64), None);
-        assert_eq!(v.get("x").and_then(Value::as_f64), Some(0.125));
+        assert_eq!(v.get("x"), Some(&Value::Num(0.125)));
         assert_eq!(v.get("big").and_then(Value::as_u64), Some(123_456_789_012));
     }
 
@@ -531,6 +762,282 @@ mod tests {
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in ["\"bench\"", "\"logpsf\"", "\"sp256\"", "\"bloom_fp_rate\""] {
             assert!(j.contains(key), "missing {key}");
+        }
+    }
+
+    #[test]
+    fn quote_escapes_every_control_byte_and_round_trips() {
+        let all: String = (0u8..0x20).map(char::from).collect();
+        for v in [all.clone(), format!("a{all}\"\\z")] {
+            let q = quote(&v);
+            assert!(q.bytes().all(|b| b >= 0x20), "{q:?}");
+            assert_eq!(parse(&q), Ok(Value::Str(v)));
+        }
+        assert_eq!(quote("a\tb\r\n\u{1}"), r#""a\tb\r\n\u0001""#);
+    }
+
+    /// Every `(path, document without the key, document with its value
+    /// replaced)` of `v`: one per object key, at any depth.
+    fn mutants(v: &Value, at: &str) -> Vec<(String, Value, Value)> {
+        let mut out = Vec::new();
+        match v {
+            Value::Obj(fields) => {
+                for (i, (k, x)) in fields.iter().enumerate() {
+                    let path = if at.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{at}.{k}")
+                    };
+                    let with = |x: Option<Value>| {
+                        let mut f = fields.clone();
+                        match x {
+                            Some(x) => f[i].1 = x,
+                            None => drop(f.remove(i)),
+                        }
+                        Value::Obj(f)
+                    };
+                    let bogus = match x {
+                        Value::Num(n) => Value::Num(n + 1.0),
+                        _ => Value::Str("bogus".into()),
+                    };
+                    out.push((path.clone(), with(None), with(Some(bogus))));
+                    for (p, d, r) in mutants(x, &path) {
+                        out.push((p, with(Some(d)), with(Some(r))));
+                    }
+                }
+            }
+            Value::Arr(items) => {
+                for (i, x) in items.iter().enumerate() {
+                    let with = |x: Value| {
+                        let mut a = items.clone();
+                        a[i] = x;
+                        Value::Arr(a)
+                    };
+                    for (p, d, r) in mutants(x, &format!("{at}[{i}]")) {
+                        out.push((p, with(d), with(r)));
+                    }
+                }
+            }
+            _ => {}
+        }
+        out
+    }
+
+    /// The codec contract on one record: encode → decode → encode is
+    /// byte-identical; deleting a key rejects the payload unless the
+    /// key is `optional` (then the rest round-trips; a path ending in
+    /// `.` covers everything below it); replacing a `pinned` (name or
+    /// spec) value rejects it; so do an unknown key and non-objects.
+    fn check<R: Record>(blank: &R, sample: &R, optional: &[&str], pinned: &[&str]) {
+        let doc = encode(sample);
+        let back = decode(blank.clone(), &doc).unwrap_or_else(|| panic!("{doc}"));
+        assert_eq!(encode(&back), doc);
+        let tree = parse(&doc).unwrap();
+        assert_eq!(tree.render(), doc, "render is canonical");
+        let ms = mutants(&tree, "");
+        for (path, deleted, replaced) in &ms {
+            let gone = decode(blank.clone(), &deleted.render()).map(|r| encode(&r));
+            let may_go = optional
+                .iter()
+                .any(|o| path == o || (o.ends_with('.') && path.starts_with(o)));
+            if may_go {
+                assert_eq!(gone, Some(deleted.render()), "{path} in {doc}");
+            } else {
+                assert_eq!(gone, None, "deleting {path} from {doc}");
+            }
+            if pinned.contains(&path.as_str()) {
+                let r = decode(blank.clone(), &replaced.render());
+                assert!(r.is_none(), "replacing {path} in {doc}");
+            }
+        }
+        for p in pinned {
+            assert!(ms.iter().any(|(path, ..)| path == p), "{p} not in {doc}");
+        }
+        let extra = format!("{},\"extra\":1}}", &doc[..doc.len() - 1]);
+        for bad in [extra.as_str(), "{}", "[]", "not json", ""] {
+            assert!(decode(blank.clone(), bad).is_none(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_record_round_trips_and_rejects_tampering() {
+        use crate::crashfuzz::Witness;
+        use crate::faultsim::{CellTask, CellValue};
+        use crate::kv::{KvCell, KvCellSpec, PerfCfg};
+        use crate::multicore::{CellSpec, MulticoreCell};
+        use crate::optimize::{OptCell, OptimizeCellSpec, ReplayCore, ReplayPass};
+        use crate::profile::ProfileRun;
+        use crate::CellFailure;
+        use spp_pmem::{FlushMode, Variant};
+        use spp_workloads::oracle::ViolationKind;
+        use spp_workloads::shared::SharedKind;
+        use spp_workloads::BenchId;
+
+        let witness = Witness {
+            crash_idx: 17,
+            seed: 1,
+            kind: ViolationKind::ScanInconsistent,
+            detail: String::new(),
+        };
+        let opt = ["witness", "error"];
+
+        // crashfuzz witness (its detail is not journaled)
+        check(&Witness::blank(), &witness, &[], &["kind"]);
+
+        // kv: options present, then absent
+        let spec = KvCellSpec::MustFail { seed_off: 1 };
+        let full = KvCell {
+            ok: true,
+            ops: 40,
+            cycles: 123_456_789_012,
+            points: 9,
+            witness: Some(witness.clone()),
+            error: Some("miss\tx".into()),
+            ..KvCell::empty(spec)
+        };
+        let pinned = ["leg", "seed_off", "witness.kind"];
+        check(&KvCell::empty(spec), &full, &opt, &pinned);
+        let spec = KvCellSpec::Perf {
+            ckpt_every: 16,
+            cfg: PerfCfg::Sp,
+        };
+        let bare = KvCell {
+            chunks: 3,
+            peak_bound: 4096,
+            ..KvCell::empty(spec)
+        };
+        check(
+            &KvCell::empty(spec),
+            &bare,
+            &opt,
+            &["leg", "ckpt_every", "cfg"],
+        );
+
+        // optimize
+        let spec = OptimizeCellSpec::Inverted;
+        let full = OptCell {
+            ok: true,
+            checks: 12,
+            witness: Some(witness.clone()),
+            error: Some("e".into()),
+            ..OptCell::empty(spec)
+        };
+        check(&OptCell::empty(spec), &full, &opt, &["leg", "witness.kind"]);
+        let spec = OptimizeCellSpec::Replay {
+            core: ReplayCore::Sp,
+            pass: ReplayPass::After,
+        };
+        let bare = OptCell {
+            cycles: 99,
+            ref_cycles: 99,
+            ..OptCell::empty(spec)
+        };
+        check(&OptCell::empty(spec), &bare, &opt, &["leg", "core", "pass"]);
+
+        // multicore
+        let spec = CellSpec {
+            kind: SharedKind::MsQueue,
+            contended: true,
+            cores: 4,
+            sp: true,
+        };
+        let pinned = ["workload", "leg", "cores", "variant"];
+        let blank = MulticoreCell::empty(spec, 24);
+        for error in [Some("{\"kind\":\"storm\"}".to_string()), None] {
+            let c = MulticoreCell {
+                ok: error.is_none(),
+                conflicts: 5,
+                error,
+                ..blank.clone()
+            };
+            check(&blank, &c, &["error"], &pinned);
+        }
+
+        // faultsim: a pair's two plan cells, and the watchdog leg
+        let exp = crate::Experiment {
+            scale: 400,
+            seed: 1,
+        };
+        let blank = CellTask::Pair(BenchId::LinkedList, Variant::LogP).blank(&exp);
+        let CellValue::Pair(mut cells) = blank.clone() else {
+            unreachable!()
+        };
+        for (i, c) in cells.iter_mut().enumerate() {
+            c.base_cycles = 100 + i as u64;
+            c.state_ok = true;
+            c.verdict = "violation";
+        }
+        let pinned = [
+            "cells[0].bench",
+            "cells[0].variant",
+            "cells[1].plan",
+            "cells[0].verdict",
+        ];
+        check(&blank, &CellValue::Pair(cells), &[], &pinned);
+        let blank = CellTask::Watchdog.blank(&exp);
+        let CellValue::Watchdog(mut w) = blank.clone() else {
+            unreachable!()
+        };
+        (w.fired, w.cycle, w.rob_len, w.ok) = (true, 700, 12, true);
+        w.detail = "no retire progress\nfor 64 cycles".into();
+        let pinned = ["watchdog.bench", "watchdog.bound"];
+        check(&blank, &CellValue::Watchdog(w), &[], &pinned);
+
+        // litmus: witness with and without a seed, error, neither
+        let program = &spp_litmus::catalog()[0];
+        let blank = crate::litmus::blank(
+            program,
+            FlushMode::ClflushOpt,
+            crate::litmus::ModelKnob::Honest,
+        );
+        let rendered = program.to_string();
+        let lit = |seed: Option<Option<u64>>, error: Option<&str>| crate::litmus::LitmusCell {
+            rendered: rendered.clone(),
+            interleavings: 6,
+            crashsim_ok: seed.is_none(),
+            pipe_base_ok: true,
+            sim_error: error.map(String::from),
+            witness: seed.map(|seed| spp_litmus::Witness {
+                leg: "pipeline-sp",
+                interleaving: 2,
+                crash_idx: 5,
+                seed,
+                state: vec![1, 0],
+                program: rendered.clone(),
+            }),
+            ..blank.clone()
+        };
+        let pinned = ["program", "flush", "knob", "witness.leg"];
+        check(&blank, &lit(Some(Some(3)), None), &opt, &pinned);
+        check(&blank, &lit(Some(None), Some("wedged")), &opt, &pinned);
+        check(&blank, &lit(None, None), &opt, &pinned[..3]);
+
+        // profile (one cell; strings carry control bytes)
+        let run = ProfileRun {
+            ok: true,
+            text: "a\tb\r\n\u{1}".into(),
+            json: "{\"x\":1}".into(),
+            trace: "[]".into(),
+            replayed: 0,
+        };
+        check(&ProfileRun::default(), &run, &[], &[]);
+
+        // supervisor failure records, with and without a snapshot
+        let blank = CellFailure {
+            key: "kv/x".into(),
+            ..CellFailure::default()
+        };
+        for snapshot in [
+            Some(r#"{"cycle":5,"rob":[1,{"a":2.500000}],"why":"x\ty"}"#),
+            None,
+        ] {
+            let f = CellFailure {
+                attempts: 3,
+                reason: "panic: boom\u{7}".into(),
+                snapshot: snapshot.map(String::from),
+                ..blank.clone()
+            };
+            check(&blank, &f, &["snapshot."], &["key"]);
         }
     }
 }

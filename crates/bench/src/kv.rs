@@ -31,7 +31,7 @@ use spp_pmem::{FlushMode, PmemEnv, Variant};
 use spp_workloads::kv::{record_kv_bundle, KvBundleSpec, KvMix, KvSpec, KvWorkload};
 
 use crate::crashfuzz::{crash_points, first_violation, Witness, SEEDS_PER_POINT};
-use crate::json::{self, parse, JsonObject, Value};
+use crate::json::{self, Fields, Record};
 use crate::schema;
 use crate::stream::{run_kv_streamed, KvStreamSpec, STREAM_CHUNK_OPS};
 use crate::supervisor::{settle, Supervisor};
@@ -164,7 +164,7 @@ pub struct KvCell {
 }
 
 impl KvCell {
-    fn empty(spec: KvCellSpec) -> Self {
+    pub(crate) fn empty(spec: KvCellSpec) -> Self {
         KvCell {
             spec,
             ok: false,
@@ -373,93 +373,40 @@ fn run_cell(h: &Harness, spec: &KvCellSpec) -> KvCell {
 
 // --- codec ------------------------------------------------------------
 
-fn spec_fields(spec: &KvCellSpec, o: &mut JsonObject) {
-    match spec {
-        KvCellSpec::Perf { ckpt_every, cfg } => {
-            o.str("leg", "perf")
-                .num("ckpt_every", *ckpt_every as f64)
-                .str("cfg", cfg.key());
-        }
-        KvCellSpec::MustPass { seed_off } => {
-            o.str("leg", "mustpass").num("seed_off", *seed_off as f64);
-        }
-        KvCellSpec::MustFail { seed_off } => {
-            o.str("leg", "mustfail").num("seed_off", *seed_off as f64);
-        }
-        KvCellSpec::ElideChecksum => {
-            o.str("leg", "elide");
-        }
-        KvCellSpec::Stream => {
-            o.str("leg", "stream");
-        }
-    }
-}
-
 /// A cell as one JSON object: the report's `cells` element and the
-/// journal payload (one codec, so replays are byte-identical).
-fn cell_json(c: &KvCell) -> String {
-    let mut o = JsonObject::new();
-    spec_fields(&c.spec, &mut o);
-    o.num("ok", u8::from(c.ok))
-        .num("ops", c.ops as f64)
-        .num("events", c.events as f64)
-        .raw("cycles", c.cycles.to_string())
-        .num("mutations", c.mutations as f64)
-        .num("checkpoints", c.checkpoints as f64)
-        .num("points", c.points as f64)
-        .num("checks", c.checks as f64)
-        .num("chunks", c.chunks as f64)
-        .raw("peak_bound", c.peak_bound.to_string());
-    if let Some(w) = &c.witness {
-        o.raw("witness", w.json().render());
-    }
-    if let Some(err) = &c.error {
-        o.str("error", err);
-    }
-    o.render()
-}
-
-/// Decodes a journal payload written by [`cell_json`] back into a cell;
-/// `None` (recompute) if any field is missing or the spec disagrees.
-fn decode_cell(spec: &KvCellSpec, payload: &str) -> Option<KvCell> {
-    let v = parse(payload).ok()?;
-    let num = |k: &str| v.get(k).and_then(Value::as_u64);
-    let s = |k: &str| v.get(k).and_then(Value::as_str);
-    let matches = match spec {
-        KvCellSpec::Perf { ckpt_every, cfg } => {
-            s("leg")? == "perf" && num("ckpt_every")? == *ckpt_every && s("cfg")? == cfg.key()
+/// journal payload. The spec fields lead and must match the cell's key.
+impl Record for KvCell {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        match self.spec {
+            KvCellSpec::Perf { ckpt_every, cfg } => {
+                f.spec_str("leg", "perf");
+                f.spec_int("ckpt_every", ckpt_every);
+                f.spec_str("cfg", cfg.key());
+            }
+            KvCellSpec::MustPass { seed_off } => {
+                f.spec_str("leg", "mustpass");
+                f.spec_int("seed_off", seed_off);
+            }
+            KvCellSpec::MustFail { seed_off } => {
+                f.spec_str("leg", "mustfail");
+                f.spec_int("seed_off", seed_off);
+            }
+            KvCellSpec::ElideChecksum => f.spec_str("leg", "elide"),
+            KvCellSpec::Stream => f.spec_str("leg", "stream"),
         }
-        KvCellSpec::MustPass { seed_off } => {
-            s("leg")? == "mustpass" && num("seed_off")? == *seed_off
-        }
-        KvCellSpec::MustFail { seed_off } => {
-            s("leg")? == "mustfail" && num("seed_off")? == *seed_off
-        }
-        KvCellSpec::ElideChecksum => s("leg")? == "elide",
-        KvCellSpec::Stream => s("leg")? == "stream",
-    };
-    if !matches {
-        return None;
+        f.flag("ok", &mut self.ok);
+        f.int("ops", &mut self.ops);
+        f.int("events", &mut self.events);
+        f.int("cycles", &mut self.cycles);
+        f.int("mutations", &mut self.mutations);
+        f.int("checkpoints", &mut self.checkpoints);
+        f.int("points", &mut self.points);
+        f.int("checks", &mut self.checks);
+        f.int("chunks", &mut self.chunks);
+        f.int("peak_bound", &mut self.peak_bound);
+        f.opt_record("witness", &mut self.witness, Witness::blank);
+        f.opt_str("error", &mut self.error);
     }
-    let witness = match v.get("witness") {
-        None => None,
-        Some(w) => Some(Witness::decode(w)?),
-    };
-    Some(KvCell {
-        spec: *spec,
-        ok: num("ok")? == 1,
-        ops: num("ops")?,
-        events: num("events")?,
-        cycles: num("cycles")?,
-        mutations: num("mutations")?,
-        checkpoints: num("checkpoints")?,
-        points: num("points")?,
-        checks: num("checks")?,
-        chunks: num("chunks")?,
-        peak_bound: num("peak_bound")?,
-        witness,
-        error: v.get("error").and_then(Value::as_str).map(String::from),
-    })
 }
 
 // --- the study --------------------------------------------------------
@@ -473,8 +420,7 @@ pub fn run_kv_opts(h: &Harness, journal: Option<&Journal>) -> KvReport {
         &specs,
         |_, spec| cell_key(spec, scale, seed),
         |_, spec| Ok(run_cell(h, spec)),
-        cell_json,
-        decode_cell,
+        |spec| KvCell::empty(*spec),
     );
     let (cells, replayed) = settle(outcomes, |i, f| KvCell {
         error: Some(f.reason),
@@ -632,7 +578,7 @@ impl KvReport {
                 .num("crash_seeds", SEEDS_PER_POINT as f64)
                 .num("stream_chunk_ops", STREAM_CHUNK_OPS as f64)
                 .num("ok", u8::from(self.ok()))
-                .raw("cells", json::array(self.cells.iter().map(cell_json)));
+                .raw("cells", json::array(self.cells.iter().map(json::encode)));
         })
     }
 }

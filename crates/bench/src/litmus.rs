@@ -25,7 +25,7 @@ use spp_pmem::FlushMode;
 use spp_workloads::litmus::LitmusProgram;
 
 use crate::journal::Journal;
-use crate::json::{array, parse, JsonObject, Value};
+use crate::json::{self, array, Fields, Record};
 use crate::schema;
 use crate::supervisor::{CellError, CellFailure, Supervisor};
 use crate::{Experiment, Harness};
@@ -96,112 +96,67 @@ fn cell_key(name: &str, mode: FlushMode, knob: ModelKnob) -> String {
     format!("litmus/{}/{}/{}", knob.key(), name, mode.mnemonic())
 }
 
-fn parse_mode(s: &str) -> Option<FlushMode> {
-    FlushMode::ALL.into_iter().find(|m| m.mnemonic() == s)
-}
+/// The checker's leg names, interned so a journal round-trip
+/// preserves [`Witness::leg`] exactly.
+const LEGS: [&str; 7] = [
+    "crashsim",
+    "pipeline-base",
+    "pipeline-sp",
+    "reference-base",
+    "reference-sp",
+    "sp-differential",
+    "ref-sp-differential",
+];
 
-/// Maps a decoded leg name back to the checker's static spelling, so a
-/// journal round-trip preserves [`Witness::leg`] exactly.
-fn parse_leg(s: &str) -> Option<&'static str> {
-    [
-        "crashsim",
-        "pipeline-base",
-        "pipeline-sp",
-        "reference-base",
-        "reference-sp",
-        "sp-differential",
-        "ref-sp-differential",
-    ]
-    .into_iter()
-    .find(|l| *l == s)
+/// The blank cell a journaled `(program, mode)` cell decodes into.
+pub(crate) fn blank(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> LitmusCell {
+    LitmusCell {
+        program: program.name.clone(),
+        mode,
+        knob,
+        ..LitmusCell::default()
+    }
 }
 
 /// A cell as one JSON object: the report's `cells` element and the
-/// journal payload (one codec, so replays are byte-identical).
-pub fn cell_json(c: &LitmusCell) -> String {
-    let mut o = JsonObject::new();
-    o.str("program", &c.program)
-        .str("rendered", &c.rendered)
-        .str("flush", c.mode.mnemonic())
-        .str("knob", c.knob.key())
-        .num("interleavings", c.interleavings as f64)
-        .num("allowed", c.allowed_states as f64)
-        .num("reached", c.reached_states as f64)
-        .num("crashsim_ok", u8::from(c.crashsim_ok))
-        .num("pipe_base_ok", u8::from(c.pipe_base_ok))
-        .num("pipe_sp_ok", u8::from(c.pipe_sp_ok))
-        .num("ref_base_ok", u8::from(c.ref_base_ok))
-        .num("ref_sp_ok", u8::from(c.ref_sp_ok))
-        .num("sp_differential_ok", u8::from(c.sp_differential_ok))
-        .num("ref_sp_differential_ok", u8::from(c.ref_sp_differential_ok))
-        .num("ok", u8::from(c.ok()));
-    if let Some(e) = &c.sim_error {
-        o.str("error", e);
+/// journal payload. Program, flush mode and knob must match the key;
+/// `ok` is computed, and a decoded witness takes the cell's rendering.
+impl Record for LitmusCell {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.spec_str("program", &self.program);
+        f.str("rendered", &mut self.rendered);
+        f.spec_str("flush", self.mode.mnemonic());
+        f.spec_str("knob", self.knob.key());
+        f.int("interleavings", &mut self.interleavings);
+        f.int("allowed", &mut self.allowed_states);
+        f.int("reached", &mut self.reached_states);
+        f.flag("crashsim_ok", &mut self.crashsim_ok);
+        f.flag("pipe_base_ok", &mut self.pipe_base_ok);
+        f.flag("pipe_sp_ok", &mut self.pipe_sp_ok);
+        f.flag("ref_base_ok", &mut self.ref_base_ok);
+        f.flag("ref_sp_ok", &mut self.ref_sp_ok);
+        f.flag("sp_differential_ok", &mut self.sp_differential_ok);
+        f.flag("ref_sp_differential_ok", &mut self.ref_sp_differential_ok);
+        f.derived_flag("ok", self.ok());
+        f.opt_str("error", &mut self.sim_error);
+        let rendered = &self.rendered;
+        f.opt_record("witness", &mut self.witness, || Witness {
+            program: rendered.clone(),
+            ..Witness::default()
+        });
     }
-    if let Some(w) = &c.witness {
-        let mut wo = JsonObject::new();
-        wo.str("leg", w.leg)
-            .num("interleaving", w.interleaving as f64)
-            .num("crash_idx", w.crash_idx as f64);
-        match w.seed {
-            Some(s) => wo.num("seed", s as f64),
-            None => wo.raw("seed", "null".to_string()),
-        };
-        wo.raw("state", array(w.state.iter().map(|v| format!("{v}"))));
-        o.raw("witness", wo.render());
-    }
-    o.render()
 }
 
-/// Decodes a payload written by [`cell_json`]; `None` (recompute) if
-/// any field is missing or malformed.
-pub fn decode_cell(payload: &str) -> Option<LitmusCell> {
-    let v = parse(payload).ok()?;
-    let num = |k: &str| v.get(k).and_then(Value::as_u64);
-    let flag = |k: &str| num(k).map(|n| n == 1);
-    let s = |k: &str| v.get(k).and_then(Value::as_str);
-    let rendered = s("rendered")?.to_string();
-    let witness = match v.get("witness") {
-        None => None,
-        Some(w) => {
-            let wnum = |k: &str| w.get(k).and_then(Value::as_u64);
-            Some(Witness {
-                leg: parse_leg(w.get("leg").and_then(Value::as_str)?)?,
-                interleaving: wnum("interleaving")? as usize,
-                crash_idx: wnum("crash_idx")? as usize,
-                seed: match w.get("seed") {
-                    None | Some(Value::Null) => None,
-                    Some(x) => Some(x.as_u64()?),
-                },
-                state: match w.get("state")? {
-                    Value::Arr(items) => items
-                        .iter()
-                        .map(Value::as_u64)
-                        .collect::<Option<Vec<u64>>>()?,
-                    _ => return None,
-                },
-                program: rendered.clone(),
-            })
-        }
-    };
-    Some(LitmusCell {
-        program: s("program")?.to_string(),
-        rendered,
-        mode: parse_mode(s("flush")?)?,
-        knob: ModelKnob::parse(s("knob")?)?,
-        interleavings: num("interleavings")? as usize,
-        allowed_states: num("allowed")? as usize,
-        reached_states: num("reached")? as usize,
-        crashsim_ok: flag("crashsim_ok")?,
-        pipe_base_ok: flag("pipe_base_ok")?,
-        pipe_sp_ok: flag("pipe_sp_ok")?,
-        ref_base_ok: flag("ref_base_ok")?,
-        ref_sp_ok: flag("ref_sp_ok")?,
-        sp_differential_ok: flag("sp_differential_ok")?,
-        ref_sp_differential_ok: flag("ref_sp_differential_ok")?,
-        sim_error: s("error").map(String::from),
-        witness,
-    })
+/// The journaled witness, `{"leg","interleaving","crash_idx","seed",
+/// "state"}`, with a `null` seed when only enumeration reaches it.
+impl Record for Witness {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.name("leg", &mut self.leg, &LEGS, |l| l);
+        f.int("interleaving", &mut self.interleaving);
+        f.int("crash_idx", &mut self.crash_idx);
+        f.nullable_int("seed", &mut self.seed);
+        f.ints("state", &mut self.state);
+    }
 }
 
 fn fail_reason(c: &LitmusCell) -> String {
@@ -243,17 +198,17 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
                 // minimized witness survives the journal.
                 Err(CellError {
                     reason: fail_reason(&out),
-                    snapshot: Some(cell_json(&out)),
+                    snapshot: Some(json::encode(&out)),
                 })
             }
         },
-        cell_json,
-        |_, payload| decode_cell(payload),
+        |&(pi, mode)| blank(&programs[pi], mode, knob),
     );
     let mut replayed = 0;
     let cells = outs
         .into_iter()
-        .map(|o| {
+        .zip(&items)
+        .map(|(o, &(pi, mode))| {
             if o.replayed {
                 replayed += 1;
             }
@@ -267,7 +222,10 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
                 Err(f) => CellRow {
                     key: o.key,
                     replayed: o.replayed,
-                    cell: f.snapshot.as_deref().and_then(decode_cell),
+                    cell: f
+                        .snapshot
+                        .as_deref()
+                        .and_then(|p| json::decode(blank(&programs[pi], mode, knob), p)),
                     failure: Some(f),
                 },
             }
@@ -360,11 +318,11 @@ impl LitmusReport {
         let cells = self
             .cells
             .iter()
-            .filter_map(|r| r.cell.as_ref().map(cell_json));
+            .filter_map(|r| r.cell.as_ref().map(json::encode));
         let failed = self
             .cells
             .iter()
-            .filter_map(|r| r.failure.as_ref().map(CellFailure::to_json));
+            .filter_map(|r| r.failure.as_ref().map(json::encode));
         schema::emit(schema::LITMUS, |root| {
             root.num("scale", self.scale as f64)
                 .num("seed", self.seed as f64)
@@ -445,28 +403,6 @@ mod tests {
         schema::validate(&doc, schema::LITMUS).unwrap();
         assert!(doc.contains("\"failed\":[{"));
         assert!(rep.render_text().contains("litmus: FAIL"));
-    }
-
-    #[test]
-    fn cell_codec_round_trips_including_witnesses() {
-        let rep = run_litmus_opts(
-            &smoke_harness(4),
-            LitmusOpts {
-                journal: None,
-                knob: ModelKnob::ClflushOptProgramOrdered,
-            },
-        );
-        let mut saw_witness = false;
-        for r in &rep.cells {
-            let c = r.cell.as_ref().unwrap();
-            let doc = cell_json(c);
-            let back = decode_cell(&doc).unwrap();
-            assert_eq!(cell_json(&back), doc, "{}", r.key);
-            saw_witness |= c.witness.is_some();
-        }
-        assert!(saw_witness, "the weakened run must produce witnesses");
-        assert!(decode_cell("{}").is_none());
-        assert!(decode_cell("not json").is_none());
     }
 
     #[test]

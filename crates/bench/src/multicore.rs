@@ -24,7 +24,7 @@
 use spp_cpu::{CpuConfig, MultiCore, DEFAULT_STORM_BOUND};
 use spp_workloads::{shared_trace, SharedKind, SharedSpec};
 
-use crate::json::{self, parse, JsonObject, Value};
+use crate::json::{self, Fields, Record};
 use crate::schema;
 use crate::supervisor::{settle, Supervisor};
 use crate::{Harness, Journal};
@@ -115,7 +115,7 @@ pub struct MulticoreCell {
 
 impl MulticoreCell {
     /// A failed cell with nothing measured yet.
-    fn empty(spec: CellSpec, ops_per_core: u64) -> Self {
+    pub(crate) fn empty(spec: CellSpec, ops_per_core: u64) -> Self {
         MulticoreCell {
             spec,
             ok: false,
@@ -237,52 +237,23 @@ fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64, storm_bound: u64) -> 
 }
 
 /// A cell as one JSON object: the report's `cells` element and the
-/// journal payload (one codec, so replays are byte-identical).
-fn cell_json(c: &MulticoreCell) -> String {
-    let mut o = JsonObject::new();
-    o.str("workload", c.spec.kind.key())
-        .str("leg", c.spec.leg())
-        .num("cores", c.spec.cores as f64)
-        .str("variant", c.spec.variant())
-        .num("ok", u8::from(c.ok))
-        .num("ops_per_core", c.ops_per_core as f64)
-        .num("worst_cycles_per_op", c.worst_cycles_per_op as f64)
-        .num("conflicts", c.conflicts as f64)
-        .num("rollbacks", c.rollbacks as f64)
-        .num("snoops", c.snoops as f64)
-        .num("blt_high_water", c.blt_high_water as f64)
-        .num("blt_clears", c.blt_clears as f64);
-    if let Some(err) = &c.error {
-        o.str("error", err);
+/// journal payload. The spec fields lead and must match the cell's key.
+impl Record for MulticoreCell {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.spec_str("workload", self.spec.kind.key());
+        f.spec_str("leg", self.spec.leg());
+        f.spec_int("cores", self.spec.cores as u64);
+        f.spec_str("variant", self.spec.variant());
+        f.flag("ok", &mut self.ok);
+        f.int("ops_per_core", &mut self.ops_per_core);
+        f.int("worst_cycles_per_op", &mut self.worst_cycles_per_op);
+        f.int("conflicts", &mut self.conflicts);
+        f.int("rollbacks", &mut self.rollbacks);
+        f.int("snoops", &mut self.snoops);
+        f.int("blt_high_water", &mut self.blt_high_water);
+        f.int("blt_clears", &mut self.blt_clears);
+        f.opt_str("error", &mut self.error);
     }
-    o.render()
-}
-
-/// Decodes a journal payload written by [`cell_json`] back into a cell;
-/// `None` (recompute) if any field is missing or the spec disagrees.
-fn decode_cell(spec: &CellSpec, payload: &str) -> Option<MulticoreCell> {
-    let v = parse(payload).ok()?;
-    let num = |k: &str| v.get(k).and_then(Value::as_u64);
-    let s = |k: &str| v.get(k).and_then(Value::as_str);
-    if s("workload")? != spec.kind.key()
-        || s("leg")? != spec.leg()
-        || num("cores")? != spec.cores as u64
-        || s("variant")? != spec.variant()
-    {
-        return None;
-    }
-    Some(MulticoreCell {
-        spec: *spec,
-        ok: num("ok")? == 1,
-        ops_per_core: num("ops_per_core")?,
-        worst_cycles_per_op: num("worst_cycles_per_op")?,
-        conflicts: num("conflicts")?,
-        rollbacks: num("rollbacks")?,
-        snoops: num("snoops")?,
-        blt_high_water: num("blt_high_water")?,
-        blt_clears: num("blt_clears")?,
-        error: v.get("error").and_then(Value::as_str).map(String::from),
-    })
 }
 
 /// Runs the scaling study: every [`CellSpec::all`] cell on the
@@ -296,8 +267,7 @@ pub fn run_multicore_opts(h: &Harness, opts: MulticoreOpts<'_>) -> MulticoreRepo
         &specs,
         |_, spec| cell_key(spec, scale, seed, storm_bound),
         |_, spec| Ok(run_cell(spec, ops_per_core, seed, storm_bound)),
-        cell_json,
-        decode_cell,
+        |spec| MulticoreCell::empty(*spec, ops_per_core),
     );
     let (cells, replayed) = settle(outcomes, |i, f| MulticoreCell {
         error: Some(f.reason),
@@ -463,7 +433,7 @@ impl MulticoreReport {
             )
             .num("disjoint_conflicts", self.disjoint_conflicts() as f64)
             .num("ok", u8::from(self.ok()))
-            .raw("cells", json::array(self.cells.iter().map(cell_json)));
+            .raw("cells", json::array(self.cells.iter().map(json::encode)));
         })
     }
 }

@@ -46,7 +46,7 @@ use spp_workloads::oracle::record_bundle;
 use spp_workloads::BenchId;
 
 use crate::crashfuzz::{crash_points, first_violation, fuzz_bundle_spec, Witness, SEEDS_PER_POINT};
-use crate::json::{self, parse, JsonObject, Value};
+use crate::json::{self, Fields, JsonObject, Record};
 use crate::profile::stalls_reconcile;
 use crate::schema;
 use crate::supervisor::{settle, Supervisor};
@@ -400,7 +400,7 @@ pub struct OptCell {
 }
 
 impl OptCell {
-    fn empty(spec: OptimizeCellSpec) -> Self {
+    pub(crate) fn empty(spec: OptimizeCellSpec) -> Self {
         OptCell {
             spec,
             ok: false,
@@ -633,95 +633,38 @@ fn run_cell(h: &Harness, id: BenchId, variant: Variant, spec: &OptimizeCellSpec)
 
 // --- codec ------------------------------------------------------------
 
-fn spec_fields(spec: &OptimizeCellSpec, o: &mut JsonObject) {
-    match spec {
-        OptimizeCellSpec::Plan => {
-            o.str("leg", "plan");
-        }
-        OptimizeCellSpec::Replay { core, pass } => {
-            o.str("leg", "replay")
-                .str("core", core.key())
-                .str("pass", pass.key());
-        }
-        OptimizeCellSpec::Oracle => {
-            o.str("leg", "oracle");
-        }
-        OptimizeCellSpec::Inverted => {
-            o.str("leg", "inverted");
-        }
-    }
-}
-
 /// A cell as one JSON object: the report's `cells` element and the
-/// journal payload (one codec, so replays are byte-identical).
-fn cell_json(c: &OptCell) -> String {
-    let mut o = JsonObject::new();
-    spec_fields(&c.spec, &mut o);
-    o.num("ok", u8::from(c.ok))
-        .num("events", c.events as f64)
-        .num("kept", c.kept as f64)
-        .num("duplicates", c.duplicates as f64)
-        .num("uncovered", c.uncovered as f64)
-        .num("empty_fences", c.empty_fences as f64)
-        .num("required", c.required as f64)
-        .raw("cycles", c.cycles.to_string())
-        .raw("ref_cycles", c.ref_cycles.to_string())
-        .raw("fence_stall", c.fence_stall.to_string())
-        .raw("ssb_stall", c.ssb_stall.to_string())
-        .raw("ckpt_stall", c.ckpt_stall.to_string())
-        .raw("backend_stall", c.backend_stall.to_string())
-        .num("points", c.points as f64)
-        .num("checks", c.checks as f64);
-    if let Some(w) = &c.witness {
-        o.raw("witness", w.json().render());
-    }
-    if let Some(err) = &c.error {
-        o.str("error", err);
-    }
-    o.render()
-}
-
-/// Decodes a journal payload written by [`cell_json`] back into a cell;
-/// `None` (recompute) if any field is missing or the spec disagrees.
-fn decode_cell(spec: &OptimizeCellSpec, payload: &str) -> Option<OptCell> {
-    let v = parse(payload).ok()?;
-    let num = |k: &str| v.get(k).and_then(Value::as_u64);
-    let s = |k: &str| v.get(k).and_then(Value::as_str);
-    let matches = match spec {
-        OptimizeCellSpec::Plan => s("leg")? == "plan",
-        OptimizeCellSpec::Replay { core, pass } => {
-            s("leg")? == "replay" && s("core")? == core.key() && s("pass")? == pass.key()
+/// journal payload. The spec fields lead and must match the cell's key.
+impl Record for OptCell {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        match self.spec {
+            OptimizeCellSpec::Plan => f.spec_str("leg", "plan"),
+            OptimizeCellSpec::Replay { core, pass } => {
+                f.spec_str("leg", "replay");
+                f.spec_str("core", core.key());
+                f.spec_str("pass", pass.key());
+            }
+            OptimizeCellSpec::Oracle => f.spec_str("leg", "oracle"),
+            OptimizeCellSpec::Inverted => f.spec_str("leg", "inverted"),
         }
-        OptimizeCellSpec::Oracle => s("leg")? == "oracle",
-        OptimizeCellSpec::Inverted => s("leg")? == "inverted",
-    };
-    if !matches {
-        return None;
+        f.flag("ok", &mut self.ok);
+        f.int("events", &mut self.events);
+        f.int("kept", &mut self.kept);
+        f.int("duplicates", &mut self.duplicates);
+        f.int("uncovered", &mut self.uncovered);
+        f.int("empty_fences", &mut self.empty_fences);
+        f.int("required", &mut self.required);
+        f.int("cycles", &mut self.cycles);
+        f.int("ref_cycles", &mut self.ref_cycles);
+        f.int("fence_stall", &mut self.fence_stall);
+        f.int("ssb_stall", &mut self.ssb_stall);
+        f.int("ckpt_stall", &mut self.ckpt_stall);
+        f.int("backend_stall", &mut self.backend_stall);
+        f.int("points", &mut self.points);
+        f.int("checks", &mut self.checks);
+        f.opt_record("witness", &mut self.witness, Witness::blank);
+        f.opt_str("error", &mut self.error);
     }
-    let witness = match v.get("witness") {
-        None => None,
-        Some(w) => Some(Witness::decode(w)?),
-    };
-    Some(OptCell {
-        spec: *spec,
-        ok: num("ok")? == 1,
-        events: num("events")?,
-        kept: num("kept")?,
-        duplicates: num("duplicates")?,
-        uncovered: num("uncovered")?,
-        empty_fences: num("empty_fences")?,
-        required: num("required")?,
-        cycles: num("cycles")?,
-        ref_cycles: num("ref_cycles")?,
-        fence_stall: num("fence_stall")?,
-        ssb_stall: num("ssb_stall")?,
-        ckpt_stall: num("ckpt_stall")?,
-        backend_stall: num("backend_stall")?,
-        points: num("points")?,
-        checks: num("checks")?,
-        witness,
-        error: v.get("error").and_then(Value::as_str).map(String::from),
-    })
 }
 
 // --- the study driver -------------------------------------------------
@@ -741,8 +684,7 @@ pub fn run_optimize_opts(
         &specs,
         |_, spec| cell_key(id, variant, spec, scale, seed),
         |_, spec| Ok(run_cell(h, id, variant, spec)),
-        cell_json,
-        decode_cell,
+        |spec| OptCell::empty(*spec),
     );
     let (cells, replayed) = settle(outcomes, |i, f| OptCell {
         error: Some(f.reason),
@@ -923,7 +865,7 @@ impl OptimizeReport {
                 );
             }
             root.raw("diff", diff.render())
-                .raw("cells", json::array(self.cells.iter().map(cell_json)));
+                .raw("cells", json::array(self.cells.iter().map(json::encode)));
         })
     }
 }

@@ -37,7 +37,7 @@ use spp_obs::{
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
 
-use crate::json::{array, parse, JsonObject, Value};
+use crate::json::{array, Fields, JsonObject, Record};
 use crate::parallel::run_indexed;
 use crate::study::StudyReport;
 use crate::supervisor::{settle, Supervisor};
@@ -264,7 +264,7 @@ impl ProfileReport {
 
 /// One `repro profile` run: the report's verdict and renderings,
 /// computed or replayed from the journal as a single cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileRun {
     /// [`ProfileReport::ok`].
     pub ok: bool,
@@ -279,27 +279,13 @@ pub struct ProfileRun {
     pub replayed: usize,
 }
 
-impl ProfileRun {
-    /// The journal payload: `{ok,text,json,trace}`.
-    fn payload(&self) -> String {
-        let mut o = JsonObject::new();
-        o.num("ok", u8::from(self.ok))
-            .str("text", &self.text)
-            .str("json", &self.json)
-            .str("trace", &self.trace);
-        o.render()
-    }
-
-    fn decode(payload: &str) -> Option<Self> {
-        let v = parse(payload).ok()?;
-        let field = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-        Some(ProfileRun {
-            ok: v.get("ok").and_then(Value::as_u64)? == 1,
-            text: field("text")?,
-            json: field("json")?,
-            trace: field("trace")?,
-            replayed: 0,
-        })
+/// The journal payload: `{ok,text,json,trace}`.
+impl Record for ProfileRun {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.flag("ok", &mut self.ok);
+        f.str("text", &mut self.text);
+        f.str("json", &mut self.json);
+        f.str("trace", &mut self.trace);
     }
 }
 
@@ -347,8 +333,7 @@ pub fn run_profile_opts(
                 replayed: 0,
             })
         },
-        ProfileRun::payload,
-        |_, payload| ProfileRun::decode(payload),
+        |_| ProfileRun::default(),
     );
     let (mut runs, replayed) = settle(outcomes, |_, f| ProfileRun {
         ok: false,

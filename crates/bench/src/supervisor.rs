@@ -7,8 +7,9 @@
 //! supervisor wraps each cell:
 //!
 //! 1. **Replay**: if an open [`Journal`] holds a verified entry for the
-//!    cell's key, the entry is decoded and served without recomputation
-//!    (a decode failure surfaces as a typed
+//!    cell's key, the entry is decoded into the study's blank record
+//!    for that cell and served without recomputation (a decode failure
+//!    surfaces as a typed
 //!    [`JournalError::BadPayload`](crate::journal::JournalError) and the
 //!    cell recomputes — never silent reuse).
 //! 2. **Isolation**: the cell runs under `catch_unwind`; a panic is
@@ -27,6 +28,9 @@
 //! Every journaled study runs its cells here — faultsim, litmus, kv,
 //! multicore, optimize, and profile (whose whole report is one cell) —
 //! so replay, isolation and journal writes have one implementation.
+//! The supervisor takes no codec: results and failures are
+//! [`Record`]s, whose one field list ([`Record::fields`]) both writes
+//! the journal payload and reads it back.
 //! A journal append that fails is kept with the journal's errors
 //! ([`Journal::record`]) and reported once at the end of the run.
 //!
@@ -38,7 +42,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::journal::{CellStatus, Entry, Journal};
-use crate::json::{parse, JsonObject, Value};
+use crate::json::{self, Fields, Record};
 use crate::run_indexed;
 
 /// The bounded, deterministic retry budget: total attempts per cell
@@ -76,7 +80,7 @@ impl CellError {
 
 /// A cell that exhausted its retry budget: the degraded per-cell record
 /// that replaces its result in the report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's journal key.
     pub key: String,
@@ -88,57 +92,15 @@ pub struct CellFailure {
     pub snapshot: Option<String>,
 }
 
-impl CellFailure {
-    /// The failure as a JSON object (the journalled payload of a
-    /// `failed` entry, and the shape reports embed).
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.str("key", &self.key)
-            .num("attempts", self.attempts)
-            .str("reason", &self.reason);
-        match &self.snapshot {
-            Some(s) => o.raw("snapshot", s.clone()),
-            None => o.raw("snapshot", "null".to_string()),
-        };
-        o.render()
-    }
-
-    fn from_json(key: &str, payload: &str) -> Option<CellFailure> {
-        let v = parse(payload).ok()?;
-        Some(CellFailure {
-            key: key.to_string(),
-            attempts: v.get("attempts")?.as_u64()? as u32,
-            reason: v.get("reason")?.as_str()?.to_string(),
-            snapshot: match v.get("snapshot") {
-                None | Some(Value::Null) => None,
-                Some(s) => Some(render_back(s)),
-            },
-        })
-    }
-}
-
-/// Re-renders a parsed snapshot value compactly (exact bytes of the
-/// original are not needed — only the diagnostic content).
-fn render_back(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n:.6}")
-            }
-        }
-        Value::Str(s) => crate::json::quote(s),
-        Value::Arr(items) => crate::json::array(items.iter().map(render_back)),
-        Value::Obj(fields) => {
-            let mut o = JsonObject::new();
-            for (k, val) in fields {
-                o.raw(k, render_back(val));
-            }
-            o.render()
-        }
+/// The journalled payload of a `failed` entry, and the shape reports
+/// embed: `{"key","attempts","reason","snapshot"}`, with a `null`
+/// snapshot when none was captured.
+impl Record for CellFailure {
+    fn fields(&mut self, f: &mut Fields<'_>) {
+        f.spec_str("key", &self.key);
+        f.int("attempts", &mut self.attempts);
+        f.str("reason", &mut self.reason);
+        f.nullable_raw("snapshot", &mut self.snapshot);
     }
 }
 
@@ -186,25 +148,24 @@ impl<'j> Supervisor<'j> {
     ///   everything that determines the result.
     /// * `run` computes the cell (pure; may panic or return a typed
     ///   [`CellError`]).
-    /// * `encode`/`decode` serialize the result for the journal;
-    ///   `decode` sees the item, so it can check the payload against
-    ///   it. A `decode` rejection is reported to the journal as a
-    ///   typed error and the cell recomputes.
-    pub fn run_cells<T, R, K, F, E, D>(
+    /// * `blank` gives the record a journal entry for the item decodes
+    ///   into, its spec fields set from the item. The journal payload
+    ///   is the result's [`Record`] encoding; a payload that does not
+    ///   decode into the blank is reported to the journal as a typed
+    ///   error and the cell recomputes.
+    pub fn run_cells<T, R, K, F, B>(
         &self,
         items: &[T],
         key: K,
         run: F,
-        encode: E,
-        decode: D,
+        blank: B,
     ) -> Vec<CellOutcome<R>>
     where
         T: Sync,
-        R: Send,
+        R: Record + Send,
         K: Fn(usize, &T) -> String + Sync,
         F: Fn(usize, &T) -> Result<R, CellError> + Sync,
-        E: Fn(&R) -> String + Sync,
-        D: Fn(&T, &str) -> Option<R> + Sync,
+        B: Fn(&T) -> R + Sync,
     {
         let max_attempts = self.max_attempts.max(1);
         run_indexed(self.jobs, items, |i, item| {
@@ -214,7 +175,7 @@ impl<'j> Supervisor<'j> {
             if let Some(j) = self.journal {
                 if let Some(entry) = j.lookup(&key) {
                     match entry.status {
-                        CellStatus::Ok => match decode(item, &entry.payload) {
+                        CellStatus::Ok => match json::decode(blank(item), &entry.payload) {
                             Some(r) => {
                                 return CellOutcome {
                                     key,
@@ -225,17 +186,25 @@ impl<'j> Supervisor<'j> {
                             }
                             None => j.report_bad_payload(&key, "result payload rejected"),
                         },
-                        CellStatus::Failed => match CellFailure::from_json(&key, &entry.payload) {
-                            Some(f) => {
-                                return CellOutcome {
-                                    key,
-                                    attempts: f.attempts,
-                                    replayed: true,
-                                    result: Err(f),
+                        CellStatus::Failed => {
+                            match json::decode(
+                                CellFailure {
+                                    key: key.clone(),
+                                    ..CellFailure::default()
+                                },
+                                &entry.payload,
+                            ) {
+                                Some(f) => {
+                                    return CellOutcome {
+                                        key,
+                                        attempts: f.attempts,
+                                        replayed: true,
+                                        result: Err(f),
+                                    }
                                 }
+                                None => j.report_bad_payload(&key, "failure payload rejected"),
                             }
-                            None => j.report_bad_payload(&key, "failure payload rejected"),
-                        },
+                        }
                     }
                 }
             }
@@ -250,7 +219,7 @@ impl<'j> Supervisor<'j> {
                                 key: key.clone(),
                                 attempt,
                                 status: CellStatus::Ok,
-                                payload: encode(&r),
+                                payload: json::encode(&r),
                             });
                         }
                         return CellOutcome {
@@ -275,7 +244,7 @@ impl<'j> Supervisor<'j> {
                     key: key.clone(),
                     attempt: max_attempts,
                     status: CellStatus::Failed,
-                    payload: failure.to_json(),
+                    payload: json::encode(&failure),
                 });
             }
             CellOutcome {
@@ -333,17 +302,20 @@ mod tests {
         p
     }
 
-    fn ident_codec() -> (
-        impl Fn(&u64) -> String + Sync,
-        impl Fn(&u64, &str) -> Option<u64> + Sync,
-    ) {
-        (|r: &u64| r.to_string(), |_: &u64, s: &str| s.parse().ok())
+    /// Test cells compute a bare `u64`, journalled as `{"n":…}`.
+    impl Record for u64 {
+        fn fields(&mut self, f: &mut Fields<'_>) {
+            f.int("n", self);
+        }
+    }
+
+    fn blank(_: &u64) -> u64 {
+        0
     }
 
     #[test]
     fn panicking_cell_degrades_while_others_report() {
         let items: Vec<u64> = (0..16).collect();
-        let (enc, dec) = ident_codec();
         let outs = Supervisor::new(4, None).run_cells(
             &items,
             |_, &x| format!("cell/{x}"),
@@ -353,8 +325,7 @@ mod tests {
                 }
                 Ok(x * 2)
             },
-            enc,
-            dec,
+            blank,
         );
         assert_eq!(outs.len(), 16);
         for (i, o) in outs.iter().enumerate() {
@@ -374,7 +345,6 @@ mod tests {
     fn transient_failure_is_retried_deterministically() {
         let items = [0u64];
         let tries = AtomicU32::new(0);
-        let (enc, dec) = ident_codec();
         let outs = Supervisor::new(1, None).run_cells(
             &items,
             |_, _| "cell/flaky".to_string(),
@@ -387,8 +357,7 @@ mod tests {
                     Ok(99)
                 }
             },
-            enc,
-            dec,
+            blank,
         );
         assert_eq!(outs[0].attempts, 3);
         assert_eq!(*outs[0].result.as_ref().unwrap(), 99);
@@ -402,7 +371,6 @@ mod tests {
         let computed = AtomicU32::new(0);
         {
             let j = Journal::open(&p).unwrap();
-            let (enc, dec) = ident_codec();
             let outs = Supervisor::new(2, Some(&j)).run_cells(
                 &items,
                 |_, &x| format!("cell/{x}"),
@@ -417,8 +385,7 @@ mod tests {
                         Ok(x + 100)
                     }
                 },
-                enc,
-                dec,
+                blank,
             );
             assert!(outs[3].result.is_err());
             assert_eq!(
@@ -431,7 +398,6 @@ mod tests {
         let j = Journal::open(&p).unwrap();
         assert!(j.corrupt().is_empty());
         let before = computed.load(Ordering::SeqCst);
-        let (enc, dec) = ident_codec();
         let outs = Supervisor::new(2, Some(&j)).run_cells(
             &items,
             |_, &x| format!("cell/{x}"),
@@ -439,8 +405,7 @@ mod tests {
                 computed.fetch_add(1, Ordering::SeqCst);
                 Ok(x + 100)
             },
-            enc,
-            dec,
+            blank,
         );
         assert_eq!(
             computed.load(Ordering::SeqCst),
@@ -475,13 +440,11 @@ mod tests {
             .unwrap();
         }
         let j = Journal::open(&p).unwrap();
-        let (enc, dec) = ident_codec();
         let outs = Supervisor::new(1, Some(&j)).run_cells(
             &[0u64],
             |_, &x| format!("cell/{x}"),
             |_, &x| Ok(x + 1),
-            enc,
-            dec,
+            blank,
         );
         assert!(!outs[0].replayed, "bad payload must not be reused");
         assert_eq!(*outs[0].result.as_ref().unwrap(), 1);
@@ -494,7 +457,6 @@ mod tests {
     #[test]
     fn settle_degrades_failures_in_place() {
         let items: Vec<u64> = (0..4).collect();
-        let (enc, dec) = ident_codec();
         let outs = Supervisor::new(2, None).run_cells(
             &items,
             |_, &x| format!("cell/{x}"),
@@ -504,8 +466,7 @@ mod tests {
                 }
                 Ok(x * 10)
             },
-            enc,
-            dec,
+            blank,
         );
         let (results, replayed) = settle(outs, |i, f| {
             assert!(f.reason.contains("injected fault"), "{f:?}");
@@ -526,9 +487,8 @@ mod tests {
             }
         };
         let collect = |jobs| {
-            let (enc, dec) = ident_codec();
             Supervisor::new(jobs, None)
-                .run_cells(&items, |_, &x| format!("c/{x}"), run, enc, dec)
+                .run_cells(&items, |_, &x| format!("c/{x}"), run, blank)
                 .into_iter()
                 .map(|o| (o.key, o.result.map_err(|f| f.reason)))
                 .collect::<Vec<_>>()

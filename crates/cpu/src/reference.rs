@@ -1714,5 +1714,33 @@ mod tests {
             let base = if sp { CpuConfig::with_sp() } else { CpuConfig::baseline() };
             assert_equivalent(&events, with_plan(base, plan));
         }
+
+        /// SP speculates only past fences, so on a trace without
+        /// `Sfence`/`Mfence` the SP256 core must return the baseline
+        /// core's `SimResult` exactly, on both steppers and under every
+        /// fault plan.
+        #[test]
+        fn fence_free_traces_run_identically_with_and_without_sp(
+            events in proptest::collection::vec(
+                arb_event().prop_map(|e| match e {
+                    Event::Sfence | Event::Mfence => Event::Pcommit,
+                    e => e,
+                }),
+                0..400,
+            ),
+            plan in arb_plan(),
+        ) {
+            let (base, sp) = (
+                with_plan(CpuConfig::baseline(), plan),
+                with_plan(CpuConfig::with_sp(), plan),
+            );
+            let fast = (Pipeline::new(&events, base).try_run(), Pipeline::new(&events, sp).try_run());
+            prop_assert_eq!(fast.0.unwrap(), fast.1.unwrap());
+            let slow = (
+                ReferencePipeline::new(&events, base).try_run(),
+                ReferencePipeline::new(&events, sp).try_run(),
+            );
+            prop_assert_eq!(slow.0.unwrap(), slow.1.unwrap());
+        }
     }
 }

@@ -38,7 +38,7 @@ pub const MINIMIZE_SEEDS: u64 = 4096;
 /// A minimized counterexample: the smallest `(interleaving, crash_idx,
 /// seed)` — in that lexicographic order — reproducing a state the
 /// model forbids.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Witness {
     /// Which leg caught it (`"crashsim"`, `"pipeline-sp"`, …).
     pub leg: &'static str,
@@ -59,7 +59,7 @@ pub struct Witness {
 }
 
 /// The outcome of one `(program, flush-mode)` cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CellOutcome {
     /// Program name (catalog or generator identifier).
     pub program: String,
