@@ -90,8 +90,8 @@
 //!   --scale N  divide Table 1's op counts by N (default 50; 1 = paper)
 //!   --seed S   RNG seed (default 0x5EED)
 //!   --jobs J   worker threads (default: all cores; 1 = serial)
-//!   --journal [PATH]  (faultsim/soak/profile/multicore/litmus/kv/
-//!              optimize) record completed cells
+//!   --journal [PATH]  (faultsim/soak/multicore/litmus/kv/optimize)
+//!              record completed cells
 //!              into the journaled result manifest at PATH (default:
 //!              `.specpersist/journal-v1.jsonl`); a fresh run requires
 //!              a fresh path
@@ -112,14 +112,6 @@
 //!   --trace-out PATH  (profile) write the merged Chrome trace_event
 //!              document to PATH (loadable in Perfetto or
 //!              chrome://tracing)
-//!   --trace-mem-cap BYTES  cap the bytes of recorded traces the
-//!              harness trace cache may hold (only commands that fill
-//!              the cache take it); the cap is checked once, after the
-//!              command, and the cache keeps recording past it until
-//!              then, so it bounds what a run may report, not what it
-//!              allocates; a run over the cap fails with a typed
-//!              one-line error and dumps the per-trace byte footprint
-//!              to stderr
 //!
 //! Invalid input (a malformed or zero --scale/--jobs, an unknown
 //! command, flag, benchmark, variant, or leg, a positional argument the
@@ -145,7 +137,7 @@ use spp_bench::study::{staged, StudyCli, StudyError, StudyReport, StudyRunner};
 use spp_bench::{BenchRun, Experiment, Harness, Journal};
 use spp_workloads::BenchId;
 
-const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH] [--trace-mem-cap BYTES]; repro journal check <PATH>";
+const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH]; repro journal check <PATH>";
 
 /// [`Command::flags`] bit: `--journal` and `--resume` (the command
 /// runs its cells on a result journal).
@@ -158,12 +150,6 @@ const STORM_BOUND: u8 = 1 << 2;
 const MODEL_KNOB: u8 = 1 << 3;
 /// [`Command::flags`] bit: `--trace-out`.
 const TRACE_OUT: u8 = 1 << 4;
-/// [`Command::flags`] bit: `--trace-mem-cap`. Set exactly on the
-/// commands whose traces all go through the harness trace cache. A
-/// command that records outside the cache, or never simulates, refuses
-/// the cap: it would miss some or all of its trace bytes and silently
-/// under-count.
-const CACHED: u8 = 1 << 5;
 
 /// One `repro` command: everything parsing, the scope check and
 /// dispatch know about it.
@@ -172,7 +158,7 @@ struct Command {
     name: &'static str,
     /// Positional arguments it takes; one more is a typed error.
     takes: usize,
-    /// The command-scoped flags it accepts, as `JOURNAL | CACHED | ...`
+    /// The command-scoped flags it accepts, as `JOURNAL | ITERS | ...`
     /// bits.
     flags: u8,
     /// Part of `repro all`, which runs these rows in table order.
@@ -183,31 +169,31 @@ struct Command {
 /// Every `repro` command, in `USAGE` order.
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
-    Command { name: "all",         takes: 0, flags: CACHED,                       in_all: false, run: all_cmd },
-    Command { name: "table1",      takes: 0, flags: 0,                            in_all: true,  run: |c| print_ok(&report::table1(&c.harness.exp)) },
-    Command { name: "table2",      takes: 0, flags: 0,                            in_all: true,  run: |_| print_ok(&report::table2()) },
-    Command { name: "table3",      takes: 0, flags: 0,                            in_all: true,  run: |_| print_ok(&report::table3()) },
-    Command { name: "fig8",        takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig8(suite(c))) },
-    Command { name: "fig9",        takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig9(suite(c))) },
-    Command { name: "fig10",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig10(suite(c))) },
-    Command { name: "fig11",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig11(suite(c))) },
-    Command { name: "fig12",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig12(suite(c))) },
-    Command { name: "fig13",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| stage(c, "fig13 SSB sweep", report::fig13) },
-    Command { name: "fig14",       takes: 0, flags: CACHED,                       in_all: true,  run: |c| print_ok(&report::fig14(suite(c))) },
-    Command { name: "ablation",    takes: 0, flags: CACHED,                       in_all: true,  run: |c| stage(c, "ablation", report::ablation) },
-    Command { name: "incremental", takes: 0, flags: 0,                            in_all: true,  run: |c| stage(c, "logging comparison", report::incremental) },
-    Command { name: "flushmode",   takes: 0, flags: CACHED,                       in_all: true,  run: |c| stage(c, "flush-mode ablation", report::flushmode) },
-    Command { name: "trace",       takes: 2, flags: 0,                            in_all: false, run: trace_cmd },
-    Command { name: "json",        takes: 0, flags: CACHED,                       in_all: false, run: |c| print_ok(&format!("{}\n", spp_bench::json::suite_json(suite(c)))) },
-    Command { name: "multicore",   takes: 0, flags: JOURNAL | STORM_BOUND,        in_all: false, run: multicore_cmd },
-    Command { name: "litmus",      takes: 0, flags: JOURNAL | MODEL_KNOB,         in_all: false, run: litmus_cmd },
-    Command { name: "kv",          takes: 0, flags: JOURNAL,                      in_all: false, run: kv_cmd },
-    Command { name: "optimize",    takes: 2, flags: JOURNAL | CACHED,             in_all: false, run: optimize_cmd },
-    Command { name: "crashfuzz",   takes: 1, flags: CACHED,                       in_all: false, run: crashfuzz_cmd },
-    Command { name: "faultsim",    takes: 0, flags: JOURNAL | CACHED,             in_all: false, run: faultsim_cmd },
-    Command { name: "soak",        takes: 0, flags: JOURNAL | ITERS,              in_all: false, run: soak_cmd },
-    Command { name: "profile",     takes: 2, flags: JOURNAL | TRACE_OUT | CACHED, in_all: false, run: profile_cmd },
-    Command { name: "journal",     takes: 2, flags: 0,                            in_all: false, run: journal_cmd },
+    Command { name: "all",         takes: 0, flags: 0,                     in_all: false, run: all_cmd },
+    Command { name: "table1",      takes: 0, flags: 0,                     in_all: true,  run: |c| print_ok(&report::table1(&c.harness.exp)) },
+    Command { name: "table2",      takes: 0, flags: 0,                     in_all: true,  run: |_| print_ok(&report::table2()) },
+    Command { name: "table3",      takes: 0, flags: 0,                     in_all: true,  run: |_| print_ok(&report::table3()) },
+    Command { name: "fig8",        takes: 0, flags: 0,                     in_all: true,  run: |c| print_ok(&report::fig8(suite(c))) },
+    Command { name: "fig9",        takes: 0, flags: 0,                     in_all: true,  run: |c| print_ok(&report::fig9(suite(c))) },
+    Command { name: "fig10",       takes: 0, flags: 0,                     in_all: true,  run: |c| print_ok(&report::fig10(suite(c))) },
+    Command { name: "fig11",       takes: 0, flags: 0,                     in_all: true,  run: |c| print_ok(&report::fig11(suite(c))) },
+    Command { name: "fig12",       takes: 0, flags: 0,                     in_all: true,  run: |c| print_ok(&report::fig12(suite(c))) },
+    Command { name: "fig13",       takes: 0, flags: 0,                     in_all: true,  run: |c| stage(c, "fig13 SSB sweep", report::fig13) },
+    Command { name: "fig14",       takes: 0, flags: 0,                     in_all: true,  run: |c| print_ok(&report::fig14(suite(c))) },
+    Command { name: "ablation",    takes: 0, flags: 0,                     in_all: true,  run: |c| stage(c, "ablation", report::ablation) },
+    Command { name: "incremental", takes: 0, flags: 0,                     in_all: true,  run: |c| stage(c, "logging comparison", report::incremental) },
+    Command { name: "flushmode",   takes: 0, flags: 0,                     in_all: true,  run: |c| stage(c, "flush-mode ablation", report::flushmode) },
+    Command { name: "trace",       takes: 2, flags: 0,                     in_all: false, run: trace_cmd },
+    Command { name: "json",        takes: 0, flags: 0,                     in_all: false, run: |c| print_ok(&format!("{}\n", spp_bench::json::suite_json(suite(c)))) },
+    Command { name: "multicore",   takes: 0, flags: JOURNAL | STORM_BOUND, in_all: false, run: multicore_cmd },
+    Command { name: "litmus",      takes: 0, flags: JOURNAL | MODEL_KNOB,  in_all: false, run: litmus_cmd },
+    Command { name: "kv",          takes: 0, flags: JOURNAL,               in_all: false, run: kv_cmd },
+    Command { name: "optimize",    takes: 2, flags: JOURNAL,               in_all: false, run: optimize_cmd },
+    Command { name: "crashfuzz",   takes: 1, flags: 0,                     in_all: false, run: crashfuzz_cmd },
+    Command { name: "faultsim",    takes: 0, flags: JOURNAL,               in_all: false, run: faultsim_cmd },
+    Command { name: "soak",        takes: 0, flags: JOURNAL | ITERS,       in_all: false, run: soak_cmd },
+    Command { name: "profile",     takes: 2, flags: TRACE_OUT,             in_all: false, run: profile_cmd },
+    Command { name: "journal",     takes: 2, flags: 0,                     in_all: false, run: journal_cmd },
 ];
 
 /// A rejected invocation: every variant renders as one line, and every
@@ -253,9 +239,6 @@ enum CliError {
     MissingJournalCheckArgs,
     /// A positional argument past the ones the command takes.
     UnexpectedArg { arg: String, cmd: &'static str },
-    /// The trace cache grew past `--trace-mem-cap` (the wrapped
-    /// [`spp_bench::TraceMemCap`] rendering).
-    TraceMemCap(String),
     /// The `--trace-out` file could not be written (after the report
     /// was printed).
     TraceOut { path: String, error: String },
@@ -286,7 +269,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, profile, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile; --trace-mem-cap: commands that fill the trace cache)")
+                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile)")
             }
             CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
             CliError::Study(e) => write!(f, "{e}"),
@@ -295,7 +278,6 @@ impl fmt::Display for CliError {
             CliError::UnexpectedArg { arg, cmd } => {
                 write!(f, "unexpected argument {arg:?} for {cmd:?}")
             }
-            CliError::TraceMemCap(e) => f.write_str(e),
             CliError::TraceOut { path, error } => write!(f, "--trace-out {path:?}: {error}"),
         }
     }
@@ -318,10 +300,7 @@ impl CliError {
             | CliError::ResumeNeedsJournal
             | CliError::MissingJournalCheckArgs
             | CliError::UnexpectedArg { .. } => true,
-            CliError::Study(_)
-            | CliError::Journal(_)
-            | CliError::TraceMemCap(_)
-            | CliError::TraceOut { .. } => false,
+            CliError::Study(_) | CliError::Journal(_) | CliError::TraceOut { .. } => false,
         }
     }
 }
@@ -337,7 +316,6 @@ struct Cli {
     storm_bound: Option<u64>,
     model_knob: Option<ModelKnob>,
     trace_out: Option<String>,
-    trace_mem_cap: Option<u64>,
     positional: Vec<String>,
 }
 
@@ -360,7 +338,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut storm_bound: Option<u64> = None;
     let mut model_knob: Option<ModelKnob> = None;
     let mut trace_out: Option<String> = None;
-    let mut trace_mem_cap: Option<u64> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut i = 1;
     fn flag_value(
@@ -451,18 +428,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 )?);
                 i += 2;
             }
-            "--trace-mem-cap" => {
-                // Zero would trip before the first recording; the
-                // smallest honest budget is one byte.
-                trace_mem_cap = Some(flag_value(
-                    "--trace-mem-cap",
-                    args,
-                    i,
-                    1,
-                    "a byte count of at least 1",
-                )?);
-                i += 2;
-            }
             "--model-knob" => {
                 let given = args.get(i + 1).cloned().unwrap_or_default();
                 model_knob = Some(ModelKnob::parse(&given).ok_or(CliError::BadValue {
@@ -490,7 +455,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         storm_bound,
         model_knob,
         trace_out,
-        trace_mem_cap,
         positional,
     })
 }
@@ -516,7 +480,6 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
         ("--storm-bound", STORM_BOUND, cli.storm_bound.is_some()),
         ("--model-knob", MODEL_KNOB, cli.model_knob.is_some()),
         ("--trace-out", TRACE_OUT, cli.trace_out.is_some()),
-        ("--trace-mem-cap", CACHED, cli.trace_mem_cap.is_some()),
     ];
     for (flag, bit, given) in scoped {
         if given && cmd.flags & bit == 0 {
@@ -581,14 +544,12 @@ struct Ctx<'a> {
 fn run(cli: Cli) -> Result<ExitCode, CliError> {
     check_flag_scope(&cli)?;
     let harness = Harness::new(cli.exp, cli.jobs);
-    harness.set_trace_mem_cap(cli.trace_mem_cap);
     let ctx = Ctx {
         cli: &cli,
         harness: &harness,
         suite: OnceCell::new(),
     };
-    let code = (cli.cmd.run)(&ctx)?;
-    check_trace_mem(&harness, code)
+    (cli.cmd.run)(&ctx)
 }
 
 /// The Table 1 suite the figures read, run once per invocation however
@@ -652,24 +613,6 @@ fn all_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
         h.jobs
     );
     Ok(ExitCode::SUCCESS)
-}
-
-/// The `--trace-mem-cap` gate, applied once after the command's work
-/// (the cache keeps recording past the cap until then): a tripped cap
-/// is a typed failure even when every stage succeeded — the run held
-/// more trace bytes than the budget allowed, which is exactly what the
-/// flag exists to catch. The per-key footprint goes to stderr
-/// (heaviest first) so the offending traces are named.
-fn check_trace_mem(harness: &Harness, code: ExitCode) -> Result<ExitCode, CliError> {
-    match harness.trace_mem_exceeded() {
-        None => Ok(code),
-        Some(e) => {
-            for (k, bytes) in harness.trace_bytes_by_key() {
-                eprintln!("#   {bytes} bytes {}/{}/{}", k.id, k.variant, k.flush_mode);
-            }
-            Err(CliError::TraceMemCap(e.to_string()))
-        }
-    }
 }
 
 /// `repro kv [--journal PATH [--resume]]`: the
@@ -764,7 +707,7 @@ fn crashfuzz_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
 /// are recorded and `--resume` replays them — the resumed stdout is
 /// byte-identical to an uninterrupted run's. Exits non-zero if a
 /// faulted run changed committed state or a crash verdict, a cell
-/// exhausted its retry budget, a plan never fired, or the watchdog
+/// failed, a plan never fired, or the watchdog
 /// failed to convert a wedged run into a typed error.
 fn faultsim_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
@@ -859,25 +802,27 @@ fn soak_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     Ok(verdict(ok))
 }
 
-/// `repro profile <BENCH> <VARIANT> [--trace-out PATH] [--journal PATH
-/// [--resume]]`: replay one trace on the baseline and SP256 cores with
-/// the spp-obs probe attached, print the stall-attribution table and
-/// one `specpersist/profile-v2` JSON line, and optionally write the
-/// merged Chrome trace. With a journal the completed cell is recorded
-/// (text, JSON and trace all in the payload) and `--resume` replays it
-/// byte-identically. Exits non-zero if the probe's attribution diverges
+/// `repro profile <BENCH> <VARIANT> [--trace-out PATH]`: replay one
+/// trace on the baseline and SP256 cores with the spp-obs probe
+/// attached, print the stall-attribution table and one
+/// `specpersist/profile-v2` JSON line, and optionally write the merged
+/// Chrome trace. Exits non-zero if the probe's attribution diverges
 /// from the machine's stall counters, or if the trace cannot be
 /// written.
 fn profile_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    use spp_bench::profile::run_profile_opts;
+    use spp_bench::profile::run_profile;
     let (id, variant) = bench_variant(c.cli)?;
-    let mut trace = String::new();
-    let code = study(c, |j| {
-        let run = run_profile_opts(c.harness, id, variant, j);
-        trace.clone_from(&run.trace);
-        run
+    let mut trace = None;
+    let code = study(c, |_| {
+        let rep = run_profile(c.harness, id, variant);
+        trace = c
+            .cli
+            .trace_out
+            .as_ref()
+            .map(|path| (path, rep.chrome_trace()));
+        rep
     })?;
-    if let Some(path) = &c.cli.trace_out {
+    if let Some((path, trace)) = trace {
         std::fs::write(path, &trace).map_err(|e| CliError::TraceOut {
             path: path.clone(),
             error: e.to_string(),
@@ -1084,12 +1029,6 @@ mod tests {
         let help = text.split_once(" (").unwrap().1.strip_suffix(')').unwrap();
         for clause in help.split("; ") {
             let (key, list) = clause.split_once(": ").unwrap();
-            if key == "--trace-mem-cap" {
-                // Described, not listed: `trace_mem_cap_parses_validates_and_scopes`
-                // pins which commands take it.
-                assert_eq!(list, "commands that fill the trace cache");
-                continue;
-            }
             let flags = match key {
                 "journaled commands" => vec!["--journal", "--resume"],
                 flag => vec![flag],
@@ -1117,6 +1056,7 @@ mod tests {
             &["all", "--sacle", "50"],
             &["all", "--bench-out", "b.json"],
             &["optimize", "LL", "logpsf", "--bench-out", "b.json"],
+            &["fig8", "--trace-mem-cap", "1"],
         ] {
             let flag = words.iter().find(|w| w.starts_with("--")).unwrap();
             assert_eq!(
@@ -1132,7 +1072,7 @@ mod tests {
     }
 
     /// One error of every variant.
-    fn one_of_each_error() -> [CliError; 16] {
+    fn one_of_each_error() -> [CliError; 15] {
         [
             CliError::NoCommand,
             CliError::UnknownCommand("fig99".into()),
@@ -1158,7 +1098,6 @@ mod tests {
                 arg: "LL".into(),
                 cmd: "fig8",
             },
-            CliError::TraceMemCap("trace cache holds 9 bytes, exceeding --trace-mem-cap 1".into()),
             CliError::TraceOut {
                 path: "/x/t.json".into(),
                 error: "No such file or directory (os error 2)".into(),
@@ -1181,10 +1120,7 @@ mod tests {
         for e in one_of_each_error() {
             let runtime = matches!(
                 e,
-                CliError::Study(_)
-                    | CliError::Journal(_)
-                    | CliError::TraceMemCap(_)
-                    | CliError::TraceOut { .. }
+                CliError::Study(_) | CliError::Journal(_) | CliError::TraceOut { .. }
             );
             let text = error_text(&e);
             assert_eq!(text.lines().next(), Some(&*format!("repro: {e}")));
@@ -1398,23 +1334,30 @@ mod tests {
 
     #[test]
     fn profile_flags_parse_and_scope_check() {
-        // `--trace-out` with a value parses, and profile accepts the
-        // journal flags (it is a journaled command).
-        let cli = parse_args(&args(&[
-            "profile",
-            "LL",
-            "logpsf",
-            "--trace-out",
-            "t.json",
-            "--journal",
-            "j.jsonl",
-        ]))
-        .unwrap();
+        // `--trace-out` with a value parses.
+        let cli = parse_args(&args(&["profile", "LL", "logpsf", "--trace-out", "t.json"])).unwrap();
         assert_eq!(cli.cmd.name, "profile");
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
         assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
         assert!(check_flag_scope(&cli).is_ok());
+        // The report is one cell, so profile takes no journal.
+        for (flag, words) in [
+            (
+                "--journal",
+                vec!["profile", "LL", "base", "--journal", "j.jsonl"],
+            ),
+            ("--resume", vec!["profile", "LL", "base", "--resume"]),
+        ] {
+            let cli = parse_args(&args(&words)).unwrap();
+            assert_eq!(
+                check_flag_scope(&cli).unwrap_err(),
+                CliError::FlagUnsupported {
+                    flag,
+                    cmd: "profile",
+                },
+                "{words:?}"
+            );
+        }
         // A missing or flag-like value is a typed error.
         for words in [
             vec!["profile", "LL", "base", "--trace-out"],
@@ -1512,14 +1455,11 @@ mod tests {
             "--journal",
             "j.jsonl",
             "--resume",
-            "--trace-mem-cap",
-            "4096",
         ]))
         .unwrap();
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
         assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
         assert!(cli.study.resume);
-        assert_eq!(cli.trace_mem_cap, Some(4096));
         assert!(check_flag_scope(&cli).is_ok());
         // Profile-only flags stay profile-only.
         let cli = parse_args(&args(&[
@@ -1553,76 +1493,6 @@ mod tests {
         assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
         assert!(cli.study.resume);
         assert!(check_flag_scope(&cli).is_ok());
-    }
-
-    #[test]
-    fn trace_mem_cap_parses_validates_and_scopes() {
-        for cmd in ["all", "fig8", "fig13", "profile", "crashfuzz", "faultsim"] {
-            let cli = parse_args(&args(&[cmd, "--trace-mem-cap", "4096"])).unwrap();
-            assert_eq!(cli.trace_mem_cap, Some(4096));
-            assert!(check_flag_scope(&cli).is_ok(), "{cmd}");
-        }
-        for bad in ["0", "-1", "lots", ""] {
-            let e = parse_args(&args(&["all", "--trace-mem-cap", bad])).unwrap_err();
-            assert!(
-                matches!(
-                    e,
-                    CliError::BadValue {
-                        flag: "--trace-mem-cap",
-                        ..
-                    }
-                ),
-                "--trace-mem-cap {bad:?} gave {e:?}"
-            );
-        }
-        // Commands that never route traces through the harness cache
-        // reject the cap instead of silently ignoring it.
-        for cmd in [
-            "trace",
-            "soak",
-            "journal",
-            "table1",
-            "table2",
-            "table3",
-            "incremental",
-            "multicore",
-            "litmus",
-            "kv",
-        ] {
-            let cli = parse_args(&args(&[cmd, "--trace-mem-cap", "4096"])).unwrap();
-            assert_eq!(
-                check_flag_scope(&cli).unwrap_err(),
-                CliError::FlagUnsupported {
-                    flag: "--trace-mem-cap",
-                    cmd,
-                },
-                "{cmd}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_tripped_trace_mem_cap_is_a_typed_error() {
-        use spp_bench::TraceKey;
-        use spp_pmem::Variant;
-        use spp_workloads::BenchId;
-        let exp = Experiment {
-            scale: 2400,
-            seed: 7,
-        };
-        let h = Harness::new(exp, 1);
-        h.set_trace_mem_cap(Some(1));
-        // One recording holds far more than one byte: the cap trips.
-        let _ = h.trace(TraceKey::new(BenchId::LinkedList, Variant::Base, &exp));
-        let e = check_trace_mem(&h, ExitCode::SUCCESS).unwrap_err();
-        assert!(
-            matches!(e, CliError::TraceMemCap(ref s) if s.contains("--trace-mem-cap 1")),
-            "{e:?}"
-        );
-        // Without a cap the same recording passes the gate untouched.
-        let h = Harness::new(exp, 1);
-        let _ = h.trace(TraceKey::new(BenchId::LinkedList, Variant::Base, &exp));
-        assert!(check_trace_mem(&h, ExitCode::SUCCESS).is_ok());
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! same trace concurrently.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use spp_pmem::{Event, FlushMode, SharedTrace, Variant};
@@ -26,31 +25,6 @@ use crate::Experiment;
 pub fn trace_bytes(t: &SharedTrace) -> u64 {
     (t.events.len() * std::mem::size_of::<Event>()) as u64
 }
-
-/// The typed trace-memory-cap error: the cache's held bytes exceeded
-/// the configured `--trace-mem-cap`. `repro` checks for it once, after
-/// the command, and fails the run with it; until then the cache keeps
-/// recording past the cap, so the cap bounds what a passing run may
-/// hold, not what a run allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceMemCap {
-    /// The configured cap in bytes.
-    pub cap: u64,
-    /// Bytes actually held when the cap tripped.
-    pub held: u64,
-}
-
-impl fmt::Display for TraceMemCap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace cache holds {} bytes, exceeding --trace-mem-cap {}",
-            self.held, self.cap
-        )
-    }
-}
-
-impl std::error::Error for TraceMemCap {}
 
 /// Everything that determines a recorded trace bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,57 +104,18 @@ impl CacheStats {
 /// under the slot's [`OnceLock`], so two threads asking for *different*
 /// traces record in parallel while two threads asking for the *same*
 /// trace serialize (one records, the other waits and shares).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceCache {
     slots: Mutex<HashMap<TraceKey, Arc<OnceLock<SharedTrace>>>>,
     recordings: AtomicU64,
     hits: AtomicU64,
     bytes: AtomicU64,
-    /// `u64::MAX` means uncapped.
-    mem_cap: AtomicU64,
-    tripped: AtomicBool,
-}
-
-impl Default for TraceCache {
-    fn default() -> Self {
-        TraceCache {
-            slots: Mutex::default(),
-            recordings: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            mem_cap: AtomicU64::new(u64::MAX),
-            tripped: AtomicBool::new(false),
-        }
-    }
 }
 
 impl TraceCache {
-    /// An empty, uncapped cache.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Caps the bytes the cache may hold (`--trace-mem-cap`). `None`
-    /// removes the cap. Recording never stops: the trace that crosses
-    /// the cap and every later one are still recorded and cached, and
-    /// the cache only latches the typed [`TraceMemCap`] error, which
-    /// [`TraceCache::mem_exceeded`] reports (`repro` asks once, after
-    /// the command).
-    pub fn set_mem_cap(&self, cap: Option<u64>) {
-        self.mem_cap
-            .store(cap.unwrap_or(u64::MAX), Ordering::Relaxed);
-    }
-
-    /// The latched cap violation, if bytes ever exceeded the cap.
-    pub fn mem_exceeded(&self) -> Option<TraceMemCap> {
-        if self.tripped.load(Ordering::Relaxed) {
-            Some(TraceMemCap {
-                cap: self.mem_cap.load(Ordering::Relaxed),
-                held: self.bytes.load(Ordering::Relaxed),
-            })
-        } else {
-            None
-        }
     }
 
     /// Returns the trace for `key`, recording it on first request.
@@ -196,30 +131,11 @@ impl TraceCache {
             record_trace(&key.trace_spec())
         });
         if recorded_here {
-            let held =
-                self.bytes.fetch_add(trace_bytes(trace), Ordering::Relaxed) + trace_bytes(trace);
-            if held > self.mem_cap.load(Ordering::Relaxed) {
-                self.tripped.store(true, Ordering::Relaxed);
-            }
+            self.bytes.fetch_add(trace_bytes(trace), Ordering::Relaxed);
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         trace.clone()
-    }
-
-    /// Per-key byte footprint of every recorded trace, heaviest first
-    /// (ties broken by the key's debug rendering, for determinism).
-    pub fn bytes_by_key(&self) -> Vec<(TraceKey, u64)> {
-        let slots = self.slots.lock().expect("trace cache poisoned");
-        let mut rows: Vec<(TraceKey, u64)> = slots
-            .iter()
-            .filter_map(|(k, slot)| slot.get().map(|t| (*k, trace_bytes(t))))
-            .collect();
-        rows.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)))
-        });
-        rows
     }
 
     /// Counter snapshot.
@@ -296,32 +212,9 @@ mod tests {
         let b = cache.get(TraceKey::new(BenchId::LinkedList, Variant::LogPSf, &exp));
         let s = cache.stats();
         assert_eq!(s.bytes, trace_bytes(&a) + trace_bytes(&b));
-        let rows = cache.bytes_by_key();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows.iter().map(|r| r.1).sum::<u64>(), s.bytes);
-        assert!(rows[0].1 >= rows[1].1, "rows must be heaviest-first");
         // A hit does not double-count.
         cache.get(TraceKey::new(BenchId::LinkedList, Variant::Base, &exp));
         assert_eq!(cache.stats().bytes, s.bytes);
-    }
-
-    #[test]
-    fn mem_cap_trips_a_typed_error_without_aborting() {
-        let cache = TraceCache::new();
-        cache.set_mem_cap(Some(64));
-        assert_eq!(cache.mem_exceeded(), None);
-        let t = cache.get(TraceKey::new(
-            BenchId::LinkedList,
-            Variant::Base,
-            &tiny_exp(),
-        ));
-        let err = cache.mem_exceeded().expect("tiny cap must trip");
-        assert_eq!(err.cap, 64);
-        assert_eq!(err.held, trace_bytes(&t));
-        assert!(err.to_string().contains("--trace-mem-cap"));
-        // Lifting the cap clears nothing retroactively — the latch holds
-        // (the run already exceeded its budget) but a fresh cache is clean.
-        assert!(TraceCache::new().mem_exceeded().is_none());
     }
 
     #[test]

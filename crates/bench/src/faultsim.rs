@@ -42,10 +42,11 @@
 //! replay instead of recomputing, so a killed run resumes where it
 //! stopped — and because every pair is a pure function of its key, the
 //! resumed report is byte-identical to an uninterrupted one. A pair
-//! whose simulation panics or returns a typed [`spp_cpu::SimError`] is
-//! retried on the supervisor's bounded deterministic schedule and, on
-//! exhaustion, degrades to a per-cell `failed` record carrying the
-//! diagnostic snapshot; every other pair still reports.
+//! whose simulation panics or returns a typed [`spp_cpu::SimError`]
+//! degrades to a per-cell `failed` record carrying the diagnostic
+//! snapshot; every other pair still reports. The injected faults are
+//! part of the pair's inputs, so a failing pair fails the same way on
+//! every run and is never retried.
 
 use spp_cpu::{CpuConfig, SimErrorKind, Simulator};
 use spp_mem::{FaultSpec, FaultStats};
@@ -148,11 +149,10 @@ pub struct WatchdogReport {
 pub struct FaultReport {
     /// Scale/seed the traces were recorded at.
     pub exp: crate::Experiment,
-    /// Per-cell results, in deterministic matrix order (pairs that
-    /// exhausted their retry budget are absent here and present in
-    /// [`FaultReport::failures`]).
+    /// Per-cell results, in deterministic matrix order (failed pairs
+    /// are absent here and present in [`FaultReport::failures`]).
     pub cells: Vec<Cell>,
-    /// Pairs that exhausted the supervisor's retry budget: degraded
+    /// Pairs that panicked or returned a typed error: degraded
     /// per-cell records carrying the diagnostic snapshot, in matrix
     /// order. Any entry here fails the report.
     pub failures: Vec<CellFailure>,
@@ -163,18 +163,16 @@ pub struct FaultReport {
     pub watchdog: WatchdogReport,
 }
 
-/// Options for [`run_faultsim_opts`]: journal attachment, retry
-/// budget, and the fault-injection hook the supervision tests use.
+/// Options for [`run_faultsim_opts`]: journal attachment and the
+/// fault-injection hook the supervision tests use.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultsimOpts<'j> {
     /// Replay completed pairs from (and record new ones into) this
     /// journal.
     pub journal: Option<&'j Journal>,
-    /// Total attempts per pair; 0 means the supervisor default.
-    pub max_attempts: u32,
-    /// Fault-injection hook: panic inside this pair's cell on every
-    /// attempt, demonstrating retry exhaustion and per-cell
-    /// degradation without touching the simulator.
+    /// Fault-injection hook: panic inside this pair's cell,
+    /// demonstrating per-cell degradation without touching the
+    /// simulator.
     pub inject_panic: Option<(BenchId, Variant)>,
 }
 
@@ -229,7 +227,7 @@ fn run_one(
 /// faulted simulations (shared across the two plans) plus the bounded
 /// crash verdict, yielding one [`Cell`] per plan. A typed
 /// [`spp_cpu::SimError`] anywhere inside propagates as a [`CellError`]
-/// so the supervisor can retry and, on exhaustion, degrade the pair.
+/// so the supervisor can degrade the pair.
 fn run_pair(
     h: &Harness,
     id: BenchId,
@@ -454,9 +452,9 @@ impl Record for CellValue {
 ///
 /// Each `(benchmark, variant)` pair — six simulations plus the bounded
 /// crash verdict — and the watchdog leg is one supervised cell: panic-
-/// isolated, retried on the bounded deterministic schedule, journalled
-/// under `opts.journal` when one is attached, and degraded to a
-/// per-cell failure record on retry exhaustion. Outcomes come back in
+/// isolated, journalled under `opts.journal` when one is attached, and
+/// degraded to a per-cell failure record when it fails. Outcomes come
+/// back in
 /// input order, so the report is byte-identical at any `--jobs` value
 /// and across interrupted-then-resumed vs. uninterrupted runs.
 pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
@@ -465,16 +463,7 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
         .flat_map(|&id| VARIANTS.iter().map(move |&v| CellTask::Pair(id, v)))
         .collect();
     tasks.push(CellTask::Watchdog);
-    let sup = Supervisor {
-        jobs: h.jobs,
-        max_attempts: if opts.max_attempts == 0 {
-            crate::supervisor::MAX_ATTEMPTS
-        } else {
-            opts.max_attempts
-        },
-        journal: opts.journal,
-    };
-    let outcomes = sup.run_cells(
+    let outcomes = Supervisor::new(h.jobs, opts.journal).run_cells(
         &tasks,
         |_, t| match t {
             CellTask::Pair(id, v) => pair_key(*id, *v, &h.exp),
@@ -537,7 +526,7 @@ impl FaultReport {
     }
 
     /// Did every cell keep state and verdict invariant, did no pair
-    /// exhaust its retry budget, did the storm plan actually inject
+    /// fail, did the storm plan actually inject
     /// and perturb, and did the watchdog leg detect its wedged run?
     pub fn ok(&self) -> bool {
         self.cells.iter().all(|c| c.state_ok && c.verdict_ok)
@@ -599,11 +588,7 @@ impl FaultReport {
             );
         }
         for f in &self.failures {
-            let _ = writeln!(
-                s,
-                "cell {}: FAILED after {} attempts: {}",
-                f.key, f.attempts, f.reason
-            );
+            let _ = writeln!(s, "cell {}: FAILED: {}", f.key, f.reason);
         }
         let w = &self.watchdog;
         let _ = writeln!(
@@ -737,13 +722,12 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_pair_degrades_to_failed_record_while_others_report() {
+    fn failed_pair_degrades_to_failed_record_while_others_report() {
         let h = smoke_harness(4);
         let rep = run_faultsim_opts(
             &h,
             FaultsimOpts {
                 inject_panic: Some((BenchId::LinkedList, Variant::Log)),
-                max_attempts: 2,
                 ..FaultsimOpts::default()
             },
         );
@@ -760,11 +744,16 @@ mod tests {
             "{}",
             f.key
         );
-        assert_eq!(f.attempts, 2, "retry budget consumed");
         assert!(f.reason.contains("injected pair fault"), "{}", f.reason);
         assert!(!rep.ok(), "a degraded pair must fail the report");
         let text = rep.render_text();
-        assert!(text.contains("FAILED after 2 attempts"), "{text}");
+        assert!(
+            text.contains(&format!(
+                "cell {}: FAILED: panic: injected pair fault",
+                f.key
+            )),
+            "{text}"
+        );
         assert!(text.contains("faultsim: FAIL"), "{text}");
         let json = rep.render_json();
         assert!(json.contains("injected pair fault"), "{json}");

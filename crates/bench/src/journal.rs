@@ -5,7 +5,9 @@
 //! Each line of `journal-v1.jsonl` is one JSON object recording a
 //! completed cell: its key (command, benchmark, variant, scale, seed,
 //! flush mode, config hash — everything that determines the result),
-//! the attempt count that produced it, an `ok`/`failed` status, the
+//! an `attempt` field (always 1: a cell runs once, since a failing
+//! cell would fail the same way again; the field stays so every
+//! journal-v1 file keeps verifying), an `ok`/`failed` status, the
 //! serialized result payload, and a [`hash64`] checksum over all of the
 //! above. On `--resume` the journal is replayed: lines whose checksum
 //! verifies are served without recomputation, while truncated, torn,
@@ -116,13 +118,13 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// Did the recorded attempt produce a result or exhaust its retries?
+/// Did the cell produce a result or fail?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStatus {
     /// The cell completed; the payload is its serialized result.
     Ok,
-    /// The cell exhausted its retry budget; the payload is its failure
-    /// record (reason + diagnostic snapshot).
+    /// The cell panicked or returned a typed error; the payload is its
+    /// failure record (reason + diagnostic snapshot).
     Failed,
 }
 
@@ -148,9 +150,10 @@ impl CellStatus {
 pub struct Entry {
     /// The cell key (command + everything determining the result).
     pub key: String,
-    /// The attempt number that produced this record (1-based).
+    /// The attempt number that produced this record (1-based; the
+    /// supervisor always writes 1, and older journals may hold more).
     pub attempt: u32,
-    /// Completed or retry-exhausted.
+    /// Completed or failed.
     pub status: CellStatus,
     /// The serialized result (or failure record).
     pub payload: String,

@@ -866,7 +866,6 @@ mod tests {
         use crate::kv::{KvCell, KvCellSpec, PerfCfg};
         use crate::multicore::{CellSpec, MulticoreCell};
         use crate::optimize::{OptCell, OptimizeCellSpec, ReplayCore, ReplayPass};
-        use crate::profile::ProfileRun;
         use crate::CellFailure;
         use spp_pmem::{FlushMode, Variant};
         use spp_workloads::oracle::ViolationKind;
@@ -1012,17 +1011,8 @@ mod tests {
         check(&blank, &lit(Some(None), Some("wedged")), &opt, &pinned);
         check(&blank, &lit(None, None), &opt, &pinned[..3]);
 
-        // profile (one cell; strings carry control bytes)
-        let run = ProfileRun {
-            ok: true,
-            text: "a\tb\r\n\u{1}".into(),
-            json: "{\"x\":1}".into(),
-            trace: "[]".into(),
-            replayed: 0,
-        };
-        check(&ProfileRun::default(), &run, &[], &[]);
-
-        // supervisor failure records, with and without a snapshot
+        // supervisor failure records, with and without a snapshot (the
+        // reason carries control bytes and quotes)
         let blank = CellFailure {
             key: "kv/x".into(),
             ..CellFailure::default()
@@ -1032,8 +1022,7 @@ mod tests {
             None,
         ] {
             let f = CellFailure {
-                attempts: 3,
-                reason: "panic: boom\u{7}".into(),
+                reason: "panic: boom\u{7} {\"x\":1} a\tb\r\n\u{1}".into(),
                 snapshot: snapshot.map(String::from),
                 ..blank.clone()
             };

@@ -50,7 +50,7 @@ pub mod stream;
 pub mod study;
 pub mod supervisor;
 
-pub use cache::{trace_bytes, CacheStats, TraceCache, TraceKey, TraceMemCap};
+pub use cache::{trace_bytes, CacheStats, TraceCache, TraceKey};
 pub use journal::{Journal, JournalError};
 pub use multicore::{MulticoreCell, MulticoreReport};
 pub use parallel::run_indexed;
@@ -239,25 +239,6 @@ impl Harness {
     /// bytes held).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Caps the bytes the trace cache may hold (`--trace-mem-cap`).
-    pub fn set_trace_mem_cap(&self, cap: Option<u64>) {
-        self.cache.set_mem_cap(cap);
-    }
-
-    /// The latched [`TraceMemCap`] violation, if the cache ever grew
-    /// past its cap. `repro` checks this once, after the command, and
-    /// then fails the run with the typed error. Until then the cache
-    /// keeps recording past the cap: the cap bounds what a run may hold
-    /// and still pass, not what it allocates.
-    pub fn trace_mem_exceeded(&self) -> Option<TraceMemCap> {
-        self.cache.mem_exceeded()
-    }
-
-    /// Per-key byte footprint of every recorded trace, heaviest first.
-    pub fn trace_bytes_by_key(&self) -> Vec<(TraceKey, u64)> {
-        self.cache.bytes_by_key()
     }
 
     /// The trace for `key`, recorded on first request and shared after.

@@ -18,8 +18,8 @@
 //! A cell whose simulation degrades (e.g. a conflict storm tripping
 //! [`spp_cpu::SimErrorKind::ConflictStorm`]) is a failed cell carrying
 //! the typed error's JSON, and the study's exit verdict reflects it; a
-//! cell that panics through its retries degrades the same way instead
-//! of aborting the study.
+//! cell that panics degrades the same way instead of aborting the
+//! study.
 
 use spp_cpu::{CpuConfig, MultiCore, DEFAULT_STORM_BOUND};
 use spp_workloads::{shared_trace, SharedKind, SharedSpec};

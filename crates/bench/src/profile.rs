@@ -23,9 +23,8 @@
 //! Everything is deterministic — the collectors use stride reservoirs,
 //! not RNG — so the bytes are identical at any `--jobs` count.
 //!
-//! `repro profile` runs the whole report as one supervised cell
-//! ([`run_profile_opts`]): its journal payload carries the three
-//! renderings, so a resumed run replays them byte for byte.
+//! The report is one cell, so `repro profile` takes no journal: a
+//! killed run has no completed cell to replay.
 
 use std::fmt::Write as _;
 
@@ -37,11 +36,9 @@ use spp_obs::{
 use spp_pmem::Variant;
 use spp_workloads::BenchId;
 
-use crate::json::{array, Fields, JsonObject, Record};
+use crate::json::{array, JsonObject};
 use crate::parallel::run_indexed;
-use crate::study::StudyReport;
-use crate::supervisor::{settle, Supervisor};
-use crate::{variant_key, Experiment, Harness, Journal, TraceKey};
+use crate::{variant_key, Experiment, Harness, TraceKey};
 
 /// One profiled core configuration.
 #[derive(Debug, Clone)]
@@ -259,97 +256,6 @@ impl ProfileReport {
             .map(|c| (c.config, c.spans.as_slice()))
             .collect();
         merge_chrome_traces(&groups)
-    }
-}
-
-/// One `repro profile` run: the report's verdict and renderings,
-/// computed or replayed from the journal as a single cell.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProfileRun {
-    /// [`ProfileReport::ok`].
-    pub ok: bool,
-    /// [`ProfileReport::render_text`].
-    pub text: String,
-    /// [`ProfileReport::render_json`].
-    pub json: String,
-    /// [`ProfileReport::chrome_trace`] (no events when the cell
-    /// degraded).
-    pub trace: String,
-    /// 1 when the run was served from the journal.
-    pub replayed: usize,
-}
-
-/// The journal payload: `{ok,text,json,trace}`.
-impl Record for ProfileRun {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        f.flag("ok", &mut self.ok);
-        f.str("text", &mut self.text);
-        f.str("json", &mut self.json);
-        f.str("trace", &mut self.trace);
-    }
-}
-
-impl StudyReport for ProfileRun {
-    fn ok(&self) -> bool {
-        self.ok
-    }
-    fn replayed(&self) -> usize {
-        self.replayed
-    }
-    fn render_text(&self) -> String {
-        self.text.clone()
-    }
-    fn render_json(&self) -> String {
-        self.json.clone()
-    }
-}
-
-/// Profiles one `(bench, variant)` as a single supervised cell,
-/// journaled when `journal` is attached. A cell that panics through
-/// its retries degrades to a failed run carrying the reason.
-pub fn run_profile_opts(
-    h: &Harness,
-    id: BenchId,
-    variant: Variant,
-    journal: Option<&Journal>,
-) -> ProfileRun {
-    let key = format!(
-        "profile/{}/{}/scale{}/seed{:#x}",
-        id.abbrev(),
-        variant_key(variant),
-        h.exp.scale,
-        h.exp.seed
-    );
-    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
-        &[key],
-        |_, key| key.clone(),
-        |_, _| {
-            let rep = run_profile(h, id, variant);
-            Ok(ProfileRun {
-                ok: rep.ok(),
-                text: rep.render_text(),
-                json: rep.render_json(),
-                trace: rep.chrome_trace(),
-                replayed: 0,
-            })
-        },
-        |_| ProfileRun::default(),
-    );
-    let (mut runs, replayed) = settle(outcomes, |_, f| ProfileRun {
-        ok: false,
-        text: format!("profile: FAIL ({})\n", f.reason),
-        json: crate::schema::emit(crate::schema::PROFILE, |root| {
-            root.str("bench", id.abbrev())
-                .str("variant", variant_key(variant))
-                .num("ok", 0)
-                .str("error", &f.reason);
-        }),
-        trace: merge_chrome_traces(&[]),
-        replayed: 0,
-    });
-    ProfileRun {
-        replayed,
-        ..runs.remove(0)
     }
 }
 

@@ -42,7 +42,7 @@ pub struct SoakIter {
     pub faultsim_ok: bool,
     /// Faultsim cells that reported.
     pub cells: usize,
-    /// Faultsim cells that exhausted their retry budget.
+    /// Faultsim cells that failed (panicked or returned a typed error).
     pub failures: usize,
     /// Faultsim cells served from the journal.
     pub replayed: usize,

@@ -3,7 +3,8 @@
 //! Every `repro` study (`kv`, `litmus`, `multicore`, `faultsim`,
 //! `profile`, `optimize`, `crashfuzz`, `soak`) shares the same
 //! invocation shape: open a result journal under the resume
-//! discipline, run the study under a timed stage, surface corrupt
+//! discipline (the journaled ones; `profile` and `crashfuzz` take no
+//! journal), run the study under a timed stage, surface corrupt
 //! journal entries, report how many cells replayed, print the text
 //! report and the one-line JSON document, and turn the report's
 //! verdict into an exit status. That plumbing lives here, once:
@@ -140,7 +141,8 @@ macro_rules! impl_study_report {
     )+};
 }
 
-// Crashfuzz is never journaled; a soak replays faultsim cells.
+// Crashfuzz and profile are never journaled; a soak replays faultsim
+// cells.
 impl_study_report!(
     crate::faultsim::FaultReport => |r| r.replayed,
     crate::kv::KvReport => |r| r.replayed,
@@ -148,6 +150,7 @@ impl_study_report!(
     crate::multicore::MulticoreReport => |r| r.replayed,
     crate::optimize::OptimizeReport => |r| r.replayed,
     crate::crashfuzz::FuzzReport => |_r| 0,
+    crate::profile::ProfileReport => |_r| 0,
     crate::soak::SoakReport => |r| r.rows.iter().map(|row| row.replayed).sum(),
 );
 

@@ -1,5 +1,5 @@
-//! The supervised worker pool: journal-aware, panic-isolating,
-//! retrying execution of evaluation cells over [`run_indexed`].
+//! The supervised worker pool: journal-aware, panic-isolating
+//! execution of evaluation cells over [`run_indexed`].
 //!
 //! [`run_indexed`] gives deterministic input-order results but lets a
 //! single panicking cell take the whole matrix down with it — exactly
@@ -12,22 +12,19 @@
 //!    surfaces as a typed
 //!    [`JournalError::BadPayload`](crate::journal::JournalError) and the
 //!    cell recomputes — never silent reuse).
-//! 2. **Isolation**: the cell runs under `catch_unwind`; a panic is
-//!    converted into a failure value, and every other cell keeps
-//!    running.
-//! 3. **Retry**: a panicking or `Err`-returning cell is retried up to
-//!    [`MAX_ATTEMPTS`] times on a *deterministic* schedule — the
-//!    attempt counter alone, no wall-clock backoff or randomness — so
-//!    retried runs stay reproducible.
-//! 4. **Degradation**: a cell that exhausts its budget becomes a
-//!    per-cell [`CellFailure`] (reason + diagnostic snapshot) in the
-//!    report instead of aborting the matrix; completed cells and
+//! 2. **Isolation**: the cell runs once under `catch_unwind`; a panic
+//!    is converted into a failure value, and every other cell keeps
+//!    running. A cell is a pure function of its key, so a second
+//!    attempt would fail the same way: there are no retries.
+//! 3. **Degradation**: a cell that panics or returns a [`CellError`]
+//!    becomes a per-cell [`CellFailure`] (reason + diagnostic snapshot)
+//!    in the report instead of aborting the matrix; completed cells and
 //!    failures are both journalled, so a resumed run replays them
 //!    byte-identically.
 //!
 //! Every journaled study runs its cells here — faultsim, litmus, kv,
-//! multicore, optimize, and profile (whose whole report is one cell) —
-//! so replay, isolation and journal writes have one implementation.
+//! multicore and optimize — so replay, isolation and journal writes
+//! have one implementation.
 //! The supervisor takes no codec: results and failures are
 //! [`Record`]s, whose one field list ([`Record::fields`]) both writes
 //! the journal payload and reads it back.
@@ -44,10 +41,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::journal::{CellStatus, Entry, Journal};
 use crate::json::{self, Fields, Record};
 use crate::run_indexed;
-
-/// The bounded, deterministic retry budget: total attempts per cell
-/// (first run included).
-pub const MAX_ATTEMPTS: u32 = 3;
 
 /// A cell-level error returned by a supervised run function: what went
 /// wrong, plus the machine-state snapshot when the failure carried one
@@ -78,27 +71,24 @@ impl CellError {
     }
 }
 
-/// A cell that exhausted its retry budget: the degraded per-cell record
-/// that replaces its result in the report.
+/// A cell that panicked or returned a [`CellError`]: the degraded
+/// per-cell record that replaces its result in the report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's journal key.
     pub key: String,
-    /// Attempts consumed (== the budget).
-    pub attempts: u32,
-    /// The final attempt's failure reason.
+    /// The failure reason.
     pub reason: String,
-    /// The final attempt's diagnostic snapshot, if one was captured.
+    /// The diagnostic snapshot, if one was captured.
     pub snapshot: Option<String>,
 }
 
 /// The journalled payload of a `failed` entry, and the shape reports
-/// embed: `{"key","attempts","reason","snapshot"}`, with a `null`
-/// snapshot when none was captured.
+/// embed: `{"key","reason","snapshot"}`, with a `null` snapshot when
+/// none was captured.
 impl Record for CellFailure {
     fn fields(&mut self, f: &mut Fields<'_>) {
         f.spec_str("key", &self.key);
-        f.int("attempts", &mut self.attempts);
         f.str("reason", &mut self.reason);
         f.nullable_raw("snapshot", &mut self.snapshot);
     }
@@ -109,36 +99,28 @@ impl Record for CellFailure {
 pub struct CellOutcome<R> {
     /// The cell's journal key.
     pub key: String,
-    /// Attempts consumed (1 for a first-try success; 0 when replayed).
-    pub attempts: u32,
     /// Served from the journal without recomputation?
     pub replayed: bool,
     /// The result, or the degraded failure record.
     pub result: Result<R, CellFailure>,
 }
 
-/// The supervised pool configuration: worker budget, retry budget, and
-/// an optional journal for replay + recording.
-#[derive(Debug, Clone, Copy, Default)]
+/// The supervised pool configuration: worker budget and an optional
+/// journal for replay + recording.
+#[derive(Debug, Clone, Copy)]
 pub struct Supervisor<'j> {
     /// Worker threads (0 and 1 both mean serial).
     pub jobs: usize,
-    /// Total attempts per cell; 0 is treated as 1.
-    pub max_attempts: u32,
     /// Replay completed cells from (and record new ones into) this
     /// journal.
     pub journal: Option<&'j Journal>,
 }
 
 impl<'j> Supervisor<'j> {
-    /// A supervisor with the default retry budget, replaying from (and
-    /// recording into) `journal` when one is attached.
+    /// A supervisor replaying from (and recording into) `journal` when
+    /// one is attached.
     pub fn new(jobs: usize, journal: Option<&'j Journal>) -> Self {
-        Supervisor {
-            jobs,
-            max_attempts: MAX_ATTEMPTS,
-            journal,
-        }
+        Supervisor { jobs, journal }
     }
 
     /// Runs every item as a supervised cell, returning outcomes in
@@ -147,7 +129,8 @@ impl<'j> Supervisor<'j> {
     /// * `key` names the cell for the journal — it must capture
     ///   everything that determines the result.
     /// * `run` computes the cell (pure; may panic or return a typed
-    ///   [`CellError`]).
+    ///   [`CellError`]); it runs once, and a panic or error becomes
+    ///   the cell's [`CellFailure`].
     /// * `blank` gives the record a journal entry for the item decodes
     ///   into, its spec fields set from the item. The journal payload
     ///   is the result's [`Record`] encoding; a payload that does not
@@ -167,7 +150,6 @@ impl<'j> Supervisor<'j> {
         F: Fn(usize, &T) -> Result<R, CellError> + Sync,
         B: Fn(&T) -> R + Sync,
     {
-        let max_attempts = self.max_attempts.max(1);
         run_indexed(self.jobs, items, |i, item| {
             let key = key(i, item);
             // Replay path: a verified journal entry short-circuits the
@@ -179,7 +161,6 @@ impl<'j> Supervisor<'j> {
                             Some(r) => {
                                 return CellOutcome {
                                     key,
-                                    attempts: 0,
                                     replayed: true,
                                     result: Ok(r),
                                 }
@@ -197,7 +178,6 @@ impl<'j> Supervisor<'j> {
                                 Some(f) => {
                                     return CellOutcome {
                                         key,
-                                        attempts: f.attempts,
                                         replayed: true,
                                         result: Err(f),
                                     }
@@ -208,59 +188,39 @@ impl<'j> Supervisor<'j> {
                     }
                 }
             }
-            // Compute path: bounded deterministic retry under panic
-            // isolation.
-            let mut last = CellError::new("cell never ran");
-            for attempt in 1..=max_attempts {
-                match catch_unwind(AssertUnwindSafe(|| run(i, item))) {
-                    Ok(Ok(r)) => {
-                        if let Some(j) = self.journal {
-                            j.record(&Entry {
-                                key: key.clone(),
-                                attempt,
-                                status: CellStatus::Ok,
-                                payload: json::encode(&r),
-                            });
-                        }
-                        return CellOutcome {
-                            key,
-                            attempts: attempt,
-                            replayed: false,
-                            result: Ok(r),
-                        };
-                    }
-                    Ok(Err(e)) => last = e,
-                    Err(panic) => last = CellError::new(panic_message(panic.as_ref())),
-                }
-            }
-            let failure = CellFailure {
-                key: key.clone(),
-                attempts: max_attempts,
-                reason: last.reason,
-                snapshot: last.snapshot,
-            };
+            // Compute path: one attempt under panic isolation.
+            let result = catch_unwind(AssertUnwindSafe(|| run(i, item)))
+                .unwrap_or_else(|panic| Err(CellError::new(panic_message(panic.as_ref()))))
+                .map_err(|e| CellFailure {
+                    key: key.clone(),
+                    reason: e.reason,
+                    snapshot: e.snapshot,
+                });
             if let Some(j) = self.journal {
+                let (status, payload) = match &result {
+                    Ok(r) => (CellStatus::Ok, json::encode(r)),
+                    Err(f) => (CellStatus::Failed, json::encode(f)),
+                };
                 j.record(&Entry {
                     key: key.clone(),
-                    attempt: max_attempts,
-                    status: CellStatus::Failed,
-                    payload: json::encode(&failure),
+                    // A journal-v1 field; every cell runs exactly once.
+                    attempt: 1,
+                    status,
+                    payload,
                 });
             }
             CellOutcome {
                 key,
-                attempts: max_attempts,
                 replayed: false,
-                result: Err(failure),
+                result,
             }
         })
     }
 }
 
-/// Unwraps supervised outcomes into results in input order: a cell
-/// that exhausted its retries becomes `degrade(index, failure)`, the
-/// study's own failed-cell record. Also returns how many cells were
-/// served from the journal.
+/// Unwraps supervised outcomes into results in input order: a failed
+/// cell becomes `degrade(index, failure)`, the study's own failed-cell
+/// record. Also returns how many cells were served from the journal.
 pub fn settle<R>(
     outcomes: Vec<CellOutcome<R>>,
     degrade: impl Fn(usize, CellFailure) -> R,
@@ -331,37 +291,40 @@ mod tests {
         for (i, o) in outs.iter().enumerate() {
             if i == 7 {
                 let f = o.result.as_ref().unwrap_err();
-                assert_eq!(f.attempts, MAX_ATTEMPTS);
                 assert!(f.reason.contains("injected fault on cell 7"), "{f:?}");
                 assert!(f.snapshot.is_none());
             } else {
                 assert_eq!(*o.result.as_ref().unwrap(), i as u64 * 2, "cell {i}");
-                assert_eq!(o.attempts, 1);
             }
         }
     }
 
     #[test]
-    fn transient_failure_is_retried_deterministically() {
+    fn a_failing_cell_runs_once_and_degrades() {
         let items = [0u64];
         let tries = AtomicU32::new(0);
         let outs = Supervisor::new(1, None).run_cells(
             &items,
             |_, _| "cell/flaky".to_string(),
             |_, _| {
-                // Fails twice, then succeeds: the bounded schedule must
-                // absorb it without any wall-clock element.
-                if tries.fetch_add(1, Ordering::SeqCst) < 2 {
-                    Err(CellError::new("transient"))
+                // Would succeed on a second call: a cell is a pure
+                // function of its key, so the supervisor never makes one.
+                if tries.fetch_add(1, Ordering::SeqCst) == 0 {
+                    Err(CellError::new("down"))
                 } else {
                     Ok(99)
                 }
             },
             blank,
         );
-        assert_eq!(outs[0].attempts, 3);
-        assert_eq!(*outs[0].result.as_ref().unwrap(), 99);
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            tries.load(Ordering::SeqCst),
+            1,
+            "the cell runs exactly once"
+        );
+        let f = outs[0].result.as_ref().unwrap_err();
+        assert_eq!((f.key.as_str(), f.reason.as_str()), ("cell/flaky", "down"));
+        assert!(!outs[0].replayed);
     }
 
     #[test]
@@ -390,8 +353,8 @@ mod tests {
             assert!(outs[3].result.is_err());
             assert_eq!(
                 computed.load(Ordering::SeqCst),
-                7 + MAX_ATTEMPTS,
-                "failed cell retried to exhaustion"
+                7 + 1,
+                "every cell, the failing one included, runs once"
             );
         }
         // Second run: everything — including the failure — replays.
@@ -418,7 +381,6 @@ mod tests {
                 let f = o.result.as_ref().unwrap_err();
                 assert_eq!(f.reason, "always down");
                 assert_eq!(f.snapshot.as_deref(), Some("{\"cycle\":5}"));
-                assert_eq!(f.attempts, MAX_ATTEMPTS);
             } else {
                 assert_eq!(*o.result.as_ref().unwrap(), i as u64 + 100);
             }

@@ -6,6 +6,12 @@
 //! byte-identical to an uninterrupted run of the same command. The
 //! journal only changes *where* results come from (replay vs
 //! recompute), never *what* is reported.
+//!
+//! Compatibility: a journal-v1 manifest written before cells stopped
+//! being retried (an `attempt` above 1, a `failed` payload carrying
+//! `attempts`) still opens and verifies; its `ok` cells replay, and its
+//! old-format failure records recompute through the typed bad-payload
+//! path.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -175,5 +181,72 @@ fn second_resume_replays_every_cell_byte_identically() {
         len_after_first,
         "a fully replayed run must append nothing"
     );
+    std::fs::remove_file(&journal).expect("cleanup");
+}
+
+#[test]
+fn an_older_journal_v1_manifest_still_verifies_and_resumes() {
+    use spp_bench::json::{Fields, Record};
+    use spp_bench::{Journal, JournalError, Supervisor};
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// A cell computing a bare number, journalled as `{"n":…}`.
+    #[derive(Debug, Clone, PartialEq)]
+    struct N(u64);
+    impl Record for N {
+        fn fields(&mut self, f: &mut Fields<'_>) {
+            f.int("n", &mut self.0);
+        }
+    }
+
+    // Written by hand in the format the retrying supervisor wrote: an
+    // `ok` entry at attempt 1, and a `failed` entry at attempt 3 whose
+    // payload carries the retry count.
+    let journal = tmp("compat");
+    std::fs::write(
+        &journal,
+        concat!(
+            r#"{"schema":"specpersist/journal-v1","key":"compat/ok","attempt":1,"status":"ok","hash":"f9d75069cfc984c0","payload":"{\"n\":42}"}"#,
+            "\n",
+            r#"{"schema":"specpersist/journal-v1","key":"compat/failed","attempt":3,"status":"failed","hash":"811a64fdbc9368f9","payload":"{\"key\":\"compat/failed\",\"attempts\":3,\"reason\":\"panic: down\",\"snapshot\":null}"}"#,
+            "\n",
+        ),
+    )
+    .expect("write journal");
+    // Both lines verify at open.
+    let (entries, damage) = Journal::verify(&journal).expect("verify");
+    assert_eq!((entries, damage.len()), (2, 0), "{damage:?}");
+    let j = Journal::open(&journal).expect("open");
+    assert!(j.corrupt().is_empty(), "{:?}", j.corrupt());
+
+    let computed = AtomicU32::new(0);
+    let outs = Supervisor::new(1, Some(&j)).run_cells(
+        &["compat/ok", "compat/failed"],
+        |_, k| k.to_string(),
+        |_, _| {
+            computed.fetch_add(1, Ordering::SeqCst);
+            Ok(N(7))
+        },
+        |_| N(0),
+    );
+    // The `ok` cell replays.
+    assert!(outs[0].replayed);
+    assert_eq!(outs[0].result, Ok(N(42)));
+    // The old failure record is a typed bad payload, and its cell
+    // recomputes.
+    assert!(!outs[1].replayed);
+    assert_eq!(outs[1].result, Ok(N(7)));
+    assert_eq!(
+        computed.load(Ordering::SeqCst),
+        1,
+        "only the failed cell recomputes"
+    );
+    let errs = j.corrupt();
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert!(
+        matches!(&errs[0], JournalError::BadPayload { key, .. } if key == "compat/failed"),
+        "{errs:?}"
+    );
+    drop(j);
     std::fs::remove_file(&journal).expect("cleanup");
 }
