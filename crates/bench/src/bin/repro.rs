@@ -99,11 +99,6 @@
 //!              journal instead of recomputing them; the resumed stdout
 //!              is byte-identical to an uninterrupted run's
 //!   --iters N  (soak) iteration count (default 4)
-//!   --storm-bound N  (multicore) conflict-storm rollback budget per
-//!              trace position before a core degrades to a typed
-//!              ConflictStorm error (default 64; must be at least 1 —
-//!              a zero budget would fail on the first legitimate
-//!              conflict rollback)
 //!   --model-knob K  (litmus; test-only) weaken one Px86 rule —
 //!              `honest` (default) or `clflushopt-po` (pretend
 //!              clflushopt is program-ordered like clflush); under a
@@ -137,19 +132,17 @@ use spp_bench::study::{staged, StudyCli, StudyError, StudyReport, StudyRunner};
 use spp_bench::{BenchRun, Experiment, Harness, Journal};
 use spp_workloads::BenchId;
 
-const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--storm-bound N] [--trace-out PATH]; repro journal check <PATH>";
+const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--trace-out PATH]; repro journal check <PATH>";
 
 /// [`Command::flags`] bit: `--journal` and `--resume` (the command
 /// runs its cells on a result journal).
 const JOURNAL: u8 = 1;
 /// [`Command::flags`] bit: `--iters`.
 const ITERS: u8 = 1 << 1;
-/// [`Command::flags`] bit: `--storm-bound`.
-const STORM_BOUND: u8 = 1 << 2;
 /// [`Command::flags`] bit: `--model-knob`.
-const MODEL_KNOB: u8 = 1 << 3;
+const MODEL_KNOB: u8 = 1 << 2;
 /// [`Command::flags`] bit: `--trace-out`.
-const TRACE_OUT: u8 = 1 << 4;
+const TRACE_OUT: u8 = 1 << 3;
 
 /// One `repro` command: everything parsing, the scope check and
 /// dispatch know about it.
@@ -185,7 +178,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "flushmode",   takes: 0, flags: 0,                     in_all: true,  run: |c| stage(c, "flush-mode ablation", report::flushmode) },
     Command { name: "trace",       takes: 2, flags: 0,                     in_all: false, run: trace_cmd },
     Command { name: "json",        takes: 0, flags: 0,                     in_all: false, run: |c| print_ok(&format!("{}\n", spp_bench::json::suite_json(suite(c)))) },
-    Command { name: "multicore",   takes: 0, flags: JOURNAL | STORM_BOUND, in_all: false, run: multicore_cmd },
+    Command { name: "multicore",   takes: 0, flags: JOURNAL,               in_all: false, run: multicore_cmd },
     Command { name: "litmus",      takes: 0, flags: JOURNAL | MODEL_KNOB,  in_all: false, run: litmus_cmd },
     Command { name: "kv",          takes: 0, flags: JOURNAL,               in_all: false, run: kv_cmd },
     Command { name: "optimize",    takes: 2, flags: JOURNAL,               in_all: false, run: optimize_cmd },
@@ -269,7 +262,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, multicore, litmus, kv, optimize; --iters: soak; --storm-bound: multicore; --model-knob: litmus; --trace-out: profile)")
+                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, multicore, litmus, kv, optimize; --iters: soak; --model-knob: litmus; --trace-out: profile)")
             }
             CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
             CliError::Study(e) => write!(f, "{e}"),
@@ -313,7 +306,6 @@ struct Cli {
     jobs: usize,
     study: StudyCli,
     iters: Option<u64>,
-    storm_bound: Option<u64>,
     model_knob: Option<ModelKnob>,
     trace_out: Option<String>,
     positional: Vec<String>,
@@ -335,7 +327,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut study = StudyCli::default();
     let mut iters: Option<u64> = None;
-    let mut storm_bound: Option<u64> = None;
     let mut model_knob: Option<ModelKnob> = None;
     let mut trace_out: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
@@ -416,18 +407,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 )?);
                 i += 2;
             }
-            "--storm-bound" => {
-                // A zero budget would degrade a core on its first
-                // legitimate conflict rollback, so the floor is 1.
-                storm_bound = Some(flag_value(
-                    "--storm-bound",
-                    args,
-                    i,
-                    1,
-                    "an integer of at least 1",
-                )?);
-                i += 2;
-            }
             "--model-knob" => {
                 let given = args.get(i + 1).cloned().unwrap_or_default();
                 model_knob = Some(ModelKnob::parse(&given).ok_or(CliError::BadValue {
@@ -452,7 +431,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         jobs,
         study,
         iters,
-        storm_bound,
         model_knob,
         trace_out,
         positional,
@@ -477,7 +455,6 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
         ("--journal", JOURNAL, cli.study.journal.is_some()),
         ("--resume", JOURNAL, cli.study.resume),
         ("--iters", ITERS, cli.iters.is_some()),
-        ("--storm-bound", STORM_BOUND, cli.storm_bound.is_some()),
         ("--model-knob", MODEL_KNOB, cli.model_knob.is_some()),
         ("--trace-out", TRACE_OUT, cli.trace_out.is_some()),
     ];
@@ -729,18 +706,10 @@ fn faultsim_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
 /// `specpersist/multicore-v1` JSON line. With a journal, completed
 /// cells are recorded and `--resume` replays them byte-identically.
 /// Exits non-zero if any cell degraded, the contended SP legs produced
-/// no BLT conflicts, or a disjoint leg conflicted. `--storm-bound`
-/// tightens (or loosens) each core's conflict-storm rollback budget.
+/// no BLT conflicts, or a disjoint leg conflicted.
 fn multicore_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    use spp_bench::multicore::{run_multicore_opts, MulticoreOpts};
     study(c, |j| {
-        run_multicore_opts(
-            c.harness,
-            MulticoreOpts {
-                journal: j,
-                storm_bound: c.cli.storm_bound,
-            },
-        )
+        spp_bench::multicore::run_multicore_opts(c.harness, j)
     })
 }
 
@@ -1057,6 +1026,7 @@ mod tests {
             &["all", "--bench-out", "b.json"],
             &["optimize", "LL", "logpsf", "--bench-out", "b.json"],
             &["fig8", "--trace-mem-cap", "1"],
+            &["multicore", "--storm-bound", "8"],
         ] {
             let flag = words.iter().find(|w| w.starts_with("--")).unwrap();
             assert_eq!(
@@ -1176,36 +1146,6 @@ mod tests {
         let cli = parse_args(&args(&["soak", "--iters", "3"])).unwrap();
         assert_eq!(cli.iters, Some(3));
         assert!(check_flag_scope(&cli).is_ok());
-    }
-
-    #[test]
-    fn storm_bound_parses_validates_and_scopes_to_multicore() {
-        let cli = parse_args(&args(&["multicore", "--storm-bound", "8"])).unwrap();
-        assert_eq!(cli.storm_bound, Some(8));
-        assert!(check_flag_scope(&cli).is_ok());
-        // Zero (and junk) budgets are typed errors, not panics.
-        for bad in ["0", "-1", "lots", ""] {
-            let e = parse_args(&args(&["multicore", "--storm-bound", bad])).unwrap_err();
-            assert!(
-                matches!(
-                    e,
-                    CliError::BadValue {
-                        flag: "--storm-bound",
-                        ..
-                    }
-                ),
-                "--storm-bound {bad:?} gave {e:?}"
-            );
-        }
-        // The flag means nothing outside the multicore study.
-        let cli = parse_args(&args(&["faultsim", "--storm-bound", "8"])).unwrap();
-        assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
-            CliError::FlagUnsupported {
-                flag: "--storm-bound",
-                cmd: "faultsim",
-            }
-        );
     }
 
     #[test]

@@ -474,9 +474,9 @@ impl FuzzReport {
             o.str("bench", c.id.abbrev())
                 .str("variant", variant_key(c.variant))
                 .str("flush", c.mode.mnemonic())
-                .num("events", c.events as f64)
-                .num("points", c.points as f64)
-                .num("checks", c.checks as f64)
+                .int("events", c.events as u64)
+                .int("points", c.points as u64)
+                .int("checks", c.checks as u64)
                 .str(
                     "expectation",
                     if c.expect_violation {
@@ -485,7 +485,7 @@ impl FuzzReport {
                         "recovery"
                     },
                 )
-                .num("ok", u8::from(c.ok));
+                .int("ok", c.ok.into());
             let wit = |w: &Witness| json::encode(&Reported(w.clone()));
             if let Some(w) = &c.witness {
                 o.raw("witness", wit(w));
@@ -498,17 +498,17 @@ impl FuzzReport {
         let sp = self.sp.iter().map(|r| {
             let mut o = JsonObject::new();
             o.str("bench", r.id.abbrev())
-                .num("trace_uops", r.trace_uops as f64)
-                .num("base_uops", r.base_uops as f64)
-                .num("sp_uops", r.sp_uops as f64)
-                .num("ok", u8::from(r.ok));
+                .int("trace_uops", r.trace_uops)
+                .int("base_uops", r.base_uops)
+                .int("sp_uops", r.sp_uops)
+                .int("ok", r.ok.into());
             o.render()
         });
         crate::schema::emit(crate::schema::CRASHFUZZ, |root| {
-            root.num("scale", self.exp.scale as f64)
-                .num("seed", self.exp.seed as f64)
-                .num("seeds_per_point", self.seeds_per_point as f64)
-                .num("ok", u8::from(self.ok()))
+            root.int("scale", self.exp.scale)
+                .int("seed", self.exp.seed)
+                .int("seeds_per_point", self.seeds_per_point)
+                .int("ok", self.ok().into())
                 .raw("cells", array(cells))
                 .raw("sp", array(sp));
         })

@@ -618,13 +618,13 @@ impl FaultReport {
     pub fn render_json(&self) -> String {
         let plan_list = plans(self.exp.seed).into_iter().map(|(name, spec)| {
             let mut o = JsonObject::new();
-            o.str("name", name).num("seed", spec.seed as f64);
+            o.str("name", name).int("seed", spec.seed);
             o.render()
         });
         crate::schema::emit(crate::schema::FAULTSIM, |root| {
-            root.num("scale", self.exp.scale as f64)
-                .num("seed", self.exp.seed as f64)
-                .num("ok", u8::from(self.ok()))
+            root.int("scale", self.exp.scale)
+                .int("seed", self.exp.seed)
+                .int("ok", self.ok().into())
                 .raw("plans", array(plan_list))
                 .raw("cells", array(self.cells.iter().map(json::encode)))
                 .raw("failures", array(self.failures.iter().map(json::encode)))

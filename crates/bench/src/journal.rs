@@ -31,12 +31,10 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use spp_core::hash64;
+use spp_pmem::hash64;
 
 use crate::json::{parse, Value};
-
-/// The journal line schema identifier (see [`crate::schema::JOURNAL`]).
-pub const JOURNAL_SCHEMA: &str = crate::schema::JOURNAL.id();
+use crate::schema::JOURNAL;
 
 /// The conventional journal location (relative to the working
 /// directory); `repro --journal` accepts any path.
@@ -100,7 +98,7 @@ impl fmt::Display for JournalError {
             JournalError::BadSchema { line, found } => {
                 write!(
                     f,
-                    "journal line {line}: schema {found:?} is not {JOURNAL_SCHEMA:?}"
+                    "journal line {line}: schema {found:?} is not {JOURNAL:?}"
                 )
             }
             JournalError::HashMismatch { line, key } => {
@@ -178,9 +176,9 @@ impl Entry {
 
     /// The entry as one journal line (newline-terminated).
     fn render(&self) -> String {
-        let mut line = crate::schema::emit(crate::schema::JOURNAL, |o| {
+        let mut line = crate::schema::emit(JOURNAL, |o| {
             o.str("key", &self.key)
-                .num("attempt", self.attempt)
+                .int("attempt", self.attempt.into())
                 .str("status", self.status.as_str())
                 .str("hash", &format!("{:016x}", self.checksum()))
                 .str("payload", &self.payload);
@@ -196,7 +194,7 @@ impl Entry {
             detail: e.to_string(),
         })?;
         let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-        if schema != JOURNAL_SCHEMA {
+        if schema != JOURNAL {
             return Err(JournalError::BadSchema {
                 line: line_no,
                 found: schema.to_string(),

@@ -25,9 +25,14 @@ impl JsonObject {
         Self::default()
     }
 
-    /// Adds a numeric field.
-    pub fn num(&mut self, key: &str, v: impl Into<f64>) -> &mut Self {
-        self.fields.push((key.to_string(), num_text(v.into())));
+    /// Adds an integer field, written exactly (no `f64` round trip).
+    pub fn int(&mut self, key: &str, v: u64) -> &mut Self {
+        self.raw(key, v.to_string())
+    }
+
+    /// Adds a fractional field; integers go through [`JsonObject::int`].
+    pub fn num(&mut self, key: &str, v: f64) -> &mut Self {
+        self.fields.push((key.to_string(), num_text(v)));
         self
     }
 
@@ -623,8 +628,8 @@ pub fn suite_json(runs: &[BenchRun]) -> String {
     let items = runs.iter().map(|r| {
         let mut o = JsonObject::new();
         o.str("bench", r.id.abbrev());
-        o.num("init_ops", r.spec.init_ops as f64);
-        o.num("sim_ops", r.spec.sim_ops as f64);
+        o.int("init_ops", r.spec.init_ops);
+        o.int("sim_ops", r.spec.sim_ops);
         for (name, v) in [
             ("base", &r.base),
             ("log", &r.log),
@@ -632,27 +637,24 @@ pub fn suite_json(runs: &[BenchRun]) -> String {
             ("logpsf", &r.logpsf),
         ] {
             let mut vo = JsonObject::new();
-            vo.num("cycles", v.sim.cpu.cycles as f64)
-                .num("uops", v.counts.total() as f64)
-                .num("fetch_stalls", v.sim.cpu.fetch_stall_cycles as f64)
-                .num("fence_stalls", v.sim.cpu.fence_stall_cycles as f64)
-                .num("pcommits", v.counts.pcommits as f64)
-                .num(
-                    "max_inflight_pcommits",
-                    v.sim.cpu.max_inflight_pcommits as f64,
-                )
+            vo.int("cycles", v.sim.cpu.cycles)
+                .int("uops", v.counts.total())
+                .int("fetch_stalls", v.sim.cpu.fetch_stall_cycles)
+                .int("fence_stalls", v.sim.cpu.fence_stall_cycles)
+                .int("pcommits", v.counts.pcommits)
+                .int("max_inflight_pcommits", v.sim.cpu.max_inflight_pcommits)
                 .num("stores_per_pcommit", v.sim.stores_per_pcommit());
             o.raw(name, vo.render());
         }
         let mut sp = JsonObject::new();
-        sp.num("cycles", r.sp256.cpu.cycles as f64)
-            .num("fetch_stalls", r.sp256.cpu.fetch_stall_cycles as f64)
-            .num("epochs", r.sp256.cpu.epochs as f64)
-            .num("ssb_high_water", r.sp256.ssb.high_water as f64)
+        sp.int("cycles", r.sp256.cpu.cycles)
+            .int("fetch_stalls", r.sp256.cpu.fetch_stall_cycles)
+            .int("epochs", r.sp256.cpu.epochs)
+            .int("ssb_high_water", r.sp256.ssb.high_water as u64)
             .num("bloom_fp_rate", r.sp256.bloom_false_positive_rate())
-            .num(
+            .int(
                 "checkpoint_high_water",
-                r.sp256.checkpoints.high_water as f64,
+                r.sp256.checkpoints.high_water as u64,
             );
         o.raw("sp256", sp.render());
         o.render()
@@ -671,6 +673,16 @@ mod tests {
         let mut o = JsonObject::new();
         o.num("a", 1.0).num("b", 2.5).str("c", "x\"y\\z");
         assert_eq!(o.render(), r#"{"a":1,"b":2.500000,"c":"x\"y\\z"}"#);
+    }
+
+    #[test]
+    fn integers_render_exactly() {
+        let mut o = JsonObject::new();
+        o.int("x", u64::MAX).int("y", (1 << 53) + 1);
+        assert_eq!(
+            o.render(),
+            r#"{"x":18446744073709551615,"y":9007199254740993}"#
+        );
     }
 
     #[test]

@@ -573,11 +573,11 @@ impl KvReport {
     /// The study as one `specpersist/kv-v1` document.
     pub fn render_json(&self) -> String {
         schema::emit(schema::KV, |root| {
-            root.num("scale", self.scale as f64)
-                .raw("seed", self.seed.to_string())
-                .num("crash_seeds", SEEDS_PER_POINT as f64)
-                .num("stream_chunk_ops", STREAM_CHUNK_OPS as f64)
-                .num("ok", u8::from(self.ok()))
+            root.int("scale", self.scale)
+                .int("seed", self.seed)
+                .int("crash_seeds", SEEDS_PER_POINT)
+                .int("stream_chunk_ops", STREAM_CHUNK_OPS)
+                .int("ok", self.ok().into())
                 .raw("cells", json::array(self.cells.iter().map(json::encode)));
         })
     }

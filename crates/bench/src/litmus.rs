@@ -8,11 +8,13 @@
 //! against the allowed envelope, and the two SP differentials proving
 //! speculation never widens a reachable set).
 //!
-//! A failing cell becomes a per-cell `failed` record whose payload
-//! carries the full cell outcome — including the lexicographically
-//! minimized `(interleaving, crash_idx, seed)` witness — so a journaled
-//! run resumes byte-identically and the report can still print the
-//! counterexample. Cells fan out over the [`Supervisor`]; `--jobs`
+//! Every checked cell, passing or failing, is one journaled result
+//! whose `ok` flags and lexicographically minimized `(interleaving,
+//! crash_idx, seed)` witness carry the verdict, so a journaled run
+//! resumes byte-identically and the report can still print the
+//! counterexample; the JSON `failed` list names each failing cell once.
+//! A cell that panics becomes a cell carrying the panic as its
+//! simulation error. Cells fan out over the [`Supervisor`]; `--jobs`
 //! changes wall time only.
 //!
 //! The `knob` option weakens one model rule (test-only; see
@@ -27,7 +29,7 @@ use spp_workloads::litmus::LitmusProgram;
 use crate::journal::Journal;
 use crate::json::{self, array, Fields, Record};
 use crate::schema;
-use crate::supervisor::{CellError, CellFailure, Supervisor};
+use crate::supervisor::{settle, CellFailure, Supervisor};
 use crate::{Experiment, Harness};
 
 /// One checked cell's outcome (re-exported so the CLI and tests can
@@ -59,22 +61,6 @@ pub struct LitmusOpts<'j> {
     pub knob: ModelKnob,
 }
 
-/// One row of the report: the cell's journal key plus its outcome —
-/// and, for a cell that reached a forbidden state, the degraded
-/// [`CellFailure`] record carrying the witness-bearing snapshot.
-#[derive(Debug, Clone)]
-pub struct CellRow {
-    /// The cell's journal key.
-    pub key: String,
-    /// Served from the journal without recomputation?
-    pub replayed: bool,
-    /// The decoded cell outcome (`None` only if a failed cell's
-    /// snapshot payload does not decode).
-    pub cell: Option<LitmusCell>,
-    /// The per-cell failure record, for a cell whose check failed.
-    pub failure: Option<CellFailure>,
-}
-
 /// The full `repro litmus` result set.
 #[derive(Debug, Clone)]
 pub struct LitmusReport {
@@ -87,7 +73,7 @@ pub struct LitmusReport {
     /// Programs swept (catalog + generated).
     pub programs: usize,
     /// Every cell, in `(program, flush-mode)` matrix order.
-    pub cells: Vec<CellRow>,
+    pub cells: Vec<LitmusCell>,
     /// Cells served from the journal without recomputation.
     pub replayed: usize,
 }
@@ -188,49 +174,16 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
     let outs = Supervisor::new(h.jobs, opts.journal).run_cells(
         &items,
         |_, &(pi, mode)| cell_key(&programs[pi].name, mode, knob),
-        |_, &(pi, mode)| {
-            let out = check_cell(&programs[pi], mode, knob);
-            if out.ok() {
-                Ok(out)
-            } else {
-                // A forbidden state is a per-cell failed record, not a
-                // panic: the snapshot carries the whole outcome so the
-                // minimized witness survives the journal.
-                Err(CellError {
-                    reason: fail_reason(&out),
-                    snapshot: Some(json::encode(&out)),
-                })
-            }
-        },
+        |_, &(pi, mode)| Ok(check_cell(&programs[pi], mode, knob)),
         |&(pi, mode)| blank(&programs[pi], mode, knob),
     );
-    let mut replayed = 0;
-    let cells = outs
-        .into_iter()
-        .zip(&items)
-        .map(|(o, &(pi, mode))| {
-            if o.replayed {
-                replayed += 1;
-            }
-            match o.result {
-                Ok(c) => CellRow {
-                    key: o.key,
-                    replayed: o.replayed,
-                    cell: Some(c),
-                    failure: None,
-                },
-                Err(f) => CellRow {
-                    key: o.key,
-                    replayed: o.replayed,
-                    cell: f
-                        .snapshot
-                        .as_deref()
-                        .and_then(|p| json::decode(blank(&programs[pi], mode, knob), p)),
-                    failure: Some(f),
-                },
-            }
-        })
-        .collect();
+    let (cells, replayed) = settle(outs, |i, f| {
+        let (pi, mode) = items[i];
+        LitmusCell {
+            sim_error: Some(f.reason),
+            ..blank(&programs[pi], mode, knob)
+        }
+    });
     LitmusReport {
         scale: h.exp.scale,
         seed: h.exp.seed,
@@ -244,14 +197,12 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
 impl LitmusReport {
     /// Did every cell pass all seven legs?
     pub fn ok(&self) -> bool {
-        self.cells
-            .iter()
-            .all(|r| r.failure.is_none() && r.cell.as_ref().is_some_and(LitmusCell::ok))
+        self.cells.iter().all(LitmusCell::ok)
     }
 
     /// Cells that reached a forbidden state (or degraded).
     pub fn failed(&self) -> usize {
-        self.cells.iter().filter(|r| r.failure.is_some()).count()
+        self.cells.iter().filter(|c| !c.ok()).count()
     }
 
     /// The human-readable report (deterministic; stdout-destined).
@@ -270,12 +221,7 @@ impl LitmusReport {
             "{:<24} {:<11} {:>6} {:>8} {:>8}  verdict",
             "program", "flush", "ileav", "allowed", "reached"
         );
-        for r in &self.cells {
-            let Some(c) = &r.cell else {
-                let reason = r.failure.as_ref().map_or("unknown", |f| f.reason.as_str());
-                let _ = writeln!(s, "{:<24} FAIL: {}", r.key, reason);
-                continue;
-            };
+        for c in &self.cells {
             let verdict = if c.ok() {
                 "ok: reachable \u{2286} allowed, SP \u{2286} baseline".to_string()
             } else if let Some(w) = &c.witness {
@@ -315,21 +261,20 @@ impl LitmusReport {
 
     /// The study as one `specpersist/litmus-v1` document.
     pub fn render_json(&self) -> String {
-        let cells = self
-            .cells
-            .iter()
-            .filter_map(|r| r.cell.as_ref().map(json::encode));
-        let failed = self
-            .cells
-            .iter()
-            .filter_map(|r| r.failure.as_ref().map(json::encode));
+        let failed = self.cells.iter().filter(|c| !c.ok()).map(|c| {
+            json::encode(&CellFailure {
+                key: cell_key(&c.program, c.mode, c.knob),
+                reason: fail_reason(c),
+                snapshot: None,
+            })
+        });
         schema::emit(schema::LITMUS, |root| {
-            root.num("scale", self.scale as f64)
-                .num("seed", self.seed as f64)
+            root.int("scale", self.scale)
+                .int("seed", self.seed)
                 .str("knob", self.knob.key())
-                .num("programs", self.programs as f64)
-                .num("ok", u8::from(self.ok()))
-                .raw("cells", array(cells))
+                .int("programs", self.programs as u64)
+                .int("ok", self.ok().into())
+                .raw("cells", array(self.cells.iter().map(json::encode)))
                 .raw("failed", array(failed));
         })
     }
@@ -360,7 +305,6 @@ mod tests {
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
         let doc = a.render_json();
-        schema::validate(&doc, schema::LITMUS).unwrap();
         assert!(doc.starts_with("{\"schema\":\"specpersist/litmus-v1\""));
         assert!(a.render_text().contains("litmus: PASS"));
     }
@@ -376,32 +320,38 @@ mod tests {
         );
         assert!(!rep.ok(), "the weakened model must be caught");
         assert!(rep.failed() > 0);
-        // The knob trap fails on the weak-flush modes and its failed
-        // record still carries the minimized witness.
-        let trap: Vec<&CellRow> = rep
+        // The knob trap fails on the weak-flush modes and the failing
+        // cell carries the minimized witness.
+        let trap: Vec<&LitmusCell> = rep
             .cells
             .iter()
-            .filter(|r| r.key.contains("/knob-trap/"))
+            .filter(|c| c.program == "knob-trap")
             .collect();
         assert_eq!(trap.len(), 3);
-        for r in trap {
-            let c = r.cell.as_ref().unwrap();
+        for c in trap {
             if c.mode == FlushMode::Clflush {
                 // The serializing flush really is program-ordered, so
                 // the knob is a no-op there.
-                assert!(r.failure.is_none(), "{}", r.key);
+                assert!(c.ok(), "{}", c.mode.mnemonic());
             } else {
-                let f = r.failure.as_ref().unwrap();
-                assert!(f.reason.contains("forbidden state"), "{}", f.reason);
+                assert!(fail_reason(c).contains("forbidden state"));
                 let w = c.witness.as_ref().unwrap();
                 assert_eq!(w.leg, "crashsim");
                 assert!(w.seed.is_some());
                 assert_eq!(w.state[0], 0, "x must be stale in the witness");
             }
         }
-        let doc = rep.render_json();
-        schema::validate(&doc, schema::LITMUS).unwrap();
-        assert!(doc.contains("\"failed\":[{"));
+        // `failed` names each failing cell once, by key and reason; the
+        // cell itself appears only in `cells`.
+        let doc = json::parse(&rep.render_json()).unwrap();
+        let failed = doc.get("failed").and_then(json::Value::as_arr).unwrap();
+        assert_eq!(failed.len(), rep.failed());
+        for f in failed {
+            let key = f.get("key").and_then(json::Value::as_str).unwrap();
+            assert!(key.starts_with("litmus/clflushopt-po/"), "{key}");
+            assert!(f.get("reason").and_then(json::Value::as_str).is_some());
+            assert_eq!(f.get("snapshot"), Some(&json::Value::Null));
+        }
         assert!(rep.render_text().contains("litmus: FAIL"));
     }
 

@@ -21,7 +21,7 @@
 //! cell that panics degrades the same way instead of aborting the
 //! study.
 
-use spp_cpu::{CpuConfig, MultiCore, DEFAULT_STORM_BOUND};
+use spp_cpu::{CpuConfig, MultiCore};
 use spp_workloads::{shared_trace, SharedKind, SharedSpec};
 
 use crate::json::{self, Fields, Record};
@@ -140,23 +140,10 @@ pub struct MulticoreReport {
     pub seed: u64,
     /// Operations per core.
     pub ops_per_core: u64,
-    /// Conflict-storm budget in effect ([`DEFAULT_STORM_BOUND`] unless
-    /// overridden with `--storm-bound`).
-    pub storm_bound: u64,
     /// Every cell, in [`CellSpec::all`] order.
     pub cells: Vec<MulticoreCell>,
     /// Cells served from the journal without recomputation.
     pub replayed: usize,
-}
-
-/// Options for [`run_multicore_opts`].
-#[derive(Debug, Default)]
-pub struct MulticoreOpts<'j> {
-    /// Journal completed cells here and replay them on re-runs.
-    pub journal: Option<&'j Journal>,
-    /// Conflict-storm budget override (`repro multicore
-    /// --storm-bound N`); `None` uses [`DEFAULT_STORM_BOUND`].
-    pub storm_bound: Option<u64>,
 }
 
 /// Operations per core at `scale` (floored so tiny smoke scales still
@@ -165,31 +152,21 @@ fn ops_at(scale: u64) -> u64 {
     (scale / 10).max(24)
 }
 
-fn cell_key(spec: &CellSpec, scale: u64, seed: u64, storm_bound: u64) -> String {
-    // A non-default storm bound changes what a cell can report (a
-    // tighter budget turns a slow-but-converging run into a typed
-    // ConflictStorm), so it must be part of the key; the default is
-    // left out to keep existing journals replayable.
-    let storm = if storm_bound == DEFAULT_STORM_BOUND {
-        String::new()
-    } else {
-        format!("/storm{storm_bound}")
-    };
+fn cell_key(spec: &CellSpec, scale: u64, seed: u64) -> String {
     format!(
-        "multicore/{}/{}/c{}/{}/scale{}/seed{:#x}{}",
+        "multicore/{}/{}/c{}/{}/scale{}/seed{:#x}",
         spec.kind.key(),
         spec.leg(),
         spec.cores,
         spec.variant(),
         scale,
-        seed,
-        storm
+        seed
     )
 }
 
 /// Simulates one cell. Never panics: a typed simulation failure
 /// becomes a failed cell carrying the error JSON.
-fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64, storm_bound: u64) -> MulticoreCell {
+fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64) -> MulticoreCell {
     let shared = SharedSpec {
         ops_per_core,
         share_pm: if spec.contended {
@@ -210,7 +187,7 @@ fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64, storm_bound: u64) -> 
     };
     let mut cell = MulticoreCell::empty(*spec, ops_per_core);
     let built = match MultiCore::try_new(&refs, cfg) {
-        Ok(m) => m.with_storm_bound(storm_bound),
+        Ok(m) => m,
         Err(e) => {
             cell.error = Some(format!("construct: {e}"));
             return cell;
@@ -257,16 +234,15 @@ impl Record for MulticoreCell {
 }
 
 /// Runs the scaling study: every [`CellSpec::all`] cell on the
-/// supervised pool, journaled when `opts.journal` is attached.
-pub fn run_multicore_opts(h: &Harness, opts: MulticoreOpts<'_>) -> MulticoreReport {
+/// supervised pool, journaled when `journal` is attached.
+pub fn run_multicore_opts(h: &Harness, journal: Option<&Journal>) -> MulticoreReport {
     let (scale, seed) = (h.exp.scale, h.exp.seed);
-    let storm_bound = opts.storm_bound.unwrap_or(DEFAULT_STORM_BOUND);
     let ops_per_core = ops_at(scale);
     let specs = CellSpec::all();
-    let outcomes = Supervisor::new(h.jobs, opts.journal).run_cells(
+    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
         &specs,
-        |_, spec| cell_key(spec, scale, seed, storm_bound),
-        |_, spec| Ok(run_cell(spec, ops_per_core, seed, storm_bound)),
+        |_, spec| cell_key(spec, scale, seed),
+        |_, spec| Ok(run_cell(spec, ops_per_core, seed)),
         |spec| MulticoreCell::empty(*spec, ops_per_core),
     );
     let (cells, replayed) = settle(outcomes, |i, f| MulticoreCell {
@@ -277,7 +253,6 @@ pub fn run_multicore_opts(h: &Harness, opts: MulticoreOpts<'_>) -> MulticoreRepo
         scale,
         seed,
         ops_per_core,
-        storm_bound,
         cells,
         replayed,
     }
@@ -337,15 +312,6 @@ impl MulticoreReport {
             "{} ops/core, contended leg shares {}\u{2030} of ops, seed {:#x}",
             self.ops_per_core, CONTENDED_SHARE_PM, self.seed
         );
-        // The default budget is left unprinted so journaled replays of
-        // pre-override runs stay byte-identical.
-        if self.storm_bound != DEFAULT_STORM_BOUND {
-            let _ = writeln!(
-                s,
-                "conflict-storm budget {} (default {})",
-                self.storm_bound, DEFAULT_STORM_BOUND
-            );
-        }
         let _ = writeln!(s);
         for kind in SharedKind::ALL {
             for contended in [true, false] {
@@ -420,20 +386,14 @@ impl MulticoreReport {
     /// The study as one `specpersist/multicore-v1` document.
     pub fn render_json(&self) -> String {
         schema::emit(schema::MULTICORE, |root| {
-            root.num("scale", self.scale as f64)
-                .num("seed", self.seed as f64)
-                .num("ops_per_core", self.ops_per_core as f64)
-                .num("contended_share_pm", f64::from(CONTENDED_SHARE_PM));
-            if self.storm_bound != DEFAULT_STORM_BOUND {
-                root.num("storm_bound", self.storm_bound as f64);
-            }
-            root.num(
-                "contended_sp_conflicts",
-                self.contended_sp_conflicts() as f64,
-            )
-            .num("disjoint_conflicts", self.disjoint_conflicts() as f64)
-            .num("ok", u8::from(self.ok()))
-            .raw("cells", json::array(self.cells.iter().map(json::encode)));
+            root.int("scale", self.scale)
+                .int("seed", self.seed)
+                .int("ops_per_core", self.ops_per_core)
+                .int("contended_share_pm", CONTENDED_SHARE_PM.into())
+                .int("contended_sp_conflicts", self.contended_sp_conflicts())
+                .int("disjoint_conflicts", self.disjoint_conflicts())
+                .int("ok", self.ok().into())
+                .raw("cells", json::array(self.cells.iter().map(json::encode)));
         })
     }
 }
@@ -456,7 +416,7 @@ mod tests {
 
     #[test]
     fn study_finds_conflicts_only_where_sharing_exists() {
-        let rep = run_multicore_opts(&harness(), MulticoreOpts::default());
+        let rep = run_multicore_opts(&harness(), None);
         assert_eq!(rep.cells.len(), CellSpec::all().len());
         assert!(rep.cells.iter().all(|c| c.ok), "no cell may degrade");
         assert!(
@@ -476,42 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn storm_bound_override_is_reported_and_keyed() {
-        let h = harness();
-        let rep = run_multicore_opts(
-            &h,
-            MulticoreOpts {
-                storm_bound: Some(1),
-                ..Default::default()
-            },
-        );
-        assert_eq!(rep.storm_bound, 1);
-        assert!(rep.render_text().contains("conflict-storm budget 1"));
-        assert!(rep.render_json().contains("\"storm_bound\":1"));
-        // A non-default budget gets its own journal namespace so it can
-        // never replay a default-budget campaign's cells.
-        assert!(cell_key(&CellSpec::all()[0], h.exp.scale, h.exp.seed, 1).ends_with("/storm1"));
-        // The default budget keeps the pre-flag wire format (and so the
-        // pre-flag goldens and journals) byte-for-byte.
-        let rep = run_multicore_opts(&h, MulticoreOpts::default());
-        assert_eq!(rep.storm_bound, DEFAULT_STORM_BOUND);
-        assert!(!rep.render_json().contains("storm_bound"));
-        assert!(!rep.render_text().contains("conflict-storm budget"));
-        assert!(!cell_key(
-            &CellSpec::all()[0],
-            h.exp.scale,
-            h.exp.seed,
-            DEFAULT_STORM_BOUND
-        )
-        .contains("/storm"));
-    }
-
-    #[test]
     fn jobs_do_not_change_the_bytes() {
         let h1 = Harness::new(harness().exp, 1);
         let h8 = Harness::new(harness().exp, 8);
-        let a = run_multicore_opts(&h1, MulticoreOpts::default());
-        let b = run_multicore_opts(&h8, MulticoreOpts::default());
+        let a = run_multicore_opts(&h1, None);
+        let b = run_multicore_opts(&h8, None);
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
     }
@@ -527,24 +456,12 @@ mod tests {
         let h = harness();
         let (text, json) = {
             let j = Journal::open(&p).unwrap();
-            let rep = run_multicore_opts(
-                &h,
-                MulticoreOpts {
-                    journal: Some(&j),
-                    ..Default::default()
-                },
-            );
+            let rep = run_multicore_opts(&h, Some(&j));
             assert_eq!(rep.replayed, 0, "first run computes everything");
             (rep.render_text(), rep.render_json())
         };
         let j = Journal::open(&p).unwrap();
-        let rep = run_multicore_opts(
-            &h,
-            MulticoreOpts {
-                journal: Some(&j),
-                ..Default::default()
-            },
-        );
+        let rep = run_multicore_opts(&h, Some(&j));
         assert_eq!(rep.replayed, rep.cells.len(), "every cell replays");
         assert_eq!(rep.render_text(), text, "replayed stdout byte-identical");
         assert_eq!(rep.render_json(), json);

@@ -848,11 +848,11 @@ impl OptimizeReport {
         schema::emit(schema::OPTIMIZE, |root| {
             root.str("bench", self.id.abbrev())
                 .str("variant", variant_key(self.variant))
-                .num("scale", self.scale as f64)
-                .raw("seed", self.seed.to_string())
-                .num("seeds_per_point", SEEDS_PER_POINT as f64)
-                .num("elisions", self.elisions() as f64)
-                .num("ok", u8::from(self.ok()));
+                .int("scale", self.scale)
+                .int("seed", self.seed)
+                .int("seeds_per_point", SEEDS_PER_POINT)
+                .int("elisions", self.elisions())
+                .int("ok", self.ok().into());
             let mut diff = JsonObject::new();
             for core in ReplayCore::ALL {
                 diff.raw(

@@ -239,10 +239,10 @@ impl ProfileReport {
         crate::schema::emit(crate::schema::PROFILE, |root| {
             root.str("bench", self.id.abbrev())
                 .str("variant", variant_key(self.variant))
-                .num("scale", self.exp.scale as f64)
-                .num("seed", self.exp.seed as f64)
-                .num("uops", self.trace_uops as f64)
-                .num("ok", u8::from(self.ok()))
+                .int("scale", self.exp.scale)
+                .int("seed", self.exp.seed)
+                .int("uops", self.trace_uops)
+                .int("ok", self.ok().into())
                 .raw("cells", array(self.cells.iter().map(cell_json)));
         })
     }
@@ -282,14 +282,14 @@ fn latency_text(l: &LatencySummary) -> String {
 
 fn stat_json(o: &mut JsonObject, key: &str, v: Option<u64>) {
     match v {
-        Some(x) => o.num(key, x as f64),
+        Some(x) => o.int(key, x),
         None => o.raw(key, "null".to_string()),
     };
 }
 
 fn latency_json(l: &LatencySummary) -> String {
     let mut o = JsonObject::new();
-    o.num("count", l.count as f64).num("mean", l.mean);
+    o.int("count", l.count).num("mean", l.mean);
     stat_json(&mut o, "p50", l.p50);
     stat_json(&mut o, "p95", l.p95);
     stat_json(&mut o, "p99", l.p99);
@@ -299,10 +299,10 @@ fn latency_json(l: &LatencySummary) -> String {
 
 fn occupancy_json(o: &OccupancySummary) -> String {
     let mut j = JsonObject::new();
-    j.num("transitions", o.transitions as f64)
+    j.int("transitions", o.transitions)
         .num("mean", o.mean)
-        .num("high_water", o.high_water as f64)
-        .num("capacity", o.capacity as f64);
+        .int("high_water", o.high_water as u64)
+        .int("capacity", o.capacity as u64);
     j.render()
 }
 
@@ -310,17 +310,17 @@ fn cell_json(c: &ProfiledCell) -> String {
     let st = &c.summary.stalls;
     let mut stalls = JsonObject::new();
     stalls
-        .num("fence", st.fence as f64)
-        .num("ssb_full", st.ssb_full as f64)
-        .num("checkpoint_full", st.checkpoint_full as f64)
-        .num("backend", st.backend as f64)
-        .num("total", st.total() as f64)
-        .num("machine_total", c.machine_stall_cycles() as f64)
-        .num("coherent", u8::from(c.attribution_coherent()));
+        .int("fence", st.fence)
+        .int("ssb_full", st.ssb_full)
+        .int("checkpoint_full", st.checkpoint_full)
+        .int("backend", st.backend)
+        .int("total", st.total())
+        .int("machine_total", c.machine_stall_cycles())
+        .int("coherent", c.attribution_coherent().into());
     let mut o = JsonObject::new();
     o.str("config", c.config)
-        .num("cycles", c.sim.cpu.cycles as f64)
-        .num("committed_uops", c.sim.cpu.committed_uops as f64)
+        .int("cycles", c.sim.cpu.cycles)
+        .int("committed_uops", c.sim.cpu.committed_uops)
         .raw("stalls", stalls.render())
         .raw("pcommit_latency", latency_json(&c.summary.pcommit_latency))
         .raw("epoch_duration", latency_json(&c.summary.epoch_duration))
@@ -328,16 +328,13 @@ fn cell_json(c: &ProfiledCell) -> String {
         .raw("ssb", occupancy_json(&c.summary.ssb))
         .raw("wpq", occupancy_json(&c.summary.wpq))
         .raw("checkpoints", occupancy_json(&c.summary.checkpoints))
-        .num("epochs_begun", c.summary.epochs_begun as f64)
-        .num("epochs_committed", c.summary.epochs_committed as f64)
-        .num("rollbacks", c.summary.rollbacks as f64)
-        .num("pcommits", c.summary.pcommits as f64)
-        .num("spans", c.spans.len() as f64)
-        .num("spans_dropped", c.summary.spans_dropped as f64)
-        .num(
-            "dropped_out_of_order",
-            c.summary.dropped_out_of_order as f64,
-        );
+        .int("epochs_begun", c.summary.epochs_begun)
+        .int("epochs_committed", c.summary.epochs_committed)
+        .int("rollbacks", c.summary.rollbacks)
+        .int("pcommits", c.summary.pcommits)
+        .int("spans", c.spans.len() as u64)
+        .int("spans_dropped", c.summary.spans_dropped)
+        .int("dropped_out_of_order", c.summary.dropped_out_of_order);
     o.render()
 }
 
@@ -395,7 +392,11 @@ mod tests {
     fn json_line_carries_the_profile_schema() {
         let rep = run_profile(&smoke_harness(2), BenchId::HashMap, Variant::LogPSf);
         let j = rep.render_json();
-        let v = crate::schema::validate(&j, crate::schema::PROFILE).expect("must validate");
+        let v = crate::json::parse(&j).expect("must parse");
+        assert_eq!(
+            v.get("schema").and_then(crate::json::Value::as_str),
+            Some(crate::schema::PROFILE)
+        );
         assert_eq!(
             v.get("bench").and_then(crate::json::Value::as_str),
             Some("HM")

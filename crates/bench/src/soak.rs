@@ -140,15 +140,15 @@ pub fn run_soak(exp: &Experiment, jobs: usize, iters: u64, journal: &Journal) ->
 
 fn row_json(r: &SoakIter) -> String {
     let mut o = JsonObject::new();
-    o.num("iter", r.iter as f64)
-        .num("seed", r.seed as f64)
-        .num("faultsim_ok", u8::from(r.faultsim_ok))
-        .num("cells", r.cells as f64)
-        .num("failures", r.failures as f64)
-        .num("fuzz_ok", u8::from(r.fuzz_ok))
-        .num("journal_entries", r.journal_entries as f64)
-        .num("journal_corrupt", r.journal_corrupt as f64)
-        .num("ok", u8::from(r.ok()));
+    o.int("iter", r.iter)
+        .int("seed", r.seed)
+        .int("faultsim_ok", r.faultsim_ok.into())
+        .int("cells", r.cells as u64)
+        .int("failures", r.failures as u64)
+        .int("fuzz_ok", r.fuzz_ok.into())
+        .int("journal_entries", r.journal_entries as u64)
+        .int("journal_corrupt", r.journal_corrupt as u64)
+        .int("ok", r.ok().into());
     o.render()
 }
 
@@ -211,10 +211,10 @@ impl SoakReport {
     /// The machine-readable report.
     pub fn render_json(&self) -> String {
         crate::schema::emit(crate::schema::SOAK, |root| {
-            root.num("scale", self.exp.scale as f64)
-                .num("seed", self.exp.seed as f64)
-                .num("iters", self.iters as f64)
-                .num("ok", u8::from(self.ok()))
+            root.int("scale", self.exp.scale)
+                .int("seed", self.exp.seed)
+                .int("iters", self.iters)
+                .int("ok", self.ok().into())
                 .raw("rows", array(self.rows.iter().map(row_json)));
         })
     }
@@ -261,6 +261,12 @@ mod tests {
         let json = rep.render_json();
         assert!(json.contains("\"schema\":\"specpersist/soak-v1\""));
         crate::json::parse(&json).expect("report must parse");
+        // Each row prints its seed exactly, so the iteration replays
+        // from the report alone (an `f64` round trip would round it).
+        for i in 0..2 {
+            let seed = format!("\"iter\":{i},\"seed\":{},", iter_seed(&exp, i));
+            assert!(json.contains(&seed), "{seed} not in {json}");
+        }
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -61,46 +61,3 @@ pub use blt::{Blt, BltStats};
 pub use checkpoint::{Checkpoint, CheckpointBuffer, CheckpointId, CheckpointStats};
 pub use epoch::{Epoch, EpochManager, EpochState, NoCheckpointFree};
 pub use ssb::{Ssb, SsbConfig, SsbEntry, SsbFull, SsbOp, SsbStats, SSB_DESIGN_POINTS};
-
-/// The blessed import surface: `use spp_core::prelude::*;` pulls in the
-/// five SP hardware structures, their configs/stats, and the canonical
-/// deterministic mixing utilities — everything a harness or pipeline
-/// integration typically needs, without reaching into module paths.
-pub mod prelude {
-    pub use crate::bloom::{BloomFilter, BloomStats, PAPER_FILTER_BYTES};
-    pub use crate::blt::{Blt, BltStats};
-    pub use crate::checkpoint::{Checkpoint, CheckpointBuffer, CheckpointId, CheckpointStats};
-    pub use crate::epoch::{Epoch, EpochManager, EpochState, NoCheckpointFree};
-    pub use crate::ssb::{Ssb, SsbConfig, SsbEntry, SsbFull, SsbOp, SsbStats, SSB_DESIGN_POINTS};
-    pub use crate::{hash64, splitmix64};
-}
-
-/// The workspace's shared deterministic mixing/hashing utilities.
-///
-/// One implementation serves every crate: adversarial writeback
-/// schedules (`spp-pmem`), per-site hardware-fault streams (`spp-mem`),
-/// seed derivation and journal checksums (`spp-bench`). The
-/// implementation lives in `spp-pmem` (the root of the dependency
-/// graph, so even the crates below `spp-core` can reach it); this is
-/// the canonical public re-export, and the test below pins the output
-/// stream so no copy can ever drift again.
-pub use spp_pmem::rng::{hash64, splitmix64};
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-mod rng_reexport_tests {
-    use super::{hash64, splitmix64};
-
-    /// The published SplitMix64 reference vector, pinned at the
-    /// canonical re-export: every crate that calls `splitmix64` — by
-    /// any path — mixes exactly this stream.
-    #[test]
-    fn canonical_splitmix64_stream_is_pinned() {
-        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
-        assert_eq!(splitmix64(2), 0x9758_35DE_1C97_56CE);
-        assert_eq!(splitmix64(0x5EED), 0x09F1_FD9D_03F0_A9B4);
-        assert_eq!(splitmix64(u64::MAX), 0xE4D9_7177_1B65_2C20);
-        assert_eq!(hash64(b"journal-v1"), 0x9B2B_0858_CEC3_B425);
-    }
-}

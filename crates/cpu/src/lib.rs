@@ -47,7 +47,7 @@ pub mod vislog;
 
 pub use config::{CpuConfig, SpConfig};
 pub use error::{DiagnosticSnapshot, SimError, SimErrorKind};
-pub use multi::{MultiCore, MultiCoreError, DEFAULT_STORM_BOUND};
+pub use multi::{MultiCore, MultiCoreError};
 pub use pipeline::Pipeline;
 #[cfg(any(test, feature = "reference-stepper"))]
 pub use reference::ReferencePipeline;

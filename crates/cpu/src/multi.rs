@@ -48,7 +48,7 @@ use crate::stats::SimResult;
 /// self-damp (a rolled-back fence re-executes non-speculatively), so a
 /// storm this deep indicates a sharing pattern the simulator cannot make
 /// progress on.
-pub const DEFAULT_STORM_BOUND: u64 = 64;
+const DEFAULT_STORM_BOUND: u64 = 64;
 
 /// Why a [`MultiCore`] could not be constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

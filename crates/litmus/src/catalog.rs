@@ -8,7 +8,7 @@
 //! `--seed` sweep explores shapes nobody thought to curate while
 //! staying perfectly reproducible.
 
-use spp_pmem::rng::splitmix64;
+use spp_pmem::splitmix64;
 use spp_workloads::litmus::{LitmusOp, LitmusProgram};
 
 fn st(loc: u8) -> LitmusOp {

@@ -16,14 +16,9 @@
 //! resulting invariant: a faulted run must commit exactly the same
 //! architectural work as a fault-free run — only cycle counts may move.
 
-use crate::config::Cycle;
+use spp_pmem::splitmix64;
 
-/// The splitmix64 mixer (Steele et al.), the repository's standard
-/// deterministic stream generator — the single shared implementation
-/// lives in `spp-pmem` (canonically re-exported as
-/// `spp_core::splitmix64`); this re-export keeps `spp_mem::splitmix64`
-/// working for existing callers.
-pub use spp_pmem::rng::splitmix64;
+use crate::config::Cycle;
 
 /// One injected fault, as drawn at an injection site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

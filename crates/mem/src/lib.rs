@@ -45,8 +45,7 @@ mod memctrl;
 pub use cache::{Cache, Eviction};
 pub use config::{CacheConfig, Cycle, MemConfig, MemConfigError};
 pub use fault::{
-    splitmix64, Fault, FaultSite, FaultSpec, FaultSpecError, FaultState, FaultStats, MEM_STREAM,
-    PIPE_STREAM,
+    Fault, FaultSite, FaultSpec, FaultSpecError, FaultState, FaultStats, MEM_STREAM, PIPE_STREAM,
 };
 pub use hierarchy::{
     shared_mem_ctrl, AccessKind, FlushOutcome, HitLevel, MemStats, MemorySystem, SharedMemCtrl,

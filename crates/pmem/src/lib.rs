@@ -51,7 +51,7 @@ pub mod crash;
 mod env;
 mod event;
 mod hash;
-pub mod rng;
+mod rng;
 mod space;
 mod undo;
 mod variant;

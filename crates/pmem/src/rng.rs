@@ -11,9 +11,9 @@
 //! per-entry checksums).
 //!
 //! This module is defined here because `spp-pmem` is the root of the
-//! workspace dependency graph; the canonical *public* location is the
-//! re-export in `spp-core` (`spp_core::splitmix64` / `spp_core::hash64`),
-//! which every downstream crate can reach.
+//! workspace dependency graph; every crate imports the two functions
+//! from the crate root (`spp_pmem::splitmix64` / `spp_pmem::hash64`),
+//! the one public path to them.
 
 /// The SplitMix64 mixer (Steele et al., the seeding function of the
 /// xoshiro family): a statistically strong, invertible 64-bit mixer.
@@ -56,6 +56,7 @@ mod tests {
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
         assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
         assert_eq!(splitmix64(2), 0x9758_35DE_1C97_56CE);
+        assert_eq!(splitmix64(0x5EED), 0x09F1_FD9D_03F0_A9B4);
         assert_eq!(splitmix64(u64::MAX), 0xE4D9_7177_1B65_2C20);
     }
 

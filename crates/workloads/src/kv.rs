@@ -36,7 +36,6 @@
 //! checksum makes the oracle fail, proving the replay path is
 //! load-bearing.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use spp_pmem::{
@@ -44,7 +43,7 @@ use spp_pmem::{
     BLOCK_SIZE,
 };
 
-use crate::oracle::{check_scan_window, OracleViolation, ViolationKind};
+use crate::oracle::{OracleViolation, ViolationKind};
 use crate::zipf::Zipf;
 use crate::VerifyError;
 
@@ -1044,11 +1043,6 @@ impl KvBundle {
     /// guaranteed-durable record or resurrecting an unwritten one both
     /// fail.
     ///
-    /// The scan-window checks that follow cannot fail: they run only
-    /// once `rec.contents == states[j]` holds, so every recovered window
-    /// is the post-boundary window. They read the key sets in place and
-    /// allocate nothing; the only allocations of a check are recovery's.
-    ///
     /// # Errors
     ///
     /// Returns the violation for an inconsistent image.
@@ -1085,22 +1079,6 @@ impl KvBundle {
                 ),
             });
         }
-        // Scan-window check: every window around a key mutated in the
-        // crash neighbourhood must read as a consistent multi-key scan
-        // against the adjacent boundary states.
-        let prev = &self.states[completed];
-        for k in symmetric_difference(prev.keys(), want.keys()) {
-            let lo = k.saturating_sub(1);
-            let hi = k.saturating_add(1);
-            // `[lo, hi]` spans at most three keys.
-            let mut window = [0u64; 3];
-            let mut n = 0;
-            for (&x, _) in rec.contents.range(lo..=hi) {
-                window[n] = x;
-                n += 1;
-            }
-            check_scan_window(&window[..n], lo, hi, prev, want)?;
-        }
         Ok(())
     }
 
@@ -1121,28 +1099,6 @@ impl KvBundle {
         let img = sim.image_seeded(seed);
         self.check_image(&img, self.completed(&sim), self.started(crash_idx))
     }
-}
-
-/// The keys in exactly one of two ascending key sequences, ascending:
-/// [`BTreeSet::symmetric_difference`] read off the sequences in place.
-fn symmetric_difference<'a>(
-    a: impl Iterator<Item = &'a u64>,
-    b: impl Iterator<Item = &'a u64>,
-) -> impl Iterator<Item = u64> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                Ordering::Less => return a.next().copied(),
-                Ordering::Greater => return b.next().copied(),
-                Ordering::Equal => {
-                    a.next();
-                    b.next();
-                }
-            },
-            _ => return a.next().or_else(|| b.next()).copied(),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1380,28 +1336,5 @@ mod tests {
         spec.mix.read_pm = 999;
         let r = std::panic::catch_unwind(|| KvWorkload::new(spec));
         assert!(r.is_err(), "bad mix must be rejected");
-    }
-
-    /// The merge agrees with `BTreeSet::symmetric_difference`, order
-    /// included, on disjoint, nested, overlapping and empty key sets.
-    #[test]
-    fn symmetric_difference_matches_btreeset() {
-        let sets: [&[u64]; 6] = [
-            &[],
-            &[1],
-            &[1, 2, 3],
-            &[2, 4, 6, 8],
-            &[0, 3, 8, 9],
-            &[u64::MAX],
-        ];
-        for a in sets {
-            for b in sets {
-                let (sa, sb): (BTreeSet<u64>, BTreeSet<u64>) =
-                    (a.iter().copied().collect(), b.iter().copied().collect());
-                let want: Vec<u64> = sa.symmetric_difference(&sb).copied().collect();
-                let got: Vec<u64> = symmetric_difference(a.iter(), b.iter()).collect();
-                assert_eq!(got, want, "{a:?} vs {b:?}");
-            }
-        }
     }
 }

@@ -22,7 +22,7 @@
 //! adversarial writeback schedule end to end: crash simulation →
 //! recovery → structural verification → boundary matching.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -100,25 +100,6 @@ impl fmt::Display for ViolationKind {
     }
 }
 
-/// A sorted key set a scan window is read from: a [`BTreeSet`] of keys
-/// or the keys of a [`BTreeMap`], read in place.
-pub trait SortedKeys {
-    /// The keys in `[lo, hi]`, ascending.
-    fn window(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_;
-}
-
-impl SortedKeys for BTreeSet<u64> {
-    fn window(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
-        self.range(lo..=hi).copied()
-    }
-}
-
-impl<V> SortedKeys for BTreeMap<u64, V> {
-    fn window(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
-        self.range(lo..=hi).map(|(&k, _)| k)
-    }
-}
-
 /// Checks one multi-key scan result against the two adjacent operation
 /// boundaries: every key must lie in `[lo, hi]`, the result must be
 /// strictly ascending (duplicates and disorder are torn-structure
@@ -134,8 +115,8 @@ pub fn check_scan_window(
     scan: &[u64],
     lo: u64,
     hi: u64,
-    prev: &impl SortedKeys,
-    next: &impl SortedKeys,
+    prev: &BTreeSet<u64>,
+    next: &BTreeSet<u64>,
 ) -> Result<(), OracleViolation> {
     let fail = |detail: String| {
         Err(OracleViolation {
@@ -156,8 +137,8 @@ pub fn check_scan_window(
     }
     // The scan is now a strictly ascending window: as a set it equals a
     // boundary window exactly when the two sequences are equal.
-    let got = scan.iter().copied();
-    if got.clone().eq(prev.window(lo, hi)) || got.eq(next.window(lo, hi)) {
+    let got = scan.iter();
+    if got.clone().eq(prev.range(lo..=hi)) || got.eq(next.range(lo..=hi)) {
         Ok(())
     } else {
         fail(format!(
@@ -165,8 +146,8 @@ pub fn check_scan_window(
              ({} keys) nor the post-boundary window ({} keys) — a half-applied operation is \
              visible",
             scan.len(),
-            prev.window(lo, hi).count(),
-            next.window(lo, hi).count()
+            prev.range(lo..=hi).count(),
+            next.range(lo..=hi).count()
         ))
     }
 }

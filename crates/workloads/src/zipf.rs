@@ -6,13 +6,13 @@
 //! probability of rank `i` is proportional to `1 / (i+1)^theta`.
 //!
 //! Determinism is part of the contract: the uniform stream is drawn
-//! from [`spp_pmem::rng::splitmix64`] over an internal counter, not
+//! from [`spp_pmem::splitmix64`] over an internal counter, not
 //! from a `rand` RNG, so the exact key sequence for a `(n, theta,
 //! seed)` triple is pinned by the published-vector test below and the
 //! `repro kv` report stays byte-stable across refactors of everything
 //! around it.
 
-use spp_pmem::rng::splitmix64;
+use spp_pmem::splitmix64;
 
 /// The YCSB default skew.
 pub const DEFAULT_THETA: f64 = 0.99;
