@@ -17,9 +17,9 @@
 //!              one coherent memory system, 1..4 cores x {baseline,
 //!              SP256} x {contended, disjoint}, reporting worst-core
 //!              cycles/op plus BLT conflict/rollback accounting as one
-//!              `specpersist/multicore-v1` JSON line; journaled like
-//!              faultsim, exits non-zero unless the contended SP legs
-//!              conflict and the disjoint legs stay conflict-free
+//!              `specpersist/multicore-v1` JSON line; exits non-zero
+//!              unless the contended SP legs conflict and the disjoint
+//!              legs stay conflict-free
 //!   litmus     Px86 persistency-model validation: sweep the litmus
 //!              catalog (plus seeded generated programs at generous
 //!              scales) x {clwb, clflushopt, clflush}, checking every
@@ -28,10 +28,9 @@
 //!              {baseline, SP} — against the executable Px86 reference
 //!              model, with the SP differential proving speculation
 //!              never widens a reachable set; prints the per-program
-//!              table plus one `specpersist/litmus-v1` JSON line,
-//!              journaled like faultsim; exits non-zero if any leg
-//!              reaches a forbidden state (the minimized witness is in
-//!              the report)
+//!              table plus one `specpersist/litmus-v1` JSON line; exits
+//!              non-zero if any leg reaches a forbidden state (the
+//!              minimized witness is in the report)
 //!   kv         crash-recoverable KV storage engine: WAL + COW
 //!              checkpointed B+tree under a mixed YCSB-style load —
 //!              baseline-vs-SP cycles across a checkpoint-interval
@@ -40,9 +39,8 @@
 //!              and a must-fail leg proving an elided WAL checksum is
 //!              caught), plus a bounded-memory streamed-trace leg;
 //!              prints the per-cell tables plus one
-//!              `specpersist/kv-v1` JSON line, journaled like
-//!              faultsim; exits non-zero if any oracle fails or the
-//!              SP legs regress
+//!              `specpersist/kv-v1` JSON line; exits non-zero if any
+//!              oracle fails or the SP legs regress
 //!   optimize <BENCH> <VARIANT>  persist-path trace optimizer: detect
 //!              redundant persist operations in one recorded trace
 //!              (the same line flushed twice in an epoch, flushes
@@ -54,13 +52,8 @@
 //!              optimized trace (plus an inverted leg eliding a
 //!              required flush, which the oracle must catch); prints
 //!              the before/after cycle + stall diff and one
-//!              `specpersist/optimize-v1` JSON line, journaled like
-//!              kv; exits non-zero if any leg fails
-//!   journal check <PATH>  offline integrity walk of a journaled
-//!              result manifest: verify every line's checksum and
-//!              envelope, report damaged lines (bit flips, torn tail,
-//!              truncation); exit 0 clean, 2 damage found, 1 missing
-//!              or unreadable file
+//!              `specpersist/optimize-v1` JSON line; exits non-zero if
+//!              any leg fails
 //!   crashfuzz [all|log|logp|logpsf]  crash-consistency fuzzing, the
 //!              workload-level half of the persist-semantics story
 //!              (litmus is the model-level half): Log+P+Sf must recover
@@ -73,11 +66,6 @@
 //!              may move), crash verdicts must hold, and the
 //!              forward-progress watchdog must convert a wedged run
 //!              into a typed error; exits non-zero on any divergence
-//!   soak [--iters N]  bounded endurance: loop the journaled faultsim
-//!              matrix plus the must-pass crashfuzz leg under derived
-//!              per-iteration seeds, re-verifying journal integrity
-//!              every iteration; exits non-zero on any divergence or
-//!              corrupt journal line
 //!   profile <BENCH> <VARIANT>  cycle-resolved observability: replay
 //!              one trace on the baseline and SP256 cores with the
 //!              spp-obs probe attached, print the stall-attribution
@@ -90,15 +78,6 @@
 //!   --scale N  divide Table 1's op counts by N (default 50; 1 = paper)
 //!   --seed S   RNG seed (default 0x5EED)
 //!   --jobs J   worker threads (default: all cores; 1 = serial)
-//!   --journal [PATH]  (faultsim/soak/multicore/litmus/kv/optimize)
-//!              record completed cells
-//!              into the journaled result manifest at PATH (default:
-//!              `.specpersist/journal-v1.jsonl`); a fresh run requires
-//!              a fresh path
-//!   --resume   (with --journal) replay verified cells from an existing
-//!              journal instead of recomputing them; the resumed stdout
-//!              is byte-identical to an uninterrupted run's
-//!   --iters N  (soak) iteration count (default 4)
 //!   --model-knob K  (litmus; test-only) weaken one Px86 rule —
 //!              `honest` (default) or `clflushopt-po` (pretend
 //!              clflushopt is program-ordered like clflush); under a
@@ -110,7 +89,7 @@
 //!
 //! Invalid input (a malformed or zero --scale/--jobs, an unknown
 //! command, flag, benchmark, variant, or leg, a positional argument the
-//! command does not take, or contradictory journal flags) exits
+//! command does not take, or a flag the command does not accept) exits
 //! non-zero with a one-line `repro: ...` diagnostic on stderr. An
 //! unknown command is reported before anything else is checked.
 //!
@@ -128,21 +107,20 @@ use std::time::Instant;
 
 use spp_bench::litmus::ModelKnob;
 use spp_bench::report;
-use spp_bench::study::{staged, StudyCli, StudyError, StudyReport, StudyRunner};
-use spp_bench::{BenchRun, Experiment, Harness, Journal};
+use spp_bench::study::{run_study, staged, StudyReport};
+use spp_bench::{BenchRun, Experiment, Harness};
 use spp_workloads::BenchId;
 
-const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|soak|profile|journal> [--scale N] [--seed S] [--jobs J] [--journal [PATH] [--resume]] [--iters N] [--trace-out PATH]; repro journal check <PATH>";
+const USAGE: &str = "usage: repro <all|table1|table2|table3|fig8..fig14|ablation|incremental|flushmode|trace|json|multicore|litmus|kv|optimize|crashfuzz|faultsim|profile> [--scale N] [--seed S] [--jobs J] [--trace-out PATH]";
 
-/// [`Command::flags`] bit: `--journal` and `--resume` (the command
-/// runs its cells on a result journal).
-const JOURNAL: u8 = 1;
-/// [`Command::flags`] bit: `--iters`.
-const ITERS: u8 = 1 << 1;
 /// [`Command::flags`] bit: `--model-knob`.
-const MODEL_KNOB: u8 = 1 << 2;
+const MODEL_KNOB: u8 = 1;
 /// [`Command::flags`] bit: `--trace-out`.
-const TRACE_OUT: u8 = 1 << 3;
+const TRACE_OUT: u8 = 1 << 1;
+
+/// The command-scoped flags with their [`Command::flags`] bits, in the
+/// order the scope check tests them and its error lists them.
+const SCOPED_FLAGS: [(&str, u8); 2] = [("--model-knob", MODEL_KNOB), ("--trace-out", TRACE_OUT)];
 
 /// One `repro` command: everything parsing, the scope check and
 /// dispatch know about it.
@@ -151,7 +129,7 @@ struct Command {
     name: &'static str,
     /// Positional arguments it takes; one more is a typed error.
     takes: usize,
-    /// The command-scoped flags it accepts, as `JOURNAL | ITERS | ...`
+    /// The command-scoped flags it accepts, as `MODEL_KNOB | ...`
     /// bits.
     flags: u8,
     /// Part of `repro all`, which runs these rows in table order.
@@ -178,15 +156,13 @@ const COMMANDS: &[Command] = &[
     Command { name: "flushmode",   takes: 0, flags: 0,                     in_all: true,  run: |c| stage(c, "flush-mode ablation", report::flushmode) },
     Command { name: "trace",       takes: 2, flags: 0,                     in_all: false, run: trace_cmd },
     Command { name: "json",        takes: 0, flags: 0,                     in_all: false, run: |c| print_ok(&format!("{}\n", spp_bench::json::suite_json(suite(c)))) },
-    Command { name: "multicore",   takes: 0, flags: JOURNAL,               in_all: false, run: multicore_cmd },
-    Command { name: "litmus",      takes: 0, flags: JOURNAL | MODEL_KNOB,  in_all: false, run: litmus_cmd },
-    Command { name: "kv",          takes: 0, flags: JOURNAL,               in_all: false, run: kv_cmd },
-    Command { name: "optimize",    takes: 2, flags: JOURNAL,               in_all: false, run: optimize_cmd },
+    Command { name: "multicore",   takes: 0, flags: 0,                     in_all: false, run: |c| study(c, || spp_bench::multicore::run_multicore(c.harness)) },
+    Command { name: "litmus",      takes: 0, flags: MODEL_KNOB,            in_all: false, run: litmus_cmd },
+    Command { name: "kv",          takes: 0, flags: 0,                     in_all: false, run: |c| study(c, || spp_bench::kv::run_kv(c.harness)) },
+    Command { name: "optimize",    takes: 2, flags: 0,                     in_all: false, run: optimize_cmd },
     Command { name: "crashfuzz",   takes: 1, flags: 0,                     in_all: false, run: crashfuzz_cmd },
-    Command { name: "faultsim",    takes: 0, flags: JOURNAL,               in_all: false, run: faultsim_cmd },
-    Command { name: "soak",        takes: 0, flags: JOURNAL | ITERS,       in_all: false, run: soak_cmd },
+    Command { name: "faultsim",    takes: 0, flags: 0,                     in_all: false, run: faultsim_cmd },
     Command { name: "profile",     takes: 2, flags: TRACE_OUT,             in_all: false, run: profile_cmd },
-    Command { name: "journal",     takes: 2, flags: 0,                     in_all: false, run: journal_cmd },
 ];
 
 /// A rejected invocation: every variant renders as one line, and every
@@ -221,15 +197,6 @@ enum CliError {
         flag: &'static str,
         cmd: &'static str,
     },
-    /// `--resume` without `--journal`.
-    ResumeNeedsJournal,
-    /// The study façade refused to open the journal (resume
-    /// discipline or I/O).
-    Study(StudyError),
-    /// `repro journal check` could not read the journal.
-    Journal(String),
-    /// `repro journal` needs the `check` subcommand and a path.
-    MissingJournalCheckArgs,
     /// A positional argument past the ones the command takes.
     UnexpectedArg { arg: String, cmd: &'static str },
     /// The `--trace-out` file could not be written (after the report
@@ -262,12 +229,19 @@ impl fmt::Display for CliError {
                 write!(f, "unknown crashfuzz leg {l:?} (want all|log|logp|logpsf)")
             }
             CliError::FlagUnsupported { flag, cmd } => {
-                write!(f, "{flag} is not supported by {cmd:?} (journaled commands: faultsim, soak, multicore, litmus, kv, optimize; --iters: soak; --model-knob: litmus; --trace-out: profile)")
+                // The hint names, per scoped flag, the rows accepting it.
+                write!(f, "{flag} is not supported by {cmd:?} (")?;
+                for (i, (scoped, bit)) in SCOPED_FLAGS.into_iter().enumerate() {
+                    let rows: Vec<&str> = COMMANDS
+                        .iter()
+                        .filter(|c| c.flags & bit != 0)
+                        .map(|c| c.name)
+                        .collect();
+                    let sep = if i == 0 { "" } else { "; " };
+                    write!(f, "{sep}{scoped}: {}", rows.join(", "))?;
+                }
+                f.write_str(")")
             }
-            CliError::ResumeNeedsJournal => f.write_str("--resume requires --journal <path>"),
-            CliError::Study(e) => write!(f, "{e}"),
-            CliError::Journal(e) => f.write_str(e),
-            CliError::MissingJournalCheckArgs => f.write_str("journal needs check <PATH>"),
             CliError::UnexpectedArg { arg, cmd } => {
                 write!(f, "unexpected argument {arg:?} for {cmd:?}")
             }
@@ -290,10 +264,8 @@ impl CliError {
             | CliError::UnknownVariant(_)
             | CliError::UnknownLeg(_)
             | CliError::FlagUnsupported { .. }
-            | CliError::ResumeNeedsJournal
-            | CliError::MissingJournalCheckArgs
             | CliError::UnexpectedArg { .. } => true,
-            CliError::Study(_) | CliError::Journal(_) | CliError::TraceOut { .. } => false,
+            CliError::TraceOut { .. } => false,
         }
     }
 }
@@ -304,8 +276,6 @@ struct Cli {
     cmd: &'static Command,
     exp: Experiment,
     jobs: usize,
-    study: StudyCli,
-    iters: Option<u64>,
     model_knob: Option<ModelKnob>,
     trace_out: Option<String>,
     positional: Vec<String>,
@@ -325,8 +295,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         .ok_or_else(|| CliError::UnknownCommand(cmd.to_string()))?;
     let mut exp = Experiment::default();
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut study = StudyCli::default();
-    let mut iters: Option<u64> = None;
     let mut model_knob: Option<ModelKnob> = None;
     let mut trace_out: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
@@ -358,32 +326,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 jobs = flag_value("--jobs", args, i, 1, "an integer of at least 1")? as usize;
                 i += 2;
             }
-            "--journal" => {
-                // The path is optional: bare `--journal` (end of args,
-                // or another flag next) uses the conventional manifest
-                // location. An explicit empty path is still an error.
-                match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        if next.is_empty() {
-                            return Err(CliError::BadValue {
-                                flag: "--journal",
-                                given: String::new(),
-                                want: "a file path",
-                            });
-                        }
-                        study.journal = Some(next.clone());
-                        i += 2;
-                    }
-                    _ => {
-                        study.journal = Some(spp_bench::journal::DEFAULT_JOURNAL_PATH.to_string());
-                        i += 1;
-                    }
-                }
-            }
-            "--resume" => {
-                study.resume = true;
-                i += 1;
-            }
             "--trace-out" => match args.get(i + 1) {
                 Some(next) if !next.is_empty() && !next.starts_with("--") => {
                     trace_out = Some(next.clone());
@@ -397,16 +339,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                     })
                 }
             },
-            "--iters" => {
-                iters = Some(flag_value(
-                    "--iters",
-                    args,
-                    i,
-                    1,
-                    "an integer of at least 1",
-                )?);
-                i += 2;
-            }
             "--model-knob" => {
                 let given = args.get(i + 1).cloned().unwrap_or_default();
                 model_knob = Some(ModelKnob::parse(&given).ok_or(CliError::BadValue {
@@ -429,16 +361,14 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         cmd,
         exp,
         jobs,
-        study,
-        iters,
         model_knob,
         trace_out,
         positional,
     })
 }
 
-/// Rejects positionals and flags the command's row does not take, and
-/// contradictory combinations, before any work starts.
+/// Rejects positionals and flags the command's row does not take
+/// before any work starts.
 fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
     let cmd = cli.cmd;
     // A stray word would otherwise be silently ignored: `repro fig8 LL`
@@ -451,14 +381,8 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
     }
     // In this order, so an invocation breaking two rules always reports
     // the same one.
-    let scoped = [
-        ("--journal", JOURNAL, cli.study.journal.is_some()),
-        ("--resume", JOURNAL, cli.study.resume),
-        ("--iters", ITERS, cli.iters.is_some()),
-        ("--model-knob", MODEL_KNOB, cli.model_knob.is_some()),
-        ("--trace-out", TRACE_OUT, cli.trace_out.is_some()),
-    ];
-    for (flag, bit, given) in scoped {
+    let given = [cli.model_knob.is_some(), cli.trace_out.is_some()];
+    for ((flag, bit), given) in SCOPED_FLAGS.into_iter().zip(given) {
         if given && cmd.flags & bit == 0 {
             return Err(CliError::FlagUnsupported {
                 flag,
@@ -466,16 +390,7 @@ fn check_flag_scope(cli: &Cli) -> Result<(), CliError> {
             });
         }
     }
-    if cli.study.resume && cli.study.journal.is_none() {
-        return Err(CliError::ResumeNeedsJournal);
-    }
     Ok(())
-}
-
-impl From<StudyError> for CliError {
-    fn from(e: StudyError) -> Self {
-        CliError::Study(e)
-    }
 }
 
 /// The report verdict as an exit status.
@@ -509,8 +424,8 @@ fn error_text(e: &CliError) -> String {
     }
 }
 
-/// What a command's `run` receives: the parsed invocation (flags,
-/// positionals and the journal flags as a [`StudyCli`]) and the harness.
+/// What a command's `run` receives: the parsed invocation (flags and
+/// positionals) and the harness.
 struct Ctx<'a> {
     cli: &'a Cli,
     harness: &'a Harness,
@@ -554,14 +469,10 @@ fn stage(c: &Ctx, label: &str, report: fn(&Harness) -> String) -> Result<ExitCod
     print_ok(&staged(c.harness, label, || report(c.harness)))
 }
 
-/// Runs the command's study on the journal its flags name and turns
-/// the report's verdict into the exit status.
-fn study<R: StudyReport>(
-    c: &Ctx,
-    f: impl FnOnce(Option<&Journal>) -> R,
-) -> Result<ExitCode, CliError> {
-    let runner = StudyRunner::new(c.cli.cmd.name, &c.cli.study)?;
-    Ok(verdict(runner.run(c.harness, f)))
+/// Runs the command's study, staged under the command's name, and
+/// turns the report's verdict into the exit status.
+fn study<R: StudyReport>(c: &Ctx, f: impl FnOnce() -> R) -> Result<ExitCode, CliError> {
+    Ok(verdict(run_study(c.harness, c.cli.cmd.name, f)))
 }
 
 /// `repro all`: every row marked `in_all`, in table order, then the
@@ -592,76 +503,20 @@ fn all_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `repro kv [--journal PATH [--resume]]`: the
-/// crash-recoverable KV storage-engine study — WAL + checkpointed
-/// B+tree under a mixed YCSB-style load: baseline-vs-SP cycles across
-/// a checkpoint-interval sweep, crashfuzz at every persist boundary
-/// (clean under Log+P+Sf, witness-minimized under Log, and a
-/// must-fail leg proving an elided WAL checksum is caught), plus the
-/// bounded-memory streamed leg. Prints the per-cell tables and one
-/// `specpersist/kv-v1` JSON line. With a journal, completed cells are
-/// recorded and `--resume` replays them byte-identically. Exits
-/// non-zero if any cell failed its oracle or the SP legs regressed.
-fn kv_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    study(c, |j| spp_bench::kv::run_kv_opts(c.harness, j))
-}
-
-/// `repro optimize <BENCH> <VARIANT> [--journal PATH [--resume]]`: the
-/// persist-path trace optimizer — analyze one
-/// recorded trace for redundant persist operations, elide them, replay
-/// the optimized trace on both pipeline cores x {baseline, SP} with
-/// the spp-obs probe attached, and prove the plan safe by crashfuzzing
-/// every persist boundary of the optimized trace (plus the inverted
-/// leg eliding a required flush, which the oracle must catch). Prints
-/// the before/after tables and one `specpersist/optimize-v1` JSON
-/// line. With a journal, completed cells are recorded and `--resume`
-/// replays them byte-identically. Exits non-zero if any leg fails.
+/// `repro optimize <BENCH> <VARIANT>`: the persist-path trace
+/// optimizer — analyze one recorded trace for redundant persist
+/// operations, elide them, replay the optimized trace on both pipeline
+/// cores x {baseline, SP} with the spp-obs probe attached, and prove
+/// the plan safe by crashfuzzing every persist boundary of the
+/// optimized trace (plus the inverted leg eliding a required flush,
+/// which the oracle must catch). Prints the before/after tables and one
+/// `specpersist/optimize-v1` JSON line. Exits non-zero if any leg
+/// fails.
 fn optimize_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    use spp_bench::optimize::run_optimize_opts;
     let (id, variant) = bench_variant(c.cli)?;
-    study(c, |j| run_optimize_opts(c.harness, id, variant, j))
-}
-
-/// `repro journal check <PATH>`: offline integrity walk of a result
-/// manifest. Re-reads every line, verifying the per-entry checksum
-/// and envelope, and reports each damaged line (bit flip, truncation,
-/// torn tail, bad schema) on stdout. As with a resume, a torn final
-/// line is sealed so later appends cannot merge into it. Typed exit
-/// codes: 0 when every line verified, 2 when damage was found, 1 when
-/// the file is missing or unreadable.
-fn journal_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    let positional = &c.cli.positional;
-    let (Some("check"), Some(path)) = (positional.first().map(String::as_str), positional.get(1))
-    else {
-        return Err(CliError::MissingJournalCheckArgs);
-    };
-    Ok(if journal_check(path)? == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
+    study(c, || {
+        spp_bench::optimize::run_optimize(c.harness, id, variant)
     })
-}
-
-/// The walk behind [`journal_cmd`]: verifies every line, prints one
-/// line per damaged entry plus a summary, and returns the damaged-line
-/// count.
-fn journal_check(path: &str) -> Result<usize, CliError> {
-    // `Journal::open` creates absent files; a checker must not.
-    if !std::path::Path::new(path).is_file() {
-        return Err(CliError::Journal(format!(
-            "journal {path:?} does not exist"
-        )));
-    }
-    let (entries, damage) = Journal::verify(std::path::Path::new(path))
-        .map_err(|e| CliError::Journal(e.to_string()))?;
-    for e in &damage {
-        println!("journal check: {e}");
-    }
-    println!(
-        "journal check: {path}: {entries} entries ok, {} damaged",
-        damage.len()
-    );
-    Ok(damage.len())
 }
 
 /// `repro crashfuzz [all|log|logp|logpsf]`: run the crash-consistency
@@ -674,101 +529,31 @@ fn crashfuzz_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
         None => Leg::All,
         Some(s) => Leg::parse(s).ok_or_else(|| CliError::UnknownLeg(s.clone()))?,
     };
-    study(c, |_| run_crashfuzz(c.harness, leg))
+    study(c, || run_crashfuzz(c.harness, leg))
 }
 
-/// `repro faultsim [--journal PATH [--resume]]`: run the
-/// fault-injection matrix (benchmark x variant x plan, both cores)
-/// plus the watchdog-detection leg on the supervised pool and print
-/// the text report and one JSON line. With a journal, completed cells
-/// are recorded and `--resume` replays them — the resumed stdout is
-/// byte-identical to an uninterrupted run's. Exits non-zero if a
-/// faulted run changed committed state or a crash verdict, a cell
-/// failed, a plan never fired, or the watchdog
-/// failed to convert a wedged run into a typed error.
+/// `repro faultsim`: run the fault-injection matrix (benchmark x
+/// variant x plan, both cores) plus the watchdog-detection leg on the
+/// supervised pool and print the text report and one JSON line. Exits
+/// non-zero if a faulted run changed committed state or a crash
+/// verdict, a cell failed, a plan never fired, or the watchdog failed
+/// to convert a wedged run into a typed error.
 fn faultsim_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
-    study(c, |j| {
-        run_faultsim_opts(
-            c.harness,
-            FaultsimOpts {
-                journal: j,
-                ..FaultsimOpts::default()
-            },
-        )
-    })
+    study(c, || run_faultsim_opts(c.harness, FaultsimOpts::default()))
 }
 
-/// `repro multicore [--journal PATH [--resume]]`: the shared-data
-/// multi-core scaling study — Treiber-style stack and MS-style queue
-/// over one coherent memory system, 1..4 cores x {baseline, SP256} x
-/// {contended, disjoint}. Prints the scaling tables and one
-/// `specpersist/multicore-v1` JSON line. With a journal, completed
-/// cells are recorded and `--resume` replays them byte-identically.
-/// Exits non-zero if any cell degraded, the contended SP legs produced
-/// no BLT conflicts, or a disjoint leg conflicted.
-fn multicore_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    study(c, |j| {
-        spp_bench::multicore::run_multicore_opts(c.harness, j)
-    })
-}
-
-/// `repro litmus [--journal PATH [--resume]] [--model-knob K]`: Px86
-/// persistency-model validation — every litmus program x flush mode is
-/// one supervised cell checked against the executable reference model
-/// on all seven legs (CrashSim, both cores x {baseline, SP}, and the
-/// SP differentials). Prints the per-program table and one
-/// `specpersist/litmus-v1` JSON line. With a journal, completed cells
-/// (including failed ones, witness and all) replay byte-identically.
-/// The hidden `--model-knob` weakens one model rule so CI can prove
-/// the checker actually fails when the model is wrong. Exits non-zero
-/// if any leg reached a forbidden state.
+/// `repro litmus [--model-knob K]`: Px86 persistency-model validation
+/// — every litmus program x flush mode is one supervised cell checked
+/// against the executable reference model on all seven legs (CrashSim,
+/// both cores x {baseline, SP}, and the SP differentials). Prints the
+/// per-program table and one `specpersist/litmus-v1` JSON line. The
+/// hidden `--model-knob` weakens one model rule so CI can prove the
+/// checker actually fails when the model is wrong. Exits non-zero if
+/// any leg reached a forbidden state.
 fn litmus_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    use spp_bench::litmus::{run_litmus_opts, LitmusOpts};
-    study(c, |j| {
-        run_litmus_opts(
-            c.harness,
-            LitmusOpts {
-                journal: j,
-                knob: c.cli.model_knob.unwrap_or_default(),
-            },
-        )
-    })
-}
-
-/// `repro soak [--iters N] [--journal PATH [--resume]]`: bounded
-/// endurance over the journaled faultsim matrix plus the must-pass
-/// crashfuzz leg, with per-iteration journal re-verification. Without
-/// `--journal` the manifest lives in a pid-suffixed temp file that is
-/// removed on success. Exits non-zero on any divergence, degraded
-/// cell, or corrupt journal line.
-fn soak_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    use spp_bench::soak::{run_soak, DEFAULT_SOAK_ITERS};
-    let iters = c.cli.iters.unwrap_or(DEFAULT_SOAK_ITERS);
-    let study = &c.cli.study;
-    let temp = study.journal.is_none().then(|| {
-        let p = std::env::temp_dir().join(format!("spp-soak-journal-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    });
-    let journaled = StudyCli {
-        journal: study
-            .journal
-            .clone()
-            .or_else(|| temp.as_ref().map(|p| p.display().to_string())),
-        resume: study.resume,
-    };
-    // Soak builds its own harnesses, so its stage line is wall time.
-    let runner = StudyRunner::new(c.cli.cmd.name, &journaled)?;
-    let h = c.harness;
-    let ok = runner.run(h, |j| {
-        let j = j.expect("soak always runs journaled");
-        run_soak(&h.exp, h.jobs, iters, j)
-    });
-    if let (true, Some(p)) = (ok, temp) {
-        let _ = std::fs::remove_file(p);
-    }
-    Ok(verdict(ok))
+    let knob = c.cli.model_knob.unwrap_or_default();
+    study(c, || spp_bench::litmus::run_litmus(c.harness, knob))
 }
 
 /// `repro profile <BENCH> <VARIANT> [--trace-out PATH]`: replay one
@@ -782,7 +567,7 @@ fn profile_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::profile::run_profile;
     let (id, variant) = bench_variant(c.cli)?;
     let mut trace = None;
-    let code = study(c, |_| {
+    let code = study(c, || {
         let rep = run_profile(c.harness, id, variant);
         trace = c
             .cli
@@ -946,6 +731,8 @@ mod tests {
             &["fig99", "extra"],
             &["fig99", "--sacle", "5"],
             &["--scale", "5", "all"],
+            &["soak", "--iters", "2"],
+            &["journal", "check", "x.jsonl"],
         ] {
             assert_eq!(
                 parse_args(&args(words)).unwrap_err(),
@@ -958,12 +745,10 @@ mod tests {
     /// Whether the scope check lets `cmd` take `flag`.
     fn accepts(cmd: &str, flag: &str) -> bool {
         let value = match flag {
-            "--resume" => None,
-            "--model-knob" => Some("honest"),
-            _ => Some("8"),
+            "--model-knob" => "honest",
+            _ => "t.json",
         };
-        let words: Vec<&str> = [cmd, flag].into_iter().chain(value).collect();
-        let cli = parse_args(&args(&words)).unwrap();
+        let cli = parse_args(&args(&[cmd, flag, value])).unwrap();
         !matches!(
             check_flag_scope(&cli),
             Err(CliError::FlagUnsupported { flag: f, .. }) if f == flag
@@ -971,9 +756,8 @@ mod tests {
     }
 
     #[test]
-    fn usage_and_flag_help_list_what_the_table_holds() {
-        // `USAGE` names every row in table order; `fig8..fig14` stands
-        // for the run of figures.
+    fn usage_lists_every_row_in_table_order() {
+        // `fig8..fig14` stands for the run of figures.
         let list = USAGE.strip_prefix("usage: repro <").unwrap();
         let list = &list[..list.find('>').unwrap()];
         let mut named = Vec::new();
@@ -988,31 +772,33 @@ mod tests {
         }
         let rows: Vec<String> = COMMANDS.iter().map(|c| c.name.to_string()).collect();
         assert_eq!(named, rows);
-        // The `FlagUnsupported` help lists, per scoped flag, exactly the
-        // rows that accept it.
+    }
+
+    #[test]
+    fn flag_unsupported_hint_names_exactly_the_rows_taking_each_flag() {
+        // One clause per scoped flag, in `SCOPED_FLAGS` order, listing
+        // the rows whose scope check accepts it.
         let text = CliError::FlagUnsupported {
-            flag: "--iters",
+            flag: "--trace-out",
             cmd: "all",
         }
         .to_string();
         let help = text.split_once(" (").unwrap().1.strip_suffix(')').unwrap();
-        for clause in help.split("; ") {
-            let (key, list) = clause.split_once(": ").unwrap();
-            let flags = match key {
-                "journaled commands" => vec!["--journal", "--resume"],
-                flag => vec![flag],
-            };
-            let mut listed: Vec<&str> = list.split(", ").collect();
-            listed.sort_unstable();
-            for flag in flags {
-                let mut taking: Vec<&str> = COMMANDS
-                    .iter()
-                    .map(|c| c.name)
-                    .filter(|c| accepts(c, flag))
-                    .collect();
-                taking.sort_unstable();
-                assert_eq!(listed, taking, "{flag}");
-            }
+        let clauses: Vec<(&str, &str)> = help
+            .split("; ")
+            .map(|c| c.split_once(": ").unwrap())
+            .collect();
+        let flags: Vec<&str> = SCOPED_FLAGS.iter().map(|(f, _)| *f).collect();
+        assert_eq!(clauses.iter().map(|(f, _)| *f).collect::<Vec<_>>(), flags);
+        for (flag, list) in clauses {
+            let listed: Vec<&str> = list.split(", ").collect();
+            let taking: Vec<&str> = COMMANDS
+                .iter()
+                .map(|c| c.name)
+                .filter(|c| accepts(c, flag))
+                .collect();
+            assert!(!taking.is_empty(), "{flag}");
+            assert_eq!(listed, taking, "{flag}");
         }
     }
 
@@ -1027,6 +813,10 @@ mod tests {
             &["optimize", "LL", "logpsf", "--bench-out", "b.json"],
             &["fig8", "--trace-mem-cap", "1"],
             &["multicore", "--storm-bound", "8"],
+            &["faultsim", "--journal", "run.jsonl"],
+            &["faultsim", "--journal"],
+            &["faultsim", "--iters", "2"],
+            &["profile", "LL", "base", "--journal", "j.jsonl"],
         ] {
             let flag = words.iter().find(|w| w.starts_with("--")).unwrap();
             assert_eq!(
@@ -1042,7 +832,7 @@ mod tests {
     }
 
     /// One error of every variant.
-    fn one_of_each_error() -> [CliError; 15] {
+    fn one_of_each_error() -> [CliError; 11] {
         [
             CliError::NoCommand,
             CliError::UnknownCommand("fig99".into()),
@@ -1057,13 +847,9 @@ mod tests {
             CliError::UnknownVariant("fast".into()),
             CliError::UnknownLeg("base".into()),
             CliError::FlagUnsupported {
-                flag: "--journal",
+                flag: "--trace-out",
                 cmd: "all",
             },
-            CliError::ResumeNeedsJournal,
-            CliError::Study(StudyError::ResumeMissingJournal("/tmp/x.jsonl".into())),
-            CliError::Journal("journal \"x\": denied".into()),
-            CliError::MissingJournalCheckArgs,
             CliError::UnexpectedArg {
                 arg: "LL".into(),
                 cmd: "fig8",
@@ -1088,10 +874,7 @@ mod tests {
     #[test]
     fn only_invocation_errors_print_usage() {
         for e in one_of_each_error() {
-            let runtime = matches!(
-                e,
-                CliError::Study(_) | CliError::Journal(_) | CliError::TraceOut { .. }
-            );
+            let runtime = matches!(e, CliError::TraceOut { .. });
             let text = error_text(&e);
             assert_eq!(text.lines().next(), Some(&*format!("repro: {e}")));
             assert_eq!(text.contains("usage:"), !runtime, "{e:?} prints {text:?}");
@@ -1130,32 +913,13 @@ mod tests {
     }
 
     #[test]
-    fn journal_flags_parse() {
-        let cli = parse_args(&args(&[
-            "faultsim",
-            "--journal",
-            "j.jsonl",
-            "--resume",
-            "--jobs",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.study.resume);
-        assert!(check_flag_scope(&cli).is_ok());
-        let cli = parse_args(&args(&["soak", "--iters", "3"])).unwrap();
-        assert_eq!(cli.iters, Some(3));
-        assert!(check_flag_scope(&cli).is_ok());
-    }
-
-    #[test]
     fn model_knob_parses_validates_and_scopes_to_litmus() {
         let cli = parse_args(&args(&["litmus", "--model-knob", "clflushopt-po"])).unwrap();
         assert_eq!(cli.model_knob, Some(ModelKnob::ClflushOptProgramOrdered));
         assert!(check_flag_scope(&cli).is_ok());
         let cli = parse_args(&args(&["litmus", "--model-knob", "honest"])).unwrap();
         assert_eq!(cli.model_knob, Some(ModelKnob::Honest));
-        for bad in ["", "tso", "--journal"] {
+        for bad in ["", "tso", "--jobs"] {
             let e = parse_args(&args(&["litmus", "--model-knob", bad])).unwrap_err();
             assert!(
                 matches!(
@@ -1177,82 +941,6 @@ mod tests {
                 flag: "--model-knob",
                 cmd: "crashfuzz",
             }
-        );
-    }
-
-    #[test]
-    fn litmus_is_a_journaled_command() {
-        let cli = parse_args(&args(&["litmus", "--journal", "j.jsonl", "--resume"])).unwrap();
-        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.study.resume);
-        assert!(check_flag_scope(&cli).is_ok());
-    }
-
-    #[test]
-    fn resume_without_journal_is_a_typed_error() {
-        let cli = parse_args(&args(&["faultsim", "--resume"])).unwrap();
-        assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
-            CliError::ResumeNeedsJournal
-        );
-    }
-
-    #[test]
-    fn journal_flags_are_rejected_on_unjournaled_commands() {
-        for (words, flag) in [
-            (vec!["all", "--journal", "j.jsonl"], "--journal"),
-            (vec!["fig8", "--resume"], "--resume"),
-            (vec!["faultsim", "--iters", "2"], "--iters"),
-        ] {
-            let cli = parse_args(&args(&words)).unwrap();
-            assert_eq!(
-                check_flag_scope(&cli).unwrap_err(),
-                CliError::FlagUnsupported {
-                    flag,
-                    cmd: words[0],
-                },
-                "{words:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn journal_flag_values_are_validated() {
-        // Bare `--journal` (end of args, or another flag next) falls
-        // back to the conventional manifest location.
-        let cli = parse_args(&args(&["faultsim", "--journal"])).unwrap();
-        assert_eq!(
-            cli.study.journal.as_deref(),
-            Some(spp_bench::journal::DEFAULT_JOURNAL_PATH)
-        );
-        let cli = parse_args(&args(&["faultsim", "--journal", "--resume"])).unwrap();
-        assert_eq!(
-            cli.study.journal.as_deref(),
-            Some(spp_bench::journal::DEFAULT_JOURNAL_PATH)
-        );
-        assert!(cli.study.resume);
-        // An explicit empty path is still a typed error.
-        let e = parse_args(&args(&["faultsim", "--journal", ""])).unwrap_err();
-        assert!(
-            matches!(
-                e,
-                CliError::BadValue {
-                    flag: "--journal",
-                    ..
-                }
-            ),
-            "{e:?}"
-        );
-        let e = parse_args(&args(&["soak", "--iters", "0"])).unwrap_err();
-        assert!(
-            matches!(
-                e,
-                CliError::BadValue {
-                    flag: "--iters",
-                    ..
-                }
-            ),
-            "{e:?}"
         );
     }
 
@@ -1280,24 +968,6 @@ mod tests {
         assert_eq!(cli.positional, args(&["LL", "logpsf"]));
         assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
         assert!(check_flag_scope(&cli).is_ok());
-        // The report is one cell, so profile takes no journal.
-        for (flag, words) in [
-            (
-                "--journal",
-                vec!["profile", "LL", "base", "--journal", "j.jsonl"],
-            ),
-            ("--resume", vec!["profile", "LL", "base", "--resume"]),
-        ] {
-            let cli = parse_args(&args(&words)).unwrap();
-            assert_eq!(
-                check_flag_scope(&cli).unwrap_err(),
-                CliError::FlagUnsupported {
-                    flag,
-                    cmd: "profile",
-                },
-                "{words:?}"
-            );
-        }
         // A missing or flag-like value is a typed error.
         for words in [
             vec!["profile", "LL", "base", "--trace-out"],
@@ -1317,14 +987,20 @@ mod tests {
             );
         }
         // `--trace-out` is profile-only.
-        let cli = parse_args(&args(&["all", "--trace-out", "t.json"])).unwrap();
-        assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
-            CliError::FlagUnsupported {
-                flag: "--trace-out",
-                cmd: "all",
-            }
-        );
+        for words in [
+            vec!["all", "--trace-out", "t.json"],
+            vec!["optimize", "LL", "logpsf", "--trace-out", "t.json"],
+        ] {
+            let cli = parse_args(&args(&words)).unwrap();
+            assert_eq!(
+                check_flag_scope(&cli).unwrap_err(),
+                CliError::FlagUnsupported {
+                    flag: "--trace-out",
+                    cmd: words[0],
+                },
+                "{words:?}"
+            );
+        }
     }
 
     #[test]
@@ -1387,117 +1063,10 @@ mod tests {
     }
 
     #[test]
-    fn optimize_is_a_journaled_command() {
-        let cli = parse_args(&args(&[
-            "optimize",
-            "LL",
-            "logpsf",
-            "--journal",
-            "j.jsonl",
-            "--resume",
-        ]))
-        .unwrap();
-        assert_eq!(cli.positional, args(&["LL", "logpsf"]));
-        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.study.resume);
-        assert!(check_flag_scope(&cli).is_ok());
-        // Profile-only flags stay profile-only.
-        let cli = parse_args(&args(&[
-            "optimize",
-            "LL",
-            "logpsf",
-            "--trace-out",
-            "t.json",
-        ]))
-        .unwrap();
-        assert_eq!(
-            check_flag_scope(&cli).unwrap_err(),
-            CliError::FlagUnsupported {
-                flag: "--trace-out",
-                cmd: "optimize",
-            }
-        );
-    }
-
-    #[test]
     fn unknown_crashfuzz_leg_is_a_typed_error() {
         assert_eq!(
             run_words(&["crashfuzz", "base"]).unwrap_err(),
             CliError::UnknownLeg("base".into())
         );
-    }
-
-    #[test]
-    fn kv_is_a_journaled_command() {
-        let cli = parse_args(&args(&["kv", "--journal", "j.jsonl", "--resume"])).unwrap();
-        assert_eq!(cli.study.journal.as_deref(), Some("j.jsonl"));
-        assert!(cli.study.resume);
-        assert!(check_flag_scope(&cli).is_ok());
-    }
-
-    #[test]
-    fn journal_check_wants_the_subcommand_and_a_path() {
-        // A third word is a stray positional (see
-        // `stray_positionals_are_typed_errors`).
-        for words in [
-            vec!["journal"],
-            vec!["journal", "check"],
-            vec!["journal", "verify", "a"],
-        ] {
-            assert_eq!(
-                run_words(&words).unwrap_err(),
-                CliError::MissingJournalCheckArgs,
-                "{words:?}"
-            );
-        }
-        // A missing file is an open error, not a silent empty manifest
-        // (Journal::open would create it).
-        assert!(matches!(
-            journal_check("/nonexistent/spp-journal-check.jsonl").unwrap_err(),
-            CliError::Journal(_)
-        ));
-    }
-
-    #[test]
-    fn journal_check_verifies_flags_truncation_and_bit_flips() {
-        use spp_bench::json::{Fields, Record};
-        use spp_bench::{Journal, Supervisor};
-        /// A finished cell, journalled as `{"ok":1}`.
-        #[derive(Clone)]
-        struct Done;
-        impl Record for Done {
-            fn fields(&mut self, f: &mut Fields<'_>) {
-                f.derived_flag("ok", true);
-            }
-        }
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "spp-repro-journal-check-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&p);
-        let j = Journal::open(&p).unwrap();
-        Supervisor::new(1, Some(&j)).run_cells(
-            &["kv/a", "kv/b", "kv/c"],
-            |_, k| k.to_string(),
-            |_, _| Ok(Done),
-            |_| Done,
-        );
-        drop(j);
-        let path = p.display().to_string();
-        // Pristine: every line verifies.
-        assert_eq!(journal_check(&path).unwrap(), 0);
-        // A kill mid-append leaves a torn final line: cut the last
-        // entry in half. The damage localizes to that one line.
-        let clean = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &clean[..clean.len() - 9]).unwrap();
-        assert_eq!(journal_check(&path).unwrap(), 1);
-        // A single flipped payload byte fails that entry's checksum.
-        let mut flipped = clean.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x01;
-        std::fs::write(&p, &flipped).unwrap();
-        assert!(journal_check(&path).unwrap() >= 1);
-        std::fs::remove_file(&p).unwrap();
     }
 }

@@ -28,8 +28,8 @@
 //!
 //! [`first_violation`] is the one witness scan of the repo's crash legs
 //! (here, `faultsim`'s verdicts, `kv`'s crash legs and `optimize`'s
-//! oracle legs), and [`Witness`] the one witness type they report and
-//! journal. Only the must-pass sweep here keeps its own loop: it scans
+//! oracle legs), and [`Witness`] the one witness type they report.
+//! Only the must-pass sweep here keeps its own loop: it scans
 //! past a failure to report up to three unexpected witnesses.
 
 use spp_cpu::{CpuConfig, SimResult};
@@ -97,44 +97,29 @@ pub struct Witness {
     pub seed: u64,
     /// What the oracle rejected.
     pub kind: ViolationKind,
-    /// Deterministic human-readable description. Not journaled: a
-    /// decoded witness carries an empty detail.
+    /// Deterministic human-readable description. Only the crashfuzz
+    /// report prints it (through `Reported`).
     pub detail: String,
 }
 
-impl Witness {
-    /// The blank witness a journaled one decodes into.
-    pub(crate) fn blank() -> Witness {
-        Witness {
-            crash_idx: 0,
-            seed: 0,
-            kind: ViolationKind::ALL[0],
-            detail: String::new(),
-        }
-    }
-}
-
-/// The journaled fields, `{"crash_idx","seed","kind"}`; a `kind` that
-/// names no [`ViolationKind`] rejects the record.
+/// The witness as the kv and optimize cells embed it,
+/// `{"crash_idx","seed","kind"}`.
 impl Record for Witness {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        f.int("crash_idx", &mut self.crash_idx);
-        f.int("seed", &mut self.seed);
-        f.name("kind", &mut self.kind, &ViolationKind::ALL, |k| {
-            k.to_string()
-        });
+    fn fields(&self, f: &mut Fields) {
+        f.int("crash_idx", self.crash_idx as u64);
+        f.int("seed", self.seed);
+        f.str("kind", &self.kind.to_string());
     }
 }
 
-/// A witness as the crashfuzz report prints it: the journaled fields
+/// A witness as the crashfuzz report prints it: the embedded fields
 /// plus its `detail`.
-#[derive(Clone)]
-struct Reported(Witness);
+struct Reported<'a>(&'a Witness);
 
-impl Record for Reported {
-    fn fields(&mut self, f: &mut Fields<'_>) {
+impl Record for Reported<'_> {
+    fn fields(&self, f: &mut Fields) {
         self.0.fields(f);
-        f.str("detail", &mut self.0.detail);
+        f.str("detail", &self.0.detail);
     }
 }
 
@@ -486,7 +471,7 @@ impl FuzzReport {
                     },
                 )
                 .int("ok", c.ok.into());
-            let wit = |w: &Witness| json::encode(&Reported(w.clone()));
+            let wit = |w: &Witness| json::encode(&Reported(w));
             if let Some(w) = &c.witness {
                 o.raw("witness", wit(w));
             }

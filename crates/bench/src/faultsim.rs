@@ -35,18 +35,13 @@
 //! `(plan seed, component salt, site)`, so cells are pure functions of
 //! their inputs: the report is byte-identical at any `--jobs` value.
 //!
-//! The matrix runs on the [`Supervisor`]: each `(benchmark, variant)`
-//! pair is one supervised cell (six simulations plus the bounded crash
-//! verdict), keyed for the journaled result manifest. With a journal
-//! attached (`repro faultsim --journal … [--resume]`) completed pairs
-//! replay instead of recomputing, so a killed run resumes where it
-//! stopped — and because every pair is a pure function of its key, the
-//! resumed report is byte-identical to an uninterrupted one. A pair
-//! whose simulation panics or returns a typed [`spp_cpu::SimError`]
-//! degrades to a per-cell `failed` record carrying the diagnostic
-//! snapshot; every other pair still reports. The injected faults are
-//! part of the pair's inputs, so a failing pair fails the same way on
-//! every run and is never retried.
+//! The matrix runs on [`run_cells`]: each `(benchmark, variant)` pair
+//! is one supervised cell (six simulations plus the bounded crash
+//! verdict). A pair whose simulation panics or returns a typed
+//! [`spp_cpu::SimError`] degrades to a keyed per-cell `failures` record
+//! carrying the diagnostic snapshot; every other pair still reports.
+//! The injected faults are part of the pair's inputs, so a failing
+//! pair fails the same way on every run and is never retried.
 
 use spp_cpu::{CpuConfig, SimErrorKind, Simulator};
 use spp_mem::{FaultSpec, FaultStats};
@@ -59,8 +54,8 @@ use crate::crashfuzz::{
     SEEDS_PER_POINT,
 };
 use crate::json::{self, array, Fields, JsonObject, Record};
-use crate::supervisor::{CellError, CellFailure, Supervisor};
-use crate::{variant_key, Harness, Journal, TraceKey};
+use crate::supervisor::{run_cells, CellError, CellFailure};
+use crate::{variant_key, Harness, TraceKey};
 
 /// The build variants swept by `repro faultsim` (all four: even the
 /// un-instrumented `Base` build must be timing-invariant under NVMM
@@ -156,20 +151,14 @@ pub struct FaultReport {
     /// per-cell records carrying the diagnostic snapshot, in matrix
     /// order. Any entry here fails the report.
     pub failures: Vec<CellFailure>,
-    /// Supervised cells served from the journal without recomputation
-    /// (stderr diagnostics only — never part of the report bytes).
-    pub replayed: usize,
     /// The watchdog-detection leg.
     pub watchdog: WatchdogReport,
 }
 
-/// Options for [`run_faultsim_opts`]: journal attachment and the
-/// fault-injection hook the supervision tests use.
+/// Options for [`run_faultsim_opts`]: the fault-injection hook the
+/// supervision tests use.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FaultsimOpts<'j> {
-    /// Replay completed pairs from (and record new ones into) this
-    /// journal.
-    pub journal: Option<&'j Journal>,
+pub struct FaultsimOpts {
     /// Fault-injection hook: panic inside this pair's cell,
     /// demonstrating per-cell degradation without touching the
     /// simulator.
@@ -311,8 +300,7 @@ fn watchdog_leg(h: &Harness) -> WatchdogReport {
 }
 
 /// Everything besides scale/seed that determines a cell's result,
-/// folded into the journal key so entries written under a different
-/// configuration can never replay into this run.
+/// folded into its key.
 fn config_hash(exp: &crate::Experiment) -> u64 {
     let ps = plans(exp.seed);
     spp_pmem::hash64(
@@ -324,7 +312,7 @@ fn config_hash(exp: &crate::Experiment) -> u64 {
     )
 }
 
-/// The journal key of one `(benchmark, variant)` pair.
+/// The key a failed `(benchmark, variant)` pair is reported under.
 fn pair_key(id: BenchId, v: Variant, exp: &crate::Experiment) -> String {
     format!(
         "faultsim/{}/{}/s{}/x{:016x}/clwb/c{:016x}",
@@ -336,7 +324,7 @@ fn pair_key(id: BenchId, v: Variant, exp: &crate::Experiment) -> String {
     )
 }
 
-/// The journal key of the watchdog-detection leg.
+/// The key a failed watchdog-detection leg is reported under.
 fn watchdog_key(exp: &crate::Experiment) -> String {
     format!(
         "faultsim/watchdog/{}/s{}/x{:016x}/b{}/c{:016x}",
@@ -349,38 +337,9 @@ fn watchdog_key(exp: &crate::Experiment) -> String {
 }
 
 /// One supervised unit of the faultsim matrix.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CellTask {
+enum CellTask {
     Pair(BenchId, Variant),
     Watchdog,
-}
-
-impl CellTask {
-    /// The blank value a journaled entry of this unit decodes into:
-    /// one cell per plan for a pair, the unrun watchdog leg.
-    pub(crate) fn blank(self, exp: &crate::Experiment) -> CellValue {
-        match self {
-            CellTask::Pair(id, variant) => CellValue::Pair(
-                plans(exp.seed)
-                    .map(|(plan, _)| Cell {
-                        id,
-                        variant,
-                        plan,
-                        base_cycles: 0,
-                        base_cycles_faulted: 0,
-                        sp_cycles: 0,
-                        sp_cycles_faulted: 0,
-                        faults_injected: 0,
-                        extra_cycles: 0,
-                        state_ok: false,
-                        verdict: VERDICTS[0],
-                        verdict_ok: false,
-                    })
-                    .to_vec(),
-            ),
-            CellTask::Watchdog => CellValue::Watchdog(unrun_watchdog()),
-        }
-    }
 }
 
 /// The watchdog leg's report before it runs.
@@ -396,101 +355,80 @@ fn unrun_watchdog() -> WatchdogReport {
     }
 }
 
-/// A supervised unit's journalled value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum CellValue {
+/// A supervised unit's value.
+enum CellValue {
     Pair(Vec<Cell>),
     Watchdog(WatchdogReport),
 }
 
-/// The crash verdicts a cell can carry.
-const VERDICTS: [&str; 3] = ["recovers", "violation", "n/a"];
-
-/// One cell as a JSON object (shared by the report and the journal
-/// payload); benchmark, variant and plan must match the pair's key.
+/// One cell as a JSON object, the report's `cells` element.
 impl Record for Cell {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        f.spec_str("bench", self.id.abbrev());
-        f.spec_str("variant", variant_key(self.variant));
-        f.spec_str("plan", self.plan);
-        f.int("base_cycles", &mut self.base_cycles);
-        f.int("base_cycles_faulted", &mut self.base_cycles_faulted);
-        f.int("sp_cycles", &mut self.sp_cycles);
-        f.int("sp_cycles_faulted", &mut self.sp_cycles_faulted);
-        f.int("faults", &mut self.faults_injected);
-        f.int("extra_cycles", &mut self.extra_cycles);
-        f.flag("state_ok", &mut self.state_ok);
-        f.name("verdict", &mut self.verdict, &VERDICTS, |v| v);
-        f.flag("verdict_ok", &mut self.verdict_ok);
+    fn fields(&self, f: &mut Fields) {
+        f.str("bench", self.id.abbrev());
+        f.str("variant", variant_key(self.variant));
+        f.str("plan", self.plan);
+        f.int("base_cycles", self.base_cycles);
+        f.int("base_cycles_faulted", self.base_cycles_faulted);
+        f.int("sp_cycles", self.sp_cycles);
+        f.int("sp_cycles_faulted", self.sp_cycles_faulted);
+        f.int("faults", self.faults_injected);
+        f.int("extra_cycles", self.extra_cycles);
+        f.flag("state_ok", self.state_ok);
+        f.str("verdict", self.verdict);
+        f.flag("verdict_ok", self.verdict_ok);
     }
 }
 
-/// The watchdog leg as a JSON object (shared by the report and the
-/// journal payload).
+/// The watchdog leg as a JSON object, the report's `watchdog` field.
 impl Record for WatchdogReport {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        f.spec_str("bench", self.id.abbrev());
-        f.spec_int("bound", self.bound);
-        f.flag("fired", &mut self.fired);
-        f.int("cycle", &mut self.cycle);
-        f.int("rob_len", &mut self.rob_len);
-        f.str("detail", &mut self.detail);
-        f.flag("ok", &mut self.ok);
+    fn fields(&self, f: &mut Fields) {
+        f.str("bench", self.id.abbrev());
+        f.int("bound", self.bound);
+        f.flag("fired", self.fired);
+        f.int("cycle", self.cycle);
+        f.int("rob_len", self.rob_len as u64);
+        f.str("detail", &self.detail);
+        f.flag("ok", self.ok);
     }
 }
 
-impl Record for CellValue {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        match self {
-            CellValue::Pair(cells) => f.list("cells", cells),
-            CellValue::Watchdog(w) => f.record("watchdog", w),
-        }
-    }
-}
-
-/// Runs the faultsim matrix under the [`Supervisor`].
+/// Runs the faultsim matrix on [`run_cells`].
 ///
 /// Each `(benchmark, variant)` pair — six simulations plus the bounded
 /// crash verdict — and the watchdog leg is one supervised cell: panic-
-/// isolated, journalled under `opts.journal` when one is attached, and
-/// degraded to a per-cell failure record when it fails. Outcomes come
-/// back in
-/// input order, so the report is byte-identical at any `--jobs` value
-/// and across interrupted-then-resumed vs. uninterrupted runs.
-pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
+/// isolated, and degraded to a keyed per-cell failure record when it
+/// fails. Results come back in input order, so the report is
+/// byte-identical at any `--jobs` value.
+pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts) -> FaultReport {
     let mut tasks: Vec<CellTask> = BenchId::ALL
         .iter()
         .flat_map(|&id| VARIANTS.iter().map(move |&v| CellTask::Pair(id, v)))
         .collect();
     tasks.push(CellTask::Watchdog);
-    let outcomes = Supervisor::new(h.jobs, opts.journal).run_cells(
-        &tasks,
-        |_, t| match t {
-            CellTask::Pair(id, v) => pair_key(*id, *v, &h.exp),
-            CellTask::Watchdog => watchdog_key(&h.exp),
-        },
-        |_, t| match t {
-            CellTask::Pair(id, v) => run_pair(h, *id, *v, opts.inject_panic).map(CellValue::Pair),
-            CellTask::Watchdog => Ok(CellValue::Watchdog(watchdog_leg(h))),
-        },
-        |t| t.blank(&h.exp),
-    );
+    let results = run_cells(h.jobs, &tasks, |_, t| match t {
+        CellTask::Pair(id, v) => run_pair(h, *id, *v, opts.inject_panic).map(CellValue::Pair),
+        CellTask::Watchdog => Ok(CellValue::Watchdog(watchdog_leg(h))),
+    });
     let mut cells = Vec::new();
     let mut failures = Vec::new();
-    let mut replayed = 0;
     let mut watchdog = unrun_watchdog();
-    for (o, t) in outcomes.into_iter().zip(&tasks) {
-        if o.replayed {
-            replayed += 1;
-        }
-        match o.result {
+    for (r, t) in results.into_iter().zip(&tasks) {
+        match r {
             Ok(CellValue::Pair(mut cs)) => cells.append(&mut cs),
             Ok(CellValue::Watchdog(w)) => watchdog = w,
-            Err(f) => {
-                if matches!(t, CellTask::Watchdog) {
-                    watchdog.detail = f.reason.clone();
-                }
-                failures.push(f);
+            Err(e) => {
+                let key = match t {
+                    CellTask::Pair(id, v) => pair_key(*id, *v, &h.exp),
+                    CellTask::Watchdog => {
+                        watchdog.detail = e.reason.clone();
+                        watchdog_key(&h.exp)
+                    }
+                };
+                failures.push(CellFailure {
+                    key,
+                    reason: e.reason,
+                    snapshot: e.snapshot,
+                });
             }
         }
     }
@@ -498,7 +436,6 @@ pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts<'_>) -> FaultReport {
         exp: h.exp,
         cells,
         failures,
-        replayed,
         watchdog,
     }
 }
@@ -728,7 +665,6 @@ mod tests {
             &h,
             FaultsimOpts {
                 inject_panic: Some((BenchId::LinkedList, Variant::Log)),
-                ..FaultsimOpts::default()
             },
         );
         // The injected pair degrades; every other pair still reports.
@@ -758,41 +694,5 @@ mod tests {
         let json = rep.render_json();
         assert!(json.contains("injected pair fault"), "{json}");
         crate::json::parse(&json).expect("report must parse");
-    }
-
-    #[test]
-    fn journaled_rerun_replays_byte_identically() {
-        let mut p = std::env::temp_dir();
-        p.push(format!("spp-faultsim-journal-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let h = smoke_harness(2);
-        let (text, json);
-        {
-            let j = Journal::open(&p).unwrap();
-            let rep = run_faultsim_opts(
-                &h,
-                FaultsimOpts {
-                    journal: Some(&j),
-                    ..FaultsimOpts::default()
-                },
-            );
-            assert_eq!(rep.replayed, 0, "first run computes everything");
-            assert!(rep.ok());
-            text = rep.render_text();
-            json = rep.render_json();
-        }
-        let j = Journal::open(&p).unwrap();
-        assert!(j.corrupt().is_empty(), "{:?}", j.corrupt());
-        let rep = run_faultsim_opts(
-            &h,
-            FaultsimOpts {
-                journal: Some(&j),
-                ..FaultsimOpts::default()
-            },
-        );
-        assert_eq!(rep.replayed, 7 * 4 + 1, "every cell replays");
-        assert_eq!(rep.render_text(), text, "replayed stdout byte-identical");
-        assert_eq!(rep.render_json(), json);
-        std::fs::remove_file(&p).unwrap();
     }
 }

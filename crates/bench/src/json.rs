@@ -1,13 +1,11 @@
-//! Minimal JSON emission *and parsing* for machine-readable results
-//! (no external dependency needed for these flat records).
+//! Minimal JSON emission for machine-readable results (no external
+//! dependency needed for these flat records).
 //!
-//! Emission ([`JsonObject`], [`array`]) has been here since the first
-//! harness; parsing ([`parse`], [`Value`]) arrived with the journalled
-//! result manifest, which must read its own `journal-v1.jsonl` lines
-//! back and reject anything malformed with a typed error instead of
-//! panicking on torn writes. The journal codec ([`Record`], [`encode`],
-//! [`decode`]) sits on both: each journaled cell lists its fields once,
-//! and that one list writes the payload and reads it back.
+//! [`JsonObject`] and [`array()`] build documents; [`Record`] is a cell
+//! type that lists its fields once, and [`encode`] renders that list
+//! as the object a report's `cells` array holds. The crate writes JSON
+//! and never reads it back: the small test-only parser at the end
+//! exists only so tests can check that what was written is well formed.
 
 use std::fmt::Write as _;
 
@@ -96,305 +94,6 @@ pub fn quote(v: &str) -> String {
     s
 }
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, in source order.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// The value of `key`, if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer, if this is a
-    /// number exactly representing one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Renders the value compactly, numbers as [`JsonObject::num`]
-    /// prints them: what [`JsonObject`] and [`array()`] wrote parses
-    /// back to the same bytes.
-    pub fn render(&self) -> String {
-        match self {
-            Value::Null => "null".to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Num(n) => num_text(*n),
-            Value::Str(s) => quote(s),
-            Value::Arr(items) => array(items.iter().map(Value::render)),
-            Value::Obj(fields) => {
-                let mut o = JsonObject::new();
-                for (k, v) in fields {
-                    o.raw(k, v.render());
-                }
-                o.render()
-            }
-        }
-    }
-}
-
-/// Why a document failed to parse: byte offset plus a short reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonParseError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What was expected or found.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for JsonParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.reason, self.at)
-    }
-}
-
-impl std::error::Error for JsonParseError {}
-
-/// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected). Never panics on malformed input.
-pub fn parse(src: &str) -> Result<Value, JsonParseError> {
-    let bytes = src.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(JsonParseError {
-            at: pos,
-            reason: "trailing garbage after document",
-        });
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect_byte(
-    b: &[u8],
-    pos: &mut usize,
-    want: u8,
-    reason: &'static str,
-) -> Result<(), JsonParseError> {
-    if b.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(JsonParseError { at: *pos, reason })
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-        _ => Err(JsonParseError {
-            at: *pos,
-            reason: "expected a JSON value",
-        }),
-    }
-}
-
-fn parse_lit(
-    b: &[u8],
-    pos: &mut usize,
-    lit: &'static str,
-    v: Value,
-) -> Result<Value, JsonParseError> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(JsonParseError {
-            at: *pos,
-            reason: "malformed literal",
-        })
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(Value::Num)
-        .ok_or(JsonParseError {
-            at: start,
-            reason: "malformed number",
-        })
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
-    expect_byte(b, pos, b'"', "expected opening quote")?;
-    let mut out = Vec::new();
-    loop {
-        match b.get(*pos) {
-            None => {
-                return Err(JsonParseError {
-                    at: *pos,
-                    reason: "unterminated string",
-                })
-            }
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| JsonParseError {
-                    at: *pos,
-                    reason: "invalid UTF-8 in string",
-                });
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or(JsonParseError {
-                                at: *pos,
-                                reason: "malformed \\u escape",
-                            })?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
-                    }
-                    _ => {
-                        return Err(JsonParseError {
-                            at: *pos,
-                            reason: "unknown escape",
-                        })
-                    }
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                out.push(c);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
-    expect_byte(b, pos, b'[', "expected '['")?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => {
-                return Err(JsonParseError {
-                    at: *pos,
-                    reason: "expected ',' or ']'",
-                })
-            }
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
-    expect_byte(b, pos, b'{', "expected '{'")?;
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect_byte(b, pos, b':', "expected ':'")?;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            _ => {
-                return Err(JsonParseError {
-                    at: *pos,
-                    reason: "expected ',' or '}'",
-                })
-            }
-        }
-    }
-}
-
 /// Renders an array of pre-rendered values.
 pub fn array(items: impl IntoIterator<Item = String>) -> String {
     let mut s = String::from("[");
@@ -408,217 +107,71 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
     s
 }
 
-/// A journaled record: one [`Record::fields`] lists every field once,
-/// and [`encode`] and [`decode`] run that list as a writer or a reader,
-/// so the payload format cannot drift between the two.
-pub trait Record: Clone {
-    /// Visits every field in payload order.
-    fn fields(&mut self, f: &mut Fields<'_>);
+/// A record a report renders as one JSON object: [`Record::fields`]
+/// lists every field once, in output order.
+pub trait Record {
+    /// Writes every field in output order.
+    fn fields(&self, f: &mut Fields);
 }
 
-/// The field visitor [`Record::fields`] talks to: it appends each field
-/// to a [`JsonObject`], or reads it back from a parsed object. A reader
-/// rejects the record on a missing or mistyped field, a name outside
-/// its list, a spec field that differs from the blank record's, and any
-/// key no field claims.
-pub struct Fields<'v> {
+/// The field writer [`Record::fields`] talks to: each call appends one
+/// field to the object [`encode`] renders.
+#[derive(Debug, Default)]
+pub struct Fields {
     out: JsonObject,
-    /// The object being read; `None` when writing.
-    src: Option<&'v [(String, Value)]>,
-    used: usize,
-    ok: bool,
 }
 
 /// Renders `r` as one JSON object.
 pub fn encode<R: Record>(r: &R) -> String {
-    let mut f = Fields::new(None);
-    r.clone().fields(&mut f);
+    let mut f = Fields::default();
+    r.fields(&mut f);
     f.out.render()
 }
 
-/// Reads a payload written by [`encode`] into `blank`, a record whose
-/// spec fields are already set from the cell's key. `None` if the
-/// payload is malformed or disagrees with `blank`.
-pub fn decode<R: Record>(mut blank: R, payload: &str) -> Option<R> {
-    read_into(&mut blank, &parse(payload).ok()?).then_some(blank)
-}
-
-fn read_into<R: Record>(r: &mut R, v: &Value) -> bool {
-    let Value::Obj(obj) = v else { return false };
-    let mut f = Fields::new(Some(obj));
-    r.fields(&mut f);
-    f.ok && f.used == obj.len()
-}
-
-impl<'v> Fields<'v> {
-    fn new(src: Option<&'v [(String, Value)]>) -> Self {
-        Fields {
-            out: JsonObject::new(),
-            src,
-            used: 0,
-            ok: true,
-        }
-    }
-
-    /// The one field primitive: `write` renders the value, `read`
-    /// parses it (`None` rejects the record).
-    fn field<T>(
-        &mut self,
-        key: &str,
-        v: &mut T,
-        write: impl FnOnce(&T) -> String,
-        read: impl FnOnce(&Value) -> Option<T>,
-    ) {
-        let Some(src) = self.src else {
-            self.out.raw(key, write(v));
-            return;
-        };
-        match src
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, x)| read(x))
-        {
-            Some(x) => {
-                *v = x;
-                self.used += 1;
-            }
-            None => self.ok = false,
-        }
-    }
-
-    /// An optional field, omitted when `None`; `inner` visits it when
-    /// present.
-    fn opt<T>(
-        &mut self,
-        key: &str,
-        v: &mut Option<T>,
-        blank: impl FnOnce() -> T,
-        inner: impl FnOnce(&mut Self, &str, &mut T),
-    ) {
-        let present = self
-            .src
-            .map_or(v.is_some(), |src| src.iter().any(|(k, _)| k == key));
-        if present {
-            inner(self, key, v.get_or_insert_with(blank));
-        } else {
-            *v = None;
-        }
-    }
-
+impl Fields {
     /// A non-negative integer.
-    pub fn int<T: ToString + TryFrom<u64>>(&mut self, key: &str, v: &mut T) {
-        self.field(key, v, T::to_string, |x| T::try_from(x.as_u64()?).ok());
+    pub fn int(&mut self, key: &str, v: u64) {
+        self.out.int(key, v);
     }
 
     /// A boolean written as `0`/`1`.
-    pub fn flag(&mut self, key: &str, v: &mut bool) {
-        let read = |x: &Value| x.as_u64().filter(|&n| n < 2).map(|n| n == 1);
-        self.field(key, v, |b| u8::from(*b).to_string(), read);
-    }
-
-    /// A flag computed from other fields: written, and on reading only
-    /// required to be `0`/`1`.
-    pub fn derived_flag(&mut self, key: &str, v: bool) {
-        self.flag(key, &mut { v });
+    pub fn flag(&mut self, key: &str, v: bool) {
+        self.out.int(key, v.into());
     }
 
     /// A string.
-    pub fn str(&mut self, key: &str, v: &mut String) {
-        self.field(key, v, |s| quote(s), |x| x.as_str().map(String::from));
+    pub fn str(&mut self, key: &str, v: &str) {
+        self.out.str(key, v);
     }
 
     /// A string omitted when `None`.
-    pub fn opt_str(&mut self, key: &str, v: &mut Option<String>) {
-        self.opt(key, v, String::new, Self::str);
-    }
-
-    /// One of `all`, written as its `name`.
-    pub fn name<T: Copy, S: AsRef<str>>(
-        &mut self,
-        key: &str,
-        v: &mut T,
-        all: &[T],
-        name: impl Fn(T) -> S,
-    ) {
-        let read = |x: &Value| {
-            all.iter()
-                .copied()
-                .find(|&t| Some(name(t).as_ref()) == x.as_str())
-        };
-        self.field(key, v, |t| quote(name(*t).as_ref()), read);
-    }
-
-    /// A string fixed by the cell's key: a reader requires exactly `v`.
-    pub fn spec_str(&mut self, key: &str, v: &str) {
-        self.name(key, &mut { v }, &[v], |s| s);
-    }
-
-    /// An integer fixed by the cell's key: a reader requires exactly `v`.
-    pub fn spec_int(&mut self, key: &str, v: u64) {
-        self.field(key, &mut { v }, u64::to_string, |x| {
-            (x.as_u64()? == v).then_some(v)
-        });
+    pub fn opt_str(&mut self, key: &str, v: Option<&str>) {
+        if let Some(v) = v {
+            self.str(key, v);
+        }
     }
 
     /// An integer written as `null` when `None`.
-    pub fn nullable_int(&mut self, key: &str, v: &mut Option<u64>) {
-        let write = |n: &Option<u64>| n.map_or_else(|| "null".to_string(), |n| n.to_string());
-        let read = |x: &Value| {
-            if *x == Value::Null {
-                Some(None)
-            } else {
-                x.as_u64().map(Some)
-            }
-        };
-        self.field(key, v, write, read);
+    pub fn nullable_int(&mut self, key: &str, v: Option<u64>) {
+        self.out
+            .raw(key, v.map_or_else(|| "null".to_string(), |n| n.to_string()));
     }
 
-    /// Pre-rendered JSON written as `null` when `None`, read back as
-    /// [`Value::render`] prints it.
-    pub fn nullable_raw(&mut self, key: &str, v: &mut Option<String>) {
-        let write = |r: &Option<String>| r.clone().unwrap_or_else(|| "null".to_string());
-        self.field(key, v, write, |x| {
-            Some((*x != Value::Null).then(|| x.render()))
-        });
+    /// Pre-rendered JSON written as `null` when `None`.
+    pub fn nullable_raw(&mut self, key: &str, v: Option<&str>) {
+        self.out.raw(key, v.unwrap_or("null").to_string());
     }
 
     /// An array of integers.
-    pub fn ints(&mut self, key: &str, v: &mut Vec<u64>) {
-        let write = |xs: &Vec<u64>| array(xs.iter().map(u64::to_string));
-        self.field(key, v, write, |x| {
-            x.as_arr()?.iter().map(Value::as_u64).collect()
-        });
+    pub fn ints(&mut self, key: &str, v: &[u64]) {
+        self.out.raw(key, array(v.iter().map(u64::to_string)));
     }
 
-    /// A nested record.
-    pub fn record<R: Record>(&mut self, key: &str, v: &mut R) {
-        let mut blank = v.clone();
-        self.field(key, v, encode, |x| {
-            read_into(&mut blank, x).then_some(blank)
-        });
-    }
-
-    /// A nested record omitted when `None`; `blank` seeds a reader.
-    pub fn opt_record<R: Record>(
-        &mut self,
-        key: &str,
-        v: &mut Option<R>,
-        blank: impl FnOnce() -> R,
-    ) {
-        self.opt(key, v, blank, Self::record);
-    }
-
-    /// An array of records whose length and spec fields the blank
-    /// already holds: a reader reads element `i` into blank element `i`.
-    pub fn list<R: Record>(&mut self, key: &str, v: &mut Vec<R>) {
-        let mut blank = v.clone();
-        let read = |x: &Value| {
-            let items = x.as_arr()?;
-            let ok = items.len() == blank.len()
-                && blank.iter_mut().zip(items).all(|(r, x)| read_into(r, x));
-            ok.then_some(blank)
-        };
-        self.field(key, v, |rs| array(rs.iter().map(encode)), read);
+    /// A nested record omitted when `None`.
+    pub fn opt_record<R: Record>(&mut self, key: &str, v: Option<&R>) {
+        if let Some(v) = v {
+            self.out.raw(key, encode(v));
+        }
     }
 }
 
@@ -663,6 +216,293 @@ pub fn suite_json(runs: &[BenchRun]) -> String {
         root.raw("benchmarks", array(items));
     })
 }
+
+/// The test-only reader: parses what the writers above emit, so tests
+/// can check that every document is well formed.
+#[cfg(test)]
+pub(crate) mod read {
+    /// A parsed JSON value.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Value {
+        /// `null`.
+        Null,
+        /// `true` / `false`.
+        Bool(bool),
+        /// Any JSON number.
+        Num(f64),
+        /// A string (unescaped).
+        Str(String),
+        /// An array.
+        Arr(Vec<Value>),
+        /// An object, in source order.
+        Obj(Vec<(String, Value)>),
+    }
+
+    impl Value {
+        /// The value of `key`, if this is an object containing it.
+        pub fn get(&self, key: &str) -> Option<&Value> {
+            match self {
+                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        /// The string payload, if this is a string.
+        pub fn as_str(&self) -> Option<&str> {
+            match self {
+                Value::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// The numeric payload as a non-negative integer, if this is a
+        /// number exactly representing one.
+        pub fn as_u64(&self) -> Option<u64> {
+            match self {
+                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => Some(*n as u64),
+                _ => None,
+            }
+        }
+
+        /// The elements, if this is an array.
+        pub fn as_arr(&self) -> Option<&[Value]> {
+            match self {
+                Value::Arr(items) => Some(items),
+                _ => None,
+            }
+        }
+    }
+
+    /// Why a document failed to parse: byte offset plus a short reason.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct JsonParseError {
+        /// Byte offset of the failure.
+        pub at: usize,
+        /// What was expected or found.
+        pub reason: &'static str,
+    }
+
+    impl std::fmt::Display for JsonParseError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "{} at byte {}", self.reason, self.at)
+        }
+    }
+
+    impl std::error::Error for JsonParseError {}
+
+    /// Parses one complete JSON document (trailing whitespace allowed,
+    /// trailing garbage rejected). Never panics on malformed input.
+    pub fn parse(src: &str) -> Result<Value, JsonParseError> {
+        let bytes = src.as_bytes();
+        let mut pos = 0;
+        let v = parse_value(bytes, &mut pos)?;
+        skip_ws(bytes, &mut pos);
+        if pos != bytes.len() {
+            return Err(JsonParseError {
+                at: pos,
+                reason: "trailing garbage after document",
+            });
+        }
+        Ok(v)
+    }
+
+    fn skip_ws(b: &[u8], pos: &mut usize) {
+        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+            *pos += 1;
+        }
+    }
+
+    fn expect_byte(
+        b: &[u8],
+        pos: &mut usize,
+        want: u8,
+        reason: &'static str,
+    ) -> Result<(), JsonParseError> {
+        if b.get(*pos) == Some(&want) {
+            *pos += 1;
+            Ok(())
+        } else {
+            Err(JsonParseError { at: *pos, reason })
+        }
+    }
+
+    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b'{') => parse_obj(b, pos),
+            Some(b'[') => parse_arr(b, pos),
+            Some(b'"') => parse_string(b, pos).map(Value::Str),
+            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
+            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
+            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
+            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
+            _ => Err(JsonParseError {
+                at: *pos,
+                reason: "expected a JSON value",
+            }),
+        }
+    }
+
+    fn parse_lit(
+        b: &[u8],
+        pos: &mut usize,
+        lit: &'static str,
+        v: Value,
+    ) -> Result<Value, JsonParseError> {
+        if b[*pos..].starts_with(lit.as_bytes()) {
+            *pos += lit.len();
+            Ok(v)
+        } else {
+            Err(JsonParseError {
+                at: *pos,
+                reason: "malformed literal",
+            })
+        }
+    }
+
+    fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
+        let start = *pos;
+        if b.get(*pos) == Some(&b'-') {
+            *pos += 1;
+        }
+        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
+            *pos += 1;
+        }
+        std::str::from_utf8(&b[start..*pos])
+            .ok()
+            .and_then(|s| s.parse::<f64>().ok())
+            .filter(|n| n.is_finite())
+            .map(Value::Num)
+            .ok_or(JsonParseError {
+                at: start,
+                reason: "malformed number",
+            })
+    }
+
+    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
+        expect_byte(b, pos, b'"', "expected opening quote")?;
+        let mut out = Vec::new();
+        loop {
+            match b.get(*pos) {
+                None => {
+                    return Err(JsonParseError {
+                        at: *pos,
+                        reason: "unterminated string",
+                    })
+                }
+                Some(b'"') => {
+                    *pos += 1;
+                    return String::from_utf8(out).map_err(|_| JsonParseError {
+                        at: *pos,
+                        reason: "invalid UTF-8 in string",
+                    });
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match b.get(*pos) {
+                        Some(b'"') => out.push(b'"'),
+                        Some(b'\\') => out.push(b'\\'),
+                        Some(b'/') => out.push(b'/'),
+                        Some(b'n') => out.push(b'\n'),
+                        Some(b't') => out.push(b'\t'),
+                        Some(b'r') => out.push(b'\r'),
+                        Some(b'u') => {
+                            let hex = b
+                                .get(*pos + 1..*pos + 5)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or(JsonParseError {
+                                    at: *pos,
+                                    reason: "malformed \\u escape",
+                                })?;
+                            let mut buf = [0u8; 4];
+                            out.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
+                            *pos += 4;
+                        }
+                        _ => {
+                            return Err(JsonParseError {
+                                at: *pos,
+                                reason: "unknown escape",
+                            })
+                        }
+                    }
+                    *pos += 1;
+                }
+                Some(&c) => {
+                    out.push(c);
+                    *pos += 1;
+                }
+            }
+        }
+    }
+
+    fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
+        expect_byte(b, pos, b'[', "expected '['")?;
+        let mut items = Vec::new();
+        skip_ws(b, pos);
+        if b.get(*pos) == Some(&b']') {
+            *pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(parse_value(b, pos)?);
+            skip_ws(b, pos);
+            match b.get(*pos) {
+                Some(b',') => {
+                    *pos += 1;
+                }
+                Some(b']') => {
+                    *pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => {
+                    return Err(JsonParseError {
+                        at: *pos,
+                        reason: "expected ',' or ']'",
+                    })
+                }
+            }
+        }
+    }
+
+    fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, JsonParseError> {
+        expect_byte(b, pos, b'{', "expected '{'")?;
+        let mut fields = Vec::new();
+        skip_ws(b, pos);
+        if b.get(*pos) == Some(&b'}') {
+            *pos += 1;
+            return Ok(Value::Obj(fields));
+        }
+        loop {
+            skip_ws(b, pos);
+            let key = parse_string(b, pos)?;
+            skip_ws(b, pos);
+            expect_byte(b, pos, b':', "expected ':'")?;
+            let value = parse_value(b, pos)?;
+            fields.push((key, value));
+            skip_ws(b, pos);
+            match b.get(*pos) {
+                Some(b',') => {
+                    *pos += 1;
+                }
+                Some(b'}') => {
+                    *pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                _ => {
+                    return Err(JsonParseError {
+                        at: *pos,
+                        reason: "expected ',' or '}'",
+                    })
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) use read::{parse, Value};
 
 #[cfg(test)]
 mod tests {
@@ -788,93 +628,31 @@ mod tests {
         assert_eq!(quote("a\tb\r\n\u{1}"), r#""a\tb\r\n\u0001""#);
     }
 
-    /// Every `(path, document without the key, document with its value
-    /// replaced)` of `v`: one per object key, at any depth.
-    fn mutants(v: &Value, at: &str) -> Vec<(String, Value, Value)> {
-        let mut out = Vec::new();
-        match v {
-            Value::Obj(fields) => {
-                for (i, (k, x)) in fields.iter().enumerate() {
-                    let path = if at.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{at}.{k}")
-                    };
-                    let with = |x: Option<Value>| {
-                        let mut f = fields.clone();
-                        match x {
-                            Some(x) => f[i].1 = x,
-                            None => drop(f.remove(i)),
-                        }
-                        Value::Obj(f)
-                    };
-                    let bogus = match x {
-                        Value::Num(n) => Value::Num(n + 1.0),
-                        _ => Value::Str("bogus".into()),
-                    };
-                    out.push((path.clone(), with(None), with(Some(bogus))));
-                    for (p, d, r) in mutants(x, &path) {
-                        out.push((p, with(Some(d)), with(Some(r))));
-                    }
-                }
-            }
-            Value::Arr(items) => {
-                for (i, x) in items.iter().enumerate() {
-                    let with = |x: Value| {
-                        let mut a = items.clone();
-                        a[i] = x;
-                        Value::Arr(a)
-                    };
-                    for (p, d, r) in mutants(x, &format!("{at}[{i}]")) {
-                        out.push((p, with(d), with(r)));
-                    }
-                }
-            }
-            _ => {}
-        }
-        out
+    /// Parses `r`'s encoding, requires its keys to be exactly `keys`,
+    /// in order, and returns the parsed object.
+    fn fields_of<R: Record>(r: &R, keys: &[&str]) -> Value {
+        let doc = encode(r);
+        let v = parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let Value::Obj(fields) = &v else {
+            panic!("{doc} is not an object")
+        };
+        let named: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(named, keys, "{doc}");
+        v
     }
 
-    /// The codec contract on one record: encode → decode → encode is
-    /// byte-identical; deleting a key rejects the payload unless the
-    /// key is `optional` (then the rest round-trips; a path ending in
-    /// `.` covers everything below it); replacing a `pinned` (name or
-    /// spec) value rejects it; so do an unknown key and non-objects.
-    fn check<R: Record>(blank: &R, sample: &R, optional: &[&str], pinned: &[&str]) {
-        let doc = encode(sample);
-        let back = decode(blank.clone(), &doc).unwrap_or_else(|| panic!("{doc}"));
-        assert_eq!(encode(&back), doc);
-        let tree = parse(&doc).unwrap();
-        assert_eq!(tree.render(), doc, "render is canonical");
-        let ms = mutants(&tree, "");
-        for (path, deleted, replaced) in &ms {
-            let gone = decode(blank.clone(), &deleted.render()).map(|r| encode(&r));
-            let may_go = optional
-                .iter()
-                .any(|o| path == o || (o.ends_with('.') && path.starts_with(o)));
-            if may_go {
-                assert_eq!(gone, Some(deleted.render()), "{path} in {doc}");
-            } else {
-                assert_eq!(gone, None, "deleting {path} from {doc}");
-            }
-            if pinned.contains(&path.as_str()) {
-                let r = decode(blank.clone(), &replaced.render());
-                assert!(r.is_none(), "replacing {path} in {doc}");
-            }
-        }
-        for p in pinned {
-            assert!(ms.iter().any(|(path, ..)| path == p), "{p} not in {doc}");
-        }
-        let extra = format!("{},\"extra\":1}}", &doc[..doc.len() - 1]);
-        for bad in [extra.as_str(), "{}", "[]", "not json", ""] {
-            assert!(decode(blank.clone(), bad).is_none(), "{bad}");
+    /// The keys of `v`'s `key` object, in order.
+    fn keys_of<'a>(v: &'a Value, key: &str) -> Vec<&'a str> {
+        match v.get(key) {
+            Some(Value::Obj(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("{key} is {other:?}"),
         }
     }
 
     #[test]
-    fn every_record_round_trips_and_rejects_tampering() {
+    fn every_record_encodes_exactly_its_fields() {
         use crate::crashfuzz::Witness;
-        use crate::faultsim::{CellTask, CellValue};
+        use crate::faultsim::{Cell, WatchdogReport};
         use crate::kv::{KvCell, KvCellSpec, PerfCfg};
         use crate::multicore::{CellSpec, MulticoreCell};
         use crate::optimize::{OptCell, OptimizeCellSpec, ReplayCore, ReplayPass};
@@ -884,129 +662,193 @@ mod tests {
         use spp_workloads::shared::SharedKind;
         use spp_workloads::BenchId;
 
+        let cat = |parts: &[&[&'static str]]| parts.concat();
         let witness = Witness {
             crash_idx: 17,
             seed: 1,
             kind: ViolationKind::ScanInconsistent,
-            detail: String::new(),
+            detail: "not written".into(),
         };
-        let opt = ["witness", "error"];
+        let witness_keys = ["crash_idx", "seed", "kind"];
+        fields_of(&witness, &witness_keys);
 
-        // crashfuzz witness (its detail is not journaled)
-        check(&Witness::blank(), &witness, &[], &["kind"]);
-
-        // kv: options present, then absent
-        let spec = KvCellSpec::MustFail { seed_off: 1 };
+        // kv: a witness-bearing must-fail cell, then a bare perf cell
+        let kv = [
+            "ok",
+            "ops",
+            "events",
+            "cycles",
+            "mutations",
+            "checkpoints",
+            "points",
+            "checks",
+            "chunks",
+            "peak_bound",
+        ];
         let full = KvCell {
             ok: true,
-            ops: 40,
             cycles: 123_456_789_012,
-            points: 9,
             witness: Some(witness.clone()),
             error: Some("miss\tx".into()),
-            ..KvCell::empty(spec)
+            ..KvCell::empty(KvCellSpec::MustFail { seed_off: 1 })
         };
-        let pinned = ["leg", "seed_off", "witness.kind"];
-        check(&KvCell::empty(spec), &full, &opt, &pinned);
-        let spec = KvCellSpec::Perf {
+        let keys = cat(&[&["leg", "seed_off"], &kv, &["witness", "error"]]);
+        let v = fields_of(&full, &keys);
+        assert_eq!(keys_of(&v, "witness"), witness_keys);
+        assert_eq!(
+            v.get("cycles").and_then(Value::as_u64),
+            Some(123_456_789_012)
+        );
+        assert_eq!(v.get("error").and_then(Value::as_str), Some("miss\tx"));
+        let bare = KvCell::empty(KvCellSpec::Perf {
             ckpt_every: 16,
             cfg: PerfCfg::Sp,
-        };
-        let bare = KvCell {
-            chunks: 3,
-            peak_bound: 4096,
-            ..KvCell::empty(spec)
-        };
-        check(
-            &KvCell::empty(spec),
-            &bare,
-            &opt,
-            &["leg", "ckpt_every", "cfg"],
-        );
+        });
+        fields_of(&bare, &cat(&[&["leg", "ckpt_every", "cfg"], &kv]));
 
-        // optimize
-        let spec = OptimizeCellSpec::Inverted;
+        // optimize: a witness-bearing inverted cell, then a bare replay cell
+        let opt = [
+            "ok",
+            "events",
+            "kept",
+            "duplicates",
+            "uncovered",
+            "empty_fences",
+            "required",
+            "cycles",
+            "ref_cycles",
+            "fence_stall",
+            "ssb_stall",
+            "ckpt_stall",
+            "backend_stall",
+            "points",
+            "checks",
+        ];
         let full = OptCell {
-            ok: true,
-            checks: 12,
             witness: Some(witness.clone()),
             error: Some("e".into()),
-            ..OptCell::empty(spec)
+            ..OptCell::empty(OptimizeCellSpec::Inverted)
         };
-        check(&OptCell::empty(spec), &full, &opt, &["leg", "witness.kind"]);
-        let spec = OptimizeCellSpec::Replay {
+        let v = fields_of(&full, &cat(&[&["leg"], &opt, &["witness", "error"]]));
+        assert_eq!(keys_of(&v, "witness"), witness_keys);
+        assert_eq!(v.get("leg").and_then(Value::as_str), Some("inverted"));
+        let bare = OptCell::empty(OptimizeCellSpec::Replay {
             core: ReplayCore::Sp,
             pass: ReplayPass::After,
-        };
-        let bare = OptCell {
-            cycles: 99,
-            ref_cycles: 99,
-            ..OptCell::empty(spec)
-        };
-        check(&OptCell::empty(spec), &bare, &opt, &["leg", "core", "pass"]);
+        });
+        fields_of(&bare, &cat(&[&["leg", "core", "pass"], &opt]));
 
-        // multicore
+        // multicore, with and without a degraded cell's error
+        let mc = [
+            "workload",
+            "leg",
+            "cores",
+            "variant",
+            "ok",
+            "ops_per_core",
+            "worst_cycles_per_op",
+            "conflicts",
+            "rollbacks",
+            "snoops",
+            "blt_high_water",
+            "blt_clears",
+        ];
         let spec = CellSpec {
             kind: SharedKind::MsQueue,
             contended: true,
             cores: 4,
             sp: true,
         };
-        let pinned = ["workload", "leg", "cores", "variant"];
-        let blank = MulticoreCell::empty(spec, 24);
-        for error in [Some("{\"kind\":\"storm\"}".to_string()), None] {
-            let c = MulticoreCell {
-                ok: error.is_none(),
-                conflicts: 5,
-                error,
-                ..blank.clone()
-            };
-            check(&blank, &c, &["error"], &pinned);
-        }
+        let cell = MulticoreCell::empty(spec, 24);
+        fields_of(&cell, &mc);
+        let degraded = MulticoreCell {
+            error: Some("{\"kind\":\"storm\"}".into()),
+            ..cell
+        };
+        let v = fields_of(&degraded, &cat(&[&mc, &["error"]]));
+        assert_eq!(
+            v.get("error").and_then(Value::as_str),
+            Some("{\"kind\":\"storm\"}")
+        );
 
-        // faultsim: a pair's two plan cells, and the watchdog leg
-        let exp = crate::Experiment {
-            scale: 400,
-            seed: 1,
+        // faultsim: one plan cell and the watchdog leg
+        let cell = Cell {
+            id: BenchId::LinkedList,
+            variant: Variant::LogP,
+            plan: "storm",
+            base_cycles: 100,
+            base_cycles_faulted: 101,
+            sp_cycles: 90,
+            sp_cycles_faulted: 91,
+            faults_injected: 3,
+            extra_cycles: 7,
+            state_ok: true,
+            verdict: "violation",
+            verdict_ok: true,
         };
-        let blank = CellTask::Pair(BenchId::LinkedList, Variant::LogP).blank(&exp);
-        let CellValue::Pair(mut cells) = blank.clone() else {
-            unreachable!()
+        fields_of(
+            &cell,
+            &[
+                "bench",
+                "variant",
+                "plan",
+                "base_cycles",
+                "base_cycles_faulted",
+                "sp_cycles",
+                "sp_cycles_faulted",
+                "faults",
+                "extra_cycles",
+                "state_ok",
+                "verdict",
+                "verdict_ok",
+            ],
+        );
+        let watchdog = WatchdogReport {
+            id: BenchId::LinkedList,
+            bound: 64,
+            fired: true,
+            cycle: 700,
+            rob_len: 12,
+            detail: "no retire progress\nfor 64 cycles".into(),
+            ok: true,
         };
-        for (i, c) in cells.iter_mut().enumerate() {
-            c.base_cycles = 100 + i as u64;
-            c.state_ok = true;
-            c.verdict = "violation";
-        }
-        let pinned = [
-            "cells[0].bench",
-            "cells[0].variant",
-            "cells[1].plan",
-            "cells[0].verdict",
+        let v = fields_of(
+            &watchdog,
+            &[
+                "bench", "bound", "fired", "cycle", "rob_len", "detail", "ok",
+            ],
+        );
+        assert_eq!(
+            v.get("detail").and_then(Value::as_str),
+            Some("no retire progress\nfor 64 cycles")
+        );
+
+        // litmus: a witness-bearing failed cell (seeded and unseeded),
+        // an errored cell, and a clean one
+        let lit = [
+            "program",
+            "rendered",
+            "flush",
+            "knob",
+            "interleavings",
+            "allowed",
+            "reached",
+            "crashsim_ok",
+            "pipe_base_ok",
+            "pipe_sp_ok",
+            "ref_base_ok",
+            "ref_sp_ok",
+            "sp_differential_ok",
+            "ref_sp_differential_ok",
+            "ok",
         ];
-        check(&blank, &CellValue::Pair(cells), &[], &pinned);
-        let blank = CellTask::Watchdog.blank(&exp);
-        let CellValue::Watchdog(mut w) = blank.clone() else {
-            unreachable!()
-        };
-        (w.fired, w.cycle, w.rob_len, w.ok) = (true, 700, 12, true);
-        w.detail = "no retire progress\nfor 64 cycles".into();
-        let pinned = ["watchdog.bench", "watchdog.bound"];
-        check(&blank, &CellValue::Watchdog(w), &[], &pinned);
-
-        // litmus: witness with and without a seed, error, neither
         let program = &spp_litmus::catalog()[0];
         let blank = crate::litmus::blank(
             program,
             FlushMode::ClflushOpt,
             crate::litmus::ModelKnob::Honest,
         );
-        let rendered = program.to_string();
-        let lit = |seed: Option<Option<u64>>, error: Option<&str>| crate::litmus::LitmusCell {
-            rendered: rendered.clone(),
-            interleavings: 6,
-            crashsim_ok: seed.is_none(),
-            pipe_base_ok: true,
+        let with = |seed: Option<Option<u64>>, error: Option<&str>| crate::litmus::LitmusCell {
             sim_error: error.map(String::from),
             witness: seed.map(|seed| spp_litmus::Witness {
                 leg: "pipeline-sp",
@@ -1014,31 +856,41 @@ mod tests {
                 crash_idx: 5,
                 seed,
                 state: vec![1, 0],
-                program: rendered.clone(),
+                program: String::new(),
             }),
             ..blank.clone()
         };
-        let pinned = ["program", "flush", "knob", "witness.leg"];
-        check(&blank, &lit(Some(Some(3)), None), &opt, &pinned);
-        check(&blank, &lit(Some(None), Some("wedged")), &opt, &pinned);
-        check(&blank, &lit(None, None), &opt, &pinned[..3]);
+        let lit_witness = ["leg", "interleaving", "crash_idx", "seed", "state"];
+        for seed in [Some(3), None] {
+            let v = fields_of(&with(Some(seed), None), &cat(&[&lit, &["witness"]]));
+            assert_eq!(keys_of(&v, "witness"), lit_witness);
+            let w = v.get("witness").unwrap();
+            assert_eq!(w.get("seed").and_then(Value::as_u64), seed);
+            assert_eq!(w.get("seed") == Some(&Value::Null), seed.is_none());
+        }
+        fields_of(&with(None, Some("wedged")), &cat(&[&lit, &["error"]]));
+        fields_of(&blank, &lit);
 
-        // supervisor failure records, with and without a snapshot (the
-        // reason carries control bytes and quotes)
-        let blank = CellFailure {
-            key: "kv/x".into(),
-            ..CellFailure::default()
-        };
-        for snapshot in [
-            Some(r#"{"cycle":5,"rob":[1,{"a":2.500000}],"why":"x\ty"}"#),
-            None,
-        ] {
+        // supervisor failure records: a reason with control bytes and
+        // quotes, with a raw snapshot and without one
+        let reason = "panic: boom {\"x\":1} a\tb\r\n\u{1}";
+        let snapshot = r#"{"cycle":5,"rob":[1,{"a":2.500000}],"why":"x\ty"}"#;
+        for snap in [Some(snapshot), None] {
             let f = CellFailure {
-                reason: "panic: boom\u{7} {\"x\":1} a\tb\r\n\u{1}".into(),
-                snapshot: snapshot.map(String::from),
-                ..blank.clone()
+                key: "kv/x".into(),
+                reason: reason.into(),
+                snapshot: snap.map(String::from),
             };
-            check(&blank, &f, &["snapshot."], &["key"]);
+            let v = fields_of(&f, &["key", "reason", "snapshot"]);
+            assert_eq!(v.get("reason").and_then(Value::as_str), Some(reason));
+            let s = v.get("snapshot").unwrap();
+            match snap {
+                Some(raw) => {
+                    assert_eq!(Some(s), parse(raw).ok().as_ref());
+                    assert_eq!(s.get("cycle").and_then(Value::as_u64), Some(5));
+                }
+                None => assert_eq!(s, &Value::Null),
+            }
         }
     }
 }

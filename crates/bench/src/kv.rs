@@ -19,12 +19,10 @@
 //!   ([`crate::stream`]) replays a longer run and reports its
 //!   deterministic peak-memory bound alongside throughput.
 //!
-//! Cells are pure functions of `(spec, scale, seed)` and run on the
-//! [`Supervisor`]: results come back in input order (so `--jobs N`
-//! output is byte-identical to `--jobs 1`), a panicking cell degrades
-//! to one failed cell, and, when a [`Journal`] is attached, each cell
-//! is recorded as it finishes so an interrupted study resumes without
-//! recomputing finished cells — replayed output is byte-identical.
+//! Cells are pure functions of `(spec, scale, seed)` and run on
+//! [`run_cells`]: results come back in input order (so `--jobs N`
+//! output is byte-identical to `--jobs 1`), and a panicking cell
+//! degrades to one failed cell.
 
 use spp_cpu::{CpuConfig, Simulator};
 use spp_pmem::{FlushMode, PmemEnv, Variant};
@@ -34,8 +32,8 @@ use crate::crashfuzz::{crash_points, first_violation, Witness, SEEDS_PER_POINT};
 use crate::json::{self, Fields, Record};
 use crate::schema;
 use crate::stream::{run_kv_streamed, KvStreamSpec, STREAM_CHUNK_OPS};
-use crate::supervisor::{settle, Supervisor};
-use crate::{Harness, Journal};
+use crate::supervisor::{run_cells, settle};
+use crate::Harness;
 
 /// Checkpoint intervals the perf leg sweeps (WAL records between COW
 /// checkpoints — the engine's checkpoint-buffer depth).
@@ -192,8 +190,6 @@ pub struct KvReport {
     pub seed: u64,
     /// Every cell, in [`KvCellSpec::all`] order.
     pub cells: Vec<KvCell>,
-    /// Cells served from the journal without recomputation.
-    pub replayed: usize,
 }
 
 // --- sizing (scale is a divisor: bigger scale, smaller cells) ---------
@@ -250,17 +246,6 @@ fn stream_spec(scale: u64, seed: u64) -> KvSpec {
         seed,
         mix: KvMix::MIXED,
     }
-}
-
-fn cell_key(spec: &KvCellSpec, scale: u64, seed: u64) -> String {
-    let leg = match spec {
-        KvCellSpec::Perf { ckpt_every, cfg } => format!("perf/ck{ckpt_every}/{}", cfg.key()),
-        KvCellSpec::MustPass { seed_off } => format!("crash/mustpass/s{seed_off}"),
-        KvCellSpec::MustFail { seed_off } => format!("crash/mustfail/s{seed_off}"),
-        KvCellSpec::ElideChecksum => "crash/elide".to_string(),
-        KvCellSpec::Stream => "stream".to_string(),
-    };
-    format!("kv/{leg}/scale{scale}/seed{seed:#x}")
 }
 
 // --- cell execution ---------------------------------------------------
@@ -373,65 +358,55 @@ fn run_cell(h: &Harness, spec: &KvCellSpec) -> KvCell {
 
 // --- codec ------------------------------------------------------------
 
-/// A cell as one JSON object: the report's `cells` element and the
-/// journal payload. The spec fields lead and must match the cell's key.
+/// A cell as one JSON object, the report's `cells` element. The spec
+/// fields lead.
 impl Record for KvCell {
-    fn fields(&mut self, f: &mut Fields<'_>) {
+    fn fields(&self, f: &mut Fields) {
         match self.spec {
             KvCellSpec::Perf { ckpt_every, cfg } => {
-                f.spec_str("leg", "perf");
-                f.spec_int("ckpt_every", ckpt_every);
-                f.spec_str("cfg", cfg.key());
+                f.str("leg", "perf");
+                f.int("ckpt_every", ckpt_every);
+                f.str("cfg", cfg.key());
             }
             KvCellSpec::MustPass { seed_off } => {
-                f.spec_str("leg", "mustpass");
-                f.spec_int("seed_off", seed_off);
+                f.str("leg", "mustpass");
+                f.int("seed_off", seed_off);
             }
             KvCellSpec::MustFail { seed_off } => {
-                f.spec_str("leg", "mustfail");
-                f.spec_int("seed_off", seed_off);
+                f.str("leg", "mustfail");
+                f.int("seed_off", seed_off);
             }
-            KvCellSpec::ElideChecksum => f.spec_str("leg", "elide"),
-            KvCellSpec::Stream => f.spec_str("leg", "stream"),
+            KvCellSpec::ElideChecksum => f.str("leg", "elide"),
+            KvCellSpec::Stream => f.str("leg", "stream"),
         }
-        f.flag("ok", &mut self.ok);
-        f.int("ops", &mut self.ops);
-        f.int("events", &mut self.events);
-        f.int("cycles", &mut self.cycles);
-        f.int("mutations", &mut self.mutations);
-        f.int("checkpoints", &mut self.checkpoints);
-        f.int("points", &mut self.points);
-        f.int("checks", &mut self.checks);
-        f.int("chunks", &mut self.chunks);
-        f.int("peak_bound", &mut self.peak_bound);
-        f.opt_record("witness", &mut self.witness, Witness::blank);
-        f.opt_str("error", &mut self.error);
+        f.flag("ok", self.ok);
+        f.int("ops", self.ops);
+        f.int("events", self.events);
+        f.int("cycles", self.cycles);
+        f.int("mutations", self.mutations);
+        f.int("checkpoints", self.checkpoints);
+        f.int("points", self.points);
+        f.int("checks", self.checks);
+        f.int("chunks", self.chunks);
+        f.int("peak_bound", self.peak_bound);
+        f.opt_record("witness", self.witness.as_ref());
+        f.opt_str("error", self.error.as_deref());
     }
 }
 
 // --- the study --------------------------------------------------------
 
 /// Runs the storage-engine study: every [`KvCellSpec::all`] cell on
-/// the supervised pool, journaled when `journal` is attached.
-pub fn run_kv_opts(h: &Harness, journal: Option<&Journal>) -> KvReport {
+/// the supervised pool.
+pub fn run_kv(h: &Harness) -> KvReport {
     let (scale, seed) = (h.exp.scale, h.exp.seed);
     let specs = KvCellSpec::all();
-    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
-        &specs,
-        |_, spec| cell_key(spec, scale, seed),
-        |_, spec| Ok(run_cell(h, spec)),
-        |spec| KvCell::empty(*spec),
-    );
-    let (cells, replayed) = settle(outcomes, |i, f| KvCell {
+    let results = run_cells(h.jobs, &specs, |_, spec| Ok(run_cell(h, spec)));
+    let cells = settle(results, |i, f| KvCell {
         error: Some(f.reason),
         ..KvCell::empty(specs[i])
     });
-    KvReport {
-        scale,
-        seed,
-        cells,
-        replayed,
-    }
+    KvReport { scale, seed, cells }
 }
 
 impl KvReport {
@@ -603,7 +578,7 @@ mod tests {
     #[test]
     fn study_passes_with_sp_savings_and_witnesses() {
         let h = harness();
-        let rep = run_kv_opts(&h, None);
+        let rep = run_kv(&h);
         assert_eq!(rep.cells.len(), KvCellSpec::all().len());
         assert!(rep.ok(), "{}", rep.render_text());
         for ckpt in CKPT_SWEEP {
@@ -640,29 +615,9 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_bytes() {
-        let a = run_kv_opts(&Harness::new(harness().exp, 1), None);
-        let b = run_kv_opts(&Harness::new(harness().exp, 8), None);
+        let a = run_kv(&Harness::new(harness().exp, 1));
+        let b = run_kv(&Harness::new(harness().exp, 8));
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
-    }
-
-    #[test]
-    fn journaled_rerun_replays_byte_identically() {
-        let mut p = std::env::temp_dir();
-        p.push(format!("spp-kv-journal-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let h = harness();
-        let (text, json) = {
-            let j = Journal::open(&p).unwrap();
-            let rep = run_kv_opts(&h, Some(&j));
-            assert_eq!(rep.replayed, 0, "first run computes everything");
-            (rep.render_text(), rep.render_json())
-        };
-        let j = Journal::open(&p).unwrap();
-        let rep = run_kv_opts(&h, Some(&j));
-        assert_eq!(rep.replayed, rep.cells.len(), "every cell replays");
-        assert_eq!(rep.render_text(), text, "replayed stdout byte-identical");
-        assert_eq!(rep.render_json(), json);
-        let _ = std::fs::remove_file(&p);
     }
 }

@@ -34,7 +34,6 @@
 pub mod cache;
 pub mod crashfuzz;
 pub mod faultsim;
-pub mod journal;
 pub mod json;
 pub mod kv;
 pub mod litmus;
@@ -44,17 +43,15 @@ pub mod parallel;
 pub mod profile;
 pub mod report;
 pub mod schema;
-pub mod soak;
 pub mod source;
 pub mod stream;
 pub mod study;
 pub mod supervisor;
 
 pub use cache::{trace_bytes, CacheStats, TraceCache, TraceKey};
-pub use journal::{Journal, JournalError};
 pub use multicore::{MulticoreCell, MulticoreReport};
 pub use parallel::run_indexed;
-pub use supervisor::{CellFailure, CellOutcome, Supervisor};
+pub use supervisor::CellFailure;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

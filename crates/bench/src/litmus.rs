@@ -8,16 +8,15 @@
 //! against the allowed envelope, and the two SP differentials proving
 //! speculation never widens a reachable set).
 //!
-//! Every checked cell, passing or failing, is one journaled result
-//! whose `ok` flags and lexicographically minimized `(interleaving,
-//! crash_idx, seed)` witness carry the verdict, so a journaled run
-//! resumes byte-identically and the report can still print the
+//! Every checked cell, passing or failing, is one result whose `ok`
+//! flags and lexicographically minimized `(interleaving, crash_idx,
+//! seed)` witness carry the verdict, so the report can print the
 //! counterexample; the JSON `failed` list names each failing cell once.
 //! A cell that panics becomes a cell carrying the panic as its
-//! simulation error. Cells fan out over the [`Supervisor`]; `--jobs`
+//! simulation error. Cells fan out over [`run_cells`]; `--jobs`
 //! changes wall time only.
 //!
-//! The `knob` option weakens one model rule (test-only; see
+//! The `knob` argument weakens one model rule (test-only; see
 //! [`ModelKnob`]): under the weakened model the checker *must* find
 //! forbidden states, which is how the harness proves its own teeth.
 
@@ -26,10 +25,9 @@ use spp_litmus::{catalog, check_cell, generate, Witness};
 use spp_pmem::FlushMode;
 use spp_workloads::litmus::LitmusProgram;
 
-use crate::journal::Journal;
 use crate::json::{self, array, Fields, Record};
 use crate::schema;
-use crate::supervisor::{settle, CellFailure, Supervisor};
+use crate::supervisor::{run_cells, settle, CellFailure};
 use crate::{Experiment, Harness};
 
 /// One checked cell's outcome (re-exported so the CLI and tests can
@@ -51,16 +49,6 @@ pub fn litmus_programs(exp: &Experiment) -> Vec<LitmusProgram> {
     ps
 }
 
-/// Options for [`run_litmus_opts`].
-#[derive(Debug, Default)]
-pub struct LitmusOpts<'j> {
-    /// Journal completed cells here and replay them on re-runs.
-    pub journal: Option<&'j Journal>,
-    /// Model weakening in effect (`Honest` in production; the CLI's
-    /// hidden `--model-knob` sets this for the self-test leg).
-    pub knob: ModelKnob,
-}
-
 /// The full `repro litmus` result set.
 #[derive(Debug, Clone)]
 pub struct LitmusReport {
@@ -74,27 +62,13 @@ pub struct LitmusReport {
     pub programs: usize,
     /// Every cell, in `(program, flush-mode)` matrix order.
     pub cells: Vec<LitmusCell>,
-    /// Cells served from the journal without recomputation.
-    pub replayed: usize,
 }
 
 fn cell_key(name: &str, mode: FlushMode, knob: ModelKnob) -> String {
     format!("litmus/{}/{}/{}", knob.key(), name, mode.mnemonic())
 }
 
-/// The checker's leg names, interned so a journal round-trip
-/// preserves [`Witness::leg`] exactly.
-const LEGS: [&str; 7] = [
-    "crashsim",
-    "pipeline-base",
-    "pipeline-sp",
-    "reference-base",
-    "reference-sp",
-    "sp-differential",
-    "ref-sp-differential",
-];
-
-/// The blank cell a journaled `(program, mode)` cell decodes into.
+/// A `(program, mode)` cell with nothing checked yet.
 pub(crate) fn blank(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> LitmusCell {
     LitmusCell {
         program: program.name.clone(),
@@ -104,44 +78,39 @@ pub(crate) fn blank(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -
     }
 }
 
-/// A cell as one JSON object: the report's `cells` element and the
-/// journal payload. Program, flush mode and knob must match the key;
-/// `ok` is computed, and a decoded witness takes the cell's rendering.
+/// A cell as one JSON object, the report's `cells` element; `ok` is
+/// computed from the leg flags.
 impl Record for LitmusCell {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        f.spec_str("program", &self.program);
-        f.str("rendered", &mut self.rendered);
-        f.spec_str("flush", self.mode.mnemonic());
-        f.spec_str("knob", self.knob.key());
-        f.int("interleavings", &mut self.interleavings);
-        f.int("allowed", &mut self.allowed_states);
-        f.int("reached", &mut self.reached_states);
-        f.flag("crashsim_ok", &mut self.crashsim_ok);
-        f.flag("pipe_base_ok", &mut self.pipe_base_ok);
-        f.flag("pipe_sp_ok", &mut self.pipe_sp_ok);
-        f.flag("ref_base_ok", &mut self.ref_base_ok);
-        f.flag("ref_sp_ok", &mut self.ref_sp_ok);
-        f.flag("sp_differential_ok", &mut self.sp_differential_ok);
-        f.flag("ref_sp_differential_ok", &mut self.ref_sp_differential_ok);
-        f.derived_flag("ok", self.ok());
-        f.opt_str("error", &mut self.sim_error);
-        let rendered = &self.rendered;
-        f.opt_record("witness", &mut self.witness, || Witness {
-            program: rendered.clone(),
-            ..Witness::default()
-        });
+    fn fields(&self, f: &mut Fields) {
+        f.str("program", &self.program);
+        f.str("rendered", &self.rendered);
+        f.str("flush", self.mode.mnemonic());
+        f.str("knob", self.knob.key());
+        f.int("interleavings", self.interleavings as u64);
+        f.int("allowed", self.allowed_states as u64);
+        f.int("reached", self.reached_states as u64);
+        f.flag("crashsim_ok", self.crashsim_ok);
+        f.flag("pipe_base_ok", self.pipe_base_ok);
+        f.flag("pipe_sp_ok", self.pipe_sp_ok);
+        f.flag("ref_base_ok", self.ref_base_ok);
+        f.flag("ref_sp_ok", self.ref_sp_ok);
+        f.flag("sp_differential_ok", self.sp_differential_ok);
+        f.flag("ref_sp_differential_ok", self.ref_sp_differential_ok);
+        f.flag("ok", self.ok());
+        f.opt_str("error", self.sim_error.as_deref());
+        f.opt_record("witness", self.witness.as_ref());
     }
 }
 
-/// The journaled witness, `{"leg","interleaving","crash_idx","seed",
-/// "state"}`, with a `null` seed when only enumeration reaches it.
+/// The witness, `{"leg","interleaving","crash_idx","seed","state"}`,
+/// with a `null` seed when only enumeration reaches it.
 impl Record for Witness {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        f.name("leg", &mut self.leg, &LEGS, |l| l);
-        f.int("interleaving", &mut self.interleaving);
-        f.int("crash_idx", &mut self.crash_idx);
-        f.nullable_int("seed", &mut self.seed);
-        f.ints("state", &mut self.state);
+    fn fields(&self, f: &mut Fields) {
+        f.str("leg", self.leg);
+        f.int("interleaving", self.interleaving as u64);
+        f.int("crash_idx", self.crash_idx as u64);
+        f.nullable_int("seed", self.seed);
+        f.ints("state", &self.state);
     }
 }
 
@@ -163,21 +132,18 @@ fn fail_reason(c: &LitmusCell) -> String {
 }
 
 /// Runs the litmus matrix: every program × flush mode, fanned out
-/// deterministically over the supervised pool, journaled when
-/// `opts.journal` is attached.
-pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
+/// deterministically over the supervised pool, under the model `knob`
+/// (`Honest` in production; the CLI's hidden `--model-knob` weakens it
+/// for the self-test leg).
+pub fn run_litmus(h: &Harness, knob: ModelKnob) -> LitmusReport {
     let programs = litmus_programs(&h.exp);
-    let knob = opts.knob;
     let items: Vec<(usize, FlushMode)> = (0..programs.len())
         .flat_map(|pi| FlushMode::ALL.iter().map(move |&m| (pi, m)))
         .collect();
-    let outs = Supervisor::new(h.jobs, opts.journal).run_cells(
-        &items,
-        |_, &(pi, mode)| cell_key(&programs[pi].name, mode, knob),
-        |_, &(pi, mode)| Ok(check_cell(&programs[pi], mode, knob)),
-        |&(pi, mode)| blank(&programs[pi], mode, knob),
-    );
-    let (cells, replayed) = settle(outs, |i, f| {
+    let results = run_cells(h.jobs, &items, |_, &(pi, mode)| {
+        Ok(check_cell(&programs[pi], mode, knob))
+    });
+    let cells = settle(results, |i, f| {
         let (pi, mode) = items[i];
         LitmusCell {
             sim_error: Some(f.reason),
@@ -190,7 +156,6 @@ pub fn run_litmus_opts(h: &Harness, opts: LitmusOpts<'_>) -> LitmusReport {
         knob,
         programs: programs.len(),
         cells,
-        replayed,
     }
 }
 
@@ -297,8 +262,8 @@ mod tests {
 
     #[test]
     fn honest_matrix_passes_and_is_jobs_invariant() {
-        let a = run_litmus_opts(&smoke_harness(1), LitmusOpts::default());
-        let b = run_litmus_opts(&smoke_harness(8), LitmusOpts::default());
+        let a = run_litmus(&smoke_harness(1), ModelKnob::Honest);
+        let b = run_litmus(&smoke_harness(8), ModelKnob::Honest);
         assert!(a.ok(), "honest cells must all pass");
         assert_eq!(a.cells.len(), a.programs * FlushMode::ALL.len());
         assert!(a.programs >= 20, "catalog floor");
@@ -311,13 +276,7 @@ mod tests {
 
     #[test]
     fn weakened_model_fails_with_witness_bearing_failed_records() {
-        let rep = run_litmus_opts(
-            &smoke_harness(4),
-            LitmusOpts {
-                journal: None,
-                knob: ModelKnob::ClflushOptProgramOrdered,
-            },
-        );
+        let rep = run_litmus(&smoke_harness(4), ModelKnob::ClflushOptProgramOrdered);
         assert!(!rep.ok(), "the weakened model must be caught");
         assert!(rep.failed() > 0);
         // The knob trap fails on the weak-flush modes and the failing
@@ -353,41 +312,6 @@ mod tests {
             assert_eq!(f.get("snapshot"), Some(&json::Value::Null));
         }
         assert!(rep.render_text().contains("litmus: FAIL"));
-    }
-
-    #[test]
-    fn journaled_rerun_replays_byte_identically() {
-        let mut p = std::env::temp_dir();
-        p.push(format!("spp-litmus-journal-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let h = smoke_harness(2);
-        // Weakened run, so the journal holds failed records too.
-        let knob = ModelKnob::ClflushOptProgramOrdered;
-        let (text, json) = {
-            let j = Journal::open(&p).unwrap();
-            let rep = run_litmus_opts(
-                &h,
-                LitmusOpts {
-                    journal: Some(&j),
-                    knob,
-                },
-            );
-            assert_eq!(rep.replayed, 0, "first run computes everything");
-            (rep.render_text(), rep.render_json())
-        };
-        let j = Journal::open(&p).unwrap();
-        assert!(j.corrupt().is_empty());
-        let rep = run_litmus_opts(
-            &h,
-            LitmusOpts {
-                journal: Some(&j),
-                knob,
-            },
-        );
-        assert_eq!(rep.replayed, rep.cells.len(), "every cell replays");
-        assert_eq!(rep.render_text(), text, "replayed stdout byte-identical");
-        assert_eq!(rep.render_json(), json);
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

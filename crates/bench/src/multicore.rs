@@ -9,11 +9,8 @@
 //! the paper leaves to future work.
 //!
 //! Cells are pure functions of `(kind, leg, cores, variant, scale,
-//! seed)` and run on the [`Supervisor`]: results come back in input
-//! order (so `--jobs N` output is byte-identical to `--jobs 1`) and,
-//! when a [`Journal`] is attached, each cell is recorded as it
-//! finishes so an interrupted study resumes without recomputing
-//! finished cells — replayed output is byte-identical.
+//! seed)` and run on [`run_cells`]: results come back in input order
+//! (so `--jobs N` output is byte-identical to `--jobs 1`).
 //!
 //! A cell whose simulation degrades (e.g. a conflict storm tripping
 //! [`spp_cpu::SimErrorKind::ConflictStorm`]) is a failed cell carrying
@@ -26,8 +23,8 @@ use spp_workloads::{shared_trace, SharedKind, SharedSpec};
 
 use crate::json::{self, Fields, Record};
 use crate::schema;
-use crate::supervisor::{settle, Supervisor};
-use crate::{Harness, Journal};
+use crate::supervisor::{run_cells, settle};
+use crate::Harness;
 
 /// Core counts the study sweeps.
 pub const CORE_COUNTS: [usize; 3] = [1, 2, 4];
@@ -109,7 +106,7 @@ pub struct MulticoreCell {
     /// Total BLT flash-clears (rollbacks + clean speculation exits).
     pub blt_clears: u64,
     /// The typed [`spp_cpu::SimError`]'s JSON rendering, for a failed
-    /// cell (carried as a string so journal replay is byte-exact).
+    /// cell.
     pub error: Option<String>,
 }
 
@@ -142,26 +139,12 @@ pub struct MulticoreReport {
     pub ops_per_core: u64,
     /// Every cell, in [`CellSpec::all`] order.
     pub cells: Vec<MulticoreCell>,
-    /// Cells served from the journal without recomputation.
-    pub replayed: usize,
 }
 
 /// Operations per core at `scale` (floored so tiny smoke scales still
 /// produce enough barrier crossings to see conflicts).
 fn ops_at(scale: u64) -> u64 {
     (scale / 10).max(24)
-}
-
-fn cell_key(spec: &CellSpec, scale: u64, seed: u64) -> String {
-    format!(
-        "multicore/{}/{}/c{}/{}/scale{}/seed{:#x}",
-        spec.kind.key(),
-        spec.leg(),
-        spec.cores,
-        spec.variant(),
-        scale,
-        seed
-    )
 }
 
 /// Simulates one cell. Never panics: a typed simulation failure
@@ -213,39 +196,36 @@ fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64) -> MulticoreCell {
     cell
 }
 
-/// A cell as one JSON object: the report's `cells` element and the
-/// journal payload. The spec fields lead and must match the cell's key.
+/// A cell as one JSON object, the report's `cells` element. The spec
+/// fields lead.
 impl Record for MulticoreCell {
-    fn fields(&mut self, f: &mut Fields<'_>) {
-        f.spec_str("workload", self.spec.kind.key());
-        f.spec_str("leg", self.spec.leg());
-        f.spec_int("cores", self.spec.cores as u64);
-        f.spec_str("variant", self.spec.variant());
-        f.flag("ok", &mut self.ok);
-        f.int("ops_per_core", &mut self.ops_per_core);
-        f.int("worst_cycles_per_op", &mut self.worst_cycles_per_op);
-        f.int("conflicts", &mut self.conflicts);
-        f.int("rollbacks", &mut self.rollbacks);
-        f.int("snoops", &mut self.snoops);
-        f.int("blt_high_water", &mut self.blt_high_water);
-        f.int("blt_clears", &mut self.blt_clears);
-        f.opt_str("error", &mut self.error);
+    fn fields(&self, f: &mut Fields) {
+        f.str("workload", self.spec.kind.key());
+        f.str("leg", self.spec.leg());
+        f.int("cores", self.spec.cores as u64);
+        f.str("variant", self.spec.variant());
+        f.flag("ok", self.ok);
+        f.int("ops_per_core", self.ops_per_core);
+        f.int("worst_cycles_per_op", self.worst_cycles_per_op);
+        f.int("conflicts", self.conflicts);
+        f.int("rollbacks", self.rollbacks);
+        f.int("snoops", self.snoops);
+        f.int("blt_high_water", self.blt_high_water);
+        f.int("blt_clears", self.blt_clears);
+        f.opt_str("error", self.error.as_deref());
     }
 }
 
 /// Runs the scaling study: every [`CellSpec::all`] cell on the
-/// supervised pool, journaled when `journal` is attached.
-pub fn run_multicore_opts(h: &Harness, journal: Option<&Journal>) -> MulticoreReport {
+/// supervised pool.
+pub fn run_multicore(h: &Harness) -> MulticoreReport {
     let (scale, seed) = (h.exp.scale, h.exp.seed);
     let ops_per_core = ops_at(scale);
     let specs = CellSpec::all();
-    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
-        &specs,
-        |_, spec| cell_key(spec, scale, seed),
-        |_, spec| Ok(run_cell(spec, ops_per_core, seed)),
-        |spec| MulticoreCell::empty(*spec, ops_per_core),
-    );
-    let (cells, replayed) = settle(outcomes, |i, f| MulticoreCell {
+    let results = run_cells(h.jobs, &specs, |_, spec| {
+        Ok(run_cell(spec, ops_per_core, seed))
+    });
+    let cells = settle(results, |i, f| MulticoreCell {
         error: Some(f.reason),
         ..MulticoreCell::empty(specs[i], ops_per_core)
     });
@@ -254,7 +234,6 @@ pub fn run_multicore_opts(h: &Harness, journal: Option<&Journal>) -> MulticoreRe
         seed,
         ops_per_core,
         cells,
-        replayed,
     }
 }
 
@@ -416,7 +395,7 @@ mod tests {
 
     #[test]
     fn study_finds_conflicts_only_where_sharing_exists() {
-        let rep = run_multicore_opts(&harness(), None);
+        let rep = run_multicore(&harness());
         assert_eq!(rep.cells.len(), CellSpec::all().len());
         assert!(rep.cells.iter().all(|c| c.ok), "no cell may degrade");
         assert!(
@@ -439,32 +418,9 @@ mod tests {
     fn jobs_do_not_change_the_bytes() {
         let h1 = Harness::new(harness().exp, 1);
         let h8 = Harness::new(harness().exp, 8);
-        let a = run_multicore_opts(&h1, None);
-        let b = run_multicore_opts(&h8, None);
+        let a = run_multicore(&h1);
+        let b = run_multicore(&h8);
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
-    }
-
-    #[test]
-    fn journaled_rerun_replays_byte_identically() {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "spp-multicore-journal-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&p);
-        let h = harness();
-        let (text, json) = {
-            let j = Journal::open(&p).unwrap();
-            let rep = run_multicore_opts(&h, Some(&j));
-            assert_eq!(rep.replayed, 0, "first run computes everything");
-            (rep.render_text(), rep.render_json())
-        };
-        let j = Journal::open(&p).unwrap();
-        let rep = run_multicore_opts(&h, Some(&j));
-        assert_eq!(rep.replayed, rep.cells.len(), "every cell replays");
-        assert_eq!(rep.render_text(), text, "replayed stdout byte-identical");
-        assert_eq!(rep.render_json(), json);
-        let _ = std::fs::remove_file(&p);
     }
 }

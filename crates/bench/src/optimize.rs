@@ -32,10 +32,8 @@
 //! same oracle. Both legs scan their schedules with
 //! [`crate::crashfuzz::first_violation`].
 //!
-//! The study's cells run on the [`Supervisor`]: a panicking cell
-//! degrades to one failed cell, and with a [`Journal`] attached each
-//! cell is recorded as it finishes, so an interrupted study resumes
-//! where it stopped.
+//! The study's cells run on [`run_cells`]: a panicking cell degrades
+//! to one failed cell.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -49,8 +47,8 @@ use crate::crashfuzz::{crash_points, first_violation, fuzz_bundle_spec, Witness,
 use crate::json::{self, Fields, JsonObject, Record};
 use crate::profile::stalls_reconcile;
 use crate::schema;
-use crate::supervisor::{settle, Supervisor};
-use crate::{variant_key, Harness, Journal, TraceKey};
+use crate::supervisor::{run_cells, settle};
+use crate::{variant_key, Harness, TraceKey};
 
 // --- the detector -----------------------------------------------------
 
@@ -284,7 +282,7 @@ impl ReplayCore {
     /// Both cores, in report order.
     pub const ALL: [ReplayCore; 2] = [ReplayCore::Base, ReplayCore::Sp];
 
-    /// Short key for tables, journal keys and JSON.
+    /// Short key for tables and JSON.
     pub fn key(self) -> &'static str {
         match self {
             ReplayCore::Base => "base",
@@ -310,7 +308,7 @@ pub enum ReplayPass {
 }
 
 impl ReplayPass {
-    /// Short key for tables, journal keys and JSON.
+    /// Short key for tables and JSON.
     pub fn key(self) -> &'static str {
         match self {
             ReplayPass::Before => "before",
@@ -446,30 +444,6 @@ pub struct OptimizeReport {
     pub seed: u64,
     /// Every cell, in [`OptimizeCellSpec::all`] order.
     pub cells: Vec<OptCell>,
-    /// Cells served from the journal without recomputation.
-    pub replayed: usize,
-}
-
-fn cell_key(
-    id: BenchId,
-    variant: Variant,
-    spec: &OptimizeCellSpec,
-    scale: u64,
-    seed: u64,
-) -> String {
-    let leg = match spec {
-        OptimizeCellSpec::Plan => "plan".to_string(),
-        OptimizeCellSpec::Replay { core, pass } => {
-            format!("replay/{}/{}", core.key(), pass.key())
-        }
-        OptimizeCellSpec::Oracle => "oracle".to_string(),
-        OptimizeCellSpec::Inverted => "inverted".to_string(),
-    };
-    format!(
-        "optimize/{}/{}/{leg}/scale{scale}/seed{seed:#x}",
-        id.abbrev(),
-        variant_key(variant)
-    )
 }
 
 // --- cell execution ---------------------------------------------------
@@ -633,70 +607,57 @@ fn run_cell(h: &Harness, id: BenchId, variant: Variant, spec: &OptimizeCellSpec)
 
 // --- codec ------------------------------------------------------------
 
-/// A cell as one JSON object: the report's `cells` element and the
-/// journal payload. The spec fields lead and must match the cell's key.
+/// A cell as one JSON object, the report's `cells` element. The spec
+/// fields lead.
 impl Record for OptCell {
-    fn fields(&mut self, f: &mut Fields<'_>) {
+    fn fields(&self, f: &mut Fields) {
         match self.spec {
-            OptimizeCellSpec::Plan => f.spec_str("leg", "plan"),
+            OptimizeCellSpec::Plan => f.str("leg", "plan"),
             OptimizeCellSpec::Replay { core, pass } => {
-                f.spec_str("leg", "replay");
-                f.spec_str("core", core.key());
-                f.spec_str("pass", pass.key());
+                f.str("leg", "replay");
+                f.str("core", core.key());
+                f.str("pass", pass.key());
             }
-            OptimizeCellSpec::Oracle => f.spec_str("leg", "oracle"),
-            OptimizeCellSpec::Inverted => f.spec_str("leg", "inverted"),
+            OptimizeCellSpec::Oracle => f.str("leg", "oracle"),
+            OptimizeCellSpec::Inverted => f.str("leg", "inverted"),
         }
-        f.flag("ok", &mut self.ok);
-        f.int("events", &mut self.events);
-        f.int("kept", &mut self.kept);
-        f.int("duplicates", &mut self.duplicates);
-        f.int("uncovered", &mut self.uncovered);
-        f.int("empty_fences", &mut self.empty_fences);
-        f.int("required", &mut self.required);
-        f.int("cycles", &mut self.cycles);
-        f.int("ref_cycles", &mut self.ref_cycles);
-        f.int("fence_stall", &mut self.fence_stall);
-        f.int("ssb_stall", &mut self.ssb_stall);
-        f.int("ckpt_stall", &mut self.ckpt_stall);
-        f.int("backend_stall", &mut self.backend_stall);
-        f.int("points", &mut self.points);
-        f.int("checks", &mut self.checks);
-        f.opt_record("witness", &mut self.witness, Witness::blank);
-        f.opt_str("error", &mut self.error);
+        f.flag("ok", self.ok);
+        f.int("events", self.events);
+        f.int("kept", self.kept);
+        f.int("duplicates", self.duplicates);
+        f.int("uncovered", self.uncovered);
+        f.int("empty_fences", self.empty_fences);
+        f.int("required", self.required);
+        f.int("cycles", self.cycles);
+        f.int("ref_cycles", self.ref_cycles);
+        f.int("fence_stall", self.fence_stall);
+        f.int("ssb_stall", self.ssb_stall);
+        f.int("ckpt_stall", self.ckpt_stall);
+        f.int("backend_stall", self.backend_stall);
+        f.int("points", self.points);
+        f.int("checks", self.checks);
+        f.opt_record("witness", self.witness.as_ref());
+        f.opt_str("error", self.error.as_deref());
     }
 }
 
 // --- the study driver -------------------------------------------------
 
 /// Runs the optimizer study for one `(bench, variant)`: every
-/// [`OptimizeCellSpec::all`] cell on the supervised pool, journaled
-/// when `journal` is attached.
-pub fn run_optimize_opts(
-    h: &Harness,
-    id: BenchId,
-    variant: Variant,
-    journal: Option<&Journal>,
-) -> OptimizeReport {
-    let (scale, seed) = (h.exp.scale, h.exp.seed);
+/// [`OptimizeCellSpec::all`] cell on the supervised pool.
+pub fn run_optimize(h: &Harness, id: BenchId, variant: Variant) -> OptimizeReport {
     let specs = OptimizeCellSpec::all();
-    let outcomes = Supervisor::new(h.jobs, journal).run_cells(
-        &specs,
-        |_, spec| cell_key(id, variant, spec, scale, seed),
-        |_, spec| Ok(run_cell(h, id, variant, spec)),
-        |spec| OptCell::empty(*spec),
-    );
-    let (cells, replayed) = settle(outcomes, |i, f| OptCell {
+    let results = run_cells(h.jobs, &specs, |_, spec| Ok(run_cell(h, id, variant, spec)));
+    let cells = settle(results, |i, f| OptCell {
         error: Some(f.reason),
         ..OptCell::empty(specs[i])
     });
     OptimizeReport {
         id,
         variant,
-        scale,
-        seed,
+        scale: h.exp.scale,
+        seed: h.exp.seed,
         cells,
-        replayed,
     }
 }
 
@@ -1024,7 +985,7 @@ mod tests {
     #[test]
     fn study_passes_and_finds_elisions_on_logp() {
         let h = harness();
-        let rep = run_optimize_opts(&h, BenchId::LinkedList, Variant::LogP, None);
+        let rep = run_optimize(&h, BenchId::LinkedList, Variant::LogP);
         assert_eq!(rep.cells.len(), OptimizeCellSpec::all().len());
         assert!(rep.ok(), "{}", rep.render_text());
         assert!(rep.elisions() > 0, "LogP must yield redundant flushes");
@@ -1060,39 +1021,9 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_bytes() {
         let exp = harness().exp;
-        let a = run_optimize_opts(
-            &Harness::new(exp, 1),
-            BenchId::LinkedList,
-            Variant::LogP,
-            None,
-        );
-        let b = run_optimize_opts(
-            &Harness::new(exp, 8),
-            BenchId::LinkedList,
-            Variant::LogP,
-            None,
-        );
+        let a = run_optimize(&Harness::new(exp, 1), BenchId::LinkedList, Variant::LogP);
+        let b = run_optimize(&Harness::new(exp, 8), BenchId::LinkedList, Variant::LogP);
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
-    }
-
-    #[test]
-    fn journaled_rerun_replays_byte_identically() {
-        let mut p = std::env::temp_dir();
-        p.push(format!("spp-optimize-journal-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let h = harness();
-        let (text, json) = {
-            let j = Journal::open(&p).unwrap();
-            let rep = run_optimize_opts(&h, BenchId::LinkedList, Variant::LogPSf, Some(&j));
-            assert_eq!(rep.replayed, 0, "first run computes everything");
-            (rep.render_text(), rep.render_json())
-        };
-        let j = Journal::open(&p).unwrap();
-        let rep = run_optimize_opts(&h, BenchId::LinkedList, Variant::LogPSf, Some(&j));
-        assert_eq!(rep.replayed, rep.cells.len(), "every cell replays");
-        assert_eq!(rep.render_text(), text, "replayed stdout byte-identical");
-        assert_eq!(rep.render_json(), json);
-        let _ = std::fs::remove_file(&p);
     }
 }

@@ -22,9 +22,6 @@
 //! a probe bug), and [`ProfileReport::ok`] gates the exit code.
 //! Everything is deterministic — the collectors use stride reservoirs,
 //! not RNG — so the bytes are identical at any `--jobs` count.
-//!
-//! The report is one cell, so `repro profile` takes no journal: a
-//! killed run has no completed cell to replay.
 
 use std::fmt::Write as _;
 

@@ -346,7 +346,7 @@ pub fn flushmode(h: &Harness) -> String {
 /// structures over one coherent memory system, baseline vs SP, with
 /// BLT conflict/rollback accounting (§4.1/§4.2.2).
 pub fn multicore(h: &Harness) -> String {
-    crate::multicore::run_multicore_opts(h, None).render_text()
+    crate::multicore::run_multicore(h).render_text()
 }
 
 /// Full vs incremental logging on the B-tree (§3.2, Figs. 4-5).

@@ -1,9 +1,9 @@
 //! One home for every `specpersist/*` document schema.
 //!
 //! Each machine-readable output the harness writes — the suite sweep,
-//! the crash-consistency fuzzer, the fault-injection matrix, the soak
-//! report, journal manifest lines, and the stall profile — opens with
-//! the same envelope: a `schema` field carrying a versioned identifier
+//! the crash-consistency fuzzer, the fault-injection matrix, the stall
+//! profile, and the multicore, litmus, KV and optimizer studies — opens
+//! with the same envelope: a `schema` field carrying a versioned identifier
 //! like `specpersist/suite-v1`, placed *first* so a reader (or a human
 //! with `head -c 40`) can dispatch on the document kind before parsing
 //! the rest. The identifiers live here as constants, and [`emit`]
@@ -12,9 +12,8 @@
 //! of every document kind.
 //!
 //! Versioning contract: any change to a document's field set or
-//! meaning bumps the `-vN` suffix of its identifier; readers reject
-//! identifiers they do not recognize (see the journal's `BadSchema`
-//! handling) rather than guessing.
+//! meaning bumps the `-vN` suffix of its identifier, so a reader can
+//! reject identifiers it does not recognize rather than guess.
 
 use crate::json::JsonObject;
 
@@ -26,12 +25,6 @@ pub const CRASHFUZZ: &str = "specpersist/crashfuzz-v1";
 
 /// The hardware fault-injection matrix report.
 pub const FAULTSIM: &str = "specpersist/faultsim-v1";
-
-/// The long-running soak report.
-pub const SOAK: &str = "specpersist/soak-v1";
-
-/// One line of the journaled result manifest.
-pub const JOURNAL: &str = "specpersist/journal-v1";
 
 /// The cycle-resolved stall/latency profile (`repro profile`).
 pub const PROFILE: &str = "specpersist/profile-v2";
@@ -49,8 +42,8 @@ pub const KV: &str = "specpersist/kv-v1";
 pub const OPTIMIZE: &str = "specpersist/optimize-v1";
 
 /// Every schema the harness knows, for exhaustive self-checks.
-pub const ALL: [&str; 10] = [
-    SUITE, CRASHFUZZ, FAULTSIM, SOAK, JOURNAL, PROFILE, MULTICORE, LITMUS, KV, OPTIMIZE,
+pub const ALL: [&str; 8] = [
+    SUITE, CRASHFUZZ, FAULTSIM, PROFILE, MULTICORE, LITMUS, KV, OPTIMIZE,
 ];
 
 /// Renders one document in `schema`'s envelope: the `schema` field is
@@ -82,5 +75,27 @@ mod tests {
             o.int("x", 1);
         });
         assert_eq!(doc, r#"{"schema":"specpersist/suite-v1","x":1}"#);
+    }
+
+    /// The writers emit JSON that nothing in the crate reads back, so
+    /// every checked-in golden must parse, and carry its schema.
+    #[test]
+    fn every_golden_parses_and_names_its_schema() {
+        use crate::json::{parse, Value};
+        let goldens = [
+            (SUITE, include_str!("../tests/goldens/suite.json")),
+            (CRASHFUZZ, include_str!("../tests/goldens/crashfuzz.json")),
+            (FAULTSIM, include_str!("../tests/goldens/faultsim.json")),
+            (PROFILE, include_str!("../tests/goldens/profile.json")),
+            (MULTICORE, include_str!("../tests/goldens/multicore.json")),
+            (LITMUS, include_str!("../tests/goldens/litmus.json")),
+            (KV, include_str!("../tests/goldens/kv.json")),
+            (OPTIMIZE, include_str!("../tests/goldens/optimize.json")),
+        ];
+        assert_eq!(goldens.map(|(s, _)| s), ALL, "one golden per schema");
+        for (schema, doc) in goldens {
+            let v = parse(doc).unwrap_or_else(|e| panic!("{schema}: {e}"));
+            assert_eq!(v.get("schema").and_then(Value::as_str), Some(schema));
+        }
     }
 }

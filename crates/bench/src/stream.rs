@@ -108,7 +108,7 @@ pub struct StreamReport {
     /// Deterministic upper bound on `peak_bytes`: the largest sum of
     /// any `QUEUE_DEPTH + 2` consecutive chunks (the queue, the chunk
     /// being simulated, and the chunk the recorder holds pre-send). A
-    /// pure function of the spec, so it is the value journals and
+    /// pure function of the spec, so it is the value reports and
     /// goldens carry.
     pub peak_bound: u64,
     /// Live keys in the engine when the run finished.

@@ -1,6 +1,7 @@
 //! `repro` writes files only where a flag points. A run must leave its
-//! working directory alone, and a flag `repro` does not know must be
-//! rejected before any work starts rather than silently ignored.
+//! working directory alone, and a flag or command `repro` does not know
+//! must be rejected before any work starts rather than silently
+//! ignored.
 
 use std::ffi::OsString;
 use std::process::{Command, Output};
@@ -40,16 +41,39 @@ fn a_profile_run_leaves_its_working_directory_empty() {
     assert!(left.is_empty(), "profile wrote {left:?}");
 }
 
+/// Every retired flag or command is refused as unknown: exit 1, no
+/// report, and nothing left behind (in particular no journal file).
 #[test]
-fn the_retired_bench_out_flag_is_rejected_and_writes_nothing() {
-    let (out, left) = repro_in_empty_dir("no-stray-bench-out", &["all", "--bench-out", "b.json"]);
-    assert!(!out.status.success(), "--bench-out must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        stderr.lines().next(),
-        Some("repro: unknown flag \"--bench-out\""),
-        "{stderr}"
-    );
-    assert!(out.stdout.is_empty(), "a rejected run printed a report");
-    assert!(left.is_empty(), "rejected run wrote {left:?}");
+fn rejected_invocations_exit_1_and_write_nothing() {
+    for (args, diagnostic) in [
+        (
+            &["all", "--bench-out", "b.json"][..],
+            "repro: unknown flag \"--bench-out\"",
+        ),
+        (
+            &["faultsim", "--journal", "run.jsonl"],
+            "repro: unknown flag \"--journal\"",
+        ),
+        (&["kv", "--resume"], "repro: unknown flag \"--resume\""),
+        (
+            &["faultsim", "--iters", "2"],
+            "repro: unknown flag \"--iters\"",
+        ),
+        (&["soak"], "repro: unknown command \"soak\""),
+        (
+            &["journal", "check", "x.jsonl"],
+            "repro: unknown command \"journal\"",
+        ),
+    ] {
+        let (out, left) = repro_in_empty_dir("no-stray-rejected", args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().next(),
+            Some(diagnostic),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    }
 }

@@ -95,7 +95,7 @@ pub struct DiagnosticSnapshot {
 impl DiagnosticSnapshot {
     /// The snapshot as one flat JSON object (stable key order, no
     /// external dependency): the machine-readable form that failure
-    /// records in journalled reports carry, so a degraded cell still
+    /// records in reports carry, so a degraded cell still
     /// ships the full machine state for post-mortem without parsing a
     /// display string.
     pub fn to_json(&self) -> String {

@@ -53,7 +53,7 @@ pub enum ModelKnob {
 
 impl ModelKnob {
     /// The stable wire/CLI key (`honest` / `clflushopt-po`), used in
-    /// journal cell keys and `specpersist/litmus-v1` documents.
+    /// cell keys and `specpersist/litmus-v1` documents.
     pub fn key(self) -> &'static str {
         match self {
             ModelKnob::Honest => "honest",

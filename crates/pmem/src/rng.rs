@@ -7,8 +7,8 @@
 //! derivation (`spp-bench`) — uses the *same* [`splitmix64`] mixer, so
 //! streams are reproducible across crates and a seed printed by one
 //! tool replays identically in another. [`hash64`] builds a 64-bit
-//! content hash on top of it for integrity checks (the result-journal's
-//! per-entry checksums).
+//! content hash on top of it for integrity checks (the KV write-ahead
+//! log's record checksums) and configuration fingerprints.
 //!
 //! This module is defined here because `spp-pmem` is the root of the
 //! workspace dependency graph; every crate imports the two functions
@@ -32,8 +32,7 @@ pub const fn splitmix64(mut x: u64) -> u64 {
 /// [`splitmix64`] to break FNV's weak avalanche on short inputs.
 ///
 /// Not cryptographic — it defends against truncation, torn writes and
-/// bit rot in journalled results, not against an adversary forging
-/// entries.
+/// bit rot, not against an adversary forging entries.
 pub fn hash64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325; // FNV-1a 64 offset basis
     for &b in bytes {

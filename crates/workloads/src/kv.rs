@@ -23,7 +23,7 @@
 //!   durable with `clwb; sfence; pcommit; sfence` before touching the
 //!   tree. Recovery *replays* the ring from the chosen checkpoint's
 //!   LSN, stopping at the first slot whose stored LSN or checksum does
-//!   not match — torn-tail detection, exactly like the report journal.
+//!   not match — torn-tail detection.
 //!   The ring must hold at least two checkpoint intervals
 //!   (`wal_cap >= 2 * ckpt_every`) so the fallback meta's records are
 //!   never overwritten before its successor commits.

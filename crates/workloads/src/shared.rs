@@ -63,7 +63,7 @@ impl SharedKind {
         }
     }
 
-    /// Stable slug for journal keys and JSON records.
+    /// Stable slug for JSON records.
     pub fn key(self) -> &'static str {
         match self {
             SharedKind::TreiberStack => "treiber-stack",
