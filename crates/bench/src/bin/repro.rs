@@ -533,20 +533,21 @@ fn crashfuzz_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
 }
 
 /// `repro faultsim`: run the fault-injection matrix (benchmark x
-/// variant x plan, both cores) plus the watchdog-detection leg on the
-/// supervised pool and print the text report and one JSON line. Exits
-/// non-zero if a faulted run changed committed state or a crash
-/// verdict, a cell failed, a plan never fired, or the watchdog failed
-/// to convert a wedged run into a typed error.
+/// variant x plan, both cores) on the `--jobs` workers, then the
+/// watchdog-detection leg, and print the text report and one JSON line.
+/// Exits non-zero if a faulted run changed committed state or a crash
+/// verdict, a pair's simulation returned a typed error, a plan never
+/// fired, or the watchdog failed to convert a wedged run into a typed
+/// error.
 fn faultsim_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
-    use spp_bench::faultsim::{run_faultsim_opts, FaultsimOpts};
-    study(c, || run_faultsim_opts(c.harness, FaultsimOpts::default()))
+    study(c, || spp_bench::faultsim::run_faultsim(c.harness))
 }
 
 /// `repro litmus [--model-knob K]`: Px86 persistency-model validation
-/// — every litmus program x flush mode is one supervised cell checked
-/// against the executable reference model on all seven legs (CrashSim,
-/// both cores x {baseline, SP}, and the SP differentials). Prints the
+/// — every litmus program x flush mode is one cell, run on the `--jobs`
+/// workers and checked against the executable reference model on all
+/// seven legs (CrashSim, both cores x {baseline, SP}, and the SP
+/// differentials). Prints the
 /// per-program table and one `specpersist/litmus-v1` JSON line. The
 /// hidden `--model-knob` weakens one model rule so CI can prove the
 /// checker actually fails when the model is wrong. Exits non-zero if

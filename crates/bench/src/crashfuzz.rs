@@ -37,7 +37,7 @@ use spp_pmem::{persist_boundaries, FlushMode, TraceCounts, Variant};
 use spp_workloads::oracle::{record_bundle, BundleSpec, OracleViolation, ViolationKind};
 use spp_workloads::BenchId;
 
-use crate::json::{self, array, Fields, JsonObject, Record};
+use crate::json::{array, JsonObject};
 use crate::{run_indexed, variant_key, Experiment, Harness, TraceKey};
 
 /// Non-boundary crash points sampled per trace (evenly spaced).
@@ -98,28 +98,32 @@ pub struct Witness {
     /// What the oracle rejected.
     pub kind: ViolationKind,
     /// Deterministic human-readable description. Only the crashfuzz
-    /// report prints it (through `Reported`).
+    /// report prints it (through `Witness::reported_json`).
     pub detail: String,
 }
 
-/// The witness as the kv and optimize cells embed it,
-/// `{"crash_idx","seed","kind"}`.
-impl Record for Witness {
-    fn fields(&self, f: &mut Fields) {
-        f.int("crash_idx", self.crash_idx as u64);
-        f.int("seed", self.seed);
-        f.str("kind", &self.kind.to_string());
+impl Witness {
+    /// The fields every rendering of the witness carries.
+    fn fields(&self) -> JsonObject {
+        let mut o = JsonObject::new();
+        o.int("crash_idx", self.crash_idx as u64)
+            .int("seed", self.seed)
+            .str("kind", &self.kind.to_string());
+        o
     }
-}
 
-/// A witness as the crashfuzz report prints it: the embedded fields
-/// plus its `detail`.
-struct Reported<'a>(&'a Witness);
+    /// The witness as the kv and optimize cells embed it,
+    /// `{"crash_idx","seed","kind"}`.
+    pub fn json(&self) -> String {
+        self.fields().render()
+    }
 
-impl Record for Reported<'_> {
-    fn fields(&self, f: &mut Fields) {
-        self.0.fields(f);
-        f.str("detail", &self.0.detail);
+    /// The witness as the crashfuzz report prints it: the embedded
+    /// fields plus its `detail`.
+    fn reported_json(&self) -> String {
+        let mut o = self.fields();
+        o.str("detail", &self.detail);
+        o.render()
     }
 }
 
@@ -156,7 +160,7 @@ pub fn fuzz_bundle_spec(
 
 /// The crash points checked for a trace: every persist boundary
 /// (exhaustive — between them only plain stores retire, so the
-/// guarantee frontier cannot change) plus up to [`SAMPLED_POINTS`]
+/// guarantee frontier cannot change) plus up to 64 (`SAMPLED_POINTS`)
 /// evenly spaced indices covering the in-between stretches.
 pub fn crash_points(events: &[spp_pmem::Event]) -> Vec<usize> {
     let mut pts = persist_boundaries(events);
@@ -470,13 +474,13 @@ impl FuzzReport {
                         "recovery"
                     },
                 )
-                .int("ok", c.ok.into());
-            let wit = |w: &Witness| json::encode(&Reported(w));
-            if let Some(w) = &c.witness {
-                o.raw("witness", wit(w));
-            }
+                .flag("ok", c.ok)
+                .opt_raw("witness", c.witness.as_ref().map(Witness::reported_json));
             if !c.unexpected.is_empty() {
-                o.raw("unexpected", array(c.unexpected.iter().map(wit)));
+                o.raw(
+                    "unexpected",
+                    array(c.unexpected.iter().map(Witness::reported_json)),
+                );
             }
             o.render()
         });
@@ -486,14 +490,14 @@ impl FuzzReport {
                 .int("trace_uops", r.trace_uops)
                 .int("base_uops", r.base_uops)
                 .int("sp_uops", r.sp_uops)
-                .int("ok", r.ok.into());
+                .flag("ok", r.ok);
             o.render()
         });
         crate::schema::emit(crate::schema::CRASHFUZZ, |root| {
             root.int("scale", self.exp.scale)
                 .int("seed", self.exp.seed)
                 .int("seeds_per_point", self.seeds_per_point)
-                .int("ok", self.ok().into())
+                .flag("ok", self.ok())
                 .raw("cells", array(cells))
                 .raw("sp", array(sp));
         })

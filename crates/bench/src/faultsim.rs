@@ -35,15 +35,15 @@
 //! `(plan seed, component salt, site)`, so cells are pure functions of
 //! their inputs: the report is byte-identical at any `--jobs` value.
 //!
-//! The matrix runs on [`run_cells`]: each `(benchmark, variant)` pair
-//! is one supervised cell (six simulations plus the bounded crash
-//! verdict). A pair whose simulation panics or returns a typed
-//! [`spp_cpu::SimError`] degrades to a keyed per-cell `failures` record
-//! carrying the diagnostic snapshot; every other pair still reports.
-//! The injected faults are part of the pair's inputs, so a failing
-//! pair fails the same way on every run and is never retried.
+//! The matrix runs on [`run_indexed`]: each `(benchmark, variant)` pair
+//! is one cell (six simulations plus the bounded crash verdict). A pair
+//! whose simulation returns a typed [`spp_cpu::SimError`] becomes a
+//! `failures` record named `faultsim/{bench}/{variant}` and carrying
+//! the diagnostic snapshot; every other pair still reports. The
+//! injected faults are part of the pair's inputs, so a failing pair
+//! fails the same way on every run.
 
-use spp_cpu::{CpuConfig, SimErrorKind, Simulator};
+use spp_cpu::{CpuConfig, SimError, SimErrorKind, Simulator};
 use spp_mem::{FaultSpec, FaultStats};
 use spp_pmem::Variant;
 use spp_workloads::oracle::record_bundle;
@@ -51,11 +51,9 @@ use spp_workloads::BenchId;
 
 use crate::crashfuzz::{
     committed_classes, crash_points, first_violation, fuzz_bundle_spec, trace_classes,
-    SEEDS_PER_POINT,
 };
-use crate::json::{self, array, Fields, JsonObject, Record};
-use crate::supervisor::{run_cells, CellError, CellFailure};
-use crate::{variant_key, Harness, TraceKey};
+use crate::json::{array, JsonObject};
+use crate::{run_indexed, variant_key, CellFailure, Experiment, Harness, TraceKey};
 
 /// The build variants swept by `repro faultsim` (all four: even the
 /// un-instrumented `Base` build must be timing-invariant under NVMM
@@ -143,26 +141,16 @@ pub struct WatchdogReport {
 #[derive(Debug, Clone)]
 pub struct FaultReport {
     /// Scale/seed the traces were recorded at.
-    pub exp: crate::Experiment,
+    pub exp: Experiment,
     /// Per-cell results, in deterministic matrix order (failed pairs
     /// are absent here and present in [`FaultReport::failures`]).
     pub cells: Vec<Cell>,
-    /// Pairs that panicked or returned a typed error: degraded
-    /// per-cell records carrying the diagnostic snapshot, in matrix
-    /// order. Any entry here fails the report.
+    /// Pairs whose simulation returned a typed error, each carrying
+    /// its diagnostic snapshot, in matrix order. Any entry here fails
+    /// the report.
     pub failures: Vec<CellFailure>,
     /// The watchdog-detection leg.
     pub watchdog: WatchdogReport,
-}
-
-/// Options for [`run_faultsim_opts`]: the fault-injection hook the
-/// supervision tests use.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultsimOpts {
-    /// Fault-injection hook: panic inside this pair's cell,
-    /// demonstrating per-cell degradation without touching the
-    /// simulator.
-    pub inject_panic: Option<(BenchId, Variant)>,
 }
 
 /// The bounded crash-recovery verdict of a `(benchmark, variant)`
@@ -170,7 +158,7 @@ pub struct FaultsimOpts {
 /// witness (early exit on the first inconsistency); the must-pass
 /// variant sweeps every ⌊n/[`VERDICT_POINTS`]⌋-th of its `n` crash
 /// points (every point while `n < 32`), at most 31 points.
-fn crash_verdict(id: BenchId, variant: Variant, exp: &crate::Experiment) -> &'static str {
+fn crash_verdict(id: BenchId, variant: Variant, exp: &Experiment) -> &'static str {
     let spec = fuzz_bundle_spec(id, variant, spp_pmem::FlushMode::Clwb, exp);
     let b = record_bundle(&spec);
     let check = |p, seed| b.check_crash(p, seed);
@@ -194,7 +182,7 @@ fn run_one(
     variant: Variant,
     fault: Option<FaultSpec>,
     sp: bool,
-) -> Result<Outcome, CellError> {
+) -> Result<Outcome, SimError> {
     let t = h.trace(TraceKey::new(id, variant, &h.exp));
     let mut cpu = if sp {
         CpuConfig::with_sp()
@@ -202,30 +190,19 @@ fn run_one(
         CpuConfig::baseline()
     };
     cpu.mem.fault = fault;
-    match Simulator::new(&t.events).config(cpu).run() {
-        Ok(r) => Ok(Outcome {
-            cycles: r.cpu.cycles,
-            classes: committed_classes(&r),
-            faults: r.faults,
-        }),
-        Err(e) => Err(CellError::from_sim(&e)),
-    }
+    let r = Simulator::new(&t.events).config(cpu).run()?;
+    Ok(Outcome {
+        cycles: r.cpu.cycles,
+        classes: committed_classes(&r),
+        faults: r.faults,
+    })
 }
 
-/// One supervised `(benchmark, variant)` pair: two fault-free and four
-/// faulted simulations (shared across the two plans) plus the bounded
-/// crash verdict, yielding one [`Cell`] per plan. A typed
-/// [`spp_cpu::SimError`] anywhere inside propagates as a [`CellError`]
-/// so the supervisor can degrade the pair.
-fn run_pair(
-    h: &Harness,
-    id: BenchId,
-    v: Variant,
-    inject_panic: Option<(BenchId, Variant)>,
-) -> Result<Vec<Cell>, CellError> {
-    if inject_panic == Some((id, v)) {
-        panic!("injected pair fault: {} {}", id.abbrev(), variant_key(v));
-    }
+/// One `(benchmark, variant)` pair: two fault-free and four faulted
+/// simulations (shared across the two plans) plus the bounded crash
+/// verdict, yielding one [`Cell`] per plan. The first typed
+/// [`SimError`] inside fails the whole pair.
+fn run_pair(h: &Harness, id: BenchId, v: Variant) -> Result<Vec<Cell>, SimError> {
     let plans = plans(h.exp.seed);
     let clean_base = run_one(h, id, v, None, false)?;
     let clean_sp = run_one(h, id, v, None, true)?;
@@ -299,148 +276,84 @@ fn watchdog_leg(h: &Harness) -> WatchdogReport {
     }
 }
 
-/// Everything besides scale/seed that determines a cell's result,
-/// folded into its key.
-fn config_hash(exp: &crate::Experiment) -> u64 {
-    let ps = plans(exp.seed);
-    spp_pmem::hash64(
-        format!(
-            "faultsim;plans={:#x},{:#x};points={VERDICT_POINTS};seeds={SEEDS_PER_POINT};wd={WATCHDOG_DEMO_BOUND}",
-            ps[0].1.seed, ps[1].1.seed
-        )
-        .as_bytes(),
-    )
-}
-
-/// The key a failed `(benchmark, variant)` pair is reported under.
-fn pair_key(id: BenchId, v: Variant, exp: &crate::Experiment) -> String {
-    format!(
-        "faultsim/{}/{}/s{}/x{:016x}/clwb/c{:016x}",
-        id.abbrev(),
-        variant_key(v),
-        exp.scale,
-        exp.seed,
-        config_hash(exp)
-    )
-}
-
-/// The key a failed watchdog-detection leg is reported under.
-fn watchdog_key(exp: &crate::Experiment) -> String {
-    format!(
-        "faultsim/watchdog/{}/s{}/x{:016x}/b{}/c{:016x}",
-        BenchId::LinkedList.abbrev(),
-        exp.scale,
-        exp.seed,
-        WATCHDOG_DEMO_BOUND,
-        config_hash(exp)
-    )
-}
-
-/// One supervised unit of the faultsim matrix.
-enum CellTask {
-    Pair(BenchId, Variant),
-    Watchdog,
-}
-
-/// The watchdog leg's report before it runs.
-fn unrun_watchdog() -> WatchdogReport {
-    WatchdogReport {
-        id: BenchId::LinkedList,
-        bound: WATCHDOG_DEMO_BOUND,
-        fired: false,
-        cycle: 0,
-        rob_len: 0,
-        detail: "watchdog leg did not run".to_string(),
-        ok: false,
+impl Cell {
+    /// The cell as one JSON object, the report's `cells` element.
+    pub fn json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.str("bench", self.id.abbrev())
+            .str("variant", variant_key(self.variant))
+            .str("plan", self.plan)
+            .int("base_cycles", self.base_cycles)
+            .int("base_cycles_faulted", self.base_cycles_faulted)
+            .int("sp_cycles", self.sp_cycles)
+            .int("sp_cycles_faulted", self.sp_cycles_faulted)
+            .int("faults", self.faults_injected)
+            .int("extra_cycles", self.extra_cycles)
+            .flag("state_ok", self.state_ok)
+            .str("verdict", self.verdict)
+            .flag("verdict_ok", self.verdict_ok);
+        o.render()
     }
 }
 
-/// A supervised unit's value.
-enum CellValue {
-    Pair(Vec<Cell>),
-    Watchdog(WatchdogReport),
-}
-
-/// One cell as a JSON object, the report's `cells` element.
-impl Record for Cell {
-    fn fields(&self, f: &mut Fields) {
-        f.str("bench", self.id.abbrev());
-        f.str("variant", variant_key(self.variant));
-        f.str("plan", self.plan);
-        f.int("base_cycles", self.base_cycles);
-        f.int("base_cycles_faulted", self.base_cycles_faulted);
-        f.int("sp_cycles", self.sp_cycles);
-        f.int("sp_cycles_faulted", self.sp_cycles_faulted);
-        f.int("faults", self.faults_injected);
-        f.int("extra_cycles", self.extra_cycles);
-        f.flag("state_ok", self.state_ok);
-        f.str("verdict", self.verdict);
-        f.flag("verdict_ok", self.verdict_ok);
+impl WatchdogReport {
+    /// The watchdog leg as one JSON object, the report's `watchdog`
+    /// field.
+    pub fn json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.str("bench", self.id.abbrev())
+            .int("bound", self.bound)
+            .flag("fired", self.fired)
+            .int("cycle", self.cycle)
+            .int("rob_len", self.rob_len as u64)
+            .str("detail", &self.detail)
+            .flag("ok", self.ok);
+        o.render()
     }
 }
 
-/// The watchdog leg as a JSON object, the report's `watchdog` field.
-impl Record for WatchdogReport {
-    fn fields(&self, f: &mut Fields) {
-        f.str("bench", self.id.abbrev());
-        f.int("bound", self.bound);
-        f.flag("fired", self.fired);
-        f.int("cycle", self.cycle);
-        f.int("rob_len", self.rob_len as u64);
-        f.str("detail", &self.detail);
-        f.flag("ok", self.ok);
-    }
-}
-
-/// Runs the faultsim matrix on [`run_cells`].
-///
-/// Each `(benchmark, variant)` pair — six simulations plus the bounded
-/// crash verdict — and the watchdog leg is one supervised cell: panic-
-/// isolated, and degraded to a keyed per-cell failure record when it
-/// fails. Results come back in input order, so the report is
-/// byte-identical at any `--jobs` value.
-pub fn run_faultsim_opts(h: &Harness, opts: FaultsimOpts) -> FaultReport {
-    let mut tasks: Vec<CellTask> = BenchId::ALL
+/// Runs the faultsim matrix: every `(benchmark, variant)` pair — six
+/// simulations plus the bounded crash verdict — on [`run_indexed`],
+/// then the watchdog leg. Results come back in input order, so the
+/// report is byte-identical at any `--jobs` value.
+pub fn run_faultsim(h: &Harness) -> FaultReport {
+    let pairs: Vec<(BenchId, Variant)> = BenchId::ALL
         .iter()
-        .flat_map(|&id| VARIANTS.iter().map(move |&v| CellTask::Pair(id, v)))
+        .flat_map(|&id| VARIANTS.iter().map(move |&v| (id, v)))
         .collect();
-    tasks.push(CellTask::Watchdog);
-    let results = run_cells(h.jobs, &tasks, |_, t| match t {
-        CellTask::Pair(id, v) => run_pair(h, *id, *v, opts.inject_panic).map(CellValue::Pair),
-        CellTask::Watchdog => Ok(CellValue::Watchdog(watchdog_leg(h))),
-    });
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    let mut watchdog = unrun_watchdog();
-    for (r, t) in results.into_iter().zip(&tasks) {
-        match r {
-            Ok(CellValue::Pair(mut cs)) => cells.append(&mut cs),
-            Ok(CellValue::Watchdog(w)) => watchdog = w,
-            Err(e) => {
-                let key = match t {
-                    CellTask::Pair(id, v) => pair_key(*id, *v, &h.exp),
-                    CellTask::Watchdog => {
-                        watchdog.detail = e.reason.clone();
-                        watchdog_key(&h.exp)
-                    }
-                };
-                failures.push(CellFailure {
-                    key,
-                    reason: e.reason,
-                    snapshot: e.snapshot,
-                });
-            }
-        }
-    }
-    FaultReport {
-        exp: h.exp,
-        cells,
-        failures,
-        watchdog,
-    }
+    let results = run_indexed(h.jobs, &pairs, |_, &(id, v)| run_pair(h, id, v));
+    FaultReport::new(h.exp, pairs.into_iter().zip(results), watchdog_leg(h))
 }
 
 impl FaultReport {
+    /// Assembles the report from each pair's outcome, in matrix order:
+    /// a pair whose simulation returned a [`SimError`] becomes a
+    /// [`CellFailure`] carrying the error's diagnostic snapshot.
+    fn new(
+        exp: Experiment,
+        pairs: impl IntoIterator<Item = ((BenchId, Variant), Result<Vec<Cell>, SimError>)>,
+        watchdog: WatchdogReport,
+    ) -> Self {
+        let mut cells = Vec::new();
+        let mut failures = Vec::new();
+        for ((id, v), r) in pairs {
+            match r {
+                Ok(mut cs) => cells.append(&mut cs),
+                Err(e) => failures.push(CellFailure {
+                    key: format!("faultsim/{}/{}", id.abbrev(), variant_key(v)),
+                    reason: e.to_string(),
+                    snapshot: Some(e.snapshot.to_json()),
+                }),
+            }
+        }
+        FaultReport {
+            exp,
+            cells,
+            failures,
+            watchdog,
+        }
+    }
+
     /// Faults injected across every `storm` cell (the sweep is vacuous
     /// if the adversarial plan never fires).
     pub fn storm_faults(&self) -> u64 {
@@ -561,11 +474,14 @@ impl FaultReport {
         crate::schema::emit(crate::schema::FAULTSIM, |root| {
             root.int("scale", self.exp.scale)
                 .int("seed", self.exp.seed)
-                .int("ok", self.ok().into())
+                .flag("ok", self.ok())
                 .raw("plans", array(plan_list))
-                .raw("cells", array(self.cells.iter().map(json::encode)))
-                .raw("failures", array(self.failures.iter().map(json::encode)))
-                .raw("watchdog", json::encode(&self.watchdog));
+                .raw("cells", array(self.cells.iter().map(Cell::json)))
+                .raw(
+                    "failures",
+                    array(self.failures.iter().map(CellFailure::json)),
+                )
+                .raw("watchdog", self.watchdog.json());
         })
     }
 }
@@ -574,7 +490,6 @@ impl FaultReport {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::Experiment;
 
     fn smoke_harness(jobs: usize) -> Harness {
         Harness::new(
@@ -588,7 +503,7 @@ mod tests {
 
     #[test]
     fn invariance_holds_across_the_matrix_at_smoke_scale() {
-        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
+        let rep = run_faultsim(&smoke_harness(4));
         assert_eq!(rep.cells.len(), 7 * 4 * 2, "bench x variant x plan");
         assert!(rep.failures.is_empty(), "{:?}", rep.failures);
         for c in &rep.cells {
@@ -615,7 +530,7 @@ mod tests {
 
     #[test]
     fn watchdog_leg_converts_stall_into_typed_error() {
-        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
+        let rep = run_faultsim(&smoke_harness(4));
         let w = &rep.watchdog;
         assert!(
             w.fired,
@@ -630,8 +545,8 @@ mod tests {
 
     #[test]
     fn report_is_identical_at_any_job_count() {
-        let a = run_faultsim_opts(&smoke_harness(1), FaultsimOpts::default());
-        let b = run_faultsim_opts(&smoke_harness(8), FaultsimOpts::default());
+        let a = run_faultsim(&smoke_harness(1));
+        let b = run_faultsim(&smoke_harness(8));
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
         assert!(a.ok());
@@ -639,7 +554,7 @@ mod tests {
 
     #[test]
     fn json_shape_is_balanced_and_keyed() {
-        let rep = run_faultsim_opts(&smoke_harness(4), FaultsimOpts::default());
+        let rep = run_faultsim(&smoke_harness(4));
         let j = rep.render_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -659,40 +574,46 @@ mod tests {
     }
 
     #[test]
-    fn failed_pair_degrades_to_failed_record_while_others_report() {
-        let h = smoke_harness(4);
-        let rep = run_faultsim_opts(
-            &h,
-            FaultsimOpts {
-                inject_panic: Some((BenchId::LinkedList, Variant::Log)),
-            },
-        );
-        // The injected pair degrades; every other pair still reports.
-        assert_eq!(rep.cells.len(), (7 * 4 - 1) * 2);
+    fn a_pair_whose_simulation_errs_becomes_a_failed_record_while_others_report() {
+        let h = smoke_harness(1);
+        let healthy = (BenchId::LinkedList, Variant::Log);
+        let wedged = (BenchId::LinkedList, Variant::LogPSf);
+        // A real typed error, no hook: the pair's trace replayed under
+        // the watchdog leg's no-retire bound.
+        let t = h.trace(TraceKey::new(wedged.0, wedged.1, &h.exp));
+        let cpu = CpuConfig {
+            watchdog_cycles: WATCHDOG_DEMO_BOUND,
+            ..CpuConfig::baseline()
+        };
+        let err = Simulator::new(&t.events).config(cpu).run().unwrap_err();
+        let cells = run_pair(&h, healthy.0, healthy.1).unwrap();
+        let pairs = || [(healthy, Ok(cells.clone())), (wedged, Err(err.clone()))];
+        let clean = FaultReport::new(h.exp, pairs().into_iter().take(1), watchdog_leg(&h));
+        assert!(clean.ok(), "{}", clean.render_text());
+
+        let rep = FaultReport::new(h.exp, pairs(), watchdog_leg(&h));
+        assert_eq!(rep.cells, clean.cells, "the healthy pair still reports");
         assert_eq!(rep.failures.len(), 1);
         let f = &rep.failures[0];
-        assert!(
-            f.key.contains(&format!(
-                "/{}/{}/",
-                BenchId::LinkedList.abbrev(),
-                variant_key(Variant::Log)
-            )),
-            "{}",
-            f.key
-        );
-        assert!(f.reason.contains("injected pair fault"), "{}", f.reason);
-        assert!(!rep.ok(), "a degraded pair must fail the report");
+        assert_eq!(f.key, "faultsim/LL/logpsf");
+        assert_eq!(f.reason, err.to_string());
+        assert!(!rep.ok(), "a failed pair must fail the report");
         let text = rep.render_text();
         assert!(
-            text.contains(&format!(
-                "cell {}: FAILED: panic: injected pair fault",
-                f.key
-            )),
+            text.contains(&format!("cell faultsim/LL/logpsf: FAILED: {}\n", err)),
             "{text}"
         );
         assert!(text.contains("faultsim: FAIL"), "{text}");
-        let json = rep.render_json();
-        assert!(json.contains("injected pair fault"), "{json}");
-        crate::json::parse(&json).expect("report must parse");
+        let json = crate::json::parse(&rep.render_json()).expect("report must parse");
+        let failures = json.get("failures").and_then(|v| v.as_arr()).unwrap();
+        let snapshot = failures[0].get("snapshot").unwrap();
+        assert_eq!(
+            Some(snapshot),
+            crate::json::parse(&err.snapshot.to_json()).ok().as_ref()
+        );
+        assert_eq!(
+            snapshot.get("cycle").and_then(|v| v.as_u64()),
+            Some(err.snapshot.cycle)
+        );
     }
 }

@@ -1,11 +1,11 @@
 //! Minimal JSON emission for machine-readable results (no external
 //! dependency needed for these flat records).
 //!
-//! [`JsonObject`] and [`array()`] build documents; [`Record`] is a cell
-//! type that lists its fields once, and [`encode`] renders that list
-//! as the object a report's `cells` array holds. The crate writes JSON
-//! and never reads it back: the small test-only parser at the end
-//! exists only so tests can check that what was written is well formed.
+//! [`JsonObject`] and [`array()`] build every document: a report's
+//! envelope and each cell type's `json()` rendering alike. The crate
+//! writes JSON and never reads it back: the small test-only parser at
+//! the end exists only so tests can check that what was written is well
+//! formed.
 
 use std::fmt::Write as _;
 
@@ -44,6 +44,42 @@ impl JsonObject {
     pub fn raw(&mut self, key: &str, v: String) -> &mut Self {
         self.fields.push((key.to_string(), v));
         self
+    }
+
+    /// Adds a boolean field, written as `0`/`1`.
+    pub fn flag(&mut self, key: &str, v: bool) -> &mut Self {
+        self.int(key, v.into())
+    }
+
+    /// Adds a string field, omitted when `None`.
+    pub fn opt_str(&mut self, key: &str, v: Option<&str>) -> &mut Self {
+        if let Some(v) = v {
+            self.str(key, v);
+        }
+        self
+    }
+
+    /// Adds a pre-rendered JSON value, omitted when `None`.
+    pub fn opt_raw(&mut self, key: &str, v: Option<String>) -> &mut Self {
+        if let Some(v) = v {
+            self.raw(key, v);
+        }
+        self
+    }
+
+    /// Adds an integer field, written as `null` when `None`.
+    pub fn nullable_int(&mut self, key: &str, v: Option<u64>) -> &mut Self {
+        self.raw(key, v.map_or_else(|| "null".to_string(), |n| n.to_string()))
+    }
+
+    /// Adds a pre-rendered JSON value, written as `null` when `None`.
+    pub fn nullable_raw(&mut self, key: &str, v: Option<&str>) -> &mut Self {
+        self.raw(key, v.unwrap_or("null").to_string())
+    }
+
+    /// Adds an array of integers.
+    pub fn ints(&mut self, key: &str, v: &[u64]) -> &mut Self {
+        self.raw(key, array(v.iter().map(u64::to_string)))
     }
 
     /// Renders the object.
@@ -105,74 +141,6 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
     }
     s.push(']');
     s
-}
-
-/// A record a report renders as one JSON object: [`Record::fields`]
-/// lists every field once, in output order.
-pub trait Record {
-    /// Writes every field in output order.
-    fn fields(&self, f: &mut Fields);
-}
-
-/// The field writer [`Record::fields`] talks to: each call appends one
-/// field to the object [`encode`] renders.
-#[derive(Debug, Default)]
-pub struct Fields {
-    out: JsonObject,
-}
-
-/// Renders `r` as one JSON object.
-pub fn encode<R: Record>(r: &R) -> String {
-    let mut f = Fields::default();
-    r.fields(&mut f);
-    f.out.render()
-}
-
-impl Fields {
-    /// A non-negative integer.
-    pub fn int(&mut self, key: &str, v: u64) {
-        self.out.int(key, v);
-    }
-
-    /// A boolean written as `0`/`1`.
-    pub fn flag(&mut self, key: &str, v: bool) {
-        self.out.int(key, v.into());
-    }
-
-    /// A string.
-    pub fn str(&mut self, key: &str, v: &str) {
-        self.out.str(key, v);
-    }
-
-    /// A string omitted when `None`.
-    pub fn opt_str(&mut self, key: &str, v: Option<&str>) {
-        if let Some(v) = v {
-            self.str(key, v);
-        }
-    }
-
-    /// An integer written as `null` when `None`.
-    pub fn nullable_int(&mut self, key: &str, v: Option<u64>) {
-        self.out
-            .raw(key, v.map_or_else(|| "null".to_string(), |n| n.to_string()));
-    }
-
-    /// Pre-rendered JSON written as `null` when `None`.
-    pub fn nullable_raw(&mut self, key: &str, v: Option<&str>) {
-        self.out.raw(key, v.unwrap_or("null").to_string());
-    }
-
-    /// An array of integers.
-    pub fn ints(&mut self, key: &str, v: &[u64]) {
-        self.out.raw(key, array(v.iter().map(u64::to_string)));
-    }
-
-    /// A nested record omitted when `None`.
-    pub fn opt_record<R: Record>(&mut self, key: &str, v: Option<&R>) {
-        if let Some(v) = v {
-            self.out.raw(key, encode(v));
-        }
-    }
 }
 
 /// Serializes the full suite results (everything figs. 8-12/14 need) as
@@ -628,10 +596,9 @@ mod tests {
         assert_eq!(quote("a\tb\r\n\u{1}"), r#""a\tb\r\n\u0001""#);
     }
 
-    /// Parses `r`'s encoding, requires its keys to be exactly `keys`,
-    /// in order, and returns the parsed object.
-    fn fields_of<R: Record>(r: &R, keys: &[&str]) -> Value {
-        let doc = encode(r);
+    /// Parses `doc`, requires its keys to be exactly `keys`, in order,
+    /// and returns the parsed object.
+    fn fields_of(doc: String, keys: &[&str]) -> Value {
         let v = parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
         let Value::Obj(fields) = &v else {
             panic!("{doc} is not an object")
@@ -650,10 +617,11 @@ mod tests {
     }
 
     #[test]
-    fn every_record_encodes_exactly_its_fields() {
+    fn every_cell_renders_exactly_its_fields() {
         use crate::crashfuzz::Witness;
         use crate::faultsim::{Cell, WatchdogReport};
         use crate::kv::{KvCell, KvCellSpec, PerfCfg};
+        use crate::litmus::{cell_json, LitmusCell, ModelKnob};
         use crate::multicore::{CellSpec, MulticoreCell};
         use crate::optimize::{OptCell, OptimizeCellSpec, ReplayCore, ReplayPass};
         use crate::CellFailure;
@@ -670,7 +638,7 @@ mod tests {
             detail: "not written".into(),
         };
         let witness_keys = ["crash_idx", "seed", "kind"];
-        fields_of(&witness, &witness_keys);
+        fields_of(witness.json(), &witness_keys);
 
         // kv: a witness-bearing must-fail cell, then a bare perf cell
         let kv = [
@@ -693,7 +661,7 @@ mod tests {
             ..KvCell::empty(KvCellSpec::MustFail { seed_off: 1 })
         };
         let keys = cat(&[&["leg", "seed_off"], &kv, &["witness", "error"]]);
-        let v = fields_of(&full, &keys);
+        let v = fields_of(full.json(), &keys);
         assert_eq!(keys_of(&v, "witness"), witness_keys);
         assert_eq!(
             v.get("cycles").and_then(Value::as_u64),
@@ -704,7 +672,7 @@ mod tests {
             ckpt_every: 16,
             cfg: PerfCfg::Sp,
         });
-        fields_of(&bare, &cat(&[&["leg", "ckpt_every", "cfg"], &kv]));
+        fields_of(bare.json(), &cat(&[&["leg", "ckpt_every", "cfg"], &kv]));
 
         // optimize: a witness-bearing inverted cell, then a bare replay cell
         let opt = [
@@ -729,14 +697,14 @@ mod tests {
             error: Some("e".into()),
             ..OptCell::empty(OptimizeCellSpec::Inverted)
         };
-        let v = fields_of(&full, &cat(&[&["leg"], &opt, &["witness", "error"]]));
+        let v = fields_of(full.json(), &cat(&[&["leg"], &opt, &["witness", "error"]]));
         assert_eq!(keys_of(&v, "witness"), witness_keys);
         assert_eq!(v.get("leg").and_then(Value::as_str), Some("inverted"));
         let bare = OptCell::empty(OptimizeCellSpec::Replay {
             core: ReplayCore::Sp,
             pass: ReplayPass::After,
         });
-        fields_of(&bare, &cat(&[&["leg", "core", "pass"], &opt]));
+        fields_of(bare.json(), &cat(&[&["leg", "core", "pass"], &opt]));
 
         // multicore, with and without a degraded cell's error
         let mc = [
@@ -760,12 +728,12 @@ mod tests {
             sp: true,
         };
         let cell = MulticoreCell::empty(spec, 24);
-        fields_of(&cell, &mc);
+        fields_of(cell.json(), &mc);
         let degraded = MulticoreCell {
             error: Some("{\"kind\":\"storm\"}".into()),
             ..cell
         };
-        let v = fields_of(&degraded, &cat(&[&mc, &["error"]]));
+        let v = fields_of(degraded.json(), &cat(&[&mc, &["error"]]));
         assert_eq!(
             v.get("error").and_then(Value::as_str),
             Some("{\"kind\":\"storm\"}")
@@ -787,7 +755,7 @@ mod tests {
             verdict_ok: true,
         };
         fields_of(
-            &cell,
+            cell.json(),
             &[
                 "bench",
                 "variant",
@@ -813,7 +781,7 @@ mod tests {
             ok: true,
         };
         let v = fields_of(
-            &watchdog,
+            watchdog.json(),
             &[
                 "bench", "bound", "fired", "cycle", "rob_len", "detail", "ok",
             ],
@@ -842,13 +810,13 @@ mod tests {
             "ref_sp_differential_ok",
             "ok",
         ];
-        let program = &spp_litmus::catalog()[0];
-        let blank = crate::litmus::blank(
-            program,
-            FlushMode::ClflushOpt,
-            crate::litmus::ModelKnob::Honest,
-        );
-        let with = |seed: Option<Option<u64>>, error: Option<&str>| crate::litmus::LitmusCell {
+        let blank = LitmusCell {
+            program: spp_litmus::catalog()[0].name.clone(),
+            mode: FlushMode::ClflushOpt,
+            knob: ModelKnob::Honest,
+            ..LitmusCell::default()
+        };
+        let with = |seed: Option<Option<u64>>, error: Option<&str>| LitmusCell {
             sim_error: error.map(String::from),
             witness: seed.map(|seed| spp_litmus::Witness {
                 leg: "pipeline-sp",
@@ -862,18 +830,24 @@ mod tests {
         };
         let lit_witness = ["leg", "interleaving", "crash_idx", "seed", "state"];
         for seed in [Some(3), None] {
-            let v = fields_of(&with(Some(seed), None), &cat(&[&lit, &["witness"]]));
+            let v = fields_of(
+                cell_json(&with(Some(seed), None)),
+                &cat(&[&lit, &["witness"]]),
+            );
             assert_eq!(keys_of(&v, "witness"), lit_witness);
             let w = v.get("witness").unwrap();
             assert_eq!(w.get("seed").and_then(Value::as_u64), seed);
             assert_eq!(w.get("seed") == Some(&Value::Null), seed.is_none());
         }
-        fields_of(&with(None, Some("wedged")), &cat(&[&lit, &["error"]]));
-        fields_of(&blank, &lit);
+        fields_of(
+            cell_json(&with(None, Some("wedged"))),
+            &cat(&[&lit, &["error"]]),
+        );
+        fields_of(cell_json(&blank), &lit);
 
-        // supervisor failure records: a reason with control bytes and
-        // quotes, with a raw snapshot and without one
-        let reason = "panic: boom {\"x\":1} a\tb\r\n\u{1}";
+        // failed-cell records: a reason with control bytes and quotes,
+        // with a raw snapshot and without one
+        let reason = "wedged: boom {\"x\":1} a\tb\r\n\u{1}";
         let snapshot = r#"{"cycle":5,"rob":[1,{"a":2.500000}],"why":"x\ty"}"#;
         for snap in [Some(snapshot), None] {
             let f = CellFailure {
@@ -881,7 +855,7 @@ mod tests {
                 reason: reason.into(),
                 snapshot: snap.map(String::from),
             };
-            let v = fields_of(&f, &["key", "reason", "snapshot"]);
+            let v = fields_of(f.json(), &["key", "reason", "snapshot"]);
             assert_eq!(v.get("reason").and_then(Value::as_str), Some(reason));
             let s = v.get("snapshot").unwrap();
             match snap {

@@ -20,20 +20,20 @@
 //!   deterministic peak-memory bound alongside throughput.
 //!
 //! Cells are pure functions of `(spec, scale, seed)` and run on
-//! [`run_cells`]: results come back in input order (so `--jobs N`
-//! output is byte-identical to `--jobs 1`), and a panicking cell
-//! degrades to one failed cell.
+//! [`run_indexed`]: results come back in input order, so `--jobs N`
+//! output is byte-identical to `--jobs 1`. A cell whose oracle rejects
+//! it or whose simulation returns a typed error is a failed cell
+//! carrying its `error`.
 
 use spp_cpu::{CpuConfig, Simulator};
 use spp_pmem::{FlushMode, PmemEnv, Variant};
 use spp_workloads::kv::{record_kv_bundle, KvBundleSpec, KvMix, KvSpec, KvWorkload};
 
 use crate::crashfuzz::{crash_points, first_violation, Witness, SEEDS_PER_POINT};
-use crate::json::{self, Fields, Record};
+use crate::json::{self, JsonObject};
 use crate::schema;
 use crate::stream::{run_kv_streamed, KvStreamSpec, STREAM_CHUNK_OPS};
-use crate::supervisor::{run_cells, settle};
-use crate::Harness;
+use crate::{run_indexed, Harness};
 
 /// Checkpoint intervals the perf leg sweeps (WAL records between COW
 /// checkpoints — the engine's checkpoint-buffer depth).
@@ -358,54 +358,54 @@ fn run_cell(h: &Harness, spec: &KvCellSpec) -> KvCell {
 
 // --- codec ------------------------------------------------------------
 
-/// A cell as one JSON object, the report's `cells` element. The spec
-/// fields lead.
-impl Record for KvCell {
-    fn fields(&self, f: &mut Fields) {
+impl KvCell {
+    /// The cell as one JSON object, the report's `cells` element. The
+    /// spec fields lead.
+    pub fn json(&self) -> String {
+        let mut o = JsonObject::new();
         match self.spec {
             KvCellSpec::Perf { ckpt_every, cfg } => {
-                f.str("leg", "perf");
-                f.int("ckpt_every", ckpt_every);
-                f.str("cfg", cfg.key());
+                o.str("leg", "perf")
+                    .int("ckpt_every", ckpt_every)
+                    .str("cfg", cfg.key());
             }
             KvCellSpec::MustPass { seed_off } => {
-                f.str("leg", "mustpass");
-                f.int("seed_off", seed_off);
+                o.str("leg", "mustpass").int("seed_off", seed_off);
             }
             KvCellSpec::MustFail { seed_off } => {
-                f.str("leg", "mustfail");
-                f.int("seed_off", seed_off);
+                o.str("leg", "mustfail").int("seed_off", seed_off);
             }
-            KvCellSpec::ElideChecksum => f.str("leg", "elide"),
-            KvCellSpec::Stream => f.str("leg", "stream"),
+            KvCellSpec::ElideChecksum => {
+                o.str("leg", "elide");
+            }
+            KvCellSpec::Stream => {
+                o.str("leg", "stream");
+            }
         }
-        f.flag("ok", self.ok);
-        f.int("ops", self.ops);
-        f.int("events", self.events);
-        f.int("cycles", self.cycles);
-        f.int("mutations", self.mutations);
-        f.int("checkpoints", self.checkpoints);
-        f.int("points", self.points);
-        f.int("checks", self.checks);
-        f.int("chunks", self.chunks);
-        f.int("peak_bound", self.peak_bound);
-        f.opt_record("witness", self.witness.as_ref());
-        f.opt_str("error", self.error.as_deref());
+        o.flag("ok", self.ok)
+            .int("ops", self.ops)
+            .int("events", self.events)
+            .int("cycles", self.cycles)
+            .int("mutations", self.mutations)
+            .int("checkpoints", self.checkpoints)
+            .int("points", self.points)
+            .int("checks", self.checks)
+            .int("chunks", self.chunks)
+            .int("peak_bound", self.peak_bound)
+            .opt_raw("witness", self.witness.as_ref().map(Witness::json))
+            .opt_str("error", self.error.as_deref());
+        o.render()
     }
 }
 
 // --- the study --------------------------------------------------------
 
 /// Runs the storage-engine study: every [`KvCellSpec::all`] cell on
-/// the supervised pool.
+/// [`run_indexed`].
 pub fn run_kv(h: &Harness) -> KvReport {
     let (scale, seed) = (h.exp.scale, h.exp.seed);
     let specs = KvCellSpec::all();
-    let results = run_cells(h.jobs, &specs, |_, spec| Ok(run_cell(h, spec)));
-    let cells = settle(results, |i, f| KvCell {
-        error: Some(f.reason),
-        ..KvCell::empty(specs[i])
-    });
+    let cells = run_indexed(h.jobs, &specs, |_, spec| run_cell(h, spec));
     KvReport { scale, seed, cells }
 }
 
@@ -552,8 +552,8 @@ impl KvReport {
                 .int("seed", self.seed)
                 .int("crash_seeds", SEEDS_PER_POINT)
                 .int("stream_chunk_ops", STREAM_CHUNK_OPS)
-                .int("ok", self.ok().into())
-                .raw("cells", json::array(self.cells.iter().map(json::encode)));
+                .flag("ok", self.ok())
+                .raw("cells", json::array(self.cells.iter().map(KvCell::json)));
         })
     }
 }

@@ -46,18 +46,18 @@ pub mod schema;
 pub mod source;
 pub mod stream;
 pub mod study;
-pub mod supervisor;
 
 pub use cache::{trace_bytes, CacheStats, TraceCache, TraceKey};
 pub use multicore::{MulticoreCell, MulticoreReport};
 pub use parallel::run_indexed;
-pub use supervisor::CellFailure;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spp_cpu::{CpuConfig, SimResult, Simulator, SpConfig};
 use spp_pmem::{Event, FlushMode, SharedTrace, TraceCounts, Variant};
 use spp_workloads::{BenchId, BenchSpec};
+
+use crate::json::JsonObject;
 
 /// The lowercase variant key used in every machine-readable document
 /// (`base`/`log`/`logp`/`logpsf`) — also what `repro` accepts on the
@@ -80,6 +80,32 @@ pub fn parse_variant(s: &str) -> Option<Variant> {
         "logp" | "log+p" => Some(Variant::LogP),
         "logpsf" | "log+p+sf" => Some(Variant::LogPSf),
         _ => None,
+    }
+}
+
+/// A failed cell as a report lists it: its key, what went wrong and,
+/// when the failure was a typed [`spp_cpu::SimError`], its diagnostic
+/// snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellFailure {
+    /// The cell's key.
+    pub key: String,
+    /// The failure reason.
+    pub reason: String,
+    /// The diagnostic snapshot as JSON
+    /// ([`spp_cpu::DiagnosticSnapshot::to_json`]), if one was captured.
+    pub snapshot: Option<String>,
+}
+
+impl CellFailure {
+    /// The failure as one JSON object, `{"key","reason","snapshot"}`,
+    /// with a `null` snapshot when none was captured.
+    pub fn json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.str("key", &self.key)
+            .str("reason", &self.reason)
+            .nullable_raw("snapshot", self.snapshot.as_deref());
+        o.render()
     }
 }
 
@@ -189,9 +215,9 @@ pub const ABLATION_SETTINGS: [(bool, usize); 5] =
 /// matter how many figures replay it) and fans independent simulations
 /// out over up to `jobs` threads via [`run_indexed`], which returns
 /// results in input order — so the report bytes are identical at any
-/// job count. Every simulator replay it issues goes through
-/// [`Harness::replay`], which counts it, so a stage's replay total is
-/// read off [`Harness::replays`] rather than predicted.
+/// job count. Every simulator replay it issues is counted as it runs,
+/// so a stage's replay total is read off [`Harness::replays`] rather
+/// than predicted.
 #[derive(Debug, Default)]
 pub struct Harness {
     /// Scale and seed shared by every run.
@@ -214,7 +240,7 @@ impl Harness {
         }
     }
 
-    /// Simulator replays issued through [`Harness::replay`] so far.
+    /// Simulator replays this harness has issued so far.
     pub fn replays(&self) -> usize {
         self.replays.load(Ordering::Relaxed)
     }

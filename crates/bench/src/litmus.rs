@@ -1,6 +1,6 @@
 //! `repro litmus` — Px86 persistency-model validation.
 //!
-//! Drives the [`spp_litmus`] harness through the supervised pool: every
+//! Drives the [`spp_litmus`] harness over [`run_indexed`]: every
 //! litmus program (the curated catalog plus, at generous scales, seeded
 //! generated programs) × every [`FlushMode`] is one cell, checked
 //! against the executable Px86 reference model on all seven legs
@@ -12,8 +12,8 @@
 //! flags and lexicographically minimized `(interleaving, crash_idx,
 //! seed)` witness carry the verdict, so the report can print the
 //! counterexample; the JSON `failed` list names each failing cell once.
-//! A cell that panics becomes a cell carrying the panic as its
-//! simulation error. Cells fan out over [`run_cells`]; `--jobs`
+//! A pipeline leg that returns a typed simulation error fails its cell
+//! with that error. Results come back in input order, so `--jobs`
 //! changes wall time only.
 //!
 //! The `knob` argument weakens one model rule (test-only; see
@@ -25,10 +25,9 @@ use spp_litmus::{catalog, check_cell, generate, Witness};
 use spp_pmem::FlushMode;
 use spp_workloads::litmus::LitmusProgram;
 
-use crate::json::{self, array, Fields, Record};
+use crate::json::{array, JsonObject};
 use crate::schema;
-use crate::supervisor::{run_cells, settle, CellFailure};
-use crate::{Experiment, Harness};
+use crate::{run_indexed, CellFailure, Experiment, Harness};
 
 /// One checked cell's outcome (re-exported so the CLI and tests can
 /// inspect legs and witnesses without depending on `spp-litmus`).
@@ -68,50 +67,40 @@ fn cell_key(name: &str, mode: FlushMode, knob: ModelKnob) -> String {
     format!("litmus/{}/{}/{}", knob.key(), name, mode.mnemonic())
 }
 
-/// A `(program, mode)` cell with nothing checked yet.
-pub(crate) fn blank(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> LitmusCell {
-    LitmusCell {
-        program: program.name.clone(),
-        mode,
-        knob,
-        ..LitmusCell::default()
-    }
-}
-
 /// A cell as one JSON object, the report's `cells` element; `ok` is
 /// computed from the leg flags.
-impl Record for LitmusCell {
-    fn fields(&self, f: &mut Fields) {
-        f.str("program", &self.program);
-        f.str("rendered", &self.rendered);
-        f.str("flush", self.mode.mnemonic());
-        f.str("knob", self.knob.key());
-        f.int("interleavings", self.interleavings as u64);
-        f.int("allowed", self.allowed_states as u64);
-        f.int("reached", self.reached_states as u64);
-        f.flag("crashsim_ok", self.crashsim_ok);
-        f.flag("pipe_base_ok", self.pipe_base_ok);
-        f.flag("pipe_sp_ok", self.pipe_sp_ok);
-        f.flag("ref_base_ok", self.ref_base_ok);
-        f.flag("ref_sp_ok", self.ref_sp_ok);
-        f.flag("sp_differential_ok", self.sp_differential_ok);
-        f.flag("ref_sp_differential_ok", self.ref_sp_differential_ok);
-        f.flag("ok", self.ok());
-        f.opt_str("error", self.sim_error.as_deref());
-        f.opt_record("witness", self.witness.as_ref());
-    }
+pub fn cell_json(c: &LitmusCell) -> String {
+    let mut o = JsonObject::new();
+    o.str("program", &c.program)
+        .str("rendered", &c.rendered)
+        .str("flush", c.mode.mnemonic())
+        .str("knob", c.knob.key())
+        .int("interleavings", c.interleavings as u64)
+        .int("allowed", c.allowed_states as u64)
+        .int("reached", c.reached_states as u64)
+        .flag("crashsim_ok", c.crashsim_ok)
+        .flag("pipe_base_ok", c.pipe_base_ok)
+        .flag("pipe_sp_ok", c.pipe_sp_ok)
+        .flag("ref_base_ok", c.ref_base_ok)
+        .flag("ref_sp_ok", c.ref_sp_ok)
+        .flag("sp_differential_ok", c.sp_differential_ok)
+        .flag("ref_sp_differential_ok", c.ref_sp_differential_ok)
+        .flag("ok", c.ok())
+        .opt_str("error", c.sim_error.as_deref())
+        .opt_raw("witness", c.witness.as_ref().map(witness_json));
+    o.render()
 }
 
 /// The witness, `{"leg","interleaving","crash_idx","seed","state"}`,
 /// with a `null` seed when only enumeration reaches it.
-impl Record for Witness {
-    fn fields(&self, f: &mut Fields) {
-        f.str("leg", self.leg);
-        f.int("interleaving", self.interleaving as u64);
-        f.int("crash_idx", self.crash_idx as u64);
-        f.nullable_int("seed", self.seed);
-        f.ints("state", &self.state);
-    }
+fn witness_json(w: &Witness) -> String {
+    let mut o = JsonObject::new();
+    o.str("leg", w.leg)
+        .int("interleaving", w.interleaving as u64)
+        .int("crash_idx", w.crash_idx as u64)
+        .nullable_int("seed", w.seed)
+        .ints("state", &w.state);
+    o.render()
 }
 
 fn fail_reason(c: &LitmusCell) -> String {
@@ -132,7 +121,7 @@ fn fail_reason(c: &LitmusCell) -> String {
 }
 
 /// Runs the litmus matrix: every program × flush mode, fanned out
-/// deterministically over the supervised pool, under the model `knob`
+/// deterministically over [`run_indexed`], under the model `knob`
 /// (`Honest` in production; the CLI's hidden `--model-knob` weakens it
 /// for the self-test leg).
 pub fn run_litmus(h: &Harness, knob: ModelKnob) -> LitmusReport {
@@ -140,15 +129,8 @@ pub fn run_litmus(h: &Harness, knob: ModelKnob) -> LitmusReport {
     let items: Vec<(usize, FlushMode)> = (0..programs.len())
         .flat_map(|pi| FlushMode::ALL.iter().map(move |&m| (pi, m)))
         .collect();
-    let results = run_cells(h.jobs, &items, |_, &(pi, mode)| {
-        Ok(check_cell(&programs[pi], mode, knob))
-    });
-    let cells = settle(results, |i, f| {
-        let (pi, mode) = items[i];
-        LitmusCell {
-            sim_error: Some(f.reason),
-            ..blank(&programs[pi], mode, knob)
-        }
+    let cells = run_indexed(h.jobs, &items, |_, &(pi, mode)| {
+        check_cell(&programs[pi], mode, knob)
     });
     LitmusReport {
         scale: h.exp.scale,
@@ -227,19 +209,20 @@ impl LitmusReport {
     /// The study as one `specpersist/litmus-v1` document.
     pub fn render_json(&self) -> String {
         let failed = self.cells.iter().filter(|c| !c.ok()).map(|c| {
-            json::encode(&CellFailure {
+            CellFailure {
                 key: cell_key(&c.program, c.mode, c.knob),
                 reason: fail_reason(c),
                 snapshot: None,
-            })
+            }
+            .json()
         });
         schema::emit(schema::LITMUS, |root| {
             root.int("scale", self.scale)
                 .int("seed", self.seed)
                 .str("knob", self.knob.key())
                 .int("programs", self.programs as u64)
-                .int("ok", self.ok().into())
-                .raw("cells", array(self.cells.iter().map(json::encode)))
+                .flag("ok", self.ok())
+                .raw("cells", array(self.cells.iter().map(cell_json)))
                 .raw("failed", array(failed));
         })
     }
@@ -249,6 +232,7 @@ impl LitmusReport {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn smoke_harness(jobs: usize) -> Harness {
         Harness::new(

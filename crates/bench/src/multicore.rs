@@ -9,22 +9,20 @@
 //! the paper leaves to future work.
 //!
 //! Cells are pure functions of `(kind, leg, cores, variant, scale,
-//! seed)` and run on [`run_cells`]: results come back in input order
+//! seed)` and run on [`run_indexed`]: results come back in input order
 //! (so `--jobs N` output is byte-identical to `--jobs 1`).
 //!
-//! A cell whose simulation degrades (e.g. a conflict storm tripping
-//! [`spp_cpu::SimErrorKind::ConflictStorm`]) is a failed cell carrying
-//! the typed error's JSON, and the study's exit verdict reflects it; a
-//! cell that panics degrades the same way instead of aborting the
-//! study.
+//! A cell whose simulation returns a typed error (e.g. a conflict
+//! storm tripping [`spp_cpu::SimErrorKind::ConflictStorm`]) is a failed
+//! cell carrying the error's JSON, and the study's exit verdict
+//! reflects it.
 
 use spp_cpu::{CpuConfig, MultiCore};
 use spp_workloads::{shared_trace, SharedKind, SharedSpec};
 
-use crate::json::{self, Fields, Record};
+use crate::json::{self, JsonObject};
 use crate::schema;
-use crate::supervisor::{run_cells, settle};
-use crate::Harness;
+use crate::{run_indexed, Harness};
 
 /// Core counts the study sweeps.
 pub const CORE_COUNTS: [usize; 3] = [1, 2, 4];
@@ -196,39 +194,35 @@ fn run_cell(spec: &CellSpec, ops_per_core: u64, seed: u64) -> MulticoreCell {
     cell
 }
 
-/// A cell as one JSON object, the report's `cells` element. The spec
-/// fields lead.
-impl Record for MulticoreCell {
-    fn fields(&self, f: &mut Fields) {
-        f.str("workload", self.spec.kind.key());
-        f.str("leg", self.spec.leg());
-        f.int("cores", self.spec.cores as u64);
-        f.str("variant", self.spec.variant());
-        f.flag("ok", self.ok);
-        f.int("ops_per_core", self.ops_per_core);
-        f.int("worst_cycles_per_op", self.worst_cycles_per_op);
-        f.int("conflicts", self.conflicts);
-        f.int("rollbacks", self.rollbacks);
-        f.int("snoops", self.snoops);
-        f.int("blt_high_water", self.blt_high_water);
-        f.int("blt_clears", self.blt_clears);
-        f.opt_str("error", self.error.as_deref());
+impl MulticoreCell {
+    /// The cell as one JSON object, the report's `cells` element. The
+    /// spec fields lead.
+    pub fn json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.str("workload", self.spec.kind.key())
+            .str("leg", self.spec.leg())
+            .int("cores", self.spec.cores as u64)
+            .str("variant", self.spec.variant())
+            .flag("ok", self.ok)
+            .int("ops_per_core", self.ops_per_core)
+            .int("worst_cycles_per_op", self.worst_cycles_per_op)
+            .int("conflicts", self.conflicts)
+            .int("rollbacks", self.rollbacks)
+            .int("snoops", self.snoops)
+            .int("blt_high_water", self.blt_high_water)
+            .int("blt_clears", self.blt_clears)
+            .opt_str("error", self.error.as_deref());
+        o.render()
     }
 }
 
-/// Runs the scaling study: every [`CellSpec::all`] cell on the
-/// supervised pool.
+/// Runs the scaling study: every [`CellSpec::all`] cell on
+/// [`run_indexed`].
 pub fn run_multicore(h: &Harness) -> MulticoreReport {
     let (scale, seed) = (h.exp.scale, h.exp.seed);
     let ops_per_core = ops_at(scale);
     let specs = CellSpec::all();
-    let results = run_cells(h.jobs, &specs, |_, spec| {
-        Ok(run_cell(spec, ops_per_core, seed))
-    });
-    let cells = settle(results, |i, f| MulticoreCell {
-        error: Some(f.reason),
-        ..MulticoreCell::empty(specs[i], ops_per_core)
-    });
+    let cells = run_indexed(h.jobs, &specs, |_, spec| run_cell(spec, ops_per_core, seed));
     MulticoreReport {
         scale,
         seed,
@@ -371,8 +365,11 @@ impl MulticoreReport {
                 .int("contended_share_pm", CONTENDED_SHARE_PM.into())
                 .int("contended_sp_conflicts", self.contended_sp_conflicts())
                 .int("disjoint_conflicts", self.disjoint_conflicts())
-                .int("ok", self.ok().into())
-                .raw("cells", json::array(self.cells.iter().map(json::encode)));
+                .flag("ok", self.ok())
+                .raw(
+                    "cells",
+                    json::array(self.cells.iter().map(MulticoreCell::json)),
+                );
         })
     }
 }

@@ -32,8 +32,9 @@
 //! same oracle. Both legs scan their schedules with
 //! [`crate::crashfuzz::first_violation`].
 //!
-//! The study's cells run on [`run_cells`]: a panicking cell degrades
-//! to one failed cell.
+//! The study's cells run on [`run_indexed`], in input order, so the
+//! report is byte-identical at any `--jobs`. A replay whose simulation
+//! returns a typed error is a failed cell carrying that error.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -44,11 +45,10 @@ use spp_workloads::oracle::record_bundle;
 use spp_workloads::BenchId;
 
 use crate::crashfuzz::{crash_points, first_violation, fuzz_bundle_spec, Witness, SEEDS_PER_POINT};
-use crate::json::{self, Fields, JsonObject, Record};
+use crate::json::{self, JsonObject};
 use crate::profile::stalls_reconcile;
 use crate::schema;
-use crate::supervisor::{run_cells, settle};
-use crate::{variant_key, Harness, TraceKey};
+use crate::{run_indexed, variant_key, Harness, TraceKey};
 
 // --- the detector -----------------------------------------------------
 
@@ -607,51 +607,55 @@ fn run_cell(h: &Harness, id: BenchId, variant: Variant, spec: &OptimizeCellSpec)
 
 // --- codec ------------------------------------------------------------
 
-/// A cell as one JSON object, the report's `cells` element. The spec
-/// fields lead.
-impl Record for OptCell {
-    fn fields(&self, f: &mut Fields) {
+impl OptCell {
+    /// The cell as one JSON object, the report's `cells` element. The
+    /// spec fields lead.
+    pub fn json(&self) -> String {
+        let mut o = JsonObject::new();
         match self.spec {
-            OptimizeCellSpec::Plan => f.str("leg", "plan"),
-            OptimizeCellSpec::Replay { core, pass } => {
-                f.str("leg", "replay");
-                f.str("core", core.key());
-                f.str("pass", pass.key());
+            OptimizeCellSpec::Plan => {
+                o.str("leg", "plan");
             }
-            OptimizeCellSpec::Oracle => f.str("leg", "oracle"),
-            OptimizeCellSpec::Inverted => f.str("leg", "inverted"),
+            OptimizeCellSpec::Replay { core, pass } => {
+                o.str("leg", "replay")
+                    .str("core", core.key())
+                    .str("pass", pass.key());
+            }
+            OptimizeCellSpec::Oracle => {
+                o.str("leg", "oracle");
+            }
+            OptimizeCellSpec::Inverted => {
+                o.str("leg", "inverted");
+            }
         }
-        f.flag("ok", self.ok);
-        f.int("events", self.events);
-        f.int("kept", self.kept);
-        f.int("duplicates", self.duplicates);
-        f.int("uncovered", self.uncovered);
-        f.int("empty_fences", self.empty_fences);
-        f.int("required", self.required);
-        f.int("cycles", self.cycles);
-        f.int("ref_cycles", self.ref_cycles);
-        f.int("fence_stall", self.fence_stall);
-        f.int("ssb_stall", self.ssb_stall);
-        f.int("ckpt_stall", self.ckpt_stall);
-        f.int("backend_stall", self.backend_stall);
-        f.int("points", self.points);
-        f.int("checks", self.checks);
-        f.opt_record("witness", self.witness.as_ref());
-        f.opt_str("error", self.error.as_deref());
+        o.flag("ok", self.ok)
+            .int("events", self.events)
+            .int("kept", self.kept)
+            .int("duplicates", self.duplicates)
+            .int("uncovered", self.uncovered)
+            .int("empty_fences", self.empty_fences)
+            .int("required", self.required)
+            .int("cycles", self.cycles)
+            .int("ref_cycles", self.ref_cycles)
+            .int("fence_stall", self.fence_stall)
+            .int("ssb_stall", self.ssb_stall)
+            .int("ckpt_stall", self.ckpt_stall)
+            .int("backend_stall", self.backend_stall)
+            .int("points", self.points)
+            .int("checks", self.checks)
+            .opt_raw("witness", self.witness.as_ref().map(Witness::json))
+            .opt_str("error", self.error.as_deref());
+        o.render()
     }
 }
 
 // --- the study driver -------------------------------------------------
 
 /// Runs the optimizer study for one `(bench, variant)`: every
-/// [`OptimizeCellSpec::all`] cell on the supervised pool.
+/// [`OptimizeCellSpec::all`] cell on [`run_indexed`].
 pub fn run_optimize(h: &Harness, id: BenchId, variant: Variant) -> OptimizeReport {
     let specs = OptimizeCellSpec::all();
-    let results = run_cells(h.jobs, &specs, |_, spec| Ok(run_cell(h, id, variant, spec)));
-    let cells = settle(results, |i, f| OptCell {
-        error: Some(f.reason),
-        ..OptCell::empty(specs[i])
-    });
+    let cells = run_indexed(h.jobs, &specs, |_, spec| run_cell(h, id, variant, spec));
     OptimizeReport {
         id,
         variant,
@@ -813,7 +817,7 @@ impl OptimizeReport {
                 .int("seed", self.seed)
                 .int("seeds_per_point", SEEDS_PER_POINT)
                 .int("elisions", self.elisions())
-                .int("ok", self.ok().into());
+                .flag("ok", self.ok());
             let mut diff = JsonObject::new();
             for core in ReplayCore::ALL {
                 diff.raw(
@@ -826,7 +830,7 @@ impl OptimizeReport {
                 );
             }
             root.raw("diff", diff.render())
-                .raw("cells", json::array(self.cells.iter().map(json::encode)));
+                .raw("cells", json::array(self.cells.iter().map(OptCell::json)));
         })
     }
 }

@@ -3,7 +3,7 @@
 //! `spp-obs` probe layer.
 //!
 //! One recorded trace is replayed twice, each replay with a
-//! [`Collector`] attached via the [`Simulator`](spp_cpu::Simulator)
+//! [`Collector`] attached via the [`Simulator`]
 //! façade. The report has three renderings:
 //!
 //! * a text stall table ([`ProfileReport::render_text`]): retirement
@@ -239,7 +239,7 @@ impl ProfileReport {
                 .int("scale", self.exp.scale)
                 .int("seed", self.exp.seed)
                 .int("uops", self.trace_uops)
-                .int("ok", self.ok().into())
+                .flag("ok", self.ok())
                 .raw("cells", array(self.cells.iter().map(cell_json)));
         })
     }
@@ -313,7 +313,7 @@ fn cell_json(c: &ProfiledCell) -> String {
         .int("backend", st.backend)
         .int("total", st.total())
         .int("machine_total", c.machine_stall_cycles())
-        .int("coherent", c.attribution_coherent().into());
+        .flag("coherent", c.attribution_coherent());
     let mut o = JsonObject::new();
     o.str("config", c.config)
         .int("cycles", c.sim.cpu.cycles)

@@ -13,7 +13,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use spp_bench::crashfuzz::{run_crashfuzz, Leg};
-use spp_bench::faultsim::run_faultsim_opts;
+use spp_bench::faultsim::run_faultsim;
 use spp_bench::kv::run_kv;
 use spp_bench::litmus::{run_litmus, ModelKnob};
 use spp_bench::multicore::run_multicore;
@@ -85,7 +85,7 @@ fn crashfuzz_document_is_stable() {
 
 #[test]
 fn faultsim_document_is_stable() {
-    let rep = run_faultsim_opts(&harness(), Default::default());
+    let rep = run_faultsim(&harness());
     check("faultsim.json", &rep.render_json(), schema::FAULTSIM);
 }
 

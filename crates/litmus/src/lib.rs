@@ -8,7 +8,7 @@
 //!
 //! Three layers:
 //!
-//! * [`catalog`] — ~21 curated canonical programs (2–6 persist-relevant
+//! * [`mod@catalog`] — ~21 curated canonical programs (2–6 persist-relevant
 //!   ops over 1–2 threads) plus a seeded generative enumerator;
 //! * [`model`] — the thread-aware reference model, exhaustively
 //!   computing every allowed post-crash state per program ×
