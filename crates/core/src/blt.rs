@@ -12,7 +12,7 @@
 
 use std::collections::HashSet;
 
-use spp_pmem::BlockId;
+use spp_pmem::{BlockId, FastHashBuilder};
 
 /// BLT statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub struct BltStats {
 ///
 /// ```
 /// use spp_core::Blt;
-/// use spp_pmem::BlockId;
+/// use spp_pmem::{BlockId, FastHashBuilder};
 ///
 /// let mut blt = Blt::new();
 /// blt.record(BlockId::new(7));
@@ -46,7 +46,10 @@ pub struct BltStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct Blt {
-    blocks: HashSet<BlockId>,
+    /// Never iterated, so no result depends on the hash order; the
+    /// fixed Fx hash replaces SipHash on the per-speculative-access
+    /// insert.
+    blocks: HashSet<BlockId, FastHashBuilder>,
     stats: BltStats,
 }
 

@@ -6,9 +6,9 @@
 //! epoch commit the epoch's entries drain to the cache / memory
 //! controller in order. Table 3 gives the size/latency design points.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-use spp_pmem::{BlockId, PAddr};
+use spp_pmem::{BlockId, FastHashBuilder, PAddr};
 
 /// Table 3: SSB configurations and parameters.
 pub const SSB_DESIGN_POINTS: [(usize, u64); 6] =
@@ -122,6 +122,12 @@ pub struct SsbStats {
 pub struct Ssb {
     cfg: SsbConfig,
     fifo: VecDeque<SsbEntry>,
+    /// Buffered `Store` entries per granule address: the CAM, kept up
+    /// to date as entries enter and leave `fifo` so a lookup is one
+    /// hash probe rather than a walk of the whole buffer. Invariant:
+    /// `stores[a]` is the number of `Store { addr: a }` entries in
+    /// `fifo`, and no key maps to zero.
+    stores: HashMap<PAddr, u32, FastHashBuilder>,
     stats: SsbStats,
 }
 
@@ -144,7 +150,27 @@ impl Ssb {
         Ssb {
             cfg,
             fifo: VecDeque::with_capacity(cfg.entries),
+            stores: HashMap::default(),
             stats: SsbStats::default(),
+        }
+    }
+
+    /// Adds `e` to the store index if it is a store.
+    fn index(&mut self, e: &SsbEntry) {
+        if let SsbOp::Store { addr } = e.op {
+            *self.stores.entry(addr).or_insert(0) += 1;
+        }
+    }
+
+    /// Removes `e` (just taken out of `fifo`) from the store index.
+    fn unindex(&mut self, e: &SsbEntry) {
+        if let SsbOp::Store { addr } = e.op {
+            if let Some(n) = self.stores.get_mut(&addr) {
+                *n -= 1;
+                if *n == 0 {
+                    self.stores.remove(&addr);
+                }
+            }
         }
     }
 
@@ -182,6 +208,7 @@ impl Ssb {
             self.fifo.back().is_none_or(|b| b.epoch <= entry.epoch),
             "epochs must be pushed in order"
         );
+        self.index(&entry);
         self.fifo.push_back(entry);
         self.stats.inserts += 1;
         self.stats.high_water = self.stats.high_water.max(self.fifo.len());
@@ -193,11 +220,7 @@ impl Ssb {
     /// bloom filter did not reject the access.
     pub fn forwards(&mut self, addr: PAddr) -> bool {
         self.stats.lookups += 1;
-        let hit = self
-            .fifo
-            .iter()
-            .rev()
-            .any(|e| matches!(e.op, SsbOp::Store { addr: a } if a == addr));
+        let hit = self.stores.contains_key(&addr);
         if hit {
             self.stats.hits += 1;
         }
@@ -216,12 +239,9 @@ impl Ssb {
             "draining an epoch while an older one is still buffered"
         );
         let mut out = Vec::new();
-        while let Some(e) = self.fifo.pop_front() {
-            if e.epoch == epoch {
+        while self.fifo.front().is_some_and(|f| f.epoch == epoch) {
+            if let Some(e) = self.pop_front() {
                 out.push(e);
-            } else {
-                self.fifo.push_front(e);
-                break;
             }
         }
         out
@@ -242,19 +262,24 @@ impl Ssb {
 
     /// Removes and returns the oldest entry.
     pub fn pop_front(&mut self) -> Option<SsbEntry> {
-        self.fifo.pop_front()
+        let e = self.fifo.pop_front()?;
+        self.unindex(&e);
+        Some(e)
     }
 
     /// Discards everything (rollback).
     pub fn flush_all(&mut self) {
         self.fifo.clear();
+        self.stores.clear();
     }
 
     /// Discards every entry belonging to epoch `epoch` or younger
     /// (rollback that spares already-committed, still-draining entries).
     pub fn flush_from(&mut self, epoch: u64) {
         while self.fifo.back().is_some_and(|b| b.epoch >= epoch) {
-            self.fifo.pop_back();
+            if let Some(e) = self.fifo.pop_back() {
+                self.unindex(&e);
+            }
         }
     }
 
@@ -268,6 +293,7 @@ impl Ssb {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn store(addr: u64, epoch: u64) -> SsbEntry {
         SsbEntry {
@@ -393,6 +419,84 @@ mod tests {
         s.flush_from(1);
         assert_eq!(s.len(), 1);
         assert_eq!(s.peek_front(), Some(store(8, 0)));
+    }
+
+    /// Two granules in each of two blocks, plus one never stored to.
+    const POOL: [u64; 5] = [0x1000, 0x1008, 0x1040, 0x1048, 0x2000];
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Push a store to pool granule `.0` (or, when `.1`, a `Clwb`
+        /// of its block), opening a new epoch first when `.2`.
+        Push(usize, bool, bool),
+        PopFront,
+        /// Drain the oldest buffered epoch.
+        DrainOldest,
+        /// Flush from `.0` epochs before the current one.
+        FlushFrom(u64),
+        FlushAll,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // Pushes outnumber removals so the buffer often fills up.
+        let push = (0..POOL.len(), any::<bool>(), 0u8..5)
+            .prop_map(|(a, clwb, bump)| Op::Push(a, clwb, bump == 0));
+        prop_oneof![
+            push.clone(),
+            push.clone(),
+            push,
+            Just(Op::PopFront),
+            Just(Op::DrainOldest),
+            (0u64..3).prop_map(Op::FlushFrom),
+            Just(Op::FlushAll),
+        ]
+    }
+
+    proptest! {
+        /// The store index answers exactly what a linear scan of the
+        /// buffer would, after every operation that adds or removes
+        /// entries, and counts lookups and hits the same way.
+        #[test]
+        fn index_matches_a_linear_scan(ops in proptest::collection::vec(arb_op(), 0..200)) {
+            let mut s = Ssb::new(SsbConfig { entries: 8, latency: 1 });
+            let mut epoch = 0u64;
+            let (mut lookups, mut hits) = (0u64, 0u64);
+            for op in ops {
+                match op {
+                    Op::Push(i, clwb, bump) => {
+                        epoch += u64::from(bump);
+                        let addr = PAddr::new(POOL[i]);
+                        let op = if clwb {
+                            SsbOp::Clwb { block: addr.block() }
+                        } else {
+                            SsbOp::Store { addr }
+                        };
+                        let _ = s.push(SsbEntry { op, epoch, trace_idx: 0 });
+                    }
+                    Op::PopFront => {
+                        let _ = s.pop_front();
+                    }
+                    Op::DrainOldest => {
+                        if let Some(f) = s.peek_front() {
+                            s.drain_epoch(f.epoch);
+                        }
+                    }
+                    Op::FlushFrom(back) => s.flush_from(epoch.saturating_sub(back)),
+                    Op::FlushAll => s.flush_all(),
+                }
+                for raw in POOL {
+                    let a = PAddr::new(raw);
+                    let scan = s
+                        .iter()
+                        .any(|e| matches!(e.op, SsbOp::Store { addr } if addr == a));
+                    lookups += 1;
+                    hits += u64::from(scan);
+                    prop_assert_eq!(s.forwards(a), scan, "granule {:#x}", raw);
+                }
+                prop_assert_eq!(s.stats().lookups, lookups);
+                prop_assert_eq!(s.stats().hits, hits);
+            }
+        }
     }
 
     #[test]

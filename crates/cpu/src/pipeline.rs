@@ -20,7 +20,8 @@
 //! sequences consume one checkpoint and one combined SSB opcode, and
 //! epochs commit oldest-first as their pcommits acknowledge.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use spp_core::{BloomFilter, Blt, EpochManager, Ssb, SsbEntry, SsbOp};
 use spp_mem::{AccessKind, Cycle, Fault, FaultSite, FaultState, MemorySystem, PIPE_STREAM};
@@ -79,16 +80,14 @@ impl RobEntry {
 /// A set of outstanding completion times (posted writeback visibility
 /// or pcommit acknowledgements) with amortized pruning.
 ///
-/// The reference stepper keeps these as bare `Vec<Cycle>`s pruned only
-/// at fence retirement; traces that issue pcommits without fences (the
-/// `logp` variants) grow them without bound, and every
-/// `pcommit_outstanding`/`next_event_time` query re-scans the full
-/// history — quadratic in trace length. Entries with `t <= now` can
-/// never influence a query again (every query filters on `t > now` and
-/// `now` is monotone), so dropping them is invisible to timing;
-/// [`prune`](PendingOps::prune) does so in place, only once `now`
-/// reaches the earliest live entry, reusing the same backing storage
-/// for the whole run.
+/// Every query filters on `t > now`, and `now` is monotone, so an entry
+/// with `t <= now` can never influence a query again and dropping it is
+/// invisible to timing. [`prune`](PendingOps::prune) does so in place,
+/// only once `now` reaches the earliest live entry, reusing the same
+/// backing storage for the whole run. The queries therefore scan only
+/// operations still in flight, even on traces that issue pcommits
+/// without fences (the `logp` variants), whose history the reference
+/// stepper keeps and rescans in full.
 #[derive(Debug)]
 struct PendingOps {
     times: Vec<Cycle>,
@@ -223,9 +222,17 @@ pub struct Pipeline<'t> {
     /// window every cycle. Invariant: exactly the ROB entries in state
     /// [`EState::Waiting`].
     waiting: Vec<u64>,
-    /// `Store` entries currently in the ROB (fast-path gate for the
-    /// store-to-load forwarding scan).
-    rob_stores: usize,
+    /// `(seq, granule)` of every `Store` entry in the ROB, ascending by
+    /// `seq`: the LSQ's store queue, which store-to-load forwarding
+    /// searches instead of the whole ROB. Pushed at dispatch, popped at
+    /// store retirement (stores retire in order), cleared on rollback.
+    rob_stores: VecDeque<(u64, PAddr)>,
+    /// Completion times of ROB entries in [`EState::Exec`] that may
+    /// still lie ahead of `now`: a min-heap, so the next-event scheduler
+    /// reads the earliest wake-up with one `peek` instead of scanning
+    /// the ROB. Times at or before `now` are popped at the top of every
+    /// step; the heap is cleared on rollback.
+    exec_done: BinaryHeap<Reverse<Cycle>>,
     /// Post-retirement store buffer: block to write plus the source
     /// trace index of the store (persist-visibility attribution).
     store_buffer: VecDeque<(BlockId, usize)>,
@@ -283,7 +290,8 @@ impl<'t> Pipeline<'t> {
             lsq_used: 0,
             last_load_seq: None,
             waiting: Vec::with_capacity(cfg.rob_entries),
-            rob_stores: 0,
+            rob_stores: VecDeque::with_capacity(cfg.rob_entries),
+            exec_done: BinaryHeap::with_capacity(cfg.rob_entries),
             store_buffer: VecDeque::with_capacity(cfg.store_buffer),
             sb_busy: 0,
             pending_flushes: PendingOps::new(),
@@ -452,6 +460,11 @@ impl<'t> Pipeline<'t> {
         // (see `PendingOps`), keeps every later scan this step short.
         self.pending_flushes.prune(self.now);
         self.pending_pcommits.prune(self.now);
+        // Likewise, a ROB completion at or before `now` is no wake-up.
+        let now = self.now;
+        while self.exec_done.peek().is_some_and(|&Reverse(t)| t <= now) {
+            self.exec_done.pop();
+        }
         let mut progressed = false;
         progressed |= self.commit_drain()?;
         let retire_block = self.retire()?;
@@ -652,7 +665,8 @@ impl<'t> Pipeline<'t> {
         self.fetchq.clear();
         self.rob.clear();
         self.waiting.clear();
-        self.rob_stores = 0;
+        self.rob_stores.clear();
+        self.exec_done.clear();
         self.seq_base = self.next_seq;
         self.lsq_used = 0;
         self.last_load_seq = None;
@@ -712,8 +726,8 @@ impl<'t> Pipeline<'t> {
             if state == EState::Waiting {
                 self.waiting.push(seq);
             }
-            if matches!(uop.kind, UopKind::Store { .. }) {
-                self.rob_stores += 1;
+            if let UopKind::Store { addr } = uop.kind {
+                self.rob_stores.push_back((seq, addr));
             }
             self.rob.push_back(RobEntry {
                 uop,
@@ -731,11 +745,12 @@ impl<'t> Pipeline<'t> {
     /// Issues up to `width` micro-ops from the waiting list.
     ///
     /// The list holds the `seq`s of exactly the `Waiting` ROB entries,
-    /// ascending — the same order a front-to-back window scan visits
-    /// them — so decisions (and their fault/memory side effects) are
-    /// identical to the reference stepper's full-window rescan, at the
-    /// cost of the blocked entries only. Issued entries are compacted
-    /// out in place; nothing allocates.
+    /// ascending, so the stage visits them in program order and makes
+    /// the same decisions, with the same fault and memory side effects,
+    /// as a front-to-back walk of the issue window, while touching only
+    /// the blocked entries. A load searches the store queue
+    /// (`rob_stores`) for an older same-granule store, not the ROB.
+    /// Issued entries are compacted out in place; nothing allocates.
     fn issue(&mut self) -> bool {
         if self.waiting.is_empty() {
             return false;
@@ -771,10 +786,11 @@ impl<'t> Pipeline<'t> {
                     if !blocked {
                         // Store-to-load forwarding from older, unretired
                         // stores in the window.
-                        let forwarded = self.rob_stores > 0
-                            && self.rob.iter().take(i).any(
-                                |e| matches!(e.uop.kind, UopKind::Store { addr: a } if a == addr),
-                            );
+                        let forwarded = self
+                            .rob_stores
+                            .iter()
+                            .take_while(|&&(s, _)| s < seq)
+                            .any(|&(_, a)| a == addr);
                         done = Some(if forwarded {
                             self.stats.lsq_forwards += 1;
                             self.now + 1
@@ -789,6 +805,12 @@ impl<'t> Pipeline<'t> {
             }
             if let Some(d) = done {
                 self.rob[i].state = EState::Exec(d);
+                // This step issues, so it advances `now` by exactly one
+                // cycle: a completion at `now + 1` is never ahead of the
+                // next query and need not be scheduled.
+                if d > self.now + 1 {
+                    self.exec_done.push(Reverse(d));
+                }
                 issued += 1;
             } else {
                 self.waiting[kept] = seq;
@@ -848,7 +870,9 @@ impl<'t> Pipeline<'t> {
             self.lsq_used -= 1;
         }
         if matches!(e.uop.kind, UopKind::Store { .. }) {
-            self.rob_stores -= 1;
+            // The head is the oldest entry, so it is the oldest store.
+            let front = self.rob_stores.pop_front();
+            debug_assert_eq!(front.map(|(s, _)| s), Some(e.seq));
         }
         self.stats.committed_uops += 1;
         class(&mut self.stats);
@@ -1123,6 +1147,11 @@ impl<'t> Pipeline<'t> {
                 let f = self.mem.flush(self.now, b, true);
                 if let Some(h) = self.rob.front_mut() {
                     h.state = EState::Exec(f.visible_at);
+                }
+                // This step may make no progress, so even `now + 1` can
+                // be the next wake-up.
+                if f.visible_at > self.now {
+                    self.exec_done.push(Reverse(f.visible_at));
                 }
                 if let Some(l) = self.vislog.as_mut() {
                     l.push(VisEvent {
@@ -1653,17 +1682,12 @@ impl<'t> Pipeline<'t> {
     // checked after every jump, so a skip landing past it converts into
     // the typed watchdog error exactly as cycle-by-cycle stepping would.
 
-    /// Earliest in-flight completion in the ROB after `now`.
+    /// Earliest in-flight completion in the ROB after `now`. Every
+    /// `Exec` time still ahead of `now` is in `exec_done`: an entry
+    /// cannot retire before its completion, so it leaves the ROB early
+    /// only through rollback, which clears the heap.
     fn rob_next_event(&self) -> Option<Cycle> {
-        let mut t = None;
-        for e in &self.rob {
-            if let EState::Exec(d) = e.state {
-                if d > self.now && t.is_none_or(|b| d < b) {
-                    t = Some(d);
-                }
-            }
-        }
-        t
+        self.exec_done.peek().map(|&Reverse(t)| t)
     }
 
     /// Earliest posted-flush visibility or pcommit acknowledgement
@@ -2036,6 +2060,26 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("no retirement progress"), "got: {msg}");
         assert!(msg.contains("checkpoints"), "got: {msg}");
+    }
+
+    /// The other side of the wedge fixture: on a pipeline that has not
+    /// begun speculating, the plan denies the very first checkpoint, so
+    /// the run never speculates and finishes with the fault-free
+    /// architectural work.
+    #[test]
+    fn wedge_plan_on_a_fresh_pipeline_never_speculates_and_finishes() {
+        let t = barrier_trace(30);
+        let r = Pipeline::new(&t, with_plan(CpuConfig::with_sp(), FaultSpec::wedge(7)))
+            .try_run()
+            .unwrap();
+        assert_eq!(r.cpu.epochs, 0, "a denied checkpoint cannot open an epoch");
+        assert!(
+            r.faults.checkpoint_pressure > 0,
+            "every checkpoint is denied"
+        );
+        let clean = simulate(&t, &CpuConfig::with_sp());
+        assert!(clean.cpu.epochs > 0, "the trace must want to speculate");
+        assert_eq!(committed_classes(&r), committed_classes(&clean));
     }
 
     /// Satellite: SSB overflow under injected pressure (a tiny SSB plus

@@ -202,10 +202,12 @@ impl FaultSpec {
     }
 
     /// A deliberate-livelock fixture: SSB and checkpoint allocation are
-    /// denied on *every* attempt, so a speculating pipeline can never
-    /// make retirement progress again. Exists to prove the watchdog
-    /// converts livelock into a typed error — never use it expecting a
-    /// run to finish.
+    /// denied on *every* attempt. A pipeline that is already speculating
+    /// can never make retirement progress again, which proves the
+    /// watchdog converts livelock into a typed error. A run that starts
+    /// fresh does finish: the first checkpoint is denied, so speculation
+    /// never begins, and every blocked fence waits out its persist
+    /// operations instead.
     pub fn wedge(seed: u64) -> Self {
         FaultSpec {
             ssb_pressure_pm: 1000,
