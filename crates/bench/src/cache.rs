@@ -20,8 +20,9 @@ use spp_workloads::{record_trace, BenchId, BenchSpec, TraceSpec};
 
 use crate::Experiment;
 
-/// Bytes held by one cached trace (the frozen `Arc<[Event]>` payload;
-/// bookkeeping overhead is negligible next to it).
+/// Bytes held by one cached trace (the frozen `Arc<Vec<Event>>`
+/// payload, 16 bytes per timing-only event; bookkeeping overhead is
+/// negligible next to it).
 pub fn trace_bytes(t: &SharedTrace) -> u64 {
     (t.events.len() * std::mem::size_of::<Event>()) as u64
 }

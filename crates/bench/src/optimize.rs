@@ -850,12 +850,8 @@ mod tests {
         PAddr::new(4096 + 64)
     }
 
-    fn store(addr: PAddr, value: u64) -> Event {
-        Event::Store {
-            addr,
-            size: 8,
-            value,
-        }
+    fn store(addr: PAddr) -> Event {
+        Event::Store { addr, size: 8 }
     }
 
     fn harness() -> Harness {
@@ -871,7 +867,7 @@ mod tests {
     #[test]
     fn duplicate_flush_within_an_epoch_is_elided() {
         let events = vec![
-            store(a(), 1),
+            store(a()),
             Event::Clwb { addr: a() },
             Event::Clwb { addr: a() }, // subsumes the first
             Event::Sfence,
@@ -894,7 +890,7 @@ mod tests {
     #[test]
     fn uncovered_flush_is_elided() {
         // No fence ever drains the issued stage: the Log+P shape.
-        let events = vec![store(a(), 1), Event::Clwb { addr: a() }, Event::Pcommit];
+        let events = vec![store(a()), Event::Clwb { addr: a() }, Event::Pcommit];
         let plan = analyze(&events);
         assert_eq!(plan.count(ElisionKind::UncoveredFlush), 1);
         assert!(plan.required.is_empty());
@@ -905,7 +901,7 @@ mod tests {
     fn empty_fence_is_elided_and_full_dance_is_kept() {
         let events = vec![
             Event::Sfence, // nothing issued, nothing in flight: empty
-            store(a(), 1),
+            store(a()),
             Event::Clwb { addr: a() },
             Event::Sfence,
             Event::Pcommit,
@@ -926,7 +922,7 @@ mod tests {
     #[test]
     fn clflush_duplicates_collapse_in_the_ordered_stage() {
         let events = vec![
-            store(a(), 1),
+            store(a()),
             Event::Clflush { addr: a() },
             Event::Clflush { addr: a() },
             Event::Pcommit,
@@ -942,8 +938,8 @@ mod tests {
     #[test]
     fn removing_a_required_flush_fails_the_event_level_lemma() {
         let events = vec![
-            store(a(), 1),
-            store(b(), 2),
+            store(a()),
+            store(b()),
             Event::Clwb { addr: a() },
             Event::Clwb { addr: b() },
             Event::Sfence,
@@ -961,6 +957,24 @@ mod tests {
             ..plan
         };
         assert!(!plan_preserves_guarantees(&events, &unsafe_plan));
+    }
+
+    /// An optimized stream that drops a store is refused by the oracle:
+    /// the recording's store values would land on the wrong stores.
+    #[test]
+    #[should_panic(expected = "is not the recording's next store")]
+    fn an_optimized_stream_that_drops_a_store_is_rejected() {
+        let (b, mut plan) = oracle_material(&harness(), BenchId::LinkedList);
+        let store = b
+            .events()
+            .iter()
+            .position(|e| matches!(e, Event::Store { .. }))
+            .expect("the bundle stores");
+        plan.elisions.push(Elision {
+            idx: store,
+            kind: ElisionKind::DuplicateFlush,
+        });
+        let _ = b.foreign(apply(b.events(), &plan));
     }
 
     #[test]

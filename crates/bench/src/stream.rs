@@ -179,6 +179,8 @@ pub(crate) fn record_chunks(
             w.run_op(&mut env, op);
             op += 1;
         }
+        // A streamed chunk is replayed, never crashed: its store values
+        // are dropped with the rest of the trace.
         let events = env.take_trace().events;
         if events.is_empty() {
             continue;

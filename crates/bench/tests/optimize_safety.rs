@@ -21,7 +21,7 @@ use std::collections::{BTreeSet, HashSet};
 use proptest::prelude::*;
 use spp_bench::optimize::{analyze, apply, plan_preserves_guarantees, ElisionPlan};
 use spp_litmus::{allowed_states, allowed_union, catalog, generate, LitmusProgram, ModelKnob};
-use spp_pmem::{persist_boundaries, CrashTrace, Event, FlushMode, PAddr, Space};
+use spp_pmem::{persist_boundaries, CrashTrace, Event, FlushMode, PAddr, Space, Trace};
 
 /// One op of a tiny random persist program over a few cachelines.
 #[derive(Debug, Clone, Copy)]
@@ -55,34 +55,42 @@ fn op_strategy(locs: u8) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Materializes ops as events; store values are distinct so a crash
+/// Materializes ops as a trace; store values are distinct so a crash
 /// image pins down exactly which store survived.
-fn events_of(ops: &[Op]) -> Vec<Event> {
-    let mut val = 0u64;
-    ops.iter()
-        .map(|op| match *op {
+fn trace_of(ops: &[Op]) -> Trace {
+    let mut trace = Trace::new();
+    for op in ops {
+        match *op {
             Op::Store(l) => {
-                val += 1;
-                Event::Store {
-                    addr: addr(l),
-                    size: 8,
-                    value: val,
-                }
+                let val = trace.counts.stores + 1;
+                trace.push_store(addr(l), 8, val);
             }
-            Op::Clwb(l) => Event::Clwb { addr: addr(l) },
-            Op::ClflushOpt(l) => Event::ClflushOpt { addr: addr(l) },
-            Op::Clflush(l) => Event::Clflush { addr: addr(l) },
-            Op::Sfence => Event::Sfence,
-            Op::Mfence => Event::Mfence,
-            Op::Pcommit => Event::Pcommit,
-        })
-        .collect()
+            Op::Clwb(l) => trace.push(Event::Clwb { addr: addr(l) }),
+            Op::ClflushOpt(l) => trace.push(Event::ClflushOpt { addr: addr(l) }),
+            Op::Clflush(l) => trace.push(Event::Clflush { addr: addr(l) }),
+            Op::Sfence => trace.push(Event::Sfence),
+            Op::Mfence => trace.push(Event::Mfence),
+            Op::Pcommit => trace.push(Event::Pcommit),
+        }
+    }
+    trace
 }
 
-/// A trace of a random program, ready to be crashed: the programs
-/// start from an empty image.
-fn crash_trace(events: Vec<Event>) -> CrashTrace {
-    CrashTrace::new(Space::new(), events)
+/// `events` ready to be crashed from an empty image, its stores writing
+/// `values` in order. An optimized trace keeps every store of the
+/// original, so it takes the original's values.
+fn crash_trace(events: &[Event], values: &[u64]) -> CrashTrace {
+    let mut values = values.iter();
+    let mut trace = Trace::new();
+    for &ev in events {
+        match ev {
+            Event::Store { addr, size } => {
+                trace.push_store(addr, size, *values.next().expect("a value per store"));
+            }
+            _ => trace.push(ev),
+        }
+    }
+    CrashTrace::new(Space::new(), trace)
 }
 
 /// Every state vector any crash image of `trace` at crash point `c`
@@ -109,7 +117,8 @@ fn index_map(events: &[Event], plan: &ElisionPlan) -> Vec<usize> {
 /// The shared core of both layers: the plan must be internally
 /// consistent, pass the event-level lemma, and leave the reachable
 /// crash-state set untouched at every given boundary of the original.
-fn assert_plan_is_safe(events: &[Event], boundaries: &[usize], locs: u8) {
+fn assert_plan_is_safe(trace: &Trace, boundaries: &[usize], locs: u8) {
+    let events = &trace.events[..];
     let plan = analyze(events);
     let elided: HashSet<usize> = plan.elisions.iter().map(|e| e.idx).collect();
     for &r in &plan.required {
@@ -122,8 +131,8 @@ fn assert_plan_is_safe(events: &[Event], boundaries: &[usize], locs: u8) {
         plan_preserves_guarantees(events, &plan),
         "plan moved a guarantee frontier: {plan:?}"
     );
-    let original = crash_trace(events.to_vec());
-    let optimized = crash_trace(apply(events, &plan));
+    let original = crash_trace(events, &trace.values);
+    let optimized = crash_trace(&apply(events, &plan), &trace.values);
     let prefix = index_map(events, &plan);
     for &c in boundaries {
         assert_eq!(
@@ -144,9 +153,9 @@ proptest! {
     fn no_elision_changes_any_reachable_crash_state(
         ops in prop::collection::vec(op_strategy(2), 0..18)
     ) {
-        let events = events_of(&ops);
-        let boundaries = persist_boundaries(&events);
-        assert_plan_is_safe(&events, &boundaries, 2);
+        let trace = trace_of(&ops);
+        let boundaries = persist_boundaries(&trace.events);
+        assert_plan_is_safe(&trace, &boundaries, 2);
     }
 
     /// Removing any *required* flush instead must be visible to the
@@ -156,7 +165,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(2), 1..18),
         pick in any::<prop::sample::Index>(),
     ) {
-        let events = events_of(&ops);
+        let events = trace_of(&ops).events;
         let plan = analyze(&events);
         if plan.required.is_empty() {
             // Nothing load-bearing in this draw; vacuous case.
@@ -190,16 +199,17 @@ fn optimized_litmus_traces_stay_inside_the_px86_envelope() {
         for mode in FlushMode::ALL {
             let envelope = allowed_union(prog, mode, ModelKnob::Honest);
             for il in prog.interleavings() {
-                let events = prog.materialize(&il, mode);
+                let trace = prog.materialize(&il, mode);
+                let events = &trace.events[..];
                 // Layer 1: the general safety property on this trace.
-                assert_plan_is_safe(&events, &persist_boundaries(&events), locs);
+                assert_plan_is_safe(&trace, &persist_boundaries(events), locs);
                 // Layer 2: the model's own allowed sets. `materialize`
                 // emits one event per op, so op boundaries are event
                 // boundaries.
                 let allowed = allowed_states(prog, &il, mode, ModelKnob::Honest);
-                let plan = analyze(&events);
-                let optimized = crash_trace(apply(&events, &plan));
-                let prefix = index_map(&events, &plan);
+                let plan = analyze(events);
+                let optimized = crash_trace(&apply(events, &plan), &trace.values);
+                let prefix = index_map(events, &plan);
                 for (c, allowed_here) in allowed.iter().enumerate() {
                     let states = reachable_at(&optimized, prefix[c], locs);
                     assert!(

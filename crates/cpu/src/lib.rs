@@ -133,11 +133,7 @@ mod tests {
         let mut ev = Vec::new();
         for i in 0..n {
             let a = PAddr::new(4096 + i * 64);
-            ev.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            ev.push(Event::Store { addr: a, size: 8 });
             ev.push(Event::Clwb { addr: a });
             ev.push(Event::Sfence);
             ev.push(Event::Pcommit);
@@ -189,11 +185,7 @@ mod tests {
         let mut events = Vec::new();
         for i in 0..8 {
             let a = PAddr::new(4096 + i * 64);
-            events.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            events.push(Event::Store { addr: a, size: 8 });
             events.push(Event::Clwb { addr: a });
             events.push(Event::Pcommit);
             events.push(compute(4));
@@ -214,11 +206,7 @@ mod tests {
         let mut events = Vec::new();
         for i in 0..4u64 {
             let a = PAddr::new(4096 + i * 64);
-            events.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            events.push(Event::Store { addr: a, size: 8 });
             events.push(Event::Clwb { addr: a });
             events.push(Event::Sfence);
             events.push(Event::Pcommit);
@@ -240,21 +228,13 @@ mod tests {
         // shadow: the load must forward from the SSB.
         let a = PAddr::new(8192);
         let mut events = vec![
-            Event::Store {
-                addr: a,
-                size: 8,
-                value: 1,
-            },
+            Event::Store { addr: a, size: 8 },
             Event::Clwb { addr: a },
             Event::Sfence,
             Event::Pcommit,
             Event::Sfence,
             // In-shadow:
-            Event::Store {
-                addr: a,
-                size: 8,
-                value: 2,
-            },
+            Event::Store { addr: a, size: 8 },
             compute(400), // let the store retire into the SSB first
             Event::Load {
                 addr: a,
@@ -327,11 +307,7 @@ mod tests {
         // writeback is visible; clflushopt (posted) does not.
         let a = PAddr::new(4096);
         let mk = |legacy: bool| {
-            let mut ev = vec![Event::Store {
-                addr: a,
-                size: 8,
-                value: 1,
-            }];
+            let mut ev = vec![Event::Store { addr: a, size: 8 }];
             ev.push(if legacy {
                 Event::Clflush { addr: a }
             } else {

@@ -240,11 +240,7 @@ mod tests {
         let mut ev = Vec::new();
         for i in 0..n {
             let a = PAddr::new(4096 + (i + salt * 1000) * 64);
-            ev.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            ev.push(Event::Store { addr: a, size: 8 });
             ev.push(Event::Clwb { addr: a });
             ev.push(Event::Sfence);
             ev.push(Event::Pcommit);
@@ -369,11 +365,7 @@ mod tests {
     fn victim_trace() -> Vec<Event> {
         let a = PAddr::new(4096);
         vec![
-            Event::Store {
-                addr: a,
-                size: 8,
-                value: 1,
-            },
+            Event::Store { addr: a, size: 8 },
             Event::Clwb { addr: a },
             Event::Sfence,
             Event::Pcommit,
@@ -381,7 +373,6 @@ mod tests {
             Event::Store {
                 addr: shared_addr(),
                 size: 8,
-                value: 2,
             },
             Event::Compute(4000),
         ]
@@ -396,7 +387,6 @@ mod tests {
             Event::Store {
                 addr: shared_addr(),
                 size: 8,
-                value: 3,
             },
             Event::Compute(200),
         ]

@@ -1774,11 +1774,7 @@ mod tests {
         let mut ev = Vec::new();
         for i in 0..n {
             let a = PAddr::new(4096 + i * 64);
-            ev.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            ev.push(Event::Store { addr: a, size: 8 });
             ev.push(Event::Clwb { addr: a });
             ev.push(Event::Sfence);
             ev.push(Event::Pcommit);
@@ -1788,11 +1784,7 @@ mod tests {
             // multiple cycles (the window the invariant is about).
             for j in 0..4 {
                 let b = PAddr::new(1 << 20 | (4096 + (i * 4 + j) * 64));
-                ev.push(Event::Store {
-                    addr: b,
-                    size: 8,
-                    value: i,
-                });
+                ev.push(Event::Store { addr: b, size: 8 });
             }
             ev.push(Event::Compute(40));
         }

@@ -1575,22 +1575,14 @@ mod tests {
         let mut ev = Vec::new();
         for i in 0..n {
             let a = PAddr::new(4096 + i * 64);
-            ev.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            ev.push(Event::Store { addr: a, size: 8 });
             ev.push(Event::Clwb { addr: a });
             ev.push(Event::Sfence);
             ev.push(Event::Pcommit);
             ev.push(Event::Sfence);
             for j in 0..4 {
                 let b = PAddr::new(1 << 20 | (4096 + (i * 4 + j) * 64));
-                ev.push(Event::Store {
-                    addr: b,
-                    size: 8,
-                    value: i,
-                });
+                ev.push(Event::Store { addr: b, size: 8 });
             }
             ev.push(Event::Compute(40));
         }
@@ -1604,11 +1596,7 @@ mod tests {
         let mut ev = Vec::new();
         for i in 0..n {
             let a = PAddr::new(4096 + (i % 64) * 64);
-            ev.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            ev.push(Event::Store { addr: a, size: 8 });
             ev.push(Event::Clwb { addr: a });
             ev.push(Event::Pcommit);
             ev.push(Event::Compute(4));
@@ -1687,22 +1675,14 @@ mod tests {
         );
         let load = |addr, dep| Event::Load { addr, size: 8, dep };
         let t = vec![
-            Event::Store {
-                addr: a,
-                size: 8,
-                value: 1,
-            },
+            Event::Store { addr: a, size: 8 },
             Event::Clwb { addr: a },
             Event::Pcommit,
             load(z, true),
             Event::Sfence,
             load(y, true),
             load(x, false),
-            Event::Store {
-                addr: x,
-                size: 8,
-                value: 2,
-            },
+            Event::Store { addr: x, size: 8 },
             Event::Compute(40),
         ];
         let cfg = CpuConfig::with_sp();
@@ -1737,11 +1717,7 @@ mod tests {
                 size: 8,
                 dep
             }),
-            (addr.clone(), 0u64..1000).prop_map(|(addr, value)| Event::Store {
-                addr,
-                size: 8,
-                value
-            }),
+            addr.clone().prop_map(|addr| Event::Store { addr, size: 8 }),
             addr.clone().prop_map(|a| Event::Clwb { addr: a }),
             addr.clone().prop_map(|a| Event::ClflushOpt { addr: a }),
             addr.prop_map(|a| Event::Clflush { addr: a }),
@@ -1769,11 +1745,7 @@ mod tests {
             size: 8,
             dep,
         });
-        let store = (addr.clone(), 0u64..1000).prop_map(|(addr, value)| Event::Store {
-            addr,
-            size: 8,
-            value,
-        });
+        let store = addr.clone().prop_map(|addr| Event::Store { addr, size: 8 });
         prop_oneof![
             load.clone(),
             load,

@@ -129,11 +129,7 @@ mod tests {
         let mut ev = Vec::new();
         for i in 0..n {
             let a = PAddr::new(4096 + i * 64);
-            ev.push(Event::Store {
-                addr: a,
-                size: 8,
-                value: i,
-            });
+            ev.push(Event::Store { addr: a, size: 8 });
             ev.push(Event::Clwb { addr: a });
             ev.push(Event::Sfence);
             ev.push(Event::Pcommit);

@@ -184,7 +184,6 @@ mod tests {
             Event::Store {
                 addr: PAddr::new(8),
                 size: 8,
-                value: 1,
             },
             Event::TxEnd(1),
         ];

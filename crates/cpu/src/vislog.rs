@@ -30,7 +30,9 @@
 //! state (the cycle-equivalence and probe-neutrality suites pin this).
 //! [`reconstruct`] then rebuilds a `CrashSim`-ready event sequence in
 //! visibility order, mapping stores and flushes back to their source
-//! trace events via `trace_idx`.
+//! trace events via `trace_idx`, and returns that map beside it: the
+//! events are timing-only, so a caller carries each store's value over
+//! from its source position.
 
 use spp_mem::Cycle;
 use spp_pmem::Event;
@@ -48,7 +50,8 @@ pub struct VisEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VisOp {
     /// A store's data reached the coherent domain. `trace_idx` points at
-    /// the source `Event::Store` (address, size, value).
+    /// the source `Event::Store` (address and size; the recording keeps
+    /// its value).
     Store {
         /// Index of the source event in the simulated trace.
         trace_idx: usize,
@@ -71,29 +74,35 @@ pub enum VisOp {
 /// order, which follows the machine's same-cycle processing order), and
 /// each is mapped back to a concrete [`Event`].
 ///
+/// Beside the events it returns each position's source: the `trace_idx`
+/// of a store or flush, `None` for a `pcommit` or fence, which the log
+/// does not attribute to one source event.
+///
 /// # Panics
 ///
 /// Panics if a logged `trace_idx` does not point at an event of the
 /// expected kind — that would mean the logging hooks mis-attributed an
 /// effect, which the litmus harness must not paper over.
-pub fn reconstruct(events: &[Event], log: &[VisEvent]) -> Vec<Event> {
+pub fn reconstruct(events: &[Event], log: &[VisEvent]) -> (Vec<Event>, Vec<Option<usize>>) {
     let mut ordered: Vec<(usize, VisEvent)> = log.iter().copied().enumerate().collect();
     ordered.sort_by_key(|&(pos, e)| (e.at, pos));
     ordered
         .into_iter()
         .map(|(_, e)| match e.op {
             VisOp::Store { trace_idx } => match events[trace_idx] {
-                ev @ Event::Store { .. } => ev,
+                ev @ Event::Store { .. } => (ev, Some(trace_idx)),
                 ref other => panic!("visibility log store points at {other:?}"),
             },
             VisOp::Flush { trace_idx } => match events[trace_idx] {
-                ev @ (Event::Clwb { .. } | Event::ClflushOpt { .. } | Event::Clflush { .. }) => ev,
+                ev @ (Event::Clwb { .. } | Event::ClflushOpt { .. } | Event::Clflush { .. }) => {
+                    (ev, Some(trace_idx))
+                }
                 ref other => panic!("visibility log flush points at {other:?}"),
             },
-            VisOp::Pcommit => Event::Pcommit,
-            VisOp::Fence => Event::Sfence,
+            VisOp::Pcommit => (Event::Pcommit, None),
+            VisOp::Fence => (Event::Sfence, None),
         })
-        .collect()
+        .unzip()
 }
 
 #[cfg(test)]
@@ -104,15 +113,12 @@ mod tests {
 
     #[test]
     fn reconstruct_orders_by_time_then_log_position() {
-        let a = PAddr::new(4096);
+        let (a, b) = (PAddr::new(4096), PAddr::new(8192));
         let events = vec![
-            Event::Store {
-                addr: a,
-                size: 8,
-                value: 7,
-            },
+            Event::Store { addr: a, size: 8 },
             Event::Clwb { addr: a },
             Event::Sfence,
+            Event::Store { addr: b, size: 4 },
         ];
         let log = vec![
             VisEvent {
@@ -127,20 +133,24 @@ mod tests {
                 at: 3,
                 op: VisOp::Flush { trace_idx: 1 },
             },
+            VisEvent {
+                at: 1,
+                op: VisOp::Store { trace_idx: 3 },
+            },
         ];
-        let rebuilt = reconstruct(&events, &log);
+        let (rebuilt, sources) = reconstruct(&events, &log);
         assert_eq!(
             rebuilt,
             vec![
-                Event::Store {
-                    addr: a,
-                    size: 8,
-                    value: 7
-                },
+                Event::Store { addr: b, size: 4 },
+                Event::Store { addr: a, size: 8 },
                 Event::Clwb { addr: a },
                 Event::Sfence,
             ]
         );
+        // The later store became visible first: each position maps back
+        // to its source event, and the fence to none.
+        assert_eq!(sources, vec![Some(3), Some(0), Some(1), None]);
     }
 
     #[test]

@@ -62,11 +62,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
             size: 8,
             dep
         }),
-        (addr.clone(), any::<u64>()).prop_map(|(a, v)| Event::Store {
-            addr: a,
-            size: 8,
-            value: v
-        }),
+        addr.clone().prop_map(|a| Event::Store { addr: a, size: 8 }),
         addr.prop_map(|a| Event::Clwb {
             addr: a.block_base()
         }),

@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 
 use spp_cpu::{reconstruct, CpuConfig, ReferencePipeline, Simulator, VisEvent};
-use spp_pmem::{CrashTrace, Event, FlushMode, Space};
+use spp_pmem::{CrashTrace, Event, FlushMode, Space, Trace};
 use spp_workloads::litmus::LitmusProgram;
 
 use crate::model::{self, ModelKnob, State};
@@ -116,9 +116,11 @@ fn read_state(img: &Space, locs: usize) -> State {
         .collect()
 }
 
-/// Runs `events` through the chosen core with persist logging and
-/// returns the visibility-order reconstruction.
-fn visibility_trace(events: &[Event], sp: bool, reference: bool) -> Result<Vec<Event>, String> {
+/// Runs `raw`'s events through the chosen core with persist logging and
+/// returns the visibility-order reconstruction, each store carrying the
+/// value of its source store in `raw`.
+fn visibility_trace(raw: &CrashTrace, sp: bool, reference: bool) -> Result<Trace, String> {
+    let events = raw.events();
     let cfg = if sp {
         CpuConfig::with_sp()
     } else {
@@ -142,7 +144,26 @@ fn visibility_trace(events: &[Event], sp: bool, reference: bool) -> Result<Vec<E
         }
         p.take_persist_log()
     };
-    Ok(reconstruct(events, &log))
+    // The store ordinal of each raw position: its value's index.
+    let ordinals: Vec<usize> = events
+        .iter()
+        .scan(0, |stores, ev| {
+            let ord = *stores;
+            *stores += usize::from(matches!(ev, Event::Store { .. }));
+            Some(ord)
+        })
+        .collect();
+    let (recon, sources) = reconstruct(events, &log);
+    let mut trace = Trace::new();
+    for (ev, source) in recon.into_iter().zip(sources) {
+        match (ev, source) {
+            (Event::Store { addr, size }, Some(i)) => {
+                trace.push_store(addr, size, raw.values()[ordinals[i]]);
+            }
+            _ => trace.push(ev),
+        }
+    }
+    Ok(trace)
 }
 
 /// All states `CrashSim` can produce from `trace` crashed at each `c`
@@ -240,7 +261,7 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
         .enumerate()
     {
         for raw in &raw_traces {
-            match visibility_trace(raw.events(), sp, reference) {
+            match visibility_trace(raw, sp, reference) {
                 Ok(recon) => {
                     let recon = CrashTrace::new(Space::new(), recon);
                     for states in reachable_per_crash(&recon, locs) {
@@ -252,7 +273,7 @@ pub fn check_cell(program: &LitmusProgram, mode: FlushMode, knob: ModelKnob) -> 
                     if sim_error.is_none() {
                         sim_error = Some(e);
                     }
-                    leg_traces[li].push(CrashTrace::new(Space::new(), Vec::new()));
+                    leg_traces[li].push(CrashTrace::new(Space::new(), Trace::new()));
                 }
             }
         }

@@ -15,12 +15,14 @@
 //! [`CrashTrace`], then call [`CrashTrace::at`] at every crash point.
 //!
 //! - [`CrashIndex`] runs the frontier over the whole trace once and
-//!   keeps, per block, its store positions and its guarantee history.
+//!   keeps, per block, its store positions (each with its ordinal among
+//!   the trace's stores) and its guarantee history.
 //!   The guaranteed stage max-merges, so a block's guarantee only grows
 //!   as the crash point moves later, and its value at any crash point is
 //!   one binary search away.
-//! - [`CrashTrace`] owns a base image, the trace recorded over it and
-//!   the trace's index, which the first [`CrashTrace::at`] builds and
+//! - [`CrashTrace`] owns a base image, the trace recorded over it (its
+//!   timing-only events and the store values beside them) and the
+//!   trace's index, which the first [`CrashTrace::at`] builds and
 //!   every later call reuses: a sweep over any number of crash points is
 //!   linear in the trace rather than quadratic. Its index also holds
 //!   block snapshots: at each entry of a block's guarantee history, the
@@ -32,8 +34,9 @@
 //!   candidate NVMM images by choosing a per-block cut anywhere between
 //!   the frontier and the crash. A block's content at a cut is the last
 //!   snapshot keyed at or below the cut plus the stores between key and
-//!   cut, read from the trace: one block copy plus the block's
-//!   unguaranteed tail, never a replay of its whole store prefix.
+//!   cut, whose values are read by ordinal from the trace's store
+//!   values: one block copy plus the block's unguaranteed tail, never a
+//!   replay of its whole store prefix.
 //!
 //! Recovery correctness tests assert that *every* such image recovers to
 //! a consistent structure. Callers that need more than the frontier (the
@@ -57,7 +60,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::addr::{BlockId, BLOCK_SIZE};
-use crate::event::Event;
+use crate::event::{Event, Trace};
 use crate::rng::splitmix64;
 use crate::space::Space;
 
@@ -178,22 +181,14 @@ impl Frontier {
 /// One cache line's contents.
 type Line = [u8; BLOCK_SIZE as usize];
 
-/// Applies a store event to the line holding it. [`CrashIndex::new`]
-/// checks that every store lies within one line.
-fn apply_store(line: &mut Line, ev: &Event) {
-    if let Event::Store { addr, size, value } = *ev {
-        let off = addr.block_offset() as usize;
-        let n = size as usize;
-        line[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
-    }
-}
-
 /// One block's crash-relevant history in a [`CrashIndex`].
 #[derive(Debug, Clone)]
 struct BlockHistory {
     block: BlockId,
-    /// Event positions of the block's stores, ascending.
-    stores: Vec<u32>,
+    /// `(event position, store ordinal)` of the block's stores,
+    /// ascending: the ordinal counts the trace's stores before this one
+    /// and indexes its value.
+    stores: Vec<(u32, u32)>,
     /// `(event idx, new guarantee)` pairs, ascending in both fields: a
     /// crash after event `idx` sees the block's guarantee at `new`.
     guarantees: Vec<(u32, u32)>,
@@ -216,7 +211,7 @@ impl BlockHistory {
     /// Position of the block's first store; `usize::MAX` for a block
     /// that was only ever flushed.
     fn first_store(&self) -> usize {
-        self.stores.first().map_or(usize::MAX, |&s| s as usize)
+        self.stores.first().map_or(usize::MAX, |&(s, _)| s as usize)
     }
 
     /// The guarantee at crash point `crash_idx`: the last change made by
@@ -230,28 +225,28 @@ impl BlockHistory {
     }
 
     /// The block's stores strictly before event `cut`.
-    fn stores_before(&self, cut: usize) -> &[u32] {
-        &self.stores[..self.stores.partition_point(|&s| (s as usize) < cut)]
+    fn stores_before(&self, cut: usize) -> &[(u32, u32)] {
+        &self.stores[..self.stores.partition_point(|&(s, _)| (s as usize) < cut)]
     }
 
-    /// The block's bytes in `base`.
-    fn base_line(&self, base: &Space) -> Line {
+    /// The block's bytes in `trace`'s base image.
+    fn base_line(&self, trace: &CrashTrace) -> Line {
         let mut line = [0; BLOCK_SIZE as usize];
-        base.read_bytes(self.block.base(), &mut line);
+        trace.base.read_bytes(self.block.base(), &mut line);
         line
     }
 
     /// Takes one snapshot per guarantee change, in one pass over the
     /// block's stores.
-    fn take_snapshots(&mut self, base: &Space, events: &[Event]) {
-        let mut line = self.base_line(base);
+    fn take_snapshots(&mut self, trace: &CrashTrace) {
+        let mut line = self.base_line(trace);
         let mut stores = self.stores.iter().peekable();
         self.snapshots = self
             .guarantees
             .iter()
             .map(|&(_, key)| {
-                while let Some(&pos) = stores.next_if(|&&pos| pos < key) {
-                    apply_store(&mut line, &events[pos as usize]);
+                while let Some(&store) = stores.next_if(|&&(pos, _)| pos < key) {
+                    trace.apply_store(&mut line, store);
                 }
                 line
             })
@@ -261,18 +256,18 @@ impl BlockHistory {
     /// The block's contents with every store before `cut` applied: the
     /// last snapshot keyed at or below `cut` (the base block below the
     /// first key) plus the stores in `[key, cut)`.
-    fn line_at(&self, cut: usize, base: &Space, events: &[Event]) -> Line {
+    fn line_at(&self, cut: usize, trace: &CrashTrace) -> Line {
         let n = self
             .guarantees
             .partition_point(|&(_, key)| (key as usize) <= cut);
         let (mut line, key) = match n.checked_sub(1) {
             Some(i) => (self.snapshots[i], self.guarantees[i].1 as usize),
-            None => (self.base_line(base), 0),
+            None => (self.base_line(trace), 0),
         };
         let tail = self.stores_before(cut);
-        let from = tail.partition_point(|&s| (s as usize) < key);
-        for &pos in &tail[from..] {
-            apply_store(&mut line, &events[pos as usize]);
+        let from = tail.partition_point(|&(s, _)| (s as usize) < key);
+        for &store in &tail[from..] {
+            trace.apply_store(&mut line, store);
         }
         line
     }
@@ -282,8 +277,9 @@ impl BlockHistory {
 /// [`Frontier`] pass.
 ///
 /// For every block it holds the ascending event positions of the
-/// block's stores and the block's guarantee history as `(event idx, new
-/// guarantee)` pairs. The [`FlushStage::Guaranteed`] stage max-merges,
+/// block's stores, each with its store ordinal (its position among all
+/// the trace's stores), and the block's guarantee history as `(event
+/// idx, new guarantee)` pairs. The [`FlushStage::Guaranteed`] stage max-merges,
 /// so a guarantee never decreases as the crash point moves later: the
 /// guarantee at any crash point is the last history entry before it (a
 /// binary search), and the stores a crash image applies are a prefix of
@@ -291,10 +287,10 @@ impl BlockHistory {
 /// nothing to set up, where re-running the frontier over each prefix is
 /// quadratic in the number of crash points.
 ///
-/// Store values are not copied: a [`CrashSim`] reads them from the
-/// trace its [`CrashTrace`] owns, which also builds this index. Blocks
-/// are kept in first-store order, so the blocks dirty at a crash point
-/// are a prefix of them.
+/// Store values are not copied: a [`CrashSim`] reads each one by its
+/// ordinal, in O(1), from the store values its [`CrashTrace`] owns, which
+/// also builds this index. Blocks are kept in first-store order, so the
+/// blocks dirty at a crash point are a prefix of them.
 ///
 /// The index a [`CrashTrace`] builds also snapshots each block over the
 /// trace's base image, once per guarantee-history entry: the snapshot
@@ -349,10 +345,12 @@ impl CrashIndex {
         );
         let mut by_block: HashMap<BlockId, BlockHistory> = HashMap::new();
         let mut frontier = Frontier::default();
+        // Store ordinals are at most positions, so they fit in u32 too.
+        let mut ord = 0u32;
         for (idx, ev) in events.iter().enumerate() {
             // Positions fit in u32: the trace length was checked above.
             let pos = idx as u32;
-            if let Event::Store { addr, size, .. } = *ev {
+            if let Event::Store { addr, size } = *ev {
                 // Snapshots are per line: no store may straddle two.
                 assert!(
                     addr.raw() % 8 == 0 && (1..=8).contains(&size),
@@ -362,7 +360,8 @@ impl CrashIndex {
                 );
                 let b = addr.block();
                 let h = by_block.entry(b).or_insert_with(|| BlockHistory::new(b));
-                h.stores.push(pos);
+                h.stores.push((pos, ord));
+                ord += 1;
             }
             frontier.step(idx, ev, |stage, b, flush, held| {
                 if stage != FlushStage::Guaranteed {
@@ -385,12 +384,12 @@ impl CrashIndex {
         CrashIndex { blocks, slot }
     }
 
-    /// Indexes `events` like [`CrashIndex::new`] and snapshots every
-    /// block over `base` at each of its guarantee changes.
-    fn with_snapshots(events: &[Event], base: &Space) -> Self {
-        let mut index = CrashIndex::new(events);
+    /// Indexes `trace`'s events like [`CrashIndex::new`] and snapshots
+    /// every block over its base image at each of its guarantee changes.
+    fn with_snapshots(trace: &CrashTrace) -> Self {
+        let mut index = CrashIndex::new(&trace.events);
         for h in &mut index.blocks {
-            h.take_snapshots(base, events);
+            h.take_snapshots(trace);
         }
         index
     }
@@ -448,7 +447,7 @@ impl CrashIndex {
 /// env.sfence();
 /// env.pcommit();
 /// env.sfence();
-/// let trace = CrashTrace::new(base, env.take_trace().events);
+/// let trace = CrashTrace::new(base, env.take_trace());
 ///
 /// // Build the crash trace once, then crash it at every boundary.
 /// for crash in persist_boundaries(trace.events()) {
@@ -461,17 +460,29 @@ impl CrashIndex {
 pub struct CrashTrace {
     base: Space,
     events: Vec<Event>,
+    /// The value of each store in `events`, in program order.
+    values: Vec<u64>,
     /// `events` indexed, built at the first [`CrashTrace::at`].
     index: OnceLock<CrashIndex>,
 }
 
 impl CrashTrace {
-    /// Pairs the pre-trace image `base` with the trace `events`
-    /// recorded over it. The index is not built here.
-    pub fn new(base: Space, events: Vec<Event>) -> Self {
+    /// Pairs the pre-trace image `base` with the trace recorded over it,
+    /// keeping its events and store values. The index is not built here.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the trace holds one value per store.
+    pub fn new(base: Space, trace: Trace) -> Self {
+        assert_eq!(
+            trace.values.len() as u64,
+            trace.counts.stores,
+            "a crash trace needs one value per store"
+        );
         CrashTrace {
             base,
-            events,
+            events: trace.events,
+            values: trace.values,
             index: OnceLock::new(),
         }
     }
@@ -487,6 +498,23 @@ impl CrashTrace {
         &self.events
     }
 
+    /// The value of each store of [`CrashTrace::events`], in program
+    /// order.
+    pub fn values(&self) -> &[u64] {
+        &self.values
+    }
+
+    /// Applies the store at `(event position, store ordinal)` to the
+    /// line holding it. [`CrashIndex::new`] checks that every store lies
+    /// within one line.
+    fn apply_store(&self, line: &mut Line, (pos, ord): (u32, u32)) {
+        if let Event::Store { addr, size } = self.events[pos as usize] {
+            let off = addr.block_offset() as usize;
+            let n = size as usize;
+            line[off..off + n].copy_from_slice(&self.values[ord as usize].to_le_bytes()[..n]);
+        }
+    }
+
     /// The trace crashed after its first `crash_idx` events. The first
     /// call indexes the trace; later calls reuse that index.
     ///
@@ -500,9 +528,7 @@ impl CrashTrace {
         );
         CrashSim {
             trace: self,
-            index: self
-                .index
-                .get_or_init(|| CrashIndex::with_snapshots(&self.events, &self.base)),
+            index: self.index.get_or_init(|| CrashIndex::with_snapshots(self)),
             crash_idx,
         }
     }
@@ -525,7 +551,7 @@ impl CrashTrace {
 /// env.tx_commit();
 ///
 /// let layout = env.log_layout();
-/// let trace = CrashTrace::new(base, env.take_trace().events);
+/// let trace = CrashTrace::new(base, env.take_trace());
 /// // Crash anywhere: the adversarial image must recover consistently.
 /// for crash in 0..=trace.events().len() {
 ///     let mut img = trace.at(crash).image_guaranteed_only();
@@ -570,7 +596,7 @@ impl CrashSim<'_> {
         for h in self.index.dirty(self.crash_idx) {
             let g = h.guarantee_at(self.crash_idx);
             let cut = choose(h.block, g, self.crash_idx).clamp(g, self.crash_idx);
-            let line = h.line_at(cut, &self.trace.base, &self.trace.events);
+            let line = h.line_at(cut, self.trace);
             img.write_bytes(h.block.base(), &line);
         }
         img
@@ -626,8 +652,8 @@ impl CrashSim<'_> {
         let mut pts = vec![g];
         if let Some(h) = self.index.block(block) {
             let stores = h.stores_before(self.crash_idx);
-            let unguaranteed = &stores[stores.partition_point(|&s| (s as usize) < g)..];
-            pts.extend(unguaranteed.iter().map(|&s| s as usize + 1));
+            let unguaranteed = &stores[stores.partition_point(|&(s, _)| (s as usize) < g)..];
+            pts.extend(unguaranteed.iter().map(|&(s, _)| s as usize + 1));
         }
         pts
     }
@@ -712,7 +738,7 @@ mod tests {
         env.store_u64(a, 5);
         env.clwb(a);
         env.pcommit();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
         // Worst case: the store never made it.
@@ -732,7 +758,7 @@ mod tests {
         env.sfence();
         env.pcommit();
         env.sfence();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         assert!(sim.guarantee(a.block()) > 0);
         assert_eq!(sim.image_guaranteed_only().read_u64(a), 5);
@@ -749,7 +775,7 @@ mod tests {
         env.clwb(a);
         env.pcommit(); // clwb not yet ordered!
         env.sfence();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
@@ -764,7 +790,7 @@ mod tests {
         env.clwb(a);
         env.sfence();
         env.pcommit();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
@@ -781,7 +807,7 @@ mod tests {
         env.pcommit();
         env.sfence();
         env.store_u64(a, 9); // newer, unpersisted
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         let img = sim.image_guaranteed_only();
         assert_eq!(img.read_u64(a), 5);
@@ -797,7 +823,7 @@ mod tests {
         let base = env.snapshot();
         env.store_u64(a, 1);
         env.store_u64(b, 2);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         let img = sim.image_with(|blk, g, crash| if blk == a.block() { crash } else { g });
         assert_eq!(img.read_u64(a), 1);
@@ -812,7 +838,7 @@ mod tests {
         let base = env.snapshot();
         env.store_u64(a, 1); // event 1 (alloc emitted a Compute first)
         env.store_u64(a, 2);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let store_idxs: Vec<usize> = trace
             .events()
             .iter()
@@ -830,7 +856,7 @@ mod tests {
         let a = env.alloc_block();
         let base = env.snapshot();
         env.store_u64(a, 1);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         // A chooser returning usize::MAX is clamped to the crash point.
         let img = sim.image_with(|_, _, _| usize::MAX);
@@ -840,7 +866,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "past end")]
     fn crash_idx_validated() {
-        let _ = CrashTrace::new(Space::new(), Vec::new()).at(1);
+        let _ = CrashTrace::new(Space::new(), Trace::new()).at(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per store")]
+    fn a_trace_without_its_store_values_is_rejected() {
+        let mut env = PmemEnv::new(Variant::Base);
+        let a = env.alloc_block();
+        let base = env.snapshot();
+        env.store_u64(a, 1);
+        let mut t = env.take_trace();
+        t.values.clear();
+        let _ = CrashTrace::new(base, t);
     }
 
     /// `new` leaves the index unbuilt (recording a trace that is never
@@ -853,7 +891,7 @@ mod tests {
         let base = env.snapshot();
         env.store_u64(a, 5);
         env.clwb(a);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         assert!(trace.index.get().is_none(), "new must not index");
         let first: *const CrashIndex = trace.at(0).index;
         assert!(std::ptr::eq(trace.index.get().unwrap(), first));
@@ -881,7 +919,7 @@ mod tests {
                 env.sfence();
             }
         }
-        (a, CrashTrace::new(base, env.take_trace().events))
+        (a, CrashTrace::new(base, env.take_trace()))
     }
 
     /// The crash trace snapshots a block once per guarantee change and
@@ -904,14 +942,15 @@ mod tests {
         let (a, trace) = twice_guaranteed();
         let events = trace.events();
         let stored = |cut: usize| {
-            events[..cut]
-                .iter()
-                .rev()
-                .find_map(|e| match *e {
-                    Event::Store { addr, value, .. } if addr == a => Some(value),
-                    _ => None,
-                })
-                .unwrap_or(0)
+            let stores = events[..cut].iter().filter_map(|e| match *e {
+                Event::Store { addr, .. } => Some(addr),
+                _ => None,
+            });
+            stores
+                .zip(trace.values())
+                .filter(|&(addr, _)| addr == a)
+                .last()
+                .map_or(0, |(_, &v)| v)
         };
         for crash in 0..=events.len() {
             let sim = trace.at(crash);
@@ -927,22 +966,14 @@ mod tests {
     #[should_panic(expected = "8-byte-aligned stores of 1..=8 bytes")]
     fn misaligned_store_is_rejected() {
         let addr = PAddr::new(4096 + 60);
-        let _ = CrashIndex::new(&[Event::Store {
-            addr,
-            size: 4,
-            value: 1,
-        }]);
+        let _ = CrashIndex::new(&[Event::Store { addr, size: 4 }]);
     }
 
     #[test]
     #[should_panic(expected = "8-byte-aligned stores of 1..=8 bytes")]
     fn oversized_store_is_rejected() {
         let addr = PAddr::new(4096 + 56);
-        let _ = CrashIndex::new(&[Event::Store {
-            addr,
-            size: 9,
-            value: 1,
-        }]);
+        let _ = CrashIndex::new(&[Event::Store { addr, size: 9 }]);
     }
 
     /// Legacy `clflush` is ordered before a later `pcommit` on its own:
@@ -964,7 +995,7 @@ mod tests {
             env.clwb(a); // emits the configured flush instruction
             env.pcommit(); // no sfence between flush and pcommit
             env.sfence();
-            let trace = CrashTrace::new(base, env.take_trace().events);
+            let trace = CrashTrace::new(base, env.take_trace());
             let sim = trace.at(trace.events().len());
             assert_eq!(
                 sim.guarantee(a.block()) > 0,
@@ -989,7 +1020,7 @@ mod tests {
             env.sfence();
             env.pcommit();
             env.sfence();
-            let trace = CrashTrace::new(base, env.take_trace().events);
+            let trace = CrashTrace::new(base, env.take_trace());
             let sim = trace.at(trace.events().len());
             assert!(sim.guarantee(a.block()) > 0, "{mode}: full barrier");
             assert_eq!(sim.image_guaranteed_only().read_u64(a), 5, "{mode}");
@@ -1008,7 +1039,7 @@ mod tests {
         env.store_u64(a, 5);
         env.clwb(a);
         env.pcommit();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
@@ -1025,7 +1056,7 @@ mod tests {
         env.clwb(a);
         env.sfence();
         env.sfence();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         assert_eq!(sim.guarantee(a.block()), 0);
     }
@@ -1039,7 +1070,7 @@ mod tests {
         env.store_u64(a, 1);
         env.store_u64(b, 2);
         env.store_u64(a, 3);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         for seed in 0..64u64 {
             let img1 = sim.image_seeded(seed);
@@ -1067,7 +1098,7 @@ mod tests {
         env.sfence();
         env.pcommit();
         env.sfence();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         for seed in 0..32u64 {
             assert_eq!(sim.image_seeded(seed).read_u64(a), 5, "seed {seed}");
@@ -1114,7 +1145,7 @@ mod tests {
         env.sfence();
         env.store_u64(a, 2);
         env.store_u64(a, 3);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         let g = sim.guarantee(a.block());
         assert!(g > 0);
@@ -1140,7 +1171,7 @@ mod tests {
         env.store_u64(a, 1);
         env.store_u64(b, 10);
         env.store_u64(a, 2);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         let mut states = std::collections::BTreeSet::new();
         sim.for_each_image(|img| {
@@ -1173,7 +1204,7 @@ mod tests {
         env.sfence();
         env.store_u64(blocks[3], 4);
         env.store_u64(blocks[0], 5);
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         for &crash in &persist_boundaries(trace.events()) {
             let sim = trace.at(crash);
             let state =
@@ -1248,7 +1279,7 @@ mod tests {
         env.sfence();
         env.pcommit();
         env.sfence();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         let sim = trace.at(trace.events().len());
         let dirty: Vec<(BlockId, usize)> = sim.dirty_blocks().collect();
         assert_eq!(dirty.len(), 1);

@@ -193,6 +193,13 @@ impl PmemEnv {
         }
     }
 
+    /// Emits a store event together with the value it writes.
+    fn emit_store(&mut self, addr: PAddr, size: u8, value: u64) {
+        if self.recording {
+            self.trace.push_store(addr, size, value);
+        }
+    }
+
     /// Emits a block writeback in the configured [`crate::FlushMode`].
     fn emit_flush(&mut self, base: PAddr) {
         debug_assert_eq!(base.block_offset(), 0);
@@ -340,19 +347,14 @@ impl PmemEnv {
             self.check_store(a);
             let mut chunk = [0u8; 8];
             chunk[..n].copy_from_slice(&buf[off..off + n]);
-            let value = u64::from_le_bytes(chunk);
-            self.emit(Event::Store {
-                addr: a,
-                size: n as u8,
-                value,
-            });
+            self.emit_store(a, n as u8, u64::from_le_bytes(chunk));
             self.space.write_bytes(a, &buf[off..off + n]);
             off += n;
         }
     }
 
     fn raw_store(&mut self, addr: PAddr, size: u8, value: u64) {
-        self.emit(Event::Store { addr, size, value });
+        self.emit_store(addr, size, value);
         self.space.write_uint(addr, size, value);
     }
 
@@ -516,11 +518,7 @@ impl PmemEnv {
                 let off = (j * 8) as usize;
                 let mut w = [0u8; 8];
                 w.copy_from_slice(&blk[off..off + 8]);
-                self.emit(Event::Store {
-                    addr: de.offset(j * 8),
-                    size: 8,
-                    value: u64::from_le_bytes(w),
-                });
+                self.emit_store(de.offset(j * 8), 8, u64::from_le_bytes(w));
                 self.emit(Event::Compute(1));
             }
             self.space.write_bytes(de, &blk);

@@ -20,10 +20,10 @@ pub enum Event {
     /// (pointer chasing): a dependent load cannot issue before the
     /// previous load in program order has completed.
     Load { addr: PAddr, size: u8, dep: bool },
-    /// A store of `size` bytes of `value` (low bytes). The value is
-    /// carried so crash simulation can reconstruct NVMM images; the
-    /// timing model only uses the address.
-    Store { addr: PAddr, size: u8, value: u64 },
+    /// A store of `size` bytes. The event carries no data: the timing
+    /// model reads only the address, so the stored value lives in the
+    /// recording's [`Trace::values`], which crash simulation reads.
+    Store { addr: PAddr, size: u8 },
     /// `clwb`: write the named cache block back without evicting it.
     Clwb { addr: PAddr },
     /// `clflushopt`: write the block back and evict it.
@@ -45,6 +45,11 @@ pub enum Event {
     /// Marker: end of transactional operation `id`. Zero cost.
     TxEnd(u64),
 }
+
+// Every trace event is 16 bytes: a tag and at most one address-sized
+// field. Paper-scale traces hold tens of millions of events, so a field
+// that widens this costs a third more resident trace memory.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 impl Event {
     /// Number of micro-ops this event contributes to the committed
@@ -72,11 +77,20 @@ impl Event {
     }
 }
 
-/// A recorded trace: the event stream plus summary counters.
+/// A recorded trace: the event stream, the values its stores wrote and
+/// summary counters.
+///
+/// The events are timing-only: a [`Event::Store`] names its address
+/// and size, and its data is the matching entry of `values`, one per
+/// store in program order. Only crash simulation reads the values
+/// ([`crate::CrashTrace`]); [`Trace::into_shared`] drops them for replay.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The event stream in program order.
     pub events: Vec<Event>,
+    /// The value of each `Store` in `events`, in program order (the low
+    /// `size` bytes are stored): `values.len() == counts.stores`.
+    pub values: Vec<u64>,
     /// Summary counters, maintained incrementally as events are pushed.
     pub counts: TraceCounts,
 }
@@ -88,9 +102,26 @@ impl Trace {
     }
 
     /// Appends an event, updating the counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Event::Store`]: a store is appended with its value
+    /// by [`Trace::push_store`].
     pub fn push(&mut self, ev: Event) {
+        assert!(
+            !matches!(ev, Event::Store { .. }),
+            "a store is pushed with its value by Trace::push_store"
+        );
         self.counts.tally(&ev);
         self.events.push(ev);
+    }
+
+    /// Appends a store of the low `size` bytes of `value` to `addr`.
+    pub fn push_store(&mut self, addr: PAddr, size: u8, value: u64) {
+        let ev = Event::Store { addr, size };
+        self.counts.tally(&ev);
+        self.events.push(ev);
+        self.values.push(value);
     }
 
     /// Number of events (not micro-ops) recorded.
@@ -103,8 +134,10 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Freezes the trace into an immutable, cheaply clonable form that
-    /// can be replayed concurrently from many simulator threads.
+    /// Freezes the timing-only part of the trace into an immutable,
+    /// cheaply clonable form that can be replayed concurrently from many
+    /// simulator threads. The store values are dropped: no replay reads
+    /// them.
     ///
     /// Wraps the event vector as-is (no reallocation): traces run to
     /// tens of millions of events, and copying them into a fresh
@@ -117,9 +150,10 @@ impl Trace {
     }
 }
 
-/// An immutable recorded trace behind an [`Arc`]: recording happens
+/// An immutable timing-only trace behind an [`Arc`]: recording happens
 /// once, then every simulator configuration replays the same events
-/// without copying. Cloning is a reference-count bump.
+/// without copying. Cloning is a reference-count bump. It holds no store
+/// values, so it cannot be crashed; crash checks keep the [`Trace`].
 #[derive(Debug, Clone)]
 pub struct SharedTrace {
     /// The event stream in program order.
@@ -209,11 +243,7 @@ mod tests {
         let mut t = Trace::new();
         t.push(Event::TxBegin(0));
         t.push(Event::Compute(3));
-        t.push(Event::Store {
-            addr: PAddr::new(64),
-            size: 8,
-            value: 1,
-        });
+        t.push_store(PAddr::new(64), 8, 1);
         t.push(Event::Clwb {
             addr: PAddr::new(64),
         });
@@ -229,17 +259,23 @@ mod tests {
         assert_eq!(t.counts.transactions, 1);
         assert_eq!(t.counts.total(), 3 + 1 + 1 + 1 + 2);
         assert_eq!(t.len(), 8);
+        assert_eq!(t.values, [1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pushed with its value")]
+    fn a_store_without_its_value_is_rejected() {
+        Trace::new().push(Event::Store {
+            addr: PAddr::new(64),
+            size: 8,
+        });
     }
 
     #[test]
     fn shared_trace_preserves_events_and_counts() {
         let mut t = Trace::new();
         t.push(Event::Compute(7));
-        t.push(Event::Store {
-            addr: PAddr::new(64),
-            size: 8,
-            value: 2,
-        });
+        t.push_store(PAddr::new(64), 8, 2);
         t.push(Event::Pcommit);
         let events = t.events.clone();
         let counts = t.counts;

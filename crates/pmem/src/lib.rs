@@ -30,7 +30,7 @@
 //!
 //! // Crash anywhere in that trace: recovery always yields 0 or 1.
 //! let layout = env.log_layout();
-//! let trace = CrashTrace::new(base, env.take_trace().events);
+//! let trace = CrashTrace::new(base, env.take_trace());
 //! for crash in 0..=trace.events().len() {
 //!     let mut img = trace.at(crash).image_guaranteed_only();
 //!     recover(&mut img, &layout);

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 use spp_pmem::{
     recover, splitmix64, BlockId, CrashSim, CrashTrace, Event, Frontier, PAddr, PmemEnv, Space,
-    Variant, BLOCK_SIZE,
+    Trace, Variant, BLOCK_SIZE,
 };
 
 /// A tiny random "program": a sequence of failure-safe transactions,
@@ -85,7 +85,7 @@ proptest! {
     fn wal_recovery_is_transaction_atomic(ops in tx_ops(4), crash_frac in 0.0f64..=1.0) {
         let (env, base, cells, trace) = run_program(Variant::LogPSf, 4, &ops);
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, trace.events);
+        let trace = CrashTrace::new(base, trace);
         let crash = ((trace.events().len() as f64) * crash_frac) as usize;
         let sim = trace.at(crash.min(trace.events().len()));
         let mut img = sim.image_guaranteed_only();
@@ -105,7 +105,7 @@ proptest! {
     ) {
         let (env, base, cells, trace) = run_program(Variant::LogPSf, 3, &ops);
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, trace.events);
+        let trace = CrashTrace::new(base, trace);
         let crash = ((trace.events().len() as f64) * crash_frac) as usize;
         let sim = trace.at(crash.min(trace.events().len()));
         // Deterministic pseudo-random cut per block from the seed.
@@ -128,7 +128,7 @@ proptest! {
     fn recovery_never_writes_outside_targets(ops in tx_ops(3), crash_frac in 0.0f64..=1.0) {
         let (env, base, cells, trace) = run_program(Variant::LogP, 3, &ops);
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, trace.events);
+        let trace = CrashTrace::new(base, trace);
         let crash = ((trace.events().len() as f64) * crash_frac) as usize;
         let sim = trace.at(crash.min(trace.events().len()));
         let mut img = sim.image_guaranteed_only();
@@ -144,7 +144,7 @@ proptest! {
     #[test]
     fn eager_image_matches_functional_state(ops in tx_ops(3)) {
         let (env, base, cells, trace) = run_program(Variant::LogPSf, 3, &ops);
-        let trace = CrashTrace::new(base, trace.events);
+        let trace = CrashTrace::new(base, trace);
         let sim = trace.at(trace.events().len());
         let img = sim.image_everything();
         for &c in &cells {
@@ -156,7 +156,7 @@ proptest! {
     #[test]
     fn guarantee_frontier_is_monotone(ops in tx_ops(2)) {
         let (_env, base, cells, trace) = run_program(Variant::LogPSf, 2, &ops);
-        let trace = CrashTrace::new(base, trace.events);
+        let trace = CrashTrace::new(base, trace);
         let n = trace.events().len();
         let mut prev = vec![0usize; cells.len()];
         for crash in (0..=n).step_by((n / 16).max(1)) {
@@ -190,15 +190,15 @@ fn all_words() -> Vec<PAddr> {
 /// A random persist program over a few blocks: stores, every flush
 /// kind, `pcommit` and both fences. Stores are 1 to 8 bytes wide at
 /// 8-aligned offsets, like the tails `PmemEnv::store_bytes` emits.
-fn persist_program() -> impl Strategy<Value = Vec<Event>> {
+fn persist_program() -> impl Strategy<Value = Trace> {
     let op = (
         (0u8..14, 0..PROGRAM_BLOCKS),
         (0..PROGRAM_WORDS, 1u8..=8, 1..u64::MAX),
     )
         .prop_map(|((kind, b), (w, size, value))| {
             let addr = word_addr(b, w);
-            match kind {
-                0..=4 => Event::Store { addr, size, value },
+            let ev = match kind {
+                0..=4 => Event::Store { addr, size },
                 5 => Event::Clwb { addr },
                 6 => Event::ClflushOpt { addr },
                 7 => Event::Clflush { addr },
@@ -206,9 +206,19 @@ fn persist_program() -> impl Strategy<Value = Vec<Event>> {
                 10 | 11 => Event::Sfence,
                 12 => Event::Mfence,
                 _ => Event::Compute(1),
-            }
+            };
+            (ev, value)
         });
-    prop::collection::vec(op, 0..28)
+    prop::collection::vec(op, 0..28).prop_map(|ops| {
+        let mut trace = Trace::new();
+        for (ev, value) in ops {
+            match ev {
+                Event::Store { addr, size } => trace.push_store(addr, size, value),
+                _ => trace.push(ev),
+            }
+        }
+        trace
+    })
 }
 
 /// A base image with every word nonzero, so a store that is wrongly
@@ -222,7 +232,8 @@ fn program_base() -> Space {
 }
 
 /// The crash model written out directly: a fresh [`Frontier`] replayed
-/// over `events[..crash]`, with each block's stores kept in trace order.
+/// over `events[..crash]`, with each block's stores kept in trace order
+/// and each store's value taken from the trace's store values in turn.
 struct Reference {
     crash: usize,
     frontier: Frontier,
@@ -231,15 +242,17 @@ struct Reference {
 }
 
 impl Reference {
-    fn new(events: &[Event], crash: usize) -> Self {
+    fn new(trace: &CrashTrace, crash: usize) -> Self {
         let mut r = Reference {
             crash,
             frontier: Frontier::default(),
             stores: BTreeMap::new(),
             first_store: Vec::new(),
         };
-        for (idx, ev) in events[..crash].iter().enumerate() {
-            if let Event::Store { addr, size, value } = *ev {
+        let mut values = trace.values().iter();
+        for (idx, ev) in trace.events()[..crash].iter().enumerate() {
+            if let Event::Store { addr, size } = *ev {
+                let value = *values.next().expect("one value per store");
                 let list = r.stores.entry(addr.block().raw()).or_default();
                 if list.is_empty() {
                     r.first_store.push(addr.block());
@@ -416,12 +429,12 @@ proptest! {
     /// compared block by block, every byte.
     #[test]
     fn index_views_equal_prefix_replay(
-        events in persist_program(),
+        program in persist_program(),
         draws in prop::collection::vec(any::<u64>(), PROGRAM_BLOCKS as usize..PROGRAM_BLOCKS as usize + 1),
     ) {
-        let trace = CrashTrace::new(program_base(), events);
+        let trace = CrashTrace::new(program_base(), program);
         for crash in 0..=trace.events().len() {
-            let r = Reference::new(trace.events(), crash);
+            let r = Reference::new(&trace, crash);
             assert_matches_reference(&trace.at(crash), &r, trace.base(), &draws)?;
         }
     }

@@ -557,7 +557,7 @@ mod tests {
             states.push(cur);
         }
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         for i in 0..48 {
             let crash = trace.events().len() * i / 47;
             let mut img = trace.at(crash).image_guaranteed_only();

@@ -999,7 +999,7 @@ pub fn record_kv_bundle(bspec: &KvBundleSpec) -> KvBundle {
     // images.
     let muts = w.engine_mut().take_mutations();
     KvBundle {
-        trace: CrashTrace::new(base, env.take_trace().events),
+        trace: CrashTrace::new(base, env.take_trace()),
         states,
         muts,
         base_lsn,

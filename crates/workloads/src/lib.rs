@@ -53,7 +53,7 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spp_pmem::{FlushMode, PmemEnv, SharedTrace, Space, Variant};
+use spp_pmem::{FlushMode, PmemEnv, SharedTrace, Space, Trace, Variant};
 
 pub use shared::{shared_trace, SharedKind, SharedSpec};
 pub use spec::{BenchId, BenchSpec};
@@ -180,14 +180,20 @@ impl TraceSpec {
 /// This is the one recorder of Table 1 traces: it populates the
 /// structure in fast-forward (through the process-wide setup cache),
 /// records the measured operations in their application context, and
-/// verifies the final structure. The immutable [`SharedTrace`] can
-/// then be replayed by many simulator configurations in parallel.
+/// verifies the final structure. The immutable, timing-only
+/// [`SharedTrace`] can then be replayed by many simulator
+/// configurations in parallel.
 ///
 /// # Panics
 ///
 /// Panics if the final structure fails verification — that would be a
 /// bug in this crate, never an expected outcome.
 pub fn record_trace(ts: &TraceSpec) -> SharedTrace {
+    record(ts).into_shared()
+}
+
+/// [`record_trace`] before its store values are dropped.
+fn record(ts: &TraceSpec) -> Trace {
     let (mut env, rng, w) = populated_setup(ts);
     env.set_variant(ts.variant);
     env.set_flush_mode(ts.flush_mode);
@@ -210,19 +216,14 @@ pub fn record_workload(mut w: Box<dyn Workload>, ts: &TraceSpec) -> SharedTrace 
     let mut rng = StdRng::seed_from_u64(ts.seed);
     env.set_recording(false);
     w.setup(&mut env, &mut rng, ts.spec.init_ops);
-    measure(env, rng, w, ts)
+    measure(env, rng, w, ts).into_shared()
 }
 
 /// The measured phase shared by both recorders: the application-context
 /// driver (created after population, as pre-existing application
 /// state), `ts.spec.sim_ops` recorded operations, and a final
 /// structural verification.
-fn measure(
-    mut env: PmemEnv,
-    mut rng: StdRng,
-    mut w: Box<dyn Workload>,
-    ts: &TraceSpec,
-) -> SharedTrace {
+fn measure(mut env: PmemEnv, mut rng: StdRng, mut w: Box<dyn Workload>, ts: &TraceSpec) -> Trace {
     env.set_recording(true);
     let mut drv = driver::Driver::new(&mut env, &mut rng);
     for op in 0..ts.spec.sim_ops {
@@ -234,7 +235,7 @@ fn measure(
     if let Err(e) = w.verify(env.space()) {
         panic!("{} final image invalid: {e}", ts.spec.id);
     }
-    trace.into_shared()
+    trace
 }
 
 /// Key of one cached fast-forward population: everything that
@@ -380,6 +381,25 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Every Table 1 recording keeps one value per store, in every
+    /// variant: the store-dense side vector a crash trace reads.
+    #[test]
+    fn every_bench_records_one_value_per_store() {
+        for id in BenchId::ALL {
+            for variant in Variant::ALL {
+                let t = record(&TraceSpec::new(variant, BenchSpec::scaled(id, 2500), 1));
+                let stores = t
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e, spp_pmem::Event::Store { .. }))
+                    .count();
+                assert!(stores > 0, "{id}/{variant} stores nothing");
+                assert_eq!(t.values.len() as u64, t.counts.stores, "{id}/{variant}");
+                assert_eq!(t.values.len(), stores, "{id}/{variant}");
             }
         }
     }

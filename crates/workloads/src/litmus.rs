@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use spp_pmem::{Event, FlushMode, PAddr};
+use spp_pmem::{Event, FlushMode, PAddr, Trace};
 
 /// Base physical address of litmus location 0; locations step by one
 /// 64-byte cache block.
@@ -176,40 +176,41 @@ impl LitmusProgram {
         }
     }
 
-    /// Materializes one interleaving as a `CrashSim`-ready event trace
-    /// under the given flush mode. Op i becomes event i (8-byte stores,
-    /// unique nonzero values from [`LitmusProgram::store_value`]), so
-    /// crash indices align one-to-one with interleaving positions.
+    /// Materializes one interleaving as a `CrashTrace`-ready trace under
+    /// the given flush mode. Op i becomes event i (8-byte stores, whose
+    /// unique nonzero values from [`LitmusProgram::store_value`] are the
+    /// trace's store values), so crash indices align one-to-one with
+    /// interleaving positions.
     ///
     /// # Panics
     ///
     /// Panics if `order` references an op outside the program — the
     /// harness generates orders from [`LitmusProgram::interleavings`],
     /// so a mismatch is a checker bug worth failing loudly on.
-    pub fn materialize(&self, order: &[(usize, usize)], mode: FlushMode) -> Vec<Event> {
-        order
-            .iter()
-            .map(|&(t, i)| match self.threads[t][i] {
-                LitmusOp::Store { loc } => Event::Store {
-                    addr: Self::addr_of(loc),
-                    size: 8,
-                    value: match self.store_value(t, i) {
+    pub fn materialize(&self, order: &[(usize, usize)], mode: FlushMode) -> Trace {
+        let mut trace = Trace::new();
+        for &(t, i) in order {
+            match self.threads[t][i] {
+                LitmusOp::Store { loc } => {
+                    let value = match self.store_value(t, i) {
                         Some(v) => v,
                         None => unreachable!("op (t{t}, {i}) is a store"),
-                    },
-                },
+                    };
+                    trace.push_store(Self::addr_of(loc), 8, value);
+                }
                 LitmusOp::Flush { loc } => {
                     let addr = Self::addr_of(loc);
-                    match mode {
+                    trace.push(match mode {
                         FlushMode::Clwb => Event::Clwb { addr },
                         FlushMode::ClflushOpt => Event::ClflushOpt { addr },
                         FlushMode::Clflush => Event::Clflush { addr },
-                    }
+                    });
                 }
-                LitmusOp::Sfence => Event::Sfence,
-                LitmusOp::Pcommit => Event::Pcommit,
-            })
-            .collect()
+                LitmusOp::Sfence => trace.push(Event::Sfence),
+                LitmusOp::Pcommit => trace.push(Event::Pcommit),
+            }
+        }
+        trace
     }
 
     /// The thread-major (t0 before t1) interleaving — the program order
@@ -290,14 +291,13 @@ mod tests {
     #[test]
     fn materialize_maps_op_i_to_event_i() {
         let p = epoch_xy();
-        let ev = p.materialize(&p.program_order(), FlushMode::Clwb);
+        let t = p.materialize(&p.program_order(), FlushMode::Clwb);
         assert_eq!(
-            ev,
+            t.events,
             vec![
                 Event::Store {
                     addr: LitmusProgram::addr_of(0),
                     size: 8,
-                    value: 1
                 },
                 Event::Clwb {
                     addr: LitmusProgram::addr_of(0)
@@ -306,13 +306,13 @@ mod tests {
                 Event::Store {
                     addr: LitmusProgram::addr_of(1),
                     size: 8,
-                    value: 2
                 },
             ]
         );
+        assert_eq!(t.values, [1, 2]);
         // Flush mode drives the flush instruction choice.
-        let ev = p.materialize(&p.program_order(), FlushMode::Clflush);
-        assert!(matches!(ev[1], Event::Clflush { .. }));
+        let t = p.materialize(&p.program_order(), FlushMode::Clflush);
+        assert!(matches!(t.events[1], Event::Clflush { .. }));
     }
 
     #[test]

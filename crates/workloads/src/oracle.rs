@@ -27,7 +27,9 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spp_pmem::{recover, CrashTrace, Event, FlushMode, LogLayout, PmemEnv, Space, Variant};
+use spp_pmem::{
+    recover, CrashTrace, Event, FlushMode, LogLayout, PAddr, PmemEnv, Space, Trace, Variant,
+};
 
 use crate::{make_workload, BenchId, OpOutcome, Workload};
 
@@ -212,11 +214,11 @@ pub fn record_bundle(spec: &BundleSpec) -> CrashBundle {
         states.push(cur);
     }
     let layout = env.log_layout();
-    let events = env.take_trace().events;
+    let trace = env.take_trace();
     CrashBundle {
         spec: *spec,
-        tx_ends: tx_ends(&events),
-        trace: CrashTrace::new(base, events),
+        tx_ends: tx_ends(&trace.events),
+        trace: CrashTrace::new(base, trace),
         layout,
         states,
         workload: w,
@@ -327,14 +329,45 @@ impl CrashBundle {
     /// persist-elision plan applied by `spp_bench::optimize`) that must
     /// still satisfy the same recovery oracle. The stream must perform
     /// the same stores and transactions as the recording; only persist
-    /// operations may differ. It is crashed over a copy of this
-    /// bundle's base image, and its completed-operation count is taken
-    /// from `events`, not from the recording.
+    /// operations may differ. Its stores write the recording's values,
+    /// in order. It is crashed over a copy of this bundle's base image,
+    /// and its completed-operation count is taken from `events`, not
+    /// from the recording.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the stream's stores, as `(address, size)` in
+    /// order, are exactly the recording's: the values would otherwise
+    /// land on the wrong stores.
     pub fn foreign(&self, events: Vec<Event>) -> ForeignStream<'_> {
+        let mut recorded = store_sites(self.trace.events()).zip(self.trace.values());
+        let mut trace = Trace::new();
+        for (i, ev) in events.into_iter().enumerate() {
+            let Event::Store { addr, size } = ev else {
+                trace.push(ev);
+                continue;
+            };
+            match recorded.next() {
+                Some((site, &value)) if site == (addr, size) => trace.push_store(addr, size, value),
+                want => panic!(
+                    "foreign stream store {} at event {i} ({size} bytes at {:#x}) is not the \
+                     recording's next store {:?}",
+                    trace.counts.stores,
+                    addr.raw(),
+                    want.map(|(site, _)| site)
+                ),
+            }
+        }
+        assert!(
+            recorded.next().is_none(),
+            "foreign stream drops stores: it performs {} of the recording's {}",
+            trace.counts.stores,
+            self.trace.values().len()
+        );
         ForeignStream {
             bundle: self,
-            tx_ends: tx_ends(&events),
-            trace: CrashTrace::new(self.trace.base().clone(), events),
+            tx_ends: tx_ends(&trace.events),
+            trace: CrashTrace::new(self.trace.base().clone(), trace),
         }
     }
 
@@ -375,6 +408,14 @@ impl ForeignStream<'_> {
         self.bundle
             .check_crash_of(&self.trace, &self.tx_ends, crash_idx, seed)
     }
+}
+
+/// The `(address, size)` of each store in `events`, in order.
+fn store_sites(events: &[Event]) -> impl Iterator<Item = (PAddr, u8)> + '_ {
+    events.iter().filter_map(|ev| match *ev {
+        Event::Store { addr, size } => Some((addr, size)),
+        _ => None,
+    })
 }
 
 /// Positions of the `TxEnd` markers in `events`.
@@ -449,6 +490,21 @@ mod tests {
             );
         }
         assert!(failures > 0, "the Log build must fail somewhere");
+    }
+
+    /// A stream missing the recording's last store is refused: the
+    /// recording's values could no longer all be matched to stores.
+    #[test]
+    #[should_panic(expected = "foreign stream drops stores")]
+    fn foreign_stream_that_drops_the_last_store_is_rejected() {
+        let b = record_bundle(&spec(BenchId::LinkedList, Variant::LogPSf));
+        let mut events = b.events().to_vec();
+        let last = events
+            .iter()
+            .rposition(|e| matches!(e, Event::Store { .. }))
+            .expect("the recording stores");
+        events.remove(last);
+        let _ = b.foreign(events);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spp_pmem::{Event, PAddr, Trace};
+use spp_pmem::{Event, PAddr, SharedTrace, Trace};
 
 /// Base of the shared control region (stack top / queue head+tail).
 const SHARED_BASE: u64 = 1 << 24;
@@ -113,8 +113,10 @@ impl Layout {
 ///
 /// Deterministic in `(kind, core, spec)` and independent of the number
 /// of cores that will run alongside, so scaling studies can grow the
-/// core set without perturbing existing streams.
-pub fn shared_trace(kind: SharedKind, core: usize, spec: &SharedSpec) -> Trace {
+/// core set without perturbing existing streams. The trace is timing-
+/// only: multicore runs are never crashed, so the store values are
+/// dropped.
+pub fn shared_trace(kind: SharedKind, core: usize, spec: &SharedSpec) -> SharedTrace {
     let mut rng = StdRng::seed_from_u64(
         spec.seed
             ^ (core as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -153,7 +155,7 @@ pub fn shared_trace(kind: SharedKind, core: usize, spec: &SharedSpec) -> Trace {
         }
         t.push(Event::Compute(rng.gen_range(50..120u32)));
     }
-    t
+    t.into_shared()
 }
 
 /// Insert at a control pointer: initialize the node, persist it, then
@@ -168,26 +170,14 @@ fn push_op(t: &mut Trace, ptr: PAddr, node: PAddr, op: u64) {
         dep: true,
     });
     // node.value = op; node.next = old pointer.
-    t.push(Event::Store {
-        addr: node,
-        size: 8,
-        value: op,
-    });
-    t.push(Event::Store {
-        addr: node.offset(8),
-        size: 8,
-        value: op,
-    });
+    t.push_store(node, 8, op);
+    t.push_store(node.offset(8), 8, op);
     t.push(Event::Clwb { addr: node });
     t.push(Event::Sfence);
     t.push(Event::Pcommit);
     t.push(Event::Sfence);
     // Publish: swing the pointer to the new node.
-    t.push(Event::Store {
-        addr: ptr,
-        size: 8,
-        value: op,
-    });
+    t.push_store(ptr, 8, op);
     t.push(Event::Clwb { addr: ptr });
     t.push(Event::Sfence);
     t.push(Event::Pcommit);
@@ -208,11 +198,7 @@ fn pop_op(t: &mut Trace, ptr: PAddr) {
         size: 8,
         dep: true,
     });
-    t.push(Event::Store {
-        addr: ptr,
-        size: 8,
-        value: 0,
-    });
+    t.push_store(ptr, 8, 0);
     t.push(Event::Clwb { addr: ptr });
     t.push(Event::Sfence);
     t.push(Event::Pcommit);
@@ -225,7 +211,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    fn blocks(t: &Trace) -> HashSet<u64> {
+    fn blocks(t: &SharedTrace) -> HashSet<u64> {
         t.events
             .iter()
             .filter_map(|e| match *e {

@@ -357,7 +357,7 @@ mod tests {
         }
         tx.finish();
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         for crash in 0..=trace.events().len() {
             let mut img = trace.at(crash).image_guaranteed_only();
             recover(&mut img, &layout);

@@ -85,7 +85,7 @@ proptest! {
             states.push(cur.clone());
         }
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
 
         let crash = ((trace.events().len() as f64) * crash_frac) as usize;
         let mut img = trace.at(crash.min(trace.events().len())).image_guaranteed_only();

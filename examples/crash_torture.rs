@@ -57,7 +57,7 @@ fn main() {
             states.push(cur);
         }
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
 
         let mut survived = 0usize;
         for i in 0..CRASH_POINTS {

@@ -68,7 +68,7 @@ fn main() {
         outcomes.push(store.run_op(&mut env, &mut rng, op));
     }
     let layout = env.log_layout();
-    let trace = CrashTrace::new(base_image, env.take_trace().events);
+    let trace = CrashTrace::new(base_image, env.take_trace());
 
     // Probe crash points until we have shown both cases: a crash with
     // no transaction in flight, and one mid-transaction that recovery

@@ -48,7 +48,7 @@ fn prepare(id: BenchId, init: u64, ops: u64, seed: u64) -> Harness {
     let layout = env.log_layout();
     Harness {
         w,
-        trace: CrashTrace::new(base, env.take_trace().events),
+        trace: CrashTrace::new(base, env.take_trace()),
         layout,
         states,
     }
@@ -164,7 +164,7 @@ fn missing_fences_are_observably_unsafe() {
             states.push(cur);
         }
         let layout = env.log_layout();
-        let trace = CrashTrace::new(base, env.take_trace().events);
+        let trace = CrashTrace::new(base, env.take_trace());
         // Without fences nothing is ever *guaranteed*, so the purely
         // adversarial image is just "nothing persisted" — trivially
         // consistent. The danger is mixed writebacks: some blocks
