@@ -61,11 +61,12 @@
 //!              each yield a minimized inconsistency witness; exits
 //!              non-zero if either direction fails
 //!   faultsim   deterministic hardware fault injection: every
-//!              benchmark x variant x fault plan must commit exactly
-//!              the fault-free architectural state (only cycle counts
-//!              may move), crash verdicts must hold, and the
-//!              forward-progress watchdog must convert a wedged run
-//!              into a typed error; exits non-zero on any divergence
+//!              benchmark x variant, fault-free and under each fault
+//!              plan, on the baseline and SP256 cores, must commit
+//!              exactly the trace's architectural work (faults and
+//!              speculation move cycles only), and the forward-progress
+//!              watchdog must convert a wedged run into a typed error;
+//!              exits non-zero on any divergence
 //!   profile <BENCH> <VARIANT>  cycle-resolved observability: replay
 //!              one trace on the baseline and SP256 cores with the
 //!              spp-obs probe attached, print the stall-attribution
@@ -521,8 +522,8 @@ fn optimize_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
 
 /// `repro crashfuzz [all|log|logp|logpsf]`: run the crash-consistency
 /// fuzz matrix and print the text report plus one JSON line. Exits
-/// non-zero when a must-pass cell violated its oracle, a must-fail
-/// cell found no inconsistency, or the SP differential diverged.
+/// non-zero when a must-pass cell violated its oracle or a must-fail
+/// cell found no inconsistency.
 fn crashfuzz_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     use spp_bench::crashfuzz::{run_crashfuzz, Leg};
     let leg = match c.cli.positional.first() {
@@ -535,10 +536,9 @@ fn crashfuzz_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
 /// `repro faultsim`: run the fault-injection matrix (benchmark x
 /// variant x plan, both cores) on the `--jobs` workers, then the
 /// watchdog-detection leg, and print the text report and one JSON line.
-/// Exits non-zero if a faulted run changed committed state or a crash
-/// verdict, a pair's simulation returned a typed error, a plan never
-/// fired, or the watchdog failed to convert a wedged run into a typed
-/// error.
+/// Exits non-zero if a run changed committed state, a pair's
+/// simulation returned a typed error, a plan never fired, or the
+/// watchdog failed to convert a wedged run into a typed error.
 fn faultsim_cmd(c: &Ctx) -> Result<ExitCode, CliError> {
     study(c, || spp_bench::faultsim::run_faultsim(c.harness))
 }

@@ -1,10 +1,9 @@
-//! `repro crashfuzz` — crash-consistency fuzzing and differential
-//! validation.
+//! `repro crashfuzz` — crash-consistency fuzzing.
 //!
 //! The paper's premise (§2, Fig. 3) is that `Log+P+Sf` is the *only*
-//! failure-safe build variant and that SP preserves exactly its
-//! guarantees. This module mechanizes that claim in both directions
-//! instead of asserting it from hand-picked crash points:
+//! failure-safe build variant. This module mechanizes that claim in
+//! both directions instead of asserting it from hand-picked crash
+//! points:
 //!
 //! * **Must-pass cells**: for every benchmark × `FlushMode`, the
 //!   `Log+P+Sf` build is crash-injected at every persist boundary of
@@ -17,28 +16,26 @@
 //!   exhibit at least one detectable inconsistency per benchmark — the
 //!   witness is minimized to the lexicographically smallest
 //!   `(crash_idx, seed)` pair that fails its oracle.
-//! * **SP differential**: the `Log+P+Sf` trace is replayed on the
-//!   baseline and SP256 cores; committed micro-op counts must agree
-//!   with each other and with the trace, class by class — speculation
-//!   may only move cycles, never architectural work.
+//!
+//! That SP preserves these guarantees — it moves cycles, never
+//! committed work — is `repro faultsim`'s state-invariance check.
 //!
 //! Cells fan out over [`run_indexed`], so `--jobs` changes wall time
 //! only: every witness search is a deterministic scan and the report is
 //! byte-identical at any job count.
 //!
 //! [`first_violation`] is the one witness scan of the repo's crash legs
-//! (here, `faultsim`'s verdicts, `kv`'s crash legs and `optimize`'s
-//! oracle legs), and [`Witness`] the one witness type they report.
-//! Only the must-pass sweep here keeps its own loop: it scans
-//! past a failure to report up to three unexpected witnesses.
+//! (here, `kv`'s crash legs and `optimize`'s oracle legs), and
+//! [`Witness`] the one witness type they report. Only the must-pass
+//! sweep here keeps its own loop: it scans past a failure to report up
+//! to three unexpected witnesses.
 
-use spp_cpu::{CpuConfig, SimResult};
-use spp_pmem::{persist_boundaries, FlushMode, TraceCounts, Variant};
+use spp_pmem::{persist_boundaries, FlushMode, Variant};
 use spp_workloads::oracle::{record_bundle, BundleSpec, OracleViolation, ViolationKind};
 use spp_workloads::BenchId;
 
 use crate::json::{array, JsonObject};
-use crate::{run_indexed, variant_key, Experiment, Harness, TraceKey};
+use crate::{run_indexed, variant_key, Experiment, Harness};
 
 /// Non-boundary crash points sampled per trace (evenly spaced).
 const SAMPLED_POINTS: usize = 64;
@@ -49,13 +46,13 @@ pub const SEEDS_PER_POINT: u64 = 2;
 /// Which slice of the fuzz matrix to run (`repro crashfuzz [leg]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Leg {
-    /// Every variant plus the SP differential.
+    /// Every variant.
     All,
     /// Only the must-fail `Log` cells.
     Log,
     /// Only the must-fail `Log+P` cells.
     LogP,
-    /// Only the must-pass `Log+P+Sf` cells plus the SP differential.
+    /// Only the must-pass `Log+P+Sf` cells.
     LogPSf,
 }
 
@@ -78,10 +75,6 @@ impl Leg {
             Leg::LogP => &[Variant::LogP],
             Leg::LogPSf => &[Variant::LogPSf],
         }
-    }
-
-    fn runs_sp_differential(self) -> bool {
-        matches!(self, Leg::All | Leg::LogPSf)
     }
 }
 
@@ -226,22 +219,6 @@ pub struct CellReport {
     pub ok: bool,
 }
 
-/// One SP differential row: committed micro-op classes must be
-/// identical between the baseline and SP cores and match the trace.
-#[derive(Debug, Clone, Copy)]
-pub struct SpReport {
-    /// Which benchmark.
-    pub id: BenchId,
-    /// Micro-ops in the `Log+P+Sf` trace.
-    pub trace_uops: u64,
-    /// Baseline-core committed totals.
-    pub base_uops: u64,
-    /// SP256-core committed totals.
-    pub sp_uops: u64,
-    /// Do all five committed classes and the totals agree?
-    pub ok: bool,
-}
-
 /// The full crashfuzz outcome.
 #[derive(Debug, Clone)]
 pub struct FuzzReport {
@@ -251,33 +228,6 @@ pub struct FuzzReport {
     pub seeds_per_point: u64,
     /// Per-cell verdicts, in deterministic matrix order.
     pub cells: Vec<CellReport>,
-    /// SP differential rows (empty unless the leg includes them).
-    pub sp: Vec<SpReport>,
-}
-
-/// A run's committed micro-op classes: total, loads, stores, flushes,
-/// pcommits and fences.
-pub(crate) fn committed_classes(r: &SimResult) -> [u64; 6] {
-    [
-        r.cpu.committed_uops,
-        r.cpu.loads,
-        r.cpu.stores,
-        r.cpu.flushes,
-        r.cpu.pcommits,
-        r.cpu.fences,
-    ]
-}
-
-/// A trace's micro-op classes, in [`committed_classes`] order.
-pub(crate) fn trace_classes(c: &TraceCounts) -> [u64; 6] {
-    [
-        c.total(),
-        c.loads,
-        c.stores,
-        c.flushes,
-        c.pcommits,
-        c.fences,
-    ]
 }
 
 fn run_cell(id: BenchId, variant: Variant, mode: FlushMode, exp: &Experiment) -> CellReport {
@@ -331,9 +281,9 @@ fn run_cell(id: BenchId, variant: Variant, mode: FlushMode, exp: &Experiment) ->
 
 /// Runs the crashfuzz matrix for `leg` on the harness's worker budget.
 ///
-/// Cells (and SP differential rows) are independent jobs fanned out via
-/// [`run_indexed`]; results come back in input order, so the report is
-/// identical at any `--jobs` value.
+/// Cells are independent jobs fanned out via [`run_indexed`]; results
+/// come back in input order, so the report is identical at any
+/// `--jobs` value.
 pub fn run_crashfuzz(h: &Harness, leg: Leg) -> FuzzReport {
     let cells: Vec<(BenchId, Variant, FlushMode)> = BenchId::ALL
         .iter()
@@ -344,36 +294,17 @@ pub fn run_crashfuzz(h: &Harness, leg: Leg) -> FuzzReport {
         })
         .collect();
     let cell_reports = run_indexed(h.jobs, &cells, |_, &(id, v, m)| run_cell(id, v, m, &h.exp));
-    let sp = if leg.runs_sp_differential() {
-        run_indexed(h.jobs, &BenchId::ALL, |_, &id| {
-            let t = h.trace(TraceKey::new(id, Variant::LogPSf, &h.exp));
-            let base = h.replay(&t.events, &CpuConfig::baseline());
-            let sp = h.replay(&t.events, &CpuConfig::with_sp());
-            let ok = committed_classes(&base) == committed_classes(&sp)
-                && committed_classes(&base) == trace_classes(&t.counts);
-            SpReport {
-                id,
-                trace_uops: t.counts.total(),
-                base_uops: base.cpu.committed_uops,
-                sp_uops: sp.cpu.committed_uops,
-                ok,
-            }
-        })
-    } else {
-        Vec::new()
-    };
     FuzzReport {
         exp: h.exp,
         seeds_per_point: SEEDS_PER_POINT,
         cells: cell_reports,
-        sp,
     }
 }
 
 impl FuzzReport {
-    /// Did every cell and every SP differential meet its expectation?
+    /// Did every cell meet its expectation?
     pub fn ok(&self) -> bool {
-        self.cells.iter().all(|c| c.ok) && self.sp.iter().all(|s| s.ok)
+        self.cells.iter().all(|c| c.ok)
     }
 
     /// The human-readable report (deterministic; stdout-destined).
@@ -429,29 +360,11 @@ impl FuzzReport {
                 verdict
             );
         }
-        if !self.sp.is_empty() {
-            let _ = writeln!(
-                s,
-                "SP differential (Log+P+Sf trace, committed uop classes, baseline vs SP256):"
-            );
-            for r in &self.sp {
-                let _ = writeln!(
-                    s,
-                    "{:<5} {} (trace {}, baseline {}, sp256 {})",
-                    r.id.abbrev(),
-                    if r.ok { "ok" } else { "FAIL" },
-                    r.trace_uops,
-                    r.base_uops,
-                    r.sp_uops
-                );
-            }
-        }
         let _ = writeln!(
             s,
-            "crashfuzz: {} ({} cells, {} SP differentials)",
+            "crashfuzz: {} ({} cells)",
             if self.ok() { "PASS" } else { "FAIL" },
-            self.cells.len(),
-            self.sp.len()
+            self.cells.len()
         );
         s
     }
@@ -484,22 +397,12 @@ impl FuzzReport {
             }
             o.render()
         });
-        let sp = self.sp.iter().map(|r| {
-            let mut o = JsonObject::new();
-            o.str("bench", r.id.abbrev())
-                .int("trace_uops", r.trace_uops)
-                .int("base_uops", r.base_uops)
-                .int("sp_uops", r.sp_uops)
-                .flag("ok", r.ok);
-            o.render()
-        });
         crate::schema::emit(crate::schema::CRASHFUZZ, |root| {
             root.int("scale", self.exp.scale)
                 .int("seed", self.exp.seed)
                 .int("seeds_per_point", self.seeds_per_point)
                 .flag("ok", self.ok())
-                .raw("cells", array(cells))
-                .raw("sp", array(sp));
+                .raw("cells", array(cells));
         })
     }
 }
@@ -550,11 +453,10 @@ mod tests {
             }
         }
         assert!(rep.ok());
-        assert!(rep.sp.is_empty(), "Log leg skips the SP differential");
     }
 
     #[test]
-    fn logpsf_leg_is_clean_and_sp_matches() {
+    fn logpsf_leg_is_clean() {
         let rep = run_crashfuzz(&smoke_harness(4), Leg::LogPSf);
         assert_eq!(rep.cells.len(), 21);
         for c in &rep.cells {
@@ -565,11 +467,6 @@ mod tests {
                 c.id, c.variant, c.mode, c.unexpected
             );
             assert!(c.points > 2, "boundary sweep must cover the trace");
-        }
-        assert_eq!(rep.sp.len(), 7);
-        for r in &rep.sp {
-            assert!(r.ok, "{}: SP committed classes diverged", r.id);
-            assert_eq!(r.base_uops, r.sp_uops);
         }
         assert!(rep.ok());
     }
@@ -591,7 +488,7 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in [
-            "\"schema\":\"specpersist/crashfuzz-v1\"",
+            "\"schema\":\"specpersist/crashfuzz-v2\"",
             "\"cells\"",
             "\"witness\"",
             "\"crash_idx\"",

@@ -13,14 +13,10 @@
 //!   plan, the faulted run on both the baseline and SP256 cores must
 //!   commit exactly the same architectural work — all six committed
 //!   micro-op classes — as the fault-free run and as the recorded
-//!   trace itself. Only cycle counts may move.
-//! * **Verdict invariance**: crash-recovery verdicts are a pure
-//!   function of the recorded trace, and the state check proves the
-//!   faulted runs commit exactly that trace; each cell therefore
-//!   carries the trace's oracle verdict (`Log+P+Sf` recovers, `Log`
-//!   and `Log+P` yield a violation, `Base` has no persist discipline
-//!   to judge), recomputed from a bounded [`crate::crashfuzz`] sweep
-//!   and checked against its expectation.
+//!   trace itself. Only cycle counts may move. The fault-free pair of
+//!   runs is the SP differential: speculation may only move cycles,
+//!   never architectural work. Crash-recovery verdicts are a function
+//!   of the recorded trace alone, so `repro crashfuzz` owns them.
 //! * **Watchdog detection**: one leg runs with a deliberately tiny
 //!   no-retire bound, far below the 315-cycle NVMM write stall every
 //!   persist barrier incurs, and requires the forward-progress
@@ -36,22 +32,17 @@
 //! their inputs: the report is byte-identical at any `--jobs` value.
 //!
 //! The matrix runs on [`run_indexed`]: each `(benchmark, variant)` pair
-//! is one cell (six simulations plus the bounded crash verdict). A pair
-//! whose simulation returns a typed [`spp_cpu::SimError`] becomes a
-//! `failures` record named `faultsim/{bench}/{variant}` and carrying
-//! the diagnostic snapshot; every other pair still reports. The
-//! injected faults are part of the pair's inputs, so a failing pair
-//! fails the same way on every run.
+//! is one cell (six simulations). A pair whose simulation returns a
+//! typed [`spp_cpu::SimError`] becomes a `failures` record named
+//! `faultsim/{bench}/{variant}` and carrying the diagnostic snapshot;
+//! every other pair still reports. The injected faults are part of the
+//! pair's inputs, so a failing pair fails the same way on every run.
 
-use spp_cpu::{CpuConfig, SimError, SimErrorKind, Simulator};
+use spp_cpu::{CpuConfig, SimError, SimErrorKind, SimResult, Simulator};
 use spp_mem::{FaultSpec, FaultStats};
-use spp_pmem::Variant;
-use spp_workloads::oracle::record_bundle;
+use spp_pmem::{TraceCounts, Variant};
 use spp_workloads::BenchId;
 
-use crate::crashfuzz::{
-    committed_classes, crash_points, first_violation, fuzz_bundle_spec, trace_classes,
-};
 use crate::json::{array, JsonObject};
 use crate::{run_indexed, variant_key, CellFailure, Experiment, Harness, TraceKey};
 
@@ -68,11 +59,6 @@ pub fn plans(seed: u64) -> [(&'static str, FaultSpec); 2] {
         ("storm", FaultSpec::storm(seed)),
     ]
 }
-
-/// Stride divisor of a cell's bounded must-pass verdict sweep: it checks
-/// every ⌊n/16⌋-th of the bundle's `n` crash points (see
-/// `crash_verdict`).
-const VERDICT_POINTS: usize = 16;
 
 /// No-retire bound of the watchdog-detection leg: far below the
 /// 315-cycle NVMM write stall of every persist barrier, so the first
@@ -111,11 +97,6 @@ pub struct Cell {
     pub extra_cycles: u64,
     /// Did all four runs commit exactly the trace's micro-op classes?
     pub state_ok: bool,
-    /// The trace's crash-recovery verdict (`recovers`, `violation`,
-    /// or `n/a` for `Base`).
-    pub verdict: &'static str,
-    /// Does the verdict match the variant's expectation?
-    pub verdict_ok: bool,
 }
 
 /// The watchdog-detection leg's outcome.
@@ -153,27 +134,29 @@ pub struct FaultReport {
     pub watchdog: WatchdogReport,
 }
 
-/// The bounded crash-recovery verdict of a `(benchmark, variant)`
-/// bundle: must-fail variants scan every crash point for the minimal
-/// witness (early exit on the first inconsistency); the must-pass
-/// variant sweeps every ⌊n/[`VERDICT_POINTS`]⌋-th of its `n` crash
-/// points (every point while `n < 32`), at most 31 points.
-fn crash_verdict(id: BenchId, variant: Variant, exp: &Experiment) -> &'static str {
-    let spec = fuzz_bundle_spec(id, variant, spp_pmem::FlushMode::Clwb, exp);
-    let b = record_bundle(&spec);
-    let check = |p, seed| b.check_crash(p, seed);
-    let (_, witness) = if variant == Variant::LogPSf {
-        let pts = crash_points(b.events());
-        let step = (pts.len() / VERDICT_POINTS).max(1);
-        first_violation(pts.into_iter().step_by(step), check)
-    } else {
-        first_violation(0..=b.events().len(), check)
-    };
-    if witness.is_some() {
-        "violation"
-    } else {
-        "recovers"
-    }
+/// A run's committed micro-op classes: total, loads, stores, flushes,
+/// pcommits and fences.
+fn committed_classes(r: &SimResult) -> [u64; 6] {
+    [
+        r.cpu.committed_uops,
+        r.cpu.loads,
+        r.cpu.stores,
+        r.cpu.flushes,
+        r.cpu.pcommits,
+        r.cpu.fences,
+    ]
+}
+
+/// A trace's micro-op classes, in [`committed_classes`] order.
+fn trace_classes(c: &TraceCounts) -> [u64; 6] {
+    [
+        c.total(),
+        c.loads,
+        c.stores,
+        c.flushes,
+        c.pcommits,
+        c.fences,
+    ]
 }
 
 fn run_one(
@@ -199,25 +182,14 @@ fn run_one(
 }
 
 /// One `(benchmark, variant)` pair: two fault-free and four faulted
-/// simulations (shared across the two plans) plus the bounded crash
-/// verdict, yielding one [`Cell`] per plan. The first typed
-/// [`SimError`] inside fails the whole pair.
+/// simulations (shared across the two plans), yielding one [`Cell`]
+/// per plan. The first typed [`SimError`] inside fails the whole pair.
 fn run_pair(h: &Harness, id: BenchId, v: Variant) -> Result<Vec<Cell>, SimError> {
     let plans = plans(h.exp.seed);
     let clean_base = run_one(h, id, v, None, false)?;
     let clean_sp = run_one(h, id, v, None, true)?;
     let t = h.trace(TraceKey::new(id, v, &h.exp));
     let reference = trace_classes(&t.counts);
-    let verdict = if v == Variant::Base {
-        "n/a"
-    } else {
-        crash_verdict(id, v, &h.exp)
-    };
-    let verdict_ok = match v {
-        Variant::Base => verdict == "n/a",
-        Variant::LogPSf => verdict == "recovers",
-        Variant::Log | Variant::LogP => verdict == "violation",
-    };
     let mut cells = Vec::with_capacity(plans.len());
     for (plan, spec) in plans {
         let fb = run_one(h, id, v, Some(spec), false)?;
@@ -236,8 +208,6 @@ fn run_pair(h: &Harness, id: BenchId, v: Variant) -> Result<Vec<Cell>, SimError>
             faults_injected: fb.faults.total() + fs.faults.total(),
             extra_cycles: fb.faults.extra_cycles + fs.faults.extra_cycles,
             state_ok,
-            verdict,
-            verdict_ok,
         });
     }
     Ok(cells)
@@ -289,9 +259,7 @@ impl Cell {
             .int("sp_cycles_faulted", self.sp_cycles_faulted)
             .int("faults", self.faults_injected)
             .int("extra_cycles", self.extra_cycles)
-            .flag("state_ok", self.state_ok)
-            .str("verdict", self.verdict)
-            .flag("verdict_ok", self.verdict_ok);
+            .flag("state_ok", self.state_ok);
         o.render()
     }
 }
@@ -313,9 +281,9 @@ impl WatchdogReport {
 }
 
 /// Runs the faultsim matrix: every `(benchmark, variant)` pair — six
-/// simulations plus the bounded crash verdict — on [`run_indexed`],
-/// then the watchdog leg. Results come back in input order, so the
-/// report is byte-identical at any `--jobs` value.
+/// simulations — on [`run_indexed`], then the watchdog leg. Results
+/// come back in input order, so the report is byte-identical at any
+/// `--jobs` value.
 pub fn run_faultsim(h: &Harness) -> FaultReport {
     let pairs: Vec<(BenchId, Variant)> = BenchId::ALL
         .iter()
@@ -375,11 +343,11 @@ impl FaultReport {
             .count()
     }
 
-    /// Did every cell keep state and verdict invariant, did no pair
-    /// fail, did the storm plan actually inject
-    /// and perturb, and did the watchdog leg detect its wedged run?
+    /// Did every cell keep state invariant, did no pair fail, did the
+    /// storm plan actually inject and perturb, and did the watchdog leg
+    /// detect its wedged run?
     pub fn ok(&self) -> bool {
-        self.cells.iter().all(|c| c.state_ok && c.verdict_ok)
+        self.cells.iter().all(|c| c.state_ok)
             && self.failures.is_empty()
             && self.watchdog.ok
             && self.storm_faults() > 0
@@ -400,16 +368,8 @@ impl FaultReport {
         );
         let _ = writeln!(
             s,
-            "{:<5} {:<7} {:<6} {:>12} {:>12} {:>12} {:>12} {:>7} {:<9} state",
-            "bench",
-            "variant",
-            "plan",
-            "base",
-            "base+fault",
-            "sp256",
-            "sp256+fault",
-            "faults",
-            "verdict"
+            "{:<5} {:<7} {:<6} {:>12} {:>12} {:>12} {:>12} {:>7} state",
+            "bench", "variant", "plan", "base", "base+fault", "sp256", "sp256+fault", "faults"
         );
         for c in &self.cells {
             let state = if c.state_ok {
@@ -417,14 +377,9 @@ impl FaultReport {
             } else {
                 "FAIL: committed state diverged".to_string()
             };
-            let verdict = if c.verdict_ok {
-                c.verdict.to_string()
-            } else {
-                format!("FAIL:{}", c.verdict)
-            };
             let _ = writeln!(
                 s,
-                "{:<5} {:<7} {:<6} {:>12} {:>12} {:>12} {:>12} {:>7} {:<9} {}",
+                "{:<5} {:<7} {:<6} {:>12} {:>12} {:>12} {:>12} {:>7} {}",
                 c.id.abbrev(),
                 variant_key(c.variant),
                 c.plan,
@@ -433,7 +388,6 @@ impl FaultReport {
                 c.sp_cycles,
                 c.sp_cycles_faulted,
                 c.faults_injected,
-                verdict,
                 state
             );
         }
@@ -512,11 +466,6 @@ mod tests {
                 "{} {} {}: committed state diverged",
                 c.id, c.variant, c.plan
             );
-            assert!(
-                c.verdict_ok,
-                "{} {} {}: verdict {}",
-                c.id, c.variant, c.plan, c.verdict
-            );
         }
         // Non-vacuity: the adversarial plan must actually fire and move
         // cycle counts somewhere in the matrix.
@@ -530,8 +479,7 @@ mod tests {
 
     #[test]
     fn watchdog_leg_converts_stall_into_typed_error() {
-        let rep = run_faultsim(&smoke_harness(4));
-        let w = &rep.watchdog;
+        let w = &watchdog_leg(&smoke_harness(1));
         assert!(
             w.fired,
             "watchdog must fire under a {}-cycle bound",
@@ -560,12 +508,11 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in [
-            "\"schema\":\"specpersist/faultsim-v1\"",
+            "\"schema\":\"specpersist/faultsim-v2\"",
             "\"plans\"",
             "\"cells\"",
             "\"failures\"",
             "\"watchdog\"",
-            "\"verdict\"",
             "\"extra_cycles\"",
         ] {
             assert!(j.contains(key), "missing {key}");

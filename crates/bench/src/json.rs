@@ -751,8 +751,6 @@ mod tests {
             faults_injected: 3,
             extra_cycles: 7,
             state_ok: true,
-            verdict: "violation",
-            verdict_ok: true,
         };
         fields_of(
             cell.json(),
@@ -767,8 +765,6 @@ mod tests {
                 "faults",
                 "extra_cycles",
                 "state_ok",
-                "verdict",
-                "verdict_ok",
             ],
         );
         let watchdog = WatchdogReport {

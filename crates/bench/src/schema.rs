@@ -21,10 +21,10 @@ use crate::json::JsonObject;
 pub const SUITE: &str = "specpersist/suite-v1";
 
 /// The crash-consistency fuzzing report.
-pub const CRASHFUZZ: &str = "specpersist/crashfuzz-v1";
+pub const CRASHFUZZ: &str = "specpersist/crashfuzz-v2";
 
 /// The hardware fault-injection matrix report.
-pub const FAULTSIM: &str = "specpersist/faultsim-v1";
+pub const FAULTSIM: &str = "specpersist/faultsim-v2";
 
 /// The cycle-resolved stall/latency profile (`repro profile`).
 pub const PROFILE: &str = "specpersist/profile-v2";

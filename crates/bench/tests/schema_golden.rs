@@ -1,4 +1,4 @@
-//! Golden-file pinning of every `specpersist/*-v1` document.
+//! Golden-file pinning of every `specpersist/*` document.
 //!
 //! Each writer renders a small, fully deterministic experiment and is
 //! byte-compared against a checked-in golden. This catches accidental

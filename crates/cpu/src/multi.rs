@@ -163,11 +163,6 @@ impl<'t> MultiCore<'t> {
         self
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Runs every core to completion, surfacing the first core
     /// simulation failure (watchdog, deadlock, conflict storm, broken
     /// invariant) as a typed error.

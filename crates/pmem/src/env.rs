@@ -442,11 +442,6 @@ impl PmemEnv {
 
     // ---- transactions --------------------------------------------------
 
-    /// Is a transaction currently open?
-    pub fn tx_active(&self) -> bool {
-        self.tx_state != TxState::Idle
-    }
-
     /// Begins transaction `id` (step 1 starts). In `Base` builds this
     /// only emits the (free) trace marker.
     ///
