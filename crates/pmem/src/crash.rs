@@ -61,6 +61,7 @@ use std::sync::OnceLock;
 
 use crate::addr::{BlockId, BLOCK_SIZE};
 use crate::event::{Event, Trace};
+use crate::hash::FastHashBuilder;
 use crate::rng::splitmix64;
 use crate::space::Space;
 
@@ -325,7 +326,7 @@ pub struct CrashIndex {
     /// only ever flushed (by block address).
     blocks: Vec<BlockHistory>,
     /// Position of each block in `blocks`.
-    slot: HashMap<BlockId, usize>,
+    slot: HashMap<BlockId, usize, FastHashBuilder>,
 }
 
 impl CrashIndex {
@@ -343,7 +344,7 @@ impl CrashIndex {
             "CrashIndex stores u32 event positions: a trace of {} events is too long",
             events.len()
         );
-        let mut by_block: HashMap<BlockId, BlockHistory> = HashMap::new();
+        let mut by_block: HashMap<BlockId, BlockHistory, FastHashBuilder> = HashMap::default();
         let mut frontier = Frontier::default();
         // Store ordinals are at most positions, so they fit in u32 too.
         let mut ord = 0u32;
@@ -597,7 +598,7 @@ impl CrashSim<'_> {
             let g = h.guarantee_at(self.crash_idx);
             let cut = choose(h.block, g, self.crash_idx).clamp(g, self.crash_idx);
             let line = h.line_at(cut, self.trace);
-            img.write_bytes(h.block.base(), &line);
+            img.write_line(h.block.base(), &line);
         }
         img
     }

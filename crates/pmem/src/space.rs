@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::addr::PAddr;
+use crate::addr::{PAddr, BLOCK_SIZE};
 use crate::hash::FastHashBuilder;
 
 const PAGE_SIZE: u64 = 4096;
@@ -126,6 +126,23 @@ impl Space {
             done += n;
             a += n as u64;
         }
+    }
+
+    /// Writes one whole cache line at the line-aligned `addr`: a single
+    /// page lookup, since a line never straddles a page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not a multiple of [`BLOCK_SIZE`].
+    #[inline]
+    pub fn write_line(&mut self, addr: PAddr, line: &[u8; BLOCK_SIZE as usize]) {
+        let a = addr.raw();
+        assert!(
+            a.is_multiple_of(BLOCK_SIZE),
+            "write_line needs a line-aligned address, got {a:#x}"
+        );
+        let off = (a % PAGE_SIZE) as usize;
+        self.page_mut(a / PAGE_SIZE)[off..off + line.len()].copy_from_slice(line);
     }
 
     /// Reads a little-endian `u64` at `addr` (no alignment requirement).
@@ -276,6 +293,35 @@ mod tests {
         s.write_u64(PAddr::new(0), 2);
         assert_eq!(snap.read_u64(PAddr::new(0)), 1);
         assert_eq!(s.read_u64(PAddr::new(0)), 2);
+    }
+
+    #[test]
+    fn write_line_matches_write_bytes() {
+        let line: [u8; BLOCK_SIZE as usize] = std::array::from_fn(|i| i as u8 + 1);
+        // The last line of a page, and a line in the spill map.
+        let lines = [
+            PAGE_SIZE - BLOCK_SIZE,
+            DIRECT_PAGES * PAGE_SIZE + BLOCK_SIZE,
+        ]
+        .map(PAddr::new);
+        let (mut fast, mut slow) = (Space::new(), Space::new());
+        for a in lines {
+            fast.write_line(a, &line);
+            slow.write_bytes(a, &line);
+        }
+        for a in lines {
+            let (mut x, mut y) = ([0u8; 80], [0u8; 80]);
+            fast.read_bytes(PAddr::new(a.raw() - 8), &mut x);
+            slow.read_bytes(PAddr::new(a.raw() - 8), &mut y);
+            assert_eq!(x, y);
+        }
+        assert_eq!(fast.resident_pages(), slow.resident_pages());
+    }
+
+    #[test]
+    #[should_panic(expected = "line-aligned")]
+    fn write_line_rejects_unaligned_addresses() {
+        Space::new().write_line(PAddr::new(8), &[0; BLOCK_SIZE as usize]);
     }
 
     #[test]

@@ -82,22 +82,25 @@ const REC_PUT: u64 = 1;
 
 const GOLD: u64 = 0x9E37_79B9_7F4A_7C15;
 
-fn le_cat(fields: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * fields.len());
-    for f in fields {
-        out.extend_from_slice(&f.to_le_bytes());
+/// Most pairs [`KvEngine::recover`] reserves room for up front.
+const PRESIZE_LIMIT: u64 = 1 << 16;
+
+/// Hashes the little-endian concatenation of up to eight words, in a
+/// stack buffer: recovery checksums every WAL record it replays.
+fn hash_words(words: &[u64]) -> u64 {
+    let mut buf = [0u8; 64];
+    for (b, w) in buf.chunks_exact_mut(8).zip(words) {
+        b.copy_from_slice(&w.to_le_bytes());
     }
-    out
+    hash64(&buf[..8 * words.len()])
 }
 
 fn record_checksum(lsn: u64, kind: u64, key: u64, val: u64) -> u64 {
-    hash64(&le_cat(&[lsn, kind, key, val]))
+    hash_words(&[lsn, kind, key, val])
 }
 
 fn meta_checksum(m: &Meta) -> u64 {
-    hash64(&le_cat(&[
-        m.seq, m.root, m.count, m.lsn, m.wal_base, m.wal_cap,
-    ]))
+    hash_words(&[m.seq, m.root, m.count, m.lsn, m.wal_base, m.wal_cap])
 }
 
 /// One decoded checkpoint meta block.
@@ -121,6 +124,41 @@ fn read_meta(space: &Space, slot: PAddr) -> Option<Meta> {
         wal_cap: space.read_u64(slot.offset(M_WAL_CAP)),
     };
     (space.read_u64(slot.offset(M_CKSUM)) == meta_checksum(&m) && m.wal_cap >= 2).then_some(m)
+}
+
+/// The checksum-valid meta block with the highest sequence number.
+fn elect_meta(space: &Space) -> Result<Meta, VerifyError> {
+    let meta_base = PAddr::new(space.read_u64(PmemEnv::root_addr(META_SLOT)));
+    if meta_base.is_null() {
+        return Err(VerifyError::new("kv: null meta directory pointer"));
+    }
+    let a = read_meta(space, meta_base);
+    let b = read_meta(space, meta_base.offset(BLOCK_SIZE));
+    match (a, b) {
+        (Some(x), Some(y)) => Ok(if x.seq >= y.seq { x } else { y }),
+        (Some(x), None) => Ok(x),
+        (None, Some(y)) => Ok(y),
+        (None, None) => Err(VerifyError::new("kv: no checksum-valid meta block")),
+    }
+}
+
+/// The `(key, value)` records of the WAL ring from checkpoint `m`'s LSN
+/// on, at most one ring's worth, stopping at the first slot whose
+/// stored LSN, kind or checksum does not match: a torn tail, a stale
+/// slot, or a corrupt record.
+fn wal_tail<'a>(space: &'a Space, m: &Meta) -> impl Iterator<Item = (u64, u64)> + 'a {
+    let (wal, base_lsn, cap) = (PAddr::new(m.wal_base), m.lsn, m.wal_cap);
+    (0..cap).map_while(move |i| {
+        let l = base_lsn + i;
+        let slot = wal.offset((l % cap) * BLOCK_SIZE);
+        let lsn = space.read_u64(slot.offset(R_LSN));
+        let kind = space.read_u64(slot.offset(R_KIND));
+        let key = space.read_u64(slot.offset(R_KEY));
+        let val = space.read_u64(slot.offset(R_VAL));
+        let ck = space.read_u64(slot.offset(R_CKSUM));
+        (lsn == l && kind == REC_PUT && ck == record_checksum(lsn, kind, key, val))
+            .then_some((key, val))
+    })
 }
 
 /// A volatile view of one tree page (read once, edited, written back).
@@ -188,8 +226,11 @@ pub struct MutationTrace {
 /// The recovered logical state of a KV image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvRecovered {
-    /// Full key → value contents after checkpoint walk + WAL replay.
-    pub contents: BTreeMap<u64, u64>,
+    /// Full contents after checkpoint walk + WAL replay, as `(key,
+    /// value)` pairs in strictly ascending key order (one entry per
+    /// key). The walk appends leaves in order and replay updates or
+    /// inserts in place, so no map is built.
+    pub contents: Vec<(u64, u64)>,
     /// The elected checkpoint's sequence number.
     pub ckpt_seq: u64,
     /// LSN the elected checkpoint was taken at.
@@ -557,16 +598,18 @@ impl KvEngine {
         }
     }
 
-    /// Structural walk of a stable tree in `space`, collecting contents.
-    /// Checks node arity, key ordering, separator ranges, and uniform
-    /// leaf depth.
+    /// Structural walk of a stable tree in `space`, appending its leaf
+    /// pairs to `out` in key order. Checks node arity, key ordering,
+    /// separator ranges, and uniform leaf depth. Under the separator
+    /// checks the in-order walk yields ascending keys, so a key at or
+    /// below the last one appended is a duplicate.
     fn walk(
         space: &Space,
         addr: PAddr,
         lo: Option<u64>,
         hi: Option<u64>,
         is_root: bool,
-        out: &mut BTreeMap<u64, u64>,
+        out: &mut Vec<(u64, u64)>,
     ) -> Result<u64, VerifyError> {
         if addr.is_null() {
             return Err(VerifyError::new("kv: null page pointer"));
@@ -583,14 +626,15 @@ impl KvEngine {
         if !is_root && nkeys == 0 {
             return Err(VerifyError::new("kv: empty non-root page"));
         }
-        let mut ks = Vec::with_capacity(nkeys);
-        for i in 0..nkeys {
-            ks.push(space.read_u64(addr.offset(KEYS + 8 * i as u64)));
+        let mut page_keys = [0u64; MAX_KEYS];
+        for (i, k) in page_keys[..nkeys].iter_mut().enumerate() {
+            *k = space.read_u64(addr.offset(KEYS + 8 * i as u64));
         }
+        let ks = &page_keys[..nkeys];
         if ks.windows(2).any(|w| w[0] >= w[1]) {
             return Err(VerifyError::new("kv: page keys not strictly sorted"));
         }
-        for &k in &ks {
+        for &k in ks {
             if lo.is_some_and(|b| k < b) || hi.is_some_and(|b| k >= b) {
                 return Err(VerifyError::new(format!(
                     "kv: key {k} outside separator range"
@@ -599,10 +643,10 @@ impl KvEngine {
         }
         if leaf {
             for (i, &k) in ks.iter().enumerate() {
-                let v = space.read_u64(addr.offset(VALUES + 8 * i as u64));
-                if out.insert(k, v).is_some() {
+                if out.last().is_some_and(|&(last, _)| k <= last) {
                     return Err(VerifyError::new(format!("kv: duplicate key {k}")));
                 }
+                out.push((k, space.read_u64(addr.offset(VALUES + 8 * i as u64))));
             }
             return Ok(0);
         }
@@ -629,25 +673,10 @@ impl KvEngine {
     /// the elected stable tree violates a structural invariant. A torn
     /// WAL *tail* is not an error — replay stops there by design.
     pub fn recover(space: &Space) -> Result<KvRecovered, VerifyError> {
-        let meta_base = PAddr::new(space.read_u64(PmemEnv::root_addr(META_SLOT)));
-        if meta_base.is_null() {
-            return Err(VerifyError::new("kv: null meta directory pointer"));
-        }
-        let a = read_meta(space, meta_base);
-        let b = read_meta(space, meta_base.offset(BLOCK_SIZE));
-        let m = match (a, b) {
-            (Some(x), Some(y)) => {
-                if x.seq >= y.seq {
-                    x
-                } else {
-                    y
-                }
-            }
-            (Some(x), None) => x,
-            (None, Some(y)) => y,
-            (None, None) => return Err(VerifyError::new("kv: no checksum-valid meta block")),
-        };
-        let mut contents = BTreeMap::new();
+        let m = elect_meta(space)?;
+        // A hint only: a wild count must not size the allocation.
+        let hint = m.count.saturating_add(m.wal_cap).min(PRESIZE_LIMIT);
+        let mut contents = Vec::with_capacity(hint as usize);
         Self::walk(space, PAddr::new(m.root), None, None, true, &mut contents)?;
         if contents.len() as u64 != m.count {
             return Err(VerifyError::new(format!(
@@ -656,29 +685,20 @@ impl KvEngine {
                 contents.len()
             )));
         }
-        let wal = PAddr::new(m.wal_base);
         let mut replayed = 0u64;
-        let mut l = m.lsn;
-        while replayed < m.wal_cap {
-            let slot = wal.offset((l % m.wal_cap) * BLOCK_SIZE);
-            let lsn = space.read_u64(slot.offset(R_LSN));
-            let kind = space.read_u64(slot.offset(R_KIND));
-            let key = space.read_u64(slot.offset(R_KEY));
-            let val = space.read_u64(slot.offset(R_VAL));
-            let ck = space.read_u64(slot.offset(R_CKSUM));
-            if lsn != l || kind != REC_PUT || ck != record_checksum(lsn, kind, key, val) {
-                break; // torn tail, stale slot, or corrupt record
+        for (key, val) in wal_tail(space, &m) {
+            match contents.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(i) => contents[i].1 = val,
+                Err(i) => contents.insert(i, (key, val)),
             }
-            contents.insert(key, val);
             replayed += 1;
-            l += 1;
         }
         Ok(KvRecovered {
             contents,
             ckpt_seq: m.seq,
             stable_lsn: m.lsn,
             replayed,
-            total_lsn: l,
+            total_lsn: m.lsn + replayed,
         })
     }
 }
@@ -1068,7 +1088,8 @@ impl KvBundle {
             });
         }
         let want = &self.states[j];
-        if &rec.contents != want {
+        let shadow = want.iter().map(|(&k, &v)| (k, v));
+        if !rec.contents.iter().copied().eq(shadow) {
             return Err(OracleViolation {
                 kind: ViolationKind::StateMismatch,
                 detail: format!(
@@ -1119,6 +1140,245 @@ mod tests {
         (env, w)
     }
 
+    fn pairs(m: &BTreeMap<u64, u64>) -> Vec<(u64, u64)> {
+        m.iter().map(|(&k, &v)| (k, v)).collect()
+    }
+
+    /// The map-building recovery that `recover` replaced: every page's
+    /// keys in a `Vec`, all pairs in a `BTreeMap`. Returns the contents
+    /// and the total LSN.
+    fn recover_reference(space: &Space) -> Result<(BTreeMap<u64, u64>, u64), VerifyError> {
+        let m = elect_meta(space)?;
+        let mut contents = BTreeMap::new();
+        walk_reference(space, PAddr::new(m.root), None, None, true, &mut contents)?;
+        if contents.len() as u64 != m.count {
+            return Err(VerifyError::new(format!(
+                "kv: checkpoint count {} != walked keys {}",
+                m.count,
+                contents.len()
+            )));
+        }
+        let mut total_lsn = m.lsn;
+        for (key, val) in wal_tail(space, &m) {
+            contents.insert(key, val);
+            total_lsn += 1;
+        }
+        Ok((contents, total_lsn))
+    }
+
+    fn walk_reference(
+        space: &Space,
+        addr: PAddr,
+        lo: Option<u64>,
+        hi: Option<u64>,
+        is_root: bool,
+        out: &mut BTreeMap<u64, u64>,
+    ) -> Result<u64, VerifyError> {
+        if addr.is_null() {
+            return Err(VerifyError::new("kv: null page pointer"));
+        }
+        let hdr = space.read_u64(addr.offset(HDR));
+        let leaf = hdr & LEAF_FLAG != 0;
+        let nkeys = (hdr & 0xFF) as usize;
+        if hdr >> 9 != 0 {
+            return Err(VerifyError::new("kv: garbage page header"));
+        }
+        if nkeys > MAX_KEYS {
+            return Err(VerifyError::new(format!("kv: page with {nkeys} keys")));
+        }
+        if !is_root && nkeys == 0 {
+            return Err(VerifyError::new("kv: empty non-root page"));
+        }
+        let ks: Vec<u64> = (0..nkeys)
+            .map(|i| space.read_u64(addr.offset(KEYS + 8 * i as u64)))
+            .collect();
+        if ks.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(VerifyError::new("kv: page keys not strictly sorted"));
+        }
+        for &k in &ks {
+            if lo.is_some_and(|b| k < b) || hi.is_some_and(|b| k >= b) {
+                return Err(VerifyError::new(format!(
+                    "kv: key {k} outside separator range"
+                )));
+            }
+        }
+        if leaf {
+            for (i, &k) in ks.iter().enumerate() {
+                let v = space.read_u64(addr.offset(VALUES + 8 * i as u64));
+                if out.insert(k, v).is_some() {
+                    return Err(VerifyError::new(format!("kv: duplicate key {k}")));
+                }
+            }
+            return Ok(0);
+        }
+        let mut depth = None;
+        for i in 0..=nkeys {
+            let c = PAddr::new(space.read_u64(addr.offset(CHILDREN + 8 * i as u64)));
+            let clo = if i == 0 { lo } else { Some(ks[i - 1]) };
+            let chi = if i == nkeys { hi } else { Some(ks[i]) };
+            let d = walk_reference(space, c, clo, chi, false, out)?;
+            if *depth.get_or_insert(d) != d {
+                return Err(VerifyError::new("kv: leaves at non-uniform depth"));
+            }
+        }
+        Ok(depth.unwrap_or(0) + 1)
+    }
+
+    #[test]
+    fn recover_matches_the_map_reference_at_every_boundary() {
+        // Log+P+Sf images recover; Log images also tear the tree and the
+        // WAL, so the error paths are compared too.
+        let mut errors = 0;
+        for variant in [Variant::LogPSf, Variant::Log] {
+            for spec_seed in [1, 2] {
+                let b = record_kv_bundle(&KvBundleSpec {
+                    variant,
+                    flush_mode: FlushMode::default(),
+                    spec: KvSpec::small(spec_seed),
+                    elide_checksum: false,
+                });
+                for &p in &persist_boundaries(b.events()) {
+                    for seed in 0..2u64 {
+                        let img = b.trace.at(p).image_seeded(seed);
+                        let got = KvEngine::recover(&img)
+                            .map(|r| (r.contents, r.total_lsn))
+                            .map_err(|e| e.to_string());
+                        let want = recover_reference(&img)
+                            .map(|(m, lsn)| (pairs(&m), lsn))
+                            .map_err(|e| e.to_string());
+                        assert_eq!(got, want, "{variant:?} spec {spec_seed} @ {p} seed {seed}");
+                        errors += usize::from(want.is_err());
+                    }
+                }
+            }
+        }
+        assert!(
+            errors > 0,
+            "no image failed recovery: the error paths went unchecked"
+        );
+    }
+
+    /// A quiesced image of a grown tree and its elected meta.
+    fn quiesced_image() -> (Space, Meta) {
+        let (mut env, mut w) = run_workload(KvSpec::small(3), Variant::LogPSf);
+        w.engine_mut().checkpoint(&mut env);
+        let img = env.snapshot();
+        let m = elect_meta(&img).expect("quiesced image has a valid meta");
+        (img, m)
+    }
+
+    fn page_keys(space: &Space, addr: PAddr) -> Vec<u64> {
+        let n = space.read_u64(addr.offset(HDR)) & 0xFF;
+        (0..n)
+            .map(|i| space.read_u64(addr.offset(KEYS + 8 * i)))
+            .collect()
+    }
+
+    fn child(space: &Space, addr: PAddr, i: u64) -> PAddr {
+        PAddr::new(space.read_u64(addr.offset(CHILDREN + 8 * i)))
+    }
+
+    fn recover_err(space: &Space) -> VerifyError {
+        KvEngine::recover(space).expect_err("corrupt image must not recover")
+    }
+
+    #[test]
+    fn walk_rejects_unsorted_page_keys() {
+        // The first page, depth first, that holds two or more keys.
+        let (mut img, m) = quiesced_image();
+        let mut stack = vec![PAddr::new(m.root)];
+        let (page, ks) = loop {
+            let page = stack.pop().expect("some page holds two keys");
+            let ks = page_keys(&img, page);
+            if ks.len() >= 2 {
+                break (page, ks);
+            }
+            if img.read_u64(page.offset(HDR)) & LEAF_FLAG == 0 {
+                stack.extend((0..=ks.len() as u64).map(|i| child(&img, page, i)));
+            }
+        };
+        img.write_uint(page.offset(KEYS), 8, ks[1]);
+        img.write_uint(page.offset(KEYS + 8), 8, ks[0]);
+        assert_eq!(
+            recover_err(&img),
+            VerifyError::new("kv: page keys not strictly sorted")
+        );
+    }
+
+    #[test]
+    fn walk_rejects_a_key_outside_its_separator_range() {
+        // Child 1 of the root holds keys >= the root's first separator.
+        let (mut img, m) = quiesced_image();
+        let root = PAddr::new(m.root);
+        let lo = page_keys(&img, root)[0];
+        img.write_uint(child(&img, root, 1).offset(KEYS), 8, lo - 1);
+        assert_eq!(
+            recover_err(&img),
+            VerifyError::new(format!("kv: key {} outside separator range", lo - 1))
+        );
+    }
+
+    #[test]
+    fn walk_rejects_a_key_at_or_below_the_last_one_appended() {
+        let (img, m) = quiesced_image();
+        let mut out = vec![(u64::MAX, 0)];
+        let err = KvEngine::walk(&img, PAddr::new(m.root), None, None, true, &mut out)
+            .expect_err("a smaller key after u64::MAX is out of order");
+        let (first, _) = recover_reference(&img)
+            .unwrap()
+            .0
+            .into_iter()
+            .next()
+            .unwrap();
+        assert_eq!(err, VerifyError::new(format!("kv: duplicate key {first}")));
+    }
+
+    #[test]
+    fn recover_rejects_a_checkpoint_count_that_differs_from_the_walk() {
+        let (mut img, m) = quiesced_image();
+        let slot = PAddr::new(img.read_u64(PmemEnv::root_addr(META_SLOT)))
+            .offset((m.seq % 2) * BLOCK_SIZE);
+        let forged = Meta {
+            count: m.count + 1,
+            ..m
+        };
+        img.write_uint(slot.offset(M_COUNT), 8, forged.count);
+        img.write_uint(slot.offset(M_CKSUM), 8, meta_checksum(&forged));
+        assert_eq!(
+            recover_err(&img),
+            VerifyError::new(format!(
+                "kv: checkpoint count {} != walked keys {}",
+                m.count + 1,
+                m.count
+            ))
+        );
+    }
+
+    #[test]
+    fn torn_wal_tail_stops_replay_without_an_error() {
+        let spec = KvSpec::small(7);
+        let (mut env, mut w) = run_workload(spec, Variant::LogPSf);
+        let mut op = spec.ops;
+        while w.engine().lsn() < w.engine().stable_lsn() + 2 {
+            w.run_op(&mut env, op);
+            op += 1;
+        }
+        let mut img = env.snapshot();
+        let m = elect_meta(&img).unwrap();
+        let last = w.engine().lsn() - 1;
+        let slot = PAddr::new(m.wal_base).offset((last % m.wal_cap) * BLOCK_SIZE);
+        img.write_uint(slot.offset(R_CKSUM), 8, 0xBAD);
+        let rec = KvEngine::recover(&img).expect("a torn tail is not an error");
+        assert_eq!(rec.total_lsn, last, "replay must stop at the torn record");
+        assert_eq!(rec.replayed, last - m.lsn);
+        assert_eq!(rec.contents, pairs(&recover_reference(&img).unwrap().0));
+        assert_ne!(
+            rec.contents,
+            pairs(w.shadow()),
+            "the torn record was replayed"
+        );
+    }
+
     #[test]
     fn live_engine_agrees_with_shadow_map() {
         let (mut env, w) = run_workload(KvSpec::small(11), Variant::LogPSf);
@@ -1147,7 +1407,7 @@ mod tests {
         let (mut env, mut w) = run_workload(KvSpec::small(3), Variant::LogPSf);
         w.engine_mut().checkpoint(&mut env);
         let rec = KvEngine::recover(env.space()).expect("quiesced image must recover");
-        assert_eq!(&rec.contents, w.shadow());
+        assert_eq!(rec.contents, pairs(w.shadow()));
         assert_eq!(rec.total_lsn, w.engine().lsn());
         assert_eq!(rec.replayed, 0, "post-checkpoint image has no WAL tail");
     }
@@ -1164,7 +1424,7 @@ mod tests {
             op += 1;
         }
         let rec = KvEngine::recover(env.space()).expect("image must recover");
-        assert_eq!(&rec.contents, w.shadow());
+        assert_eq!(rec.contents, pairs(w.shadow()));
         assert!(rec.replayed > 0, "expected a WAL tail replay");
         assert_eq!(rec.total_lsn, w.engine().lsn());
     }
@@ -1185,7 +1445,7 @@ mod tests {
             "ring must have wrapped"
         );
         let rec = KvEngine::recover(env.space()).expect("image must recover");
-        assert_eq!(&rec.contents, w.shadow());
+        assert_eq!(rec.contents, pairs(w.shadow()));
     }
 
     #[test]
@@ -1304,7 +1564,7 @@ mod tests {
         img.write_uint(newest.offset(M_CKSUM), 8, 0xBAD);
         let rec = KvEngine::recover(&img).expect("fallback meta must recover");
         assert_eq!(rec.ckpt_seq, w.engine().ckpt_seq - 1);
-        assert_eq!(&rec.contents, w.shadow());
+        assert_eq!(rec.contents, pairs(w.shadow()));
     }
 
     #[test]
