@@ -36,12 +36,13 @@ pub enum SimErrorKind {
     NoFutureEvent,
     /// A multi-core rollback storm: coherence conflicts kept rolling a
     /// core back to the same trace position, and the forward-progress
-    /// budget of `bound` consecutive no-progress rollbacks ran out (see
-    /// [`crate::MultiCore::with_storm_bound`]). Without this detector a
-    /// pathological sharing pattern livelocks: every re-execution
-    /// re-touches the contended block and is rolled back again.
+    /// budget of `bound` consecutive no-progress rollbacks ran out (a
+    /// fixed 64 per core in [`crate::MultiCore::try_run`]). Without this
+    /// detector a pathological sharing pattern livelocks: every
+    /// re-execution re-touches the contended block and is rolled back
+    /// again.
     ConflictStorm {
-        /// The configured consecutive-no-progress-rollback budget.
+        /// The consecutive-no-progress-rollback budget that ran out.
         bound: u64,
     },
     /// An internal pipeline invariant broke (a state that should be

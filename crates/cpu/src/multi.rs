@@ -31,7 +31,7 @@
 //! therefore tracks consecutive rollbacks to the *same* trace position
 //! per core and degrades to a typed [`SimError`]
 //! ([`crate::SimErrorKind::ConflictStorm`]) with a diagnostic snapshot
-//! once [`MultiCore::with_storm_bound`] is exceeded, never a hang.
+//! once a fixed budget of 64 such rollbacks is exceeded, never a hang.
 
 use std::fmt;
 
@@ -43,12 +43,12 @@ use crate::error::{SimError, SimErrorKind};
 use crate::pipeline::Pipeline;
 use crate::stats::SimResult;
 
-/// Default consecutive-no-progress-rollback budget per core before
+/// Consecutive-no-progress-rollback budget per core before
 /// [`MultiCore::try_run`] declares a conflict storm. Organic storms
 /// self-damp (a rolled-back fence re-executes non-speculatively), so a
 /// storm this deep indicates a sharing pattern the simulator cannot make
 /// progress on.
-const DEFAULT_STORM_BOUND: u64 = 64;
+const STORM_BOUND: u64 = 64;
 
 /// Why a [`MultiCore`] could not be constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +109,7 @@ pub struct MultiCore<'t> {
     /// Snoop delivery is only enabled for true multi-core runs; a
     /// single core has nobody to conflict with and skips the plumbing.
     coherence: bool,
+    /// [`STORM_BOUND`]; only the conflict-storm test lowers it.
     storm_bound: u64,
 }
 
@@ -148,19 +149,8 @@ impl<'t> MultiCore<'t> {
         Ok(MultiCore {
             cores,
             coherence,
-            storm_bound: DEFAULT_STORM_BOUND,
+            storm_bound: STORM_BOUND,
         })
-    }
-
-    /// Overrides the conflict-storm budget: the number of consecutive
-    /// rollbacks to the same trace position a core may take before
-    /// [`MultiCore::try_run`] fails with
-    /// [`SimErrorKind::ConflictStorm`]. A bound of 0 fails on the first
-    /// rollback (useful for exercising the degraded path in tests).
-    #[must_use]
-    pub fn with_storm_bound(mut self, bound: u64) -> Self {
-        self.storm_bound = bound;
-        self
     }
 
     /// Runs every core to completion, surfacing the first core
@@ -170,9 +160,8 @@ impl<'t> MultiCore<'t> {
     /// # Errors
     ///
     /// Returns the [`SimError`] of the first failing core;
-    /// [`SimErrorKind::ConflictStorm`] when a core exceeded the
-    /// [`MultiCore::with_storm_bound`] budget of consecutive
-    /// no-progress rollbacks.
+    /// [`SimErrorKind::ConflictStorm`] when a core exceeded the fixed
+    /// budget of 64 consecutive no-progress rollbacks.
     pub fn try_run(mut self) -> Result<Vec<SimResult>, SimError> {
         let mut storms = vec![StormDetector::default(); self.cores.len()];
         let mut inbox: Vec<BlockId> = Vec::new();
@@ -454,11 +443,9 @@ mod tests {
         // ConflictStorm with a diagnostic snapshot — never a hang.
         let victim = victim_trace();
         let attacker = attacker_trace(300);
-        let err = MultiCore::try_new(&[&victim, &attacker], CpuConfig::with_sp())
-            .unwrap()
-            .with_storm_bound(0)
-            .try_run()
-            .unwrap_err();
+        let mut mc = MultiCore::try_new(&[&victim, &attacker], CpuConfig::with_sp()).unwrap();
+        mc.storm_bound = 0;
+        let err = mc.try_run().unwrap_err();
         assert!(matches!(err.kind, SimErrorKind::ConflictStorm { bound: 0 }));
         let msg = err.to_string();
         assert!(msg.contains("conflict storm"), "{msg}");

@@ -267,14 +267,6 @@ pub struct Pipeline<'t> {
 }
 
 impl<'t> Pipeline<'t> {
-    /// Builds a pipeline over a recorded event trace with its own
-    /// private memory system (test shorthand; callers outside this
-    /// crate go through [`crate::Simulator`]).
-    #[cfg(test)]
-    pub(crate) fn new(events: &'t [Event], cfg: CpuConfig) -> Self {
-        Self::with_memory(events, cfg, MemorySystem::new(cfg.mem))
-    }
-
     /// Builds a pipeline over an explicitly constructed memory system
     /// (e.g. one sharing its memory controller with other cores — see
     /// [`crate::MultiCore`]).
@@ -1758,6 +1750,16 @@ struct RetireBlock {
     fence: bool,
     ssb_full: bool,
     checkpoint: bool,
+}
+
+#[cfg(test)]
+impl<'t> Pipeline<'t> {
+    /// Builds a pipeline over a recorded event trace with its own
+    /// private memory system (test shorthand; callers outside this
+    /// crate go through [`crate::Simulator`]).
+    pub(crate) fn new(events: &'t [Event], cfg: CpuConfig) -> Self {
+        Self::with_memory(events, cfg, MemorySystem::new(cfg.mem))
+    }
 }
 
 #[cfg(test)]

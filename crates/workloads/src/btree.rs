@@ -21,7 +21,7 @@ use crate::{OpOutcome, VerifyError, VerifySummary, Workload};
 
 /// Maximum keys per node (order-4 / 2-3-4 tree).
 pub const MAX_KEYS: u64 = 3;
-const MIN_KEYS: u64 = 1;
+pub(crate) const MIN_KEYS: u64 = 1;
 
 // Node layout (one 64-byte block).
 // header: low byte = nkeys, bit 8 = leaf flag.
@@ -45,8 +45,8 @@ pub(crate) fn value_for(key: u64) -> u64 {
 /// The BT benchmark: 2-3-4 B+tree with full-logging WAL transactions.
 #[derive(Debug, Default, Clone)]
 pub struct BTree {
-    header: PAddr,
-    key_range: u64,
+    pub(crate) header: PAddr,
+    pub(crate) key_range: u64,
 }
 
 /// A volatile view of one node, read once and written back field by
@@ -99,6 +99,15 @@ impl Node {
     pub(crate) fn nkeys(&self) -> u64 {
         self.keys.len() as u64
     }
+
+    /// The slot of the first key above `key`: in an internal node the
+    /// child whose range covers `key`, in a leaf where `key` would go.
+    pub(crate) fn slot_for(&self, key: u64) -> usize {
+        self.keys
+            .iter()
+            .position(|&k| key < k)
+            .unwrap_or(self.keys.len())
+    }
 }
 
 impl BTree {
@@ -130,11 +139,7 @@ impl BTree {
             if node.leaf {
                 return node.keys.contains(&key);
             }
-            let idx = node
-                .keys
-                .iter()
-                .position(|&k| key < k)
-                .unwrap_or(node.keys.len());
+            let idx = node.slot_for(key);
             if idx > 0 {
                 tx.log_extra(PAddr::new(node.slots[idx - 1]));
             }
@@ -147,23 +152,26 @@ impl BTree {
 
     /// Splits the full child at `child_idx` of `parent`. Both nodes and
     /// the new sibling are written back.
-    fn split_child(tx: &mut Staged<'_>, parent: &mut Node, child_idx: usize, child: &mut Node) {
+    pub(crate) fn split_child(
+        tx: &mut Staged<'_>,
+        parent: &mut Node,
+        child_idx: usize,
+        child: &mut Node,
+    ) {
         debug_assert_eq!(child.nkeys(), MAX_KEYS);
         let mut right = Self::new_node(tx, child.leaf);
-        let (sep, keep) = if child.leaf {
+        let sep = if child.leaf {
             // Leaf split: right half moves, separator is copied up
             // (B+tree style: the key stays in the leaf).
             right.keys = child.keys.split_off(1);
             right.slots = child.slots.split_off(1);
-            (right.keys[0], 1)
+            right.keys[0]
         } else {
             // Internal split: the middle key moves up.
             right.keys = child.keys.split_off(2);
             right.slots = child.slots.split_off(2);
-            let sep = child.keys.pop().expect("middle key");
-            (sep, 1)
+            child.keys.pop().expect("middle key")
         };
-        let _ = keep;
         parent.keys.insert(child_idx, sep);
         parent.slots.insert(child_idx + 1, right.addr.raw());
         child.store(tx);
@@ -171,46 +179,39 @@ impl BTree {
         parent.store(tx);
     }
 
+    /// Grows the full `root`: a new root with `root` as its only child,
+    /// which is split at once, published at `header`. Returns the new
+    /// root.
+    pub(crate) fn grow_root(tx: &mut Staged<'_>, header: PAddr, root: &mut Node) -> Node {
+        let mut new_root = Self::new_node(tx, false);
+        new_root.slots.push(root.addr.raw());
+        Self::split_child(tx, &mut new_root, 0, root);
+        tx.write_ptr(header.offset(ROOT), new_root.addr);
+        new_root
+    }
+
     /// Inserts `key` (must be absent). Single preemptive-split descent.
     fn insert(&self, tx: &mut Staged<'_>, key: u64) {
         let root_addr = tx.read_ptr(self.header.offset(ROOT));
-        let mut root = Node::load(tx, root_addr);
-        if root.nkeys() == MAX_KEYS {
-            // Grow: new root with the old root as its only child.
-            let mut new_root = Self::new_node(tx, false);
-            new_root.slots.push(root.addr.raw());
-            Self::split_child(tx, &mut new_root, 0, &mut root);
-            tx.write_ptr(self.header.offset(ROOT), new_root.addr);
-            root = new_root;
+        let mut node = Node::load(tx, root_addr);
+        if node.nkeys() == MAX_KEYS {
+            node = Self::grow_root(tx, self.header, &mut node);
         }
-        let mut node = root;
         loop {
             tx.compute(node.nkeys() as u32);
             if node.leaf {
-                let pos = node
-                    .keys
-                    .iter()
-                    .position(|&k| key < k)
-                    .unwrap_or(node.keys.len());
+                let pos = node.slot_for(key);
                 node.keys.insert(pos, key);
                 node.slots.insert(pos, value_for(key));
                 node.store(tx);
                 return;
             }
-            let idx = node
-                .keys
-                .iter()
-                .position(|&k| key < k)
-                .unwrap_or(node.keys.len());
+            let idx = node.slot_for(key);
             let mut child = Node::load(tx, PAddr::new(node.slots[idx]));
             if child.nkeys() == MAX_KEYS {
                 Self::split_child(tx, &mut node, idx, &mut child);
                 // Re-pick which side of the new separator to descend.
-                let idx = node
-                    .keys
-                    .iter()
-                    .position(|&k| key < k)
-                    .unwrap_or(node.keys.len());
+                let idx = node.slot_for(key);
                 node = Node::load(tx, PAddr::new(node.slots[idx]));
             } else {
                 node = child;
@@ -220,11 +221,13 @@ impl BTree {
 
     /// Ensures `parent.slots[idx]` has more than `MIN_KEYS` keys before
     /// descent, borrowing from a sibling or merging. Returns the
-    /// (possibly different) child to descend into.
-    fn fix_child(tx: &mut Staged<'_>, parent: &mut Node, idx: usize) -> Node {
+    /// (possibly different) child to descend into and the sibling it
+    /// borrowed from or merged with (`PAddr::NULL` if it needed
+    /// neither).
+    pub(crate) fn fix_child(tx: &mut Staged<'_>, parent: &mut Node, idx: usize) -> (Node, PAddr) {
         let mut child = Node::load(tx, PAddr::new(parent.slots[idx]));
         if child.nkeys() > MIN_KEYS {
-            return child;
+            return (child, PAddr::NULL);
         }
         // Try borrowing from the left sibling.
         if idx > 0 {
@@ -246,7 +249,7 @@ impl BTree {
                 left.store(tx);
                 child.store(tx);
                 parent.store(tx);
-                return child;
+                return (child, left.addr);
             }
         }
         // Try borrowing from the right sibling.
@@ -269,7 +272,7 @@ impl BTree {
                 right.store(tx);
                 child.store(tx);
                 parent.store(tx);
-                return child;
+                return (child, right.addr);
             }
         }
         // Merge with a sibling (both at MIN_KEYS).
@@ -285,7 +288,8 @@ impl BTree {
             left.slots.append(&mut child.slots);
             left.store(tx);
             parent.store(tx);
-            left
+            let sibling = left.addr;
+            (left, sibling)
         } else {
             // Merge the right sibling into child.
             let mut right = Node::load(tx, PAddr::new(parent.slots[idx + 1]));
@@ -298,7 +302,7 @@ impl BTree {
             child.slots.append(&mut right.slots);
             child.store(tx);
             parent.store(tx);
-            child
+            (child, right.addr)
         }
     }
 
@@ -319,12 +323,8 @@ impl BTree {
                 node.store(tx);
                 return;
             }
-            let idx = node
-                .keys
-                .iter()
-                .position(|&k| key < k)
-                .unwrap_or(node.keys.len());
-            let child = Self::fix_child(tx, &mut node, idx);
+            let idx = node.slot_for(key);
+            let (child, _) = Self::fix_child(tx, &mut node, idx);
             // Root shrink: an empty internal root hands off to its child.
             if node.addr == tx.read_ptr(self.header.offset(ROOT)) && node.keys.is_empty() {
                 tx.write_ptr(self.header.offset(ROOT), child.addr);
@@ -355,12 +355,12 @@ impl BTree {
         outcome
     }
 
-    fn pick_key(&self, rng: &mut StdRng) -> u64 {
+    pub(crate) fn pick_key(&self, rng: &mut StdRng) -> u64 {
         rng.gen_range(0..self.key_range)
     }
 
     /// Recursive structural check; returns the subtree's leaf depth.
-    pub(crate) fn verify_rec(
+    fn verify_rec(
         space: &Space,
         n: PAddr,
         lo: Option<u64>,

@@ -18,20 +18,22 @@
 //!   invariants, so recovery yields a *valid* tree in which the
 //!   in-flight key simply is not yet inserted (or not yet removed).
 //!
-//! The `repro incremental` ablation quantifies the trade-off against
-//! [`BTree`](crate::btree::BTree)'s full logging.
+//! Only the logging policy differs from [`BTree`]: an [`IncBTree`]
+//! wraps one for its layout, population and verification, and runs
+//! BT's own split, root growth and borrow/merge inside its per-step
+//! transactions. The `repro incremental` ablation records it from BT's
+//! cached population ([`IncBTree::record_trace`]) and compares it with
+//! BT's full logging.
+
+use std::any::Any;
 
 use rand::rngs::StdRng;
-use rand::Rng;
-use spp_pmem::{PAddr, PmemEnv, Space};
+use spp_pmem::{PAddr, PmemEnv, SharedTrace, Space, Trace};
 
-use crate::btree::{self, Node};
+use crate::btree::{self, BTree, Node};
 use crate::spec::BenchId;
 use crate::staged::Staged;
-use crate::{OpOutcome, VerifyError, VerifySummary, Workload};
-
-const MAX_KEYS: u64 = btree::MAX_KEYS;
-const MIN_KEYS: u64 = 1;
+use crate::{OpOutcome, TraceSpec, VerifyError, VerifySummary, Workload};
 
 /// Reads a node through plain (untransactional) loads — the descent
 /// between incremental steps.
@@ -61,8 +63,8 @@ fn read_node(env: &mut PmemEnv, addr: PAddr) -> Node {
 /// The BT benchmark with incremental logging.
 #[derive(Debug, Default, Clone)]
 pub struct IncBTree {
-    header: PAddr,
-    key_range: u64,
+    /// The tree's header and key range, population and verification.
+    bt: BTree,
     /// Barrier-step counter (diagnostics: steps per operation).
     steps: u64,
 }
@@ -74,6 +76,30 @@ impl IncBTree {
         Self::default()
     }
 
+    /// Records BT's trace under `ts` with incremental logging. The tree
+    /// is BT's population from the setup cache, exactly as
+    /// [`record_trace`](crate::record_trace) takes it; only the measured
+    /// operations run in per-step transactions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ts.spec.id` is not [`BenchId::BTree`] or the final
+    /// tree fails verification.
+    pub fn record_trace(ts: &TraceSpec) -> SharedTrace {
+        Self::record(ts).into_shared()
+    }
+
+    /// [`record_trace`](Self::record_trace) before its store values are
+    /// dropped.
+    fn record(ts: &TraceSpec) -> Trace {
+        crate::record(ts, |w| {
+            let bt = (w as Box<dyn Any>)
+                .downcast::<BTree>()
+                .expect("incremental logging runs on BT");
+            Box::new(IncBTree { bt: *bt, steps: 0 })
+        })
+    }
+
     /// Write-ahead-logging steps executed so far (each one is a full
     /// four-barrier transaction).
     pub fn steps(&self) -> u64 {
@@ -81,7 +107,7 @@ impl IncBTree {
     }
 
     fn root(&self, env: &mut PmemEnv) -> PAddr {
-        env.load_ptr(self.header.offset(btree::ROOT))
+        env.load_ptr(self.bt.header.offset(btree::ROOT))
     }
 
     /// One incremental step: `build` runs inside its own transaction.
@@ -100,108 +126,65 @@ impl IncBTree {
             tx.note_path(p.addr);
             let mut c = Node::load(tx, PAddr::new(p.slots[child_idx]));
             tx.note_path(c.addr);
-            debug_assert_eq!(c.nkeys(), MAX_KEYS);
-            let mut right = Node {
-                addr: tx.alloc_block(),
-                leaf: c.leaf,
-                keys: Vec::new(),
-                slots: Vec::new(),
-            };
-            let sep = if c.leaf {
-                right.keys = c.keys.split_off(1);
-                right.slots = c.slots.split_off(1);
-                right.keys[0]
-            } else {
-                right.keys = c.keys.split_off(2);
-                right.slots = c.slots.split_off(2);
-                c.keys.pop().expect("middle key")
-            };
-            p.keys.insert(child_idx, sep);
-            p.slots.insert(child_idx + 1, right.addr.raw());
-            c.store(tx);
-            right.store(tx);
-            p.store(tx);
+            BTree::split_child(tx, &mut p, child_idx, &mut c);
         });
     }
 
     /// Grows a full root in one step.
     fn grow_root_step(&mut self, env: &mut PmemEnv, op_id: u64) {
-        let header = self.header;
+        let header = self.bt.header;
         let old_root = self.root(env);
         self.step(env, op_id, |tx| {
             tx.note_path(header);
             let mut root = Node::load(tx, old_root);
             tx.note_path(root.addr);
-            let mut new_root = Node {
-                addr: tx.alloc_block(),
-                leaf: false,
-                keys: Vec::new(),
-                slots: Vec::new(),
-            };
-            new_root.slots.push(root.addr.raw());
-            // Inline split of child 0 of the fresh root.
-            let mut right = Node {
-                addr: tx.alloc_block(),
-                leaf: root.leaf,
-                keys: Vec::new(),
-                slots: Vec::new(),
-            };
-            let sep = if root.leaf {
-                right.keys = root.keys.split_off(1);
-                right.slots = root.slots.split_off(1);
-                right.keys[0]
-            } else {
-                right.keys = root.keys.split_off(2);
-                right.slots = root.slots.split_off(2);
-                root.keys.pop().expect("middle key")
-            };
-            new_root.keys.push(sep);
-            new_root.slots.push(right.addr.raw());
-            root.store(tx);
-            right.store(tx);
-            new_root.store(tx);
-            tx.write_ptr(header.offset(btree::ROOT), new_root.addr);
+            BTree::grow_root(tx, header, &mut root);
+        });
+    }
+
+    /// An operation's final step: `edit` changes the leaf at `leaf`,
+    /// and the size field follows its key count in the same
+    /// transaction, so the key and the size publish together.
+    fn leaf_step(
+        &mut self,
+        env: &mut PmemEnv,
+        op_id: u64,
+        leaf: PAddr,
+        edit: impl FnOnce(&mut Node),
+    ) {
+        let header = self.bt.header;
+        self.step(env, op_id, |tx| {
+            let mut node = Node::load(tx, leaf);
+            tx.note_path(node.addr);
+            tx.note_path(header);
+            let before = node.nkeys();
+            edit(&mut node);
+            node.store(tx);
+            let size = tx.read(header.offset(btree::SIZE));
+            tx.write(header.offset(btree::SIZE), size + node.nkeys() - before);
         });
     }
 
     /// Inserts `key` (absent) via per-step transactions.
     fn insert(&mut self, env: &mut PmemEnv, key: u64, op_id: u64) {
         let root = self.root(env);
-        let root_node = read_node(env, root);
-        if root_node.nkeys() == MAX_KEYS {
+        if read_node(env, root).nkeys() == btree::MAX_KEYS {
             self.grow_root_step(env, op_id);
         }
         let mut n = self.root(env);
         loop {
             let node = read_node(env, n);
             if node.leaf {
-                // Final step: the leaf insert publishes the key and the
-                // size together.
-                let header = self.header;
-                self.step(env, op_id, |tx| {
-                    let mut leaf = Node::load(tx, n);
-                    tx.note_path(leaf.addr);
-                    tx.note_path(header);
-                    let pos = leaf
-                        .keys
-                        .iter()
-                        .position(|&k| key < k)
-                        .unwrap_or(leaf.keys.len());
+                self.leaf_step(env, op_id, n, |leaf| {
+                    let pos = leaf.slot_for(key);
                     leaf.keys.insert(pos, key);
                     leaf.slots.insert(pos, btree::value_for(key));
-                    leaf.store(tx);
-                    let size = tx.read(header.offset(btree::SIZE));
-                    tx.write(header.offset(btree::SIZE), size + 1);
                 });
                 return;
             }
-            let idx = node
-                .keys
-                .iter()
-                .position(|&k| key < k)
-                .unwrap_or(node.keys.len());
+            let idx = node.slot_for(key);
             let child = read_node(env, PAddr::new(node.slots[idx]));
-            if child.nkeys() == MAX_KEYS {
+            if child.nkeys() == btree::MAX_KEYS {
                 self.split_step(env, op_id, n, idx);
                 // Re-read the parent: the separator set changed.
                 continue;
@@ -213,99 +196,27 @@ impl IncBTree {
     /// One borrow-or-merge fix of `parent.slots[idx]` in its own step.
     /// Returns the address of the child that now covers the key range.
     fn fix_step(&mut self, env: &mut PmemEnv, op_id: u64, parent: PAddr, idx: usize) -> PAddr {
-        let header = self.header;
+        let header = self.bt.header;
         let mut result = PAddr::NULL;
         self.step(env, op_id, |tx| {
             let mut p = Node::load(tx, parent);
-            tx.note_path(p.addr);
-            let mut child = Node::load(tx, PAddr::new(p.slots[idx]));
-            tx.note_path(child.addr);
-            // Borrow from the left sibling.
-            if idx > 0 {
-                let mut left = Node::load(tx, PAddr::new(p.slots[idx - 1]));
-                if left.nkeys() > MIN_KEYS {
-                    tx.note_path(left.addr);
-                    if child.leaf {
-                        let k = left.keys.pop().expect("donor");
-                        let v = left.slots.pop().expect("donor");
-                        child.keys.insert(0, k);
-                        child.slots.insert(0, v);
-                        p.keys[idx - 1] = child.keys[0];
-                    } else {
-                        let k = left.keys.pop().expect("donor");
-                        let c = left.slots.pop().expect("donor");
-                        child.keys.insert(0, p.keys[idx - 1]);
-                        child.slots.insert(0, c);
-                        p.keys[idx - 1] = k;
-                    }
-                    left.store(tx);
-                    child.store(tx);
-                    p.store(tx);
-                    result = child.addr;
-                    return;
-                }
+            let child = PAddr::new(p.slots[idx]);
+            let nkeys = p.nkeys();
+            let (covering, sibling) = BTree::fix_child(tx, &mut p, idx);
+            debug_assert!(!sibling.is_null(), "fix_step on a child that needed no fix");
+            for addr in [p.addr, child, sibling] {
+                tx.note_path(addr);
             }
-            // Borrow from the right sibling.
-            if idx < p.slots.len() - 1 {
-                let mut right = Node::load(tx, PAddr::new(p.slots[idx + 1]));
-                if right.nkeys() > MIN_KEYS {
-                    tx.note_path(right.addr);
-                    if child.leaf {
-                        let k = right.keys.remove(0);
-                        let v = right.slots.remove(0);
-                        child.keys.push(k);
-                        child.slots.push(v);
-                        p.keys[idx] = right.keys[0];
-                    } else {
-                        let k = right.keys.remove(0);
-                        let c = right.slots.remove(0);
-                        child.keys.push(p.keys[idx]);
-                        child.slots.push(c);
-                        p.keys[idx] = k;
-                    }
-                    right.store(tx);
-                    child.store(tx);
-                    p.store(tx);
-                    result = child.addr;
-                    return;
-                }
-            }
-            // Merge.
-            if idx > 0 {
-                let mut left = Node::load(tx, PAddr::new(p.slots[idx - 1]));
-                tx.note_path(left.addr);
-                let sep = p.keys.remove(idx - 1);
-                p.slots.remove(idx);
-                if !child.leaf {
-                    left.keys.push(sep);
-                }
-                left.keys.append(&mut child.keys);
-                left.slots.append(&mut child.slots);
-                left.store(tx);
-                p.store(tx);
-                result = left.addr;
-            } else {
-                let mut right = Node::load(tx, PAddr::new(p.slots[idx + 1]));
-                tx.note_path(right.addr);
-                let sep = p.keys.remove(idx);
-                p.slots.remove(idx + 1);
-                if !child.leaf {
-                    child.keys.push(sep);
-                }
-                child.keys.append(&mut right.keys);
-                child.slots.append(&mut right.slots);
-                child.store(tx);
-                p.store(tx);
-                result = child.addr;
-            }
-            // Root shrink is published in the same step (the merge that
-            // empties the root must atomically hand off).
-            if p.addr == PAddr::new(tx.read(header.offset(btree::ROOT))) && p.keys.is_empty() {
+            result = covering.addr;
+            // A merge that empties the root hands off in the same step.
+            if p.nkeys() < nkeys
+                && p.addr == PAddr::new(tx.read(header.offset(btree::ROOT)))
+                && p.keys.is_empty()
+            {
                 tx.note_path(header);
                 tx.write_ptr(header.offset(btree::ROOT), result);
             }
         });
-        debug_assert!(!result.is_null());
         result
     }
 
@@ -315,11 +226,7 @@ impl IncBTree {
         loop {
             let node = read_node(env, n);
             if node.leaf {
-                let header = self.header;
-                self.step(env, op_id, |tx| {
-                    let mut leaf = Node::load(tx, n);
-                    tx.note_path(leaf.addr);
-                    tx.note_path(header);
+                self.leaf_step(env, op_id, n, |leaf| {
                     let pos = leaf
                         .keys
                         .iter()
@@ -327,23 +234,16 @@ impl IncBTree {
                         .expect("key present");
                     leaf.keys.remove(pos);
                     leaf.slots.remove(pos);
-                    leaf.store(tx);
-                    let size = tx.read(header.offset(btree::SIZE));
-                    tx.write(header.offset(btree::SIZE), size - 1);
                 });
                 return;
             }
-            let idx = node
-                .keys
-                .iter()
-                .position(|&k| key < k)
-                .unwrap_or(node.keys.len());
+            let idx = node.slot_for(key);
             let child = read_node(env, PAddr::new(node.slots[idx]));
-            if child.nkeys() <= MIN_KEYS {
-                n = self.fix_step(env, op_id, n, idx);
+            n = if child.nkeys() <= btree::MIN_KEYS {
+                self.fix_step(env, op_id, n, idx)
             } else {
-                n = child.addr;
-            }
+                child.addr
+            };
         }
     }
 
@@ -356,12 +256,7 @@ impl IncBTree {
             if node.leaf {
                 break node.keys.contains(&key);
             }
-            let idx = node
-                .keys
-                .iter()
-                .position(|&k| key < k)
-                .unwrap_or(node.keys.len());
-            n = PAddr::new(node.slots[idx]);
+            n = PAddr::new(node.slots[node.slot_for(key)]);
         };
         if found {
             self.delete(env, key, op_id);
@@ -370,10 +265,6 @@ impl IncBTree {
             self.insert(env, key, op_id);
             OpOutcome::Inserted(key)
         }
-    }
-
-    fn pick_key(&self, rng: &mut StdRng) -> u64 {
-        rng.gen_range(0..self.key_range)
     }
 }
 
@@ -386,43 +277,19 @@ impl Workload for IncBTree {
         Box::new(self.clone())
     }
 
+    /// Populates through BT's full-logging operations: the tree the
+    /// setup cache holds for BT.
     fn setup(&mut self, env: &mut PmemEnv, rng: &mut StdRng, init_ops: u64) {
-        self.key_range = (2 * init_ops).max(16);
-        self.header = env.alloc_block();
-        let root = env.alloc_block();
-        env.store_u64(root.offset(btree::HDR), btree::LEAF_FLAG);
-        env.store_ptr(self.header.offset(btree::ROOT), root);
-        env.store_u64(self.header.offset(btree::SIZE), 0);
-        env.set_root(btree::ROOT_SLOT, self.header);
-        for op in 0..init_ops {
-            let key = self.pick_key(rng);
-            self.op(env, key, u64::MAX - op);
-        }
-        self.steps = 0;
+        self.bt.setup(env, rng, init_ops);
     }
 
     fn run_op(&mut self, env: &mut PmemEnv, rng: &mut StdRng, op_id: u64) -> OpOutcome {
-        let key = self.pick_key(rng);
+        let key = self.bt.pick_key(rng);
         self.op(env, key, op_id)
     }
 
     fn verify(&self, space: &Space) -> Result<VerifySummary, VerifyError> {
-        // Identical layout and invariants as the full-logging B-tree.
-        let h = PAddr::new(space.read_u64(PmemEnv::root_addr(btree::ROOT_SLOT)));
-        let root = PAddr::new(space.read_u64(h.offset(btree::ROOT)));
-        let mut keys = Vec::new();
-        btree::BTree::verify_rec(space, root, None, None, true, &mut keys)?;
-        if keys.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(VerifyError::new("BT-inc: leaf scan not strictly sorted"));
-        }
-        let size = space.read_u64(h.offset(btree::SIZE));
-        if keys.len() as u64 != size {
-            return Err(VerifyError::new(format!(
-                "BT-inc: size field {size} != key count {}",
-                keys.len()
-            )));
-        }
-        Ok(VerifySummary { keys, size })
+        self.bt.verify(space)
     }
 }
 
@@ -438,7 +305,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut bt = IncBTree::new();
         bt.setup(&mut env, &mut rng, 0);
-        bt.key_range = u64::MAX;
+        bt.bt.key_range = u64::MAX;
         (env, bt)
     }
 
@@ -575,6 +442,77 @@ mod tests {
                 states.contains(&got),
                 "crash at {crash}: state matches no prefix"
             );
+        }
+    }
+
+    /// Pins the incremental trace, events and store values, at a
+    /// mid-size point and a drain-heavy one (merges and root shrinks).
+    #[test]
+    fn incremental_trace_is_pinned() {
+        use crate::spec::BenchSpec;
+        use crate::testutil::record_uncached;
+        use crate::TraceSpec;
+        use spp_pmem::hash64;
+        let points = [
+            (4800, 300, 0x5EED, 0xc447_32f9_aa2a_8021),
+            (16, 3000, 9, 0x1979_96c8_101a_1dd1),
+        ];
+        for (init_ops, sim_ops, seed, want) in points {
+            let spec = BenchSpec {
+                id: BenchId::BTree,
+                init_ops,
+                sim_ops,
+            };
+            let ts = TraceSpec::new(Variant::LogPSf, spec, seed);
+            let t = record_uncached(Box::new(IncBTree::new()), &ts);
+            let mut bytes = Vec::new();
+            for e in &t.events {
+                bytes.extend_from_slice(format!("{e:?}\n").as_bytes());
+            }
+            for &v in &t.values {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            let h = hash64(&bytes);
+            assert_eq!(
+                h, want,
+                "({init_ops}, {sim_ops}, {seed:#x}): digest {h:#018x}"
+            );
+        }
+    }
+
+    /// `record_trace` takes BT's population from the setup cache (under
+    /// `Variant::Base`); that must record exactly the events and store
+    /// values of a fresh population under the real variant and flush
+    /// mode, the drain-heavy pinned point included.
+    #[test]
+    fn cached_population_records_the_uncached_trace() {
+        use crate::spec::BenchSpec;
+        use crate::testutil::record_uncached;
+        use crate::TraceSpec;
+        use spp_pmem::FlushMode;
+        let drain = BenchSpec {
+            id: BenchId::BTree,
+            init_ops: 16,
+            sim_ops: 3000,
+        };
+        let mut specs = vec![TraceSpec::new(Variant::LogPSf, drain, 9)];
+        for variant in Variant::ALL {
+            for flush_mode in FlushMode::ALL {
+                for seed in [1, 0x5EED] {
+                    specs.push(TraceSpec {
+                        variant,
+                        spec: BenchSpec::scaled(BenchId::BTree, 2500),
+                        seed,
+                        flush_mode,
+                    });
+                }
+            }
+        }
+        for ts in specs {
+            let cached = IncBTree::record(&ts);
+            let uncached = record_uncached(Box::new(IncBTree::new()), &ts);
+            assert!(cached.events == uncached.events, "{ts:?}: events diverged");
+            assert!(cached.values == uncached.values, "{ts:?}: values diverged");
         }
     }
 

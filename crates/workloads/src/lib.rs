@@ -49,6 +49,7 @@ mod staged;
 pub mod string_swap;
 pub mod zipf;
 
+use std::any::Any;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -108,8 +109,10 @@ impl std::error::Error for VerifyError {}
 /// Implementations keep *all* structure state in the persistent address
 /// space (reachable from the root directory), so [`verify`](Self::verify)
 /// can run against any memory image — including post-crash, post-recovery
-/// images that the live workload object never saw.
-pub trait Workload: fmt::Debug + Send + Sync {
+/// images that the live workload object never saw. `Any` lets a recorder
+/// recover the concrete structure from a cached population (the
+/// incremental-logging B-tree wraps BT's).
+pub trait Workload: Any + fmt::Debug + Send + Sync {
     /// Which Table 1 benchmark this is.
     fn id(&self) -> BenchId;
 
@@ -177,49 +180,34 @@ impl TraceSpec {
 
 /// Records one benchmark trace and freezes it for concurrent replay.
 ///
-/// This is the one recorder of Table 1 traces: it populates the
+/// This is the one recorder of benchmark traces: it populates the
 /// structure in fast-forward (through the process-wide setup cache),
 /// records the measured operations in their application context, and
 /// verifies the final structure. The immutable, timing-only
 /// [`SharedTrace`] can then be replayed by many simulator
-/// configurations in parallel.
+/// configurations in parallel. The §3.2 incremental-logging B-tree
+/// ([`IncBTree::record_trace`](btree_inc::IncBTree::record_trace))
+/// records through the same path, from BT's cached population.
 ///
 /// # Panics
 ///
 /// Panics if the final structure fails verification — that would be a
 /// bug in this crate, never an expected outcome.
 pub fn record_trace(ts: &TraceSpec) -> SharedTrace {
-    record(ts).into_shared()
+    record(ts, |w| w).into_shared()
 }
 
-/// [`record_trace`] before its store values are dropped.
-fn record(ts: &TraceSpec) -> Trace {
+/// [`record_trace`] before its store values are dropped. `policy` turns
+/// the cached, populated workload into the one that runs the measured
+/// phase: itself, or the same structure under another logging scheme.
+fn record(ts: &TraceSpec, policy: impl FnOnce(Box<dyn Workload>) -> Box<dyn Workload>) -> Trace {
     let (mut env, rng, w) = populated_setup(ts);
     env.set_variant(ts.variant);
     env.set_flush_mode(ts.flush_mode);
-    measure(env, rng, w, ts)
+    measure(env, rng, policy(w), ts)
 }
 
-/// Records `w`'s trace under `ts` like [`record_trace`], but populates
-/// it afresh under `ts.variant` and `ts.flush_mode` instead of through
-/// the setup cache: for workloads outside Table 1 (the §3.2
-/// incremental-logging B-tree), which the cache cannot key, and for
-/// measuring the full recording cost. `ts.spec` sizes the run; `w` need
-/// not be `make_workload(ts.spec.id)`.
-///
-/// # Panics
-///
-/// Panics if the final structure fails verification.
-pub fn record_workload(mut w: Box<dyn Workload>, ts: &TraceSpec) -> SharedTrace {
-    let mut env = PmemEnv::new(ts.variant);
-    env.set_flush_mode(ts.flush_mode);
-    let mut rng = StdRng::seed_from_u64(ts.seed);
-    env.set_recording(false);
-    w.setup(&mut env, &mut rng, ts.spec.init_ops);
-    measure(env, rng, w, ts).into_shared()
-}
-
-/// The measured phase shared by both recorders: the application-context
+/// The measured phase of a recording: the application-context
 /// driver (created after population, as pre-existing application
 /// state), `ts.spec.sim_ops` recorded operations, and a final
 /// structural verification.
@@ -315,6 +303,18 @@ pub(crate) mod testutil {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// Records `w`'s trace under `ts` with a fresh population under
+    /// `ts.variant` and `ts.flush_mode`: the reference the setup cache's
+    /// shortcut is checked against.
+    pub fn record_uncached(mut w: Box<dyn Workload>, ts: &TraceSpec) -> Trace {
+        let mut env = PmemEnv::new(ts.variant);
+        env.set_flush_mode(ts.flush_mode);
+        let mut rng = StdRng::seed_from_u64(ts.seed);
+        env.set_recording(false);
+        w.setup(&mut env, &mut rng, ts.spec.init_ops);
+        measure(env, rng, w, ts)
+    }
+
     /// Drives `sim_ops` operations against both the workload and a
     /// `BTreeSet` oracle, checking outcome agreement and invariants
     /// periodically.
@@ -356,6 +356,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::record_uncached;
 
     /// The setup cache populates under `Variant::Base` and rebrands the
     /// clone (see [`SetupKey`]); that shortcut must record exactly the
@@ -375,8 +376,8 @@ mod tests {
                             flush_mode,
                         };
                         assert!(
-                            record_workload(make_workload(id), &ts).events
-                                == record_trace(&ts).events,
+                            record_uncached(make_workload(id), &ts).events
+                                == *record_trace(&ts).events,
                             "{id}/{variant}/{flush_mode}/seed {seed}: setup cache diverged"
                         );
                     }
@@ -391,7 +392,10 @@ mod tests {
     fn every_bench_records_one_value_per_store() {
         for id in BenchId::ALL {
             for variant in Variant::ALL {
-                let t = record(&TraceSpec::new(variant, BenchSpec::scaled(id, 2500), 1));
+                let t = record(
+                    &TraceSpec::new(variant, BenchSpec::scaled(id, 2500), 1),
+                    |w| w,
+                );
                 let stores = t
                     .events
                     .iter()
